@@ -329,129 +329,26 @@ def rerecord_bundle(bundle: ExecutionRecord) -> ExecutionRecord:
     :class:`repro.sim.replay.ReplayInjector`, and a fresh
     :class:`repro.sim.recorder.RecordingInjector` around it captures new
     digests, re-keyed decisions, and the actual outcome — producing a
-    bundle that replays strictly (bit-identical) on its own.
+    bundle that replays strictly (bit-identical) on its own.  The run goes
+    through :func:`repro.sim.replay.rerun_bundle`, the same configuration
+    and monitor stack strict replay uses.
     """
-    import random
-
-    from ..analysis.runner import safe_run_protocol
-    from ..core.caaf import SUM, by_name
-    from ..sim.monitors import standard_monitors, violations_of
     from ..sim.recorder import RecordingInjector, make_execution_record
-    from ..sim.replay import ReplayInjector, _rng_state_from_jsonable
+    from ..sim.replay import ReplayInjector, bundle_rng, rerun_bundle
 
-    topology = bundle.build_topology()
-    inputs = bundle.build_inputs()
-    schedule = bundle.build_schedule()
-    rng = random.Random(bundle.seed or 0)
-    if bundle.rng_state is not None:
-        rng.setstate(_rng_state_from_jsonable(bundle.rng_state))
-    rng_state = rng.getstate()
-    params = bundle.params
-    caaf = by_name(params["caaf"]) if params.get("caaf") else SUM
-    # Mirror replay_bundle's resilience reconstruction: the re-recorded
-    # expected outcome must come from the same code path (transport
-    # windows, failover epochs, integrity verification, corruption
-    # oracle) that strict replay will later take, or the fresh bundle
-    # diverges on its own first replay.
-    transport = None
-    recovery = None
-    integrity = None
-    allow_root_crash = bool(params.get("allow_root_crash"))
-    if params.get("transport"):
-        from ..resilience.transport import TransportConfig
-
-        transport = TransportConfig.from_jsonable(params["transport"])
-    if params.get("recovery"):
-        from ..resilience.failover import RecoveryPolicy
-
-        recovery = RecoveryPolicy.from_jsonable(params["recovery"])
-    if params.get("integrity"):
-        from ..integrity.frames import IntegrityConfig, as_integrity
-
-        integrity = as_integrity(
-            IntegrityConfig.from_jsonable(params["integrity"])
-        )
-    if integrity is None and recovery is not None:
-        from ..integrity.frames import as_integrity
-
-        integrity = as_integrity(recovery.integrity)
-    churn = None
-    churn_policy = None
-    if params.get("churn"):
-        from ..sim.faults import ChurnSchedule
-
-        churn = ChurnSchedule.from_jsonable(params["churn"])
-    if params.get("churn_policy"):
-        from ..resilience.epochs import ChurnPolicy
-
-        churn_policy = ChurnPolicy.from_jsonable(params["churn_policy"])
-    byz = None
-    byz_config = None
-    if params.get("byz"):
-        from ..sim.faults import ByzantineSchedule
-
-        # Re-run live (no RNG to re-roll) so the fresh recording carries
-        # the same lies and the same ground-truth taint ledger.
-        byz = ByzantineSchedule.from_jsonable(params["byz"])
-    if params.get("byz_config"):
-        from ..resilience.byzantine import ByzantineConfig
-
-        byz_config = ByzantineConfig.from_jsonable(params["byz_config"])
     replayer = ReplayInjector(bundle, strict=False)
-    monitors = None
-    if bundle.monitor_mode == "record":
-        monitors = standard_monitors(
-            topology,
-            inputs,
-            f=params.get("f"),
-            caaf=caaf,
-            mode="record",
-            recovery=allow_root_crash or recovery is not None,
-            corruption=[replayer] if replayer.has_rewrites else (),
-            integrity=integrity,
-            churn=churn is not None,
-            byz=byz if byz is not None and byz.has_events else None,
-        )
     recorder = RecordingInjector([replayer])
-    record = safe_run_protocol(
-        bundle.protocol,
-        topology,
-        inputs,
-        schedule=schedule,
-        seed=bundle.seed,
-        rng=rng,
-        f=params.get("f"),
-        b=params.get("b"),
-        t=params.get("t"),
-        c=params.get("c", 2),
-        caaf=caaf,
-        strict=bundle.strict_model,
-        injectors=(recorder,),
-        monitors=monitors,
-        strict_monitors=bundle.monitor_mode == "strict",
-        transport=transport,
-        recovery=recovery,
-        integrity=integrity,
-        churn=churn,
-        churn_policy=churn_policy,
-        byz=byz,
-        byz_config=byz_config,
-        allow_root_crash=allow_root_crash,
-    )
-    if monitors and not record.failed and not record.extra.get("violations"):
-        events = violations_of(monitors)
-        if events:
-            record.extra["violations"] = [str(e) for e in events]
+    record = rerun_bundle(bundle, replayer, recorder)
     return make_execution_record(
         recorder,
         bundle.protocol,
-        topology,
-        inputs,
-        schedule,
+        bundle.build_topology(),
+        bundle.build_inputs(),
+        bundle.build_schedule(),
         dict(bundle.params),
         run_record=record,
         seed=bundle.seed,
-        rng_state=rng_state,
+        rng_state=bundle_rng(bundle).getstate(),
         strict_model=bundle.strict_model,
         monitor_mode=bundle.monitor_mode,
     )

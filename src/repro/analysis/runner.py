@@ -44,7 +44,8 @@ from ..core.unknown_f import run_unknown_f
 from ..core.algorithm1 import run_algorithm1
 from ..core.veri import run_agg_veri_pair
 from ..graphs.topology import Topology
-from ..sim.monitors import InvariantViolation, standard_monitors, violations_of
+from ..sim.monitors import InvariantViolation, violations_of
+from . import families
 
 
 @dataclass
@@ -101,15 +102,6 @@ def make_inputs(
     domain per the model)."""
     hi = topology.n_nodes if max_input is None else max_input
     return {u: rng.randint(0, hi) for u in topology.nodes()}
-
-
-def _flat_injectors(injectors):
-    """Injectors plus one level of wrapper ``.inner`` chains."""
-    for injector in injectors or ():
-        yield injector
-        inner = getattr(injector, "inner", None)
-        if isinstance(inner, (list, tuple)):
-            yield from inner
 
 
 def _effective_schedule(
@@ -181,10 +173,10 @@ def run_protocol(
     the churn-tolerant epoch manager
     (:mod:`repro.resilience.epochs`) with exactly-once re-aggregation;
     ``churn_policy`` (a :class:`repro.resilience.epochs.ChurnPolicy`)
-    tunes its transport/epoch budget.  ``churn`` is mutually exclusive
-    with ``recovery``; the row then carries the partial result's
-    status / certification / coverage columns plus the churn counters
-    (rejoins, handshakes, lost contributions, double-count audit).
+    tunes its transport/epoch budget.  The row then carries the partial
+    result's status / certification / coverage columns plus the churn
+    counters (rejoins, handshakes, lost contributions, double-count
+    audit).
     ``gray`` (a :class:`repro.sim.faults.GrayFailureSchedule` or its spec
     string, e.g. ``'3:stall@r4-r9:x2,link:1-2@r5-r12:x2:ramp'``) injects
     gray failures — compute stalls and link-latency inflation that slow
@@ -202,13 +194,12 @@ def run_protocol(
     partial certificate (|error| <= residual_budget * v_max).
     ``byz_config`` (a :class:`repro.resilience.byzantine.ByzantineConfig`)
     tunes witnesses / eviction policy / epoch budget.  A schedule with no
-    compromised nodes takes the plain path bit-for-bit.  ``byz`` is
-    mutually exclusive with ``transport`` / ``recovery`` / ``churn`` /
-    ``gray`` and with corruption injectors — the witness audits assume
-    in-model delivery, so any other delivery-rewriting fault source would
-    make honest nodes convictable.
+    compromised nodes takes the plain path bit-for-bit.
     ``allow_root_crash`` relaxes strict validation for root-crashing
     schedules (implied by ``recovery``).
+    Family pairs that do not compose (e.g. ``churn`` with ``recovery``)
+    raise ``ValueError`` with the reason from
+    :data:`repro.analysis.families.EXCLUSIONS`.
 
     With ``strict=True`` (default) the configuration is checked against
     every Section 2 model assumption first (see
@@ -228,76 +219,22 @@ def run_protocol(
     """
     schedule = schedule or FailureSchedule()
     rng = rng or random.Random()
-    extra: Dict[str, Any] = {}
-    if transport is not None and recovery is not None:
-        raise ValueError(
-            "pass transport via the RecoveryPolicy when recovery is set"
-        )
-    if churn is not None and recovery is not None:
-        raise ValueError(
-            "churn and recovery are mutually exclusive runtimes "
-            "(the churn epoch manager assumes an immortal root)"
-        )
-    if (
-        transport is not None
-        or recovery is not None
-        or integrity is not None
-        or churn is not None
-    ):
-        from ..resilience.failover import RECOVERABLE_PROTOCOLS
-
-        if protocol not in RECOVERABLE_PROTOCOLS:
-            raise ValueError(
-                f"transport/recovery/integrity/churn support "
-                f"{RECOVERABLE_PROTOCOLS}, not {protocol!r}"
-            )
-    if churn is not None and isinstance(churn, str):
-        from ..sim.faults import ChurnSchedule
-
-        churn = ChurnSchedule.from_spec(churn, root=topology.root)
-    if gray is not None:
-        from ..sim.faults import GrayFailureSchedule, gray_sources
-        from ..sim.replay import ReplayInjector
-
-        if isinstance(gray, str):
-            gray = GrayFailureSchedule.from_spec(gray)
-        gray.validate(topology)
-        replaying = any(
-            isinstance(i, ReplayInjector) for i in _flat_injectors(injectors)
-        )
-        if gray.has_events and not gray_sources(injectors) and not replaying:
-            # A replay's ReplayInjector re-applies the recorded delivery
-            # shifts itself; attaching the schedule again would double the
-            # delays.  Otherwise the schedule rides *inside* a recording
-            # wrapper when one is present, so its due-shifts land in the
-            # bundle and replays reproduce them byte-for-byte.
-            from ..sim.recorder import RecordingInjector
-
-            recorder = next(
-                (i for i in injectors if isinstance(i, RecordingInjector)),
-                None,
-            )
-            if recorder is not None:
-                recorder.inner.append(gray)
-                recorder.modifies_delivery = True
-            else:
-                injectors = tuple(injectors) + (gray,)
-    if transport is not None:
-        # Coerce once here so the same coordinator feeds the run, the
-        # retransmit-budget monitor, and the row's overhead columns.
-        from ..resilience.transport import as_transport
-
-        transport = as_transport(transport)
-    # Same idea for integrity: one coordinator feeds the run, the
-    # silent-corruption oracle, and the row's rejection columns.  With
-    # recovery, an explicit argument overrides the policy's config.
-    from ..integrity.frames import as_integrity
-
-    integrity = as_integrity(
-        integrity
-        if integrity is not None
-        else getattr(recovery, "integrity", None)
+    cfg = families.normalize(
+        dict(
+            transport=transport,
+            recovery=recovery,
+            integrity=integrity,
+            churn=churn,
+            churn_policy=churn_policy,
+            gray=gray,
+            byz=byz,
+            byz_config=byz_config,
+            allow_root_crash=allow_root_crash,
+        ),
+        topology,
     )
+    families.check(protocol, cfg, injectors)
+    injectors = _attach_gray(cfg["gray"], injectors)
     allow_root_crash = allow_root_crash or recovery is not None
     if strict:
         from ..sim.validation import assert_model
@@ -314,118 +251,129 @@ def run_protocol(
     from ..sim.faults import corruption_sources
 
     corruption = corruption_sources(injectors)
-    if byz is not None:
-        from ..sim.faults import ByzantineSchedule
-
-        if isinstance(byz, str):
-            byz = ByzantineSchedule.from_spec(byz)
-        byz.validate(topology)
-        if byz.has_events:
-            # A ReplayInjector counts as a corruption source only when its
-            # bundle actually recorded content rewrites — a byz bundle's
-            # replay carries the ledger attribute but no rewrites.
-            corrupting = [
-                s for s in corruption if getattr(s, "has_rewrites", True)
-            ]
-            clashes = [
-                name
-                for name, other in (
-                    ("transport", transport),
-                    ("recovery", recovery),
-                    ("churn", churn),
-                    ("gray", gray if gray is not None and gray.has_events
-                     else None),
-                    ("corruption injectors", corrupting or None),
-                )
-                if other is not None
-            ]
-            if clashes:
-                raise ValueError(
-                    "byz is mutually exclusive with "
-                    f"{', '.join(clashes)}: the witness audits assume "
-                    "in-model delivery for honest nodes"
-                )
-            from ..resilience.failover import RECOVERABLE_PROTOCOLS
-
-            if protocol not in RECOVERABLE_PROTOCOLS:
-                raise ValueError(
-                    f"byz supports {RECOVERABLE_PROTOCOLS}, not {protocol!r}"
-                )
     if monitors is None and strict_monitors:
-        monitors = standard_monitors(
+        monitors = families.family_monitors(
             topology,
             inputs,
+            cfg,
             f=f,
-            b=b,
-            c=c,
             caaf=caaf,
             mode="strict",
             recovery=allow_root_crash,
-            transport=transport,
             corruption=corruption,
-            integrity=integrity,
-            churn=churn is not None,
-            gray=gray,
-            byz=byz if byz is not None and byz.has_events else None,
+            transport_always=True,
         )
     monitors = monitors or ()
-    if churn is not None:
-        if integrity is not None:
-            raise ValueError(
-                "churn does not compose with the integrity layer yet"
-            )
-        if churn_policy is None and transport is not None:
-            from ..resilience.epochs import ChurnPolicy
+    run = dict(
+        f=f, b=b, c=c, caaf=caaf, rng=rng, injectors=injectors,
+        monitors=monitors, strict_monitors=strict_monitors,
+    )
+    if (
+        cfg["churn"] is not None
+        or families.has_events(cfg["byz"])
+        or recovery is not None
+    ):
+        return _run_partial(protocol, topology, inputs, schedule, cfg, **run)
+    return _run_plain(
+        protocol, topology, inputs, schedule, cfg, corruption, t=t,
+        allow_root_crash=allow_root_crash, **run,
+    )
 
-            churn_policy = ChurnPolicy(transport=transport.config)
-        return _run_with_churn_record(
-            protocol, topology, inputs, schedule, f=f, b=b, c=c, caaf=caaf,
-            rng=rng, injectors=injectors, monitors=monitors,
-            strict_monitors=strict_monitors, churn=churn,
-            policy=churn_policy,
-        )
-    if byz is not None and byz.has_events:
-        # Zero-compromise schedules fall through to the plain path so a
-        # ``--byz`` run with no actual adversary stays bit-identical to
-        # the baseline (same CC, rounds, and trace digests).
-        return _run_with_byzantine_record(
-            protocol, topology, inputs, schedule, f=f, b=b, c=c, caaf=caaf,
-            rng=rng, injectors=injectors, monitors=monitors,
-            strict_monitors=strict_monitors, byz=byz, config=byz_config,
-            integrity=integrity,
-        )
-    if recovery is not None:
-        return _run_with_recovery_record(
-            protocol, topology, inputs, schedule, f=f, b=b, c=c, caaf=caaf,
-            rng=rng, injectors=injectors, monitors=monitors,
-            strict_monitors=strict_monitors, policy=recovery,
-            integrity=integrity,
-        )
-    # The AGG-only oracle would mis-grade a pair whose VERI rejects, so
-    # the pair path relies on the post-run grading below instead.
-    pair_monitors = [m for m in monitors if m.rule != "oracle"]
 
-    network = None
+def _attach_gray(gray, injectors):
+    """Attach a gray schedule as a fault injector.
+
+    A replay's ReplayInjector re-applies the recorded delivery shifts
+    itself; attaching the schedule again would double the delays.
+    Otherwise the schedule rides *inside* a recording wrapper when one is
+    present, so its due-shifts land in the bundle and replays reproduce
+    them byte-for-byte.
+    """
+    if not families.has_events(gray):
+        return injectors
+    from ..sim.faults import gray_sources
+    from ..sim.recorder import RecordingInjector
+    from ..sim.replay import ReplayInjector
+
+    if gray_sources(injectors) or any(
+        isinstance(i, ReplayInjector)
+        for i in families.flat_injectors(injectors)
+    ):
+        return injectors
+    recorder = next(
+        (i for i in injectors if isinstance(i, RecordingInjector)), None
+    )
+    if recorder is None:
+        return tuple(injectors) + (gray,)
+    recorder.inner.append(gray)
+    recorder.modifies_delivery = True
+    return injectors
+
+
+def _record(
+    protocol: str,
+    topology: Topology,
+    f: Optional[int],
+    schedule: FailureSchedule,
+    result: Optional[int],
+    correct: bool,
+    cc_bits: int,
+    rounds: int,
+    extra: Dict[str, Any],
+) -> RunRecord:
+    """The row for one finished run."""
+    return RunRecord(
+        protocol=protocol,
+        topology=topology.name,
+        n_nodes=topology.n_nodes,
+        diameter=topology.diameter,
+        f_budget=f,
+        f_actual=schedule.edge_failures(topology),
+        result=result,
+        correct=correct,
+        cc_bits=cc_bits,
+        rounds=rounds,
+        flooding_rounds=-(-rounds // topology.diameter) if rounds else 0,
+        extra=extra,
+    )
+
+
+def _run_plain(
+    protocol: str,
+    topology: Topology,
+    inputs: Dict[int, int],
+    schedule: FailureSchedule,
+    cfg: Dict[str, Any],
+    corruption,
+    *,
+    f: Optional[int],
+    b: Optional[int],
+    t: Optional[int],
+    c: int,
+    caaf: CAAF,
+    rng: random.Random,
+    injectors,
+    monitors,
+    strict_monitors: bool,
+    allow_root_crash: bool,
+) -> RunRecord:
+    """The Section 2 path of :func:`run_protocol`, optionally over the
+    transport and integrity overlays; graded exactly against the oracle."""
+    transport, integrity, gray = cfg["transport"], cfg["integrity"], cfg["gray"]
+    base = dict(schedule=schedule, c=c, caaf=caaf, injectors=injectors)
+    overlays = dict(
+        transport=transport,
+        integrity=integrity,
+        allow_root_crash=allow_root_crash,
+    )
+    extra: Dict[str, Any] = {}
     if protocol == "algorithm1":
         if f is None or b is None:
             raise ValueError("algorithm1 needs f and b")
         out = run_algorithm1(
-            topology,
-            inputs,
-            f=f,
-            b=b,
-            schedule=schedule,
-            c=c,
-            caaf=caaf,
-            rng=rng,
-            injectors=injectors,
-            monitors=monitors,
-            transport=transport,
-            integrity=integrity,
-            allow_root_crash=allow_root_crash,
+            topology, inputs, f=f, b=b, rng=rng, monitors=monitors,
+            **base, **overlays,
         )
-        result, stats, rounds = out.result, out.stats, out.rounds
-        network = out.network
         extra = {
             "pairs_run": out.pairs_run,
             "used_bruteforce": out.used_bruteforce,
@@ -434,59 +382,17 @@ def run_protocol(
             "t": out.plan.t,
         }
     elif protocol == "bruteforce":
-        out = run_bruteforce(
-            topology,
-            inputs,
-            schedule=schedule,
-            c=c,
-            caaf=caaf,
-            injectors=injectors,
-            monitors=monitors,
-        )
-        result, stats, rounds = out.result, out.stats, out.rounds
-        network = out.network
+        out = run_bruteforce(topology, inputs, monitors=monitors, **base)
     elif protocol == "folklore":
         if f is None:
             raise ValueError("folklore needs f")
-        out = run_folklore(
-            topology,
-            inputs,
-            f=f,
-            schedule=schedule,
-            c=c,
-            caaf=caaf,
-            injectors=injectors,
-            monitors=monitors,
-        )
-        result, stats, rounds = out.result, out.stats, out.rounds
-        network = out.network
+        out = run_folklore(topology, inputs, f=f, monitors=monitors, **base)
     elif protocol == "tag":
-        out = run_plain_tag(
-            topology,
-            inputs,
-            schedule=schedule,
-            c=c,
-            caaf=caaf,
-            injectors=injectors,
-            monitors=monitors,
-        )
-        result, stats, rounds = out.result, out.stats, out.rounds
-        network = out.network
+        out = run_plain_tag(topology, inputs, monitors=monitors, **base)
     elif protocol == "unknown_f":
         out = run_unknown_f(
-            topology,
-            inputs,
-            schedule=schedule,
-            c=c,
-            caaf=caaf,
-            injectors=injectors,
-            monitors=monitors,
-            transport=transport,
-            integrity=integrity,
-            allow_root_crash=allow_root_crash,
+            topology, inputs, monitors=monitors, **base, **overlays
         )
-        result, stats, rounds = out.result, out.stats, out.rounds
-        network = out.network
         extra = {
             "pairs_run": out.pairs_run,
             "accepted_guess": out.accepted_guess,
@@ -495,18 +401,13 @@ def run_protocol(
     elif protocol == "agg_veri":
         if t is None:
             raise ValueError("agg_veri needs t")
+        # The AGG-only oracle would mis-grade a pair whose VERI rejects, so
+        # the pair relies on the post-run grading below instead.
+        pair_monitors = [m for m in monitors if m.rule != "oracle"]
         pair = run_agg_veri_pair(
-            topology,
-            inputs,
-            t=t,
-            schedule=schedule,
-            c=c,
-            caaf=caaf,
-            injectors=injectors,
-            monitors=pair_monitors,
+            topology, inputs, t=t, monitors=pair_monitors, **base
         )
         result = pair.agg_result if pair.accepted else None
-        stats = pair.agg_stats
         rounds = pair.agg_stats.rounds_executed + pair.veri_stats.rounds_executed
         cc = max(
             (
@@ -523,24 +424,15 @@ def run_protocol(
         correct = is_correct_result(
             result, caaf, topology, inputs, schedule, rounds
         )
-        record = RunRecord(
-            protocol=protocol,
-            topology=topology.name,
-            n_nodes=topology.n_nodes,
-            diameter=topology.diameter,
-            f_budget=f,
-            f_actual=schedule.edge_failures(topology),
-            result=result,
-            correct=correct,
-            cc_bits=cc,
-            rounds=rounds,
-            flooding_rounds=-(-rounds // topology.diameter),
-            extra=extra,
+        record = _record(
+            protocol, topology, f, schedule, result, correct, cc, rounds,
+            extra,
         )
         return _finish_record(record, pair_monitors, strict_monitors)
     else:
         raise ValueError(f"unknown protocol {protocol!r}")
 
+    result, stats, rounds, network = out.result, out.stats, out.rounds, out.network
     effective = _effective_schedule(schedule, network)
     if transport is not None:
         counters = transport.counters()
@@ -560,7 +452,7 @@ def run_protocol(
         if transport.detector is not None:
             extra["suspects"] = counters["suspects"]
             extra["confirms"] = counters["confirms"]
-    if gray is not None and gray.has_events:
+    if families.has_events(gray):
         extra["gray_stalled"] = gray.counts.stalled_copies
         extra["gray_inflated"] = gray.counts.inflated_copies
         extra["gray_delay_rounds"] = gray.counts.delay_rounds
@@ -583,287 +475,133 @@ def run_protocol(
             unresolved_corruptions(corruption, integrity)
         )
     correct = is_correct_result(result, caaf, topology, inputs, effective, rounds)
-    record = RunRecord(
-        protocol=protocol,
-        topology=topology.name,
-        n_nodes=topology.n_nodes,
-        diameter=topology.diameter,
-        f_budget=f,
-        f_actual=effective.edge_failures(topology),
-        result=result,
-        correct=correct,
-        cc_bits=stats.max_bits,
-        rounds=rounds,
-        flooding_rounds=-(-rounds // topology.diameter),
-        extra=extra,
+    record = _record(
+        protocol, topology, f, effective, result, correct, stats.max_bits,
+        rounds, extra,
     )
     return _finish_record(
         record, monitors, strict_monitors, link_stats=stats.link_stats
     )
 
 
-def _run_with_recovery_record(
+def _run_partial(
     protocol: str,
     topology: Topology,
     inputs: Dict[int, int],
     schedule: FailureSchedule,
+    cfg: Dict[str, Any],
     *,
     f: Optional[int],
     b: Optional[int],
     c: int,
     caaf: CAAF,
-    rng: Optional[random.Random],
+    rng: random.Random,
     injectors,
     monitors,
     strict_monitors: bool,
-    policy,
-    integrity=None,
 ) -> RunRecord:
-    """Recovery path of :func:`run_protocol`.
+    """The churn, Byzantine and recovery paths of :func:`run_protocol`.
 
-    Correctness for a recovered run means: the partial result is
-    certified and its value sits inside its own deterministic bounds
-    (coverage aggregate <= value <= all-nodes aggregate); for a run with
-    no live gaps and no root loss this collapses to exactness against
-    the Section 2 oracle, because coverage is then every node.
+    Each runtime delivers a partial result.  The run is correct when the
+    result is certified and its value sits inside its own deterministic
+    bounds (coverage aggregate <= value <= all-nodes aggregate); with no
+    live gaps and no root loss this collapses to exactness against the
+    Section 2 oracle, because coverage is then every node.  Two runtimes
+    add an obligation:
+
+    * churn — the exactly-once oracle finds no contribution booked twice
+      across incarnations (``double_counted``) and reports any that
+      vanished while a recoverable copy survived (``lost_contributions``);
+    * byz — the bounds widen by the result's own influence bound (an
+      unconvicted compromised node may legally pull the value by up to
+      ``v_max``) and no honest node may be convicted.  The
+      :class:`repro.sim.monitors.ByzantineOracle` grades detection against
+      the schedule's ground-truth taint ledger.
     """
-    from ..resilience.failover import run_with_recovery
+    from ..sim.monitors import ByzantineOracle, DoubleCountOracle
 
-    out = run_with_recovery(
-        protocol,
-        topology,
-        inputs,
-        schedule=schedule,
-        f=f,
-        b=b,
-        c=c,
-        caaf=caaf,
-        rng=rng,
-        injectors=injectors,
-        monitors=monitors,
-        policy=policy,
-        integrity=integrity,
-    )
-    partial = out.partial
-    correct = bool(
-        partial.certified
-        and partial.value is not None
-        and partial.lower_bound is not None
-        and partial.upper_bound is not None
-        and partial.lower_bound <= partial.value <= partial.upper_bound
-    )
-    extra = {k: v for k, v in partial.as_dict().items() if k != "value"}
-    extra.update(partial.extra)
-    extra["elections"] = len(out.elections)
-    record = RunRecord(
-        protocol=protocol,
-        topology=topology.name,
-        n_nodes=topology.n_nodes,
-        diameter=topology.diameter,
-        f_budget=f,
-        f_actual=schedule.edge_failures(topology),
-        result=partial.value,
-        correct=correct,
-        cc_bits=out.stats.max_bits,
-        rounds=out.rounds,
-        flooding_rounds=-(-out.rounds // topology.diameter),
-        extra=extra,
-    )
-    return _finish_record(
-        record, monitors, strict_monitors, link_stats=out.stats.link_stats
-    )
-
-
-def _run_with_churn_record(
-    protocol: str,
-    topology: Topology,
-    inputs: Dict[int, int],
-    schedule: FailureSchedule,
-    *,
-    f: Optional[int],
-    b: Optional[int],
-    c: int,
-    caaf: CAAF,
-    rng: Optional[random.Random],
-    injectors,
-    monitors,
-    strict_monitors: bool,
-    churn,
-    policy,
-) -> RunRecord:
-    """Churn path of :func:`run_protocol`.
-
-    Correctness matches the recovery path (certified + value inside its
-    own bounds) with one extra obligation audited by the exactly-once
-    oracle: no contribution is ever booked twice across incarnations
-    (``double_counted``) and none silently vanishes while a recoverable
-    copy survived (``lost_contributions``).
-    """
-    from ..resilience.epochs import run_with_churn
-    from ..sim.monitors import DoubleCountOracle
-
+    mode = "strict" if strict_monitors else "record"
     monitors = tuple(monitors)
-    oracle = next(
-        (m for m in monitors if isinstance(m, DoubleCountOracle)), None
-    )
-    if oracle is None:
-        oracle = DoubleCountOracle(
-            inputs,
-            caaf=caaf,
-            mode="strict" if strict_monitors else "record",
-        )
-        monitors = monitors + (oracle,)
-    out = run_with_churn(
-        protocol,
-        topology,
-        inputs,
-        churn,
-        schedule=schedule,
-        f=f,
-        b=b,
-        c=c,
-        caaf=caaf,
-        rng=rng,
+    common = dict(
+        schedule=schedule, f=f, b=b, c=c, caaf=caaf, rng=rng,
         injectors=injectors,
-        monitors=monitors,
-        policy=policy,
-        oracle=oracle,
     )
+    slack, honest = 0, True
+    if cfg["churn"] is not None:
+        from ..resilience.epochs import run_with_churn
+
+        oracle, monitors = _oracle(
+            monitors, DoubleCountOracle, inputs, caaf=caaf, mode=mode
+        )
+        out = run_with_churn(
+            protocol, topology, inputs, cfg["churn"], monitors=monitors,
+            policy=cfg["churn_policy"], oracle=oracle, **common,
+        )
+        honest = oracle.double_counts == 0
+        grades = {
+            "double_counted": oracle.double_counts,
+            "lost_contributions": oracle.lost_contributions,
+        }
+    elif families.has_events(cfg["byz"]):
+        from ..resilience.byzantine import run_with_byzantine
+
+        oracle, monitors = _oracle(
+            monitors, ByzantineOracle, cfg["byz"], inputs, caaf=caaf,
+            mode=mode,
+        )
+        out = run_with_byzantine(
+            protocol, topology, inputs, cfg["byz"], monitors=monitors,
+            config=cfg["byz_config"], integrity=cfg["integrity"], **common,
+        )
+        # Whole-run grading: needs the complete taint ledger and the final
+        # certificate, so it runs here rather than per-network.
+        oracle.grade_convictions(out.convictions)
+        oracle.grade_result(out.partial)
+        slack = out.partial.influence_bound or 0
+        honest = oracle.false_convictions == 0
+        grades = {
+            "false_convictions": oracle.false_convictions,
+            "undetected_equivocations": oracle.undetected_equivocations,
+            "influence_exceeded": oracle.influence_exceeded,
+        }
+    else:
+        from ..resilience.failover import run_with_recovery
+
+        out = run_with_recovery(
+            protocol, topology, inputs, monitors=monitors,
+            policy=cfg["recovery"], integrity=cfg["integrity"], **common,
+        )
+        grades = {"elections": len(out.elections)}
     partial = out.partial
     correct = bool(
-        partial.certified
+        honest
+        and partial.certified
         and partial.value is not None
         and partial.lower_bound is not None
         and partial.upper_bound is not None
-        and partial.lower_bound <= partial.value <= partial.upper_bound
-        and oracle.double_counts == 0
-    )
-    extra = {k: v for k, v in partial.as_dict().items() if k != "value"}
-    extra.update(partial.extra)
-    extra["double_counted"] = oracle.double_counts
-    extra["lost_contributions"] = oracle.lost_contributions
-    record = RunRecord(
-        protocol=protocol,
-        topology=topology.name,
-        n_nodes=topology.n_nodes,
-        diameter=topology.diameter,
-        f_budget=f,
-        f_actual=schedule.edge_failures(topology),
-        result=partial.value,
-        correct=correct,
-        cc_bits=out.stats.max_bits,
-        rounds=out.rounds,
-        flooding_rounds=-(-out.rounds // topology.diameter)
-        if out.rounds
-        else 0,
-        extra=extra,
-    )
-    return _finish_record(
-        record, monitors, strict_monitors, link_stats=out.stats.link_stats
-    )
-
-
-def _run_with_byzantine_record(
-    protocol: str,
-    topology: Topology,
-    inputs: Dict[int, int],
-    schedule: FailureSchedule,
-    *,
-    f: Optional[int],
-    b: Optional[int],
-    c: int,
-    caaf: CAAF,
-    rng: Optional[random.Random],
-    injectors,
-    monitors,
-    strict_monitors: bool,
-    byz,
-    config,
-    integrity=None,
-) -> RunRecord:
-    """Byzantine path of :func:`run_protocol`.
-
-    Correctness for a defended run means: the partial result is certified
-    and its value sits inside the Section 2 bracket *widened by its own
-    influence bound* (``lower - bound <= value <= upper + bound``) — an
-    unconvicted compromised node may legally pull the value by up to
-    ``v_max`` — and the witness pool convicted no honest node.  The
-    detection-quality grading itself (false convictions, undetected
-    equivocations, bound violations) runs through the
-    :class:`repro.sim.monitors.ByzantineOracle` against the schedule's
-    ground-truth taint ledger.
-    """
-    from ..resilience.byzantine import run_with_byzantine
-    from ..sim.monitors import ByzantineOracle
-
-    monitors = tuple(monitors)
-    oracle = next(
-        (m for m in monitors if isinstance(m, ByzantineOracle)), None
-    )
-    if oracle is None:
-        oracle = ByzantineOracle(
-            byz,
-            inputs,
-            caaf=caaf,
-            mode="strict" if strict_monitors else "record",
-        )
-        monitors = monitors + (oracle,)
-    out = run_with_byzantine(
-        protocol,
-        topology,
-        inputs,
-        byz,
-        schedule=schedule,
-        f=f,
-        b=b,
-        c=c,
-        caaf=caaf,
-        rng=rng,
-        injectors=injectors,
-        monitors=monitors,
-        config=config,
-        integrity=integrity,
-    )
-    partial = out.partial
-    # Whole-run grading: needs the complete taint ledger and the final
-    # certificate, so it runs here rather than per-network.
-    oracle.grade_convictions(out.convictions)
-    oracle.grade_result(partial)
-    bound = partial.influence_bound or 0
-    correct = bool(
-        partial.certified
-        and partial.value is not None
-        and partial.lower_bound is not None
-        and partial.upper_bound is not None
-        and partial.lower_bound - bound
+        and partial.lower_bound - slack
         <= partial.value
-        <= partial.upper_bound + bound
-        and oracle.false_convictions == 0
+        <= partial.upper_bound + slack
     )
     extra = {k: v for k, v in partial.as_dict().items() if k != "value"}
     extra.update(partial.extra)
-    extra["false_convictions"] = oracle.false_convictions
-    extra["undetected_equivocations"] = oracle.undetected_equivocations
-    extra["influence_exceeded"] = oracle.influence_exceeded
-    record = RunRecord(
-        protocol=protocol,
-        topology=topology.name,
-        n_nodes=topology.n_nodes,
-        diameter=topology.diameter,
-        f_budget=f,
-        f_actual=schedule.edge_failures(topology),
-        result=partial.value,
-        correct=correct,
-        cc_bits=out.stats.max_bits,
-        rounds=out.rounds,
-        flooding_rounds=-(-out.rounds // topology.diameter)
-        if out.rounds
-        else 0,
-        extra=extra,
+    extra.update(grades)
+    record = _record(
+        protocol, topology, f, schedule, partial.value, correct,
+        out.stats.max_bits, out.rounds, extra,
     )
     return _finish_record(
         record, monitors, strict_monitors, link_stats=out.stats.link_stats
     )
+
+
+def _oracle(monitors: tuple, cls, *args, **kwargs):
+    """The run's ``cls`` oracle: the caller's, or a fresh one appended."""
+    for monitor in monitors:
+        if isinstance(monitor, cls):
+            return monitor, monitors
+    oracle = cls(*args, **kwargs)
+    return oracle, monitors + (oracle,)
 
 
 def _finish_record(
@@ -957,25 +695,15 @@ def error_record(
     seed: Optional[int] = None,
 ) -> RunRecord:
     """A structured row for a run that raised instead of returning."""
-    schedule = schedule or FailureSchedule()
-    message = str(exc) or exc.__class__.__name__
-    return RunRecord(
-        protocol=protocol,
-        topology=topology.name,
-        n_nodes=topology.n_nodes,
-        diameter=topology.diameter,
-        f_budget=f,
-        f_actual=schedule.edge_failures(topology),
-        result=None,
-        correct=False,
-        cc_bits=0,
-        rounds=0,
-        flooding_rounds=0,
-        error=message[:500],
-        error_kind=exc.__class__.__name__,
-        attempts=attempts,
-        seed=seed,
+    record = _record(
+        protocol, topology, f, schedule or FailureSchedule(), None, False,
+        0, 0, {},
     )
+    record.error = (str(exc) or exc.__class__.__name__)[:500]
+    record.error_kind = exc.__class__.__name__
+    record.attempts = attempts
+    record.seed = seed
+    return record
 
 
 def _capture_bundle(
@@ -1000,70 +728,15 @@ def _capture_bundle(
     import os
     import re
 
-    from ..integrity.frames import as_integrity
     from ..sim.recorder import make_execution_record
 
-    caaf = kwargs.get("caaf")
-    transport = kwargs.get("transport")
-    recovery = kwargs.get("recovery")
-    integrity = as_integrity(kwargs.get("integrity"))
-    churn = kwargs.get("churn")
-    if churn is not None and isinstance(churn, str):
-        from ..sim.faults import ChurnSchedule
-
-        churn = ChurnSchedule.from_spec(churn, root=topology.root)
-    churn_policy = kwargs.get("churn_policy")
-    gray = kwargs.get("gray")
-    if gray is not None and isinstance(gray, str):
-        from ..sim.faults import GrayFailureSchedule
-
-        gray = GrayFailureSchedule.from_spec(gray)
-    byz = kwargs.get("byz")
-    if byz is not None and isinstance(byz, str):
-        from ..sim.faults import ByzantineSchedule
-
-        byz = ByzantineSchedule.from_spec(byz)
-    byz_config = kwargs.get("byz_config")
     bundle = make_execution_record(
         recorder,
         protocol,
         topology,
         inputs,
         schedule,
-        params={
-            "f": kwargs.get("f"),
-            "b": kwargs.get("b"),
-            "t": kwargs.get("t"),
-            "c": kwargs.get("c", 2),
-            "caaf": getattr(caaf, "name", None),
-            "transport": (
-                getattr(transport, "config", transport).as_jsonable()
-                if transport is not None
-                else None
-            ),
-            "recovery": (
-                recovery.as_jsonable() if recovery is not None else None
-            ),
-            "integrity": (
-                integrity.config.as_jsonable()
-                if integrity is not None
-                else None
-            ),
-            "allow_root_crash": (
-                True if kwargs.get("allow_root_crash") else None
-            ),
-            "churn": churn.as_jsonable() if churn is not None else None,
-            "churn_policy": (
-                churn_policy.as_jsonable()
-                if churn_policy is not None
-                else None
-            ),
-            "gray": gray.as_jsonable() if gray is not None else None,
-            "byz": byz.as_jsonable() if byz is not None else None,
-            "byz_config": (
-                byz_config.as_jsonable() if byz_config is not None else None
-            ),
-        },
+        params=families.encode_params(kwargs, topology),
         run_record=record,
         seed=seed,
         rng_state=rng_state,

@@ -34,6 +34,7 @@ from ..adversary.schedule import FailureSchedule
 from ..core.caaf import CAAF, SUM
 from ..graphs.topology import Topology
 from .checkpoint import SweepCheckpoint, make_key
+from .families import draw_schedules, pin_horizon
 from .runner import RunRecord, make_inputs, safe_run_protocol
 
 
@@ -200,17 +201,13 @@ def point_units(
     inject: Optional[str] = None,
     corrupt: Optional[str] = None,
     capture_dir: Optional[str] = None,
-    transport=None,
-    recovery=None,
-    integrity=None,
-    churn=None,
-    churn_policy=None,
-    gray=None,
-    byz=None,
-    byz_config=None,
-    allow_root_crash: bool = False,
+    **faults,
 ) -> List:
-    """Build the per-seed work units of one sweep coordinate."""
+    """Build the per-seed work units of one sweep coordinate.
+
+    ``faults`` are fault-family arguments
+    (:data:`repro.analysis.families.RUN_KEYS`), passed to every unit.
+    """
     from ..exec.scheduler import WorkUnit
 
     return [
@@ -230,15 +227,7 @@ def point_units(
             retries=retries,
             backoff_s=backoff_s,
             capture_dir=capture_dir,
-            transport=transport,
-            recovery=recovery,
-            integrity=integrity,
-            churn=churn,
-            churn_policy=churn_policy,
-            gray=gray,
-            byz=byz,
-            byz_config=byz_config,
-            allow_root_crash=allow_root_crash,
+            **faults,
             coords=dict(coords or {}),
         )
         for seed in seeds
@@ -262,19 +251,11 @@ def run_point(
     backoff_s: float = 0.0,
     injector_factory: Optional[Callable[[int], Sequence]] = None,
     capture_dir: Optional[str] = None,
-    transport=None,
-    recovery=None,
-    integrity=None,
-    churn=None,
-    churn_policy=None,
-    gray=None,
-    byz=None,
-    byz_config=None,
-    allow_root_crash: bool = False,
     engine=None,
     schedule_spec: Optional[Dict[str, Any]] = None,
     inject: Optional[str] = None,
     corrupt: Optional[str] = None,
+    **faults,
 ) -> SweepPoint:
     """Run one sweep coordinate across seeds and aggregate.
 
@@ -290,6 +271,10 @@ def run_point(
     (see :func:`repro.analysis.runner.safe_run_protocol`); the bundle
     path is stored in the row's ``extra["bundle"]`` and survives the
     checkpoint round-trip.
+
+    ``faults`` are fault-family arguments
+    (:data:`repro.analysis.families.RUN_KEYS`); schedule specs among them
+    are drawn per seed.
 
     ``engine`` switches to the parallel execution engine; the schedule
     and injectors must then be declarative (``schedule_spec`` /
@@ -320,15 +305,7 @@ def run_point(
             inject=inject,
             corrupt=corrupt,
             capture_dir=capture_dir,
-            transport=transport,
-            recovery=recovery,
-            integrity=integrity,
-            churn=churn,
-            churn_policy=churn_policy,
-            gray=gray,
-            byz=byz,
-            byz_config=byz_config,
-            allow_root_crash=allow_root_crash,
+            **faults,
         )
         return aggregate(base, engine.run(units, checkpoint=checkpoint))
     records = []
@@ -346,18 +323,10 @@ def run_point(
             if schedule_factory
             else FailureSchedule()
         )
-        # Churn draws sit between the schedule and the injectors — the
-        # same rng slot repro.exec.scheduler.execute_unit uses, so serial
-        # and pool runs see identical churn timelines.
-        from ..exec.scheduler import (
-            materialize_byz,
-            materialize_churn,
-            materialize_gray,
-        )
-
-        seed_churn = materialize_churn(churn, topology, rng)
-        seed_gray = materialize_gray(gray, topology, rng)
-        seed_byz = materialize_byz(byz, topology, rng)
+        # Fault schedules are drawn between the schedule and the injectors
+        # — the same rng slot repro.exec.scheduler.execute_unit uses, so
+        # serial and pool runs see identical schedules.
+        seed_faults = draw_schedules(faults, topology, rng)
         injectors = list(injector_factory(seed)) if injector_factory else []
         if corrupt:
             from ..sim.faults import MessageCorruption
@@ -381,15 +350,7 @@ def run_point(
             strict=False,
             injectors=injectors,
             capture_dir=capture_dir,
-            transport=transport,
-            recovery=recovery,
-            integrity=integrity,
-            churn=seed_churn,
-            churn_policy=churn_policy,
-            gray=seed_gray,
-            byz=seed_byz,
-            byz_config=byz_config,
-            allow_root_crash=allow_root_crash,
+            **seed_faults,
         )
         record.seed = seed
         if checkpoint is not None:
@@ -410,25 +371,19 @@ def sweep_b(
     retries: int = 0,
     backoff_s: float = 0.0,
     capture_dir: Optional[str] = None,
-    transport=None,
-    recovery=None,
-    integrity=None,
-    churn=None,
-    churn_policy=None,
-    gray=None,
     corrupt: Optional[str] = None,
-    byz=None,
-    byz_config=None,
-    allow_root_crash: bool = False,
     engine=None,
+    **faults,
 ) -> List[SweepPoint]:
     """Measured CC of Algorithm 1 across a TC-budget grid (Figure 1's x-axis).
 
     The adversary re-samples random failures inside each run's full time
     horizon so longer budgets face proportionally spread failures.
-    ``transport`` / ``recovery`` run every point under the resilience
-    runtime (see :func:`repro.analysis.runner.run_protocol`); the points
-    then carry partial/certified counts and mean retransmit overhead.
+    ``faults`` (fault-family arguments such as ``transport`` /
+    ``recovery``, see :func:`repro.analysis.runner.run_protocol`) apply to
+    every point; the points then carry partial/certified counts and mean
+    retransmit overhead.  Random fault specs without a horizon are pinned
+    to each coordinate's run length.
 
     With an ``engine``, the whole ``bs x seeds`` grid fans out as one
     batch of work units (pool-wide longest-first scheduling), and the
@@ -447,17 +402,9 @@ def sweep_b(
             retries=retries,
             backoff_s=backoff_s,
             capture_dir=capture_dir,
-            transport=transport,
-            recovery=recovery,
-            integrity=integrity,
-            churn=churn,
-            churn_policy=churn_policy,
-            gray=gray,
             corrupt=corrupt,
-            byz=byz,
-            byz_config=byz_config,
-            allow_root_crash=allow_root_crash,
             engine=engine,
+            **faults,
         )
     points = []
     for b in bs:
@@ -478,47 +425,11 @@ def sweep_b(
                 retries=retries,
                 backoff_s=backoff_s,
                 capture_dir=capture_dir,
-                transport=transport,
-                recovery=recovery,
-                integrity=integrity,
-                churn=_churn_for(churn, horizon),
-                churn_policy=churn_policy,
-                gray=_gray_for(gray, horizon),
                 corrupt=corrupt,
-                byz=_byz_for(byz, horizon),
-                byz_config=byz_config,
-                allow_root_crash=allow_root_crash,
+                **pin_horizon(faults, horizon),
             )
         )
     return points
-
-
-def _churn_for(churn, horizon: int):
-    """A random-churn spec pinned to one coordinate's time horizon.
-
-    Explicit spec strings / schedules pass through; a random spec without
-    a caller-chosen horizon is stretched to the coordinate's run length
-    so churn density stays comparable across budgets.
-    """
-    if isinstance(churn, dict) and "horizon" not in churn:
-        return dict(churn, horizon=horizon)
-    return churn
-
-
-def _gray_for(gray, horizon: int):
-    """A random-gray spec pinned to one coordinate's time horizon
-    (same rule as :func:`_churn_for`)."""
-    if isinstance(gray, dict) and "horizon" not in gray:
-        return dict(gray, horizon=horizon)
-    return gray
-
-
-def _byz_for(byz, horizon: int):
-    """A random-Byzantine spec pinned to one coordinate's time horizon
-    (same rule as :func:`_churn_for`)."""
-    if isinstance(byz, dict) and "horizon" not in byz:
-        return dict(byz, horizon=horizon)
-    return byz
 
 
 def sweep_churn(
@@ -614,17 +525,9 @@ def _sweep_grid(
     retries: int,
     backoff_s: float = 0.0,
     capture_dir: Optional[str] = None,
-    transport=None,
-    recovery=None,
-    integrity=None,
-    churn=None,
-    churn_policy=None,
-    gray=None,
     corrupt: Optional[str] = None,
-    byz=None,
-    byz_config=None,
-    allow_root_crash: bool = False,
     engine=None,
+    **faults,
 ) -> List[SweepPoint]:
     """Engine path shared by :func:`sweep_b` and :func:`sweep_f`.
 
@@ -652,16 +555,8 @@ def _sweep_grid(
                 retries=retries,
                 backoff_s=backoff_s,
                 capture_dir=capture_dir,
-                transport=transport,
-                recovery=recovery,
-                integrity=integrity,
-                churn=_churn_for(churn, b * topology.diameter),
-                churn_policy=churn_policy,
-                gray=_gray_for(gray, b * topology.diameter),
                 corrupt=corrupt,
-                byz=_byz_for(byz, b * topology.diameter),
-                byz_config=byz_config,
-                allow_root_crash=allow_root_crash,
+                **pin_horizon(faults, b * topology.diameter),
             )
         )
     records = engine.run(units, checkpoint=checkpoint)

@@ -47,6 +47,7 @@ summarizes, diffs, ranks, and validates those artifacts.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import random
 import sys
 from typing import List, Optional
@@ -55,6 +56,7 @@ from . import graphs
 from .adversary import no_failures, random_failures
 from .analysis import (
     SweepCheckpoint,
+    families,
     figure1_data,
     format_series,
     format_table,
@@ -119,107 +121,64 @@ def _parse_injectors(spec: Optional[str], seed: int, corrupt: Optional[str] = No
     return tuple(injectors)
 
 
-#: Activity registry for the fault/resilience flag surface: attribute
-#: name -> ``(flag label, predicate)``.  A flag is *active* when its
-#: predicate holds on the parsed args; only active flags participate in
-#: the pairwise exclusion table below.
-FAULT_FLAG_ACTIVITY = {
-    "recover": ("--recover", lambda a: bool(getattr(a, "recover", False))),
-    "retransmit_budget": (
+#: Fault-model flags -> the :data:`repro.analysis.families.EXCLUSIONS` name
+#: each switches on, as ``(flag label, predicate on the parsed args)``.
+#: Adding a fault family = one table row + its runtime (+ its flag here).
+FAULT_FLAGS = {
+    "recovery": ("--recover", lambda a: bool(getattr(a, "recover", False))),
+    # With --recover the budget is the recovery policy's, not a transport.
+    "transport": (
         "--retransmit-budget",
-        lambda a: getattr(a, "retransmit_budget", None) is not None,
+        lambda a: getattr(a, "retransmit_budget", None) is not None
+        and not getattr(a, "recover", False),
+    ),
+    "integrity": (
+        "--integrity",
+        lambda a: getattr(a, "integrity", "off") != "off",
     ),
     "churn": ("--churn", lambda a: bool(getattr(a, "churn", None))),
     "gray": ("--gray", lambda a: bool(getattr(a, "gray", None))),
-    "corrupt": ("--corrupt", lambda a: bool(getattr(a, "corrupt", None))),
-    "inject": ("--inject", lambda a: bool(getattr(a, "inject", None))),
+    "byz": ("--byz", lambda a: bool(getattr(a, "byz", None))),
+    "corruption": ("--corrupt", lambda a: bool(getattr(a, "corrupt", None))),
+    "faults": ("--inject", lambda a: bool(getattr(a, "inject", None))),
     "rto": ("--rto adaptive", lambda a: getattr(a, "rto", "fixed") != "fixed"),
     "hedge": ("--hedge", lambda a: bool(getattr(a, "hedge", False))),
     "allow_root_crash": (
         "--allow-root-crash",
         lambda a: bool(getattr(a, "allow_root_crash", False)),
     ),
-    "byz": ("--byz", lambda a: bool(getattr(a, "byz", None))),
 }
 
-#: The single shared mutual-exclusion table for fault-model flags:
-#: ``(a, b, reason)`` rows over :data:`FAULT_FLAG_ACTIVITY` attributes.
-#: Every verb that accepts the resilience flag group funnels through
-#: :func:`validate_fault_flags`, so a new fault family adds rows here
-#: instead of scattering ad-hoc checks through the config helpers.
-FAULT_EXCLUSIONS = (
-    (
-        "churn",
-        "recover",
-        "the churn epoch manager assumes an immortal root",
-    ),
-    (
-        "rto",
-        "churn",
-        "the churn epoch manager assumes fixed-window round arithmetic",
-    ),
-    (
-        "hedge",
-        "churn",
-        "the churn epoch manager assumes fixed-window round arithmetic",
-    ),
-    (
-        "byz",
-        "recover",
-        "the witness audits assume in-model delivery for honest nodes",
-    ),
-    (
-        "byz",
-        "retransmit_budget",
-        "the witness audits assume in-model delivery for honest nodes",
-    ),
-    (
-        "byz",
-        "churn",
-        "the witness audits assume in-model delivery for honest nodes",
-    ),
-    (
-        "byz",
-        "gray",
-        "the witness audits assume in-model delivery for honest nodes",
-    ),
-    (
-        "byz",
-        "corrupt",
-        "equivocation is modelled at the sender; wire corruption would "
-        "blur the authenticated-frame evidence convictions stand on",
-    ),
-    (
-        "byz",
-        "inject",
-        "the witness audits assume in-model delivery for honest nodes",
-    ),
-    (
-        "byz",
-        "allow_root_crash",
-        "the witness protocol trusts the root as judge, so the root "
-        "must stay honest and immortal",
-    ),
+#: Knobs that only shape one family's flag: ``(attribute, default, flag,
+#: family, what the knob does)``.  Given without ``--<family>`` they would
+#: silently do nothing, so they are rejected instead.
+FAMILY_KNOBS = (
+    ("flap_rate", 0.0, "--flap-rate", "churn",
+     "shapes the --churn rate:<x> random draw"),
+    ("max_epochs", None, "--max-epochs", "churn",
+     "budgets --churn re-aggregation epochs"),
+    ("amnesiac", None, "--amnesiac", "churn",
+     "shapes the --churn rate:<x> random draw"),
+    ("witnesses", None, "--witnesses", "byz", "sizes the --byz witness panels"),
+    ("evict_policy", None, "--evict-policy", "byz",
+     "picks the --byz conviction response"),
 )
 
 
 def validate_fault_flags(args) -> None:
-    """Reject incompatible fault-model flag pairs in one place.
+    """Reject incompatible fault-model flag pairs up front.
 
-    Walks :data:`FAULT_EXCLUSIONS` and raises ``SystemExit`` on the
-    first pair whose two flags are both active, with the table's reason
-    in the message.  Dependency checks (a knob that needs its parent
-    flag) stay in the per-family ``_*_config`` helpers; this table only
-    owns *exclusions*.
+    Maps the active flags to their family names and raises ``SystemExit``
+    on the first :data:`repro.analysis.families.EXCLUSIONS` row they hit,
+    with the row's reason (the runner raises ``ValueError`` from the same
+    rows).
     """
-    for a, b, reason in FAULT_EXCLUSIONS:
-        label_a, active_a = FAULT_FLAG_ACTIVITY[a]
-        label_b, active_b = FAULT_FLAG_ACTIVITY[b]
-        if active_a(args) and active_b(args):
-            raise SystemExit(
-                f"error: {label_a} and {label_b} are mutually exclusive "
-                f"({reason})"
-            )
+    active = [name for name, (_, on) in FAULT_FLAGS.items() if on(args)]
+    row = families.conflict(active)
+    if row is not None:
+        raise SystemExit(
+            "error: " + row.message(lambda name: FAULT_FLAGS[name][0])
+        )
 
 
 def _resilience_config(args):
@@ -257,8 +216,6 @@ def _resilience_config(args):
             retransmit_budget=5 if budget is None else budget
         )
         if rto != "fixed" or hedge:
-            import dataclasses
-
             policy = dataclasses.replace(
                 policy,
                 transport=dataclasses.replace(
@@ -277,141 +234,82 @@ def _resilience_config(args):
     return None, None, integrity
 
 
-def _churn_config(args, horizon: int):
-    """``(churn_spec, churn_policy)`` from the ``--churn`` family of flags.
-
-    The spec stays declarative (string or dict) so it can ride a work
-    unit across process boundaries; ``rate:<float>`` becomes the random
-    spec :func:`repro.exec.scheduler.materialize_churn` samples from the
-    run's seeded rng.
-    """
-    value = getattr(args, "churn", None)
-    if not value:
-        # The churn-scoped knobs are meaningless alone; reject them
-        # loudly instead of silently ignoring them.
-        if getattr(args, "flap_rate", 0.0):
-            raise SystemExit(
-                "error: --flap-rate shapes the --churn rate:<x> random "
-                "draw; it does nothing without --churn"
-            )
-        if getattr(args, "max_epochs", None) is not None:
-            raise SystemExit(
-                "error: --max-epochs budgets --churn re-aggregation "
-                "epochs; it does nothing without --churn"
-            )
-        if getattr(args, "amnesiac", None) is not None:
-            raise SystemExit(
-                "error: --amnesiac shapes the --churn rate:<x> random "
-                "draw; it does nothing without --churn"
-            )
-        return None, None
-    if value.startswith("rate:"):
-        try:
-            rate = float(value[len("rate:"):])
-        except ValueError:
-            raise SystemExit(f"error: bad --churn rate in {value!r}")
-        spec = {
-            "kind": "random",
-            "rate": rate,
-            "horizon": horizon,
-            "amnesiac": 0.25 if args.amnesiac is None else args.amnesiac,
-            "flap_rate": args.flap_rate,
-        }
-    else:
-        spec = value
-    policy = None
-    if getattr(args, "max_epochs", None) is not None:
-        import dataclasses
-
-        from .resilience import ChurnPolicy
-
-        policy = dataclasses.replace(
-            ChurnPolicy.default(), max_epochs=args.max_epochs
-        )
-    return spec, policy
-
-
-def _gray_config(args, horizon: int):
-    """Gray-failure spec from ``--gray`` (declarative, rides work units).
+def _schedule_spec(args, name: str, horizon: Optional[int], **shape):
+    """The ``--churn`` / ``--gray`` / ``--byz`` spec, kept declarative so
+    it can ride a work unit across process boundaries.
 
     ``rate:<float>`` becomes the random spec
-    :func:`repro.exec.scheduler.materialize_gray` samples from the run's
-    seeded rng; anything else must parse as an explicit
-    :class:`repro.sim.faults.GrayFailureSchedule` spec and is validated
+    :func:`repro.analysis.families.materialize` samples from the run's
+    seeded rng (``horizon=None`` leaves the horizon to the sweep); any
+    other value must parse as an explicit schedule spec and is checked
     here so typos fail before any run starts.
     """
-    value = getattr(args, "gray", None)
+    value = getattr(args, name, None)
     if not value:
         return None
-    if value.startswith("rate:"):
-        try:
-            rate = float(value[len("rate:"):])
-        except ValueError:
-            raise SystemExit(f"error: bad --gray rate in {value!r}")
-        return {"kind": "random", "rate": rate, "horizon": horizon}
-    from .sim.faults import GrayFailureSchedule
-
     try:
-        GrayFailureSchedule.from_spec(value)
+        spec = families.parse_rate(value, horizon, **shape)
+    except ValueError:
+        raise SystemExit(f"error: bad --{name} rate in {value!r}")
+    if spec is not None:
+        return spec
+    try:
+        families.FAMILY[name].parse(value, None)
     except ValueError as exc:
-        raise SystemExit(f"error: bad --gray spec: {exc}")
+        raise SystemExit(f"error: bad --{name} spec: {exc}")
     return value
 
 
-def _byz_config(args, horizon: int):
-    """``(byz_spec, byz_config)`` from the ``--byz`` family of flags.
+def _fault_config(args, horizon: Optional[int]):
+    """The fault-family ``run_protocol`` kwargs of the resilience flags.
 
-    The spec stays declarative (string or dict) so it can ride a work
-    unit across process boundaries; ``rate:<float>`` becomes the random
-    spec :func:`repro.exec.scheduler.materialize_byz` samples from the
-    run's seeded rng, anything else must parse as an explicit
-    :class:`repro.sim.faults.ByzantineSchedule` spec.  ``--witnesses`` /
-    ``--evict-policy`` build the :class:`repro.resilience.
-    ByzantineConfig` the witness runtime runs under.
+    Schedule specs stay declarative (see :func:`_schedule_spec`);
+    ``--max-epochs`` builds the churn policy and ``--witnesses`` /
+    ``--evict-policy`` the :class:`repro.resilience.ByzantineConfig`.
     """
-    value = getattr(args, "byz", None)
-    if not value:
-        # The byz-scoped knobs are meaningless alone; reject them loudly
-        # instead of silently ignoring them.
-        if getattr(args, "witnesses", None) is not None:
+    for attr, default, flag, family, does in FAMILY_KNOBS:
+        if getattr(args, attr, default) != default and not getattr(
+            args, family, None
+        ):
             raise SystemExit(
-                "error: --witnesses sizes the --byz witness panels; it "
-                "does nothing without --byz"
+                f"error: {flag} {does}; it does nothing without --{family}"
             )
-        if getattr(args, "evict_policy", None) is not None:
-            raise SystemExit(
-                "error: --evict-policy picks the --byz conviction "
-                "response; it does nothing without --byz"
-            )
-        return None, None
-    if value.startswith("rate:"):
-        try:
-            rate = float(value[len("rate:"):])
-        except ValueError:
-            raise SystemExit(f"error: bad --byz rate in {value!r}")
-        spec = {"kind": "random", "rate": rate, "horizon": horizon}
-    else:
-        from .sim.faults import ByzantineSchedule
+    churn_policy = None
+    if getattr(args, "max_epochs", None) is not None:
+        from .resilience import ChurnPolicy
 
-        try:
-            ByzantineSchedule.from_spec(value)
-        except ValueError as exc:
-            raise SystemExit(f"error: bad --byz spec: {exc}")
-        spec = value
-    config = None
+        churn_policy = dataclasses.replace(
+            ChurnPolicy.default(), max_epochs=args.max_epochs
+        )
+    byz_config = None
     if (
         getattr(args, "witnesses", None) is not None
         or getattr(args, "evict_policy", None) is not None
     ):
         from .resilience import ByzantineConfig
 
-        config = ByzantineConfig(
-            witnesses=(
-                2 if args.witnesses is None else args.witnesses
-            ),
+        byz_config = ByzantineConfig(
+            witnesses=2 if args.witnesses is None else args.witnesses,
             evict_policy=args.evict_policy or "evict",
         )
-    return spec, config
+    transport, recovery, integrity = _resilience_config(args)
+    return dict(
+        transport=transport,
+        recovery=recovery,
+        integrity=integrity,
+        churn=_schedule_spec(
+            args,
+            "churn",
+            horizon,
+            amnesiac=0.25 if args.amnesiac is None else args.amnesiac,
+            flap_rate=args.flap_rate,
+        ),
+        churn_policy=churn_policy,
+        gray=_schedule_spec(args, "gray", horizon),
+        byz=_schedule_spec(args, "byz", horizon),
+        byz_config=byz_config,
+        allow_root_crash=args.allow_root_crash,
+    )
 
 
 def _maybe_crash_root(schedule, topology, args, rng: random.Random):
@@ -517,20 +415,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         schedule = no_failures()
     schedule = _maybe_crash_root(schedule, topology, args, rng)
     horizon = max(2, (args.budget or 42) * topology.diameter)
-    churn_spec, churn_policy = _churn_config(args, horizon=horizon)
-    gray_spec = _gray_config(args, horizon=horizon)
-    byz_spec, byz_config = _byz_config(args, horizon=horizon)
-    from .exec.scheduler import (
-        materialize_byz,
-        materialize_churn,
-        materialize_gray,
+    faults = families.draw_schedules(
+        _fault_config(args, horizon), topology, rng
     )
-
-    churn = materialize_churn(churn_spec, topology, rng)
-    gray = materialize_gray(gray_spec, topology, rng)
-    byz = materialize_byz(byz_spec, topology, rng)
     injectors = _parse_injectors(args.inject, args.seed, corrupt=args.corrupt)
-    transport, recovery, integrity = _resilience_config(args)
     record = run_protocol(
         args.protocol,
         topology,
@@ -542,15 +430,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         rng=rng,
         injectors=injectors,
         strict_monitors=args.strict_monitors,
-        transport=transport,
-        recovery=recovery,
-        integrity=integrity,
-        churn=churn,
-        churn_policy=churn_policy,
-        gray=gray,
-        byz=byz,
-        byz_config=byz_config,
-        allow_root_crash=args.allow_root_crash,
+        **faults,
     )
     print(format_table([record.as_dict()], title=f"{args.protocol} on {topology}"))
     return 0 if record.correct else 1
@@ -578,10 +458,7 @@ def _cmd_run_engine(args: argparse.Namespace, topology) -> int:
         if args.failures > 0
         else {"kind": "none"}
     )
-    transport, recovery, integrity = _resilience_config(args)
-    churn_spec, churn_policy = _churn_config(args, horizon=horizon)
-    gray_spec = _gray_config(args, horizon=horizon)
-    byz_spec, byz_config = _byz_config(args, horizon=horizon)
+    faults = _fault_config(args, horizon)
     unit = WorkUnit(
         protocol=args.protocol,
         topology=topology,
@@ -600,15 +477,7 @@ def _cmd_run_engine(args: argparse.Namespace, topology) -> int:
         corrupt=args.corrupt,
         strict=True,
         strict_monitors=args.strict_monitors,
-        transport=transport,
-        recovery=recovery,
-        integrity=integrity,
-        churn=churn_spec,
-        churn_policy=churn_policy,
-        gray=gray_spec,
-        byz=byz_spec,
-        byz_config=byz_config,
-        allow_root_crash=args.allow_root_crash,
+        **faults,
     )
     engine = _engine_from_args(args)
     try:
@@ -629,18 +498,9 @@ def cmd_sweep_b(args: argparse.Namespace) -> int:
     checkpoint = SweepCheckpoint(args.resume) if args.resume else None
     if checkpoint is not None and len(checkpoint):
         print(f"resuming: {len(checkpoint)} run(s) loaded from {args.resume}")
-    transport, recovery, integrity = _resilience_config(args)
-    # The horizon is per-b; sweep_b pins each coordinate's random-churn
-    # spec to its own run length.
-    churn_spec, churn_policy = _churn_config(args, horizon=0)
-    if isinstance(churn_spec, dict):
-        churn_spec.pop("horizon", None)
-    gray_spec = _gray_config(args, horizon=0)
-    if isinstance(gray_spec, dict):
-        gray_spec.pop("horizon", None)
-    byz_spec, byz_config = _byz_config(args, horizon=0)
-    if isinstance(byz_spec, dict):
-        byz_spec.pop("horizon", None)
+    # The horizon is per-b: sweep_b pins each coordinate's random specs
+    # to its own run length.
+    faults = _fault_config(args, horizon=None)
     engine = _engine_from_args(args)
     try:
         points = sweep_b(
@@ -653,17 +513,9 @@ def cmd_sweep_b(args: argparse.Namespace) -> int:
             retries=args.retries,
             backoff_s=args.backoff,
             capture_dir=args.capture_dir,
-            transport=transport,
-            recovery=recovery,
-            integrity=integrity,
-            churn=churn_spec,
-            churn_policy=churn_policy,
-            gray=gray_spec,
             corrupt=args.corrupt,
-            byz=byz_spec,
-            byz_config=byz_config,
-            allow_root_crash=args.allow_root_crash,
             engine=engine,
+            **faults,
         )
     finally:
         engine.emitter.close()
@@ -707,6 +559,52 @@ def cmd_sweep_f(args: argparse.Namespace) -> int:
         )
     )
     return 0
+
+
+#: Chaos verdicts read off a run's oracle columns, in precedence order, as
+#: ``(column, verdict, family)``.  Each fails the campaign; a family's
+#: verdicts join the summary line when its flag is given.
+ORACLE_VERDICTS = (
+    # Corrupted bits reached a handler and no layer rejected them: the
+    # value is untrustworthy whatever the oracle says.
+    ("unresolved_corruptions", "CORRUPT-ACCEPTED", None),
+    # Exactly-once: a contribution booked twice across incarnations, or
+    # one with a surviving copy (durable rejoin or live snapshot holder)
+    # missing from the certified coverage.
+    ("double_counted", "DOUBLE-COUNT", "churn"),
+    ("lost_contributions", "LOST-CONTRIBUTION", "churn"),
+    # Gray failures must stretch the run, never shrink its coverage: the
+    # detector confirmed (and the transport evicted) a merely slow node,
+    # or never suspected a degradation well past its tolerance window.
+    ("false_suspects", "FALSE-SUSPECT", "gray"),
+    ("missed_degradations", "UNBOUNDED-STALL", "gray"),
+    # Witnesses: an honest node convicted (eviction must stand on an
+    # equivocation proof or failed delta audit, never on suspicion), an
+    # equivocation that never drew an accusation, or a value farther from
+    # the honest bracket than the certified b * v_max influence bound.
+    ("false_convictions", "FALSE-CONVICTION", "byz"),
+    ("undetected_equivocations", "UNDETECTED-EQUIVOCATION", "byz"),
+    ("influence_exceeded", "INFLUENCE-EXCEEDED", "byz"),
+)
+
+
+def _chaos_verdict(record) -> str:
+    """One chaos run's verdict (the campaign fails on the uppercase ones)."""
+    status = record.extra.get("status")
+    if record.failed:
+        return f"error:{record.error_kind}"
+    if record.result is None:
+        return "aborted"
+    for column, verdict, _ in ORACLE_VERDICTS:
+        if record.extra.get(column):
+            return verdict
+    if status is not None and not record.extra.get("certified"):
+        return "PARTIAL-UNCERTIFIED"
+    if status == "partial":
+        return "partial-certified"
+    if record.correct:
+        return "exact" if status == "exact" else "correct"
+    return "SILENT-WRONG"
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
@@ -762,15 +660,12 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
     validate_fault_flags(args)
     topology = parse_topology(args.topology, args.seed)
-    transport, recovery, integrity = _resilience_config(args)
     crash_horizon = max(2, (args.budget or 42) * topology.diameter)
-    churn_spec, churn_policy = _churn_config(args, horizon=crash_horizon)
-    gray_spec = _gray_config(args, horizon=crash_horizon)
-    byz_spec, byz_config = _byz_config(args, horizon=crash_horizon)
+    faults = _fault_config(args, crash_horizon)
     # Under --byz the compromised senders are the fault source; the
     # drop-rate default would trip the byz/inject exclusion the witness
     # audits rely on (an explicit --inject already errored above).
-    spec = args.inject or (None if byz_spec is not None else "drop=0.05")
+    spec = args.inject or (None if faults["byz"] is not None else "drop=0.05")
     schedule_spec = (
         {
             "kind": "random",
@@ -784,7 +679,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     )
     monitor_spec = {
         "mode": "strict" if args.strict else "record",
-        "recovery": recovery is not None or args.allow_root_crash,
+        "recovery": faults["recovery"] is not None or args.allow_root_crash,
     }
     seeds = range(args.seed, args.seed + args.seeds)
     units = [
@@ -807,15 +702,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             adaptive=args.adaptive,
             monitors=monitor_spec,
             capture_dir=args.capture_dir,
-            transport=transport,
-            recovery=recovery,
-            integrity=integrity,
-            churn=churn_spec,
-            churn_policy=churn_policy,
-            gray=gray_spec,
-            byz=byz_spec,
-            byz_config=byz_config,
-            allow_root_crash=args.allow_root_crash,
+            **faults,
             coords={"inject": spec or f"byz:{args.byz}"},
         )
         for seed in seeds
@@ -826,73 +713,12 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     finally:
         engine.emitter.close()
     rows = []
-    silent_wrong = 0
-    uncertified = 0
-    exactly_once_broken = 0
-    gray_broken = 0
-    byz_broken = 0
     for seed, record in zip(seeds, records):
         status = record.extra.get("status")
-        if record.failed:
-            verdict = f"error:{record.error_kind}"
-        elif record.result is None:
-            verdict = "aborted"
-        elif record.extra.get("unresolved_corruptions", 0) > 0:
-            # Corrupted bits reached a handler and no layer rejected
-            # them: the value is untrustworthy whatever the oracle says.
-            verdict = "CORRUPT-ACCEPTED"
-            silent_wrong += 1
-        elif record.extra.get("double_counted"):
-            # The exactly-once oracle caught a contribution booked twice
-            # across incarnations: the certified value overstates reality.
-            verdict = "DOUBLE-COUNT"
-            exactly_once_broken += 1
-        elif record.extra.get("lost_contributions"):
-            # A contribution with a surviving copy (durable rejoin or a
-            # live snapshot holder) vanished from the certified coverage.
-            verdict = "LOST-CONTRIBUTION"
-            exactly_once_broken += 1
-        elif record.extra.get("false_suspects"):
-            # The φ-accrual detector confirmed (and the transport
-            # evicted) a node that was merely slow: gray failures must
-            # stretch the run, never shrink its coverage.
-            verdict = "FALSE-SUSPECT"
-            gray_broken += 1
-        elif record.extra.get("missed_degradations"):
-            # A degradation well past the transport's tolerance window
-            # that the detector never even suspected.
-            verdict = "UNBOUNDED-STALL"
-            gray_broken += 1
-        elif record.extra.get("false_convictions"):
-            # The witness protocol convicted an honest node: eviction
-            # must only ever stand on a cryptographic equivocation
-            # proof or a failed delta audit, never on suspicion.
-            verdict = "FALSE-CONVICTION"
-            byz_broken += 1
-        elif record.extra.get("undetected_equivocations"):
-            # A compromised sender split the witness panels with
-            # contradictory claims and no accusation ever surfaced.
-            verdict = "UNDETECTED-EQUIVOCATION"
-            byz_broken += 1
-        elif record.extra.get("influence_exceeded"):
-            # The delivered value sits farther from the honest bracket
-            # than the certified b * v_max influence bound admits.
-            verdict = "INFLUENCE-EXCEEDED"
-            byz_broken += 1
-        elif status is not None and not record.extra.get("certified"):
-            verdict = "PARTIAL-UNCERTIFIED"
-            uncertified += 1
-        elif status == "partial":
-            verdict = "partial-certified"
-        elif record.correct:
-            verdict = "exact" if status == "exact" else "correct"
-        else:
-            verdict = "SILENT-WRONG"
-            silent_wrong += 1
         rows.append(
             {
                 "seed": seed,
-                "verdict": verdict,
+                "verdict": _chaos_verdict(record),
                 "result": record.result,
                 "cc_bits": record.cc_bits,
                 "rounds": record.rounds,
@@ -911,15 +737,15 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             rows[-1]["coverage"] = (
                 f"{record.extra['coverage']}/{topology.n_nodes}"
             )
-        if churn_spec is not None:
+        if faults["churn"] is not None:
             rows[-1]["epochs"] = record.extra.get("epochs", 1)
             rows[-1]["rejoins"] = int(
                 record.extra.get("rejoins_durable") or 0
             ) + int(record.extra.get("rejoins_amnesiac") or 0)
-        if gray_spec is not None:
+        if faults["gray"] is not None:
             rows[-1]["stalled"] = record.extra.get("gray_stalled", 0)
             rows[-1]["suspects"] = record.extra.get("suspects", 0)
-        if byz_spec is not None:
+        if faults["byz"] is not None:
             rows[-1]["convicted"] = record.extra.get("convicted", 0)
             rows[-1]["evicted"] = record.extra.get("evicted", 0)
             rows[-1]["bound"] = record.extra.get("influence_bound", 0)
@@ -937,43 +763,23 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         )
     )
     verdicts = [r["verdict"] for r in rows]
-    print(
+    summary = (
         f"{verdicts.count('correct') + verdicts.count('exact')} correct, "
         f"{verdicts.count('partial-certified')} partial-certified, "
         f"{verdicts.count('aborted')} aborted, "
         f"{sum(1 for v in verdicts if v.startswith('error'))} errored, "
-        f"{uncertified} uncertified, {silent_wrong} silent-wrong "
+        f"{verdicts.count('PARTIAL-UNCERTIFIED')} uncertified, "
+        f"{verdicts.count('SILENT-WRONG') + verdicts.count('CORRUPT-ACCEPTED')}"
+        f" silent-wrong "
         f"(incl. {verdicts.count('CORRUPT-ACCEPTED')} corrupt-accepted)"
-        + (
-            f", {verdicts.count('DOUBLE-COUNT')} double-count, "
-            f"{verdicts.count('LOST-CONTRIBUTION')} lost-contribution"
-            if churn_spec is not None
-            else ""
-        )
-        + (
-            f", {verdicts.count('FALSE-SUSPECT')} false-suspect, "
-            f"{verdicts.count('UNBOUNDED-STALL')} unbounded-stall"
-            if gray_spec is not None
-            else ""
-        )
-        + (
-            f", {verdicts.count('FALSE-CONVICTION')} false-conviction, "
-            f"{verdicts.count('UNDETECTED-EQUIVOCATION')} "
-            "undetected-equivocation, "
-            f"{verdicts.count('INFLUENCE-EXCEEDED')} influence-exceeded"
-            if byz_spec is not None
-            else ""
-        )
     )
-    return (
-        1
-        if silent_wrong
-        or uncertified
-        or exactly_once_broken
-        or gray_broken
-        or byz_broken
-        else 0
-    )
+    for _, verdict, family in ORACLE_VERDICTS:
+        if family is not None and faults[family] is not None:
+            summary += f", {verdicts.count(verdict)} {verdict.lower()}"
+    print(summary)
+    failing = {"SILENT-WRONG", "PARTIAL-UNCERTIFIED"}
+    failing.update(verdict for _, verdict, _ in ORACLE_VERDICTS)
+    return 1 if failing.intersection(verdicts) else 0
 
 
 def cmd_obs(args: argparse.Namespace) -> int:

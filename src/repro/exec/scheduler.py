@@ -48,26 +48,15 @@ class WorkUnit:
     ``coords`` is the sweep coordinate the run belongs to (it feeds the
     checkpoint key, exactly like the serial path's
     :func:`repro.analysis.checkpoint.make_key`); ``strict`` /
-    ``strict_monitors`` / ``transport`` / ``recovery`` / ``integrity`` /
-    ``churn_policy`` mirror the corresponding
-    :func:`repro.analysis.runner.run_protocol` arguments; ``corrupt`` is
-    the CLI spec string fed to
-    :meth:`repro.sim.faults.MessageCorruption.from_spec`.  ``churn`` is
-    either a :meth:`repro.sim.faults.ChurnSchedule.from_spec` string
-    (deterministic) or ``{"kind": "random", "rate": float, "horizon":
-    int, "amnesiac": float, "flap_rate": float}``, sampled from the
-    unit's seeded RNG in the same derivation slot the serial sweep uses
-    (after the schedule draw), so pool and serial runs see identical
-    churn timelines.  ``gray`` is either a
-    :meth:`repro.sim.faults.GrayFailureSchedule.from_spec` string or
-    ``{"kind": "random", "rate": float, "horizon": int, "link_rate":
-    float, "max_severity": int}``, drawn right after the churn slot.
-    ``byz`` is either a
-    :meth:`repro.sim.faults.ByzantineSchedule.from_spec` string or
-    ``{"kind": "random", "rate": float, "horizon": int,
-    "max_magnitude": int}``, drawn right after the gray slot;
-    ``byz_config`` is a
-    :class:`repro.resilience.byzantine.ByzantineConfig` (picklable).
+    ``strict_monitors`` and the fault-family fields (``transport`` through
+    ``allow_root_crash``, see :data:`repro.analysis.families.RUN_KEYS`)
+    mirror the corresponding :func:`repro.analysis.runner.run_protocol`
+    arguments; ``corrupt`` is the CLI spec string fed to
+    :meth:`repro.sim.faults.MessageCorruption.from_spec`.  ``churn`` /
+    ``gray`` / ``byz`` may also be spec strings or ``{"kind": "random",
+    "rate": float, ...}`` specs, drawn from the unit's seeded RNG in the
+    slot the serial sweep uses (:func:`repro.analysis.families.
+    draw_schedules`), so pool and serial runs see identical schedules.
     """
 
     protocol: str
@@ -171,98 +160,6 @@ def build_schedule(
     return schedule
 
 
-def build_churn(unit: WorkUnit, topology: Topology, rng: random.Random):
-    """Materialize the unit's churn spec, consuming ``rng`` exactly as
-    the serial sweep does (one draw block right after the schedule)."""
-    return materialize_churn(unit.churn, topology, rng)
-
-
-def materialize_churn(spec: Any, topology: Topology, rng: random.Random):
-    """Spec-to-schedule core shared by :func:`build_churn` and the serial
-    sweep path, so pool and serial runs draw identical churn timelines."""
-    if spec is None:
-        return None
-    from ..sim.faults import ChurnSchedule, random_churn
-
-    if isinstance(spec, str):
-        return ChurnSchedule.from_spec(spec, root=topology.root)
-    if isinstance(spec, ChurnSchedule):
-        return spec
-    kind = spec.get("kind", "random")
-    if kind != "random":
-        raise ValueError(f"unknown churn spec kind {kind!r}")
-    return random_churn(
-        topology,
-        spec["rate"],
-        rng,
-        horizon=spec.get("horizon", 4 * max(1, topology.diameter)),
-        amnesiac=spec.get("amnesiac", 0.25),
-        flap_rate=spec.get("flap_rate", 0.0),
-        root=topology.root,
-    )
-
-
-def build_gray(unit: WorkUnit, topology: Topology, rng: random.Random):
-    """Materialize the unit's gray-failure spec, consuming ``rng`` exactly
-    as the serial sweep does (one draw block right after the churn slot)."""
-    return materialize_gray(unit.gray, topology, rng)
-
-
-def materialize_gray(spec: Any, topology: Topology, rng: random.Random):
-    """Spec-to-schedule core shared by :func:`build_gray` and the serial
-    sweep path, so pool and serial runs draw identical degradations."""
-    if spec is None:
-        return None
-    from ..sim.faults import GrayFailureSchedule, random_gray
-
-    if isinstance(spec, str):
-        return GrayFailureSchedule.from_spec(spec)
-    if isinstance(spec, GrayFailureSchedule):
-        return spec
-    kind = spec.get("kind", "random")
-    if kind != "random":
-        raise ValueError(f"unknown gray spec kind {kind!r}")
-    return random_gray(
-        topology,
-        spec["rate"],
-        rng,
-        horizon=spec.get("horizon", 4 * max(1, topology.diameter)),
-        link_rate=spec.get("link_rate"),
-        max_severity=spec.get("max_severity", 2),
-        root=topology.root,
-    )
-
-
-def build_byz(unit: WorkUnit, topology: Topology, rng: random.Random):
-    """Materialize the unit's Byzantine spec, consuming ``rng`` exactly
-    as the serial sweep does (one draw block right after the gray slot)."""
-    return materialize_byz(unit.byz, topology, rng)
-
-
-def materialize_byz(spec: Any, topology: Topology, rng: random.Random):
-    """Spec-to-schedule core shared by :func:`build_byz` and the serial
-    sweep path, so pool and serial runs draw identical compromises."""
-    if spec is None:
-        return None
-    from ..sim.faults import ByzantineSchedule, random_byz
-
-    if isinstance(spec, str):
-        return ByzantineSchedule.from_spec(spec)
-    if isinstance(spec, ByzantineSchedule):
-        return spec
-    kind = spec.get("kind", "random")
-    if kind != "random":
-        raise ValueError(f"unknown byz spec kind {kind!r}")
-    return random_byz(
-        topology,
-        spec["rate"],
-        rng,
-        horizon=spec.get("horizon", 4 * max(1, topology.diameter)),
-        root=topology.root,
-        max_magnitude=spec.get("max_magnitude", 3),
-    )
-
-
 def build_injectors(unit: WorkUnit, topology: Topology) -> List[Any]:
     """Materialize the unit's injector specs (order: faults, corruption,
     adaptive) — the same order the CLI builds them in-process."""
@@ -292,8 +189,9 @@ def execute_unit(unit: WorkUnit):
     """Run one work unit; the worker-process entry point.
 
     Reproduces the serial derivation exactly: ``rng = Random(seed)`` →
-    inputs → schedule (→ optional root crash) → churn → gray → injectors
-    → monitors → :func:`repro.analysis.runner.safe_run_protocol`.  Per-unit timeouts
+    inputs → schedule (→ optional root crash) → churn → gray → byz
+    (:func:`repro.analysis.families.draw_schedules`) → injectors →
+    monitors → :func:`repro.analysis.runner.safe_run_protocol`.  Per-unit timeouts
     go through ``safe_run_protocol``'s own ``timeout_s`` path — workers
     execute in their process's main thread, so the ``SIGALRM`` wall-clock
     limit is exactly as hard there as in a serial run.
@@ -302,6 +200,7 @@ def execute_unit(unit: WorkUnit):
     unexpected error becomes a structured error record, matching
     ``safe_run_protocol``'s contract.
     """
+    from ..analysis import families
     from ..analysis.runner import error_record, make_inputs, safe_run_protocol
     from ..core.caaf import by_name
     from ..obs import spans as _spans
@@ -317,44 +216,26 @@ def execute_unit(unit: WorkUnit):
         rng = random.Random(unit.seed)
         inputs = make_inputs(topology, rng, max_input=unit.max_input)
         schedule = build_schedule(unit, topology, rng)
-        churn = build_churn(unit, topology, rng)
-        gray = build_gray(unit, topology, rng)
-        byz = build_byz(unit, topology, rng)
-        injectors = build_injectors(unit, topology)
-        transport = unit.transport
-        if gray is not None and transport is not None:
-            # Coerce to a coordinator so the straggler oracle below
-            # watches the same detector the run uses.
-            from ..resilience.transport import as_transport
-
-            transport = as_transport(transport)
-        # Coerce integrity once so the monitor stack below shares the
-        # coordinator with the run (same rule as run_protocol).
-        from ..integrity.frames import as_integrity
-
-        integrity = as_integrity(
-            unit.integrity
-            if unit.integrity is not None
-            else getattr(unit.recovery, "integrity", None)
+        faults = families.draw_schedules(
+            {key: getattr(unit, key) for key in families.RUN_KEYS},
+            topology,
+            rng,
         )
+        injectors = build_injectors(unit, topology)
+        faults = families.share(faults)
         monitors = None
         if unit.monitors is not None:
             from ..sim.faults import corruption_sources
-            from ..sim.monitors import standard_monitors
 
-            monitors = standard_monitors(
+            monitors = families.family_monitors(
                 topology,
                 inputs,
+                faults,
                 f=unit.f,
                 caaf=by_name(unit.caaf),
                 mode=unit.monitors.get("mode", "record"),
                 recovery=bool(unit.monitors.get("recovery")),
                 corruption=corruption_sources(injectors),
-                integrity=integrity,
-                churn=churn is not None,
-                gray=gray,
-                transport=transport if gray is not None else None,
-                byz=byz if byz is not None and byz.has_events else None,
             )
         record = safe_run_protocol(
             unit.protocol,
@@ -376,15 +257,7 @@ def execute_unit(unit: WorkUnit):
             injectors=tuple(injectors),
             monitors=monitors,
             capture_dir=unit.capture_dir,
-            transport=transport,
-            recovery=unit.recovery,
-            integrity=integrity,
-            churn=churn,
-            churn_policy=unit.churn_policy,
-            gray=gray,
-            byz=byz,
-            byz_config=unit.byz_config,
-            allow_root_crash=unit.allow_root_crash,
+            **faults,
         )
         record.seed = unit.seed
         if unit.inject and injectors:

@@ -343,144 +343,13 @@ def replay_bundle(
     """
     if isinstance(bundle, str):
         bundle = ExecutionRecord.load(bundle)
-    topology = bundle.build_topology()
-    inputs = bundle.build_inputs()
-    schedule = bundle.build_schedule()
-    rng = random.Random(bundle.seed or 0)
-    if bundle.rng_state is not None:
-        rng.setstate(_rng_state_from_jsonable(bundle.rng_state))
     injector = ReplayInjector(bundle, strict=strict)
-
-    # Imported lazily: repro.analysis imports repro.sim at package load.
-    from ..analysis.runner import safe_run_protocol
-    from ..core.caaf import SUM, by_name
-    from .monitors import standard_monitors, violations_of
-
-    params = bundle.params
-    caaf = by_name(params["caaf"]) if params.get("caaf") else SUM
-    # Resilience configuration, when the capture ran under it: rebuild the
-    # transport / recovery objects so the replay takes the same code path
-    # (window size, failover epochs) as the recording.
-    transport = None
-    recovery = None
-    integrity = None
-    allow_root_crash = bool(params.get("allow_root_crash"))
-    if params.get("transport"):
-        from ..resilience.transport import TransportConfig
-
-        transport = TransportConfig.from_jsonable(params["transport"])
-    if params.get("recovery"):
-        from ..resilience.failover import RecoveryPolicy
-
-        recovery = RecoveryPolicy.from_jsonable(params["recovery"])
-    if params.get("integrity"):
-        from ..integrity.frames import IntegrityConfig, as_integrity
-
-        # Coerce to a coordinator here so the monitor stack below and the
-        # run share one instance (same rule as run_protocol).
-        integrity = as_integrity(
-            IntegrityConfig.from_jsonable(params["integrity"])
-        )
-    if integrity is None and recovery is not None:
-        from ..integrity.frames import as_integrity
-
-        integrity = as_integrity(recovery.integrity)
-    churn = None
-    churn_policy = None
-    if params.get("churn"):
-        from .faults import ChurnSchedule
-
-        churn = ChurnSchedule.from_jsonable(params["churn"])
-    if params.get("churn_policy"):
-        from ..resilience.epochs import ChurnPolicy
-
-        churn_policy = ChurnPolicy.from_jsonable(params["churn_policy"])
-    gray = None
-    if params.get("gray"):
-        from .faults import GrayFailureSchedule
-
-        # Rebuilt for the straggler oracle's ground-truth ledger only:
-        # the replay injector re-applies the recorded delivery shifts, so
-        # run_protocol must not (and does not) attach the schedule again.
-        gray = GrayFailureSchedule.from_jsonable(params["gray"])
-    byz = None
-    byz_config = None
-    if params.get("byz"):
-        from .faults import ByzantineSchedule
-
-        # Unlike gray, the Byzantine schedule is re-run live: it holds no
-        # RNG, so replaying it reproduces the recorded lies *and* rebuilds
-        # the ground-truth taint ledger the ByzantineOracle grades against.
-        byz = ByzantineSchedule.from_jsonable(params["byz"])
-    if params.get("byz_config"):
-        from ..resilience.byzantine import ByzantineConfig
-
-        byz_config = ByzantineConfig.from_jsonable(params["byz_config"])
-    if gray is not None and transport is not None:
-        from ..resilience.transport import as_transport
-
-        # Coerce here so the oracle watches the same detector the run
-        # uses (run_protocol's own as_transport passes it through).
-        transport = as_transport(transport)
-    # Mirror the capture-time monitor configuration: "strict" reproduces
-    # the run_protocol strict-monitors path (including its post-run oracle
-    # raise); "record" re-attaches the standard stack in record mode —
-    # recovery-aware when the capture allowed a root crash, so recorded
-    # ``recovery-safe`` violations match on replay.
-    monitors = None
-    if bundle.monitor_mode == "record":
-        monitors = standard_monitors(
-            topology,
-            inputs,
-            f=params.get("f"),
-            caaf=caaf,
-            mode="record",
-            recovery=allow_root_crash or recovery is not None,
-            # The replay injector re-applies recorded content rewrites, so
-            # it stands in for the original corruption injector as the
-            # silent-corruption oracle's ground truth.
-            corruption=[injector] if injector.has_rewrites else (),
-            integrity=integrity,
-            churn=churn is not None,
-            gray=gray,
-            transport=transport if gray is not None else None,
-            byz=byz if byz is not None and byz.has_events else None,
-        )
-    record = safe_run_protocol(
-        bundle.protocol,
-        topology,
-        inputs,
-        schedule=schedule,
-        seed=bundle.seed,
-        rng=rng,
-        f=params.get("f"),
-        b=params.get("b"),
-        t=params.get("t"),
-        c=params.get("c", 2),
-        caaf=caaf,
-        strict=bundle.strict_model,
-        injectors=(injector,),
-        monitors=monitors,
-        strict_monitors=bundle.monitor_mode == "strict",
-        transport=transport,
-        recovery=recovery,
-        integrity=integrity,
-        churn=churn,
-        churn_policy=churn_policy,
-        gray=gray,
-        byz=byz,
-        byz_config=byz_config,
-        allow_root_crash=allow_root_crash,
-    )
+    record = rerun_bundle(bundle, injector)
     if strict and injector.divergence is not None:
         # The runner converted the in-run divergence into an error row;
         # surface the original exception (it names the first divergent
         # round) instead of a generic outcome mismatch.
         raise injector.divergence
-    if monitors and not record.failed:
-        events = violations_of(monitors)
-        if events:
-            record.extra.setdefault("violations", [str(e) for e in events])
     mismatches = (
         _compare_outcome(bundle.expected, record)
         if check_outcome and bundle.expected
@@ -492,6 +361,79 @@ def replay_bundle(
         )
     return ReplayOutcome(record=record, expected=dict(bundle.expected),
                          mismatches=mismatches)
+
+
+def bundle_rng(bundle: ExecutionRecord) -> random.Random:
+    """The protocol RNG at the recorded state (``Random(seed)`` for
+    hand-written bundles without one)."""
+    rng = random.Random(bundle.seed or 0)
+    if bundle.rng_state is not None:
+        rng.setstate(_rng_state_from_jsonable(bundle.rng_state))
+    return rng
+
+
+def rerun_bundle(
+    bundle: ExecutionRecord, replayer: ReplayInjector, injector=None
+):
+    """Re-execute a bundle's run with ``replayer`` re-applying its decisions.
+
+    Shared by :func:`replay_bundle` and
+    :func:`repro.adversary.shrink.rerecord_bundle`, so a re-recorded bundle
+    takes the same code path its later strict replay will.  The bundle
+    params decode to the recorded run's fault families
+    (:func:`repro.analysis.families.decode_params`); a gray schedule is
+    rebuilt only for the straggler oracle's ground-truth ledger, since
+    the replayer re-applies the recorded delivery shifts, while a
+    Byzantine schedule holds no RNG and re-runs live, rebuilding its
+    taint ledger.  ``injector`` (default: ``replayer``) is what the run
+    attaches, e.g. a recorder wrapping the replayer.
+
+    A ``"record"`` bundle re-attaches the standard monitor stack in record
+    mode — recovery-aware when the capture allowed a root crash, with the
+    replayer standing in for the original corruption injector as the
+    silent-corruption oracle's ground truth — and a ``"strict"`` one
+    re-runs the strict-monitors path, including its post-run oracle raise.
+    """
+    # Imported lazily: repro.analysis imports repro.sim at package load.
+    from ..analysis import families
+    from ..analysis.runner import safe_run_protocol
+    from ..core.caaf import SUM
+    from .monitors import violations_of
+
+    topology = bundle.build_topology()
+    inputs = bundle.build_inputs()
+    kwargs = families.share(families.decode_params(bundle.params))
+    monitors = None
+    if bundle.monitor_mode == "record":
+        monitors = families.family_monitors(
+            topology,
+            inputs,
+            kwargs,
+            f=kwargs.get("f"),
+            caaf=kwargs.get("caaf", SUM),
+            mode="record",
+            recovery=bool(kwargs.get("allow_root_crash"))
+            or kwargs.get("recovery") is not None,
+            corruption=[replayer] if replayer.has_rewrites else (),
+        )
+    record = safe_run_protocol(
+        bundle.protocol,
+        topology,
+        inputs,
+        schedule=bundle.build_schedule(),
+        seed=bundle.seed,
+        rng=bundle_rng(bundle),
+        strict=bundle.strict_model,
+        injectors=(injector or replayer,),
+        monitors=monitors,
+        strict_monitors=bundle.monitor_mode == "strict",
+        **kwargs,
+    )
+    if monitors and not record.failed:
+        events = violations_of(monitors)
+        if events:
+            record.extra.setdefault("violations", [str(e) for e in events])
+    return record
 
 
 def _rng_state_from_jsonable(state) -> tuple:

@@ -23,7 +23,8 @@ import pytest
 
 from repro.analysis.runner import run_protocol
 from repro.analysis.sweep import point_units, run_point
-from repro.exec.scheduler import execute_unit, materialize_churn
+from repro.analysis.families import draw_schedules, materialize
+from repro.exec.scheduler import execute_unit
 from repro.graphs import grid_graph
 from repro.resilience import ChurnPolicy, TransportConfig
 from repro.resilience.epochs import neutral_input, run_with_churn
@@ -516,8 +517,8 @@ class TestChurnIntegration:
             "flap_rate": 0.1,
         }
         for seed in (0, 3, 9):
-            serial = materialize_churn(
-                spec, self.topo, self._seeded(seed)
+            serial = materialize(
+                "churn", spec, self.topo, self._seeded(seed)
             )
             units = point_units(
                 "unknown_f",
@@ -528,11 +529,13 @@ class TestChurnIntegration:
             )
             rng = random.Random(seed)
             from repro.analysis.runner import make_inputs
-            from repro.exec.scheduler import build_churn, build_schedule
+            from repro.exec.scheduler import build_schedule
 
             make_inputs(self.topo, rng)
             build_schedule(units[0], self.topo, rng)
-            engine = build_churn(units[0], self.topo, rng)
+            engine = draw_schedules(
+                {"churn": units[0].churn}, self.topo, rng
+            )["churn"]
             assert engine.cycles == serial.cycles
             assert engine.flaps == serial.flaps
 

@@ -24,7 +24,8 @@ import random
 import pytest
 
 from repro.analysis.runner import run_protocol, safe_run_protocol
-from repro.exec.scheduler import WorkUnit, execute_unit, materialize_gray
+from repro.analysis.families import materialize
+from repro.exec.scheduler import WorkUnit, execute_unit
 from repro.graphs import grid_graph, path_graph
 from repro.resilience import (
     LEVEL_CONFIRM,
@@ -219,13 +220,13 @@ class TestRandomGray:
     def test_materialize_gray_coercions(self):
         topo = grid_graph(3, 3)
         rng = random.Random(2)
-        assert materialize_gray(None, topo, rng) is None
-        gray = materialize_gray("3:stall@r2-r4:x1", topo, rng)
+        assert materialize("gray", None, topo, rng) is None
+        gray = materialize("gray", "3:stall@r2-r4:x1", topo, rng)
         assert gray.stalls == {3: [(2, 4, 1, GRAY_CONSTANT)]}
-        assert materialize_gray(gray, topo, rng) is gray
+        assert materialize("gray", gray, topo, rng) is gray
         rnd_spec = {"kind": "random", "rate": 0.5, "horizon": 20}
-        drawn = materialize_gray(rnd_spec, topo, random.Random(4))
-        again = materialize_gray(rnd_spec, topo, random.Random(4))
+        drawn = materialize("gray", rnd_spec, topo, random.Random(4))
+        again = materialize("gray", rnd_spec, topo, random.Random(4))
         assert drawn.as_jsonable() == again.as_jsonable()
 
 
