@@ -102,11 +102,10 @@ class FailureSchedule:
         """
         bound = c * topology.diameter
         crash_times = sorted(set(self.crash_rounds.values()))
-        for when in crash_times:
-            failed = self.failed_by(when)
-            if topology.remaining_diameter(failed) > bound:
-                return False
-        return True
+        return all(
+            topology.remaining_diameter_at_most(self.failed_by(when), bound)
+            for when in crash_times
+        )
 
     def __len__(self) -> int:
         return len(self.crash_rounds)

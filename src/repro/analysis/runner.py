@@ -673,7 +673,10 @@ def wall_clock_limit(seconds: Optional[float]):
         yield
         return
 
+    fired = []
+
     def _on_alarm(signum, frame):
+        fired.append(signum)
         raise RunTimeout(f"run exceeded {seconds}s wall clock")
 
     previous = signal.signal(signal.SIGALRM, _on_alarm)
@@ -683,6 +686,10 @@ def wall_clock_limit(seconds: Optional[float]):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+    if fired:
+        # The handler ran inside a gc callback or a destructor, where
+        # Python only reports the exception; the run still overran.
+        raise RunTimeout(f"run exceeded {seconds}s wall clock")
 
 
 def error_record(

@@ -92,6 +92,15 @@ class BruteForceNode(NodeHandler):
             self.done = True
         return out
 
+    def next_wake(self, rnd: int) -> Optional[int]:
+        """Only the root has slots (its start and its output); every
+        other node acts on the start flood alone."""
+        if not self.is_root:
+            return None
+        rel = rnd - self.start_round + 1
+        later = [slot for slot in (1, self.total_rounds) if slot > rel]
+        return self.start_round - 1 + min(later) if later else None
+
     def _flood_own_value(self) -> None:
         if self.floods.initiate(bf_value(self.p, self.node_id, self.my_value)):
             self.values.setdefault(self.node_id, self.my_value)

@@ -178,6 +178,40 @@ class AggNode(NodeHandler):
             self._produce_output()
         return out
 
+    def next_wake(self, rnd: int) -> Optional[int]:
+        """The next of this node's fixed slots (see the phase methods).
+
+        Besides the slots, an empty-inbox round only matters for a node
+        still waiting to forward its beacon, and for an activated node's
+        first aggregation round (it sets ``max_level``).  An aborted node
+        has no slots left; the root keeps its output slot, and while
+        tracing is on it runs every round for its phase spans.
+        """
+        base = self.start_round - 1
+        rel = rnd - base
+        last = self.p.agg_rounds
+        if rel >= last:
+            return None
+        if _spans.enabled and self.is_root:
+            return base + max(rel, 0) + 1
+        cd = self.p.cd
+        st = self.state
+        slots = [last] if self.is_root else []
+        if not self.aborted:
+            if self.is_root:
+                slots.append(1)
+            if self._pending_tree_construct is not None:
+                slots.append(self._pending_tree_construct)
+            if st.activated:
+                if st.level <= cd:
+                    slots.append(3 * cd + 2 - st.level)
+                    if st.max_level < st.level:
+                        slots.append(2 * cd + 2)
+                slots.append(4 * cd + 3 + st.level)
+                slots.append(6 * cd + 4)
+        later = [slot for slot in slots if slot > rel]
+        return base + min(later) if later else None
+
     # ------------------------------------------------------------------ #
     # Phase 1: tree construction (rounds 1 .. 2cd+1).
     # ------------------------------------------------------------------ #

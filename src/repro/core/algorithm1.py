@@ -153,6 +153,9 @@ class Algorithm1Node(NodeHandler):
         self._maybe_decide(rnd)
         return out
 
+    def next_wake(self, rnd: int) -> Optional[int]:
+        return interval_wake(self, rnd, self.plan.x)
+
     def _maybe_arm(self, rnd: int) -> None:
         plan = self.plan
         # Interval boundaries: arm a fresh AGG (root: selected ones only).
@@ -243,6 +246,39 @@ class Algorithm1Node(NodeHandler):
 
     def wants_to_stop(self) -> bool:
         return self.done
+
+
+def interval_wake(node, rnd: int, n_intervals: int) -> Optional[int]:
+    """``next_wake`` of an interval composite (:class:`Algorithm1Node`,
+    :class:`repro.core.unknown_f.DoublingNode`).
+
+    ``node`` has a ``plan`` (``interval_rounds``, ``bruteforce_start``,
+    ``total_rounds``), ``n_intervals`` armed intervals, the current
+    ``_agg`` / ``_veri`` / ``_bf`` children and ``done``.  It must run at
+    every interval start, at every round where ``_maybe_arm`` would hand
+    a live AGG over to VERI (the round ``agg_rounds`` into an interval;
+    an AGG left armed past its own interval hands over again one interval
+    later), at the brute-force start, and at its children's wakes.
+    """
+    plan = node.plan
+    last = plan.total_rounds
+    if node.done or rnd >= last:
+        return None
+    span = plan.interval_rounds
+    wakes = []
+    nxt = (rnd - 1) // span + 1  # 0-based index of the next interval start
+    if nxt < n_intervals:
+        wakes.append(nxt * span + 1)
+    if node._agg is not None:
+        handoff = node._agg.p.agg_rounds
+        wakes.append(handoff + 1 + span * max(0, -((handoff - rnd) // span)))
+    if node._bf is None:
+        wakes.append(plan.bruteforce_start)
+    for child in (node._agg, node._veri, node._bf):
+        if child is not None:
+            wakes.append(child.next_wake(rnd))
+    wake = min((w for w in wakes if w is not None and w > rnd), default=None)
+    return wake if wake is not None and wake <= last else None
 
 
 @dataclass

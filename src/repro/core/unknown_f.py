@@ -31,6 +31,7 @@ from ..sim.network import Network
 from ..sim.node import NodeHandler
 from ..sim.stats import SimStats
 from .agg import AggNode
+from .algorithm1 import interval_wake
 from .caaf import CAAF, SUM
 from .params import ProtocolParams, params_for
 from .veri import VeriNode
@@ -102,6 +103,9 @@ class DoublingNode(NodeHandler):
             out.extend(self._bf.on_round(rnd, inbox))
         self._maybe_decide()
         return out
+
+    def next_wake(self, rnd: int) -> Optional[int]:
+        return interval_wake(self, rnd, self.plan.max_guesses)
 
     def _maybe_arm(self, rnd: int) -> None:
         plan = self.plan

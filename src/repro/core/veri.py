@@ -146,6 +146,33 @@ class VeriNode(NodeHandler):
             self._produce_output()
         return out
 
+    def next_wake(self, rnd: int) -> Optional[int]:
+        """The next of this node's fixed slots (see the phase methods).
+
+        An overflowed node has no slots left; the root keeps its output
+        slot, and while tracing is on it runs every round for its phase
+        spans.
+        """
+        base = self.start_round - 1
+        rel = rnd - base
+        last = self.p.veri_rounds
+        if rel >= last:
+            return None
+        if _spans.enabled and self.is_root:
+            return base + max(rel, 0) + 1
+        cd = self.p.cd
+        st = self.state
+        slots = [last] if self.is_root else []
+        if not self.overflow_seen:
+            if self.is_root:
+                slots.append(1)
+            if st.activated:
+                if st.level <= cd:
+                    slots += (st.level + 1, 3 * cd + 2 - st.level)
+                slots.append(4 * cd + 3)
+        later = [slot for slot in slots if slot > rel]
+        return base + min(later) if later else None
+
     # ------------------------------------------------------------------ #
     # Phase 1: failed-parent detection (phase rounds 1 .. 2cd+1).
     # ------------------------------------------------------------------ #

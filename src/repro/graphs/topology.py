@@ -108,6 +108,27 @@ class Topology:
         component = self.alive_component(failed)
         return max(1, properties.diameter(self.adjacency, component))
 
+    def remaining_diameter_at_most(self, failed: Iterable[int], bound: int) -> bool:
+        """Exactly ``remaining_diameter(failed) <= bound``, usually from one BFS.
+
+        The root's eccentricity ``ecc`` in ``H`` brackets its diameter:
+        ``ecc <= diam(H) <= 2 * ecc``.  So ``ecc > bound`` decides False
+        and ``2 * ecc <= bound`` decides True; only the band between falls
+        back to the full diameter.
+        """
+        failed_set = set(failed)
+        if self.root in failed_set:
+            raise ValueError("the root never fails in the paper's model")
+        if bound < 1:
+            return False
+        levels = properties.bfs_levels(self.adjacency, self.root, failed_set)
+        ecc = max(levels.values())
+        if ecc > bound:
+            return False
+        if 2 * ecc <= bound:
+            return True
+        return properties.diameter(self.adjacency, levels) <= bound
+
     def __repr__(self) -> str:
         return (
             f"Topology({self.name!r}, n={self.n_nodes}, "

@@ -115,9 +115,7 @@ class CutSimulation:
             self.transcript.bob_to_alice_bits += b2a
             self.transcript.per_round.append((a2b, b2a))
             self.transcript.rounds = rnd
-            if stop_on_output and any(
-                h.wants_to_stop() for h in self.network.handlers.values()
-            ):
+            if stop_on_output and self.network.stop_requested():
                 break
         return self.transcript
 

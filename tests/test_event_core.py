@@ -1,0 +1,411 @@
+"""The event-driven round core against an every-round reference.
+
+``Network.step`` runs only the nodes with mail or a due wake
+(:meth:`repro.sim.node.NodeHandler.next_wake`).  The reference run wraps
+every handler in :class:`EveryRound`, a delegate that keeps the default
+``rnd + 1`` wake, so the network falls back to running every live node in
+every round.  Both runs must agree on ``SimStats``, every ``Tracer`` send,
+delivery and crash, and the outcome.
+
+Also here: the wake contract of each overriding handler, the work
+counters the event core exists for (handler calls, BFS calls of the
+``c * d`` stretch check), and the one-BFS stretch check's certificate.
+"""
+
+import copy
+import random
+from dataclasses import asdict
+
+import pytest
+
+from repro.adversary import FailureSchedule, random_failures
+from repro.analysis.runner import run_protocol
+from repro.baselines.bruteforce import BruteForceNode
+from repro.core.agg import AggNode, run_agg
+from repro.core.algorithm1 import Algorithm1Node, TradeoffPlan
+from repro.core.params import params_for
+from repro.core.unknown_f import DoublingNode, DoublingPlan
+from repro.core.veri import VeriNode
+from repro.graphs import (
+    grid_graph,
+    path_graph,
+    properties,
+    random_geometric,
+    random_regular,
+)
+from repro.graphs.topology import Topology
+from repro.obs import spans as obs_spans
+from repro.sim import Network, Tracer
+from repro.sim.faults import ChurnSchedule, MessageFaults
+from repro.sim.message import Part
+from repro.sim.node import NodeHandler
+
+try:
+    from hypothesis import given
+    from hypothesis import strategies as st
+except ImportError:  # pragma: no cover - property tests skip
+    given = None
+
+
+class EveryRound(NodeHandler):
+    """Delegates to ``inner`` but keeps the default every-round wake."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def on_round(self, rnd, inbox):
+        return self.inner.on_round(rnd, inbox)
+
+    def wants_to_stop(self):
+        return self.inner.wants_to_stop()
+
+    def __getattr__(self, name):
+        if name == "inner":
+            raise AttributeError(name)
+        return getattr(self.inner, name)
+
+
+def _captured(run, every_round):
+    """Run ``run()`` with a tracer on every network it builds; with
+    ``every_round`` every handler is wrapped in :class:`EveryRound`."""
+    tracers = []
+    init = Network.__init__
+
+    def traced_init(self, adjacency, handlers, *args, **kwargs):
+        if every_round:
+            handlers = {u: EveryRound(h) for u, h in handlers.items()}
+        kwargs["tracer"] = Tracer()
+        tracers.append(kwargs["tracer"])
+        init(self, adjacency, handlers, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Network, "__init__", traced_init)
+        outcome = run()
+    return outcome, [(t.sends, t.deliveries, t.crashes) for t in tracers]
+
+
+TOPOLOGIES = {
+    "grid": lambda: grid_graph(4, 4),
+    "path": lambda: path_graph(7),
+    "geometric": lambda: random_geometric(18, rng=random.Random(3)),
+    "regular:12,3": lambda: random_regular(12, 3, rng=random.Random(1)),
+}
+PROTOCOLS = ("agg", "agg_veri", "bruteforce", "algorithm1", "unknown_f")
+FAULTS = ("crashes", "churn", "messages")
+
+
+def _runner(protocol, topo, fault, seed):
+    """A zero-argument callable running one configuration from scratch."""
+    f = 4
+    d = topo.diameter
+    horizon = {"algorithm1": 42 * d, "unknown_f": 60 * d}.get(protocol, 12 * d)
+    schedule = FailureSchedule()
+    if fault == "crashes":
+        schedule = random_failures(
+            topo, f, random.Random(seed), last_round=horizon, respect_c=2
+        )
+    victim = topo.non_root_nodes()[seed % (topo.n_nodes - 1)]
+    inputs = {u: (u * 7 + seed) % 5 for u in topo.nodes()}
+
+    def injectors():
+        if fault == "churn":
+            crash = 2 + seed % max(1, horizon // 3)
+            cycles = {victim: [(crash, crash + 1 + seed % (2 * d + 3))]}
+            return [ChurnSchedule(cycles, root=topo.root)]
+        if fault == "messages":
+            return [
+                MessageFaults(
+                    drop=0.05,
+                    duplicate=0.05,
+                    delay=0.05,
+                    seed=seed,
+                    protect=[topo.root],
+                )
+            ]
+        return []
+
+    if protocol == "agg":
+
+        def run():
+            out = run_agg(topo, inputs, 1, schedule, injectors=injectors())
+            states = {u: vars(n.state) for u, n in out.nodes.items()}
+            return (out.result, out.aborted, asdict(out.stats), states)
+
+        return run
+
+    kwargs = {"agg_veri": {"t": 1}, "algorithm1": {"f": f, "b": 42}}
+
+    def run():
+        record = run_protocol(
+            protocol,
+            topo,
+            inputs,
+            schedule,
+            rng=random.Random(seed),
+            strict=False,
+            injectors=injectors(),
+            **kwargs.get(protocol, {}),
+        )
+        return record.as_dict()
+
+    return run
+
+
+def _assert_equivalent(protocol, topo_name, fault, seed):
+    run = _runner(protocol, TOPOLOGIES[topo_name](), fault, seed)
+    expected, expected_events = _captured(run, every_round=True)
+    got, got_events = _captured(run, every_round=False)
+    assert got == expected
+    assert got_events == expected_events
+    assert run() == expected  # no tracer attached
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_matches_every_round_reference(protocol, fault):
+    _assert_equivalent(protocol, "grid", fault, seed=5)
+
+
+@pytest.mark.parametrize("protocol", ["algorithm1", "unknown_f", "agg_veri"])
+def test_obs_spans_match_every_round_reference(protocol):
+    run = _runner(protocol, TOPOLOGIES["grid"](), "crashes", seed=3)
+
+    def spans_of(every_round):
+        tracer = obs_spans.SpanTracer(seed=3, detail="messages")
+        obs_spans.activate(tracer)
+        try:
+            outcome, _events = _captured(run, every_round)
+        finally:
+            obs_spans.deactivate()
+        spans = [
+            {k: v for k, v in span.items() if k != "wall_ns"}
+            for span in tracer.spans
+        ]
+        return outcome, spans, tracer.events
+
+    expected = spans_of(every_round=True)
+    assert expected[1], "the protocol opened no phase spans"
+    assert spans_of(every_round=False) == expected
+
+
+if given is not None:
+
+    @given(
+        protocol=st.sampled_from(PROTOCOLS),
+        topo_name=st.sampled_from(sorted(TOPOLOGIES)),
+        fault=st.sampled_from(FAULTS),
+        seed=st.integers(0, 10_000),
+    )
+    def test_matches_every_round_reference_property(
+        protocol, topo_name, fault, seed
+    ):
+        _assert_equivalent(protocol, topo_name, fault, seed)
+
+
+# --------------------------------------------------------------------- #
+# The wake contract of the overriding handlers.
+# --------------------------------------------------------------------- #
+
+
+def _state(obj, depth=0):
+    """A comparable snapshot of ``obj``'s attributes, recursively."""
+    if depth > 6:
+        return repr(obj)
+    if isinstance(obj, dict):
+        return {k: _state(v, depth + 1) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, set, frozenset)):
+        return (type(obj).__name__, [_state(v, depth + 1) for v in obj])
+    if hasattr(obj, "__dict__") and not isinstance(obj, type):
+        return (type(obj).__name__, _state(vars(obj), depth + 1))
+    return obj
+
+
+def _network_of(kind, topo, seed):
+    """A network of one overriding handler type, with crashes."""
+    params = params_for(topo, t=1)
+    inputs = {u: u % 3 for u in topo.nodes()}
+    schedule = random_failures(
+        topo, 3, random.Random(seed), last_round=10 * topo.diameter, respect_c=2
+    )
+    if kind == "agg":
+        nodes = {u: AggNode(params, u, inputs[u]) for u in topo.nodes()}
+    elif kind == "veri":
+        agg = run_agg(topo, inputs, 1, schedule)
+        nodes = {
+            u: VeriNode(params, u, agg.nodes[u].state) for u in topo.nodes()
+        }
+    elif kind == "bruteforce":
+        nodes = {u: BruteForceNode(params, u, inputs[u]) for u in topo.nodes()}
+    elif kind == "algorithm1":
+        plan = TradeoffPlan(params=params_for(topo), b=60, f=3)
+        rng = random.Random(seed)
+        nodes = {
+            u: Algorithm1Node(plan, u, inputs[u], rng=rng) for u in topo.nodes()
+        }
+    else:
+        plan = DoublingPlan(params=params_for(topo))
+        nodes = {u: DoublingNode(plan, u, inputs[u]) for u in topo.nodes()}
+    return Network(topo.adjacency, nodes, schedule.crash_rounds, root=topo.root)
+
+
+@pytest.mark.parametrize(
+    "kind", ["agg", "veri", "bruteforce", "algorithm1", "unknown_f"]
+)
+def test_empty_round_before_wake_is_a_no_op(kind):
+    topo = grid_graph(4, 4)
+    net = _network_of(kind, topo, seed=2)
+    rng = random.Random(7)
+    checked = 0
+    while net.round < 400:
+        net.step()
+        rnd = net.round
+        for node in rng.sample(topo.nodes(), 3):
+            handler = net.handlers[node]
+            wake = handler.next_wake(rnd)
+            # A crashed node's state froze before its slots; only a live
+            # node's wake describes its current state.
+            if not net.is_alive(node, rnd) or (
+                wake is not None and wake <= rnd + 1
+            ):
+                continue
+            probe = rng.randint(rnd + 1, (wake or rnd + 60) - 1)
+            twin = copy.deepcopy(handler)
+            before = _state(twin)
+            assert list(twin.on_round(probe, ())) == []
+            assert _state(twin) == before, (kind, node, rnd, probe)
+            checked += 1
+        if net.stop_requested():
+            break
+    assert checked > 20
+
+
+class _Slots(NodeHandler):
+    """Sends at its own round slots and records every call."""
+
+    def __init__(self, slots):
+        self.slots = sorted(slots)
+        self.calls = []
+
+    def on_round(self, rnd, inbox):
+        self.calls.append((rnd, len(inbox)))
+        return [Part("ping", (rnd,), 4)] if rnd in self.slots else []
+
+    def next_wake(self, rnd):
+        return next((s for s in self.slots if s > rnd), None)
+
+
+@pytest.mark.parametrize(
+    "outages, revival", [([(4, 9)], 9), ([(4, 9), (7, 12)], 12)]
+)
+def test_wake_inside_downtime_runs_at_revival(outages, revival):
+    topo = path_graph(3)
+    nodes = {0: _Slots([]), 1: _Slots([5]), 2: _Slots([])}
+    net = Network(topo.adjacency, nodes, root=0)
+    for start, end in outages:
+        net.schedule_downtime(1, start, end)
+    net.run(15, stop_on_output=False)
+    assert nodes[1].calls == [(revival, 0)]
+    assert net.stats.broadcasts == {}
+
+
+def test_mail_only_handler_still_runs_on_mail():
+    topo = path_graph(3)
+    nodes = {0: _Slots([3]), 1: _Slots([]), 2: _Slots([])}
+    net = Network(topo.adjacency, nodes, root=0)
+    net.run(6, stop_on_output=False)
+    assert nodes[1].next_wake(0) is None
+    assert nodes[1].calls == [(4, 1)]
+    assert nodes[2].calls == []
+
+
+def test_default_handlers_mixed_in_run_every_round():
+    topo = path_graph(3)
+    nodes = {0: _Slots([2]), 1: _Slots([]), 2: EveryRound(_Slots([]))}
+    net = Network(topo.adjacency, nodes, root=0)
+    net.run(5, stop_on_output=False)
+    assert [r for r, _ in nodes[2].inner.calls] == [1, 2, 3, 4, 5]
+    assert nodes[1].calls == [(3, 1)]
+
+
+# --------------------------------------------------------------------- #
+# Work counters and the stretch-check certificate.
+# --------------------------------------------------------------------- #
+
+
+def test_algorithm1_handler_calls_are_a_small_fraction(monkeypatch):
+    topo = grid_graph(10, 10)
+    calls = [0]
+    on_round = Algorithm1Node.on_round
+
+    def counted(self, rnd, inbox):
+        calls[0] += 1
+        return on_round(self, rnd, inbox)
+
+    monkeypatch.setattr(Algorithm1Node, "on_round", counted)
+    schedule = random_failures(
+        topo, 8, random.Random(0), last_round=90 * topo.diameter, respect_c=2
+    )
+    record = run_protocol(
+        "algorithm1",
+        topo,
+        {u: 1 for u in topo.nodes()},
+        schedule,
+        f=8,
+        b=90,
+        rng=random.Random(0),
+    )
+    assert record.correct
+    assert calls[0] <= 0.10 * topo.n_nodes * record.rounds
+
+
+def test_stretch_check_needs_few_bfs(monkeypatch):
+    topo = grid_graph(20, 20)
+    topo.diameter  # the N-BFS diameter is set-up, not the check
+    calls = [0]
+    bfs = properties.bfs_levels
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return bfs(*args, **kwargs)
+
+    monkeypatch.setattr(properties, "bfs_levels", counted)
+    schedule = random_failures(
+        topo, 8, random.Random(0), last_round=90 * topo.diameter, respect_c=2
+    )
+    assert len(schedule) > 0
+    assert calls[0] <= 50
+
+
+def test_stretch_check_rejects_root_and_tiny_bounds():
+    topo = path_graph(4)
+    with pytest.raises(ValueError):
+        topo.remaining_diameter_at_most({0}, 5)
+    assert not topo.remaining_diameter_at_most(set(), 0)
+
+
+if given is not None:
+
+    @st.composite
+    def _graph_and_failures(draw):
+        n = draw(st.integers(2, 14))
+        rng = random.Random(draw(st.integers(0, 10_000)))
+        adjacency = {u: set() for u in range(n)}
+        for v in range(1, n):  # a random spanning tree keeps it connected
+            u = rng.randrange(v)
+            adjacency[u].add(v)
+            adjacency[v].add(u)
+        for _ in range(draw(st.integers(0, 2 * n))):
+            u, v = rng.sample(range(n), 2)
+            adjacency[u].add(v)
+            adjacency[v].add(u)
+        topo = Topology({u: sorted(vs) for u, vs in adjacency.items()})
+        failed = draw(st.sets(st.integers(1, n - 1), max_size=n - 1))
+        bound = draw(st.integers(1, 2 * topo.diameter + 2))
+        return topo, failed, bound
+
+    @given(_graph_and_failures())
+    def test_stretch_check_certificate(case):
+        topo, failed, bound = case
+        assert topo.remaining_diameter_at_most(failed, bound) == (
+            topo.remaining_diameter(failed) <= bound
+        )

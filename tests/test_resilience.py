@@ -46,6 +46,16 @@ class TestWallClockLimit:
             with wall_clock_limit(0):
                 pass
 
+    def test_swallowed_alarm_still_times_out(self):
+        # A gc callback or destructor the alarm lands in swallows its
+        # exception; the block must still end in RunTimeout.
+        with pytest.raises(RunTimeout):
+            with wall_clock_limit(0.01):
+                try:
+                    time.sleep(2)
+                except RunTimeout:
+                    pass
+
     def test_timer_cleared_after_exit(self):
         with wall_clock_limit(0.05):
             pass
