@@ -19,7 +19,7 @@ import pytest
 
 from repro.analysis import format_table, sweep_b, sweep_f
 from repro.analysis.fitting import fit_theorem1_b_sweep
-from repro.analysis.sweep import random_schedule_factory, run_point
+from repro.analysis.sweep import random_schedule_spec, run_point
 from repro.graphs import grid_graph
 
 from _util import emit, once
@@ -66,13 +66,14 @@ def run_n_sweep():
     points = []
     for side in (4, 6, 8, 10, 14, 20):
         topo = grid_graph(side, side)
-        factory = random_schedule_factory(f, horizon=b * topo.diameter)
         points.append(
             run_point(
                 "algorithm1",
                 topo,
                 SEEDS,
-                schedule_factory=factory,
+                schedule_spec=random_schedule_spec(
+                    f, horizon=b * topo.diameter
+                ),
                 f=f,
                 b=b,
                 coords={"n": topo.n_nodes},

@@ -16,7 +16,7 @@ import random
 import pytest
 
 from repro.analysis import format_table
-from repro.analysis.sweep import random_schedule_factory, run_point
+from repro.analysis.sweep import random_schedule_spec, run_point
 from repro.core.params import params_for
 from repro.graphs import (
     cluster_line_graph,
@@ -48,12 +48,11 @@ def run_topology_sweep():
     rows = []
     points = []
     for topo in topology_suite():
-        factory = random_schedule_factory(F, horizon=B * topo.diameter)
         point = run_point(
             "algorithm1",
             topo,
             SEEDS,
-            schedule_factory=factory,
+            schedule_spec=random_schedule_spec(F, horizon=B * topo.diameter),
             f=F,
             b=B,
             coords={"topology": topo.name},

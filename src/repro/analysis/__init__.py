@@ -38,7 +38,7 @@ from .statistics import (
 from .sweep import (
     SweepPoint,
     aggregate,
-    random_schedule_factory,
+    random_schedule_spec,
     run_point,
     sweep_b,
     sweep_f,
@@ -84,7 +84,7 @@ __all__ = [
     "format_table",
     "make_inputs",
     "make_key",
-    "random_schedule_factory",
+    "random_schedule_spec",
     "record_from_jsonable",
     "record_to_jsonable",
     "run_point",

@@ -33,7 +33,8 @@ from ..sim.faults import (
     ChurnSchedule,
     GrayFailureSchedule,
     MessageFaults,
-    corruption_sources,
+    flat_injectors,
+    ledger_sources,
     random_byz,
     random_churn,
     random_gray,
@@ -189,8 +190,8 @@ def materialize(name: str, spec, topology, rng=None):
 
 def draw_schedules(faults: Dict[str, Any], topology, rng) -> Dict[str, Any]:
     """``faults`` with every schedule family materialized, drawing from
-    ``rng`` in table order (the slot right after the crash schedule), so
-    serial, pool and CLI runs of one seed see identical schedules."""
+    ``rng`` in table order (the slot right after the crash schedule; see
+    :func:`repro.exec.scheduler.derive_run`)."""
     out = dict(faults)
     for name in SCHEDULES:
         out[name] = materialize(name, faults.get(name), topology, rng)
@@ -327,15 +328,6 @@ def conflict(active: Iterable[str]) -> Optional[Exclusion]:
     )
 
 
-def flat_injectors(injectors):
-    """Injectors plus one level of wrapper ``.inner`` chains."""
-    for injector in injectors or ():
-        yield injector
-        inner = getattr(injector, "inner", None)
-        if isinstance(inner, (list, tuple)):
-            yield from inner
-
-
 def active(cfg: Dict[str, Any], injectors=()) -> set:
     """The exclusion-table names a normalized configuration switches on."""
     on = {
@@ -357,7 +349,8 @@ def active(cfg: Dict[str, Any], injectors=()) -> set:
     # A replay injector counts as corruption only when its bundle recorded
     # content rewrites (a byz bundle's replay carries the ledger, not them).
     if any(
-        getattr(s, "has_rewrites", True) for s in corruption_sources(injectors)
+        getattr(s, "has_rewrites", True)
+        for s in ledger_sources(injectors, "delivered_corruptions")
     ):
         on.add("corruption")
     if any(isinstance(i, MessageFaults) for i in flat_injectors(injectors)):

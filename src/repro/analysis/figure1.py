@@ -18,13 +18,12 @@ shape.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..graphs.topology import Topology
 from ..lowerbound import bounds
-from .sweep import SweepPoint, random_schedule_factory, run_point
+from .sweep import SweepPoint, random_schedule_spec, run_point
 
 
 @dataclass
@@ -80,13 +79,14 @@ def figure1_measured(
     seeds = list(seeds)
     tradeoff = []
     for b in bs:
-        factory = random_schedule_factory(f, horizon=b * topology.diameter)
         tradeoff.append(
             run_point(
                 "algorithm1",
                 topology,
                 seeds,
-                schedule_factory=factory,
+                schedule_spec=random_schedule_spec(
+                    f, horizon=b * topology.diameter
+                ),
                 f=f,
                 b=b,
                 c=c,
@@ -98,7 +98,7 @@ def figure1_measured(
         "bruteforce",
         topology,
         seeds,
-        schedule_factory=random_schedule_factory(f, horizon=horizon),
+        schedule_spec=random_schedule_spec(f, horizon=horizon),
         c=c,
         coords={"b": "O(1)"},
     )
@@ -107,7 +107,7 @@ def figure1_measured(
         "folklore",
         topology,
         seeds,
-        schedule_factory=random_schedule_factory(f, horizon=fl_horizon),
+        schedule_spec=random_schedule_spec(f, horizon=fl_horizon),
         f=f,
         c=c,
         coords={"b": "O(f)"},

@@ -32,7 +32,7 @@ from ..lowerbound import (
 )
 from .figure1 import figure1_data
 from .runner import run_protocol
-from .sweep import random_schedule_factory, run_point
+from .sweep import random_schedule_spec, run_point
 from .tables import format_series, format_table
 
 
@@ -78,7 +78,7 @@ def generate_report(
             "algorithm1",
             topo,
             seeds_range,
-            schedule_factory=random_schedule_factory(f, horizon=b * topo.diameter),
+            schedule_spec=random_schedule_spec(f, horizon=b * topo.diameter),
             f=f,
             b=b,
             coords={"b": b},
@@ -105,7 +105,7 @@ def generate_report(
             name,
             topo,
             seeds_range,
-            schedule_factory=random_schedule_factory(f, horizon=4 * topo.diameter),
+            schedule_spec=random_schedule_spec(f, horizon=4 * topo.diameter),
             coords={"protocol": name},
             **kwargs,
         )

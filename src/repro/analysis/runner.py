@@ -248,9 +248,9 @@ def run_protocol(
             c=c,
             allow_root_crash=allow_root_crash,
         )
-    from ..sim.faults import corruption_sources
+    from ..sim.faults import ledger_sources
 
-    corruption = corruption_sources(injectors)
+    corruption = ledger_sources(injectors, "delivered_corruptions")
     if monitors is None and strict_monitors:
         monitors = families.family_monitors(
             topology,
@@ -291,11 +291,11 @@ def _attach_gray(gray, injectors):
     """
     if not families.has_events(gray):
         return injectors
-    from ..sim.faults import gray_sources
+    from ..sim.faults import ledger_sources
     from ..sim.recorder import RecordingInjector
     from ..sim.replay import ReplayInjector
 
-    if gray_sources(injectors) or any(
+    if ledger_sources(injectors, "degraded_intervals") or any(
         isinstance(i, ReplayInjector)
         for i in families.flat_injectors(injectors)
     ):

@@ -4,38 +4,35 @@ The paper defines CC over *average-case coin flips* but worst-case inputs
 and adversary.  Experimentally we approximate by averaging the bottleneck
 bits over seeds (coins and adversary samples) and also reporting the max.
 
-Sweeps run through :func:`repro.analysis.runner.safe_run_protocol`: a run
-that raises or hangs becomes an error *row* (graded incorrect) instead of
-killing the sweep, optionally bounded by a per-run wall-clock timeout and
-retried with fresh coins.  Passing a :class:`repro.analysis.checkpoint.
-SweepCheckpoint` makes progress durable: each completed run is appended to
-a JSONL file and a resumed sweep re-executes only the missing runs,
-yielding the identical record set as an uninterrupted sweep.
+Every sweep builds one :class:`repro.exec.WorkUnit` per *(coordinate,
+seed)* — schedules and injectors as declarative specs, drawn from the
+unit's own seeded rng by :func:`repro.exec.scheduler.derive_run` — and
+runs the whole batch through an :class:`repro.exec.ExecutionEngine`
+(``engine``, by default an in-process one).  Units are self-seeded, so
+the aggregated points are identical for any worker count.
 
-Passing an ``engine`` (:class:`repro.exec.ExecutionEngine`) fans the
-whole grid's *(coordinate, seed)* work units out over a process pool
-with content-addressed result caching; every unit is self-seeded, so the
-aggregated points — and the checkpoint file — are bit-identical to the
-serial path for any worker count.  The engine path requires declarative
-specs (it cannot ship ``schedule_factory``/``injector_factory`` closures
-to worker processes); the named sweeps below build those specs
-themselves.
+Each run goes through :func:`repro.analysis.runner.safe_run_protocol`: a
+run that raises or hangs becomes an error *row* (graded incorrect)
+instead of killing the sweep, optionally bounded by a per-run wall-clock
+timeout and retried with fresh coins.  Passing a
+:class:`repro.analysis.checkpoint.SweepCheckpoint` makes progress
+durable: each completed run is appended to a JSONL file (in unit order,
+byte-identical for any worker count) and a resumed sweep re-executes only
+the missing runs, yielding the identical record set as an uninterrupted
+sweep.
 """
 
 from __future__ import annotations
 
-import random
 import statistics
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..adversary.adversaries import no_failures, random_failures
-from ..adversary.schedule import FailureSchedule
 from ..core.caaf import CAAF, SUM
 from ..graphs.topology import Topology
-from .checkpoint import SweepCheckpoint, make_key
-from .families import draw_schedules, pin_horizon
-from .runner import RunRecord, make_inputs, safe_run_protocol
+from .checkpoint import SweepCheckpoint
+from .families import pin_horizon
+from .runner import RunRecord
 
 
 @dataclass
@@ -147,33 +144,14 @@ def aggregate(coords: Dict[str, Any], records: Sequence[RunRecord]) -> SweepPoin
     )
 
 
-ScheduleFactory = Callable[[Topology, random.Random], FailureSchedule]
-
-
-def random_schedule_factory(
-    f: int, horizon: int, respect_c: Optional[int] = None
-) -> ScheduleFactory:
-    """A factory producing fresh random budgeted schedules per seed."""
-
-    def factory(topology: Topology, rng: random.Random) -> FailureSchedule:
-        if f <= 0:
-            return no_failures()
-        return random_failures(
-            topology, f, rng, first_round=1, last_round=horizon, respect_c=respect_c
-        )
-
-    return factory
-
-
 def random_schedule_spec(
     f: int, horizon: int, respect_c: Optional[int] = None
 ) -> Dict[str, Any]:
-    """The declarative twin of :func:`random_schedule_factory`.
+    """A fresh random budgeted crash schedule per seed, as a unit spec.
 
-    Work units carry this spec across process boundaries;
-    :func:`repro.exec.scheduler.build_schedule` materializes it with the
-    identical rng consumption, so factory and spec produce the same
-    schedule from the same seed.
+    :func:`repro.exec.scheduler.build_schedule` draws it from the unit's
+    seeded rng: ``f`` edge failures in rounds ``1..horizon`` (none when
+    ``f <= 0``).
     """
     return {
         "kind": "random",
@@ -234,30 +212,61 @@ def point_units(
     ]
 
 
+def _sweep_grid(
+    protocol: str,
+    topology: Topology,
+    points: Sequence[Tuple[Dict[str, Any], Dict[str, Any]]],
+    seeds: Iterable[int],
+    checkpoint: Optional[SweepCheckpoint] = None,
+    engine=None,
+    **common,
+) -> List[SweepPoint]:
+    """The body of every sweep: run all *(coordinate, seed)* units as one
+    engine batch, then aggregate per coordinate.
+
+    ``points`` pairs each coordinate with its own :func:`point_units`
+    arguments; ``common`` go to every coordinate.  Units are built
+    coordinate-major, seed-minor, which fixes the checkpoint row order.
+    """
+    from ..exec.pool import ExecutionEngine
+
+    seeds = list(seeds)
+    units = [
+        unit
+        for coords, kwargs in points
+        for unit in point_units(
+            protocol, topology, seeds, coords=coords, **kwargs, **common
+        )
+    ]
+    records = (engine or ExecutionEngine()).run(units, checkpoint=checkpoint)
+    per_point = len(seeds)
+    return [
+        aggregate(
+            {"protocol": protocol, "topology": topology.name, **coords},
+            records[i * per_point : (i + 1) * per_point],
+        )
+        for i, (coords, _) in enumerate(points)
+    ]
+
+
 def run_point(
     protocol: str,
     topology: Topology,
     seeds: Iterable[int],
-    schedule_factory: Optional[ScheduleFactory] = None,
-    f: Optional[int] = None,
-    b: Optional[int] = None,
-    t: Optional[int] = None,
-    c: int = 2,
-    caaf: CAAF = SUM,
     coords: Optional[Dict[str, Any]] = None,
     checkpoint: Optional[SweepCheckpoint] = None,
-    timeout_s: Optional[float] = None,
-    retries: int = 0,
-    backoff_s: float = 0.0,
-    injector_factory: Optional[Callable[[int], Sequence]] = None,
-    capture_dir: Optional[str] = None,
     engine=None,
-    schedule_spec: Optional[Dict[str, Any]] = None,
-    inject: Optional[str] = None,
-    corrupt: Optional[str] = None,
-    **faults,
+    **kwargs,
 ) -> SweepPoint:
     """Run one sweep coordinate across seeds and aggregate.
+
+    ``kwargs`` are :func:`point_units` arguments: protocol parameters
+    (``f``, ``b``, ``t``, ``c``, ``caaf``), the crash ``schedule_spec``
+    (e.g. :func:`random_schedule_spec`), ``inject`` / ``corrupt`` spec
+    strings, the crash-safety knobs ``timeout_s`` / ``retries`` /
+    ``backoff_s``, ``capture_dir`` and fault-family arguments
+    (:data:`repro.analysis.families.RUN_KEYS`; schedule specs among them
+    are drawn per seed).
 
     Runs in strict-model validation would reject the random adversaries a
     sweep samples (they may exceed the ``c``-stretch assumption), so
@@ -265,98 +274,37 @@ def run_point(
 
     ``checkpoint`` makes the point resumable: completed seeds are served
     from the JSONL file, and every fresh run is appended to it.
-    ``injector_factory(seed)`` attaches per-seed fault-injection
-    middleware (e.g. ``lambda s: [MessageFaults(drop=0.05, seed=s)]``).
     ``capture_dir`` auto-captures a repro bundle for every failing row
     (see :func:`repro.analysis.runner.safe_run_protocol`); the bundle
     path is stored in the row's ``extra["bundle"]`` and survives the
-    checkpoint round-trip.
-
-    ``faults`` are fault-family arguments
-    (:data:`repro.analysis.families.RUN_KEYS`); schedule specs among them
-    are drawn per seed.
-
-    ``engine`` switches to the parallel execution engine; the schedule
-    and injectors must then be declarative (``schedule_spec`` /
-    ``inject``) rather than factory closures.
+    checkpoint round-trip.  ``engine`` picks the executor (default: an
+    in-process :class:`repro.exec.ExecutionEngine`).
     """
-    base = {"protocol": protocol, "topology": topology.name}
-    base.update(coords or {})
-    if engine is not None:
-        if schedule_factory is not None or injector_factory is not None:
-            raise ValueError(
-                "the engine path needs declarative schedule_spec/inject, "
-                "not factory callables (closures cannot cross processes)"
-            )
-        units = point_units(
-            protocol,
-            topology,
-            seeds,
-            schedule_spec=schedule_spec,
-            f=f,
-            b=b,
-            t=t,
-            c=c,
-            caaf=caaf,
-            coords=coords,
-            timeout_s=timeout_s,
-            retries=retries,
-            backoff_s=backoff_s,
-            inject=inject,
-            corrupt=corrupt,
-            capture_dir=capture_dir,
-            **faults,
-        )
-        return aggregate(base, engine.run(units, checkpoint=checkpoint))
-    records = []
-    for seed in seeds:
-        key = make_key(protocol, topology.name, seed, coords)
-        if checkpoint is not None:
-            cached = checkpoint.get(key)
-            if cached is not None:
-                records.append(cached)
-                continue
-        rng = random.Random(seed)
-        inputs = make_inputs(topology, rng)
-        schedule = (
-            schedule_factory(topology, rng)
-            if schedule_factory
-            else FailureSchedule()
-        )
-        # Fault schedules are drawn between the schedule and the injectors
-        # — the same rng slot repro.exec.scheduler.execute_unit uses, so
-        # serial and pool runs see identical schedules.
-        seed_faults = draw_schedules(faults, topology, rng)
-        injectors = list(injector_factory(seed)) if injector_factory else []
-        if corrupt:
-            from ..sim.faults import MessageCorruption
+    return _sweep_grid(
+        protocol,
+        topology,
+        [(dict(coords or {}), kwargs)],
+        seeds,
+        checkpoint=checkpoint,
+        engine=engine,
+    )[0]
 
-            injectors.append(MessageCorruption.from_spec(corrupt, seed=seed))
-        record = safe_run_protocol(
-            protocol,
-            topology,
-            inputs,
-            schedule=schedule,
-            timeout_s=timeout_s,
-            retries=retries,
-            backoff_s=backoff_s,
-            seed=seed,
-            rng=rng,
+
+def _algorithm1_point(
+    topology: Topology, b: int, f: int, **faults
+) -> Tuple[Dict[str, Any], Dict[str, Any]]:
+    """One Algorithm 1 sweep coordinate: random crashes and random fault
+    specs spread over the run's full ``b * d`` horizon."""
+    horizon = b * topology.diameter
+    return (
+        {"b": b, "f": f, "n": topology.n_nodes},
+        dict(
             f=f,
             b=b,
-            t=t,
-            c=c,
-            caaf=caaf,
-            strict=False,
-            injectors=injectors,
-            capture_dir=capture_dir,
-            **seed_faults,
-        )
-        record.seed = seed
-        if checkpoint is not None:
-            checkpoint.put(key, record)
-        records.append(record)
-    return aggregate(base, records)
+            schedule_spec=random_schedule_spec(f, horizon=horizon),
+            **pin_horizon(faults, horizon),
+        ),
+    )
 
 
 def sweep_b(
@@ -364,7 +312,6 @@ def sweep_b(
     f: int,
     bs: Sequence[int],
     seeds: Iterable[int],
-    horizon_factor: int = 1,
     c: int = 2,
     checkpoint: Optional[SweepCheckpoint] = None,
     timeout_s: Optional[float] = None,
@@ -385,51 +332,54 @@ def sweep_b(
     retransmit overhead.  Random fault specs without a horizon are pinned
     to each coordinate's run length.
 
-    With an ``engine``, the whole ``bs x seeds`` grid fans out as one
-    batch of work units (pool-wide longest-first scheduling), and the
-    aggregated points — and any checkpoint file — are bit-identical to
-    the serial path.
+    The whole ``bs x seeds`` grid runs as one batch of work units through
+    ``engine`` (pool-wide longest-first scheduling with a multi-worker
+    engine).
     """
-    seeds = list(seeds)
-    if engine is not None:
-        return _sweep_grid(
-            topology,
-            [(b, f) for b in bs],
-            seeds,
-            c=c,
-            checkpoint=checkpoint,
-            timeout_s=timeout_s,
-            retries=retries,
-            backoff_s=backoff_s,
-            capture_dir=capture_dir,
-            corrupt=corrupt,
-            engine=engine,
-            **faults,
-        )
-    points = []
-    for b in bs:
-        horizon = b * topology.diameter
-        factory = random_schedule_factory(f, horizon=horizon)
-        points.append(
-            run_point(
-                "algorithm1",
-                topology,
-                seeds,
-                schedule_factory=factory,
-                f=f,
-                b=b,
-                c=c,
-                coords={"b": b, "f": f, "n": topology.n_nodes},
-                checkpoint=checkpoint,
-                timeout_s=timeout_s,
-                retries=retries,
-                backoff_s=backoff_s,
-                capture_dir=capture_dir,
-                corrupt=corrupt,
-                **pin_horizon(faults, horizon),
-            )
-        )
-    return points
+    return _sweep_grid(
+        "algorithm1",
+        topology,
+        [_algorithm1_point(topology, b, f, **faults) for b in bs],
+        seeds,
+        checkpoint=checkpoint,
+        engine=engine,
+        c=c,
+        timeout_s=timeout_s,
+        retries=retries,
+        backoff_s=backoff_s,
+        capture_dir=capture_dir,
+        corrupt=corrupt,
+    )
+
+
+def sweep_f(
+    topology: Topology,
+    fs: Sequence[int],
+    b: int,
+    seeds: Iterable[int],
+    c: int = 2,
+    checkpoint: Optional[SweepCheckpoint] = None,
+    timeout_s: Optional[float] = None,
+    retries: int = 0,
+    capture_dir: Optional[str] = None,
+    engine=None,
+) -> List[SweepPoint]:
+    """Measured CC of Algorithm 1 across a failure-budget grid.
+
+    Accepts an ``engine`` exactly like :func:`sweep_b`.
+    """
+    return _sweep_grid(
+        "algorithm1",
+        topology,
+        [_algorithm1_point(topology, b, f) for f in fs],
+        seeds,
+        checkpoint=checkpoint,
+        engine=engine,
+        c=c,
+        timeout_s=timeout_s,
+        retries=retries,
+        capture_dir=capture_dir,
+    )
 
 
 def sweep_churn(
@@ -461,167 +411,35 @@ def sweep_churn(
     acceptance gate (durable churn at rate <= 0.05 stays >= 95% exact).
 
     Accepts an ``engine`` exactly like :func:`sweep_b`; the churn spec
-    travels declaratively and is sampled in the worker from the same rng
-    slot the serial path uses.
+    travels declaratively and is sampled from each unit's seeded rng.
     """
-    seeds = list(seeds)
-    horizon = b * topology.diameter
     points = []
     for rate in rates:
-        churn_spec = {
-            "kind": "random",
-            "rate": rate,
-            "horizon": horizon,
-            "amnesiac": amnesiac,
-            "flap_rate": flap_rate,
-        }
-        coords = {
-            "b": b,
-            "f": f,
-            "n": topology.n_nodes,
-            "churn": rate,
-            "amnesiac": amnesiac,
-        }
-        points.append(
-            run_point(
-                "algorithm1",
-                topology,
-                seeds,
-                schedule_factory=(
-                    random_schedule_factory(f, horizon=horizon)
-                    if engine is None
-                    else None
-                ),
-                f=f,
-                b=b,
-                c=c,
-                coords=coords,
-                checkpoint=checkpoint,
-                timeout_s=timeout_s,
-                retries=retries,
-                backoff_s=backoff_s,
-                capture_dir=capture_dir,
-                churn=churn_spec,
-                churn_policy=churn_policy,
-                engine=engine,
-                schedule_spec=(
-                    random_schedule_spec(f, horizon=horizon)
-                    if engine is not None
-                    else None
-                ),
-            )
-        )
-    return points
-
-
-def _sweep_grid(
-    topology: Topology,
-    bf_pairs: Sequence,
-    seeds: Sequence[int],
-    *,
-    c: int,
-    checkpoint: Optional[SweepCheckpoint],
-    timeout_s: Optional[float],
-    retries: int,
-    backoff_s: float = 0.0,
-    capture_dir: Optional[str] = None,
-    corrupt: Optional[str] = None,
-    engine=None,
-    **faults,
-) -> List[SweepPoint]:
-    """Engine path shared by :func:`sweep_b` and :func:`sweep_f`.
-
-    Builds one work unit per *(coordinate, seed)* — unit order matches
-    the serial iteration order exactly, which keeps checkpoint files
-    byte-identical — runs them all through the engine, then aggregates
-    per coordinate.
-    """
-    units = []
-    for b, f in bf_pairs:
-        coords = {"b": b, "f": f, "n": topology.n_nodes}
-        units.extend(
-            point_units(
-                "algorithm1",
-                topology,
-                seeds,
-                schedule_spec=random_schedule_spec(
-                    f, horizon=b * topology.diameter
-                ),
-                f=f,
-                b=b,
-                c=c,
-                coords=coords,
-                timeout_s=timeout_s,
-                retries=retries,
-                backoff_s=backoff_s,
-                capture_dir=capture_dir,
-                corrupt=corrupt,
-                **pin_horizon(faults, b * topology.diameter),
-            )
-        )
-    records = engine.run(units, checkpoint=checkpoint)
-    points = []
-    per_point = len(seeds)
-    for i, (b, f) in enumerate(bf_pairs):
-        base = {
-            "protocol": "algorithm1",
-            "topology": topology.name,
-            "b": b,
-            "f": f,
-            "n": topology.n_nodes,
-        }
-        points.append(
-            aggregate(base, records[i * per_point : (i + 1) * per_point])
-        )
-    return points
-
-
-def sweep_f(
-    topology: Topology,
-    fs: Sequence[int],
-    b: int,
-    seeds: Iterable[int],
-    c: int = 2,
-    checkpoint: Optional[SweepCheckpoint] = None,
-    timeout_s: Optional[float] = None,
-    retries: int = 0,
-    capture_dir: Optional[str] = None,
-    engine=None,
-) -> List[SweepPoint]:
-    """Measured CC of Algorithm 1 across a failure-budget grid.
-
-    Accepts an ``engine`` exactly like :func:`sweep_b`.
-    """
-    seeds = list(seeds)
-    if engine is not None:
-        return _sweep_grid(
+        coords, kwargs = _algorithm1_point(
             topology,
-            [(b, f) for f in fs],
-            seeds,
-            c=c,
-            checkpoint=checkpoint,
-            timeout_s=timeout_s,
-            retries=retries,
-            capture_dir=capture_dir,
-            engine=engine,
+            b,
+            f,
+            churn={
+                "kind": "random",
+                "rate": rate,
+                "horizon": b * topology.diameter,
+                "amnesiac": amnesiac,
+                "flap_rate": flap_rate,
+            },
+            churn_policy=churn_policy,
         )
-    points = []
-    for f in fs:
-        factory = random_schedule_factory(f, horizon=b * topology.diameter)
-        points.append(
-            run_point(
-                "algorithm1",
-                topology,
-                seeds,
-                schedule_factory=factory,
-                f=f,
-                b=b,
-                c=c,
-                coords={"b": b, "f": f, "n": topology.n_nodes},
-                checkpoint=checkpoint,
-                timeout_s=timeout_s,
-                retries=retries,
-                capture_dir=capture_dir,
-            )
-        )
-    return points
+        coords.update(churn=rate, amnesiac=amnesiac)
+        points.append((coords, kwargs))
+    return _sweep_grid(
+        "algorithm1",
+        topology,
+        points,
+        seeds,
+        checkpoint=checkpoint,
+        engine=engine,
+        c=c,
+        timeout_s=timeout_s,
+        retries=retries,
+        backoff_s=backoff_s,
+        capture_dir=capture_dir,
+    )

@@ -53,7 +53,7 @@ import sys
 from typing import List, Optional
 
 from . import graphs
-from .adversary import no_failures, random_failures
+from .adversary import no_failures
 from .analysis import (
     SweepCheckpoint,
     families,
@@ -61,6 +61,7 @@ from .analysis import (
     format_series,
     format_table,
     make_inputs,
+    random_schedule_spec,
     run_protocol,
     sweep_b,
     sweep_f,
@@ -104,21 +105,6 @@ def parse_topology(spec: str, seed: int = 0) -> graphs.Topology:
 
 def _ints(text: str) -> List[int]:
     return [int(v) for v in text.split(",") if v]
-
-
-def _parse_injectors(spec: Optional[str], seed: int, corrupt: Optional[str] = None):
-    """Build the injector list for the ``--inject drop=0.1,...`` and
-    ``--corrupt bitflip:0.02,...`` flags."""
-    injectors = []
-    if spec:
-        from .sim.faults import MessageFaults
-
-        injectors.append(MessageFaults.from_spec(spec, seed=seed))
-    if corrupt:
-        from .sim.faults import MessageCorruption
-
-        injectors.append(MessageCorruption.from_spec(corrupt, seed=seed))
-    return tuple(injectors)
 
 
 #: Fault-model flags -> the :data:`repro.analysis.families.EXCLUSIONS` name
@@ -312,19 +298,6 @@ def _fault_config(args, horizon: Optional[int]):
     )
 
 
-def _maybe_crash_root(schedule, topology, args, rng: random.Random):
-    """With ``--allow-root-crash``, schedule a root crash mid-run.
-
-    The crash round is drawn from the run's seeded rng, so the same seed
-    always kills the root at the same point.
-    """
-    if not args.allow_root_crash:
-        return schedule
-    horizon = max(2, (args.budget or 42) * topology.diameter)
-    schedule.add(topology.root, rng.randint(2, max(2, horizon // 2)))
-    return schedule
-
-
 def _engine_from_args(args):
     """Build an :class:`repro.exec.ExecutionEngine` from the shared
     ``--jobs`` / ``--cache-dir`` / ``--force`` / ``--progress-log`` flags.
@@ -396,69 +369,21 @@ def _obs_finish(cap, args: argparse.Namespace) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    validate_fault_flags(args)
-    topology = parse_topology(args.topology, args.seed)
-    if args.jobs > 1 or args.cache_dir or args.force:
-        return _cmd_run_engine(args, topology)
-    rng = random.Random(args.seed)
-    inputs = make_inputs(topology, rng, max_input=args.max_input)
-    if args.failures > 0:
-        schedule = random_failures(
-            topology,
-            args.failures,
-            rng,
-            first_round=1,
-            last_round=max(2, (args.budget or 42) * topology.diameter),
-            respect_c=2,
-        )
-    else:
-        schedule = no_failures()
-    schedule = _maybe_crash_root(schedule, topology, args, rng)
-    horizon = max(2, (args.budget or 42) * topology.diameter)
-    faults = families.draw_schedules(
-        _fault_config(args, horizon), topology, rng
-    )
-    injectors = _parse_injectors(args.inject, args.seed, corrupt=args.corrupt)
-    record = run_protocol(
-        args.protocol,
-        topology,
-        inputs,
-        schedule=schedule,
-        f=args.failures or None,
-        b=args.budget,
-        t=args.tolerance,
-        rng=rng,
-        injectors=injectors,
-        strict_monitors=args.strict_monitors,
-        **faults,
-    )
-    print(format_table([record.as_dict()], title=f"{args.protocol} on {topology}"))
-    return 0 if record.correct else 1
+    """One seeded run, built as a work unit.
 
-
-def _cmd_run_engine(args: argparse.Namespace, topology) -> int:
-    """``run`` through the execution engine (``--jobs``/``--cache-dir``).
-
-    The work unit replays the serial derivation (same rng consumption
-    order), so the record is identical to the in-process path; the only
-    behavioral difference is that strict-model violations surface as an
-    error *row* (nonzero exit) instead of a raised exception.
+    ``--jobs 1`` without a cache runs it in-process through
+    :func:`repro.analysis.run_protocol`, so a strict-model violation
+    raises and ``--trace-out`` sees the bare run; otherwise the engine
+    executes it (violations then surface as an error *row*, nonzero
+    exit).  Both derive the run with
+    :func:`repro.exec.scheduler.derive_run` and print the same table.
     """
     from .exec import WorkUnit
+    from .exec.scheduler import derive_run, stamp_injected
 
+    validate_fault_flags(args)
+    topology = parse_topology(args.topology, args.seed)
     horizon = max(2, (args.budget or 42) * topology.diameter)
-    schedule = (
-        {
-            "kind": "random",
-            "f": args.failures,
-            "first_round": 1,
-            "last_round": horizon,
-            "respect_c": 2,
-        }
-        if args.failures > 0
-        else {"kind": "none"}
-    )
-    faults = _fault_config(args, horizon)
     unit = WorkUnit(
         protocol=args.protocol,
         topology=topology,
@@ -467,7 +392,11 @@ def _cmd_run_engine(args: argparse.Namespace, topology) -> int:
         b=args.budget,
         t=args.tolerance,
         max_input=args.max_input,
-        schedule=schedule,
+        schedule=(
+            random_schedule_spec(args.failures, horizon, respect_c=2)
+            if args.failures > 0
+            else {"kind": "none"}
+        ),
         crash_root=(
             {"lo": 2, "hi": max(2, horizon // 2)}
             if args.allow_root_crash
@@ -477,17 +406,22 @@ def _cmd_run_engine(args: argparse.Namespace, topology) -> int:
         corrupt=args.corrupt,
         strict=True,
         strict_monitors=args.strict_monitors,
-        **faults,
+        **_fault_config(args, horizon),
     )
-    engine = _engine_from_args(args)
-    try:
-        record = engine.run([unit])[0]
-    finally:
-        engine.emitter.close()
-    # The serial `run` table has no seed column (the seed is a flag, not
-    # a sweep coordinate); drop the engine's stamp so both paths print
-    # the identical table.
-    record.seed = None
+    if args.jobs > 1 or args.cache_dir or args.force:
+        engine = _engine_from_args(args)
+        try:
+            record = engine.run([unit])[0]
+        finally:
+            engine.emitter.close()
+        # The seed is a flag, not a sweep coordinate: no seed column.
+        record.seed = None
+    else:
+        inputs, schedule, kwargs = derive_run(unit)
+        record = run_protocol(
+            args.protocol, topology, inputs, schedule=schedule, **kwargs
+        )
+        stamp_injected(record, kwargs["injectors"])
     print(format_table([record.as_dict()], title=f"{args.protocol} on {topology}"))
     return 0 if record.correct else 1
 
@@ -667,13 +601,9 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     # audits rely on (an explicit --inject already errored above).
     spec = args.inject or (None if faults["byz"] is not None else "drop=0.05")
     schedule_spec = (
-        {
-            "kind": "random",
-            "f": args.failures,
-            "first_round": 1,
-            "last_round": max(2, 60 * topology.diameter),
-            "respect_c": 2,
-        }
+        random_schedule_spec(
+            args.failures, max(2, 60 * topology.diameter), respect_c=2
+        )
         if args.failures
         else {"kind": "none"}
     )
@@ -1233,8 +1163,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--jobs",
             type=int,
             default=1,
-            help="worker processes (1 = serial in-process; results are "
-            "bit-identical for every value)",
+            help="worker processes (1 = in-process, no pool; every value "
+            "derives each run the same way, so results are bit-identical)",
         )
         if cache:
             p.add_argument(

@@ -1,13 +1,14 @@
-"""Parallel execution engine for independent protocol runs.
+"""Execution engine for independent protocol runs.
 
-Every workload in the repository — ``sweep_b``/``sweep_f`` grids, chaos
-campaigns, adversary searches, and the benchmark suite — decomposes into
-independent *(topology, params, seed)* work units.  This package fans
-those units out over a process pool while keeping the results bit-identical
-to a serial run:
+Every seeded run in the repository — ``run_point``/``sweep_*`` grids,
+chaos campaigns, the CLI's ``run``, and the benchmark suite — is a
+*(topology, params, seed)* work unit, and :func:`execute_unit` is how it
+runs.  This package executes those units in-process or fans them out
+over a process pool, with results identical for any worker count:
 
 * :mod:`repro.exec.scheduler` — the declarative :class:`WorkUnit` spec,
-  its worker-side executor (:func:`execute_unit`), and the deterministic
+  the one run derivation (:func:`repro.exec.scheduler.derive_run`), its
+  executor (:func:`execute_unit`), and the deterministic
   longest-expected-first submission plan;
 * :mod:`repro.exec.cache` — a content-addressed result store keyed by a
   canonical hash of topology + protocol params + seed + code-relevant

@@ -21,8 +21,7 @@ order, with these guarantees:
 * **Graceful Ctrl-C.**  On ``KeyboardInterrupt`` the engine stops
   submitting, collects every already-completed result, flushes them to
   the cache and (in order) to the checkpoint, then re-raises — an
-  interrupted parallel sweep resumes exactly like an interrupted serial
-  one.
+  interrupted sweep resumes the same way at any ``jobs`` value.
 
 Three backends implement the submit/collect protocol: ``SerialBackend``
 (in-process, the ``--jobs 1`` path — no subprocesses, no pickling),
@@ -291,10 +290,10 @@ class _OrderedCheckpointWriter:
 
     ``offer(i, record)`` marks unit ``i``'s record ready; the contiguous
     prefix of ready units is written immediately.  Units already present
-    in the checkpoint are skipped (the serial resume path never rewrites
-    them either).  The result: the checkpoint file a parallel sweep
-    leaves behind is byte-identical to the serial one, while each record
-    still becomes durable as soon as every earlier record is.
+    in the checkpoint are skipped (a resume never rewrites them).  The
+    result: the checkpoint file a parallel sweep leaves behind is
+    byte-identical to the ``jobs=1`` one, while each record still becomes
+    durable as soon as every earlier record is.
     """
 
     def __init__(self, checkpoint, units: Sequence[WorkUnit], skip) -> None:

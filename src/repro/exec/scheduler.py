@@ -1,25 +1,25 @@
 """Work units: the declarative, picklable spec of one protocol run.
 
-A :class:`WorkUnit` captures *everything* a worker process needs to
-reproduce one run of the serial sweep/chaos code paths bit-for-bit: the
-topology, the seed, the protocol parameters, and declarative specs for
-the derived pieces (failure schedule, fault injectors, monitors) that the
-serial paths build from the seed's ``random.Random``.  The executor,
-:func:`execute_unit`, replays the exact derivation order the serial code
-uses — ``rng = Random(seed)``, then inputs, then schedule, then the
-optional root crash — so a unit executed in a worker process returns the
-identical :class:`repro.analysis.runner.RunRecord` the serial loop would
-have produced in-process.
+A :class:`WorkUnit` captures *everything* needed to reproduce one seeded
+run bit-for-bit: the topology, the seed, the protocol parameters, and
+declarative specs for the derived pieces (failure schedule, fault
+injectors, monitors).  :func:`derive_run` is the one place those pieces
+are built from the seed's ``random.Random``, in a fixed order —
+inputs, then schedule, then the optional root crash, then the fault
+schedules — so every caller sees the same run: :func:`execute_unit` (the
+engine's entry point, in-process or in a worker process) and the CLI's
+in-process ``run``.  Sweeps, chaos campaigns and ``run`` all go through
+it; there is no other derivation.
 
-Closures (``schedule_factory`` / ``injector_factory``) cannot cross a
-process boundary, which is why the specs here are data, not callables:
+The specs are data, not callables, so units can cross process
+boundaries:
 
 * schedule spec — ``{"kind": "none"}``, ``{"kind": "explicit",
   "crash_rounds": {node: round}}``, or ``{"kind": "random", "f": int,
   "first_round": int, "last_round": int, "respect_c": int | None}``
-  (mirroring :func:`repro.analysis.sweep.random_schedule_factory`);
+  (built by :func:`repro.analysis.sweep.random_schedule_spec`);
 * ``crash_root`` — ``{"lo": int, "hi": int}``, appending a seeded root
-  crash exactly like the CLI's ``--allow-root-crash`` path;
+  crash (the CLI's ``--allow-root-crash``);
 * ``inject`` / ``adaptive`` — the CLI spec strings fed to
   :meth:`repro.sim.faults.MessageFaults.from_spec` /
   :func:`repro.adversary.adaptive.make_adaptive`;
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..adversary.schedule import FailureSchedule
 from ..graphs.topology import Topology
@@ -46,17 +46,16 @@ class WorkUnit:
     """One independent protocol run, fully specified by value.
 
     ``coords`` is the sweep coordinate the run belongs to (it feeds the
-    checkpoint key, exactly like the serial path's
-    :func:`repro.analysis.checkpoint.make_key`); ``strict`` /
+    checkpoint key, :func:`repro.analysis.checkpoint.make_key`); ``strict`` /
     ``strict_monitors`` and the fault-family fields (``transport`` through
     ``allow_root_crash``, see :data:`repro.analysis.families.RUN_KEYS`)
     mirror the corresponding :func:`repro.analysis.runner.run_protocol`
     arguments; ``corrupt`` is the CLI spec string fed to
     :meth:`repro.sim.faults.MessageCorruption.from_spec`.  ``churn`` /
     ``gray`` / ``byz`` may also be spec strings or ``{"kind": "random",
-    "rate": float, ...}`` specs, drawn from the unit's seeded RNG in the
-    slot the serial sweep uses (:func:`repro.analysis.families.
-    draw_schedules`), so pool and serial runs see identical schedules.
+    "rate": float, ...}`` specs, drawn from the unit's seeded RNG right
+    after the crash schedule (:func:`repro.analysis.families.
+    draw_schedules`).
     """
 
     protocol: str
@@ -93,7 +92,7 @@ class WorkUnit:
 
     @property
     def checkpoint_key(self) -> str:
-        """The serial sweep's checkpoint key for this run."""
+        """The sweep checkpoint key for this run."""
         from ..analysis.checkpoint import make_key
 
         return make_key(self.protocol, self.topology.name, self.seed, self.coords)
@@ -126,8 +125,7 @@ class WorkUnit:
 def build_schedule(
     unit: WorkUnit, topology: Topology, rng: random.Random
 ) -> FailureSchedule:
-    """Materialize the unit's schedule spec, consuming ``rng`` exactly as
-    the serial code paths do."""
+    """Materialize the unit's schedule spec (and root crash) from ``rng``."""
     spec = unit.schedule or {"kind": "none"}
     kind = spec.get("kind", "none")
     if kind == "none":
@@ -162,7 +160,7 @@ def build_schedule(
 
 def build_injectors(unit: WorkUnit, topology: Topology) -> List[Any]:
     """Materialize the unit's injector specs (order: faults, corruption,
-    adaptive) — the same order the CLI builds them in-process."""
+    adaptive)."""
     injectors: List[Any] = []
     if unit.inject:
         from ..sim.faults import MessageFaults
@@ -185,27 +183,88 @@ def build_injectors(unit: WorkUnit, topology: Topology) -> List[Any]:
     return injectors
 
 
-def execute_unit(unit: WorkUnit):
-    """Run one work unit; the worker-process entry point.
+def derive_run(
+    unit: WorkUnit,
+) -> Tuple[Dict[int, int], FailureSchedule, Dict[str, Any]]:
+    """The unit's ``(inputs, schedule, run_protocol kwargs)``.
 
-    Reproduces the serial derivation exactly: ``rng = Random(seed)`` →
+    Everything is derived from one ``rng = Random(seed)``, in this order:
     inputs → schedule (→ optional root crash) → churn → gray → byz
     (:func:`repro.analysis.families.draw_schedules`) → injectors →
-    monitors → :func:`repro.analysis.runner.safe_run_protocol`.  Per-unit timeouts
-    go through ``safe_run_protocol``'s own ``timeout_s`` path — workers
-    execute in their process's main thread, so the ``SIGALRM`` wall-clock
-    limit is exactly as hard there as in a serial run.
+    monitors.  The kwargs carry ``rng`` itself, so the protocol's coins
+    continue the same stream.
+    """
+    from ..analysis import families
+    from ..analysis.runner import make_inputs
+    from ..core.caaf import by_name
+    from ..sim.faults import ledger_sources
+
+    topology = unit.topology
+    caaf = by_name(unit.caaf)
+    rng = random.Random(unit.seed)
+    inputs = make_inputs(topology, rng, max_input=unit.max_input)
+    schedule = build_schedule(unit, topology, rng)
+    faults = families.draw_schedules(
+        {key: getattr(unit, key) for key in families.RUN_KEYS}, topology, rng
+    )
+    injectors = build_injectors(unit, topology)
+    faults = families.share(faults)
+    monitors = None
+    if unit.monitors is not None:
+        monitors = families.family_monitors(
+            topology,
+            inputs,
+            faults,
+            f=unit.f,
+            caaf=caaf,
+            mode=unit.monitors.get("mode", "record"),
+            recovery=bool(unit.monitors.get("recovery")),
+            corruption=ledger_sources(injectors, "delivered_corruptions"),
+        )
+    return inputs, schedule, dict(
+        rng=rng,
+        f=unit.f,
+        b=unit.b,
+        t=unit.t,
+        c=unit.c,
+        caaf=caaf,
+        strict=unit.strict,
+        strict_monitors=unit.strict_monitors,
+        injectors=tuple(injectors),
+        monitors=monitors,
+        **faults,
+    )
+
+
+def stamp_injected(record, injectors) -> None:
+    """Add the ``injected_faults`` / ``injected_corruptions`` columns of
+    a run's message-fault and corruption injectors to its row."""
+    from ..sim.faults import MessageCorruption, MessageFaults
+
+    for injector in injectors:
+        if isinstance(injector, MessageFaults):
+            record.extra["injected_faults"] = injector.counts.total
+        elif isinstance(injector, MessageCorruption):
+            record.extra["injected_corruptions"] = injector.counts.total
+
+
+def execute_unit(unit: WorkUnit):
+    """Run one work unit; the engine's entry point.
+
+    :func:`derive_run` builds the run and
+    :func:`repro.analysis.runner.safe_run_protocol` executes it.
+    Per-unit timeouts go through ``safe_run_protocol``'s own
+    ``timeout_s`` path — workers execute in their process's main thread,
+    so the ``SIGALRM`` wall-clock limit is exactly as hard there as
+    in-process.
 
     Never raises (other than ``KeyboardInterrupt``/``SystemExit``): any
     unexpected error becomes a structured error record, matching
     ``safe_run_protocol``'s contract.
     """
-    from ..analysis import families
-    from ..analysis.runner import error_record, make_inputs, safe_run_protocol
-    from ..core.caaf import by_name
+    from ..analysis.runner import error_record, safe_run_protocol
     from ..obs import spans as _spans
 
-    topology = unit.topology
     if _spans.enabled:
         # In-process (serial backend) with tracing armed: group this
         # unit's protocol spans under their own trace process.  Worker
@@ -213,68 +272,27 @@ def execute_unit(unit: WorkUnit):
         # for the process-pool backend.
         _spans.active().push_process(unit.label())
     try:
-        rng = random.Random(unit.seed)
-        inputs = make_inputs(topology, rng, max_input=unit.max_input)
-        schedule = build_schedule(unit, topology, rng)
-        faults = families.draw_schedules(
-            {key: getattr(unit, key) for key in families.RUN_KEYS},
-            topology,
-            rng,
-        )
-        injectors = build_injectors(unit, topology)
-        faults = families.share(faults)
-        monitors = None
-        if unit.monitors is not None:
-            from ..sim.faults import corruption_sources
-
-            monitors = families.family_monitors(
-                topology,
-                inputs,
-                faults,
-                f=unit.f,
-                caaf=by_name(unit.caaf),
-                mode=unit.monitors.get("mode", "record"),
-                recovery=bool(unit.monitors.get("recovery")),
-                corruption=corruption_sources(injectors),
-            )
+        inputs, schedule, kwargs = derive_run(unit)
         record = safe_run_protocol(
             unit.protocol,
-            topology,
+            unit.topology,
             inputs,
             schedule=schedule,
             timeout_s=unit.timeout_s,
             retries=unit.retries,
             backoff_s=unit.backoff_s,
             seed=unit.seed,
-            rng=rng,
-            f=unit.f,
-            b=unit.b,
-            t=unit.t,
-            c=unit.c,
-            caaf=by_name(unit.caaf),
-            strict=unit.strict,
-            strict_monitors=unit.strict_monitors,
-            injectors=tuple(injectors),
-            monitors=monitors,
             capture_dir=unit.capture_dir,
-            **faults,
+            **kwargs,
         )
         record.seed = unit.seed
-        if unit.inject and injectors:
-            record.extra["injected_faults"] = injectors[0].counts.total
-        if unit.corrupt:
-            from ..sim.faults import MessageCorruption
-
-            corrupter = next(
-                i for i in injectors if isinstance(i, MessageCorruption)
-            )
-            record.extra["injected_corruptions"] = corrupter.counts.total
+        stamp_injected(record, kwargs["injectors"])
         return record
     except (KeyboardInterrupt, SystemExit):
         raise
     except BaseException as exc:  # defensive: a unit must yield a row
         return error_record(
-            unit.protocol, topology, exc, f=unit.f, seed=unit.seed
+            unit.protocol, unit.topology, exc, f=unit.f, seed=unit.seed
         )
     finally:
         if _spans.enabled:

@@ -453,7 +453,7 @@ def unresolved_corruptions(
     """Delivered corruptions the integrity layer never rejected.
 
     ``sources`` are injectors exposing ``delivered_corruptions`` (see
-    :func:`repro.sim.faults.corruption_sources`): the out-of-band ground
+    :func:`repro.sim.faults.ledger_sources`): the out-of-band ground
     truth of corrupted frames that actually reached a receiver.  Each is
     multiset-matched against the coordinator's rejection log; what is
     left over was *accepted* — a silent corruption.  With no coordinator

@@ -38,7 +38,7 @@ from ..integrity.frames import (
     as_integrity,
     unresolved_corruptions,
 )
-from ..sim.faults import corruption_sources
+from ..sim.faults import ledger_sources
 from ..sim.message import Part, TAG_BITS, id_bits
 from ..sim.network import Network
 from ..sim.node import NodeHandler
@@ -474,7 +474,7 @@ def run_with_recovery(
         reason += f"; {live_gap_count} unexcused transport gap(s)"
     # Integrity ladder: any delivered corruption the integrity layer never
     # rejected clears the integrity-verified bit (certify() decertifies).
-    corruption = corruption_sources(injectors)
+    corruption = ledger_sources(injectors, "delivered_corruptions")
     unresolved = (
         len(unresolved_corruptions(corruption, integrity)) if corruption else 0
     )

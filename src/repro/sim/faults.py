@@ -1097,19 +1097,22 @@ class MessageCorruption(FaultInjector):
         )
 
 
-def corruption_sources(injectors) -> List:
-    """Injectors (flattening recorder/replay wrappers) that track delivered
-    corruptions — anything exposing a ``delivered_corruptions`` list."""
-    sources: List = []
+def flat_injectors(injectors):
+    """Injectors plus one level of wrapper ``.inner`` chains (recorder /
+    replay wrappers)."""
     for injector in injectors or ():
-        if hasattr(injector, "delivered_corruptions"):
-            sources.append(injector)
+        yield injector
         inner = getattr(injector, "inner", None)
         if isinstance(inner, (list, tuple)):
-            sources.extend(
-                i for i in inner if hasattr(i, "delivered_corruptions")
-            )
-    return sources
+            yield from inner
+
+
+def ledger_sources(injectors, ledger: str) -> List:
+    """The injectors (flattening wrappers) that keep the ground-truth
+    ledger attribute ``ledger``: ``"delivered_corruptions"`` (corruption),
+    ``"degraded_intervals"`` (gray failures) or ``"delivered_taints"``
+    (Byzantine taints)."""
+    return [i for i in flat_injectors(injectors) if hasattr(i, ledger)]
 
 
 #: Gray-failure latency profiles.
@@ -1556,21 +1559,6 @@ def random_gray(
             profile = GRAY_PROFILES[rng.randrange(len(GRAY_PROFILES))]
             links.append((u, v, start, start + length - 1, severity, profile))
     return GrayFailureSchedule(stalls=stalls, links=links)
-
-
-def gray_sources(injectors) -> List:
-    """Injectors (flattening recorder/replay wrappers) that carry a
-    gray-failure ledger — anything exposing ``degraded_intervals``."""
-    sources: List = []
-    for injector in injectors or ():
-        if hasattr(injector, "degraded_intervals"):
-            sources.append(injector)
-        inner = getattr(injector, "inner", None)
-        if isinstance(inner, (list, tuple)):
-            sources.extend(
-                i for i in inner if hasattr(i, "degraded_intervals")
-            )
-    return sources
 
 
 #: Byzantine node behaviors.
@@ -2083,18 +2071,3 @@ def random_byz(
         start = rng.randint(1, max(1, horizon // 2))
         behaviors[node] = (mode, k, start)
     return ByzantineSchedule(behaviors=behaviors, root=root)
-
-
-def byz_sources(injectors) -> List:
-    """Injectors (flattening recorder/replay wrappers) that carry a
-    Byzantine taint ledger — anything exposing ``delivered_taints``."""
-    sources: List = []
-    for injector in injectors or ():
-        if hasattr(injector, "delivered_taints"):
-            sources.append(injector)
-        inner = getattr(injector, "inner", None)
-        if isinstance(inner, (list, tuple)):
-            sources.extend(
-                i for i in inner if hasattr(i, "delivered_taints")
-            )
-    return sources

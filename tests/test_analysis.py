@@ -12,13 +12,14 @@ from repro.analysis import (
     format_series,
     format_table,
     make_inputs,
-    random_schedule_factory,
+    random_schedule_spec,
     run_point,
     run_protocol,
     sweep_b,
     sweep_f,
 )
 from repro.core.caaf import MAX
+from repro.exec.scheduler import WorkUnit, build_schedule
 from repro.graphs import grid_graph
 from tests.conftest import unit_inputs
 
@@ -104,14 +105,18 @@ class TestSweeps:
             aggregate({}, [])
 
     def test_schedule_factory_budget(self, grid44):
-        factory = random_schedule_factory(4, horizon=50)
+        unit = WorkUnit(
+            "algorithm1", grid44, 0, schedule=random_schedule_spec(4, horizon=50)
+        )
         for seed in range(5):
-            s = factory(grid44, random.Random(seed))
+            s = build_schedule(unit, grid44, random.Random(seed))
             assert s.edge_failures(grid44) <= 4
 
     def test_schedule_factory_zero_budget(self, grid44):
-        factory = random_schedule_factory(0, horizon=50)
-        assert len(factory(grid44, random.Random(0))) == 0
+        unit = WorkUnit(
+            "algorithm1", grid44, 0, schedule=random_schedule_spec(0, horizon=50)
+        )
+        assert len(build_schedule(unit, grid44, random.Random(0))) == 0
 
     def test_sweep_b_grid(self, grid44):
         points = sweep_b(grid44, f=2, bs=[42, 84], seeds=range(2))

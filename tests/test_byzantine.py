@@ -38,7 +38,7 @@ from repro.resilience import (
 from repro.sim.faults import (
     BYZ_MODES,
     ByzantineSchedule,
-    byz_sources,
+    ledger_sources,
     random_byz,
 )
 from repro.sim.monitors import ByzantineOracle
@@ -130,8 +130,8 @@ class TestByzantineSchedule:
 
     def test_byz_sources_flattens_injector_chains(self):
         byz = ByzantineSchedule.from_spec("5:omit")
-        assert byz_sources([byz]) == [byz]
-        assert byz_sources([]) == []
+        assert ledger_sources([byz], "delivered_taints") == [byz]
+        assert ledger_sources([], "delivered_taints") == []
 
 
 class TestRunWithByzantine:

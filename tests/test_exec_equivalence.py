@@ -3,10 +3,11 @@
 The execution engine promises that worker count, completion order, and
 cache state are *invisible* in the results: any ``--jobs`` value must
 produce byte-identical aggregated sweep output and byte-identical
-checkpoint files.  These tests pin that contract — first against the
-legacy serial code paths (the engine is a refactor, not a semantics
-change), then across process fan-out, then property-based over random
-completion orders.
+checkpoint files.  These tests pin that contract — first against
+:func:`legacy_run_point`, a test-side reference that derives each run
+inline with a schedule closure (the engine is a refactor, not a
+semantics change), then across process fan-out, then property-based over
+random completion orders.
 """
 
 import io
@@ -15,14 +16,19 @@ import random
 
 import pytest
 
+from repro.adversary.adversaries import no_failures, random_failures
+from repro.adversary.schedule import FailureSchedule
 from repro.analysis import SweepCheckpoint, run_point, sweep_b, sweep_f
-from repro.analysis.sweep import random_schedule_factory, random_schedule_spec
+from repro.analysis.checkpoint import make_key
+from repro.analysis.families import draw_schedules, pin_horizon
+from repro.analysis.runner import make_inputs, safe_run_protocol
+from repro.analysis.sweep import aggregate, random_schedule_spec
 from repro.adversary.search import (
     EvaluatorSpec,
     make_algorithm1_evaluator,
     search_worst_adversary,
 )
-from repro.analysis.runner import make_inputs
+from repro.core.caaf import SUM
 from repro.exec import ExecutionEngine, ResultCache, ShuffledBackend
 from repro.graphs import grid_graph
 
@@ -39,12 +45,124 @@ F = 2
 SEEDS = range(3)
 
 
+# --------------------------------------------------------------------- #
+# Reference: each run derived inline, from a schedule closure.
+# --------------------------------------------------------------------- #
+
+
+def random_schedule_factory(f, horizon, respect_c=None):
+    """A closure drawing a fresh random budgeted schedule per seed."""
+
+    def factory(topology, rng):
+        if f <= 0:
+            return no_failures()
+        return random_failures(
+            topology, f, rng, first_round=1, last_round=horizon, respect_c=respect_c
+        )
+
+    return factory
+
+
+def legacy_run_point(
+    protocol,
+    topology,
+    seeds,
+    schedule_factory=None,
+    f=None,
+    b=None,
+    t=None,
+    c=2,
+    caaf=SUM,
+    coords=None,
+    checkpoint=None,
+    timeout_s=None,
+    retries=0,
+    backoff_s=0.0,
+    injector_factory=None,
+    capture_dir=None,
+    corrupt=None,
+    **faults,
+):
+    """One sweep coordinate, each seed's run derived in a plain loop:
+    ``Random(seed)`` → inputs → schedule → fault schedules → injectors."""
+    base = {"protocol": protocol, "topology": topology.name}
+    base.update(coords or {})
+    records = []
+    for seed in seeds:
+        key = make_key(protocol, topology.name, seed, coords)
+        if checkpoint is not None:
+            cached = checkpoint.get(key)
+            if cached is not None:
+                records.append(cached)
+                continue
+        rng = random.Random(seed)
+        inputs = make_inputs(topology, rng)
+        schedule = (
+            schedule_factory(topology, rng)
+            if schedule_factory
+            else FailureSchedule()
+        )
+        seed_faults = draw_schedules(faults, topology, rng)
+        injectors = list(injector_factory(seed)) if injector_factory else []
+        if corrupt:
+            from repro.sim.faults import MessageCorruption
+
+            injectors.append(MessageCorruption.from_spec(corrupt, seed=seed))
+        record = safe_run_protocol(
+            protocol,
+            topology,
+            inputs,
+            schedule=schedule,
+            timeout_s=timeout_s,
+            retries=retries,
+            backoff_s=backoff_s,
+            seed=seed,
+            rng=rng,
+            f=f,
+            b=b,
+            t=t,
+            c=c,
+            caaf=caaf,
+            strict=False,
+            injectors=injectors,
+            capture_dir=capture_dir,
+            **seed_faults,
+        )
+        record.seed = seed
+        if checkpoint is not None:
+            checkpoint.put(key, record)
+        records.append(record)
+    return aggregate(base, records)
+
+
+def legacy_sweep(topology, bf_pairs, seeds, checkpoint=None, **faults):
+    """Algorithm 1 over ``(b, f)`` coordinates with :func:`legacy_run_point`."""
+    return [
+        legacy_run_point(
+            "algorithm1",
+            topology,
+            seeds,
+            schedule_factory=random_schedule_factory(
+                f, horizon=b * topology.diameter
+            ),
+            f=f,
+            b=b,
+            coords={"b": b, "f": f, "n": topology.n_nodes},
+            checkpoint=checkpoint,
+            **pin_horizon(faults, b * topology.diameter),
+        )
+        for b, f in bf_pairs
+    ]
+
+
 def _fingerprint(points):
     return [json.dumps(p.as_dict(), sort_keys=True) for p in points]
 
 
 def _serial_sweep(topology, checkpoint=None):
-    return sweep_b(topology, f=F, bs=BS, seeds=SEEDS, checkpoint=checkpoint)
+    return legacy_sweep(
+        topology, [(b, F) for b in BS], SEEDS, checkpoint=checkpoint
+    )
 
 
 def _engine_sweep(topology, engine, checkpoint=None):
@@ -56,7 +174,7 @@ def _engine_sweep(topology, engine, checkpoint=None):
 class TestLegacyEquivalence:
     def test_run_point_engine_matches_serial(self, grid44):
         horizon = 42 * grid44.diameter
-        serial = run_point(
+        serial = legacy_run_point(
             "algorithm1",
             grid44,
             SEEDS,
@@ -78,16 +196,6 @@ class TestLegacyEquivalence:
         assert engine.as_dict() == serial.as_dict()
         assert _fingerprint([engine]) == _fingerprint([serial])
 
-    def test_run_point_engine_rejects_closures(self, grid44):
-        with pytest.raises(ValueError, match="declarative"):
-            run_point(
-                "algorithm1",
-                grid44,
-                SEEDS,
-                schedule_factory=random_schedule_factory(F, 42),
-                engine=ExecutionEngine(jobs=1),
-            )
-
     def test_sweep_b_engine_matches_serial_including_checkpoint(
         self, grid44, tmp_path
     ):
@@ -107,7 +215,7 @@ class TestLegacyEquivalence:
         )
 
     def test_sweep_f_engine_matches_serial(self, grid44):
-        serial = sweep_f(grid44, fs=[1, 2], b=60, seeds=SEEDS)
+        serial = legacy_sweep(grid44, [(60, f) for f in (1, 2)], SEEDS)
         engine = sweep_f(
             grid44, fs=[1, 2], b=60, seeds=SEEDS, engine=ExecutionEngine(jobs=1)
         )
@@ -115,7 +223,7 @@ class TestLegacyEquivalence:
 
     def test_serial_resume_reads_parallel_checkpoint(self, grid44, tmp_path):
         # Cross-compatibility: a checkpoint written by the engine resumes
-        # a legacy serial sweep (and vice versa, same file format).
+        # the reference loop (and vice versa, same file format).
         path = str(tmp_path / "cross.jsonl")
         cp = SweepCheckpoint(path)
         engine = _engine_sweep(grid44, ExecutionEngine(jobs=1), checkpoint=cp)
@@ -124,6 +232,36 @@ class TestLegacyEquivalence:
         serial = _serial_sweep(grid44, checkpoint=cp)
         cp.close()
         assert _fingerprint(serial) == _fingerprint(engine)
+
+
+class TestDefaultEngine:
+    """``run_point`` without an ``engine`` runs the same units in-process:
+    declarative schedules and injectors are honoured, and the rows equal
+    a two-worker pool's."""
+
+    def _both(self, topology, **kwargs):
+        default = run_point("algorithm1", topology, range(4), **kwargs)
+        pooled = run_point(
+            "algorithm1", topology, range(4), engine=ExecutionEngine(jobs=2),
+            **kwargs,
+        )
+        return default, pooled
+
+    def test_schedule_spec_is_honoured(self):
+        grid = grid_graph(6, 6)
+        default, pooled = self._both(
+            grid, f=12, b=42,
+            schedule_spec=random_schedule_spec(12, horizon=42 * grid.diameter),
+        )
+        assert default.as_dict() == pooled.as_dict()
+        failure_free = run_point("algorithm1", grid, range(4), f=12, b=42)
+        assert default.cc_mean != failure_free.cc_mean
+
+    def test_inject_is_honoured(self, grid44):
+        default, pooled = self._both(grid44, f=2, b=60, inject="drop=0.2")
+        assert default.as_dict() == pooled.as_dict()
+        assert default.correct_rate < 1.0
+        assert all(r.extra["injected_faults"] > 0 for r in default.records)
 
 
 class TestProcessEquivalence:
@@ -310,8 +448,16 @@ class TestCliEquivalence:
         code2, out2 = self._main(base + ["--jobs", "2"])
         assert (code1, out1) == (code2, out2)
 
-    def test_run_jobs2_prints_identical_table(self):
-        base = ["run", "--topology", "grid:4x4", "-f", "2", "-b", "60"]
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            pytest.param([], id="plain"),
+            pytest.param(["--inject", "drop=0.1"], id="inject"),
+            pytest.param(["--corrupt", "bitflip:0.05"], id="corrupt"),
+        ],
+    )
+    def test_run_jobs2_prints_identical_table(self, extra):
+        base = ["run", "--topology", "grid:4x4", "-f", "2", "-b", "60"] + extra
         code1, out1 = self._main(base)
         code2, out2 = self._main(base + ["--jobs", "2"])
         assert (code1, out1) == (code2, out2)

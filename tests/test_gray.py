@@ -44,7 +44,7 @@ from repro.sim.faults import (
     LIMP_PERIOD,
     GrayFailureSchedule,
     _profile_delay,
-    gray_sources,
+    ledger_sources,
     random_gray,
 )
 from repro.sim.monitors import StragglerOracle
@@ -125,9 +125,9 @@ class TestGraySpec:
         class Wrapper:
             inner = [gray]
 
-        assert gray_sources([gray]) == [gray]
-        assert gray_sources([Wrapper()]) == [gray]
-        assert gray_sources([]) == []
+        assert ledger_sources([gray], "degraded_intervals") == [gray]
+        assert ledger_sources([Wrapper()], "degraded_intervals") == [gray]
+        assert ledger_sources([], "degraded_intervals") == []
 
 
 # --------------------------------------------------------------------- #

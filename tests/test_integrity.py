@@ -41,7 +41,6 @@ from repro.sim import ExecutionRecord, replay_bundle
 from repro.sim.faults import (
     MessageCorruption,
     MessageFaults,
-    corruption_sources,
     flip_int_leaf,
 )
 from repro.sim.monitors import CorruptionOracleMonitor, standard_monitors

@@ -26,7 +26,8 @@ from repro.analysis.runner import (
     safe_run_protocol,
     wall_clock_limit,
 )
-from repro.analysis.sweep import run_point, random_schedule_factory
+from repro.analysis.sweep import random_schedule_spec, run_point
+from repro.exec import scheduler
 from repro.graphs import grid_graph, path_graph
 from repro.sim.faults import FaultInjector
 
@@ -347,46 +348,47 @@ class TestCheckpointCrashRecovery:
 
 
 class InterruptAfter:
-    """Schedule factory wrapper that dies after ``n`` invocations."""
+    """``build_schedule`` wrapper that dies after ``n`` invocations."""
 
-    def __init__(self, factory, n):
-        self.factory = factory
+    def __init__(self, build, n):
+        self.build = build
         self.n = n
         self.calls = 0
 
-    def __call__(self, topology, rng):
+    def __call__(self, unit, topology, rng):
         self.calls += 1
         if self.calls > self.n:
             raise KeyboardInterrupt
-        return self.factory(topology, rng)
+        return self.build(unit, topology, rng)
 
 
 class TestKillAndResumeIdentity:
     PROTOCOL = "bruteforce"
     SEEDS = list(range(6))
 
-    def _sweep(self, checkpoint=None, schedule_factory=None):
+    def _sweep(self, checkpoint=None):
         topo = grid_graph(3, 3)
-        factory = schedule_factory or random_schedule_factory(2, horizon=10)
         return run_point(
             self.PROTOCOL,
             topo,
             self.SEEDS,
-            schedule_factory=factory,
+            schedule_spec=random_schedule_spec(2, horizon=10),
             f=2,
             coords={"f": 2},
             checkpoint=checkpoint,
         )
 
-    def test_resumed_sweep_equals_uninterrupted(self, tmp_path):
+    def test_resumed_sweep_equals_uninterrupted(self, tmp_path, monkeypatch):
         path = str(tmp_path / "sweep.jsonl")
         baseline = self._sweep()
 
         # Arm 2: same sweep, killed after 3 runs...
-        interrupting = InterruptAfter(random_schedule_factory(2, horizon=10), 3)
+        interrupting = InterruptAfter(scheduler.build_schedule, 3)
         ckpt = SweepCheckpoint(path)
-        with pytest.raises(KeyboardInterrupt):
-            self._sweep(checkpoint=ckpt, schedule_factory=interrupting)
+        with monkeypatch.context() as patch:
+            patch.setattr(scheduler, "build_schedule", interrupting)
+            with pytest.raises(KeyboardInterrupt):
+                self._sweep(checkpoint=ckpt)
         ckpt.close()
         assert 0 < len(SweepCheckpoint(path)) < len(self.SEEDS)
 
@@ -414,18 +416,16 @@ class TestKillAndResumeIdentity:
 
 
 class TestSweepErrorRows:
-    def test_failed_runs_become_rows_not_crashes(self):
+    def test_failed_runs_become_rows_not_crashes(self, monkeypatch):
         class AlwaysBoom(FaultInjector):
             def begin_round(self, rnd):
                 raise RuntimeError("boom")
 
-        topo = path_graph(4)
-        point = run_point(
-            "bruteforce",
-            topo,
-            seeds=[0, 1],
-            injector_factory=lambda seed: [AlwaysBoom()],
+        monkeypatch.setattr(
+            scheduler, "build_injectors", lambda unit, topology: [AlwaysBoom()]
         )
+        topo = path_graph(4)
+        point = run_point("bruteforce", topo, seeds=[0, 1])
         assert point.runs == 2
         assert point.errors == 2
         assert point.correct_rate == 0.0
