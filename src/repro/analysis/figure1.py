@@ -19,7 +19,7 @@ shape.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..graphs.topology import Topology
 from ..lowerbound import bounds
@@ -34,9 +34,6 @@ class Figure1Data:
     f: int
     bs: List[int]
     curves: Dict[str, List[float]]
-
-    def as_series(self) -> Dict[str, Sequence[float]]:
-        return dict(self.curves)
 
 
 def figure1_data(n: int, f: int, bs: Sequence[int]) -> Figure1Data:

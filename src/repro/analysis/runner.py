@@ -456,24 +456,12 @@ def _run_plain(
         extra["gray_stalled"] = gray.counts.stalled_copies
         extra["gray_inflated"] = gray.counts.inflated_copies
         extra["gray_delay_rounds"] = gray.counts.delay_rounds
-    if integrity is not None:
-        counters = integrity.counters()
-        extra.setdefault("overhead_bits", stats.max_overhead_bits)
-        extra["integrity_rejected"] = counters["rejected"]
-        extra["quarantined_links"] = sorted(integrity.quarantined_links)
-        if counters.get("quarantined_nodes"):
-            extra["quarantined_nodes"] = (
-                integrity.quarantine.quarantined_node_ids()
-            )
-    if corruption:
-        from ..integrity.frames import unresolved_corruptions
+    from ..integrity.frames import corruption_columns, integrity_columns
 
-        extra["delivered_corruptions"] = sum(
-            len(s.delivered_corruptions) for s in corruption
-        )
-        extra["unresolved_corruptions"] = len(
-            unresolved_corruptions(corruption, integrity)
-        )
+    if integrity is not None:
+        extra.setdefault("overhead_bits", stats.max_overhead_bits)
+    extra.update(integrity_columns(integrity))
+    extra.update(corruption_columns(corruption, integrity))
     correct = is_correct_result(result, caaf, topology, inputs, effective, rounds)
     record = _record(
         protocol, topology, f, effective, result, correct, stats.max_bits,

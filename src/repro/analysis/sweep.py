@@ -381,65 +381,3 @@ def sweep_f(
         capture_dir=capture_dir,
     )
 
-
-def sweep_churn(
-    topology: Topology,
-    b: int,
-    f: int,
-    rates: Sequence[float],
-    seeds: Iterable[int],
-    amnesiac: float = 0.25,
-    flap_rate: float = 0.0,
-    c: int = 2,
-    checkpoint: Optional[SweepCheckpoint] = None,
-    timeout_s: Optional[float] = None,
-    retries: int = 0,
-    backoff_s: float = 0.0,
-    capture_dir: Optional[str] = None,
-    churn_policy=None,
-    engine=None,
-) -> List[SweepPoint]:
-    """Exactness and overhead of the churn epoch manager across churn rates.
-
-    Every point runs ``algorithm1`` under the churn runtime
-    (:mod:`repro.resilience.epochs`) with a per-seed random churn
-    timeline — each non-root node crashes and revives with probability
-    ``rate``, an ``amnesiac`` fraction of rejoins losing state, and each
-    edge flapping with probability ``flap_rate``.  Points carry the
-    exactly-once audit totals (``double_counts`` / ``lost_contributions``
-    — both must stay zero) and the exact-row count used by the E24
-    acceptance gate (durable churn at rate <= 0.05 stays >= 95% exact).
-
-    Accepts an ``engine`` exactly like :func:`sweep_b`; the churn spec
-    travels declaratively and is sampled from each unit's seeded rng.
-    """
-    points = []
-    for rate in rates:
-        coords, kwargs = _algorithm1_point(
-            topology,
-            b,
-            f,
-            churn={
-                "kind": "random",
-                "rate": rate,
-                "horizon": b * topology.diameter,
-                "amnesiac": amnesiac,
-                "flap_rate": flap_rate,
-            },
-            churn_policy=churn_policy,
-        )
-        coords.update(churn=rate, amnesiac=amnesiac)
-        points.append((coords, kwargs))
-    return _sweep_grid(
-        "algorithm1",
-        topology,
-        points,
-        seeds,
-        checkpoint=checkpoint,
-        engine=engine,
-        c=c,
-        timeout_s=timeout_s,
-        retries=retries,
-        backoff_s=backoff_s,
-        capture_dir=capture_dir,
-    )

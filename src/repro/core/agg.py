@@ -425,11 +425,6 @@ class AggOutcome:
     nodes: Dict[int, AggNode]
     network: Network
 
-    @property
-    def tree_states(self) -> Dict[int, TreeState]:
-        """Per-node tree state, for feeding a subsequent VERI execution."""
-        return {u: n.state for u, n in self.nodes.items()}
-
 
 def run_agg(
     topology: Topology,
@@ -441,24 +436,16 @@ def run_agg(
     max_input: Optional[int] = None,
     injectors=(),
     monitors=(),
-    transport=None,
-    allow_root_crash: bool = False,
 ) -> AggOutcome:
     """Run one AGG execution on ``topology`` with the given failure schedule.
 
     ``injectors`` and ``monitors`` are forwarded to the
-    :class:`repro.sim.network.Network`.  ``transport`` runs AGG over the
-    reliable local-broadcast shim (one logical round per transport
-    window); ``allow_root_crash`` opts out of the Section-2 root
-    protection.
+    :class:`repro.sim.network.Network`.
     """
     from .caaf import SUM
 
-    # Lazy import: core must not depend on resilience at module scope.
-    from ..resilience.transport import as_transport, wrap_network_args
-
     schedule = schedule or FailureSchedule()
-    schedule.validate(topology, allow_root_crash=allow_root_crash)
+    schedule.validate(topology)
     params = params_for(
         topology,
         t=t,
@@ -471,24 +458,15 @@ def run_agg(
     nodes = {
         u: AggNode(params, u, inputs[u]) for u in topology.nodes()
     }
-    transport = as_transport(transport)
-    handlers, overhead_fn, window = wrap_network_args(
-        transport, nodes, topology.adjacency
-    )
     network = Network(
         topology.adjacency,
-        handlers,
+        nodes,
         schedule.crash_rounds,
         injectors=injectors,
         monitors=monitors,
         root=topology.root,
-        allow_root_crash=allow_root_crash,
-        overhead_fn=overhead_fn,
     )
-    # Logical round K is computed at physical round (K-1)*window + 1, so
-    # this cap lets the inner protocol reach exactly its last round.
-    max_rounds = (params.agg_rounds - 1) * window + 1
-    stats = network.run(max_rounds, stop_on_output=False)
+    stats = network.run(params.agg_rounds, stop_on_output=False)
     root = nodes[topology.root]
     return AggOutcome(
         result=root.result,

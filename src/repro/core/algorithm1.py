@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 from ..adversary.schedule import FailureSchedule
 from ..graphs.topology import Topology
@@ -338,8 +338,7 @@ def run_algorithm1(
     """
     # Lazy import: resilience builds on core, so core must not import it
     # at module scope (same idiom as the BruteForceNode import above).
-    from ..integrity.frames import as_integrity
-    from ..resilience.transport import as_transport, wrap_network_args
+    from ..resilience.transport import overlay_network
 
     schedule = schedule or FailureSchedule()
     schedule.validate(topology, f=f, allow_root_crash=allow_root_crash)
@@ -352,25 +351,16 @@ def run_algorithm1(
         u: Algorithm1Node(plan, u, inputs[u], rng=rng if u == topology.root else None)
         for u in topology.nodes()
     }
-    transport = as_transport(transport)
-    handlers, overhead_fn, window = wrap_network_args(
-        transport, nodes, topology.adjacency
-    )
-    integrity = as_integrity(integrity)
-    if integrity is not None:
-        # Integrity wraps outermost: what travels on the wire is always an
-        # authenticated frame, whatever is inside (transport or protocol).
-        handlers = integrity.wrap(handlers)
-        overhead_fn = integrity.overhead_fn(overhead_fn)
-    network = Network(
-        topology.adjacency,
-        handlers,
+    network, window, transport, integrity = overlay_network(
+        topology,
+        nodes,
         schedule.crash_rounds,
+        transport=transport,
+        integrity=integrity,
         injectors=injectors,
         monitors=monitors,
         root=topology.root,
         allow_root_crash=allow_root_crash,
-        overhead_fn=overhead_fn,
     )
     # Logical round K is computed at physical round (K-1)*window + 1, so
     # this cap lets the inner protocol reach exactly its last round.

@@ -21,8 +21,8 @@ by comparing its crash round against its aggregation slot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Set, Tuple
 
 from ..adversary.adversaries import predicted_tree
 from ..adversary.schedule import FailureSchedule
@@ -45,10 +45,6 @@ class FragmentModel:
     visible_critical_failures: Set[int]
     #: node -> fragment local root.
     fragment_of: Dict[int, int]
-
-    def fragment_members(self, local_root: int) -> Set[int]:
-        """All nodes in the fragment rooted at ``local_root``."""
-        return {u for u, r in self.fragment_of.items() if r == local_root}
 
     def local_ancestors(self, node: int) -> List[int]:
         """The node's ancestors within its fragment (nearest first)."""

@@ -202,8 +202,7 @@ def run_unknown_f(
     protection (used by the failover layer).
     """
     # Lazy import: core must not depend on resilience at module scope.
-    from ..integrity.frames import as_integrity
-    from ..resilience.transport import as_transport, wrap_network_args
+    from ..resilience.transport import overlay_network
 
     schedule = schedule or FailureSchedule()
     schedule.validate(topology, allow_root_crash=allow_root_crash)
@@ -214,25 +213,16 @@ def run_unknown_f(
     nodes = {
         u: DoublingNode(plan, u, inputs[u]) for u in topology.nodes()
     }
-    transport = as_transport(transport)
-    handlers, overhead_fn, window = wrap_network_args(
-        transport, nodes, topology.adjacency
-    )
-    integrity = as_integrity(integrity)
-    if integrity is not None:
-        # Integrity wraps outermost: what travels on the wire is always an
-        # authenticated frame, whatever is inside (transport or protocol).
-        handlers = integrity.wrap(handlers)
-        overhead_fn = integrity.overhead_fn(overhead_fn)
-    network = Network(
-        topology.adjacency,
-        handlers,
+    network, window, transport, integrity = overlay_network(
+        topology,
+        nodes,
         schedule.crash_rounds,
+        transport=transport,
+        integrity=integrity,
         injectors=injectors,
         monitors=monitors,
         root=topology.root,
         allow_root_crash=allow_root_crash,
-        overhead_fn=overhead_fn,
     )
     # Logical round K is computed at physical round (K-1)*window + 1, so
     # this cap lets the inner protocol reach exactly its last round.

@@ -60,10 +60,6 @@ class MonitoringOutcome:
     def total_rounds(self) -> int:
         return sum(e.rounds for e in self.epochs)
 
-    def cc_bits_of_bottleneck(self) -> int:
-        """Max per-epoch bottleneck (epochs have disjoint executions)."""
-        return max((e.cc_bits for e in self.epochs), default=0)
-
 
 def run_monitoring(
     topology: Topology,

@@ -471,3 +471,39 @@ def unresolved_corruptions(
             else:
                 unresolved.append(key)
     return unresolved
+
+
+def integrity_columns(
+    coordinator: Optional[IntegrityCoordinator],
+) -> Dict[str, Any]:
+    """Run-row columns of the integrity layer (none when it is off):
+    rejected frames, quarantined links and, once any, quarantined nodes."""
+    if coordinator is None:
+        return {}
+    counters = coordinator.counters()
+    columns: Dict[str, Any] = {
+        "integrity_rejected": counters["rejected"],
+        "quarantined_links": sorted(coordinator.quarantined_links),
+    }
+    if counters["quarantined_nodes"]:
+        columns["quarantined_nodes"] = (
+            coordinator.quarantine.quarantined_node_ids()
+        )
+    return columns
+
+
+def corruption_columns(
+    sources, coordinator: Optional[IntegrityCoordinator]
+) -> Dict[str, int]:
+    """Run-row columns of the corruption ledger (none without ``sources``):
+    corruptions delivered, and those the integrity layer never rejected."""
+    if not sources:
+        return {}
+    return {
+        "delivered_corruptions": sum(
+            len(s.delivered_corruptions) for s in sources
+        ),
+        "unresolved_corruptions": len(
+            unresolved_corruptions(sources, coordinator)
+        ),
+    }

@@ -14,14 +14,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple
-
-
-def bits_for(value: int) -> int:
-    """Bits to encode a non-negative integer ``value`` (at least 1)."""
-    if value < 0:
-        raise ValueError("two-party fields are non-negative integers")
-    return max(1, value.bit_length())
+from typing import Any, List, Tuple
 
 
 def bits_for_domain(size: int) -> int:

@@ -68,7 +68,7 @@ from .transport import (
     TransportGap,
     TransportNode,
     as_transport,
-    wrap_network_args,
+    overlay_network,
 )
 from .failover import (
     ELECT_KIND,
@@ -144,6 +144,6 @@ __all__ = [
     "TransportNode",
     "as_transport",
     "certify",
+    "overlay_network",
     "run_with_recovery",
-    "wrap_network_args",
 ]

@@ -69,7 +69,7 @@ from ..sim.node import NodeHandler
 from ..sim.stats import SimStats
 from .failover import RECOVERABLE_PROTOCOLS, _run_epoch, _shift_crash_map
 from .partial import PartialAggregateResult, certify
-from .transport import ReliableTransport, TransportConfig, wrap_network_args
+from .transport import ReliableTransport, TransportConfig, overlay_network
 
 #: Wire kinds of the anti-entropy mini-protocols.
 SNAP_KIND = "churn_snap"
@@ -403,19 +403,10 @@ def _side_run(
     the caller absorbs the stats with ``as_overhead=True`` so none of it
     touches protocol CC.
     """
-    transport = (
-        ReliableTransport(policy.transport) if policy.transport else None
-    )
-    wrapped, overhead_fn, window = wrap_network_args(
-        transport, handlers, topology.adjacency
+    network, window, transport, _ = overlay_network(
+        topology, handlers, crash_rounds, transport=policy.transport
     )
     horizon = (logical_rounds + 1) * window + (1 if transport else 0)
-    network = Network(
-        topology.adjacency,
-        wrapped,
-        crash_rounds=crash_rounds,
-        overhead_fn=overhead_fn,
-    )
     return network.run(horizon, stop_on_output=False)
 
 

@@ -36,7 +36,8 @@ from ..integrity.frames import (
     IntegrityConfig,
     IntegrityCoordinator,
     as_integrity,
-    unresolved_corruptions,
+    corruption_columns,
+    integrity_columns,
 )
 from ..sim.faults import ledger_sources
 from ..sim.message import Part, TAG_BITS, id_bits
@@ -44,11 +45,7 @@ from ..sim.network import Network
 from ..sim.node import NodeHandler
 from ..sim.stats import SimStats
 from .partial import PartialAggregateResult, certify
-from .transport import (
-    ReliableTransport,
-    TransportConfig,
-    wrap_network_args,
-)
+from .transport import ReliableTransport, TransportConfig, overlay_network
 
 ELECT_KIND = "elect"
 
@@ -225,26 +222,18 @@ def _run_election(
         u: ElectionNode(u, u in candidate_set, bits_per_id)
         for u in topology.nodes()
     }
-    transport = (
-        ReliableTransport(policy.transport) if policy.transport else None
+    # Elections carry min-id floods: a flipped candidate id would silently
+    # elect the wrong root, so they are authenticated too.
+    network, window, transport, _ = overlay_network(
+        topology,
+        handlers,
+        crash_rounds,
+        transport=policy.transport,
+        integrity=integrity,
+        injectors=injectors,
     )
-    wrapped, overhead_fn, window = wrap_network_args(
-        transport, handlers, topology.adjacency
-    )
-    if integrity is not None:
-        # Elections carry min-id floods: a flipped candidate id would
-        # silently elect the wrong root, so they are authenticated too.
-        wrapped = integrity.wrap(wrapped)
-        overhead_fn = integrity.overhead_fn(overhead_fn)
     horizon = (policy.election_stretch * topology.diameter + 2) * window + (
         1 if transport else 0
-    )
-    network = Network(
-        topology.adjacency,
-        wrapped,
-        crash_rounds=crash_rounds,
-        injectors=injectors,
-        overhead_fn=overhead_fn,
     )
     stats = network.run(horizon, stop_on_output=False)
     elected = min(candidate_set)
@@ -475,23 +464,10 @@ def run_with_recovery(
     # Integrity ladder: any delivered corruption the integrity layer never
     # rejected clears the integrity-verified bit (certify() decertifies).
     corruption = ledger_sources(injectors, "delivered_corruptions")
-    unresolved = (
-        len(unresolved_corruptions(corruption, integrity)) if corruption else 0
-    )
     extra = {"elections": len(elections)}
-    if corruption:
-        extra["delivered_corruptions"] = sum(
-            len(s.delivered_corruptions) for s in corruption
-        )
-        extra["unresolved_corruptions"] = unresolved
-    if integrity is not None:
-        counters = integrity.counters()
-        extra["integrity_rejected"] = counters["rejected"]
-        extra["quarantined_links"] = sorted(integrity.quarantined_links)
-        if counters.get("quarantined_nodes"):
-            extra["quarantined_nodes"] = (
-                integrity.quarantine.quarantined_node_ids()
-            )
+    extra.update(corruption_columns(corruption, integrity))
+    extra.update(integrity_columns(integrity))
+    unresolved = extra.get("unresolved_corruptions", 0)
 
     if final_network is not None and final_network.is_alive(final_topo.root):
         failed = {

@@ -48,8 +48,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
+from ..integrity.frames import IntegrityCoordinator, as_integrity
 from ..obs import spans as _spans
 from ..sim.message import Envelope, Part, TAG_BITS, id_bits
+from ..sim.network import Network
 from ..sim.node import NodeHandler
 from .detector import LEVEL_CONFIRM, PhiAccrualDetector, AdaptiveRto
 
@@ -875,23 +877,47 @@ class AmnesiacInner(NodeHandler):
         return False
 
 
-def wrap_network_args(
-    transport: Optional[ReliableTransport],
+def overlay_network(
+    topology,
     handlers: Dict[int, NodeHandler],
-    adjacency,
-) -> Tuple[Dict[int, NodeHandler], Optional[object], int]:
-    """Helper for protocol runners: wrap handlers if a transport is given.
+    crash_rounds,
+    *,
+    transport=None,
+    integrity=None,
+    **network_kwargs,
+) -> Tuple[
+    Network, int, Optional[ReliableTransport], Optional[IntegrityCoordinator]
+]:
+    """Build a run's :class:`~repro.sim.network.Network` under its overlays.
 
-    Returns ``(handlers, overhead_fn, window)`` — with no transport the
-    originals come back with ``window == 1``.
+    The one place handlers are wrapped: the reliable transport inside and
+    the integrity layer outermost (what travels on the wire is always an
+    authenticated frame, whatever is inside), with the overhead
+    classifiers chained in the same order.  ``transport`` and
+    ``integrity`` are coerced by :func:`as_transport` and
+    :func:`repro.integrity.frames.as_integrity`.  Returns ``(network,
+    window, transport, integrity)``; ``window`` is the physical rounds per
+    logical round (1 without a transport).
     """
-    if transport is None:
-        return handlers, None, 1
-    return (
-        transport.wrap(handlers, adjacency),
-        transport.overhead_bits,
-        transport.window,
+    transport = as_transport(transport)
+    integrity = as_integrity(integrity)
+    overhead_fn = None
+    window = 1
+    if transport is not None:
+        handlers = transport.wrap(handlers, topology.adjacency)
+        overhead_fn = transport.overhead_bits
+        window = transport.window
+    if integrity is not None:
+        handlers = integrity.wrap(handlers)
+        overhead_fn = integrity.overhead_fn(overhead_fn)
+    network = Network(
+        topology.adjacency,
+        handlers,
+        crash_rounds,
+        overhead_fn=overhead_fn,
+        **network_kwargs,
     )
+    return network, window, transport, integrity
 
 
 def as_transport(spec) -> Optional[ReliableTransport]:

@@ -40,6 +40,99 @@ from .message import Part
 from .network import ROOT_CRASH_ERROR
 
 
+class SpecReader:
+    """The one token reader behind every fault family's ``from_spec``.
+
+    Iterating yields the spec's stripped, non-empty comma items.  Every
+    helper rejects with the single message shape ``bad <family> spec
+    fragment '<token>': <why> (accepted grammar: <grammar>)``, naming the
+    item being read, so a CLI typo comes back with the fix attached.
+    """
+
+    def __init__(self, family: str, grammar: str, spec: str) -> None:
+        self.family = family
+        self.grammar = grammar
+        self.spec = spec
+        self.token = spec
+
+    def __iter__(self):
+        for item in self.spec.split(","):
+            item = item.strip()
+            if item:
+                self.token = item
+                yield item
+
+    def reject(self, why: str, token: Optional[str] = None) -> ValueError:
+        """The rejection for the current item (or an explicit ``token``)."""
+        return ValueError(
+            f"bad {self.family} spec fragment "
+            f"{self.token if token is None else token!r}: {why} "
+            f"(accepted grammar: {self.grammar})"
+        )
+
+    def integer(self, raw: str, what: str) -> int:
+        try:
+            return int(raw)
+        except ValueError:
+            raise self.reject(f"{what} {raw!r} is not an integer") from None
+
+    def number(self, raw: str, what: str) -> float:
+        try:
+            return float(raw)
+        except ValueError:
+            raise self.reject(f"{what} {raw!r} is not a number") from None
+
+    def at_least_one(self, raw: str, what: str) -> int:
+        value = self.integer(raw, what)
+        if value < 1:
+            raise self.reject(f"{what} {value} is < 1")
+        return value
+
+    def round(self, raw: str) -> int:
+        """An ``r<R>`` (or bare ``<R>``) round with ``R >= 1``."""
+        raw = raw.strip()
+        if raw.startswith("r"):
+            raw = raw[1:]
+        return self.at_least_one(raw, "round")
+
+    def window(self, raw: str, label: str) -> Tuple[int, int]:
+        """A closed, non-empty ``r<R1>-r<R2>`` round window."""
+        start_raw, dash, end_raw = raw.partition("-")
+        if not dash:
+            raise self.reject("window needs the form r<R1>-r<R2>")
+        start = self.round(start_raw)
+        end = self.round(end_raw)
+        if end < start:
+            raise self.reject(f"{label} window {start}-{end} is empty")
+        return start, end
+
+    def edge(self, raw: str) -> Tuple[int, int]:
+        """A ``<u>-<v>`` node pair."""
+        u_raw, dash, v_raw = raw.partition("-")
+        if not dash:
+            raise self.reject("edge needs the form <u>-<v>")
+        try:
+            return int(u_raw), int(v_raw)
+        except ValueError:
+            raise self.reject(f"edge {raw!r} is not a node pair") from None
+
+    @staticmethod
+    def check_topology(topology, family: str, nodes, edges, verb: str) -> None:
+        """Reject schedule events naming unknown nodes or nonexistent
+        edges; ``edges`` holds ``(u, v, start, end, ...)`` entries."""
+        known = set(topology.nodes())
+        present = {frozenset(e) for e in topology.edges()}
+        for node in nodes:
+            if node not in known:
+                raise ValueError(f"{family} schedule names unknown node {node}")
+        for u, v, start, end, *_rest in edges:
+            if frozenset((u, v)) not in present:
+                raise ValueError(
+                    f"{family} schedule {verb} nonexistent edge {u}-{v} "
+                    f"(rounds {start}-{end})"
+                )
+
+
 class FaultInjector:
     """Base middleware: observes everything, changes nothing.
 
@@ -261,8 +354,7 @@ class ChurnSchedule(ScheduledCrashes):
         ):
             raise ValueError(ROOT_CRASH_ERROR)
 
-    #: The accepted ``from_spec`` grammar, quoted verbatim in every
-    #: rejection so a CLI typo comes back with the fix attached.
+    #: The accepted ``from_spec`` grammar, quoted in every rejection.
     SPEC_GRAMMAR = (
         "comma-separated events: '<node>:crash@r<R>', "
         "'<node>:revive@r<R>[:durable|:amnesiac]' and "
@@ -280,74 +372,38 @@ class ChurnSchedule(ScheduledCrashes):
         offending token and :data:`SPEC_GRAMMAR`.
         """
 
-        def reject(token: str, why: str) -> ValueError:
-            return ValueError(
-                f"bad churn spec fragment {token!r}: {why} "
-                f"(accepted grammar: {cls.SPEC_GRAMMAR})"
-            )
-
-        def parse_round(raw: str, token: str) -> int:
-            raw = raw.strip()
-            if raw.startswith("r"):
-                raw = raw[1:]
-            try:
-                value = int(raw)
-            except ValueError:
-                raise reject(token, f"round {raw!r} is not an integer") from None
-            if value < 1:
-                raise reject(token, f"round {value} is < 1")
-            return value
-
+        reader = SpecReader("churn", cls.SPEC_GRAMMAR, spec)
         events: List[Tuple[int, str, int, str]] = []
         flaps: List[Tuple[int, int, int, int]] = []
-        for item in spec.split(","):
-            item = item.strip()
-            if not item:
-                continue
+        for item in reader:
             if item.startswith("flap:"):
-                body = item[len("flap:"):]
-                edge, at, window = body.partition("@")
+                edge, at, window = item[len("flap:"):].partition("@")
                 if not at:
-                    raise reject(item, "needs flap:<u>-<v>@r<R1>-r<R2>")
-                u_raw, dash, v_raw = edge.partition("-")
-                if not dash:
-                    raise reject(item, "edge needs the form <u>-<v>")
-                try:
-                    u, v = int(u_raw), int(v_raw)
-                except ValueError:
-                    raise reject(item, f"edge {edge!r} is not a node pair") from None
-                start_raw, dash, end_raw = window.partition("-")
-                if not dash:
-                    raise reject(item, "window needs the form r<R1>-r<R2>")
-                start = parse_round(start_raw, item)
-                end = parse_round(end_raw, item)
-                if end < start:
-                    raise reject(item, f"flap window {start}-{end} is empty")
-                flaps.append((u, v, start, end))
+                    raise reader.reject("needs flap:<u>-<v>@r<R1>-r<R2>")
+                flaps.append(reader.edge(edge) + reader.window(window, "flap"))
                 continue
             pieces = item.split(":")
             if len(pieces) < 2:
-                raise reject(item, "needs <node>:crash@r<R> or <node>:revive@r<R>")
-            try:
-                node = int(pieces[0])
-            except ValueError:
-                raise reject(item, f"node {pieces[0]!r} is not an integer") from None
+                raise reader.reject(
+                    "needs <node>:crash@r<R> or <node>:revive@r<R>"
+                )
+            node = reader.integer(pieces[0], "node")
             action, at, round_raw = pieces[1].partition("@")
             action = action.strip()
             if not at:
-                raise reject(item, "event needs @r<R>")
-            rnd = parse_round(round_raw, item)
+                raise reader.reject("event needs @r<R>")
+            rnd = reader.round(round_raw)
             if action == "crash":
                 if len(pieces) > 2:
-                    raise reject(item, "crash events take no mode suffix")
+                    raise reader.reject("crash events take no mode suffix")
                 events.append((node, "crash", rnd, ""))
             elif action == "revive":
                 mode = pieces[2].strip() if len(pieces) > 2 else REJOIN_DURABLE
                 if mode not in REJOIN_MODES:
-                    raise reject(item, f"unknown rejoin mode {mode!r}")
+                    raise reader.reject(f"unknown rejoin mode {mode!r}")
                 events.append((node, "revive", rnd, mode))
             else:
-                raise reject(item, f"unknown churn event {action!r}")
+                raise reader.reject(f"unknown churn event {action!r}")
 
         cycles: Dict[int, List[Tuple[int, Optional[int], str]]] = {}
         open_crash: Dict[int, int] = {}
@@ -356,25 +412,25 @@ class ChurnSchedule(ScheduledCrashes):
         ):
             if action == "crash":
                 if node in open_crash:
-                    raise reject(
-                        spec,
+                    raise reader.reject(
                         f"node {node} crashes at round {rnd} while still "
                         f"down from round {open_crash[node]}",
+                        token=spec,
                     )
                 open_crash[node] = rnd
             else:
                 if node not in open_crash:
-                    raise reject(
-                        spec,
+                    raise reader.reject(
                         f"node {node} revives at round {rnd} but never "
                         "crashed before it",
+                        token=spec,
                     )
                 crash_r = open_crash.pop(node)
                 if rnd <= crash_r:
-                    raise reject(
-                        spec,
+                    raise reader.reject(
                         f"node {node} revives at round {rnd}, at or "
                         f"before its crash at round {crash_r}",
+                        token=spec,
                     )
                 cycles.setdefault(node, []).append((crash_r, rnd, mode))
         for node, crash_r in open_crash.items():
@@ -384,18 +440,6 @@ class ChurnSchedule(ScheduledCrashes):
     # -------------------------------------------------------------- #
     # Introspection used by the epoch manager and transport.
     # -------------------------------------------------------------- #
-
-    @property
-    def has_flaps(self) -> bool:
-        return bool(self.flaps)
-
-    @property
-    def has_revives(self) -> bool:
-        return any(
-            revive_r is not None
-            for entries in self.cycles.values()
-            for _c, revive_r, _m in entries
-        )
 
     def revive_events(self) -> List[Tuple[int, int, str]]:
         """All revivals as ``(round, node, mode)``, sorted by round."""
@@ -418,40 +462,11 @@ class ChurnSchedule(ScheduledCrashes):
         )
         return self.incarnation_base.get(node, 0) + local
 
-    def is_down(self, node: int, rnd: int) -> bool:
-        """Whether the schedule has ``node`` down in round ``rnd``."""
-        for crash_r, revive_r, _mode in self.cycles.get(node, ()):
-            if crash_r <= rnd and (revive_r is None or rnd < revive_r):
-                return True
-        return False
-
-    def max_event_round(self) -> int:
-        """The last round any scheduled event fires (0 when empty)."""
-        rounds = [0]
-        for entries in self.cycles.values():
-            for crash_r, revive_r, _m in entries:
-                rounds.append(crash_r)
-                if revive_r is not None:
-                    rounds.append(revive_r)
-        for _u, _v, _s, end in self.flaps:
-            rounds.append(end)
-        return max(rounds)
-
     def validate(self, topology) -> None:
         """Reject events naming unknown nodes or nonexistent edges."""
-        nodes = set(topology.nodes())
-        edges = {frozenset(e) for e in topology.edges()}
-        for node in self.cycles:
-            if node not in nodes:
-                raise ValueError(
-                    f"churn schedule names unknown node {node}"
-                )
-        for u, v, start, end in self.flaps:
-            if frozenset((u, v)) not in edges:
-                raise ValueError(
-                    f"churn schedule flaps nonexistent edge {u}-{v} "
-                    f"(rounds {start}-{end})"
-                )
+        SpecReader.check_topology(
+            topology, "churn", self.cycles, self.flaps, "flaps"
+        )
 
     def shifted(self, elapsed: int) -> "ChurnSchedule":
         """A view of this schedule rebased ``elapsed`` rounds later.
@@ -698,8 +713,7 @@ class MessageFaults(FaultInjector):
         self.protect = frozenset(protect)
         self.counts = FaultCounts()
 
-    #: The accepted ``from_spec`` grammar, quoted verbatim in every
-    #: rejection so a CLI typo comes back with the fix attached.
+    #: The accepted ``from_spec`` grammar, quoted in every rejection.
     SPEC_GRAMMAR = (
         "key=value[,key=value...] with keys drop, dup|duplicate, delay, "
         "reorder (rates in [0, 1]) and max_delay (integer rounds >= 1)"
@@ -723,36 +737,20 @@ class MessageFaults(FaultInjector):
             "max_delay": "max_delay",
         }
 
-        def reject(token: str, why: str) -> ValueError:
-            return ValueError(
-                f"bad fault spec fragment {token!r}: {why} "
-                f"(accepted grammar: {cls.SPEC_GRAMMAR})"
-            )
-
+        reader = SpecReader("fault", cls.SPEC_GRAMMAR, spec)
         values: Dict[str, float] = {}
-        for item in spec.split(","):
-            item = item.strip()
-            if not item:
-                continue
+        for item in reader:
             key, eq, raw = item.partition("=")
             key = key.strip().replace("-", "_")
             if not eq:
-                raise reject(item, "needs key=value")
+                raise reader.reject("needs key=value")
             if key not in keys:
-                raise reject(item, f"unknown fault key {key!r}")
+                raise reader.reject(f"unknown fault key {key!r}")
             canonical = keys[key]
             if canonical in values:
-                raise reject(item, f"key {canonical!r} given more than once")
-            raw = raw.strip()
-            try:
-                values[canonical] = (
-                    int(raw) if canonical == "max_delay" else float(raw)
-                )
-            except ValueError:
-                expected = (
-                    "an integer" if canonical == "max_delay" else "a number"
-                )
-                raise reject(item, f"value {raw!r} is not {expected}") from None
+                raise reader.reject(f"key {canonical!r} given more than once")
+            parse = reader.integer if canonical == "max_delay" else reader.number
+            values[canonical] = parse(raw.strip(), "value")
         values.update(kwargs)
         return cls(seed=seed, **values)
 
@@ -955,8 +953,7 @@ class MessageCorruption(FaultInjector):
         # Per-link memory of the previous part, for stale replays.
         self._history: Dict[Tuple[int, int], Part] = {}
 
-    #: The accepted ``from_spec`` grammar, quoted verbatim in every
-    #: rejection so a CLI typo comes back with the fix attached.
+    #: The accepted ``from_spec`` grammar, quoted in every rejection.
     SPEC_GRAMMAR = (
         "mode:rate[,mode:rate...] with modes bitflip, truncate, stale "
         "and rates in [0, 1] (e.g. 'bitflip:0.02,stale:0.01')"
@@ -974,31 +971,19 @@ class MessageCorruption(FaultInjector):
         """
         modes = ("bitflip", "truncate", "stale")
 
-        def reject(token: str, why: str) -> ValueError:
-            return ValueError(
-                f"bad corruption spec fragment {token!r}: {why} "
-                f"(accepted grammar: {cls.SPEC_GRAMMAR})"
-            )
-
+        reader = SpecReader("corruption", cls.SPEC_GRAMMAR, spec)
         values: Dict[str, float] = {}
-        for item in spec.split(","):
-            item = item.strip()
-            if not item:
-                continue
+        for item in reader:
             sep = ":" if ":" in item else "="
             mode, found, raw = item.partition(sep)
             mode = mode.strip()
             if not found:
-                raise reject(item, "needs mode:rate")
+                raise reader.reject("needs mode:rate")
             if mode not in modes:
-                raise reject(item, f"unknown corruption mode {mode!r}")
+                raise reader.reject(f"unknown corruption mode {mode!r}")
             if mode in values:
-                raise reject(item, f"mode {mode!r} given more than once")
-            raw = raw.strip()
-            try:
-                values[mode] = float(raw)
-            except ValueError:
-                raise reject(item, f"rate {raw!r} is not a number") from None
+                raise reader.reject(f"mode {mode!r} given more than once")
+            values[mode] = reader.number(raw.strip(), "rate")
         values.update(kwargs)
         return cls(seed=seed, **values)
 
@@ -1239,8 +1224,7 @@ class GrayFailureSchedule(FaultInjector):
         self.links.sort()
         self.counts = GrayCounts()
 
-    #: The accepted ``from_spec`` grammar, quoted verbatim in every
-    #: rejection so a CLI typo comes back with the fix attached.
+    #: The accepted ``from_spec`` grammar, quoted in every rejection.
     SPEC_GRAMMAR = (
         "comma-separated events: '<node>:stall@r<R1>-r<R2>:x<S>"
         "[:constant|:ramp|:limp]' and 'link:<u>-<v>@r<R1>-r<R2>:x<S>"
@@ -1259,93 +1243,48 @@ class GrayFailureSchedule(FaultInjector):
         :data:`SPEC_GRAMMAR`.
         """
 
-        def reject(token: str, why: str) -> ValueError:
-            return ValueError(
-                f"bad gray spec fragment {token!r}: {why} "
-                f"(accepted grammar: {cls.SPEC_GRAMMAR})"
-            )
+        reader = SpecReader("gray", cls.SPEC_GRAMMAR, spec)
 
-        def parse_round(raw: str, token: str) -> int:
-            raw = raw.strip()
-            if raw.startswith("r"):
-                raw = raw[1:]
-            try:
-                value = int(raw)
-            except ValueError:
-                raise reject(token, f"round {raw!r} is not an integer") from None
-            if value < 1:
-                raise reject(token, f"round {value} is < 1")
-            return value
-
-        def parse_window(raw: str, token: str) -> Tuple[int, int]:
-            start_raw, dash, end_raw = raw.partition("-")
-            if not dash:
-                raise reject(token, "window needs the form r<R1>-r<R2>")
-            start = parse_round(start_raw, token)
-            end = parse_round(end_raw, token)
-            if end < start:
-                raise reject(token, f"gray window {start}-{end} is empty")
-            return start, end
-
-        def parse_tail(pieces, token) -> Tuple[int, str]:
+        def parse_tail(pieces) -> Tuple[int, str]:
             if not pieces:
-                raise reject(token, "needs a severity :x<S>")
+                raise reader.reject("needs a severity :x<S>")
             sev_raw = pieces[0].strip()
             if not sev_raw.startswith("x"):
-                raise reject(token, f"severity {sev_raw!r} needs the form x<S>")
-            try:
-                severity = int(sev_raw[1:])
-            except ValueError:
-                raise reject(
-                    token, f"severity {sev_raw[1:]!r} is not an integer"
-                ) from None
-            if severity < 1:
-                raise reject(token, f"severity {severity} is < 1")
+                raise reader.reject(f"severity {sev_raw!r} needs the form x<S>")
+            severity = reader.at_least_one(sev_raw[1:], "severity")
             profile = pieces[1].strip() if len(pieces) > 1 else GRAY_CONSTANT
             if profile not in GRAY_PROFILES:
-                raise reject(token, f"unknown gray profile {profile!r}")
+                raise reader.reject(f"unknown gray profile {profile!r}")
             if len(pieces) > 2:
-                raise reject(token, "too many ':' fields")
+                raise reader.reject("too many ':' fields")
             return severity, profile
 
         stalls: Dict[int, List[Tuple[int, int, int, str]]] = {}
         links: List[Tuple[int, int, int, int, int, str]] = []
-        for item in spec.split(","):
-            item = item.strip()
-            if not item:
-                continue
+        for item in reader:
             if item.startswith("link:"):
-                body = item[len("link:"):]
-                pieces = body.split(":")
-                edge, at, window_raw = pieces[0].partition("@")
+                pieces = item[len("link:"):].split(":")
+                edge, at, window = pieces[0].partition("@")
                 if not at:
-                    raise reject(item, "needs link:<u>-<v>@r<R1>-r<R2>:x<S>")
-                u_raw, dash, v_raw = edge.partition("-")
-                if not dash:
-                    raise reject(item, "edge needs the form <u>-<v>")
-                try:
-                    u, v = int(u_raw), int(v_raw)
-                except ValueError:
-                    raise reject(item, f"edge {edge!r} is not a node pair") from None
-                start, end = parse_window(window_raw, item)
-                severity, profile = parse_tail(pieces[1:], item)
-                links.append((u, v, start, end, severity, profile))
+                    raise reader.reject("needs link:<u>-<v>@r<R1>-r<R2>:x<S>")
+                links.append(
+                    reader.edge(edge)
+                    + reader.window(window, "gray")
+                    + parse_tail(pieces[1:])
+                )
                 continue
             pieces = item.split(":")
             if len(pieces) < 2:
-                raise reject(item, "needs <node>:stall@r<R1>-r<R2>:x<S>")
-            try:
-                node = int(pieces[0])
-            except ValueError:
-                raise reject(item, f"node {pieces[0]!r} is not an integer") from None
-            action, at, window_raw = pieces[1].partition("@")
+                raise reader.reject("needs <node>:stall@r<R1>-r<R2>:x<S>")
+            node = reader.integer(pieces[0], "node")
+            action, at, window = pieces[1].partition("@")
             if action.strip() != "stall":
-                raise reject(item, f"unknown gray event {action.strip()!r}")
+                raise reader.reject(f"unknown gray event {action.strip()!r}")
             if not at:
-                raise reject(item, "event needs @r<R1>-r<R2>")
-            start, end = parse_window(window_raw, item)
-            severity, profile = parse_tail(pieces[2:], item)
-            stalls.setdefault(node, []).append((start, end, severity, profile))
+                raise reader.reject("event needs @r<R1>-r<R2>")
+            stalls.setdefault(node, []).append(
+                reader.window(window, "gray") + parse_tail(pieces[2:])
+            )
         return cls(stalls=stalls, links=links, **kwargs)
 
     # -------------------------------------------------------------- #
@@ -1402,14 +1341,6 @@ class GrayFailureSchedule(FaultInjector):
                 return True
         return False
 
-    def max_event_round(self) -> int:
-        """The last round any gray interval is active (0 when empty)."""
-        rounds = [0]
-        for entries in self.stalls.values():
-            rounds.extend(end for _s, end, _v, _p in entries)
-        rounds.extend(end for _u, _v, _s, end, _sev, _p in self.links)
-        return max(rounds)
-
     def max_severity(self) -> int:
         """The worst peak latency across all events (0 when empty)."""
         severities = [0]
@@ -1420,17 +1351,9 @@ class GrayFailureSchedule(FaultInjector):
 
     def validate(self, topology) -> None:
         """Reject events naming unknown nodes or nonexistent edges."""
-        nodes = set(topology.nodes())
-        edges = {frozenset(e) for e in topology.edges()}
-        for node in self.stalls:
-            if node not in nodes:
-                raise ValueError(f"gray schedule names unknown node {node}")
-        for u, v, start, end, _sev, _p in self.links:
-            if frozenset((u, v)) not in edges:
-                raise ValueError(
-                    f"gray schedule degrades nonexistent edge {u}-{v} "
-                    f"(rounds {start}-{end})"
-                )
+        SpecReader.check_topology(
+            topology, "gray", self.stalls, self.links, "degrades"
+        )
 
     # -------------------------------------------------------------- #
     # Serialization (bundle params / WorkUnit specs).
@@ -1709,8 +1632,7 @@ class ByzantineSchedule(FaultInjector):
         self._hist: Dict[Tuple[int, str], Tuple[int, tuple]] = {}
         self._cur: Dict[Tuple[int, str], Tuple[int, tuple]] = {}
 
-    #: The accepted ``from_spec`` grammar, quoted verbatim in every
-    #: rejection so a CLI typo comes back with the fix attached.
+    #: The accepted ``from_spec`` grammar, quoted in every rejection.
     SPEC_GRAMMAR = (
         "comma-separated behaviors: '<node>:<mode>[=<k>][@r<R>]' with "
         "modes equivocate, inflate, deflate, replay, omit, magnitude "
@@ -1727,54 +1649,22 @@ class ByzantineSchedule(FaultInjector):
         token and :data:`SPEC_GRAMMAR`.
         """
 
-        def reject(token: str, why: str) -> ValueError:
-            return ValueError(
-                f"bad byzantine spec fragment {token!r}: {why} "
-                f"(accepted grammar: {cls.SPEC_GRAMMAR})"
-            )
-
+        reader = SpecReader("byzantine", cls.SPEC_GRAMMAR, spec)
         behaviors: Dict[int, Tuple[str, int, int]] = {}
-        for item in spec.split(","):
-            item = item.strip()
-            if not item:
-                continue
+        for item in reader:
             node_raw, sep, body = item.partition(":")
             if not sep:
-                raise reject(item, "needs <node>:<mode>")
-            try:
-                node = int(node_raw)
-            except ValueError:
-                raise reject(item, f"node {node_raw!r} is not an integer") from None
+                raise reader.reject("needs <node>:<mode>")
+            node = reader.integer(node_raw, "node")
             if node in behaviors:
-                raise reject(item, f"node {node} given more than once")
+                raise reader.reject(f"node {node} given more than once")
             body, at, round_raw = body.partition("@")
-            start = 1
-            if at:
-                round_raw = round_raw.strip()
-                if round_raw.startswith("r"):
-                    round_raw = round_raw[1:]
-                try:
-                    start = int(round_raw)
-                except ValueError:
-                    raise reject(
-                        item, f"round {round_raw!r} is not an integer"
-                    ) from None
-                if start < 1:
-                    raise reject(item, f"round {start} is < 1")
+            start = reader.round(round_raw) if at else 1
             mode, eq, k_raw = body.partition("=")
             mode = mode.strip()
             if mode not in BYZ_MODES:
-                raise reject(item, f"unknown byzantine mode {mode!r}")
-            k = 1
-            if eq:
-                try:
-                    k = int(k_raw.strip())
-                except ValueError:
-                    raise reject(
-                        item, f"magnitude {k_raw.strip()!r} is not an integer"
-                    ) from None
-                if k < 1:
-                    raise reject(item, f"magnitude {k} is < 1")
+                raise reader.reject(f"unknown byzantine mode {mode!r}")
+            k = reader.at_least_one(k_raw.strip(), "magnitude") if eq else 1
             behaviors[node] = (mode, k, start)
         return cls(behaviors=behaviors, **kwargs)
 
@@ -1809,12 +1699,6 @@ class ByzantineSchedule(FaultInjector):
         :data:`BYZ_MODES`), or None — the recorder annotates bundles with
         this so replays rebuild the same ground truth."""
         return self._taint.get((sender, receiver, part.content_key))
-
-    def max_event_round(self) -> int:
-        """The latest activation round (behaviors stay active forever)."""
-        return max(
-            (start for _m, _k, start in self.behaviors.values()), default=0
-        )
 
     def validate(self, topology) -> None:
         """Reject behaviors naming unknown nodes or the root.

@@ -43,10 +43,6 @@ class FloodManager:
         #: passing ``rnd`` to :meth:`absorb` / :meth:`initiate`).
         self.first_seen_round: Dict[tuple, int] = {}
 
-    def is_flood_kind(self, kind: str) -> bool:
-        """Whether parts of this kind participate in flooding."""
-        return kind in self._flood_kinds
-
     def has_seen(self, kind: str, payload) -> bool:
         """Whether this node has already seen a flood content."""
         return (kind, payload) in self._seen

@@ -296,10 +296,6 @@ class Network:
                 return False
         return True
 
-    def incarnation_of(self, node: int) -> int:
-        """The node's current incarnation (0 until its first revival)."""
-        return self.incarnations.get(node, 0)
-
     def bump_incarnation(self, node: int) -> int:
         """Record a revival of ``node``; returns its new incarnation."""
         inc = self.incarnations.get(node, 0) + 1

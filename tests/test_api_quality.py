@@ -5,10 +5,16 @@ tests fail the build if an export dangles or a public callable ships
 without documentation.
 """
 
+import ast
 import importlib
 import inspect
+import re
+from collections import Counter
+from pathlib import Path
 
 import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
 
 PACKAGES = [
     "repro",
@@ -123,3 +129,25 @@ def test_version_is_exposed():
     import repro
 
     assert repro.__version__.count(".") == 2
+
+
+def test_every_definition_is_used_somewhere():
+    """A function or class under ``src/repro`` that no code names outside
+    its own definition is dead weight: delete it (dunders excepted)."""
+    definitions = Counter()
+    for path in (ROOT / "src" / "repro").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ) and not re.fullmatch(r"__\w+__", node.name):
+                definitions[node.name] += 1
+    mentions = Counter()
+    for top in ("src", "tests", "benchmarks", "examples"):
+        for path in (ROOT / top).rglob("*.py"):
+            for word in re.findall(r"\w+", path.read_text()):
+                if word in definitions:
+                    mentions[word] += 1
+    unused = sorted(
+        name for name, count in definitions.items() if mentions[name] <= count
+    )
+    assert not unused, f"defined but never named elsewhere: {unused}"

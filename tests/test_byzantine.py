@@ -88,19 +88,25 @@ class TestByzantineSchedule:
         again = ByzantineSchedule.from_jsonable(byz.as_jsonable())
         assert again.behaviors == byz.behaviors
 
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            "5",
-            "5:teleport",
-            "5:inflate=0",
-            "5:inflate@r0",
-            "x:omit",
-        ],
-    )
+    BAD_SPECS = {
+        "5": ("5", "needs <node>:<mode>"),
+        "5:teleport": ("5:teleport", "unknown byzantine mode 'teleport'"),
+        "5:inflate=0": ("5:inflate=0", "magnitude 0 is < 1"),
+        "5:inflate@r0": ("5:inflate@r0", "round 0 is < 1"),
+        "x:omit": ("x:omit", "node 'x' is not an integer"),
+        "5:omit,5:inflate": ("5:inflate", "node 5 given more than once"),
+        "5:omit@rq": ("5:omit@rq", "round 'q' is not an integer"),
+    }
+
+    @pytest.mark.parametrize("bad", list(BAD_SPECS))
     def test_spec_rejects_bad_grammar(self, bad):
-        with pytest.raises(ValueError):
+        token, why = self.BAD_SPECS[bad]
+        with pytest.raises(ValueError) as exc_info:
             ByzantineSchedule.from_spec(bad)
+        assert str(exc_info.value) == (
+            f"bad byzantine spec fragment {token!r}: {why} (accepted "
+            f"grammar: {ByzantineSchedule.SPEC_GRAMMAR})"
+        )
 
     def test_validate_rejects_root_and_unknown_nodes(self):
         with pytest.raises(ValueError):

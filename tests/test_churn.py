@@ -85,8 +85,20 @@ class TestChurnSpec:
             ChurnSchedule(cycles={3: [(2, 5, "flaky")]})
 
     def test_rejects_bad_spec_with_grammar(self):
-        with pytest.raises(ValueError, match="accepted grammar"):
-            ChurnSchedule.from_spec("5:explode@r3")
+        bad_specs = {
+            "5:explode@r3": "unknown churn event 'explode'",
+            "flap:1-x@r2-r5": "edge '1-x' is not a node pair",
+            "flap:1-2@r3": "window needs the form r<R1>-r<R2>",
+            "flap:1-2@r5-r2": "flap window 5-2 is empty",
+            "5:crash@rq": "round 'q' is not an integer",
+        }
+        for bad, why in bad_specs.items():
+            with pytest.raises(ValueError) as exc_info:
+                ChurnSchedule.from_spec(bad)
+            assert str(exc_info.value) == (
+                f"bad churn spec fragment {bad!r}: {why} (accepted "
+                f"grammar: {ChurnSchedule.SPEC_GRAMMAR})"
+            ), bad
 
     def test_rejects_empty_flap_window(self):
         with pytest.raises(ValueError):

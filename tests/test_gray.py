@@ -79,21 +79,31 @@ class TestGraySpec:
         gray = GrayFailureSchedule.from_spec("3:stall@r2-r4:x1")
         assert gray.stalls == {3: [(2, 4, 1, GRAY_CONSTANT)]}
 
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            "5:melt@r3-r9:x2",  # unknown kind
-            "5:stall@r3-r9:x0",  # severity < 1
-            "5:stall@r9-r3:x2",  # end < start
-            "5:stall@r0-r3:x2",  # rounds < 1
-            "5:stall@r3-r9:x2:jitter",  # unknown profile
-            "link:4-4@r2-r8:x1",  # self-loop edge
-            "gibberish",
-        ],
-    )
+    BAD_SPECS = {
+        "5:melt@r3-r9:x2": "unknown gray event 'melt'",
+        "5:stall@r3-r9:x0": "severity 0 is < 1",
+        "5:stall@r9-r3:x2": "gray window 9-3 is empty",
+        "5:stall@r0-r3:x2": "round 0 is < 1",
+        "5:stall@r3-r9:x2:jitter": "unknown gray profile 'jitter'",
+        "link:4-4@r2-r8:x1": None,  # self-loop: rejected by the constructor
+        "gibberish": "needs <node>:stall@r<R1>-r<R2>:x<S>",
+        "link:1-x@r2-r8:x1": "edge '1-x' is not a node pair",
+        "5:stall@r3:x2": "window needs the form r<R1>-r<R2>",
+        "5:stall@rq-r9:x2": "round 'q' is not an integer",
+    }
+
+    @pytest.mark.parametrize("bad", list(BAD_SPECS))
     def test_spec_rejects_name_the_grammar(self, bad):
-        with pytest.raises(ValueError):
+        why = self.BAD_SPECS[bad]
+        expected = (
+            "cannot degrade self-loop edge 4-4"
+            if why is None
+            else f"bad gray spec fragment {bad!r}: {why} (accepted grammar: "
+            f"{GrayFailureSchedule.SPEC_GRAMMAR})"
+        )
+        with pytest.raises(ValueError) as exc_info:
             GrayFailureSchedule.from_spec(bad)
+        assert str(exc_info.value) == expected
 
     def test_overlapping_stalls_rejected(self):
         with pytest.raises(ValueError, match="overlap"):
