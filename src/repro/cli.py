@@ -25,9 +25,17 @@ Usage (installed as ``repro-agg`` or via ``python -m repro.cli``)::
     repro-agg obs       validate trace.json --prom metrics.prom
 
 Every subcommand prints the same ASCII tables the benchmarks save.
-``run`` accepts ``--inject drop=0.1,dup=0.05,...`` (message-fault
-middleware) and ``--strict-monitors`` (abort on any invariant break);
-``sweep-b`` accepts ``--resume PATH`` for JSONL checkpoint/resume.
+``run`` accepts ``--strict-monitors`` (abort on any invariant break);
+``sweep-b`` / ``sweep-f`` accept ``--resume PATH`` for JSONL
+checkpoint/resume.
+
+``run``, ``sweep-b`` and ``chaos`` take the fault-model flags of
+:data:`FLAG_TABLE` (``run`` / ``chaos`` also ``--inject
+drop=0.1,dup=0.05,...`` message faults).  Each row declares one flag
+once: its ``add_argument`` keywords, the
+:data:`repro.analysis.families.EXCLUSIONS` name it switches on, and
+what it needs to have any effect; :func:`validate_fault_flags` rejects
+pairs that do not compose and knobs that would do nothing.
 
 The execution-engine verbs (``run``, ``sweep-b``, ``sweep-f``,
 ``chaos``, ``worst-case``/``search``) accept ``--jobs N`` (process-pool
@@ -50,7 +58,7 @@ import argparse
 import dataclasses
 import random
 import sys
-from typing import List, Optional
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from . import graphs
 from .adversary import no_failures
@@ -107,117 +115,188 @@ def _ints(text: str) -> List[int]:
     return [int(v) for v in text.split(",") if v]
 
 
-#: Fault-model flags -> the :data:`repro.analysis.families.EXCLUSIONS` name
-#: each switches on, as ``(flag label, predicate on the parsed args)``.
-#: Adding a fault family = one table row + its runtime (+ its flag here).
-FAULT_FLAGS = {
-    "recovery": ("--recover", lambda a: bool(getattr(a, "recover", False))),
-    # With --recover the budget is the recovery policy's, not a transport.
-    "transport": (
-        "--retransmit-budget",
-        lambda a: getattr(a, "retransmit_budget", None) is not None
-        and not getattr(a, "recover", False),
-    ),
-    "integrity": (
-        "--integrity",
-        lambda a: getattr(a, "integrity", "off") != "off",
-    ),
-    "churn": ("--churn", lambda a: bool(getattr(a, "churn", None))),
-    "gray": ("--gray", lambda a: bool(getattr(a, "gray", None))),
-    "byz": ("--byz", lambda a: bool(getattr(a, "byz", None))),
-    "corruption": ("--corrupt", lambda a: bool(getattr(a, "corrupt", None))),
-    "faults": ("--inject", lambda a: bool(getattr(a, "inject", None))),
-    "rto": ("--rto adaptive", lambda a: getattr(a, "rto", "fixed") != "fixed"),
-    "hedge": ("--hedge", lambda a: bool(getattr(a, "hedge", False))),
-    "allow_root_crash": (
-        "--allow-root-crash",
-        lambda a: bool(getattr(a, "allow_root_crash", False)),
-    ),
-}
+#: What a knob needs to have any effect: ``(test(args), rejection text)``.
+Need = Tuple[Callable[[argparse.Namespace], bool], str]
 
-#: Knobs that only shape one family's flag: ``(attribute, default, flag,
-#: family, what the knob does)``.  Given without ``--<family>`` they would
-#: silently do nothing, so they are rejected instead.
-FAMILY_KNOBS = (
-    ("flap_rate", 0.0, "--flap-rate", "churn",
-     "shapes the --churn rate:<x> random draw"),
-    ("max_epochs", None, "--max-epochs", "churn",
-     "budgets --churn re-aggregation epochs"),
-    ("amnesiac", None, "--amnesiac", "churn",
-     "shapes the --churn rate:<x> random draw"),
-    ("witnesses", None, "--witnesses", "byz", "sizes the --byz witness panels"),
-    ("evict_policy", None, "--evict-policy", "byz",
-     "picks the --byz conviction response"),
+
+class FaultFlag(NamedTuple):
+    """One fault-model flag: ``add_argument(flag, **kwargs)``.
+
+    The flag is on when its value is neither the default nor empty (or
+    when ``on(args)``, if given).  An on flag switches on ``family``, its
+    :data:`repro.analysis.families.EXCLUSIONS` name, shown in messages as
+    ``label``; it is rejected with ``error: <label> <why>`` for the first
+    of its ``needs`` whose test fails, since it would silently do nothing.
+    ``kwargs=None`` marks a flag each verb adds itself.
+    """
+
+    flag: str
+    kwargs: Optional[dict]
+    family: Optional[str] = None
+    needs: Tuple[Need, ...] = ()
+    label: Optional[str] = None
+    on: Optional[Callable[[argparse.Namespace], bool]] = None
+
+    def is_on(self, args: argparse.Namespace) -> bool:
+        if self.on is not None:
+            return self.on(args)
+        default = (self.kwargs or {}).get("default")
+        value = getattr(args, self.flag[2:].replace("-", "_"), default)
+        return value not in (default, "")
+
+
+def _without(flag: str, does: str):
+    """The need of a knob that only shapes ``--<flag>``."""
+    return (
+        lambda a: bool(getattr(a, flag)),
+        f"{does}; it does nothing without --{flag}",
+    )
+
+
+#: ``--amnesiac`` / ``--flap-rate`` only shape the ``--churn rate:<x>`` draw.
+_CHURN_DRAW = (
+    _without("churn", "shapes the --churn rate:<x> random draw"),
+    (
+        lambda a: a.churn.startswith("rate:"),
+        "shapes the --churn rate:<x> random draw; an explicit --churn "
+        "spec ignores it",
+    ),
+)
+_NEEDS_TRANSPORT = (
+    lambda a: a.recover or a.retransmit_budget is not None,
+    "tunes the reliable transport's retransmission timing; add --recover "
+    "or --retransmit-budget N",
+)
+
+#: Every fault-model flag, in ``--help`` order.  Adding a fault family =
+#: one :data:`repro.analysis.families.FAMILIES` row + its runtime + its
+#: flags here.
+FLAG_TABLE = (
+    FaultFlag("--recover", dict(
+        action="store_true",
+        default=False,
+        help="self-healing runtime: reliable transport, root failover, "
+        "certified partial results (algorithm1 / unknown_f)",
+    ), "recovery"),
+    FaultFlag("--retransmit-budget", dict(
+        type=int,
+        help="reliable-transport retransmissions per frame "
+        "(alone: transport only; with --recover: sets its budget)",
+    ), "transport",
+        # With --recover the budget is the recovery policy's, not a
+        # transport.
+        on=lambda a: a.retransmit_budget is not None and not a.recover),
+    FaultFlag("--allow-root-crash", dict(
+        action="store_true",
+        default=False,
+        help="opt out of the Section 2 root protection and schedule a "
+        "seeded root crash (pair with --recover to survive it)",
+    ), "allow_root_crash"),
+    FaultFlag("--corrupt", dict(
+        help="message-corruption spec, e.g. bitflip:0.02,stale:0.01 "
+        "(modes: bitflip, truncate, stale)",
+    ), "corruption"),
+    FaultFlag("--integrity", dict(
+        default="off",
+        choices=["off", "checksum", "mac"],
+        help="authenticated wire frames: detect, drop, and quarantine "
+        "corrupted deliveries (checksum: CRC-32; mac: seeded-key "
+        "HMAC-SHA256); framing cost is booked as overhead, never "
+        "protocol CC",
+    ), "integrity"),
+    FaultFlag("--churn", dict(
+        help="crash-recovery churn (algorithm1 / unknown_f, exclusive "
+        "with --recover): an explicit ChurnSchedule spec "
+        "('5:crash@r3,5:revive@r7:amnesiac,flap:1-2@r2-r5') or "
+        "'rate:<float>' for seeded random crash/revive cycles; runs "
+        "go through the epoch manager with exactly-once booking",
+    ), "churn"),
+    FaultFlag("--amnesiac", dict(
+        type=float,
+        help="with --churn rate:<x>: fraction of rejoins that lose "
+        "state and need a snapshot handshake (0 = all durable; "
+        "default 0.25)",
+    ), needs=_CHURN_DRAW),
+    FaultFlag("--flap-rate", dict(
+        type=float,
+        default=0.0,
+        help="with --churn rate:<x>: per-edge probability of one "
+        "link-flap window",
+    ), needs=_CHURN_DRAW),
+    FaultFlag("--max-epochs", dict(
+        type=int,
+        help="with --churn: re-aggregation epoch budget "
+        "(default 4; exhaustion degrades to a certified partial)",
+    ), needs=(_without("churn", "budgets --churn re-aggregation epochs"),)),
+    FaultFlag("--gray", dict(
+        help="gray-failure schedule: an explicit spec "
+        "('3:stall@r5-r12:x2:ramp,link:1-2@r4-r9:x3') or "
+        "'rate:<float>' for seeded random degradations; nodes limp "
+        "and links inflate but nothing crashes",
+    ), "gray"),
+    FaultFlag("--rto", dict(
+        default="fixed",
+        choices=["fixed", "adaptive"],
+        help="retransmission timing: 'fixed' keeps the historical "
+        "NACK schedule; 'adaptive' times NACKs per link from an EWMA "
+        "RTT estimator and closes clean windows early (needs "
+        "--recover or --retransmit-budget)",
+    ), "rto", needs=(_NEEDS_TRANSPORT,), label="--rto adaptive"),
+    FaultFlag("--hedge", dict(
+        action="store_true",
+        default=False,
+        help="hedged retransmission: a neighbour holding a copy of a "
+        "twice-NACKed frame relays it on the alternative path, "
+        "booked entirely as overhead (needs --recover or "
+        "--retransmit-budget)",
+    ), "hedge", needs=(_NEEDS_TRANSPORT,)),
+    FaultFlag("--byz", dict(
+        help="Byzantine compromise schedule (algorithm1 / unknown_f): "
+        "an explicit spec '5:equivocate,7:inflate=4@r3,9:omit' "
+        "(modes: equivocate, inflate, deflate, replay, omit) or "
+        "'rate:<float>' for seeded random compromise; runs go "
+        "through witness cross-validation with accusation/eviction "
+        "and influence-bounded certification (echo traffic is "
+        "booked as overhead, never protocol CC)",
+    ), "byz"),
+    FaultFlag("--witnesses", dict(
+        type=int,
+        help="with --byz: witnesses echoing each claim for "
+        "cross-validation (default 2)",
+    ), needs=(_without("byz", "sizes the --byz witness panels"),)),
+    FaultFlag("--evict-policy", dict(
+        choices=["evict", "flag"],
+        help="with --byz: conviction response — 'evict' discards the "
+        "epoch and re-aggregates without the convict (default); "
+        "'flag' keeps the value but leaves the convict's influence "
+        "unbounded (uncertified)",
+    ), needs=(_without("byz", "picks the --byz conviction response"),)),
+    # drop/dup/delay/reorder message faults; its help differs per verb.
+    FaultFlag("--inject", None, "faults"),
 )
 
 
-def validate_fault_flags(args) -> None:
-    """Reject incompatible fault-model flag pairs up front.
+def fault_families(args: argparse.Namespace) -> List[str]:
+    """The :data:`repro.analysis.families.EXCLUSIONS` names ``args`` switch on."""
+    return [row.family for row in FLAG_TABLE if row.family and row.is_on(args)]
 
-    Maps the active flags to their family names and raises ``SystemExit``
-    on the first :data:`repro.analysis.families.EXCLUSIONS` row they hit,
-    with the row's reason (the runner raises ``ValueError`` from the same
-    rows).
+
+def validate_fault_flags(args: argparse.Namespace) -> None:
+    """Reject fault-model flags that do not compose or would do nothing.
+
+    Raises ``SystemExit`` on the first
+    :data:`repro.analysis.families.EXCLUSIONS` row the on flags hit, with
+    the row's reason (the runner raises ``ValueError`` from the same
+    rows), then on the first unmet :attr:`FaultFlag.needs`.
     """
-    active = [name for name, (_, on) in FAULT_FLAGS.items() if on(args)]
-    row = families.conflict(active)
+    labels = {r.family: r.label or r.flag for r in FLAG_TABLE if r.family}
+    row = families.conflict(fault_families(args))
     if row is not None:
-        raise SystemExit(
-            "error: " + row.message(lambda name: FAULT_FLAGS[name][0])
-        )
-
-
-def _resilience_config(args):
-    """``(transport, recovery, integrity)`` from the ``--recover`` /
-    ``--retransmit-budget`` / ``--integrity`` flags.
-
-    ``--recover`` gets the full self-healing stack (reliable transport +
-    root failover + certified partial results); ``--retransmit-budget``
-    alone gets just the transport shim.  ``--integrity checksum|mac``
-    adds authenticated wire frames on top of either (or standalone);
-    the MAC key is derived from ``--seed`` so runs stay deterministic.
-    ``--rto adaptive`` and ``--hedge`` tune the transport's
-    retransmission timing and so need one of the two transport flags.
-    """
-    integrity = None
-    if getattr(args, "integrity", "off") != "off":
-        from .integrity import IntegrityConfig
-
-        integrity = IntegrityConfig(mode=args.integrity, key_seed=args.seed)
-    budget = args.retransmit_budget
-    rto = getattr(args, "rto", "fixed")
-    hedge = bool(getattr(args, "hedge", False))
-    if rto != "fixed" or hedge:
-        flag = "--rto adaptive" if rto != "fixed" else "--hedge"
-        if not args.recover and budget is None:
-            raise SystemExit(
-                f"error: {flag} tunes the reliable transport's "
-                "retransmission timing; add --recover or "
-                "--retransmit-budget N"
-            )
-    if args.recover:
-        from .resilience import RecoveryPolicy
-
-        policy = RecoveryPolicy.default(
-            retransmit_budget=5 if budget is None else budget
-        )
-        if rto != "fixed" or hedge:
-            policy = dataclasses.replace(
-                policy,
-                transport=dataclasses.replace(
-                    policy.transport, rto=rto, hedge=hedge
-                ),
-            )
-        return None, policy, integrity
-    if budget is not None:
-        from .resilience import TransportConfig
-
-        return (
-            TransportConfig(retransmits=budget, rto=rto, hedge=hedge),
-            None,
-            integrity,
-        )
-    return None, None, integrity
+        raise SystemExit("error: " + row.message(labels.get))
+    for row in FLAG_TABLE:
+        for test, why in row.needs:
+            if row.is_on(args) and not test(args):
+                raise SystemExit(f"error: {row.label or row.flag} {why}")
 
 
 def _schedule_spec(args, name: str, horizon: Optional[int], **shape):
@@ -230,7 +309,7 @@ def _schedule_spec(args, name: str, horizon: Optional[int], **shape):
     other value must parse as an explicit schedule spec and is checked
     here so typos fail before any run starts.
     """
-    value = getattr(args, name, None)
+    value = getattr(args, name)
     if not value:
         return None
     try:
@@ -247,42 +326,60 @@ def _schedule_spec(args, name: str, horizon: Optional[int], **shape):
 
 
 def _fault_config(args, horizon: Optional[int]):
-    """The fault-family ``run_protocol`` kwargs of the resilience flags.
+    """The fault-family ``run_protocol`` kwargs of the fault flags.
 
-    Schedule specs stay declarative (see :func:`_schedule_spec`);
-    ``--max-epochs`` builds the churn policy and ``--witnesses`` /
-    ``--evict-policy`` the :class:`repro.resilience.ByzantineConfig`.
+    ``--recover`` gets the full self-healing stack (reliable transport +
+    root failover + certified partial results); ``--retransmit-budget``
+    alone gets just the transport shim, which ``--rto`` / ``--hedge``
+    tune.  ``--integrity checksum|mac`` adds authenticated wire frames on
+    top of either (or standalone); the MAC key is derived from ``--seed``
+    so runs stay deterministic.  Schedule specs stay declarative (see
+    :func:`_schedule_spec`); ``--max-epochs`` builds the churn policy and
+    ``--witnesses`` / ``--evict-policy`` the
+    :class:`repro.resilience.ByzantineConfig`.
     """
-    for attr, default, flag, family, does in FAMILY_KNOBS:
-        if getattr(args, attr, default) != default and not getattr(
-            args, family, None
-        ):
-            raise SystemExit(
-                f"error: {flag} {does}; it does nothing without --{family}"
-            )
-    churn_policy = None
-    if getattr(args, "max_epochs", None) is not None:
-        from .resilience import ChurnPolicy
+    from .integrity import IntegrityConfig
+    from .resilience import (
+        ByzantineConfig,
+        ChurnPolicy,
+        RecoveryPolicy,
+        TransportConfig,
+    )
 
+    budget = args.retransmit_budget
+    transport = recovery = churn_policy = byz_config = None
+    if args.recover:
+        recovery = RecoveryPolicy.default(
+            retransmit_budget=5 if budget is None else budget
+        )
+        if args.rto != "fixed" or args.hedge:
+            recovery = dataclasses.replace(
+                recovery,
+                transport=dataclasses.replace(
+                    recovery.transport, rto=args.rto, hedge=args.hedge
+                ),
+            )
+    elif budget is not None:
+        transport = TransportConfig(
+            retransmits=budget, rto=args.rto, hedge=args.hedge
+        )
+    if args.max_epochs is not None:
         churn_policy = dataclasses.replace(
             ChurnPolicy.default(), max_epochs=args.max_epochs
         )
-    byz_config = None
-    if (
-        getattr(args, "witnesses", None) is not None
-        or getattr(args, "evict_policy", None) is not None
-    ):
-        from .resilience import ByzantineConfig
-
+    if args.witnesses is not None or args.evict_policy is not None:
         byz_config = ByzantineConfig(
             witnesses=2 if args.witnesses is None else args.witnesses,
             evict_policy=args.evict_policy or "evict",
         )
-    transport, recovery, integrity = _resilience_config(args)
     return dict(
         transport=transport,
         recovery=recovery,
-        integrity=integrity,
+        integrity=(
+            IntegrityConfig(mode=args.integrity, key_seed=args.seed)
+            if args.integrity != "off"
+            else None
+        ),
         churn=_schedule_spec(
             args,
             "churn",
@@ -368,6 +465,30 @@ def _obs_finish(cap, args: argparse.Namespace) -> None:
     )
 
 
+def _unit_base(args: argparse.Namespace):
+    """``(topology, horizon, WorkUnit fields)`` shared by ``run`` and
+    ``chaos``: the protocol, ``-f``/``-b``/``-t``, the seeded root crash
+    inside the horizon, and the fault-flag kwargs."""
+    validate_fault_flags(args)
+    topology = parse_topology(args.topology, args.seed)
+    horizon = max(2, (args.budget or 42) * topology.diameter)
+    return topology, horizon, dict(
+        protocol=args.protocol,
+        topology=topology,
+        f=args.failures or None,
+        b=args.budget,
+        t=args.tolerance,
+        max_input=args.max_input,
+        crash_root=(
+            {"lo": 2, "hi": max(2, horizon // 2)}
+            if args.allow_root_crash
+            else None
+        ),
+        corrupt=args.corrupt,
+        **_fault_config(args, horizon),
+    )
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     """One seeded run, built as a work unit.
 
@@ -381,32 +502,18 @@ def cmd_run(args: argparse.Namespace) -> int:
     from .exec import WorkUnit
     from .exec.scheduler import derive_run, stamp_injected
 
-    validate_fault_flags(args)
-    topology = parse_topology(args.topology, args.seed)
-    horizon = max(2, (args.budget or 42) * topology.diameter)
+    topology, horizon, base = _unit_base(args)
     unit = WorkUnit(
-        protocol=args.protocol,
-        topology=topology,
         seed=args.seed,
-        f=args.failures or None,
-        b=args.budget,
-        t=args.tolerance,
-        max_input=args.max_input,
         schedule=(
             random_schedule_spec(args.failures, horizon, respect_c=2)
             if args.failures > 0
             else {"kind": "none"}
         ),
-        crash_root=(
-            {"lo": 2, "hi": max(2, horizon // 2)}
-            if args.allow_root_crash
-            else None
-        ),
         inject=args.inject,
-        corrupt=args.corrupt,
         strict=True,
         strict_monitors=args.strict_monitors,
-        **_fault_config(args, horizon),
+        **base,
     )
     if args.jobs > 1 or args.cache_dir or args.force:
         engine = _engine_from_args(args)
@@ -426,30 +533,25 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0 if record.correct else 1
 
 
-def cmd_sweep_b(args: argparse.Namespace) -> int:
-    validate_fault_flags(args)
+def _sweep(args, sweep, axis: str, fixed: str, **kwargs) -> int:
+    """The shared body of ``sweep-b`` / ``sweep-f``: ``sweep(**kwargs)``
+    over the ``--seeds`` with the checkpoint / retry flags, printed as
+    the CC-vs-``axis`` table at ``fixed``."""
     topology = parse_topology(args.topology, args.seed)
     checkpoint = SweepCheckpoint(args.resume) if args.resume else None
     if checkpoint is not None and len(checkpoint):
         print(f"resuming: {len(checkpoint)} run(s) loaded from {args.resume}")
-    # The horizon is per-b: sweep_b pins each coordinate's random specs
-    # to its own run length.
-    faults = _fault_config(args, horizon=None)
     engine = _engine_from_args(args)
     try:
-        points = sweep_b(
+        points = sweep(
             topology,
-            f=args.failures,
-            bs=_ints(args.bs),
             seeds=range(args.seeds),
             checkpoint=checkpoint,
             timeout_s=args.timeout,
             retries=args.retries,
-            backoff_s=args.backoff,
             capture_dir=args.capture_dir,
-            corrupt=args.corrupt,
             engine=engine,
-            **faults,
+            **kwargs,
         )
     finally:
         engine.emitter.close()
@@ -458,41 +560,33 @@ def cmd_sweep_b(args: argparse.Namespace) -> int:
     print(
         format_table(
             [p.as_dict() for p in points],
-            title=f"Algorithm 1 CC vs b on {topology.name} (f={args.failures})",
+            title=f"Algorithm 1 CC vs {axis} on {topology.name} ({fixed})",
         )
     )
     return 0
+
+
+def cmd_sweep_b(args: argparse.Namespace) -> int:
+    validate_fault_flags(args)
+    return _sweep(
+        args,
+        sweep_b,
+        "b",
+        f"f={args.failures}",
+        f=args.failures,
+        bs=_ints(args.bs),
+        backoff_s=args.backoff,
+        corrupt=args.corrupt,
+        # The horizon is per-b: sweep_b pins each coordinate's random
+        # specs to its own run length.
+        **_fault_config(args, horizon=None),
+    )
 
 
 def cmd_sweep_f(args: argparse.Namespace) -> int:
-    topology = parse_topology(args.topology, args.seed)
-    checkpoint = SweepCheckpoint(args.resume) if args.resume else None
-    if checkpoint is not None and len(checkpoint):
-        print(f"resuming: {len(checkpoint)} run(s) loaded from {args.resume}")
-    engine = _engine_from_args(args)
-    try:
-        points = sweep_f(
-            topology,
-            fs=_ints(args.fs),
-            b=args.budget,
-            seeds=range(args.seeds),
-            checkpoint=checkpoint,
-            timeout_s=args.timeout,
-            retries=args.retries,
-            capture_dir=args.capture_dir,
-            engine=engine,
-        )
-    finally:
-        engine.emitter.close()
-        if checkpoint is not None:
-            checkpoint.close()
-    print(
-        format_table(
-            [p.as_dict() for p in points],
-            title=f"Algorithm 1 CC vs f on {topology.name} (b={args.budget})",
-        )
+    return _sweep(
+        args, sweep_f, "f", f"b={args.budget}", fs=_ints(args.fs), b=args.budget
     )
-    return 0
 
 
 #: Chaos verdicts read off a run's oracle columns, in precedence order, as
@@ -519,6 +613,25 @@ ORACLE_VERDICTS = (
     ("false_convictions", "FALSE-CONVICTION", "byz"),
     ("undetected_equivocations", "UNDETECTED-EQUIVOCATION", "byz"),
     ("influence_exceeded", "INFLUENCE-EXCEEDED", "byz"),
+)
+
+#: Per-family chaos columns, in table order, as ``(family, column, read)``
+#: with ``read`` applied to the run's extra columns; a family's columns
+#: join the table when its flag is given.
+FAMILY_COLUMNS = (
+    ("churn", "epochs", lambda x: x.get("epochs", 1)),
+    (
+        "churn",
+        "rejoins",
+        lambda x: int(x.get("rejoins_durable") or 0)
+        + int(x.get("rejoins_amnesiac") or 0),
+    ),
+    ("gray", "stalled", lambda x: x.get("gray_stalled", 0)),
+    ("gray", "suspects", lambda x: x.get("suspects", 0)),
+    ("byz", "convicted", lambda x: x.get("convicted", 0)),
+    ("byz", "evicted", lambda x: x.get("evicted", 0)),
+    ("byz", "bound", lambda x: x.get("influence_bound", 0)),
+    ("byz", "epochs", lambda x: x.get("epochs", 1)),
 )
 
 
@@ -592,14 +705,11 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     """
     from .exec import WorkUnit
 
-    validate_fault_flags(args)
-    topology = parse_topology(args.topology, args.seed)
-    crash_horizon = max(2, (args.budget or 42) * topology.diameter)
-    faults = _fault_config(args, crash_horizon)
+    topology, _, base = _unit_base(args)
     # Under --byz the compromised senders are the fault source; the
     # drop-rate default would trip the byz/inject exclusion the witness
     # audits rely on (an explicit --inject already errored above).
-    spec = args.inject or (None if faults["byz"] is not None else "drop=0.05")
+    spec = args.inject or (None if base["byz"] is not None else "drop=0.05")
     schedule_spec = (
         random_schedule_spec(
             args.failures, max(2, 60 * topology.diameter), respect_c=2
@@ -609,31 +719,19 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     )
     monitor_spec = {
         "mode": "strict" if args.strict else "record",
-        "recovery": faults["recovery"] is not None or args.allow_root_crash,
+        "recovery": base["recovery"] is not None or args.allow_root_crash,
     }
     seeds = range(args.seed, args.seed + args.seeds)
     units = [
         WorkUnit(
-            protocol=args.protocol,
-            topology=topology,
             seed=seed,
-            f=args.failures or None,
-            b=args.budget,
-            t=args.tolerance,
-            max_input=args.max_input,
             schedule=schedule_spec,
-            crash_root=(
-                {"lo": 2, "hi": max(2, crash_horizon // 2)}
-                if args.allow_root_crash
-                else None
-            ),
             inject=spec,
-            corrupt=args.corrupt,
             adaptive=args.adaptive,
             monitors=monitor_spec,
             capture_dir=args.capture_dir,
-            **faults,
             coords={"inject": spec or f"byz:{args.byz}"},
+            **base,
         )
         for seed in seeds
     ]
@@ -667,19 +765,9 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             rows[-1]["coverage"] = (
                 f"{record.extra['coverage']}/{topology.n_nodes}"
             )
-        if faults["churn"] is not None:
-            rows[-1]["epochs"] = record.extra.get("epochs", 1)
-            rows[-1]["rejoins"] = int(
-                record.extra.get("rejoins_durable") or 0
-            ) + int(record.extra.get("rejoins_amnesiac") or 0)
-        if faults["gray"] is not None:
-            rows[-1]["stalled"] = record.extra.get("gray_stalled", 0)
-            rows[-1]["suspects"] = record.extra.get("suspects", 0)
-        if faults["byz"] is not None:
-            rows[-1]["convicted"] = record.extra.get("convicted", 0)
-            rows[-1]["evicted"] = record.extra.get("evicted", 0)
-            rows[-1]["bound"] = record.extra.get("influence_bound", 0)
-            rows[-1]["epochs"] = record.extra.get("epochs", 1)
+        for family, column, read in FAMILY_COLUMNS:
+            if base[family] is not None:
+                rows[-1][column] = read(record.extra)
         if record.extra.get("bundle"):
             rows[-1]["bundle"] = record.extra["bundle"]
     print(
@@ -704,7 +792,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         f"(incl. {verdicts.count('CORRUPT-ACCEPTED')} corrupt-accepted)"
     )
     for _, verdict, family in ORACLE_VERDICTS:
-        if family is not None and faults[family] is not None:
+        if family is not None and base[family] is not None:
             summary += f", {verdicts.count(verdict)} {verdict.lower()}"
     print(summary)
     failing = {"SILENT-WRONG", "PARTIAL-UNCERTIFIED"}
@@ -810,6 +898,9 @@ def cmd_obs(args: argparse.Namespace) -> int:
     # validate
     if len(args.paths) > 1:
         raise SystemExit("obs validate takes at most one trace file")
+    if not args.paths and not args.prom:
+        # Checking nothing would pass: a vacuous gate.
+        raise SystemExit("obs validate needs a trace file or --prom")
     problems: List[str] = []
     for path in args.paths:
         with open(path, "r", encoding="utf-8") as fh:
@@ -1187,127 +1278,38 @@ def build_parser() -> argparse.ArgumentParser:
             )
 
     def resilience(p):
+        for row in FLAG_TABLE:
+            if row.kwargs is not None:
+                p.add_argument(row.flag, **row.kwargs)
+
+    def protocol(p, default, inject_help):
         p.add_argument(
-            "--recover",
-            action="store_true",
-            help="self-healing runtime: reliable transport, root failover, "
-            "certified partial results (algorithm1 / unknown_f)",
+            "--protocol",
+            default=default,
+            choices=["algorithm1", "bruteforce", "folklore", "tag", "unknown_f", "agg_veri"],
         )
+        p.add_argument("-f", "--failures", type=int, default=0)
+        p.add_argument("-b", "--budget", type=int, default=None)
+        p.add_argument("-t", "--tolerance", type=int, default=None)
+        p.add_argument("--inject", default=None, help=inject_help)
+
+    def retries(p, resume_help=None, capture_note=""):
+        if resume_help is not None:
+            p.add_argument("--resume", default=None, help=resume_help)
+            p.add_argument(
+                "--timeout",
+                type=float,
+                default=None,
+                help="per-run wall-clock limit (s)",
+            )
+            p.add_argument(
+                "--retries", type=int, default=0, help="retries per failed run"
+            )
         p.add_argument(
-            "--retransmit-budget",
-            type=int,
+            "--capture-dir",
             default=None,
-            dest="retransmit_budget",
-            help="reliable-transport retransmissions per frame "
-            "(alone: transport only; with --recover: sets its budget)",
-        )
-        p.add_argument(
-            "--allow-root-crash",
-            action="store_true",
-            dest="allow_root_crash",
-            help="opt out of the Section 2 root protection and schedule a "
-            "seeded root crash (pair with --recover to survive it)",
-        )
-        p.add_argument(
-            "--corrupt",
-            default=None,
-            help="message-corruption spec, e.g. bitflip:0.02,stale:0.01 "
-            "(modes: bitflip, truncate, stale)",
-        )
-        p.add_argument(
-            "--integrity",
-            default="off",
-            choices=["off", "checksum", "mac"],
-            help="authenticated wire frames: detect, drop, and quarantine "
-            "corrupted deliveries (checksum: CRC-32; mac: seeded-key "
-            "HMAC-SHA256); framing cost is booked as overhead, never "
-            "protocol CC",
-        )
-        p.add_argument(
-            "--churn",
-            default=None,
-            help="crash-recovery churn (algorithm1 / unknown_f, exclusive "
-            "with --recover): an explicit ChurnSchedule spec "
-            "('5:crash@r3,5:revive@r7:amnesiac,flap:1-2@r2-r5') or "
-            "'rate:<float>' for seeded random crash/revive cycles; runs "
-            "go through the epoch manager with exactly-once booking",
-        )
-        p.add_argument(
-            "--amnesiac",
-            type=float,
-            default=None,
-            help="with --churn rate:<x>: fraction of rejoins that lose "
-            "state and need a snapshot handshake (0 = all durable; "
-            "default 0.25)",
-        )
-        p.add_argument(
-            "--flap-rate",
-            type=float,
-            default=0.0,
-            dest="flap_rate",
-            help="with --churn rate:<x>: per-edge probability of one "
-            "link-flap window",
-        )
-        p.add_argument(
-            "--max-epochs",
-            type=int,
-            default=None,
-            dest="max_epochs",
-            help="with --churn: re-aggregation epoch budget "
-            "(default 4; exhaustion degrades to a certified partial)",
-        )
-        p.add_argument(
-            "--gray",
-            default=None,
-            help="gray-failure schedule: an explicit spec "
-            "('3:stall@r5-r12:x2:ramp,link:1-2@r4-r9:x3') or "
-            "'rate:<float>' for seeded random degradations; nodes limp "
-            "and links inflate but nothing crashes",
-        )
-        p.add_argument(
-            "--rto",
-            default="fixed",
-            choices=["fixed", "adaptive"],
-            help="retransmission timing: 'fixed' keeps the historical "
-            "NACK schedule; 'adaptive' times NACKs per link from an EWMA "
-            "RTT estimator and closes clean windows early (needs "
-            "--recover or --retransmit-budget)",
-        )
-        p.add_argument(
-            "--hedge",
-            action="store_true",
-            help="hedged retransmission: a neighbour holding a copy of a "
-            "twice-NACKed frame relays it on the alternative path, "
-            "booked entirely as overhead (needs --recover or "
-            "--retransmit-budget)",
-        )
-        p.add_argument(
-            "--byz",
-            default=None,
-            help="Byzantine compromise schedule (algorithm1 / unknown_f): "
-            "an explicit spec '5:equivocate,7:inflate=4@r3,9:omit' "
-            "(modes: equivocate, inflate, deflate, replay, omit) or "
-            "'rate:<float>' for seeded random compromise; runs go "
-            "through witness cross-validation with accusation/eviction "
-            "and influence-bounded certification (echo traffic is "
-            "booked as overhead, never protocol CC)",
-        )
-        p.add_argument(
-            "--witnesses",
-            type=int,
-            default=None,
-            help="with --byz: witnesses echoing each claim for "
-            "cross-validation (default 2)",
-        )
-        p.add_argument(
-            "--evict-policy",
-            default=None,
-            choices=["evict", "flag"],
-            dest="evict_policy",
-            help="with --byz: conviction response — 'evict' discards the "
-            "epoch and re-aggregates without the convict (default); "
-            "'flag' keeps the value but leaves the convict's influence "
-            "unbounded (uncertified)",
+            dest="capture_dir",
+            help="write a repro bundle here for every failing run" + capture_note,
         )
 
     def obs(p):
@@ -1338,18 +1340,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one protocol execution")
     common(p_run)
-    p_run.add_argument(
-        "--protocol",
-        default="algorithm1",
-        choices=["algorithm1", "bruteforce", "folklore", "tag", "unknown_f", "agg_veri"],
-    )
-    p_run.add_argument("-f", "--failures", type=int, default=0)
-    p_run.add_argument("-b", "--budget", type=int, default=None)
-    p_run.add_argument("-t", "--tolerance", type=int, default=None)
-    p_run.add_argument(
-        "--inject",
-        default=None,
-        help="message-fault spec, e.g. drop=0.1,dup=0.05,delay=0.1",
+    protocol(
+        p_run,
+        "algorithm1",
+        "message-fault spec, e.g. drop=0.1,dup=0.05,delay=0.1",
     )
     p_run.add_argument(
         "--strict-monitors",
@@ -1367,23 +1361,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("-f", "--failures", type=int, required=True)
     p_sweep.add_argument("--bs", default="42,84,168,336")
     p_sweep.add_argument("--seeds", type=int, default=3)
-    p_sweep.add_argument(
-        "--resume",
-        default=None,
-        help="JSONL checkpoint path: completed runs are loaded, fresh "
+    retries(
+        p_sweep,
+        "JSONL checkpoint path: completed runs are loaded, fresh "
         "runs appended (kill + rerun resumes where it stopped)",
-    )
-    p_sweep.add_argument(
-        "--timeout", type=float, default=None, help="per-run wall-clock limit (s)"
-    )
-    p_sweep.add_argument(
-        "--retries", type=int, default=0, help="retries per failed run"
-    )
-    p_sweep.add_argument(
-        "--capture-dir",
-        default=None,
-        dest="capture_dir",
-        help="write a repro bundle here for every failing run",
     )
     p_sweep.add_argument(
         "--backoff",
@@ -1404,23 +1385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep_f.add_argument("--fs", default="2,4,8,16", help="failure budgets")
     p_sweep_f.add_argument("-b", "--budget", type=int, default=60)
     p_sweep_f.add_argument("--seeds", type=int, default=3)
-    p_sweep_f.add_argument(
-        "--resume",
-        default=None,
-        help="JSONL checkpoint path (same semantics as sweep-b)",
-    )
-    p_sweep_f.add_argument(
-        "--timeout", type=float, default=None, help="per-run wall-clock limit (s)"
-    )
-    p_sweep_f.add_argument(
-        "--retries", type=int, default=0, help="retries per failed run"
-    )
-    p_sweep_f.add_argument(
-        "--capture-dir",
-        default=None,
-        dest="capture_dir",
-        help="write a repro bundle here for every failing run",
-    )
+    retries(p_sweep_f, "JSONL checkpoint path (same semantics as sweep-b)")
     parallel(p_sweep_f)
     obs(p_sweep_f)
     p_sweep_f.set_defaults(func=cmd_sweep_f)
@@ -1429,18 +1394,10 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos", help="protocols under injected message faults + monitors"
     )
     common(p_chaos)
-    p_chaos.add_argument(
-        "--protocol",
-        default="unknown_f",
-        choices=["algorithm1", "bruteforce", "folklore", "tag", "unknown_f", "agg_veri"],
-    )
-    p_chaos.add_argument("-f", "--failures", type=int, default=0)
-    p_chaos.add_argument("-b", "--budget", type=int, default=None)
-    p_chaos.add_argument("-t", "--tolerance", type=int, default=None)
-    p_chaos.add_argument(
-        "--inject",
-        default=None,
-        help="fault spec (default drop=0.05), e.g. drop=0.1,dup=0.05,reorder=0.2",
+    protocol(
+        p_chaos,
+        "unknown_f",
+        "fault spec (default drop=0.05), e.g. drop=0.1,dup=0.05,reorder=0.2",
     )
     p_chaos.add_argument(
         "--adaptive",
@@ -1454,12 +1411,10 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="strict monitors: abort the run at the first invariant break",
     )
-    p_chaos.add_argument(
-        "--capture-dir",
-        default=None,
-        dest="capture_dir",
-        help="write a repro bundle here for every failing run "
-        "(replay with `repro-agg replay`, minimize with `repro-agg shrink`)",
+    retries(
+        p_chaos,
+        capture_note=" (replay with `repro-agg replay`, minimize with "
+        "`repro-agg shrink`)",
     )
     resilience(p_chaos)
     parallel(p_chaos)

@@ -279,6 +279,40 @@ class TestFlagValidation:
                 ["chaos", "--churn", "rate:0.1", "--integrity", "checksum"],
                 "--churn and --integrity are mutually exclusive",
             ),
+            (
+                [
+                    "run",
+                    "--protocol",
+                    "unknown_f",
+                    "-f",
+                    "1",
+                    "--retransmit-budget",
+                    "2",
+                    "--churn",
+                    "5:crash@r3,5:revive@r7",
+                    "--amnesiac",
+                    "0.9",
+                    "--flap-rate",
+                    "0.9",
+                ],
+                "--amnesiac shapes the --churn rate:<x> random draw; "
+                "an explicit --churn spec ignores it",
+            ),
+            (
+                ["run", "--churn", "5:crash@r3,5:revive@r7", "--flap-rate", "0.9"],
+                "--flap-rate shapes the --churn rate:<x> random draw; "
+                "an explicit --churn spec ignores it",
+            ),
+            (
+                ["run", "--witnesses", "3"],
+                "--witnesses sizes the --byz witness panels; "
+                "it does nothing without --byz",
+            ),
+            (
+                ["run", "--evict-policy", "flag"],
+                "--evict-policy picks the --byz conviction response; "
+                "it does nothing without --byz",
+            ),
         ],
     )
     def test_rejected_combinations(self, argv, needle):

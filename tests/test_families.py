@@ -2,6 +2,7 @@
 
 import glob
 import os
+from collections import Counter
 
 import pytest
 
@@ -79,6 +80,14 @@ def test_every_exclusion_name_is_reachable_from_both_sides():
     assert names <= set(CLI_SIDE)
 
 
+def test_every_exclusion_name_is_switched_on_by_one_flag():
+    from repro.cli import FLAG_TABLE
+
+    names = {n for row in families.EXCLUSIONS for n in (row.a, row.b)}
+    switched = Counter(row.family for row in FLAG_TABLE if row.family)
+    assert switched == Counter(names)
+
+
 @pytest.mark.parametrize(
     "row", families.EXCLUSIONS, ids=[f"{r.a}-{r.b}" for r in families.EXCLUSIONS]
 )
@@ -94,10 +103,10 @@ def test_exclusion_row_raised_by_runner_and_cli(row):
     if (row.a, row.b) == ("transport", "recovery"):
         # The CLI cannot express this pair: with --recover the budget is
         # the recovery policy's, so no transport family switches on.
-        from repro.cli import FAULT_FLAGS, build_parser
+        from repro.cli import build_parser, fault_families
 
         args = build_parser().parse_args(argv)
-        assert not FAULT_FLAGS["transport"][1](args)
+        assert fault_families(args) == ["recovery"]
         return
     with pytest.raises(SystemExit) as err:
         main(argv)

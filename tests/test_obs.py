@@ -699,6 +699,11 @@ class TestObsCli:
         assert main(["obs", "validate", str(bad)]) == 1
         capsys.readouterr()
 
+    def test_obs_validate_with_nothing_to_check_is_a_usage_error(self):
+        with pytest.raises(SystemExit) as err:
+            main(["obs", "validate"])
+        assert str(err.value) == "obs validate needs a trace file or --prom"
+
     def test_trace_detail_off_still_writes_metrics(self, tmp_path, capsys):
         prom = str(tmp_path / "m.prom")
         rc = main(
