@@ -2,8 +2,8 @@
 
 from .agg import AggNode, AggOutcome, TreeState, run_agg
 from .algorithm1 import (
-    Algorithm1Node,
-    TradeoffOutcome,
+    IntervalNode,
+    IntervalOutcome,
     TradeoffPlan,
     run_algorithm1,
 )
@@ -37,7 +37,7 @@ from .correctness import (
     surviving_nodes,
 )
 from .params import ProtocolParams, params_for
-from .unknown_f import DoublingNode, DoublingOutcome, DoublingPlan, run_unknown_f
+from .unknown_f import DoublingPlan, run_unknown_f
 from .veri import PairOutcome, VeriNode, run_agg_veri_pair
 
 __all__ = [
@@ -45,14 +45,13 @@ __all__ = [
     "AND",
     "AggNode",
     "AggOutcome",
-    "Algorithm1Node",
     "CAAF",
     "COUNT",
-    "DoublingNode",
-    "DoublingOutcome",
     "DoublingPlan",
     "FragmentModel",
     "GCD",
+    "IntervalNode",
+    "IntervalOutcome",
     "MAX",
     "bounded_lcm",
     "build_fragment_model",
@@ -63,7 +62,6 @@ __all__ = [
     "PairOutcome",
     "ProtocolParams",
     "SUM",
-    "TradeoffOutcome",
     "TradeoffPlan",
     "TreeState",
     "VeriNode",

@@ -15,6 +15,10 @@ Expected communication: at most ``min(x, f+1, logN)`` pairs actually run,
 each costing ``O((t+1) logN)`` per node, plus ``O(N logN) / N`` for the
 rare brute-force fallback — total
 ``O((f/b logN + logN) * min(b, f, logN))``, Theorem 1.
+
+The interval machinery (:class:`IntervalNode`, :class:`IntervalOutcome`,
+:func:`run_intervals`) is shared with the unknown-``f`` doubling protocol
+(:mod:`repro.core.unknown_f`); only the plan differs.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from ..adversary.schedule import FailureSchedule
 from ..graphs.topology import Topology
@@ -35,6 +39,9 @@ from .agg import AggNode
 from .caaf import CAAF, SUM
 from .params import ProtocolParams, params_for
 from .veri import VeriNode
+
+if TYPE_CHECKING:
+    from .unknown_f import DoublingPlan
 
 
 @dataclass(frozen=True)
@@ -49,6 +56,10 @@ class TradeoffPlan:
     params: ProtocolParams
     b: int
     f: int
+
+    name = "algorithm1"
+    #: Plan attributes recorded on the protocol's observability span.
+    span_attrs = ("b", "f", "x", "t")
 
     def __post_init__(self) -> None:
         if self.b < 21 * self.params.c:
@@ -67,6 +78,12 @@ class TradeoffPlan:
     def t(self) -> int:
         """AGG/VERI tolerance parameter: ``floor(2f / x)``."""
         return (2 * self.f) // self.x
+
+    n_intervals = x
+
+    def tolerance(self, interval: int) -> int:
+        """Every interval's pair runs with the same ``t``."""
+        return self.t
 
     @property
     def interval_rounds(self) -> int:
@@ -100,9 +117,12 @@ class TradeoffPlan:
         return sorted(picks)
 
 
-class Algorithm1Node(NodeHandler):
+class IntervalNode(NodeHandler):
     """Composite per-node handler: dormant AGG/VERI per interval + fallback.
 
+    The plan (:class:`TradeoffPlan` or
+    :class:`repro.core.unknown_f.DoublingPlan`) holds everything
+    protocol-specific, e.g. interval ``i``'s tolerance ``plan.tolerance(i)``.
     Non-root nodes re-arm a fresh (dormant) :class:`AggNode` at every
     interval boundary; it only speaks if the root's ``tree_construct``
     beacon arrives, so unselected intervals cost nothing.  The root arms
@@ -111,16 +131,15 @@ class Algorithm1Node(NodeHandler):
 
     def __init__(
         self,
-        plan: TradeoffPlan,
+        plan: "TradeoffPlan | DoublingPlan",
         node_id: int,
         my_input: int,
         rng: Optional[random.Random] = None,
     ) -> None:
         self.plan = plan
-        self.p = plan.params.with_t(plan.t)
         self.node_id = node_id
         self.my_input = my_input
-        self.is_root = node_id == self.p.root
+        self.is_root = node_id == plan.params.root
         if self.is_root:
             self.selected = plan.select_intervals(rng or random.Random())
         else:
@@ -129,6 +148,7 @@ class Algorithm1Node(NodeHandler):
         self._agg: Optional[AggNode] = None
         self._veri: Optional[VeriNode] = None
         self._bf: Optional[BruteForceNode] = None
+        self._interval: Optional[int] = None
 
         self.done = False
         self.result: Optional[int] = None
@@ -154,7 +174,30 @@ class Algorithm1Node(NodeHandler):
         return out
 
     def next_wake(self, rnd: int) -> Optional[int]:
-        return interval_wake(self, rnd, self.plan.x)
+        """Every interval start, every round where :meth:`_maybe_arm`
+        would hand a live AGG over to VERI (the round ``agg_rounds`` into
+        an interval; an AGG left armed past its own interval hands over
+        again one interval later), the brute-force start, and the
+        children's wakes."""
+        plan = self.plan
+        last = plan.total_rounds
+        if self.done or rnd >= last:
+            return None
+        span = plan.interval_rounds
+        wakes = []
+        nxt = (rnd - 1) // span + 1  # 0-based index of the next interval start
+        if nxt < plan.n_intervals:
+            wakes.append(nxt * span + 1)
+        if self._agg is not None:
+            handoff = self._agg.p.agg_rounds
+            wakes.append(handoff + 1 + span * max(0, -((handoff - rnd) // span)))
+        if self._bf is None:
+            wakes.append(plan.bruteforce_start)
+        for child in (self._agg, self._veri, self._bf):
+            if child is not None:
+                wakes.append(child.next_wake(rnd))
+        wake = min((w for w in wakes if w is not None and w > rnd), default=None)
+        return wake if wake is not None and wake <= last else None
 
     def _maybe_arm(self, rnd: int) -> None:
         plan = self.plan
@@ -162,36 +205,34 @@ class Algorithm1Node(NodeHandler):
         offset = rnd - 1
         if offset % plan.interval_rounds == 0:
             interval = offset // plan.interval_rounds + 1
-            if interval <= plan.x:
+            if interval <= plan.n_intervals:
                 self._veri = None
-                if self.is_root:
-                    if interval in self.selected:
-                        self._agg = AggNode(
-                            self.p, self.node_id, self.my_input, start_round=rnd
-                        )
+                self._agg = None
+                if not self.is_root or interval in self.selected:
+                    self._agg = AggNode(
+                        plan.params.with_t(plan.tolerance(interval)),
+                        self.node_id,
+                        self.my_input,
+                        start_round=rnd,
+                    )
+                    self._interval = interval
+                    if self.is_root:
                         self.pairs_run += 1
-                        self._current_interval = interval
                         if _spans.enabled:
                             _spans.active().event(
-                                "algorithm1.arm_interval",
+                                f"{plan.name}.arm_interval",
                                 cat="protocol",
                                 tid=self.node_id,
                                 round=rnd,
                                 interval=interval,
                             )
-                    else:
-                        self._agg = None
-                else:
-                    self._agg = AggNode(
-                        self.p, self.node_id, self.my_input, start_round=rnd
-                    )
         # AGG -> VERI handoff inside the interval.
         if (
             self._agg is not None
-            and offset % plan.interval_rounds == self.p.agg_rounds
+            and offset % plan.interval_rounds == self._agg.p.agg_rounds
         ):
             self._veri = VeriNode(
-                self.p, self.node_id, self._agg.state, start_round=rnd
+                self._agg.p, self.node_id, self._agg.state, start_round=rnd
             )
         # Brute-force fallback window.
         if rnd == plan.bruteforce_start and self._bf is None:
@@ -207,36 +248,33 @@ class Algorithm1Node(NodeHandler):
                 self.used_bruteforce = True
                 if _spans.enabled:
                     _spans.active().event(
-                        "algorithm1.arm_bruteforce",
+                        f"{plan.name}.arm_bruteforce",
                         cat="protocol",
                         tid=self.node_id,
                         round=rnd,
                     )
+            # Brute-force bit sizes do not depend on ``t``.
             self._bf = BruteForceNode(
-                self.p, self.node_id, self.my_input, start_round=rnd
+                plan.params, self.node_id, self.my_input, start_round=rnd
             )
 
     def _maybe_decide(self, rnd: int) -> None:
         if not self.is_root or self.done:
             return
-        if (
-            self._agg is not None
-            and self._veri is not None
-            and self._veri.done
-        ):
+        if self._veri is not None and self._veri.done:
             accepted = (not self._agg.aborted) and self._veri.output is True
             if _spans.enabled:
                 _spans.active().event(
-                    "algorithm1.pair_decided",
+                    f"{self.plan.name}.pair_decided",
                     cat="protocol",
                     tid=self.node_id,
                     round=rnd,
-                    interval=self._current_interval,
+                    interval=self._interval,
                     accepted=accepted,
                 )
             if accepted:
                 self.result = self._agg.result
-                self.winning_interval = self._current_interval
+                self.winning_interval = self._interval
                 self.done = True
             self._veri = None
             self._agg = None
@@ -248,42 +286,9 @@ class Algorithm1Node(NodeHandler):
         return self.done
 
 
-def interval_wake(node, rnd: int, n_intervals: int) -> Optional[int]:
-    """``next_wake`` of an interval composite (:class:`Algorithm1Node`,
-    :class:`repro.core.unknown_f.DoublingNode`).
-
-    ``node`` has a ``plan`` (``interval_rounds``, ``bruteforce_start``,
-    ``total_rounds``), ``n_intervals`` armed intervals, the current
-    ``_agg`` / ``_veri`` / ``_bf`` children and ``done``.  It must run at
-    every interval start, at every round where ``_maybe_arm`` would hand
-    a live AGG over to VERI (the round ``agg_rounds`` into an interval;
-    an AGG left armed past its own interval hands over again one interval
-    later), at the brute-force start, and at its children's wakes.
-    """
-    plan = node.plan
-    last = plan.total_rounds
-    if node.done or rnd >= last:
-        return None
-    span = plan.interval_rounds
-    wakes = []
-    nxt = (rnd - 1) // span + 1  # 0-based index of the next interval start
-    if nxt < n_intervals:
-        wakes.append(nxt * span + 1)
-    if node._agg is not None:
-        handoff = node._agg.p.agg_rounds
-        wakes.append(handoff + 1 + span * max(0, -((handoff - rnd) // span)))
-    if node._bf is None:
-        wakes.append(plan.bruteforce_start)
-    for child in (node._agg, node._veri, node._bf):
-        if child is not None:
-            wakes.append(child.next_wake(rnd))
-    wake = min((w for w in wakes if w is not None and w > rnd), default=None)
-    return wake if wake is not None and wake <= last else None
-
-
 @dataclass
-class TradeoffOutcome:
-    """Result of one Algorithm 1 execution."""
+class IntervalOutcome:
+    """Result of one Algorithm 1 or unknown-``f`` execution."""
 
     result: Optional[int]
     stats: SimStats
@@ -293,7 +298,7 @@ class TradeoffOutcome:
     winning_interval: Optional[int]
     used_bruteforce: bool
     selected_intervals: List[int]
-    plan: TradeoffPlan
+    plan: "TradeoffPlan | DoublingPlan"
     #: The executed network (exposes the effective crash map, which may
     #: include crashes injected online by adaptive adversaries).
     network: Optional[Network] = None
@@ -303,6 +308,87 @@ class TradeoffOutcome:
     #: The integrity coordinator, when the run used authenticated frames
     #: (:class:`repro.integrity.frames.IntegrityCoordinator`).
     integrity: Optional[object] = None
+
+    @property
+    def accepted_guess(self) -> Optional[int]:
+        """The tolerance ``t`` of the accepted pair (None if none was)."""
+        if self.winning_interval is None:
+            return None
+        return self.plan.tolerance(self.winning_interval)
+
+
+def run_intervals(
+    plan_for: Callable[[ProtocolParams], "TradeoffPlan | DoublingPlan"],
+    topology: Topology,
+    inputs: Dict[int, int],
+    schedule: Optional[FailureSchedule],
+    *,
+    f: Optional[int],
+    c: int,
+    caaf: CAAF,
+    rng: Optional[random.Random],
+    allow_root_crash: bool,
+    **overlays,
+) -> IntervalOutcome:
+    """Run one interval protocol on the plan ``plan_for(params)``.
+
+    The arguments are those of :func:`run_algorithm1`; ``f`` is the
+    edge-failure budget the schedule is checked against (None: not
+    checked), ``rng`` feeds the root's ``select_intervals``, and
+    ``overlays`` (injectors, monitors, transport, integrity) go to
+    :func:`repro.resilience.transport.overlay_network`.
+    """
+    # Lazy import: resilience builds on core, so core must not import it
+    # at module scope (same idiom as the BruteForceNode import above).
+    from ..resilience.transport import overlay_network
+
+    schedule = schedule or FailureSchedule()
+    schedule.validate(topology, f=f, allow_root_crash=allow_root_crash)
+    base = params_for(
+        topology, t=0, c=c, caaf=caaf, max_input=max(list(inputs.values()) + [1])
+    )
+    plan = plan_for(base)
+    nodes = {
+        u: IntervalNode(plan, u, inputs[u], rng=rng if u == topology.root else None)
+        for u in topology.nodes()
+    }
+    network, window, transport, integrity = overlay_network(
+        topology,
+        nodes,
+        schedule.crash_rounds,
+        root=topology.root,
+        allow_root_crash=allow_root_crash,
+        **overlays,
+    )
+    # Logical round K is computed at physical round (K-1)*window + 1, so
+    # this cap lets the inner protocol reach exactly its last round.
+    max_rounds = (plan.total_rounds - 1) * window + 1
+    if _spans.enabled:
+        with _spans.active().span(
+            plan.name,
+            cat="protocol",
+            tid=topology.root,
+            round=0,
+            **{attr: getattr(plan, attr) for attr in plan.span_attrs},
+        ):
+            stats = network.run(max_rounds, stop_on_output=True)
+    else:
+        stats = network.run(max_rounds, stop_on_output=True)
+    root = nodes[topology.root]
+    return IntervalOutcome(
+        result=root.result,
+        stats=stats,
+        rounds=stats.rounds_executed,
+        flooding_rounds=stats.flooding_rounds(topology.diameter),
+        pairs_run=root.pairs_run,
+        winning_interval=root.winning_interval,
+        used_bruteforce=root.used_bruteforce,
+        selected_intervals=root.selected,
+        plan=plan,
+        network=network,
+        transport=transport,
+        integrity=integrity,
+    )
 
 
 def run_algorithm1(
@@ -319,7 +405,7 @@ def run_algorithm1(
     transport=None,
     integrity=None,
     allow_root_crash: bool = False,
-) -> TradeoffOutcome:
+) -> IntervalOutcome:
     """Run Algorithm 1 once with TC budget ``b`` and failure budget ``f``.
 
     ``injectors`` and ``monitors`` are forwarded to the
@@ -336,61 +422,10 @@ def run_algorithm1(
     ``allow_root_crash`` opts out of the Section-2 root protection (used
     by the failover layer).
     """
-    # Lazy import: resilience builds on core, so core must not import it
-    # at module scope (same idiom as the BruteForceNode import above).
-    from ..resilience.transport import overlay_network
-
-    schedule = schedule or FailureSchedule()
-    schedule.validate(topology, f=f, allow_root_crash=allow_root_crash)
-    base = params_for(
-        topology, t=0, c=c, caaf=caaf, max_input=max(list(inputs.values()) + [1])
-    )
-    plan = TradeoffPlan(params=base, b=b, f=f)
-    rng = rng or random.Random()
-    nodes = {
-        u: Algorithm1Node(plan, u, inputs[u], rng=rng if u == topology.root else None)
-        for u in topology.nodes()
-    }
-    network, window, transport, integrity = overlay_network(
-        topology,
-        nodes,
-        schedule.crash_rounds,
-        transport=transport,
-        integrity=integrity,
-        injectors=injectors,
-        monitors=monitors,
-        root=topology.root,
-        allow_root_crash=allow_root_crash,
-    )
-    # Logical round K is computed at physical round (K-1)*window + 1, so
-    # this cap lets the inner protocol reach exactly its last round.
-    max_rounds = (plan.total_rounds - 1) * window + 1
-    if _spans.enabled:
-        with _spans.active().span(
-            "algorithm1",
-            cat="protocol",
-            tid=topology.root,
-            round=0,
-            b=b,
-            f=f,
-            x=plan.x,
-            t=plan.t,
-        ):
-            stats = network.run(max_rounds, stop_on_output=True)
-    else:
-        stats = network.run(max_rounds, stop_on_output=True)
-    root = nodes[topology.root]
-    return TradeoffOutcome(
-        result=root.result,
-        stats=stats,
-        rounds=stats.rounds_executed,
-        flooding_rounds=stats.flooding_rounds(topology.diameter),
-        pairs_run=root.pairs_run,
-        winning_interval=root.winning_interval,
-        used_bruteforce=root.used_bruteforce,
-        selected_intervals=root.selected,
-        plan=plan,
-        network=network,
-        transport=transport,
-        integrity=integrity,
+    return run_intervals(
+        lambda params: TradeoffPlan(params=params, b=b, f=f),
+        topology, inputs, schedule, f=f, c=c, caaf=caaf,
+        rng=rng, allow_root_crash=allow_root_crash,
+        injectors=injectors, monitors=monitors,
+        transport=transport, integrity=integrity,
     )

@@ -45,7 +45,7 @@ from ..sim.network import Network
 from ..sim.node import NodeHandler
 from ..sim.stats import SimStats
 from . import wire
-from .agg import AggNode, TreeState, run_agg
+from .agg import AggNode, TreeState, _index_of, run_agg
 from .params import ProtocolParams
 from .wire import VERI_FLOOD_KINDS
 
@@ -114,11 +114,8 @@ class VeriNode(NodeHandler):
             tracer.end(tid=self.node_id, round=rnd)
             self._obs_phase = None
 
-    def obs_close(self, rnd: int) -> None:
-        """Close any open phase span (handler discarded mid-phase)."""
-        if self._obs_phase is not None and _spans.enabled:
-            _spans.active().end(tid=self.node_id, round=rnd)
-            self._obs_phase = None
+    #: AGG's: both handlers track the open span in ``_obs_phase``.
+    obs_close = AggNode.obs_close
 
     def on_round(self, rnd: int, inbox: Sequence[Envelope]) -> List[Part]:
         rel = rnd - self.start_round + 1
@@ -262,16 +259,9 @@ class VeriNode(NodeHandler):
             return True  # k = infinity: chain may extend past our horizon
         return k - i + 1 >= t
 
-    def _boundary_index(self) -> Optional[int]:
-        """Smallest ``j`` with ``ancestors[j]`` the root or an AGG-time
-        critical failure (fragment boundary)."""
-        st = self.state
-        for j, node in enumerate(st.ancestors):
-            if node is None:
-                return None
-            if node == self.p.root or node in st.critical_failures:
-                return j
-        return None
+    #: AGG's fragment boundary, on the tree state (and hence the
+    #: AGG-time critical failures) AGG left behind.
+    _boundary_index = AggNode._boundary_index
 
     # ------------------------------------------------------------------ #
     # Observations, output, budget.
@@ -325,13 +315,6 @@ class VeriNode(NodeHandler):
             planned = sum(part.bits for part in out)
         self.bits_sent += planned
         return out
-
-
-def _index_of(ancestors: List[Optional[int]], target: int) -> Optional[int]:
-    for idx, node in enumerate(ancestors):
-        if node == target:
-            return idx
-    return None
 
 
 # --------------------------------------------------------------------- #

@@ -33,7 +33,7 @@ explicit budget cap.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .message import Part
@@ -643,12 +643,7 @@ class FaultCounts:
 
     def as_dict(self) -> Dict[str, int]:
         """Plain-dict view for tables and JSON rows."""
-        return {
-            "drops": self.drops,
-            "duplicates": self.duplicates,
-            "delays": self.delays,
-            "reorders": self.reorders,
-        }
+        return asdict(self)
 
 
 class MessageFaults(FaultInjector):
@@ -825,11 +820,7 @@ class CorruptionCounts:
 
     def as_dict(self) -> Dict[str, int]:
         """Plain-dict view for tables and JSON rows."""
-        return {
-            "bitflips": self.bitflips,
-            "truncations": self.truncations,
-            "stale_replays": self.stale_replays,
-        }
+        return asdict(self)
 
 
 def flip_int_leaf(payload, rng: random.Random):
@@ -1127,11 +1118,7 @@ class GrayCounts:
 
     def as_dict(self) -> Dict[str, int]:
         """Plain-dict view for tables and JSON rows."""
-        return {
-            "stalled_copies": self.stalled_copies,
-            "inflated_copies": self.inflated_copies,
-            "delay_rounds": self.delay_rounds,
-        }
+        return asdict(self)
 
 
 class GrayFailureSchedule(FaultInjector):
@@ -1524,13 +1511,7 @@ class ByzCounts:
 
     def as_dict(self) -> Dict[str, int]:
         """Plain-dict view for tables and JSON rows."""
-        return {
-            "equivocations": self.equivocations,
-            "inflations": self.inflations,
-            "deflations": self.deflations,
-            "replays": self.replays,
-            "omissions": self.omissions,
-        }
+        return asdict(self)
 
 
 class ByzantineSchedule(FaultInjector):

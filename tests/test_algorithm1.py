@@ -1,4 +1,8 @@
-"""Algorithm 1: plan arithmetic, interval selection, and Theorem 1."""
+"""Algorithm 1: plan arithmetic, interval selection, and Theorem 1.
+
+Also here: the plan contract :class:`repro.core.algorithm1.IntervalNode`
+relies on, for both interval protocols (Algorithm 1 and unknown-``f``).
+"""
 
 import math
 import random
@@ -15,6 +19,7 @@ from repro.core.algorithm1 import TradeoffPlan, run_algorithm1
 from repro.core.caaf import MAX, SUM
 from repro.core.correctness import is_correct_result
 from repro.core.params import params_for
+from repro.core.unknown_f import run_unknown_f
 from repro.graphs import cycle_graph, grid_graph, path_graph
 from tests.conftest import indexed_inputs, unit_inputs
 
@@ -210,6 +215,44 @@ class TestBruteforceFallback:
             grid44, unit_inputs(grid44), f=2, b=50, rng=random.Random(0)
         )
         assert not out.used_bruteforce
+
+
+class TestIntervalContract:
+    """What the shared interval handler needs from either plan."""
+
+    @pytest.mark.parametrize("protocol", ["algorithm1", "unknown_f"])
+    def test_plan_contract(self, protocol):
+        topo = grid_graph(5, 5)
+        accepted = 0
+        for seed in range(4):
+            rng = random.Random(seed)
+            schedule = random_failures(
+                topo, f=6, rng=rng, first_round=1, last_round=200
+            )
+            inputs = {u: rng.randint(0, 9) for u in topo.nodes()}
+            if protocol == "algorithm1":
+                out = run_algorithm1(
+                    topo, inputs, f=6, b=100, schedule=schedule, rng=rng
+                )
+            else:
+                out = run_unknown_f(topo, inputs, schedule=schedule)
+            plan = out.plan
+            assert plan.name == protocol
+            # The last interval ends before the brute-force window, which
+            # is exactly the last 2c flooding rounds.
+            assert plan.n_intervals * plan.interval_rounds < plan.bruteforce_start
+            assert plan.total_rounds - plan.bruteforce_start + 1 == 2 * plan.params.cd
+            assert set(out.selected_intervals) <= set(range(1, plan.n_intervals + 1))
+            assert is_correct_result(
+                out.result, SUM, topo, inputs, schedule, out.rounds
+            )
+            if out.winning_interval is None:
+                assert out.accepted_guess is None
+                continue
+            accepted += 1
+            assert out.winning_interval in out.selected_intervals
+            assert out.accepted_guess == plan.tolerance(out.winning_interval)
+        assert accepted
 
 
 class TestModelValidation:

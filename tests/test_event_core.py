@@ -22,9 +22,9 @@ from repro.adversary import FailureSchedule, random_failures
 from repro.analysis.runner import run_protocol
 from repro.baselines.bruteforce import BruteForceNode
 from repro.core.agg import AggNode, run_agg
-from repro.core.algorithm1 import Algorithm1Node, TradeoffPlan
+from repro.core.algorithm1 import IntervalNode, TradeoffPlan
 from repro.core.params import params_for
-from repro.core.unknown_f import DoublingNode, DoublingPlan
+from repro.core.unknown_f import DoublingPlan
 from repro.core.veri import VeriNode
 from repro.graphs import (
     grid_graph,
@@ -240,11 +240,11 @@ def _network_of(kind, topo, seed):
         plan = TradeoffPlan(params=params_for(topo), b=60, f=3)
         rng = random.Random(seed)
         nodes = {
-            u: Algorithm1Node(plan, u, inputs[u], rng=rng) for u in topo.nodes()
+            u: IntervalNode(plan, u, inputs[u], rng=rng) for u in topo.nodes()
         }
     else:
         plan = DoublingPlan(params=params_for(topo))
-        nodes = {u: DoublingNode(plan, u, inputs[u]) for u in topo.nodes()}
+        nodes = {u: IntervalNode(plan, u, inputs[u]) for u in topo.nodes()}
     return Network(topo.adjacency, nodes, schedule.crash_rounds, root=topo.root)
 
 
@@ -335,13 +335,13 @@ def test_default_handlers_mixed_in_run_every_round():
 def test_algorithm1_handler_calls_are_a_small_fraction(monkeypatch):
     topo = grid_graph(10, 10)
     calls = [0]
-    on_round = Algorithm1Node.on_round
+    on_round = IntervalNode.on_round
 
     def counted(self, rnd, inbox):
         calls[0] += 1
         return on_round(self, rnd, inbox)
 
-    monkeypatch.setattr(Algorithm1Node, "on_round", counted)
+    monkeypatch.setattr(IntervalNode, "on_round", counted)
     schedule = random_failures(
         topo, 8, random.Random(0), last_round=90 * topo.diameter, respect_c=2
     )

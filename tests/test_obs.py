@@ -470,16 +470,16 @@ class TestTraceAnalysis:
 # --------------------------------------------------------------------- #
 
 
-def _traced_run(detail="phases", seed=0):
+def _traced_run(detail="phases", seed=0, protocol="algorithm1"):
     topo = grid_graph(4, 4)
     inputs = {u: 1 for u in topo.nodes()}
     with ObsCapture(seed=seed, detail=detail) as cap:
         record = run_protocol(
-            "algorithm1",
+            protocol,
             topo,
             inputs,
             f=2,
-            b=45,
+            b=45 if protocol == "algorithm1" else None,
             rng=random.Random(seed),
         )
     cap.tracer.close_all()
@@ -496,12 +496,11 @@ class TestEndToEnd:
         assert "veri.failed_parent" in names
         assert record.correct
 
-    def test_phase_spans_nest_under_protocol_root(self):
-        _, cap = _traced_run()
+    @pytest.mark.parametrize("protocol", ["algorithm1", "unknown_f"])
+    def test_phase_spans_nest_under_protocol_root(self, protocol):
+        _, cap = _traced_run(protocol=protocol)
         spans = {s["sid"]: s for s in cap.tracer.spans}
-        root = next(
-            s for s in cap.tracer.spans if s["name"] == "algorithm1"
-        )
+        root = next(s for s in cap.tracer.spans if s["name"] == protocol)
         for s in cap.tracer.spans:
             if s["name"].startswith(("agg.", "veri.")):
                 assert spans[s["parent"]]["sid"] == root["sid"]
