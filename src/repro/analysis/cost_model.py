@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from ..core.params import ProtocolParams
+from ..core.params import AGG_PHASES, ProtocolParams
 from ..sim.message import TAG_BITS
 
 
@@ -124,15 +124,10 @@ def phase_breakdown_from_trace(tracer, p: ProtocolParams) -> Dict[str, int]:
     Splits :meth:`repro.sim.trace.Tracer.bits_per_round` at the phase
     boundaries of a standalone AGG execution (start round 1).
     """
-    spans = {
-        "construction": p.agg_construction_span,
-        "aggregation": p.agg_aggregation_span,
-        "flooding": p.agg_flooding_span,
-        "selection": p.agg_selection_span,
-    }
+    keys = ("construction", "aggregation", "flooding", "selection")
     per_round = tracer.bits_per_round()
     out = {}
-    for name, (lo, hi) in spans.items():
+    for name, (lo, hi) in zip(keys, p.phase_spans(AGG_PHASES)):
         out[name] = sum(
             bits for rnd, bits in per_round.items() if lo <= rnd <= hi
         )

@@ -442,9 +442,7 @@ def _run_plain(
         # Quarantined links count as live gaps on purpose — starved
         # frames are real data loss and must decertify (same rule as the
         # failover layer's certification).
-        extra["live_gaps"] = len(
-            transport.live_gaps(network.crash_rounds if network else {})
-        )
+        extra["live_gaps"] = len(transport.live_gaps(network))
         stats.link_stats = transport.link_counters()
         if transport.config.hedge:
             extra["hedges"] = counters["hedges"]

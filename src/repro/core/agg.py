@@ -42,7 +42,7 @@ from ..sim.network import Network
 from ..sim.node import NodeHandler
 from ..sim.stats import SimStats
 from . import wire
-from .params import ProtocolParams, params_for
+from .params import AGG_PHASES, ProtocolParams, params_for
 from .wire import AGG_FLOOD_KINDS, DOMINATED, KEEP
 
 
@@ -64,13 +64,185 @@ class TreeState:
     critical_failures: Set[int] = field(default_factory=set)
 
 
-class AggNode(NodeHandler):
+class PhasedNode(NodeHandler):
+    """The round skeleton AGG and VERI share: a fixed sequence of phases.
+
+    A subclass declares its phase table ``PHASES`` (:data:`AGG_PHASES` or
+    :data:`VERI_PHASES`), one phase method per phase in ``PHASE_ROUNDS``
+    (called with the phase-relative round and the inbox; it returns the
+    parts it broadcasts directly, if any), its ``FLOOD_KINDS``, and its
+    valve: ``BUDGET`` names the :class:`ProtocolParams` bit budget and
+    ``ABORT`` the special symbol's kind (``wire`` builds it under that
+    name).  Rounds outside ``[start_round, start_round + last_round - 1]``
+    are ignored.
+    """
+
+    PHASES: tuple = ()
+    PHASE_ROUNDS: tuple = ()
+    FLOOD_KINDS: frozenset = frozenset()
+    BUDGET = ""
+    ABORT = ""
+
+    def __init__(
+        self, params: ProtocolParams, node_id: int, start_round: int
+    ) -> None:
+        self.p = params
+        self.node_id = node_id
+        self.is_root = node_id == params.root
+        self.start_round = start_round
+        self.floods = FloodManager(self.FLOOD_KINDS)
+        #: Each phase's ``(first, last)`` relative round; ``d`` and ``c``
+        #: never change, so neither do these.
+        self.spans = params.phase_spans(self.PHASES)
+        self.last_round = self.spans[-1][1]
+        self.bits_sent = 0
+        #: Set once this node floods or hears the abort symbol.
+        self.aborted = False
+        self.done = False
+        self._obs_phase: Optional[int] = None
+
+    # ------------------------------------------------------------------ #
+    # Round dispatch.
+    # ------------------------------------------------------------------ #
+
+    def on_round(self, rnd: int, inbox: Sequence[Envelope]) -> List[Part]:
+        rel = rnd - self.start_round + 1
+        if rel < 1 or rel > self.last_round:
+            return []
+        idx = 0
+        while rel > self.spans[idx][1]:
+            idx += 1
+        if _spans.enabled and self.is_root:
+            self._obs_mark(rnd, rel, idx)
+
+        fresh = self.floods.absorb(inbox, rel)
+        self._note_flood_observations(fresh)
+
+        out: List[Part] = []
+        if not self.aborted:
+            phase_round = getattr(self, self.PHASE_ROUNDS[idx])
+            out = phase_round(rel - self.spans[idx][0] + 1, inbox) or out
+        out += self.floods.emit()
+        out = self._valve(out)
+
+        if self.is_root and rel == self.last_round:
+            self._produce_output()
+        return out
+
+    def next_wake(self, rnd: int) -> Optional[int]:
+        """The next of this node's fixed slots (:meth:`_slots`).
+
+        An aborted node has no slots left; the root keeps its output
+        slot, and while tracing is on it runs every round for its phase
+        spans.
+        """
+        base = self.start_round - 1
+        rel = rnd - base
+        last = self.last_round
+        if rel >= last:
+            return None
+        if _spans.enabled and self.is_root:
+            return base + max(rel, 0) + 1
+        slots = [last] if self.is_root else []
+        if not self.aborted:
+            slots += self._slots()
+        later = [slot for slot in slots if slot > rel]
+        return base + min(later) if later else None
+
+    def _obs_mark(self, rnd: int, rel: int, idx: int) -> None:
+        """Emit root-timeline phase spans (phases are fixed round
+        windows shared by every node, so the root's view is the
+        protocol's).  Only called when tracing is armed."""
+        tracer = _spans.active()
+        if idx != self._obs_phase:
+            if self._obs_phase is not None:
+                tracer.end(tid=self.node_id, round=rnd - 1)
+            name = self.PHASES[idx][0]
+            tracer.begin(
+                name, cat=name.split(".")[0], tid=self.node_id, round=rnd
+            )
+            self._obs_phase = idx
+        if rel == self.last_round:
+            tracer.end(tid=self.node_id, round=rnd)
+            self._obs_phase = None
+
+    def obs_close(self, rnd: int) -> None:
+        """Close any open phase span (handler discarded mid-phase)."""
+        if self._obs_phase is not None and _spans.enabled:
+            _spans.active().end(tid=self.node_id, round=rnd)
+            self._obs_phase = None
+
+    # ------------------------------------------------------------------ #
+    # Witnesses and the bit budget.
+    # ------------------------------------------------------------------ #
+
+    def _witness_of(self, target: int) -> Optional[Tuple[int, Optional[int]]]:
+        """``(i, j)`` when this node is a witness of ``target``, else None.
+
+        ``i`` is ``target``'s index in the ancestor list (at most ``t``)
+        and ``j`` the fragment boundary (:meth:`_boundary_index`), which
+        ``i`` does not pass.
+        """
+        anc = self.state.ancestors
+        i = next((k for k, node in enumerate(anc) if node == target), None)
+        j = self._boundary_index()
+        if i is None or i > self.p.t or (j is not None and i > j):
+            return None
+        return i, j
+
+    def _boundary_index(self) -> Optional[int]:
+        """Smallest ``j`` with ``ancestors[j]`` the root or a critical
+        failure (VERI: on the tree state, and hence the AGG-time critical
+        failures, AGG left behind)."""
+        st = self.state
+        for j, node in enumerate(st.ancestors):
+            if node is None:
+                return None
+            if node == self.p.root or node in st.critical_failures:
+                return j
+        return None
+
+    def _valve(self, out: List[Part]) -> List[Part]:
+        """The special-symbol mechanism of Algorithms 2 and 3: flood the
+        ``ABORT`` symbol instead of exceeding the ``BUDGET`` bits (read
+        from ``self.p`` at every check), then send nothing else."""
+        planned = sum(part.bits for part in out)
+        if (
+            not self.aborted
+            and out
+            and self.bits_sent + planned > getattr(self.p, self.BUDGET)
+        ):
+            self.aborted = True
+            symbol = getattr(wire, self.ABORT)(self.p)
+            self.floods.initiate(symbol)
+            self.floods.emit()
+            out = [symbol]
+            planned = symbol.bits
+        elif self.aborted:
+            out = [part for part in out if part.kind == self.ABORT]
+            planned = sum(part.bits for part in out)
+        self.bits_sent += planned
+        return out
+
+
+class AggNode(PhasedNode):
     """Per-node handler implementing Algorithm 2.
 
     ``start_round`` lets Algorithm 1 embed AGG executions at interval
     boundaries; rounds outside ``[start_round, start_round + 7cd + 3]`` are
     ignored.
     """
+
+    PHASES = AGG_PHASES
+    PHASE_ROUNDS = (
+        "_construction_round",
+        "_aggregation_round",
+        "_flooding_round",
+        "_selection_round",
+    )
+    FLOOD_KINDS = AGG_FLOOD_KINDS
+    BUDGET = "agg_bit_budget"
+    ABORT = "agg_abort"
 
     def __init__(
         self,
@@ -79,12 +251,7 @@ class AggNode(NodeHandler):
         my_input: int,
         start_round: int = 1,
     ) -> None:
-        self.p = params
-        self.node_id = node_id
-        self.is_root = node_id == params.root
-        self.start_round = start_round
-        self.floods = FloodManager(AGG_FLOOD_KINDS)
-
+        super().__init__(params, node_id, start_round)
         self.state = TreeState()
         if self.is_root:
             self.state.activated = True
@@ -98,128 +265,39 @@ class AggNode(NodeHandler):
         #: (label, source) determinations seen (phase 4 observations).
         self.determinations: Set[Tuple[str, int]] = set()
 
-        self.bits_sent = 0
-        self.aborted = False
-        self.done = False
         #: Root-only: the final aggregate (None if aborted / not finished).
         self.result: Optional[int] = None
-        self._obs_phase: Optional[int] = None
 
-    # ------------------------------------------------------------------ #
-    # Round dispatch.
-    # ------------------------------------------------------------------ #
+    #: Bound here, not only inherited: the perf layer tracer books
+    #: ``on_round`` to the class whose ``vars()`` define it.
+    on_round = PhasedNode.on_round
 
-    #: Phase names in dispatch order, for observability spans.
-    OBS_PHASES = (
-        "agg.tree_construction",
-        "agg.tree_aggregation",
-        "agg.speculative_flooding",
-        "agg.selection",
-    )
-
-    def _obs_mark(self, rnd: int, rel: int) -> None:
-        """Emit root-timeline phase spans (phases are fixed round
-        windows shared by every node, so the root's view is the
-        protocol's).  Only called when tracing is armed."""
-        cd = self.p.cd
-        idx = (
-            0
-            if rel <= 2 * cd + 1
-            else 1
-            if rel <= 4 * cd + 2
-            else 2
-            if rel <= 6 * cd + 3
-            else 3
-        )
-        tracer = _spans.active()
-        if idx != self._obs_phase:
-            if self._obs_phase is not None:
-                tracer.end(tid=self.node_id, round=rnd - 1)
-            tracer.begin(
-                self.OBS_PHASES[idx], cat="agg", tid=self.node_id, round=rnd
-            )
-            self._obs_phase = idx
-        if rel == self.p.agg_rounds:
-            tracer.end(tid=self.node_id, round=rnd)
-            self._obs_phase = None
-
-    def obs_close(self, rnd: int) -> None:
-        """Close any open phase span (handler discarded mid-phase)."""
-        if self._obs_phase is not None and _spans.enabled:
-            _spans.active().end(tid=self.node_id, round=rnd)
-            self._obs_phase = None
-
-    def on_round(self, rnd: int, inbox: Sequence[Envelope]) -> List[Part]:
-        rel = rnd - self.start_round + 1
-        if rel < 1 or rel > self.p.agg_rounds:
-            return []
-        if _spans.enabled and self.is_root:
-            self._obs_mark(rnd, rel)
-
-        fresh = self.floods.absorb(inbox, rel)
-        self._note_flood_observations(fresh)
-
-        out: List[Part] = []
-        if not self.aborted:
-            cd = self.p.cd
-            if rel <= 2 * cd + 1:
-                self._construction_round(rel, inbox, out)
-            elif rel <= 4 * cd + 2:
-                self._aggregation_round(rel - (2 * cd + 1), inbox, out)
-            elif rel <= 6 * cd + 3:
-                self._flooding_round(rel - (4 * cd + 2), inbox)
-            else:
-                self._selection_round(rel - (6 * cd + 3))
-
-        out.extend(self.floods.emit())
-        out = self._enforce_budget(out)
-
-        if self.is_root and rel == self.p.agg_rounds:
-            self._produce_output()
-        return out
-
-    def next_wake(self, rnd: int) -> Optional[int]:
-        """The next of this node's fixed slots (see the phase methods).
-
-        Besides the slots, an empty-inbox round only matters for a node
-        still waiting to forward its beacon, and for an activated node's
-        first aggregation round (it sets ``max_level``).  An aborted node
-        has no slots left; the root keeps its output slot, and while
-        tracing is on it runs every round for its phase spans.
-        """
-        base = self.start_round - 1
-        rel = rnd - base
-        last = self.p.agg_rounds
-        if rel >= last:
-            return None
-        if _spans.enabled and self.is_root:
-            return base + max(rel, 0) + 1
-        cd = self.p.cd
-        st = self.state
-        slots = [last] if self.is_root else []
-        if not self.aborted:
-            if self.is_root:
-                slots.append(1)
-            if self._pending_tree_construct is not None:
-                slots.append(self._pending_tree_construct)
-            if st.activated:
-                if st.level <= cd:
-                    slots.append(3 * cd + 2 - st.level)
-                    if st.max_level < st.level:
-                        slots.append(2 * cd + 2)
-                slots.append(4 * cd + 3 + st.level)
-                slots.append(6 * cd + 4)
-        later = [slot for slot in slots if slot > rel]
-        return base + min(later) if later else None
+    def _slots(self) -> List[int]:
+        """Phase-relative slots of the phase methods.  Besides those, an
+        empty-inbox round only matters for a node still waiting to
+        forward its beacon, and for an activated node's first aggregation
+        round (it sets ``max_level``)."""
+        st, spans, cd = self.state, self.spans, self.p.cd
+        slots = [spans[0][0]] if self.is_root else []
+        if self._pending_tree_construct is not None:
+            slots.append(self._pending_tree_construct)
+        if st.activated:
+            if st.level <= cd:
+                slots.append(spans[1][0] + cd - st.level)
+                if st.max_level < st.level:
+                    slots.append(spans[1][0])
+            slots += (spans[2][0] + st.level, spans[3][0])
+        return slots
 
     # ------------------------------------------------------------------ #
     # Phase 1: tree construction (rounds 1 .. 2cd+1).
     # ------------------------------------------------------------------ #
 
     def _construction_round(
-        self, rel: int, inbox: Sequence[Envelope], out: List[Part]
-    ) -> None:
+        self, rel: int, inbox: Sequence[Envelope]
+    ) -> List[Part]:
         st = self.state
+        out: List[Part] = []
         if self.is_root and rel == 1:
             out.append(wire.tree_construct(self.p, 0, ()))
 
@@ -254,21 +332,22 @@ class AggNode(NodeHandler):
         for env in inbox:
             if env.part.kind == "ack" and env.part.payload == (self.node_id,):
                 st.children.add(env.sender)
+        return out
 
     # ------------------------------------------------------------------ #
     # Phase 2: tree aggregation (phase rounds 1 .. 2cd+1).
     # ------------------------------------------------------------------ #
 
     def _aggregation_round(
-        self, p: int, inbox: Sequence[Envelope], out: List[Part]
-    ) -> None:
+        self, p: int, inbox: Sequence[Envelope]
+    ) -> Optional[List[Part]]:
         st = self.state
         if not st.activated or st.level > self.p.cd:
-            return
+            return None
         if st.max_level < st.level:
             st.max_level = st.level
         if p != self.p.cd - st.level + 1:
-            return
+            return None
         arrived = {
             env.sender: env.part.payload
             for env in inbox
@@ -283,7 +362,7 @@ class AggNode(NodeHandler):
                 self.floods.initiate(wire.critical_failure(self.p, child))
                 st.critical_failures.add(child)
         # Line 23: every node (root included) broadcasts its aggregate.
-        out.append(wire.aggregation(self.p, st.psum, st.max_level))
+        return [wire.aggregation(self.p, st.psum, st.max_level)]
 
     # ------------------------------------------------------------------ #
     # Phase 3: speculative flooding (phase rounds 1 .. 2cd+1).
@@ -311,7 +390,7 @@ class AggNode(NodeHandler):
     # Phase 4: partial-sum selection (phase rounds 1 .. cd+1).
     # ------------------------------------------------------------------ #
 
-    def _selection_round(self, p: int) -> None:
+    def _selection_round(self, p: int, inbox: Sequence[Envelope]) -> None:
         if p != 1 or not self.state.activated:
             return
         for source in sorted(self.flooded_sources):
@@ -325,35 +404,21 @@ class AggNode(NodeHandler):
 
         Returns None when this node is not a witness of ``source``.
         """
-        st = self.state
-        anc = st.ancestors
-        t = self.p.t
-        i = _index_of(anc, source)
-        j = self._boundary_index()
-        if i is None or i > t:
+        witness = self._witness_of(source)
+        if witness is None:
             return None
-        if j is not None and i > j:
-            return None
+        i, j = witness
         if j is None:
             return DOMINATED
+        anc = self.state.ancestors
         dominated = any(
             anc[k] is not None and anc[k] in self.flooded_sources
             for k in range(i + 1, j + 1)
         )
         return DOMINATED if dominated else KEEP
 
-    def _boundary_index(self) -> Optional[int]:
-        """Smallest ``j`` with ``ancestors[j]`` the root or a critical failure."""
-        st = self.state
-        for j, node in enumerate(st.ancestors):
-            if node is None:
-                return None
-            if node == self.p.root or node in st.critical_failures:
-                return j
-        return None
-
     # ------------------------------------------------------------------ #
-    # Observations, output, and the bit budget.
+    # Observations and output.
     # ------------------------------------------------------------------ #
 
     def _note_flood_observations(self, fresh: Sequence[Envelope]) -> None:
@@ -379,35 +444,6 @@ class AggNode(NodeHandler):
             if (KEEP, source) in self.determinations:
                 total = self.p.caaf.op(total, psum)
         self.result = total
-
-    def _enforce_budget(self, out: List[Part]) -> List[Part]:
-        """Abort (Algorithm 2's special-symbol mechanism) before exceeding
-        the ``(11t + 14)(logN + 5)`` budget by more than the abort symbol."""
-        planned = sum(part.bits for part in out)
-        if (
-            not self.aborted
-            and out
-            and self.bits_sent + planned > self.p.agg_bit_budget
-        ):
-            self.aborted = True
-            abort_part = wire.agg_abort(self.p)
-            self.floods.initiate(abort_part)
-            self.floods.emit()
-            out = [abort_part]
-            planned = abort_part.bits
-        if self.aborted:
-            out = [part for part in out if part.kind == "agg_abort"]
-            planned = sum(part.bits for part in out)
-        self.bits_sent += planned
-        return out
-
-
-def _index_of(ancestors: List[Optional[int]], target: int) -> Optional[int]:
-    """Smallest index of ``target`` in the ancestor list, else None."""
-    for idx, node in enumerate(ancestors):
-        if node == target:
-            return idx
-    return None
 
 
 # --------------------------------------------------------------------- #

@@ -175,8 +175,8 @@ class IntervalNode(NodeHandler):
 
     def next_wake(self, rnd: int) -> Optional[int]:
         """Every interval start, every round where :meth:`_maybe_arm`
-        would hand a live AGG over to VERI (the round ``agg_rounds`` into
-        an interval; an AGG left armed past its own interval hands over
+        would hand a live AGG over to VERI (its ``last_round`` into an
+        interval; an AGG left armed past its own interval hands over
         again one interval later), the brute-force start, and the
         children's wakes."""
         plan = self.plan
@@ -189,7 +189,7 @@ class IntervalNode(NodeHandler):
         if nxt < plan.n_intervals:
             wakes.append(nxt * span + 1)
         if self._agg is not None:
-            handoff = self._agg.p.agg_rounds
+            handoff = self._agg.last_round
             wakes.append(handoff + 1 + span * max(0, -((handoff - rnd) // span)))
         if self._bf is None:
             wakes.append(plan.bruteforce_start)
@@ -229,7 +229,7 @@ class IntervalNode(NodeHandler):
         # AGG -> VERI handoff inside the interval.
         if (
             self._agg is not None
-            and offset % plan.interval_rounds == self._agg.p.agg_rounds
+            and offset % plan.interval_rounds == self._agg.last_round
         ):
             self._veri = VeriNode(
                 self._agg.p, self.node_id, self._agg.state, start_round=rnd

@@ -5,7 +5,11 @@ id, the diameter ``d``, the diameter-stretch constant ``c`` (failures never
 push the remaining diameter past ``c * d``), the failure-tolerance parameter
 ``t`` of AGG/VERI, and the input domain bound used to size value fields.
 
-Phase boundaries follow Algorithms 2 and 3 exactly:
+Phase boundaries follow Algorithms 2 and 3 exactly.  Each protocol is a
+fixed sequence of phases declared once, in :data:`AGG_PHASES` and
+:data:`VERI_PHASES`, as ``(span name, k)`` pairs: the phase lasts
+``k·cd + 1`` rounds, and :meth:`ProtocolParams.phase_spans` lays them end
+to end.
 
 * AGG: tree construction ``2cd+1`` rounds, aggregation ``2cd+1``,
   speculative flooding ``2cd+1``, partial-sum selection ``cd+1`` —
@@ -21,12 +25,28 @@ floods an overflow symbol once it has sent ``(5t+7)(3logN+10)`` bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..graphs.topology import Topology
 from ..sim.message import id_bits, value_bits
 from .caaf import CAAF, SUM
+
+#: Algorithm 2's phases in order, as ``(span name, k)``: ``k·cd + 1`` rounds
+#: each.  The span names are the root's observability phase spans.
+AGG_PHASES = (
+    ("agg.tree_construction", 2),
+    ("agg.tree_aggregation", 2),
+    ("agg.speculative_flooding", 2),
+    ("agg.selection", 1),
+)
+
+#: Algorithm 3's phases, as in :data:`AGG_PHASES`.
+VERI_PHASES = (
+    ("veri.failed_parent", 2),
+    ("veri.failed_child", 2),
+    ("veri.lfc_detection", 1),
+)
 
 
 @dataclass(frozen=True)
@@ -81,50 +101,31 @@ class ProtocolParams:
         """``c * d`` — the conservative per-flood round allowance."""
         return self.c * self.diameter
 
+    def phase_spans(self, phases) -> tuple:
+        """Each phase's ``(first, last)`` round, 1-based relative to the
+        execution's start and inclusive; ``phases`` is
+        :data:`AGG_PHASES` or :data:`VERI_PHASES`."""
+        cd = self.cd
+        spans, last = [], 0
+        for _name, k in phases:
+            spans.append((last + 1, last + k * cd + 1))
+            last = spans[-1][1]
+        return tuple(spans)
+
     @property
     def agg_rounds(self) -> int:
         """Total rounds of one AGG execution (``7cd + 4``)."""
-        return 7 * self.cd + 4
+        return self.phase_spans(AGG_PHASES)[-1][1]
 
     @property
     def veri_rounds(self) -> int:
         """Total rounds of one VERI execution (``5cd + 3``)."""
-        return 5 * self.cd + 3
+        return self.phase_spans(VERI_PHASES)[-1][1]
 
     @property
     def pair_rounds(self) -> int:
         """Rounds of an AGG immediately followed by a VERI (``12cd + 7``)."""
         return self.agg_rounds + self.veri_rounds
-
-    # AGG phase boundaries (1-based relative rounds, inclusive).
-    @property
-    def agg_construction_span(self) -> tuple:
-        return (1, 2 * self.cd + 1)
-
-    @property
-    def agg_aggregation_span(self) -> tuple:
-        return (2 * self.cd + 2, 4 * self.cd + 2)
-
-    @property
-    def agg_flooding_span(self) -> tuple:
-        return (4 * self.cd + 3, 6 * self.cd + 3)
-
-    @property
-    def agg_selection_span(self) -> tuple:
-        return (6 * self.cd + 4, 7 * self.cd + 4)
-
-    # VERI phase boundaries.
-    @property
-    def veri_parent_span(self) -> tuple:
-        return (1, 2 * self.cd + 1)
-
-    @property
-    def veri_child_span(self) -> tuple:
-        return (2 * self.cd + 2, 4 * self.cd + 2)
-
-    @property
-    def veri_lfc_span(self) -> tuple:
-        return (4 * self.cd + 3, 5 * self.cd + 3)
 
     # ------------------------------------------------------------------ #
     # Bit budgets (the abort thresholds of Algorithms 2 and 3).

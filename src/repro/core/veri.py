@@ -38,25 +38,28 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..adversary.schedule import FailureSchedule
 from ..graphs.topology import Topology
-from ..obs import spans as _spans
-from ..sim.flooding import FloodManager
-from ..sim.message import Envelope, Part
+from ..sim.message import Envelope
 from ..sim.network import Network
-from ..sim.node import NodeHandler
 from ..sim.stats import SimStats
 from . import wire
-from .agg import AggNode, TreeState, _index_of, run_agg
-from .params import ProtocolParams
+from .agg import PhasedNode, TreeState, run_agg
+from .params import VERI_PHASES, ProtocolParams
 from .wire import VERI_FLOOD_KINDS
 
 
-class VeriNode(NodeHandler):
+class VeriNode(PhasedNode):
     """Per-node handler implementing Algorithm 3.
 
     ``tree_state`` is the node's state from the preceding AGG execution
     (parent/children/ancestors/levels/critical failures).  Nodes that never
     activated during AGG only forward floods.
     """
+
+    PHASES = VERI_PHASES
+    PHASE_ROUNDS = ("_failed_parent_round", "_failed_child_round", "_lfc_round")
+    FLOOD_KINDS = VERI_FLOOD_KINDS
+    BUDGET = "veri_bit_budget"
+    ABORT = "veri_overflow"
 
     def __init__(
         self,
@@ -65,12 +68,8 @@ class VeriNode(NodeHandler):
         tree_state: Optional[TreeState],
         start_round: int = 1,
     ) -> None:
-        self.p = params
-        self.node_id = node_id
-        self.is_root = node_id == params.root
-        self.start_round = start_round
+        super().__init__(params, node_id, start_round)
         self.state = tree_state or TreeState()
-        self.floods = FloodManager(VERI_FLOOD_KINDS)
 
         #: (parent, x, claimer) failed-parent claims observed.
         self.failed_parent_claims: Set[Tuple[int, int, int]] = set()
@@ -79,96 +78,22 @@ class VeriNode(NodeHandler):
         #: Nodes with an lfc_tail / not_lfc_tail determination observed.
         self.lfc_tails: Set[int] = set()
         self.not_lfc_tails: Set[int] = set()
-        self.overflow_seen = False
 
-        self.bits_sent = 0
-        self.done = False
         #: Root-only: VERI's verdict (None until the execution finishes).
         self.output: Optional[bool] = None
-        self._obs_phase: Optional[int] = None
 
-    # ------------------------------------------------------------------ #
-    # Round dispatch.
-    # ------------------------------------------------------------------ #
+    #: See ``AggNode.on_round``.
+    on_round = PhasedNode.on_round
 
-    #: Phase names in dispatch order, for observability spans.
-    OBS_PHASES = (
-        "veri.failed_parent",
-        "veri.failed_child",
-        "veri.lfc_detection",
-    )
-
-    def _obs_mark(self, rnd: int, rel: int) -> None:
-        """Root-timeline phase spans; see ``AggNode._obs_mark``."""
-        cd = self.p.cd
-        idx = 0 if rel <= 2 * cd + 1 else 1 if rel <= 4 * cd + 2 else 2
-        tracer = _spans.active()
-        if idx != self._obs_phase:
-            if self._obs_phase is not None:
-                tracer.end(tid=self.node_id, round=rnd - 1)
-            tracer.begin(
-                self.OBS_PHASES[idx], cat="veri", tid=self.node_id, round=rnd
-            )
-            self._obs_phase = idx
-        if rel == self.p.veri_rounds:
-            tracer.end(tid=self.node_id, round=rnd)
-            self._obs_phase = None
-
-    #: AGG's: both handlers track the open span in ``_obs_phase``.
-    obs_close = AggNode.obs_close
-
-    def on_round(self, rnd: int, inbox: Sequence[Envelope]) -> List[Part]:
-        rel = rnd - self.start_round + 1
-        if rel < 1 or rel > self.p.veri_rounds:
-            return []
-        if _spans.enabled and self.is_root:
-            self._obs_mark(rnd, rel)
-
-        fresh = self.floods.absorb(inbox, rel)
-        self._note_flood_observations(fresh)
-
-        cd = self.p.cd
-        if not self.overflow_seen:
-            if rel <= 2 * cd + 1:
-                self._failed_parent_round(rel, inbox)
-            elif rel <= 4 * cd + 2:
-                self._failed_child_round(rel - (2 * cd + 1), inbox)
-            else:
-                self._lfc_round(rel - (4 * cd + 2))
-
-        out = self.floods.emit()
-        out = self._enforce_budget(out)
-
-        if self.is_root and rel == self.p.veri_rounds:
-            self._produce_output()
-        return out
-
-    def next_wake(self, rnd: int) -> Optional[int]:
-        """The next of this node's fixed slots (see the phase methods).
-
-        An overflowed node has no slots left; the root keeps its output
-        slot, and while tracing is on it runs every round for its phase
-        spans.
-        """
-        base = self.start_round - 1
-        rel = rnd - base
-        last = self.p.veri_rounds
-        if rel >= last:
-            return None
-        if _spans.enabled and self.is_root:
-            return base + max(rel, 0) + 1
-        cd = self.p.cd
-        st = self.state
-        slots = [last] if self.is_root else []
-        if not self.overflow_seen:
-            if self.is_root:
-                slots.append(1)
-            if st.activated:
-                if st.level <= cd:
-                    slots += (st.level + 1, 3 * cd + 2 - st.level)
-                slots.append(4 * cd + 3)
-        later = [slot for slot in slots if slot > rel]
-        return base + min(later) if later else None
+    def _slots(self) -> List[int]:
+        """Phase-relative slots of the phase methods."""
+        st, spans, cd = self.state, self.spans, self.p.cd
+        slots = [spans[0][0]] if self.is_root else []
+        if st.activated:
+            if st.level <= cd:
+                slots += (spans[0][0] + st.level, spans[1][0] + cd - st.level)
+            slots.append(spans[2][0])
+        return slots
 
     # ------------------------------------------------------------------ #
     # Phase 1: failed-parent detection (phase rounds 1 .. 2cd+1).
@@ -214,7 +139,7 @@ class VeriNode(NodeHandler):
     # Phase 3: LFC detection (phase rounds 1 .. cd+1).
     # ------------------------------------------------------------------ #
 
-    def _lfc_round(self, p: int) -> None:
+    def _lfc_round(self, p: int, inbox: Sequence[Envelope]) -> None:
         if p != 1 or not self.state.activated:
             return
         claimed_parents = sorted({v for (v, _x, _c) in self.failed_parent_claims})
@@ -234,15 +159,12 @@ class VeriNode(NodeHandler):
 
         Returns None when this node is not a witness of ``v``.
         """
+        witness = self._witness_of(v)
+        if witness is None:
+            return None
+        i = witness[0]
         st = self.state
         anc = st.ancestors
-        t = self.p.t
-        i = _index_of(anc, v)
-        j = self._boundary_index()
-        if i is None or i > t:
-            return None
-        if j is not None and i > j:
-            return None
         k = None
         for idx in range(i, len(anc)):
             node = anc[idx]
@@ -257,14 +179,10 @@ class VeriNode(NodeHandler):
                 break
         if k is None:
             return True  # k = infinity: chain may extend past our horizon
-        return k - i + 1 >= t
-
-    #: AGG's fragment boundary, on the tree state (and hence the
-    #: AGG-time critical failures) AGG left behind.
-    _boundary_index = AggNode._boundary_index
+        return k - i + 1 >= self.p.t
 
     # ------------------------------------------------------------------ #
-    # Observations, output, budget.
+    # Observations and output.
     # ------------------------------------------------------------------ #
 
     def _note_flood_observations(self, fresh: Sequence[Envelope]) -> None:
@@ -279,11 +197,11 @@ class VeriNode(NodeHandler):
             elif kind == "not_lfc_tail":
                 self.not_lfc_tails.add(payload[0])
             elif kind == "veri_overflow":
-                self.overflow_seen = True
+                self.aborted = True
 
     def _produce_output(self) -> None:
         self.done = True
-        if self.overflow_seen:
+        if self.aborted:
             self.output = False
             return
         if self.lfc_tails:
@@ -296,25 +214,6 @@ class VeriNode(NodeHandler):
                 self.output = False
                 return
         self.output = True
-
-    def _enforce_budget(self, out: List[Part]) -> List[Part]:
-        planned = sum(part.bits for part in out)
-        if (
-            not self.overflow_seen
-            and out
-            and self.bits_sent + planned > self.p.veri_bit_budget
-        ):
-            self.overflow_seen = True
-            overflow_part = wire.veri_overflow(self.p)
-            self.floods.initiate(overflow_part)
-            self.floods.emit()
-            out = [overflow_part]
-            planned = overflow_part.bits
-        elif self.overflow_seen:
-            out = [part for part in out if part.kind == "veri_overflow"]
-            planned = sum(part.bits for part in out)
-        self.bits_sent += planned
-        return out
 
 
 # --------------------------------------------------------------------- #
@@ -373,7 +272,6 @@ def run_agg_veri_pair(
     veri_nodes = {
         u: VeriNode(params, u, agg.nodes[u].state) for u in topology.nodes()
     }
-    veri_start = params.agg_rounds + 1
     shifted = {
         u: max(1, rnd - params.agg_rounds)
         for u, rnd in schedule.crash_rounds.items()

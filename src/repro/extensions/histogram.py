@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..adversary.schedule import FailureSchedule
 from ..graphs.topology import Topology
-from .quantiles import COUNT_INDICATOR, _ProbeRunner
+from .quantiles import COUNT_INDICATOR, QueryOutcome, _ProbeRunner
 
 
 @dataclass(frozen=True)
@@ -107,16 +107,13 @@ def distributed_histogram(
         counts.append(
             runner.run(f"count{bucket.label()}", COUNT_INDICATOR, indicator)
         )
-    totals: Dict[int, int] = {}
-    for probe in runner.probes:
-        for node, bits in probe.cc_bits_per_node.items():
-            totals[node] = totals.get(node, 0) + bits
+    query = QueryOutcome(value=None, probes=runner.probes)
     return HistogramOutcome(
         buckets=list(buckets),
         counts=counts,
-        probes=len(runner.probes),
-        total_rounds=sum(p.rounds for p in runner.probes),
-        cc_bits=max(totals.values(), default=0),
+        probes=query.probe_count,
+        total_rounds=query.total_rounds,
+        cc_bits=query.cc_bits,
     )
 
 

@@ -19,11 +19,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from ..adversary.schedule import FailureSchedule
-from ..baselines.bruteforce import run_bruteforce
-from ..core.algorithm1 import run_algorithm1
 from ..core.caaf import CAAF, SUM
 from ..core.correctness import is_correct_result, surviving_nodes
 from ..graphs.topology import Topology
+from .quantiles import _ProbeRunner
 
 #: Supplies epoch inputs: ``inputs_fn(epoch_index) -> {node: value}``.
 InputsFn = Callable[[int], Dict[int, int]]
@@ -81,53 +80,29 @@ def run_monitoring(
     """
     if epochs < 1:
         raise ValueError("need at least one epoch")
-    if protocol not in ("algorithm1", "bruteforce"):
-        raise ValueError(f"unsupported protocol {protocol!r}")
-    if protocol == "algorithm1" and b is None:
-        raise ValueError("algorithm1 monitoring needs a per-epoch budget b")
-    schedule = schedule or FailureSchedule()
-    schedule.validate(topology, f=f)
-    rng = rng or random.Random()
+    runner = _ProbeRunner(topology, f, b, schedule, c, rng, protocol)
+    runner.schedule.validate(topology, f=f)
 
     outcome = MonitoringOutcome()
-    elapsed = 0
     for epoch in range(epochs):
         inputs = dict(inputs_fn(epoch))
-        shifted = FailureSchedule()
-        for node, rnd in schedule.crash_rounds.items():
-            shifted.add(node, max(1, rnd - elapsed))
-        if protocol == "algorithm1":
-            run = run_algorithm1(
-                topology,
-                inputs,
-                f=f,
-                b=b,
-                schedule=shifted,
-                c=c,
-                caaf=caaf,
-                rng=rng,
-            )
-            result, stats, rounds = run.result, run.stats, run.rounds
-        else:
-            run = run_bruteforce(
-                topology, inputs, schedule=shifted, c=c, caaf=caaf
-            )
-            result, stats, rounds = run.result, run.stats, run.rounds
-        correct = is_correct_result(
-            result, caaf, topology, inputs, shifted, rounds
-        )
+        start_round = runner.elapsed_rounds + 1
+        shifted = runner.shifted_schedule()
+        result = runner.run(f"epoch {epoch}", caaf, inputs)
+        probe = runner.probes[-1]
         outcome.epochs.append(
             EpochResult(
                 epoch=epoch,
                 result=result,
-                correct=correct,
-                cc_bits=stats.max_bits,
-                rounds=rounds,
-                start_round=elapsed + 1,
-                survivors=len(surviving_nodes(topology, shifted, rounds)),
+                correct=is_correct_result(
+                    result, caaf, topology, inputs, shifted, probe.rounds
+                ),
+                cc_bits=max(probe.cc_bits_per_node.values(), default=0),
+                rounds=probe.rounds,
+                start_round=start_round,
+                survivors=len(surviving_nodes(topology, shifted, probe.rounds)),
             )
         )
-        elapsed += rounds
     return outcome
 
 

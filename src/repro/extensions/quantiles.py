@@ -99,7 +99,8 @@ class _ProbeRunner:
         self.elapsed_rounds = 0
         self.probes: List[ProbeRecord] = []
 
-    def _shifted_schedule(self) -> FailureSchedule:
+    def shifted_schedule(self) -> FailureSchedule:
+        """The failure timeline's remainder on the next probe's clock."""
         shifted = FailureSchedule()
         for node, rnd in self.schedule.crash_rounds.items():
             shifted.add(node, max(1, rnd - self.elapsed_rounds))
@@ -107,7 +108,7 @@ class _ProbeRunner:
 
     def run(self, description: str, caaf: CAAF, inputs: Dict[int, int]) -> int:
         """Run one aggregate probe; returns its (correct) result."""
-        schedule = self._shifted_schedule()
+        schedule = self.shifted_schedule()
         if self.protocol == "algorithm1":
             out = run_algorithm1(
                 self.topology,
@@ -184,16 +185,13 @@ def distributed_median(
     ones = {u: 1 for u in inputs}
     population = runner.run("count(all)", COUNT_INDICATOR, ones)
     k = max(1, (population + 1) // 2)
-    remaining = FailureSchedule()
-    for node, rnd in (schedule.crash_rounds if schedule else {}).items():
-        remaining.add(node, max(1, rnd - runner.elapsed_rounds))
     selection = distributed_select(
         topology,
         inputs,
         k,
         f,
         b=b,
-        schedule=remaining,
+        schedule=runner.shifted_schedule(),
         c=c,
         rng=rng,
         protocol=protocol,

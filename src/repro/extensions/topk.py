@@ -85,13 +85,10 @@ def distributed_topk(
         values.append(hi)
         domain_hi = hi  # ranks are non-increasing: narrow later searches
 
-    totals: Dict[int, int] = {}
-    for probe in runner.probes:
-        for node, bits in probe.cc_bits_per_node.items():
-            totals[node] = totals.get(node, 0) + bits
+    query = QueryOutcome(value=None, probes=runner.probes)
     return TopKOutcome(
         values=values,
-        probes=len(runner.probes),
-        total_rounds=sum(p.rounds for p in runner.probes),
-        cc_bits=max(totals.values(), default=0),
+        probes=query.probe_count,
+        total_rounds=query.total_rounds,
+        cc_bits=query.cc_bits,
     )

@@ -649,7 +649,7 @@ def run_with_churn(
         epoch_gaps = 0
         if transport is not None:
             transports.append(transport)
-            epoch_gaps = len(transport.live_gaps_in(network))
+            epoch_gaps = len(transport.live_gaps(network))
         elapsed += out.rounds
         if _spans.enabled:
             _spans.active().end(

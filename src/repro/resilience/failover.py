@@ -384,7 +384,7 @@ def run_with_recovery(
             # by the quarantine is real data loss and must decertify the
             # result (a quarantine never excuses a wrong answer into a
             # certified one).
-            live_gap_count += len(transport.live_gaps(network.crash_rounds))
+            live_gap_count += len(transport.live_gaps(network))
         root_crashed = not network.is_alive(topo.root)
         epochs.append(
             EpochReport(

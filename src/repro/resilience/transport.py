@@ -475,20 +475,6 @@ class ReliableTransport:
             if used > self.config.retransmits
         ]
 
-    def live_gaps(self, crash_rounds: Dict[int, float]) -> List[TransportGap]:
-        """Gaps whose sender was still alive at the recovery deadline.
-
-        These are unexcused delivery failures (the retransmit budget was
-        exhausted against a live sender) and void result certification.
-        A gap from a sender that had crashed by the deadline is the
-        model's own silence, not a transport failure.
-        """
-        return [
-            g
-            for g in self.gaps
-            if crash_rounds.get(g.sender, float("inf")) > g.deadline
-        ]
-
     def counters(self) -> Dict[str, int]:
         """Plain-dict counter snapshot for reports and run rows."""
         out = {
@@ -511,25 +497,29 @@ class ReliableTransport:
             out.update(self.detector.counters())
         return out
 
-    def live_gaps_in(self, network) -> List[TransportGap]:
-        """Like :meth:`live_gaps`, judged against a churn-aware network.
+    def live_gaps(self, network) -> List[TransportGap]:
+        """Gaps that are unexcused delivery failures on ``network``.
 
-        Under crash-recovery churn a gap is the model's own silence — not
-        a transport failure — in three additional cases, all excused:
+        A live gap means the retransmit budget was exhausted against a
+        live sender; it voids result certification.  A gap is instead the
+        model's own silence, and excused, when during the logical round's
+        window:
 
-        * the **sender** was down at any point of the logical round's
-          window (it never emitted, or could not retransmit, the frame);
-        * the **receiver** was down at any point of the window (a revived
-          node charges itself a gap for every frame it slept through);
-        * the **link was flapped** during the window (an edge failure,
-          which the paper's model sanctions and the f-budget monitor
-          counts — see :class:`repro.sim.monitors.FBudgetMonitor`).
+        * the **sender** was down at any point (it had crashed, or under
+          crash-recovery churn it never emitted, or could not
+          retransmit, the frame);
+        * the **receiver** was down at any point (a revived node charges
+          itself a gap for every frame it slept through);
+        * the **link was flapped** (an edge failure, which the paper's
+          model sanctions and the f-budget monitor counts — see
+          :class:`repro.sim.monitors.FBudgetMonitor`).
 
-        :meth:`repro.sim.network.Network.is_alive` consults downtime
-        intervals and :meth:`~repro.sim.network.Network.link_up` the flap
-        windows, so all three checks are churn-aware.
+        :meth:`repro.sim.network.Network.is_alive` consults crash rounds
+        and downtime intervals and
+        :meth:`~repro.sim.network.Network.link_up` the flap windows.
+        Without churn this reduces to the sender's crash round passing
+        the deadline: a receiver records its own gaps while running.
         """
-        link_up = getattr(network, "link_up", None)
         out = []
         for g in self.gaps:
             start = self.window_start(g.logical_round)
@@ -538,9 +528,7 @@ class ReliableTransport:
                 continue
             if any(not network.is_alive(g.receiver, r) for r in span):
                 continue
-            if link_up is not None and any(
-                not link_up(g.sender, g.receiver, r) for r in span
-            ):
+            if any(not network.link_up(g.sender, g.receiver, r) for r in span):
                 continue
             out.append(g)
         return out

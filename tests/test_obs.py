@@ -15,6 +15,7 @@ import pytest
 
 from repro.analysis import run_protocol
 from repro.cli import main
+from repro.core.params import AGG_PHASES, VERI_PHASES, params_for
 from repro.graphs import grid_graph
 from repro.obs import ObsCapture, MetricsRegistry, merge_counter_tree
 from repro.obs import export as obs_export
@@ -504,6 +505,29 @@ class TestEndToEnd:
         for s in cap.tracer.spans:
             if s["name"].startswith(("agg.", "veri.")):
                 assert spans[s["parent"]]["sid"] == root["sid"]
+
+    @pytest.mark.parametrize("protocol", ["algorithm1", "unknown_f"])
+    def test_first_pair_phase_spans_open_at_table_rounds(self, protocol):
+        _, cap = _traced_run(protocol=protocol)
+        topo = grid_graph(4, 4)
+        p = params_for(topo)
+        root_phases = sorted(
+            (
+                s
+                for s in cap.tracer.spans
+                if s["tid"] == topo.root
+                and s["name"].startswith(("agg.", "veri."))
+            ),
+            key=lambda s: s["t0"],
+        )
+        first_pair = root_phases[: len(AGG_PHASES) + len(VERI_PHASES)]
+        # The first pair runs in interval 1: AGG from round 1, then VERI.
+        assert [s["name"] for s in first_pair] == [
+            name for name, _k in AGG_PHASES + VERI_PHASES
+        ]
+        assert [s["t0"] for s in first_pair] == [
+            first for first, _last in p.phase_spans(AGG_PHASES)
+        ] + [p.agg_rounds + first for first, _last in p.phase_spans(VERI_PHASES)]
 
     def test_chrome_export_of_real_run_validates(self):
         _, cap = _traced_run(detail="messages")

@@ -4,7 +4,12 @@ import pytest
 
 from repro.core import wire
 from repro.core.caaf import MAX, SUM
-from repro.core.params import ProtocolParams, params_for
+from repro.core.params import (
+    AGG_PHASES,
+    VERI_PHASES,
+    ProtocolParams,
+    params_for,
+)
 from repro.graphs import grid_graph
 from repro.sim.message import TAG_BITS
 
@@ -26,12 +31,8 @@ class TestPhaseArithmetic:
 
     def test_agg_phases_partition_the_execution(self):
         p = make_params()
-        spans = [
-            p.agg_construction_span,
-            p.agg_aggregation_span,
-            p.agg_flooding_span,
-            p.agg_selection_span,
-        ]
+        spans = p.phase_spans(AGG_PHASES)
+        assert len(spans) == 4
         assert spans[0][0] == 1
         for (a, b), (c_, d_) in zip(spans, spans[1:]):
             assert c_ == b + 1
@@ -39,7 +40,8 @@ class TestPhaseArithmetic:
 
     def test_veri_phases_partition_the_execution(self):
         p = make_params()
-        spans = [p.veri_parent_span, p.veri_child_span, p.veri_lfc_span]
+        spans = p.phase_spans(VERI_PHASES)
+        assert len(spans) == 3
         assert spans[0][0] == 1
         for (a, b), (c_, d_) in zip(spans, spans[1:]):
             assert c_ == b + 1

@@ -11,7 +11,7 @@ import random
 import pytest
 
 from repro.adversary import FailureSchedule, random_failures
-from repro.core.agg import run_agg
+from repro.core.agg import AggNode, run_agg
 from repro.core.params import params_for
 from repro.core.veri import VeriNode, run_agg_veri_pair
 from repro.graphs import grid_graph
@@ -52,6 +52,19 @@ class TestAggAbort:
         abort_bits = 16
         for node, bits in out.stats.bits_sent.items():
             assert bits <= budget + abort_bits, node
+
+    def test_budget_is_read_from_p_at_every_check(self):
+        # Swapping ``node.p`` after construction lifts the budget; the
+        # always-flood ablation (E10) relies on it.
+        topo, schedule, _out = self._aborting_run()
+        params = params_for(topo, t=0)
+        nodes = {u: AggNode(params, u, 1) for u in topo.nodes()}
+        for node in nodes.values():
+            node.p = params.with_t(topo.n_nodes)
+        network = Network(topo.adjacency, nodes, schedule.crash_rounds)
+        stats = network.run(params.agg_rounds, stop_on_output=False)
+        assert not any(node.aborted for node in nodes.values())
+        assert stats.max_bits > params.agg_bit_budget
 
     def test_same_storm_with_adequate_t_does_not_abort(self):
         topo = grid_graph(6, 6)

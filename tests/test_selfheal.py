@@ -135,7 +135,7 @@ class TestTransportEquivalence:
             transport=TransportConfig(retransmits=4),
         )
         assert out.result == self.expected
-        assert not out.transport.live_gaps(out.network.crash_rounds)
+        assert not out.transport.live_gaps(out.network)
         assert out.transport.counters()["retransmissions"] > 0
 
     def test_budget_exhaustion_leaves_live_gaps(self):
@@ -145,7 +145,7 @@ class TestTransportEquivalence:
             injectors=(MessageFaults(drop=0.25, seed=7),),
             transport=TransportConfig(retransmits=1),
         )
-        assert out.transport.live_gaps(out.network.crash_rounds)
+        assert out.transport.live_gaps(out.network)
 
 
 # --------------------------------------------------------------------- #
