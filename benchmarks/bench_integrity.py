@@ -81,7 +81,7 @@ def run_integrity_study():
     for rate in RATES:
         for mode in MODES:
             delivered = unresolved = rejected = 0
-            overhead = cc = exact = partial = silent_wrong = 0
+            overhead = cc = exact = partial = uncertified = silent_wrong = 0
             for seed in range(SEEDS):
                 record = _one_run(mode, rate, seed)
                 extra = record.extra
@@ -100,6 +100,8 @@ def run_integrity_study():
                         silent_wrong += 1
                 elif certified:
                     partial += 1
+                else:
+                    uncertified += 1
                 if extra.get("unresolved_corruptions", 0) and mode != "off":
                     silent_wrong += 1
             detected = delivered - unresolved
@@ -118,6 +120,7 @@ def run_integrity_study():
                     "cc_bits": round(cc / SEEDS, 1),
                     "exact": f"{exact}/{SEEDS}",
                     "partial": partial,
+                    "uncertified": uncertified,
                     "silent_wrong": silent_wrong,
                 }
             )
@@ -153,6 +156,12 @@ def test_integrity_detection_vs_overhead(benchmark):
     _write_trajectory(rows)
 
     by_key = {(r["rate"], r["mode"]): r for r in rows}
+
+    # The outcome columns partition the seeds: every run is certified
+    # exact, a certified partial, or uncertified.
+    for r in rows:
+        exact = int(r["exact"].split("/")[0])
+        assert exact + r["partial"] + r["uncertified"] == SEEDS, r
 
     # Authenticated modes resolve every delivered corruption at every
     # rate — the zero-silent-wrong contract.  (Runs may honestly degrade

@@ -312,6 +312,10 @@ class IntegrityNode(NodeHandler):
     def wants_to_stop(self) -> bool:
         return self.inner.wants_to_stop()
 
+    def next_wake(self, rnd: int) -> Optional[int]:
+        # Not forwarded by __getattr__: NodeHandler defines the default.
+        return self.inner.next_wake(rnd)
+
     # -- frame verification --------------------------------------------- #
 
     def _verify(self, rnd: int, sender: int, part: Part) -> List[Part]:

@@ -582,6 +582,25 @@ class TransportNode(NodeHandler):
     def wants_to_stop(self) -> bool:
         return self.inner.wants_to_stop()
 
+    def next_wake(self, rnd: int) -> Optional[int]:
+        """The next window start, or the next NACK slot while a frame of
+        the current window is still missing; frames, NACKs and hedges
+        arrive as mail.  A not-due fixed-mode round absorbs nothing,
+        advances nothing and NACKs nothing."""
+        cfg = self.transport.config
+        if cfg.adaptive:
+            # locate() seals adaptive windows from every node's per-round
+            # report_missing, so an adaptive node runs every round.
+            return rnd + 1
+        lr, slot = self.transport.locate(rnd + 1)
+        if slot == 1:
+            return rnd + 1
+        if not self._expected.issubset(self._buf.get(lr, ())):
+            nack = next((s for s in cfg.nack_slots if s >= slot), None)
+            if nack is not None:
+                return rnd + 1 + nack - slot
+        return self.transport.window_start(lr + 1)
+
     # -- churn ---------------------------------------------------------- #
 
     def on_churn_revive(self, mode: str, incarnation: int, rnd: int) -> None:

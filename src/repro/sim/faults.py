@@ -627,23 +627,32 @@ def random_churn(
     return ChurnSchedule(cycles=cycles, flaps=flaps, root=root)
 
 
+class _Tally:
+    """An injector's per-kind counters: ``total`` sums every field."""
+
+    @property
+    def total(self) -> int:
+        """All injected faults combined."""
+        return sum(self.as_dict().values())
+
+    def as_dict(self) -> Dict[str, int]:
+        """Plain-dict view for tables and JSON rows."""
+        return asdict(self)
+
+
+def _budget_left(used: int, cap: Optional[int]) -> bool:
+    """Whether an injector may fire once more under its ``cap``."""
+    return cap is None or used < cap
+
+
 @dataclass
-class FaultCounts:
+class FaultCounts(_Tally):
     """Tally of injected faults, for reporting alongside run results."""
 
     drops: int = 0
     duplicates: int = 0
     delays: int = 0
     reorders: int = 0
-
-    @property
-    def total(self) -> int:
-        """All injected faults combined."""
-        return self.drops + self.duplicates + self.delays + self.reorders
-
-    def as_dict(self) -> Dict[str, int]:
-        """Plain-dict view for tables and JSON rows."""
-        return asdict(self)
 
 
 class MessageFaults(FaultInjector):
@@ -749,9 +758,6 @@ class MessageFaults(FaultInjector):
         values.update(kwargs)
         return cls(seed=seed, **values)
 
-    def _budget_left(self, used: int, cap: Optional[int]) -> bool:
-        return cap is None or used < cap
-
     def on_transmit(
         self, due: int, sender: int, receiver: int, part: Part
     ) -> List[Tuple[int, Part]]:
@@ -761,14 +767,14 @@ class MessageFaults(FaultInjector):
         rng = self.rng
         if (
             self.drop
-            and self._budget_left(self.counts.drops, self.max_drops)
+            and _budget_left(self.counts.drops, self.max_drops)
             and rng.random() < self.drop
         ):
             self.counts.drops += 1
             return []
         if (
             self.delay
-            and self._budget_left(self.counts.delays, self.max_delays)
+            and _budget_left(self.counts.delays, self.max_delays)
             and rng.random() < self.delay
         ):
             self.counts.delays += 1
@@ -776,7 +782,7 @@ class MessageFaults(FaultInjector):
         deliveries = [(due, part)]
         if (
             self.duplicate
-            and self._budget_left(self.counts.duplicates, self.max_duplicates)
+            and _budget_left(self.counts.duplicates, self.max_duplicates)
             and rng.random() < self.duplicate
         ):
             self.counts.duplicates += 1
@@ -789,7 +795,7 @@ class MessageFaults(FaultInjector):
             self.reorder
             and len(envelopes) > 1
             and receiver not in self.protect
-            and self._budget_left(self.counts.reorders, self.max_reorders)
+            and _budget_left(self.counts.reorders, self.max_reorders)
             and self.rng.random() < self.reorder
         ):
             self.counts.reorders += 1
@@ -806,21 +812,12 @@ class MessageFaults(FaultInjector):
 
 
 @dataclass
-class CorruptionCounts:
+class CorruptionCounts(_Tally):
     """Tally of injected corruptions, for reporting alongside run results."""
 
     bitflips: int = 0
     truncations: int = 0
     stale_replays: int = 0
-
-    @property
-    def total(self) -> int:
-        """All injected corruptions combined."""
-        return self.bitflips + self.truncations + self.stale_replays
-
-    def as_dict(self) -> Dict[str, int]:
-        """Plain-dict view for tables and JSON rows."""
-        return asdict(self)
 
 
 def flip_int_leaf(payload, rng: random.Random):
@@ -984,9 +981,6 @@ class MessageCorruption(FaultInjector):
         self.epoch += 1
         self._history = {}
 
-    def _budget_left(self, used: int, cap: Optional[int]) -> bool:
-        return cap is None or used < cap
-
     def _record(
         self, sender: int, receiver: int, part: Part, mode: str = "content"
     ) -> None:
@@ -1017,7 +1011,7 @@ class MessageCorruption(FaultInjector):
         rng = self.rng
         if (
             self.bitflip
-            and self._budget_left(self.counts.bitflips, self.max_bitflips)
+            and _budget_left(self.counts.bitflips, self.max_bitflips)
             and rng.random() < min(1.0, self.bitflip * scale)
         ):
             flipped = flip_int_leaf(part.payload, rng)
@@ -1030,7 +1024,7 @@ class MessageCorruption(FaultInjector):
             self.truncate
             and isinstance(part.payload, tuple)
             and part.payload
-            and self._budget_left(self.counts.truncations, self.max_truncations)
+            and _budget_left(self.counts.truncations, self.max_truncations)
             and rng.random() < min(1.0, self.truncate * scale)
         ):
             self.counts.truncations += 1
@@ -1041,7 +1035,7 @@ class MessageCorruption(FaultInjector):
             self.stale
             and previous is not None
             and previous != part
-            and self._budget_left(self.counts.stale_replays, self.max_stales)
+            and _budget_left(self.counts.stale_replays, self.max_stales)
             and rng.random() < min(1.0, self.stale * scale)
         ):
             self.counts.stale_replays += 1
@@ -1110,15 +1104,6 @@ class GrayCounts:
     stalled_copies: int = 0
     inflated_copies: int = 0
     delay_rounds: int = 0
-
-    @property
-    def total(self) -> int:
-        """Delivery copies touched by any gray event."""
-        return self.stalled_copies + self.inflated_copies
-
-    def as_dict(self) -> Dict[str, int]:
-        """Plain-dict view for tables and JSON rows."""
-        return asdict(self)
 
 
 class GrayFailureSchedule(FaultInjector):
@@ -1497,21 +1482,6 @@ class ByzCounts:
     deflations: int = 0
     replays: int = 0
     omissions: int = 0
-
-    @property
-    def total(self) -> int:
-        """Delivery copies touched by any Byzantine behavior."""
-        return (
-            self.equivocations
-            + self.inflations
-            + self.deflations
-            + self.replays
-            + self.omissions
-        )
-
-    def as_dict(self) -> Dict[str, int]:
-        """Plain-dict view for tables and JSON rows."""
-        return asdict(self)
 
 
 class ByzantineSchedule(FaultInjector):

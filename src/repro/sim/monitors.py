@@ -87,9 +87,15 @@ class Monitor:
 
     def report(self, message: str, rnd: Optional[int] = None) -> None:
         """Record a violation; raise immediately in strict mode."""
-        self.violations.append(MonitorEvent(self.rule, rnd, message))
+        self.report_as(self.rule, message, rnd)
+
+    def report_as(
+        self, rule: str, message: str, rnd: Optional[int] = None
+    ) -> None:
+        """Like :meth:`report` but under a per-event rule."""
+        self.violations.append(MonitorEvent(rule, rnd, message))
         if self.mode == "strict":
-            raise InvariantViolation(self.rule, message, rnd)
+            raise InvariantViolation(rule, message, rnd)
 
     @property
     def ok(self) -> bool:
@@ -383,14 +389,6 @@ class DoubleCountOracle(Monitor):
         #: Count of lost-contribution violations reported.
         self.lost_contributions = 0
 
-    def report_as(
-        self, rule: str, message: str, rnd: Optional[int] = None
-    ) -> None:
-        """Like :meth:`Monitor.report` but under a per-event rule."""
-        self.violations.append(MonitorEvent(rule, rnd, message))
-        if self.mode == "strict":
-            raise InvariantViolation(rule, message, rnd)
-
     def grade_ledger(self, entries, double_booked=()) -> None:
         """Audit booked nonces: one per node, each with its true value."""
         for node, incarnation, value in double_booked:
@@ -512,14 +510,6 @@ class StragglerOracle(Monitor):
         self._false_reported: set = set()
         self._missed_reported: set = set()
 
-    def report_as(
-        self, rule: str, message: str, rnd: Optional[int] = None
-    ) -> None:
-        """Like :meth:`Monitor.report` but under a per-event rule."""
-        self.violations.append(MonitorEvent(rule, rnd, message))
-        if self.mode == "strict":
-            raise InvariantViolation(rule, message, rnd)
-
     def _detector(self):
         return getattr(self.transport, "detector", None)
 
@@ -630,14 +620,6 @@ class ByzantineOracle(Monitor):
         self.undetected_equivocations = 0
         self.influence_exceeded = 0
         self._reported: set = set()
-
-    def report_as(
-        self, rule: str, message: str, rnd: Optional[int] = None
-    ) -> None:
-        """Like :meth:`Monitor.report` but under a per-event rule."""
-        self.violations.append(MonitorEvent(rule, rnd, message))
-        if self.mode == "strict":
-            raise InvariantViolation(rule, message, rnd)
 
     def grade_convictions(self, convictions) -> None:
         """Grade the conviction set against the compromised-node ledger.

@@ -27,17 +27,14 @@ When no injector modifies deliveries the original exact delivery path is
 used, so in-model executions are bit- and order-identical to the
 middleware-free simulator.
 
-**Event-driven rounds.**  When some handler overrides
-:meth:`repro.sim.node.NodeHandler.next_wake`, a round runs only the nodes
-with mail or a due wake (kept in per-round wake buckets), in adjacency
-order, so broadcasts, deliveries, tracer events and recorder digests are
-the same as with every node running every round.  Handlers keeping the
-default wake (``rnd + 1``) still run every round they are alive; when no
-handler overrides it, :meth:`Network.step` runs its every-node loop with
-no wake bookkeeping at all.  :meth:`Network.schedule_downtime` wakes the
-node at its revival round, so a wake that falls in an outage runs at the
-node's first live round after it; a permanently crashed node never runs
-again.  The stop
+**Event-driven rounds.**  A round runs only the nodes with mail or a due
+wake (:meth:`repro.sim.node.NodeHandler.next_wake`, kept in per-round wake
+buckets), in adjacency order, so broadcasts, deliveries, tracer events and
+recorder digests are the same as with every node running every round.
+Handlers keeping the default wake (``rnd + 1``) run every round they are
+alive.  :meth:`Network.schedule_downtime` wakes the node at its revival
+round, so a wake that falls in an outage runs at the node's first live
+round after it; a permanently crashed node never runs again.  The stop
 check of :meth:`Network.run` asks every handler after the first round and
 then only the handlers that ran since the last check.
 """
@@ -58,14 +55,6 @@ NEVER = float("inf")
 #: layer catches it (schedule validation, the ScheduledCrashes injector,
 #: or an online ``schedule_crash`` call).
 ROOT_CRASH_ERROR = "the root node may not fail (Section 2)"
-
-
-def _wake_fn(handler):
-    """A handler's bound ``next_wake`` if its class overrides the default
-    every-round wake, else None."""
-    if getattr(type(handler), "next_wake", None) is NodeHandler.next_wake:
-        return None
-    return getattr(handler, "next_wake", None)
 
 
 class Network:
@@ -134,18 +123,12 @@ class Network:
         if missing:
             raise ValueError(f"no handler for nodes: {sorted(missing)}")
         self.handlers: Dict[int, NodeHandler] = dict(handlers)
-        # Event-driven dispatch (see the module docstring): per node, the
-        # bound ``next_wake`` of an overriding handler or None for the
-        # default every-round wake; None overall when no handler overrides.
-        wake_fns = {u: _wake_fn(self.handlers[u]) for u in self.adjacency}
-        self._wake_fns: Optional[Dict[int, object]] = (
-            wake_fns if any(wake_fns.values()) else None
-        )
         #: Wake buckets: round -> nodes due to run in it.
         self._wakes: Dict[int, set] = {}
         self._order = {u: i for i, u in enumerate(self.adjacency)}
-        # Nodes run since the last stop check (None: ask every handler).
-        self._unchecked: Optional[set] = None
+        # Nodes to ask at the next stop check: every handler at first,
+        # then those run since the last check.
+        self._unchecked = set(self.handlers)
         self.stats = SimStats()
         self.round = 0
         #: Optional :class:`repro.sim.trace.Tracer` receiving event hooks.
@@ -271,7 +254,7 @@ class Network:
         intervals = self.down_intervals.setdefault(node, [])
         intervals.append((start, end))
         intervals.sort()
-        if self._wake_fns is not None and end != NEVER:
+        if end != NEVER:
             self._wake(node, int(end))
 
     def schedule_link_flap(self, u: int, v: int, start: int, end: int) -> None:
@@ -307,7 +290,8 @@ class Network:
     # ------------------------------------------------------------------ #
 
     def step(self) -> None:
-        """Execute one round: deliver, compute, broadcast."""
+        """Execute one round: deliver, then run the nodes with mail or a
+        due wake in adjacency order; each broadcasts for next round."""
         self.round += 1
         rnd = self.round
         for injector in self.injectors:
@@ -318,35 +302,13 @@ class Network:
         else:
             inboxes = self._deliver_exact(rnd)
 
-        if self._wake_fns is None:
-            # Live nodes compute and broadcast.
-            for node in self.adjacency:
-                if not self.is_alive(node, rnd):
-                    if self.tracer is not None and self._goes_down(node, rnd):
-                        self.tracer.on_crash(rnd, node)
-                    continue
-                inbox = inboxes.get(node, ())
-                parts = list(self.handlers[node].on_round(rnd, inbox))
-                if parts:
-                    self._broadcast(rnd, node, parts)
-        else:
-            self._step_due(rnd, inboxes)
-        self.stats.rounds_executed = rnd
-        for injector in self.injectors:
-            injector.end_round(rnd)
-        for monitor in self.monitors:
-            monitor.after_round(self)
-
-    def _step_due(self, rnd: int, inboxes: Dict[int, List[Envelope]]) -> None:
-        """Run the nodes with mail or a due wake, in adjacency order."""
         wakes = self._wakes
         if rnd == 1:
             for node in self.adjacency:
-                wake = self._next_wake(node, 0)
+                wake = self.handlers[node].next_wake(0)
                 if wake is not None:
                     wakes.setdefault(max(wake, 1), set()).add(node)
-        due = wakes.pop(rnd, set())
-        active = due.union(inboxes)
+        active = wakes.pop(rnd, set()).union(inboxes)
         if self.tracer is not None:
             # Nodes going down this round get their crash event even idle.
             active.update(u for u in self.adjacency if self._goes_down(u, rnd))
@@ -358,17 +320,17 @@ class Network:
                 if self.tracer is not None and self._goes_down(node, rnd):
                     self.tracer.on_crash(rnd, node)
                 continue
-            inbox = inboxes.get(node, ())
-            parts = list(self.handlers[node].on_round(rnd, inbox))
+            handler = self.handlers[node]
+            parts = list(handler.on_round(rnd, inboxes.get(node, ())))
             if parts:
                 self._broadcast(rnd, node, parts)
-            if unchecked is not None:
-                unchecked.add(node)
-            self._wake(node, self._next_wake(node, rnd))
-
-    def _next_wake(self, node: int, rnd: int) -> Optional[int]:
-        fn = self._wake_fns[node]
-        return rnd + 1 if fn is None else fn(rnd)
+            unchecked.add(node)
+            self._wake(node, handler.next_wake(rnd))
+        self.stats.rounds_executed = rnd
+        for injector in self.injectors:
+            injector.end_round(rnd)
+        for monitor in self.monitors:
+            monitor.after_round(self)
 
     def _wake(self, node: int, wake: Optional[int]) -> None:
         """Put ``node`` in the bucket of round ``wake`` (None: no wake)."""
@@ -485,15 +447,11 @@ class Network:
     def stop_requested(self) -> bool:
         """Whether a handler reports :meth:`NodeHandler.wants_to_stop`.
 
-        The first call asks every handler; under event-driven dispatch
-        later calls ask only the handlers that ran since the previous
-        call (a handler's answer only changes inside ``on_round``).
+        The first call asks every handler; later calls ask only the
+        handlers that ran since the previous call (a handler's answer only
+        changes inside ``on_round``).
         """
-        nodes = self._unchecked
-        if self._wake_fns is not None:
-            self._unchecked = set()
-        if nodes is None:
-            return any(h.wants_to_stop() for h in self.handlers.values())
+        nodes, self._unchecked = self._unchecked, set()
         handlers = self.handlers
         return any(handlers[u].wants_to_stop() for u in nodes)
 

@@ -12,7 +12,7 @@ model a node acts on mail, or at a round slot its schedule fixes in advance
 runs the node only in rounds where it has mail or a due wake:
 
 * The default returns ``rnd + 1``, so a handler that does not override it
-  runs in every round it is alive, exactly as before the contract existed.
+  runs in every round it is alive.
 * A handler that overrides it promises that ``on_round(r, ())`` at a round
   ``r`` that is not due (no wake was returned for it) is a no-op: it
   returns no parts and changes no state.  Stale or early wakes, and the

@@ -3,9 +3,11 @@
 ``Network.step`` runs only the nodes with mail or a due wake
 (:meth:`repro.sim.node.NodeHandler.next_wake`).  The reference run wraps
 every handler in :class:`EveryRound`, a delegate that keeps the default
-``rnd + 1`` wake, so the network falls back to running every live node in
-every round.  Both runs must agree on ``SimStats``, every ``Tracer`` send,
-delivery and crash, and the outcome.
+``rnd + 1`` wake, so the network runs every live node in every round.
+It wraps the outermost handler, so under the transport and integrity
+overlays it is an every-round reference for the overlays too.  Both runs
+must agree on ``SimStats``, every ``Tracer`` send, delivery and crash,
+and the outcome.
 
 Also here: the wake contract of each overriding handler, the work
 counters the event core exists for (handler calls, BFS calls of the
@@ -35,13 +37,25 @@ from repro.graphs import (
 )
 from repro.graphs.topology import Topology
 from repro.obs import spans as obs_spans
+from repro.resilience.epochs import ChurnPolicy
+from repro.resilience.failover import RecoveryPolicy
+from repro.resilience.transport import (
+    TransportConfig,
+    TransportNode,
+    overlay_network,
+)
 from repro.sim import Network, Tracer
-from repro.sim.faults import ChurnSchedule, MessageFaults
+from repro.sim.faults import (
+    ChurnSchedule,
+    MessageFaults,
+    random_churn,
+    random_gray,
+)
 from repro.sim.message import Part
 from repro.sim.node import NodeHandler
 
 try:
-    from hypothesis import given
+    from hypothesis import given, settings
     from hypothesis import strategies as st
 except ImportError:  # pragma: no cover - property tests skip
     given = None
@@ -93,9 +107,44 @@ TOPOLOGIES = {
 PROTOCOLS = ("agg", "agg_veri", "bruteforce", "algorithm1", "unknown_f")
 FAULTS = ("crashes", "churn", "messages")
 
+FIXED = TransportConfig(retransmits=2)
+ADAPTIVE = TransportConfig(retransmits=2, rto="adaptive")
+#: ``run_protocol`` overlay arguments, drawn fresh per run from
+#: ``(topology, rng)`` (churn and gray schedules keep per-run ledgers).
+OVERLAYS = {
+    "transport": lambda topo, rng: {"transport": FIXED},
+    "adaptive": lambda topo, rng: {"transport": ADAPTIVE},
+    "hedge": lambda topo, rng: {
+        "transport": TransportConfig(retransmits=2, hedge=True)
+    },
+    "mac": lambda topo, rng: {"integrity": "mac"},
+    "transport+mac": lambda topo, rng: {"transport": FIXED, "integrity": "mac"},
+    "recovery": lambda topo, rng: {"recovery": RecoveryPolicy(FIXED)},
+    "recovery+mac": lambda topo, rng: {
+        "recovery": RecoveryPolicy(FIXED),
+        "integrity": "mac",
+    },
+    "churn": lambda topo, rng: {
+        "churn": random_churn(
+            topo, 0.2, rng, 4 * topo.diameter, root=topo.root
+        ),
+        "churn_policy": ChurnPolicy(FIXED),
+    },
+    "gray": lambda topo, rng: {
+        "transport": ADAPTIVE,
+        "gray": random_gray(topo, 0.3, rng, 20 * topo.diameter, root=topo.root),
+    },
+    "gray_fixed": lambda topo, rng: {
+        "transport": FIXED,
+        "gray": random_gray(topo, 0.3, rng, 20 * topo.diameter, root=topo.root),
+    },
+}
 
-def _runner(protocol, topo, fault, seed):
-    """A zero-argument callable running one configuration from scratch."""
+
+def _runner(protocol, topo, fault, seed, overlay=None):
+    """A zero-argument callable running one configuration from scratch;
+    ``overlay`` names an :data:`OVERLAYS` entry (``algorithm1`` and
+    ``unknown_f`` only)."""
     f = 4
     d = topo.diameter
     horizon = {"algorithm1": 42 * d, "unknown_f": 60 * d}.get(protocol, 12 * d)
@@ -136,6 +185,9 @@ def _runner(protocol, topo, fault, seed):
     kwargs = {"agg_veri": {"t": 1}, "algorithm1": {"f": f, "b": 42}}
 
     def run():
+        overlays = {}
+        if overlay is not None:
+            overlays = OVERLAYS[overlay](topo, random.Random(seed))
         record = run_protocol(
             protocol,
             topo,
@@ -145,14 +197,15 @@ def _runner(protocol, topo, fault, seed):
             strict=False,
             injectors=injectors(),
             **kwargs.get(protocol, {}),
+            **overlays,
         )
         return record.as_dict()
 
     return run
 
 
-def _assert_equivalent(protocol, topo_name, fault, seed):
-    run = _runner(protocol, TOPOLOGIES[topo_name](), fault, seed)
+def _assert_equivalent(protocol, topo_name, fault, seed, overlay=None):
+    run = _runner(protocol, TOPOLOGIES[topo_name](), fault, seed, overlay)
     expected, expected_events = _captured(run, every_round=True)
     got, got_events = _captured(run, every_round=False)
     assert got == expected
@@ -164,6 +217,12 @@ def _assert_equivalent(protocol, topo_name, fault, seed):
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_matches_every_round_reference(protocol, fault):
     _assert_equivalent(protocol, "grid", fault, seed=5)
+
+
+@pytest.mark.parametrize("overlay", sorted(OVERLAYS))
+@pytest.mark.parametrize("protocol", ["algorithm1", "unknown_f"])
+def test_overlays_match_every_round_reference(protocol, overlay):
+    _assert_equivalent(protocol, "path", "messages", seed=5, overlay=overlay)
 
 
 @pytest.mark.parametrize("protocol", ["algorithm1", "unknown_f", "agg_veri"])
@@ -200,6 +259,19 @@ if given is not None:
         protocol, topo_name, fault, seed
     ):
         _assert_equivalent(protocol, topo_name, fault, seed)
+
+    @settings(max_examples=20)
+    @given(
+        protocol=st.sampled_from(["algorithm1", "unknown_f"]),
+        topo_name=st.sampled_from(sorted(TOPOLOGIES)),
+        fault=st.sampled_from(["crashes", "messages"]),
+        overlay=st.sampled_from(sorted(OVERLAYS)),
+        seed=st.integers(0, 10_000),
+    )
+    def test_overlays_match_every_round_reference_property(
+        protocol, topo_name, fault, overlay, seed
+    ):
+        _assert_equivalent(protocol, topo_name, fault, seed, overlay)
 
 
 # --------------------------------------------------------------------- #
@@ -245,11 +317,37 @@ def _network_of(kind, topo, seed):
     else:
         plan = DoublingPlan(params=params_for(topo))
         nodes = {u: IntervalNode(plan, u, inputs[u]) for u in topo.nodes()}
-    return Network(topo.adjacency, nodes, schedule.crash_rounds, root=topo.root)
+    overlays = {
+        "transport": {"transport": FIXED},
+        "integrity": {"transport": FIXED, "integrity": "mac"},
+    }.get(kind)
+    if overlays is None:
+        return Network(
+            topo.adjacency, nodes, schedule.crash_rounds, root=topo.root
+        )
+    # Drops leave frames missing, so nodes also wake at NACK slots.
+    drops = MessageFaults(drop=0.05, seed=seed, protect=[topo.root])
+    return overlay_network(
+        topo,
+        nodes,
+        schedule.crash_rounds,
+        root=topo.root,
+        injectors=[drops],
+        **overlays,
+    )[0]
 
 
 @pytest.mark.parametrize(
-    "kind", ["agg", "veri", "bruteforce", "algorithm1", "unknown_f"]
+    "kind",
+    [
+        "agg",
+        "veri",
+        "bruteforce",
+        "algorithm1",
+        "unknown_f",
+        "transport",
+        "integrity",
+    ],
 )
 def test_empty_round_before_wake_is_a_no_op(kind):
     topo = grid_graph(4, 4)
@@ -356,6 +454,34 @@ def test_algorithm1_handler_calls_are_a_small_fraction(monkeypatch):
     )
     assert record.correct
     assert calls[0] <= 0.10 * topo.n_nodes * record.rounds
+
+
+def test_overlay_handler_calls_are_a_small_fraction(monkeypatch):
+    topo = grid_graph(5, 5)
+    calls, rounds = [0], [0]
+    on_round, step = TransportNode.on_round, Network.step
+
+    def counted_on_round(self, rnd, inbox):
+        calls[0] += 1
+        return on_round(self, rnd, inbox)
+
+    def counted_step(self):
+        rounds[0] += 1
+        step(self)
+
+    monkeypatch.setattr(TransportNode, "on_round", counted_on_round)
+    monkeypatch.setattr(Network, "step", counted_step)
+    record = run_protocol(
+        "unknown_f",
+        topo,
+        {u: 1 for u in topo.nodes()},
+        injectors=[MessageFaults(drop=0.01, seed=0, protect=[topo.root])],
+        rng=random.Random(0),
+        recovery=RecoveryPolicy.default(),
+        integrity="mac",
+    )
+    assert record.correct
+    assert calls[0] <= 0.20 * topo.n_nodes * rounds[0]
 
 
 def test_stretch_check_needs_few_bfs(monkeypatch):
