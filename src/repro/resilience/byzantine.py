@@ -186,7 +186,8 @@ class WitnessTap(FaultInjector):
 
     def attach(self, network: Network) -> None:
         super().attach(network)
-        self.coordinator.begin_gen(network)
+        # The non-owning proxy: the coordinator outlives this network.
+        self.coordinator.begin_gen(self.network)
 
     def arrange_inbox(self, rnd: int, receiver: int, envelopes: List) -> List:
         self.coordinator.observe_inbox(rnd, receiver, envelopes)

@@ -46,6 +46,7 @@ envelope checks stay honest.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..integrity.frames import IntegrityCoordinator, as_integrity
@@ -132,9 +133,12 @@ class TransportConfig:
         """Whether the φ-accrual detector runs (adaptive RTO or hedging)."""
         return self.adaptive or self.hedge
 
-    @property
+    @cached_property
     def nack_slots(self) -> Tuple[int, ...]:
-        """Window slots at which receivers NACK missing frames."""
+        """Window slots at which receivers NACK missing frames.
+
+        Computed once per config: the transport consults it every round.
+        """
         slots: List[int] = []
         slot, gap = 2, 2
         for _ in range(self.retransmits):
@@ -144,7 +148,7 @@ class TransportConfig:
             gap *= 2
         return tuple(slots)
 
-    @property
+    @cached_property
     def window(self) -> int:
         """Physical rounds per logical round.
 

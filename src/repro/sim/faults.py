@@ -33,6 +33,7 @@ explicit budget cap.
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -148,8 +149,13 @@ class FaultInjector:
         self.network = None
 
     def attach(self, network) -> None:
-        """Bind to a network; called once from ``Network.__init__``."""
-        self.network = network
+        """Bind to a network; called once from ``Network.__init__``.
+
+        The reference is a :func:`weakref.proxy`: the network owns its
+        injectors, so an owning back-reference would make every run a
+        reference cycle that outlives the run until a full GC pass.
+        """
+        self.network = weakref.proxy(network)
 
     def begin_round(self, rnd: int) -> None:
         """Hook: round ``rnd`` is about to deliver and compute."""

@@ -54,14 +54,15 @@ class FloodManager:
         (useful for handlers that react to new flood contents).
         """
         fresh: List[Envelope] = []
+        kinds, seen = self._flood_kinds, self._seen
         for env in inbox:
             part = env.part
-            if part.kind not in self._flood_kinds:
+            if part.kind not in kinds:
                 continue
-            key = part.content_key
-            if key in self._seen:
+            key = (part.kind, part.payload)  # Part.content_key, inlined
+            if key in seen:
                 continue
-            self._seen.add(key)
+            seen.add(key)
             self.known[key] = part
             self.first_seen_round[key] = rnd
             self._queue.append(part)

@@ -25,7 +25,12 @@ On top of the exact model the network supports two optional layers:
 
 When no injector modifies deliveries the original exact delivery path is
 used, so in-model executions are bit- and order-identical to the
-middleware-free simulator.
+middleware-free simulator.  That path delivers each broadcast once, as the
+model's local broadcast reads: one envelope list per broadcast, shared by
+every live neighbour (each receiver still gets its own inbox list), with
+each receiver's liveness checked once per round.  Injectors hold a
+non-owning reference back to the network, so a finished run is freed by
+reference counting alone.
 
 **Event-driven rounds.**  A round runs only the nodes with mail or a due
 wake (:meth:`repro.sim.node.NodeHandler.next_wake`, kept in per-round wake
@@ -163,8 +168,8 @@ class Network:
             injector.attach(self)
         # Delivery-modifying injectors force the scheduled-delivery path;
         # crash-only injectors keep the exact-model fast path.
-        self._faulty_delivery = any(
-            getattr(i, "modifies_delivery", False) for i in self.injectors
+        self._delivery_injectors = tuple(
+            i for i in self.injectors if getattr(i, "modifies_delivery", False)
         )
         self.monitors: List = list(monitors)
         for monitor in self.monitors:
@@ -297,7 +302,7 @@ class Network:
         for injector in self.injectors:
             injector.begin_round(rnd)
 
-        if self._faulty_delivery:
+        if self._delivery_injectors:
             inboxes = self._deliver_scheduled(rnd)
         else:
             inboxes = self._deliver_exact(rnd)
@@ -366,25 +371,36 @@ class Network:
             self.tracer.on_send(rnd, node, parts, bits)
         for injector in self.injectors:
             injector.on_broadcast(rnd, node, parts, bits)
-        if self._faulty_delivery:
+        if self._delivery_injectors:
             self._transmit(rnd, node, parts)
         else:
             self._in_flight.append((node, parts))
 
     def _deliver_exact(self, rnd: int) -> Dict[int, List[Envelope]]:
         """Exact-model delivery: last round's broadcasts reach all live
-        neighbours, in broadcast order."""
+        neighbours, in broadcast order.
+
+        A broadcast's envelopes are built once and shared by every
+        receiver (each still gets its own inbox list), and each receiver's
+        liveness is checked once per round.
+        """
         inboxes: Dict[int, List[Envelope]] = {}
+        alive: Dict[int, bool] = {}
+        tracer = self.tracer
+        flaps = self.link_flaps
         for sender, parts in self._in_flight:
+            envelopes = [Envelope(sender, p) for p in parts]
             for neighbour in self.adjacency[sender]:
-                if self.link_flaps and not self.link_up(sender, neighbour, rnd):
+                if flaps and not self.link_up(sender, neighbour, rnd):
                     continue
-                if self.is_alive(neighbour, rnd):
-                    box = inboxes.setdefault(neighbour, [])
-                    box.extend(Envelope(sender, p) for p in parts)
-                    if self.tracer is not None:
+                live = alive.get(neighbour)
+                if live is None:
+                    live = alive[neighbour] = self.is_alive(neighbour, rnd)
+                if live:
+                    inboxes.setdefault(neighbour, []).extend(envelopes)
+                    if tracer is not None:
                         for p in parts:
-                            self.tracer.on_deliver(rnd, sender, neighbour, p)
+                            tracer.on_deliver(rnd, sender, neighbour, p)
         self._in_flight = []
         return inboxes
 
@@ -398,9 +414,7 @@ class Network:
         for neighbour in self.adjacency[sender]:
             for part in parts:
                 deliveries = [(rnd + 1, part)]
-                for injector in self.injectors:
-                    if not getattr(injector, "modifies_delivery", False):
-                        continue
+                for injector in self._delivery_injectors:
                     rewritten: List[tuple] = []
                     for due, p in deliveries:
                         rewritten.extend(
@@ -414,12 +428,16 @@ class Network:
         """Fault-injection delivery: hand over every pending delivery that
         is due this round, then let injectors reorder each inbox."""
         inboxes: Dict[int, List[Envelope]] = {}
+        alive: Dict[int, bool] = {}
         still_pending: List[tuple] = []
         for due, sender, receiver, part in self._pending:
             if due > rnd:
                 still_pending.append((due, sender, receiver, part))
                 continue
-            if not self.is_alive(receiver, rnd):
+            live = alive.get(receiver)
+            if live is None:
+                live = alive[receiver] = self.is_alive(receiver, rnd)
+            if not live:
                 continue
             # A delivery at round ``rnd`` requires a broadcast at round
             # ``rnd - 1`` in the model; a sender dead by then cannot have
@@ -438,9 +456,8 @@ class Network:
                 self.tracer.on_deliver(rnd, sender, receiver, part)
         self._pending = still_pending
         for receiver, box in inboxes.items():
-            for injector in self.injectors:
-                if getattr(injector, "modifies_delivery", False):
-                    box = injector.arrange_inbox(rnd, receiver, box)
+            for injector in self._delivery_injectors:
+                box = injector.arrange_inbox(rnd, receiver, box)
             inboxes[receiver] = box
         return inboxes
 

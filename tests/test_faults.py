@@ -344,7 +344,7 @@ class TestFastPathEquivalence:
     def test_crash_only_injector_keeps_exact_delivery(self):
         inert = FaultInjector()
         net = Network(line3(), {i: SilentNode() for i in range(3)}, injectors=[inert])
-        assert not net._faulty_delivery
+        assert net._delivery_injectors == ()
 
     def test_noop_message_faults_matches_clean_run(self):
         # All rates zero: the scheduled-delivery path must reproduce the

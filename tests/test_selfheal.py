@@ -70,6 +70,36 @@ class TestTransportConfig:
         cfg = TransportConfig(retransmits=3, backoff_cap=4)
         assert TransportConfig.from_jsonable(cfg.as_jsonable()) == cfg
 
+    @pytest.mark.parametrize("cap", [2, 4, 8])
+    @pytest.mark.parametrize("retransmits", range(7))
+    def test_cached_schedule_matches_formula(self, retransmits, cap):
+        slots, slot, gap = [], 2, 2
+        for _ in range(retransmits):
+            slots.append(slot)
+            gap = min(gap, cap)
+            slot += gap
+            gap *= 2
+        cfg = TransportConfig(retransmits=retransmits, backoff_cap=cap)
+        for _ in range(2):  # computed once, then served from the cache
+            assert cfg.nack_slots == tuple(slots)
+            assert cfg.window == (slots[-1] + 1 if slots else 2)
+        fresh = TransportConfig(retransmits=retransmits, backoff_cap=cap)
+        assert cfg == fresh and hash(cfg) == hash(fresh)
+        assert cfg.as_jsonable() == fresh.as_jsonable()
+
+    def test_pickle_round_trip_stays_equal(self):
+        import pickle
+
+        cfg = TransportConfig(retransmits=3, backoff_cap=4, hedge=True)
+        cold = pickle.loads(pickle.dumps(cfg))
+        cfg.window  # fill the cache before the second round trip
+        warm = pickle.loads(pickle.dumps(cfg))
+        for copy in (cold, warm):
+            assert copy == cfg and hash(copy) == hash(cfg)
+            assert copy.nack_slots == cfg.nack_slots == (2, 4, 8)
+            assert copy.window == cfg.window == 9
+            assert copy.as_jsonable() == cfg.as_jsonable()
+
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             TransportConfig(retransmits=-1)
