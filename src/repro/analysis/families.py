@@ -366,7 +366,7 @@ def check(protocol: str, cfg: Dict[str, Any], injectors=()) -> None:
     if row is not None:
         raise ValueError(row.message())
     if on & RUNTIMES:
-        from ..resilience.failover import RECOVERABLE_PROTOCOLS
+        from ..resilience.driver import RECOVERABLE_PROTOCOLS
 
         if protocol not in RECOVERABLE_PROTOCOLS:
             raise ValueError(

@@ -236,12 +236,17 @@ class SpanTracer:
         **attrs: Any,
     ) -> Iterator[str]:
         """Context-manager form: the span closes at the highest logical
-        round observed inside the block (``max_round``)."""
-        sid = self.begin(name, cat, tid=tid, round=round, pid=pid, **attrs)
+        round observed inside the block (``max_round``), after any span
+        the block left open on its track (a root that crashed mid-phase
+        never closes its phase span)."""
+        p = self._pid if pid is None else pid
+        sid = self.begin(name, cat, tid=tid, round=round, pid=p, **attrs)
         try:
             yield sid
         finally:
-            self.end(tid=tid, round=self.max_round, pid=pid)
+            stack = self._stacks.get((p, tid), [])
+            while any(span["sid"] == sid for span in stack):
+                self.end(tid=tid, round=self.max_round, pid=p)
 
     def event(
         self,

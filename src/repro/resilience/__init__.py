@@ -7,6 +7,10 @@ simulator stays bit-exact when nothing here is enabled.
 * :mod:`repro.resilience.transport` — windowed reliable local-broadcast
   shim (dedup, reorder buffering, NACK-driven retransmission with bounded
   exponential backoff); overhead booked separately from protocol CC.
+* :mod:`repro.resilience.driver` — the one epoch driver behind failover,
+  churn and the Byzantine defence: discard-and-retry epochs up to a
+  budget, per-epoch reports and spans, side-runs between epochs, and a
+  per-family plan for everything that differs.
 * :mod:`repro.resilience.failover` — deterministic root failover: bounded
   min-id flood elects the lowest-id live neighbour of a dead root and the
   protocol restarts in a new epoch on the surviving component.
@@ -30,9 +34,7 @@ simulator stays bit-exact when nothing here is enabled.
 from .byzantine import (
     AUDITABLE_CAAFS,
     Accusation,
-    ByzEpochReport,
     ByzantineConfig,
-    ByzantineOutcome,
     Conviction,
     EVICT_POLICIES,
     WitnessCoordinator,
@@ -70,19 +72,20 @@ from .transport import (
     as_transport,
     overlay_network,
 )
+from .driver import (
+    EpochOutcome,
+    EpochReport,
+    RECOVERABLE_PROTOCOLS,
+    drive_epochs,
+)
 from .failover import (
     ELECT_KIND,
     ElectionNode,
     ElectionReport,
-    EpochReport,
-    RECOVERABLE_PROTOCOLS,
-    RecoveryOutcome,
     RecoveryPolicy,
     run_with_recovery,
 )
 from .epochs import (
-    ChurnEpochReport,
-    ChurnOutcome,
     ChurnPolicy,
     ContributionLedger,
     HeartbeatTracker,
@@ -97,16 +100,12 @@ __all__ = [
     "AUDITABLE_CAAFS",
     "Accusation",
     "AdaptiveRto",
-    "ByzEpochReport",
     "ByzantineConfig",
-    "ByzantineOutcome",
     "Conviction",
     "EVICT_POLICIES",
     "WitnessCoordinator",
     "WitnessTap",
     "run_with_byzantine",
-    "ChurnEpochReport",
-    "ChurnOutcome",
     "ChurnPolicy",
     "ContributionLedger",
     "HeartbeatTracker",
@@ -118,6 +117,7 @@ __all__ = [
     "ELECT_KIND",
     "ElectionNode",
     "ElectionReport",
+    "EpochOutcome",
     "EpochReport",
     "FRAME_KIND",
     "HEDGE_KIND",
@@ -131,7 +131,6 @@ __all__ = [
     "PhiConfig",
     "RECOVERABLE_PROTOCOLS",
     "RTO_MODES",
-    "RecoveryOutcome",
     "RecoveryPolicy",
     "ReliableTransport",
     "SuspicionEvent",
@@ -144,6 +143,7 @@ __all__ = [
     "TransportNode",
     "as_transport",
     "certify",
+    "drive_epochs",
     "overlay_network",
     "run_with_recovery",
 ]

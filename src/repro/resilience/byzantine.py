@@ -39,11 +39,20 @@ construction; see the CLI's fault-schedule validator):
   delivered to a strict non-empty subset of the sender's live neighbours
   was selectively suppressed.
 
-A conviction drives **eviction** through the epoch discard-and-retry
-machinery: the tainted epoch's bits are discarded (booked as overhead),
-the convicted nodes are crashed at round 1 of a rerun, and the protocol
-budget ``f`` is raised by their incident edges.  Under
-``evict_policy="flag"`` convictions only decertify.
+A conviction drives **eviction** through the epoch driver
+(:func:`repro.resilience.driver.drive_epochs`), with the
+:class:`ByzantinePlan` supplying what differs for this family:
+
+* *the next epoch's world*: the evicted nodes merged into the crash map
+  at round 1, the protocol budget ``f`` raised by their incident edges,
+  and a fresh :class:`WitnessTap` on the one run-long coordinator;
+* *the verdict*: an epoch with fresh convictions under
+  ``evict_policy="evict"`` is discarded (its bits are booked as defence
+  overhead, never protocol CC) and rerun while the budget lasts;
+  otherwise it is final.  Under ``evict_policy="flag"`` convictions only
+  decertify;
+* *the certificate*, below, with the whole run's overhead
+  (``total_overhead_bits``, echoes included).
 
 **Influence-bounded certification.**  Any lie that survives the audit is
 a contribution still inside ``[0, v_max]``, i.e. per surviving
@@ -60,7 +69,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..adversary.schedule import FailureSchedule
 from ..graphs.topology import Topology
@@ -70,9 +79,15 @@ from ..sim.faults import FaultInjector
 from ..sim.message import TAG_BITS, id_bits
 from ..sim.monitors import FBudgetMonitor
 from ..sim.network import Network
-from ..sim.stats import SimStats
-from .failover import RECOVERABLE_PROTOCOLS, _run_epoch
-from .partial import PartialAggregateResult, certify
+from .driver import (
+    DONE,
+    RETRY,
+    EpochOutcome,
+    EpochWorld,
+    check_protocol,
+    drive_epochs,
+)
+from .partial import certify
 
 #: Eviction policies: ``evict`` reruns without convicted nodes (the
 #: discard-and-retry path); ``flag`` only decertifies.
@@ -555,45 +570,136 @@ class WitnessCoordinator:
 
 
 @dataclass
-class ByzEpochReport:
-    """One protocol epoch inside a Byzantine-defended run."""
+class ByzantinePlan:
+    """Witness audit and eviction as an epoch plan."""
 
-    epoch: int
-    rounds: int
-    result: Optional[int]
-    convicted: Tuple[int, ...]
-    discarded: bool = False
+    family = "byz"
+    whole_run_rules = ("oracle", "byzantine")
+    discards_as_overhead = True
 
+    topology: Topology
+    inputs: Dict[int, int]
+    byz: Any
+    schedule: FailureSchedule
+    f: Optional[int]
+    caaf: Any
+    config: ByzantineConfig
+    integrity: Any
+    evicted: Set[int] = field(default_factory=set)
 
-@dataclass
-class ByzantineOutcome:
-    """Everything a Byzantine-defended run produced."""
+    def __post_init__(self) -> None:
+        self.coordinator = WitnessCoordinator(
+            self.topology,
+            self.inputs,
+            self.caaf,
+            self.config,
+            budget=self.byz.budget,
+            integrity=self.integrity.config
+            if self.integrity is not None
+            else None,
+        )
 
-    partial: PartialAggregateResult
-    result: Optional[int]
-    stats: SimStats
-    rounds: int
-    network: Optional[Network]
-    epochs: List[ByzEpochReport]
-    coordinator: WitnessCoordinator
-    evicted: Tuple[int, ...]
+    def _edges(self, nodes) -> int:
+        """Edge failures the crash of ``nodes`` causes."""
+        return sum(len(self.topology.adjacency.get(u, ())) for u in nodes)
 
-    @property
-    def convictions(self) -> Dict[int, Conviction]:
-        return self.coordinator.convictions
+    def world(self, epoch: int, run, transport) -> EpochWorld:
+        self.coordinator.epoch = epoch
+        f = self.f
+        if f is not None or self.evicted:
+            f = (f or 0) + self._edges(self.evicted)
+        crashes = dict(self.schedule.crash_rounds)
+        crashes.update({u: min(1, crashes.get(u, 1)) for u in self.evicted})
+        return EpochWorld(
+            self.topology,
+            self.inputs,
+            FailureSchedule(crashes),
+            f,
+            injectors=(self.byz, WitnessTap(self.coordinator)),
+            integrity=self.integrity,
+            attrs={"evicted": len(self.evicted)},
+        )
 
-    @property
-    def accusations(self) -> List[Accusation]:
-        return self.coordinator.accusations
+    def judge(self, report, out, run, last: bool) -> str:
+        self.coordinator.finalize()
+        fresh = self.coordinator.take_new_convictions() - self.evicted
+        report.convicted = tuple(sorted(fresh))
+        if not fresh or self.config.evict_policy != "evict" or last:
+            return DONE
+        # Discard-and-retry: the rerun crashes the convicts.
+        self.evicted |= fresh
+        if _metrics.enabled:
+            _metrics.active().counter(
+                "byz_evictions", "convicted nodes evicted via epoch retry"
+            ).inc(len(fresh))
+        for monitor in run.monitors:
+            if isinstance(monitor, FBudgetMonitor):
+                # The rerun re-fires scheduled crashes and adds the
+                # convicts' incident edges — both sanctioned, so the
+                # allowance grows accordingly.
+                monitor.f += self._edges(fresh) + self._edges(
+                    self.schedule.crash_rounds
+                )
+        return RETRY
 
-
-def _merged_crashes(
-    schedule: FailureSchedule, evicted: Set[int]
-) -> FailureSchedule:
-    crashes = dict(schedule.crash_rounds)
-    for node in evicted:
-        crashes[node] = min(1, crashes.get(node, 1))
-    return FailureSchedule(crashes)
+    def certify(self, run):
+        """Influence-bounded certification of the final epoch."""
+        coordinator, value = self.coordinator, run.epochs[-1].result
+        for node, bits in coordinator.echo_bits.items():
+            run.stats.overhead_bits[node] = (
+                run.stats.overhead_bits.get(node, 0) + bits
+            )
+        residual_convicts = sorted(set(coordinator.convictions) - self.evicted)
+        b_rem = max(0, self.byz.budget - len(self.evicted))
+        # Coverage: provably included contributions only — the root's
+        # surviving component of the final epoch (mid-run crashes may or
+        # may not have folded in; the certificate's bounds bracket both).
+        # Evicted nodes crash at round 1, so they fall out here naturally.
+        network = run.network
+        failed = {
+            u for u, r in network.crash_rounds.items() if r <= network.round
+        }
+        if value is None:
+            certified = False
+            reason = f"epoch {len(run.epochs)} produced no output"
+        elif residual_convicts:
+            certified = False
+            reason = (
+                f"convicted nodes {residual_convicts} still in the run "
+                f"(evict_policy={self.config.evict_policy!r}, "
+                f"epoch budget {self.config.max_epochs}): their influence "
+                "is unbounded"
+            )
+        else:
+            certified = True
+            reason = (
+                "byzantine-audited: exact (zero residual budget)"
+                if b_rem == 0
+                else f"byzantine-audited: |error| <= {b_rem} x v_max"
+            )
+        run.coordinator = coordinator
+        run.evicted = tuple(sorted(self.evicted))
+        run.partial = certify(
+            value,
+            sorted(self.topology.nodes()),
+            sorted(self.topology.alive_component(failed)),
+            self.inputs,
+            self.caaf,
+            certified=certified,
+            reason=reason,
+            epochs=len(run.epochs),
+            overhead_bits=run.stats.total_overhead_bits,
+            byz_budget=self.byz.budget,
+            convicted=tuple(sorted(coordinator.convictions)),
+            influence_bound=(b_rem * coordinator.v_max) if certified else None,
+            v_max=coordinator.v_max,
+            extra={
+                "echo_bits": coordinator.total_echo_bits,
+                "accusations": len(coordinator.accusations),
+                "convictions": len(coordinator.convictions),
+                "evicted": len(self.evicted),
+            },
+        )
 
 
 def run_with_byzantine(
@@ -612,7 +718,7 @@ def run_with_byzantine(
     monitors: Sequence = (),
     config: Optional[ByzantineConfig] = None,
     integrity=None,
-) -> ByzantineOutcome:
+) -> EpochOutcome:
     """Run ``protocol`` under a Byzantine schedule with the witness defence.
 
     The first epoch runs with the compromised nodes in place; every
@@ -624,14 +730,8 @@ def run_with_byzantine(
     """
     from ..core.caaf import SUM
 
+    check_protocol("byzantine defence", protocol)
     caaf = caaf or SUM
-    config = config or ByzantineConfig()
-    schedule = schedule or FailureSchedule()
-    if protocol not in RECOVERABLE_PROTOCOLS:
-        raise ValueError(
-            f"byzantine defence supports protocols {RECOVERABLE_PROTOCOLS}, "
-            f"got {protocol!r}"
-        )
     if caaf.name not in AUDITABLE_CAAFS:
         raise ValueError(
             "influence-bounded certification needs an invertible sum-like "
@@ -642,183 +742,18 @@ def run_with_byzantine(
     byz.validate(topology)
     if integrity is not None:
         byz.integrity = integrity.config
-
-    coordinator = WitnessCoordinator(
+    config = config or ByzantineConfig()
+    plan = ByzantinePlan(
         topology,
         inputs,
+        byz,
+        schedule or FailureSchedule(),
+        f,
         caaf,
         config,
-        budget=byz.budget,
-        integrity=integrity.config if integrity is not None else None,
+        integrity,
     )
-    all_nodes = sorted(topology.nodes())
-    degree = {u: len(vs) for u, vs in topology.adjacency.items()}
-    epoch_monitors = [
-        m
-        for m in monitors
-        if getattr(m, "rule", None) not in ("oracle", "byzantine")
-    ]
-
-    combined = SimStats()
-    reports: List[ByzEpochReport] = []
-    evicted: Set[int] = set()
-    elapsed = 0
-    final_out = None
-    final_epoch = 0
-
-    for epoch in range(1, config.max_epochs + 1):
-        coordinator.epoch = epoch
-        tap = WitnessTap(coordinator)
-        epoch_schedule = _merged_crashes(schedule, evicted)
-        f_eff = (f if f is not None else 0) + sum(
-            degree.get(u, 0) for u in evicted
-        )
-        if _spans.enabled:
-            _spans.active().begin(
-                f"byz.epoch[{epoch}]",
-                cat="byzantine",
-                tid=topology.root,
-                round=elapsed,
-                epoch=epoch,
-                evicted=len(evicted),
-            )
-        out = _run_epoch(
-            protocol,
-            topology,
-            inputs,
-            epoch_schedule,
-            f=f_eff if (f is not None or evicted) else f,
-            b=b,
-            c=c,
-            caaf=caaf,
-            rng=rng,
-            injectors=(byz, tap) + tuple(injectors),
-            monitors=epoch_monitors,
-            transport=None,
-            integrity=integrity,
-        )
-        coordinator.finalize()
-        fresh = coordinator.take_new_convictions() - evicted
-        elapsed += out.rounds
-        if _spans.enabled:
-            _spans.active().end(
-                tid=topology.root,
-                round=elapsed,
-                rounds=out.rounds,
-                convictions=len(fresh),
-            )
-        retry = (
-            bool(fresh)
-            and config.evict_policy == "evict"
-            and epoch < config.max_epochs
-        )
-        reports.append(
-            ByzEpochReport(
-                epoch,
-                out.rounds,
-                out.result,
-                tuple(sorted(fresh)),
-                discarded=retry,
-            )
-        )
-        if not retry:
-            combined.absorb(out.stats)
-            final_out = out
-            final_epoch = epoch
-            break
-        # Discard-and-retry: the tainted epoch's bits are defence
-        # overhead, never protocol CC; the rerun crashes the convicts.
-        combined.absorb(out.stats, as_overhead=True)
-        evicted |= fresh
-        if _spans.enabled:
-            _spans.active().event(
-                "byz.eviction",
-                cat="byzantine",
-                tid=topology.root,
-                round=elapsed,
-                evicted=sorted(fresh),
-            )
-        if _metrics.enabled:
-            _metrics.active().counter(
-                "byz_evictions", "convicted nodes evicted via epoch retry"
-            ).inc(len(fresh))
-        for monitor in epoch_monitors:
-            if isinstance(monitor, FBudgetMonitor):
-                # The rerun re-fires scheduled crashes and adds the
-                # convicts' incident edges — both sanctioned, so the
-                # allowance grows accordingly.
-                monitor.f += sum(degree.get(u, 0) for u in fresh) + sum(
-                    degree.get(u, 0) for u in schedule.crash_rounds
-                )
-
-    # ---- influence-bounded certification ---------------------------- #
-    for node, bits in coordinator.echo_bits.items():
-        combined.overhead_bits[node] = (
-            combined.overhead_bits.get(node, 0) + bits
-        )
-    residual_convicts = sorted(set(coordinator.convictions) - evicted)
-    b_rem = max(0, byz.budget - len(evicted))
-    value = final_out.result if final_out is not None else None
-    # Coverage: provably included contributions only — the root's
-    # surviving component of the final epoch (mid-run crashes may or may
-    # not have folded in; the certificate's bounds bracket both).
-    # Evicted nodes crash at round 1, so they fall out here naturally.
-    if final_out is not None and final_out.network is not None:
-        network = final_out.network
-        failed = {
-            u
-            for u, r in network.crash_rounds.items()
-            if r <= network.round
-        }
-        covered = sorted(topology.alive_component(failed))
-    else:
-        covered = [u for u in all_nodes if u not in evicted]
-    if value is None:
-        certified = False
-        reason = f"epoch {final_epoch} produced no output"
-    elif residual_convicts:
-        certified = False
-        reason = (
-            f"convicted nodes {residual_convicts} still in the run "
-            f"(evict_policy={config.evict_policy!r}, "
-            f"epoch budget {config.max_epochs}): their influence is "
-            "unbounded"
-        )
-    else:
-        certified = True
-        reason = (
-            "byzantine-audited: exact (zero residual budget)"
-            if b_rem == 0
-            else f"byzantine-audited: |error| <= {b_rem} x v_max"
-        )
-    partial = certify(
-        value,
-        all_nodes,
-        covered,
-        inputs,
-        caaf,
-        certified=certified,
-        reason=reason,
-        epochs=len(reports),
-        overhead_bits=combined.total_overhead_bits,
-        byz_budget=byz.budget,
-        convicted=tuple(sorted(coordinator.convictions)),
-        influence_bound=(b_rem * coordinator.v_max) if certified else None,
-        v_max=coordinator.v_max,
-        extra={
-            "echo_bits": coordinator.total_echo_bits,
-            "accusations": len(coordinator.accusations),
-            "convictions": len(coordinator.convictions),
-            "evicted": len(evicted),
-        },
-    )
-    return ByzantineOutcome(
-        partial=partial,
-        result=value,
-        stats=combined,
-        rounds=elapsed,
-        network=final_out.network if final_out is not None else None,
-        epochs=reports,
-        coordinator=coordinator,
-        evicted=tuple(sorted(evicted)),
+    return drive_epochs(
+        plan, protocol, max_epochs=config.max_epochs, b=b, c=c, caaf=caaf,
+        rng=rng, injectors=injectors, monitors=monitors,
     )

@@ -1,45 +1,44 @@
-"""Churn-tolerant epochs: exactly-once re-aggregation under crash-recovery.
+"""Churn-tolerant epochs: the exactly-once plan of the epoch driver.
 
 :mod:`repro.resilience.failover` heals the run when the *root* dies; this
 module heals it when ordinary nodes **come back**.  The paper's crash-stop
 model has no rejoin — a crashed node is gone — so everything here is
 opt-in, out-of-model machinery in the spirit of the crash-recovery /
-anti-entropy literature (Flow Updating, gossip re-aggregation):
+anti-entropy literature (Flow Updating, gossip re-aggregation).  Its
+:class:`ChurnPlan` tells :func:`repro.resilience.driver.drive_epochs`
+what differs under churn:
 
-* An **epoch** is one full protocol run over the full topology, executed
-  under a :class:`repro.sim.faults.ChurnSchedule` view rebased to the
-  epoch's local clock (:meth:`~repro.sim.faults.ChurnSchedule.shifted` —
-  the same shifting idiom failover uses between its epochs).  Nodes that
-  crash mid-epoch fall silent exactly as the model prescribes; durable
+* **The next epoch's world.**  Every epoch runs the protocol over the
+  full topology, under a :class:`repro.sim.faults.ChurnSchedule` view
+  rebased to the driver's global clock
+  (:meth:`~repro.sim.faults.ChurnSchedule.shifted`).  Nodes that crash
+  mid-epoch fall silent exactly as the model prescribes; durable
   rejoiners resume with their persisted state, amnesiac rejoiners only
   heartbeat (:class:`repro.resilience.transport.AmnesiacInner`) until the
-  next epoch boundary re-admits them.
-* **Membership changes are detected, not assumed**: a
-  :class:`HeartbeatTracker` injector watches physical broadcasts and
-  flags a node down after ``heartbeat_gap`` silent transport windows, up
-  again on its first frame.  The orchestrator decides re-aggregation
-  from these observed transitions (falling back to network liveness when
-  no transport — hence no heartbeat stream — is configured).
-* **Exactly-once contribution accounting**: every booked leaf
-  contribution carries a ``(node_id, incarnation)`` nonce in the
-  :class:`ContributionLedger`.  An epoch's output is certified by
-  matching it against aggregates over contributor subsets (the paper's
-  footnote-6 machinery: survivors are required, churned nodes optional),
-  and matched contributors are booked once; later epochs re-run the
-  protocol with booked nodes' inputs **neutralized to the CAAF
-  identity**, so a rejoined node is never double-counted — and never
-  dropped, because it stays pending until booked or provably lost.
-* **Amnesiac recovery** rides a neighbour anti-entropy
+  next epoch re-admits them.  Inputs already booked (or lost) are
+  **neutralized to the CAAF identity**, so a rejoined node is never
+  double-counted.  A :class:`HeartbeatTracker` injector flags a node
+  down after ``HEARTBEAT_GAP`` silent transport windows and up again on
+  its first frame: **membership is detected, not assumed** (falling back
+  to network liveness when no transport — hence no heartbeat stream — is
+  configured).
+* **The verdict.**  An epoch's output is certified by matching it
+  against aggregates over contributor subsets (the paper's footnote-6
+  machinery: survivors are required, churned nodes optional); matched
+  contributors are booked once in the :class:`ContributionLedger` under
+  a ``(node_id, incarnation)`` nonce.  An output that matches no subset
+  is discarded and rerun; nothing from it is booked.  The run is done
+  when no live contribution is left pending.
+* **Between epochs.**  Amnesiac recovery rides a neighbour anti-entropy
   :class:`SnapshotStore`: before epoch 1 every node announces its input
-  to its neighbours over the reliable transport (a round-0 preprocessing
-  broadcast); an amnesiac rejoiner re-fetches its contribution from any
-  live neighbour still holding the snapshot via a bounded
-  request/reply mini-run between epochs.  Announce and rejoin traffic is
-  absorbed as ``overhead_bits`` — never protocol CC — exactly like
-  failover's elections.  A contribution is *lost* only when no copy
-  survived (all holders died or lost their own state), in which case the
-  run degrades to a certified partial whose ``missing`` set names the
-  node — never a silently wrong value.
+  to its neighbours (an unclocked driver side-run), and an amnesiac
+  rejoiner re-fetches its contribution from a neighbour still holding
+  the snapshot via a bounded request/reply side-run.  Announce and
+  rejoin traffic is overhead, never protocol CC.  A contribution is
+  *lost* only when no copy survives — every holder crashed for good or
+  lost its own state — and then the run degrades to a certified partial
+  whose ``missing`` set names the node, never a silently wrong value.
+  A node whose holders are down but will revive durably stays pending.
 
 The :class:`repro.sim.monitors.DoubleCountOracle` audits the final claim:
 ``double-count`` fires if any nonce was booked twice or the certified
@@ -52,7 +51,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..adversary.schedule import FailureSchedule
 from ..graphs.topology import Topology
@@ -66,10 +65,20 @@ from ..sim.message import Part, TAG_BITS, id_bits, value_bits
 from ..sim.monitors import DoubleCountOracle
 from ..sim.network import Network, ROOT_CRASH_ERROR
 from ..sim.node import NodeHandler
-from ..sim.stats import SimStats
-from .failover import RECOVERABLE_PROTOCOLS, _run_epoch, _shift_crash_map
-from .partial import PartialAggregateResult, certify
-from .transport import ReliableTransport, TransportConfig, overlay_network
+from .driver import (
+    DONE,
+    FAIL,
+    NEXT,
+    RETRY,
+    EpochOutcome,
+    EpochWorld,
+    check_protocol,
+    drive_epochs,
+    retired_knobs,
+    shift_crash_map,
+)
+from .partial import certify
+from .transport import TransportConfig
 
 #: Wire kinds of the anti-entropy mini-protocols.
 SNAP_KIND = "churn_snap"
@@ -104,34 +113,29 @@ def neutral_input(caaf) -> int:
     return candidate
 
 
+#: Transport windows of silence before the heartbeat tracker presumes a
+#: node down.
+HEARTBEAT_GAP = 2
+
+
 @dataclass(frozen=True)
 class ChurnPolicy:
     """What the churn-tolerant runtime is allowed to do.
 
     Attributes:
         transport: Reliable-transport config for every epoch and the
-            anti-entropy mini-runs; ``None`` runs the raw network (then
+            anti-entropy side-runs; ``None`` runs the raw network (then
             heartbeats are unavailable and membership falls back to
             network liveness).
         max_epochs: Total protocol epochs (first run included).
-        heartbeat_gap: Transport windows of silence before the tracker
-            presumes a node down.
-        snapshots: Whether to run the round-0 anti-entropy announce that
-            makes amnesiac contributions recoverable.
     """
 
     transport: Optional[TransportConfig] = None
     max_epochs: int = 4
-    heartbeat_gap: int = 2
-    snapshots: bool = True
 
     def __post_init__(self) -> None:
         if self.max_epochs < 1:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if self.heartbeat_gap < 1:
-            raise ValueError(
-                f"heartbeat_gap must be >= 1, got {self.heartbeat_gap}"
-            )
 
     @classmethod
     def default(cls, retransmit_budget: int = 5) -> "ChurnPolicy":
@@ -148,20 +152,19 @@ class ChurnPolicy:
         return {
             "transport": self.transport.as_jsonable() if self.transport else None,
             "max_epochs": self.max_epochs,
-            "heartbeat_gap": self.heartbeat_gap,
-            "snapshots": self.snapshots,
         }
 
     @classmethod
     def from_jsonable(cls, data: Dict[str, object]) -> "ChurnPolicy":
+        # Older bundles carry two retired knobs; only their fixed values
+        # can be replayed faithfully.
+        retired_knobs(data, heartbeat_gap=HEARTBEAT_GAP, snapshots=True)
         transport = data.get("transport")
         return cls(
             transport=TransportConfig.from_jsonable(transport)
             if transport
             else None,
             max_epochs=int(data.get("max_epochs", 4)),
-            heartbeat_gap=int(data.get("heartbeat_gap", 2)),
-            snapshots=bool(data.get("snapshots", True)),
         )
 
 
@@ -274,55 +277,35 @@ class HeartbeatTracker(FaultInjector):
         """Nodes currently presumed down."""
         return set(self._down)
 
-    def rejoins(self) -> List[int]:
-        """Nodes observed to come back after a detected outage."""
-        return sorted({n for _r, n, kind in self.transitions if kind == "up"})
 
+class SnapshotNode(NodeHandler):
+    """Anti-entropy side-run node: announce, request and serve snapshots.
 
-class AnnounceNode(NodeHandler):
-    """Round-0 anti-entropy announce: broadcast my input, cache theirs."""
-
-    def __init__(self, node_id: int, value: int, bits: int) -> None:
-        self.node_id = node_id
-        self.value = value
-        self.bits = bits
-        #: Neighbour inputs heard: node -> raw value.
-        self.heard: Dict[int, int] = {}
-
-    def on_round(self, rnd: int, inbox) -> List[Part]:
-        for envelope in inbox:
-            if envelope.part.kind == SNAP_KIND:
-                node, value = envelope.part.payload
-                self.heard.setdefault(node, value)
-        if rnd == 1:
-            return [Part(SNAP_KIND, (self.node_id, self.value), self.bits)]
-        return []
-
-    def wants_to_stop(self) -> bool:
-        return False
-
-
-class RejoinNode(NodeHandler):
-    """Rejoin handshake: amnesiac nodes request, cache holders reply.
-
-    Requesters broadcast a ``SNAP_REQ`` naming themselves; every live
-    neighbour still caching their snapshot replies with the value; the
-    requester adopts the first reply (inbox order is deterministic).
+    In the round-0 announce every node broadcasts its input and caches
+    what its neighbours announce (:attr:`heard`).  In a rejoin handshake
+    requesters broadcast a ``SNAP_REQ`` naming themselves, every live
+    neighbour still caching their snapshot replies with the value, and
+    the requester adopts the first reply (inbox order is deterministic).
     """
 
     def __init__(
         self,
         node_id: int,
-        requesting: bool,
-        cache: Dict[int, int],
+        snap_bits: int,
         req_bits: int,
-        reply_bits: int,
+        *,
+        announce: Optional[int] = None,
+        requesting: bool = False,
+        cache: Optional[Dict[int, int]] = None,
     ) -> None:
         self.node_id = node_id
-        self.requesting = requesting
-        self.cache = dict(cache)
+        self.snap_bits = snap_bits
         self.req_bits = req_bits
-        self.reply_bits = reply_bits
+        self.announce = announce
+        self.requesting = requesting
+        self.cache = dict(cache or {})
+        #: Snapshots heard: node -> raw value.
+        self.heard: Dict[int, int] = {}
         #: The recovered raw input (None until a reply lands).
         self.recovered: Optional[int] = None
         self._replies_due: List[Tuple[int, int]] = []
@@ -336,136 +319,21 @@ class RejoinNode(NodeHandler):
                     self._replies_due.append((who, self.cache[who]))
             elif part.kind == SNAP_KIND:
                 node, value = part.payload
-                if (
-                    node == self.node_id
-                    and self.requesting
-                    and self.recovered is None
-                ):
-                    self.recovered = value
+                self.heard.setdefault(node, value)
+                if node == self.node_id and self.requesting:
+                    self.recovered = self.heard[node]
         out: List[Part] = []
+        if rnd == 1 and self.announce is not None:
+            out.append(Part(SNAP_KIND, (self.node_id, self.announce), self.snap_bits))
         if rnd == 1 and self.requesting:
             out.append(Part(SNAP_REQ_KIND, (self.node_id,), self.req_bits))
         due, self._replies_due = sorted(set(self._replies_due)), []
         for node, value in due:
-            out.append(Part(SNAP_KIND, (node, value), self.reply_bits))
+            out.append(Part(SNAP_KIND, (node, value), self.snap_bits))
         return out
 
     def wants_to_stop(self) -> bool:
         return False
-
-
-@dataclass
-class ChurnEpochReport:
-    """One protocol epoch inside a churn run."""
-
-    epoch: int
-    rounds: int
-    result: Optional[int]
-    booked: Tuple[int, ...]
-    pending: Tuple[int, ...]
-    rejoins_observed: Tuple[int, ...] = ()
-    #: True when the epoch's output matched no contributor subset and the
-    #: whole epoch was thrown away and rerun.  Nothing from a discarded
-    #: epoch is booked, so the retry keeps re-aggregation exactly-once.
-    discarded: bool = False
-
-
-@dataclass
-class ChurnOutcome:
-    """Everything a churn-tolerant run produced."""
-
-    partial: PartialAggregateResult
-    stats: SimStats
-    rounds: int
-    epochs: List[ChurnEpochReport]
-    ledger: ContributionLedger
-    lost: Tuple[int, ...]
-    recovered: Tuple[int, ...] = ()
-    transports: List[ReliableTransport] = field(default_factory=list)
-    network: Optional[Network] = None
-    tracker: Optional[HeartbeatTracker] = None
-
-    @property
-    def result(self) -> Optional[int]:
-        return self.partial.value
-
-
-def _side_run(
-    topology: Topology,
-    handlers: Dict[int, NodeHandler],
-    crash_rounds: Dict[int, int],
-    policy: ChurnPolicy,
-    logical_rounds: int,
-) -> SimStats:
-    """One anti-entropy mini-run (announce or rejoin handshake).
-
-    Runs over the policy's reliable transport like failover's elections;
-    the caller absorbs the stats with ``as_overhead=True`` so none of it
-    touches protocol CC.
-    """
-    network, window, transport, _ = overlay_network(
-        topology, handlers, crash_rounds, transport=policy.transport
-    )
-    horizon = (logical_rounds + 1) * window + (1 if transport else 0)
-    return network.run(horizon, stop_on_output=False)
-
-
-def _announce_snapshots(
-    topology: Topology,
-    inputs: Dict[int, int],
-    policy: ChurnPolicy,
-    store: SnapshotStore,
-) -> SimStats:
-    """Seed the anti-entropy store with every node's round-0 announce."""
-    n = max(topology.nodes()) + 1
-    bits = (
-        TAG_BITS
-        + id_bits(n)
-        + value_bits(max(1, max(inputs.values(), default=1)))
-    )
-    handlers = {
-        u: AnnounceNode(u, inputs[u], bits) for u in topology.nodes()
-    }
-    stats = _side_run(topology, handlers, {}, policy, logical_rounds=2)
-    for holder in topology.nodes():
-        for node, value in handlers[holder].heard.items():
-            store.seed(holder, node, value)
-    return stats
-
-
-def _rejoin_handshake(
-    topology: Topology,
-    requesters: Sequence[int],
-    down: Set[int],
-    policy: ChurnPolicy,
-    store: SnapshotStore,
-    inputs: Dict[int, int],
-) -> Tuple[Dict[int, int], SimStats]:
-    """Run one rejoin handshake; returns ``{node: recovered value}``."""
-    n = max(topology.nodes()) + 1
-    req_bits = TAG_BITS + id_bits(n)
-    reply_bits = req_bits + value_bits(
-        max(1, max(inputs.values(), default=1))
-    )
-    requester_set = set(requesters)
-    handlers = {
-        u: RejoinNode(
-            u,
-            requesting=u in requester_set,
-            cache=store.cache_of(u),
-            req_bits=req_bits,
-            reply_bits=reply_bits,
-        )
-        for u in topology.nodes()
-    }
-    crash_rounds = {u: 1 for u in down}
-    stats = _side_run(topology, handlers, crash_rounds, policy, logical_rounds=3)
-    recovered = {
-        u: handlers[u].recovered
-        for u in sorted(requester_set)
-        if u not in down and handlers[u].recovered is not None
-    }
-    return recovered, stats
 
 
 def _ever_down(network: Network, node: int, rounds: int) -> bool:
@@ -503,6 +371,331 @@ def _match_contributors(
     return None
 
 
+@dataclass
+class ChurnPlan:
+    """Exactly-once re-aggregation under churn as an epoch plan."""
+
+    family = "churn"
+    # The per-run termination oracle grades one full protocol execution
+    # against the full input set; later epochs run on neutralized inputs,
+    # so it (and the churn oracle itself) stays out of the epoch stack —
+    # the ledger certification is the churn-path authority.
+    whole_run_rules = ("oracle", "exactly-once")
+    discards_as_overhead = False
+
+    topology: Topology
+    inputs: Dict[int, int]
+    churn: ChurnSchedule
+    schedule: FailureSchedule
+    f: Optional[int]
+    caaf: Any
+    #: The side-runs' transport (epochs get theirs from the driver).
+    transport: Optional[TransportConfig]
+    oracle: Optional[DoubleCountOracle]
+    ledger: ContributionLedger = field(default_factory=ContributionLedger)
+    store: SnapshotStore = field(default_factory=SnapshotStore)
+    lost: Set[int] = field(default_factory=set)
+    recovered: Set[int] = field(default_factory=set)
+    #: Amnesiac rejoiners whose handshake failed while a holder of their
+    #: snapshot survived: pending, but with no input to submit.
+    unrecovered: Set[int] = field(default_factory=set)
+    handshakes: int = 0
+    epoch_values: List[int] = field(default_factory=list)
+    certified: bool = True
+    reason: str = "clean"
+    budget_exhausted: bool = False
+    tracker: Optional[HeartbeatTracker] = None
+
+    def __post_init__(self) -> None:
+        self.neutral = neutral_input(self.caaf)
+        self.all_nodes = sorted(self.topology.nodes())
+        self.prepared = {
+            u: self.caaf.prepare(self.inputs[u]) for u in self.all_nodes
+        }
+        #: Bits of a snapshot request ``(node)`` and of a snapshot
+        #: ``(node, value)`` on the anti-entropy side-runs.
+        self.req_bits = TAG_BITS + id_bits(max(self.all_nodes) + 1)
+        self.snap_bits = self.req_bits + value_bits(
+            max(1, max(self.inputs.values(), default=1))
+        )
+
+    def _open(self, node: int) -> bool:
+        """Whether ``node``'s input still has to be aggregated."""
+        return not (
+            self.ledger.booked(node)
+            or node in self.lost
+            or node in self.unrecovered
+        )
+
+    def world(self, epoch: int, run, transport) -> EpochWorld:
+        if epoch == 1:
+            handlers = self._snapshot_run(run, 2, announce=True)
+            for holder in self.topology.nodes():
+                for node, value in handlers[holder].heard.items():
+                    self.store.seed(holder, node, value)
+        self.tracker = (
+            HeartbeatTracker(HEARTBEAT_GAP * transport.window)
+            if transport
+            else None
+        )
+        inputs = {
+            u: self.inputs[u] if self._open(u) else self.neutral
+            for u in self.all_nodes
+        }
+        crashes = dict(self.schedule.crash_rounds)
+        return EpochWorld(
+            self.topology,
+            inputs,
+            FailureSchedule(
+                shift_crash_map(crashes, run.elapsed, self.all_nodes)
+                if run.elapsed
+                else crashes
+            ),
+            self.f,
+            # A fresh shifted view keeps the caller's schedule pristine
+            # (revive logs and incarnation bases mutate per epoch).
+            injectors=(self.churn.shifted(run.elapsed),)
+            + ((self.tracker,) if self.tracker else ()),
+            attrs={"contributors": sum(map(self._open, self.all_nodes))},
+        )
+
+    def judge(self, report, out, run, last: bool) -> str:
+        network, elapsed, v_e = out.network, run.elapsed, out.result
+        # Amnesiac rejoins (observed or enacted) void the holder's cache.
+        for rnd_g, node, mode in self.churn.revive_events():
+            if rnd_g <= elapsed and mode == REJOIN_AMNESIAC:
+                self.store.drop_holder(node)
+        if v_e is None:
+            if not last:
+                return RETRY
+            return self._fail(f"epoch {report.epoch} produced no output")
+
+        # ---- certify the epoch output against contributor subsets ---- #
+        contributors = [u for u in self.all_nodes if self._open(u)]
+        down = {
+            u for u in self.all_nodes if not network.is_alive(u, out.rounds)
+        }
+        component = self.topology.alive_component(down)
+        required = [
+            u
+            for u in contributors
+            if not _ever_down(network, u, out.rounds) and u in component
+        ]
+        optional = [u for u in contributors if u not in required]
+        if len(optional) > MAX_OPTIONAL_CONTRIBUTORS:
+            return self._fail(
+                f"epoch {report.epoch}: {len(optional)} churned contributors "
+                f"exceed the {MAX_OPTIONAL_CONTRIBUTORS}-node "
+                "certification cap",
+                v_e,
+            )
+        matched = _match_contributors(
+            self.caaf, v_e, required, optional, self.prepared
+        )
+        if matched is None:
+            if not last:
+                return RETRY
+            return self._fail(
+                f"epoch {report.epoch} output {v_e} matches no contributor "
+                "subset (uncertifiable coverage)",
+                v_e,
+            )
+        self.epoch_values.append(v_e)
+        for u in matched:
+            self.ledger.book(
+                u, self.churn.incarnation_at(u, elapsed), self.prepared[u]
+            )
+        if _spans.enabled:
+            _spans.active().event(
+                "epoch.booked",
+                cat="epoch",
+                tid=self.topology.root,
+                round=elapsed,
+                epoch=report.epoch,
+                booked=len(matched),
+            )
+
+        # ---- decide whether another epoch is needed ------------------- #
+        down_end = self.tracker.down_now() if self.tracker is not None else down
+        unbooked = [
+            u
+            for u in self.all_nodes
+            if not self.ledger.booked(u) and u not in self.lost
+        ]
+        pending_now = [u for u in unbooked if u not in down_end]
+        view = self.churn.shifted(elapsed)
+        pending_later = [
+            u
+            for u in unbooked
+            if u in down_end
+            and any(
+                revive_r is not None
+                for _c, revive_r, _m in view.cycles.get(u, ())
+            )
+        ]
+        report.booked = matched
+        report.pending = tuple(sorted(pending_now + pending_later))
+        if not pending_now and not pending_later:
+            return DONE
+        if last:
+            self.budget_exhausted = True
+            self.reason = "churn epoch budget exhausted"
+            return DONE
+
+        # ---- rejoin handshake for amnesiac pending nodes -------------- #
+        needs_recovery = [
+            u
+            for u in pending_now
+            if u not in self.recovered
+            and any(
+                revive_r is not None
+                and revive_r <= elapsed
+                and mode == REJOIN_AMNESIAC
+                for _c, revive_r, mode in self.churn.cycles.get(u, ())
+            )
+        ]
+        if needs_recovery:
+            self.handshakes += 1
+            handlers = self._snapshot_run(
+                run, 3, requesters=needs_recovery, down=down
+            )
+            for u in needs_recovery:
+                if u not in down and handlers[u].recovered is not None:
+                    self.recovered.add(u)
+                    self.unrecovered.discard(u)
+                elif self.surviving_holders(u, run.elapsed):
+                    self.unrecovered.add(u)
+                else:
+                    self.lost.add(u)
+        return NEXT
+
+    def _fail(self, reason: str, value: Optional[int] = None) -> str:
+        """Stop on an epoch nothing can certify; its value still counts."""
+        self.certified, self.reason = False, reason
+        if value is not None:
+            self.epoch_values.append(value)
+        return FAIL
+
+    def surviving_holders(self, node: int, now: int) -> List[int]:
+        """Holders still keeping ``node``'s snapshot at global round ``now``.
+
+        A holder keeps its copy unless it crashed for good, or an amnesiac
+        rejoin wiped (or, while it is still down, will wipe) its cache.
+        A holder that is down but will revive durably still keeps it.
+        """
+
+        def keeps_copy(holder: int) -> bool:
+            if self.schedule.crash_rounds.get(holder, float("inf")) <= now:
+                return False
+            return not any(
+                crash_r <= now and (revive_r is None or mode == REJOIN_AMNESIAC)
+                for crash_r, revive_r, mode in self.churn.cycles.get(holder, ())
+            )
+
+        return [h for h in self.store.holders_of(node) if keeps_copy(h)]
+
+    def _snapshot_run(
+        self,
+        run,
+        logical_rounds: int,
+        *,
+        announce: bool = False,
+        requesters: Sequence[int] = (),
+        down: Set[int] = frozenset(),
+    ) -> Dict[int, SnapshotNode]:
+        """One anti-entropy side-run: the round-0 announce (off the churn
+        clock) or a rejoin handshake with ``down`` nodes crashed."""
+        handlers = {
+            u: SnapshotNode(
+                u,
+                self.snap_bits,
+                self.req_bits,
+                announce=self.inputs[u] if announce else None,
+                requesting=u in requesters,
+                cache=self.store.cache_of(u),
+            )
+            for u in self.topology.nodes()
+        }
+        run.side_run(
+            self.topology,
+            handlers,
+            {u: 1 for u in down},
+            logical_rounds,
+            clocked=not announce,
+            transport=self.transport,
+        )
+        return handlers
+
+    def certify(self, run):
+        value = (
+            self.caaf.combine(self.epoch_values) if self.epoch_values else None
+        )
+        certified, reason, lost = self.certified, self.reason, self.lost
+        if value is not None and run.live_gaps:
+            certified = False
+            reason += f"; {run.live_gaps} unexcused transport gap(s)"
+        if lost and certified:
+            why = f"{len(lost)} contribution(s) lost (no surviving snapshot copy)"
+            reason = f"{reason}; {why}" if reason != "clean" else why
+        transports = run.transports
+        extra: Dict[str, int] = {
+            "epochs_discarded": sum(1 for e in run.epochs if e.discarded),
+            "handshakes": self.handshakes,
+            "snapshots_recovered": len(self.recovered),
+            "contributions_lost": len(lost),
+            "rejoins_durable": sum(t.rejoins_durable for t in transports),
+            "rejoins_amnesiac": sum(t.rejoins_amnesiac for t in transports),
+            "stale_nacks": sum(t.stale_nacks for t in transports),
+        }
+        run.ledger, run.tracker = self.ledger, self.tracker
+        run.lost, run.recovered = tuple(sorted(lost)), tuple(sorted(self.recovered))
+        run.partial = certify(
+            value,
+            all_nodes=self.all_nodes,
+            covered=self.ledger.booked_nodes,
+            inputs=self.inputs,
+            caaf=self.caaf,
+            certified=certified,
+            reason=reason,
+            epochs=len(run.epochs),
+            overhead_bits=run.stats.max_overhead_bits,
+            live_gaps=run.live_gaps,
+            incarnations={
+                node: inc for node, inc, _value in self.ledger.as_entries()
+            },
+            extra=extra,
+        )
+        if self.oracle is not None:
+            self._audit(run.partial, run)
+
+    def _audit(self, partial, run) -> None:
+        """Grade the ledger and the final claim with the churn oracle."""
+        self.oracle.grade_ledger(
+            self.ledger.as_entries(), self.ledger.double_booked
+        )
+        # A lost contribution with a surviving copy, or a live pending
+        # node left unbooked while epochs remained, is a real violation;
+        # a certified-partial after budget exhaustion is honest.
+        recoverable = {
+            u for u in self.lost if self.surviving_holders(u, run.elapsed)
+        }
+        if not self.budget_exhausted and partial.certified:
+            network = run.network
+            recoverable |= {
+                u
+                for u in self.all_nodes
+                if not self.ledger.booked(u)
+                and u not in self.lost
+                and network.is_alive(u, network.round)
+            }
+        self.oracle.grade_final(
+            partial.value,
+            partial.coverage,
+            partial.certified,
+            recoverable=recoverable,
+        )
+
+
 def run_with_churn(
     protocol: str,
     topology: Topology,
@@ -519,401 +712,41 @@ def run_with_churn(
     monitors: Sequence = (),
     policy: Optional[ChurnPolicy] = None,
     oracle: Optional[DoubleCountOracle] = None,
-) -> ChurnOutcome:
+) -> EpochOutcome:
     """Run ``protocol`` under crash-recovery churn with exactly-once booking.
 
     Epochs run until every live contribution is booked (or provably
     lost), the epoch budget runs out, or an epoch output defies
-    certification.  The returned outcome's ``partial`` carries the union
-    coverage of all booked contributions; its value is the CAAF-combine
-    of the per-epoch outputs, which equals the aggregate over the
-    coverage by construction of the nonce ledger.
+    certification; the run ends with the oracle audit.  The returned
+    outcome's ``partial`` carries the union coverage of all booked
+    contributions; its value is the CAAF-combine of the per-epoch
+    outputs, which equals the aggregate over the coverage by
+    construction of the nonce ledger.
     """
     from ..core.caaf import SUM
 
+    check_protocol("churn", protocol)
     caaf = caaf or SUM
-    policy = policy or ChurnPolicy.default()
-    schedule = schedule or FailureSchedule()
-    if protocol not in RECOVERABLE_PROTOCOLS:
-        raise ValueError(
-            f"churn supports protocols {RECOVERABLE_PROTOCOLS}, "
-            f"got {protocol!r}"
-        )
     churn.validate(topology)
     if topology.root in churn.cycles and not churn.allow_root_crash:
         raise ValueError(ROOT_CRASH_ERROR)
-    neutral = neutral_input(caaf)
-
-    all_nodes = sorted(topology.nodes())
-    prepared = {u: caaf.prepare(inputs[u]) for u in all_nodes}
     if oracle is None:
         oracle = next(
             (m for m in monitors if isinstance(m, DoubleCountOracle)), None
         )
-    # The per-run termination oracle grades one full protocol execution
-    # against the full input set; later epochs run on neutralized inputs,
-    # so it (and the churn oracle itself) stays out of the epoch stack —
-    # the ledger certification below is the churn-path authority.
-    epoch_monitors = [
-        m
-        for m in monitors
-        if getattr(m, "rule", None) not in ("oracle", "exactly-once")
-    ]
-
-    combined = SimStats()
-    ledger = ContributionLedger()
-    store = SnapshotStore()
-    lost: Set[int] = set()
-    recovered_all: Set[int] = set()
-    epochs: List[ChurnEpochReport] = []
-    transports: List[ReliableTransport] = []
-    handshakes = 0
-    epoch_values: List[int] = []
-    elapsed = 0
-    live_gap_count = 0
-    certified = True
-    reason = "clean"
-    final_network: Optional[Network] = None
-    tracker: Optional[HeartbeatTracker] = None
-
-    if policy.snapshots:
-        combined.absorb(
-            _announce_snapshots(topology, inputs, policy, store),
-            as_overhead=True,
-        )
-
-    # A fresh shifted view keeps the caller's schedule pristine (revive
-    # logs and incarnation bases mutate per epoch).
-    view = churn.shifted(0)
-    budget_exhausted = False
-
-    for epoch in range(1, policy.max_epochs + 1):
-        eff_inputs = {
-            u: (
-                inputs[u]
-                if not ledger.booked(u) and u not in lost
-                else neutral
-            )
-            for u in all_nodes
-        }
-        transport = (
-            ReliableTransport(policy.transport) if policy.transport else None
-        )
-        window = transport.window if transport else 1
-        tracker = (
-            HeartbeatTracker(policy.heartbeat_gap * window)
-            if transport
-            else None
-        )
-        epoch_injectors = (
-            (view,)
-            + ((tracker,) if tracker else ())
-            + tuple(injectors)
-        )
-        epoch_schedule = FailureSchedule(
-            _shift_crash_map(
-                dict(schedule.crash_rounds), elapsed, all_nodes
-            )
-            if elapsed
-            else dict(schedule.crash_rounds)
-        )
-        if _spans.enabled:
-            _spans.active().begin(
-                f"epoch[{epoch}]",
-                cat="epoch",
-                tid=topology.root,
-                round=elapsed,
-                epoch=epoch,
-                contributors=sum(
-                    1 for u in all_nodes if eff_inputs[u] != neutral
-                ),
-            )
-        out = _run_epoch(
-            protocol,
-            topology,
-            eff_inputs,
-            epoch_schedule,
-            f=f,
-            b=b,
-            c=c,
-            caaf=caaf,
-            rng=rng,
-            injectors=epoch_injectors,
-            monitors=epoch_monitors,
-            transport=transport,
-            integrity=None,
-        )
-        network = out.network
-        combined.absorb(out.stats)
-        final_network = network
-        epoch_gaps = 0
-        if transport is not None:
-            transports.append(transport)
-            epoch_gaps = len(transport.live_gaps(network))
-        elapsed += out.rounds
-        if _spans.enabled:
-            _spans.active().end(
-                tid=topology.root,
-                round=elapsed,
-                rounds=out.rounds,
-                produced=out.result is not None,
-            )
-        v_e = out.result
-
-        def _discard_and_retry() -> None:
-            """Throw the tainted epoch away and set up a rerun.
-
-            Nothing was booked from it, so the retry cannot double-count;
-            its transport gaps are irrelevant because its value is gone.
-            """
-            for rnd_g, node, mode in churn.revive_events():
-                if rnd_g <= elapsed and mode == REJOIN_AMNESIAC:
-                    store.drop_holder(node)
-            if _spans.enabled:
-                _spans.active().event(
-                    "epoch.discarded",
-                    cat="epoch",
-                    tid=topology.root,
-                    round=elapsed,
-                    epoch=epoch,
-                )
-            epochs.append(
-                ChurnEpochReport(
-                    epoch,
-                    out.rounds,
-                    v_e,
-                    booked=(),
-                    pending=(),
-                    rejoins_observed=(
-                        tuple(tracker.rejoins()) if tracker else ()
-                    ),
-                    discarded=True,
-                )
-            )
-
-        if v_e is None:
-            if epoch < policy.max_epochs:
-                _discard_and_retry()
-                view = view.shifted(out.rounds)
-                continue
-            certified = False
-            reason = f"epoch {epoch} produced no output"
-            epochs.append(
-                ChurnEpochReport(epoch, out.rounds, None, (), ())
-            )
-            break
-
-        # ---- certify the epoch output against contributor subsets ---- #
-        contributors = [
-            u for u in all_nodes if not ledger.booked(u) and u not in lost
-        ]
-        alive_end = {
-            u for u in all_nodes if network.is_alive(u, out.rounds)
-        }
-        component = topology.alive_component(set(all_nodes) - alive_end)
-        required = [
-            u
-            for u in contributors
-            if not _ever_down(network, u, out.rounds) and u in component
-        ]
-        optional = [u for u in contributors if u not in required]
-        if len(optional) > MAX_OPTIONAL_CONTRIBUTORS:
-            certified = False
-            reason = (
-                f"epoch {epoch}: {len(optional)} churned contributors "
-                f"exceed the {MAX_OPTIONAL_CONTRIBUTORS}-node "
-                "certification cap"
-            )
-            epoch_values.append(v_e)
-            epochs.append(
-                ChurnEpochReport(epoch, out.rounds, v_e, (), ())
-            )
-            break
-        matched = _match_contributors(
-            caaf, v_e, required, optional, prepared
-        )
-        if matched is None:
-            if epoch < policy.max_epochs:
-                _discard_and_retry()
-                view = view.shifted(out.rounds)
-                continue
-            certified = False
-            reason = (
-                f"epoch {epoch} output {v_e} matches no contributor "
-                "subset (uncertifiable coverage)"
-            )
-            epoch_values.append(v_e)
-            epochs.append(
-                ChurnEpochReport(epoch, out.rounds, v_e, (), ())
-            )
-            break
-        live_gap_count += epoch_gaps
-        epoch_values.append(v_e)
-        for u in matched:
-            ledger.book(u, churn.incarnation_at(u, elapsed), prepared[u])
-        if _spans.enabled:
-            _spans.active().event(
-                "epoch.booked",
-                cat="epoch",
-                tid=topology.root,
-                round=elapsed,
-                epoch=epoch,
-                booked=len(matched),
-            )
-
-        # ---- decide whether another epoch is needed ------------------- #
-        # Amnesiac rejoins (observed or enacted) void the holder's cache.
-        for rnd_g, node, mode in churn.revive_events():
-            if rnd_g <= elapsed and mode == REJOIN_AMNESIAC:
-                store.drop_holder(node)
-        down_end = (
-            tracker.down_now()
-            if tracker is not None
-            else {u for u in all_nodes if not network.is_alive(u, out.rounds)}
-        )
-        unbooked = [
-            u for u in all_nodes if not ledger.booked(u) and u not in lost
-        ]
-        pending_now = [u for u in unbooked if u not in down_end]
-        view = view.shifted(out.rounds)
-        pending_later = [
-            u
-            for u in unbooked
-            if u in down_end
-            and any(
-                revive_r is not None
-                for _c, revive_r, _m in view.cycles.get(u, ())
-            )
-        ]
-        epochs.append(
-            ChurnEpochReport(
-                epoch,
-                out.rounds,
-                v_e,
-                booked=matched,
-                pending=tuple(sorted(pending_now + pending_later)),
-                rejoins_observed=tuple(tracker.rejoins()) if tracker else (),
-            )
-        )
-        if not pending_now and not pending_later:
-            break
-        if epoch == policy.max_epochs:
-            budget_exhausted = True
-            reason = "churn epoch budget exhausted"
-            break
-
-        # ---- rejoin handshake for amnesiac pending nodes -------------- #
-        needs_recovery = [
-            u
-            for u in pending_now
-            if u not in recovered_all
-            and any(
-                revive_r is not None
-                and revive_r <= elapsed
-                and mode == REJOIN_AMNESIAC
-                for _c, revive_r, mode in churn.cycles.get(u, ())
-            )
-        ]
-        if needs_recovery:
-            handshakes += 1
-            physically_down = {
-                u for u in all_nodes if not network.is_alive(u, out.rounds)
-            }
-            recovered, hs_stats = _rejoin_handshake(
-                topology,
-                needs_recovery,
-                physically_down,
-                policy,
-                store,
-                inputs,
-            )
-            combined.absorb(hs_stats, as_overhead=True)
-            elapsed += hs_stats.rounds_executed
-            view = view.shifted(hs_stats.rounds_executed)
-            recovered_all.update(recovered)
-            for u in needs_recovery:
-                if u not in recovered:
-                    lost.add(u)
-
-    # ------------------- final certification ------------------------- #
-    value = caaf.combine(epoch_values) if epoch_values else None
-    coverage = ledger.booked_nodes
-    if value is not None and live_gap_count:
-        certified = False
-        reason += f"; {live_gap_count} unexcused transport gap(s)"
-    if lost and certified:
-        reason = (
-            f"{reason}; {len(lost)} contribution(s) lost (no surviving "
-            "snapshot copy)"
-            if reason != "clean"
-            else f"{len(lost)} contribution(s) lost (no surviving "
-            "snapshot copy)"
-        )
-    extra: Dict[str, int] = {
-        "epochs_discarded": sum(1 for e in epochs if e.discarded),
-        "handshakes": handshakes,
-        "snapshots_recovered": len(recovered_all),
-        "contributions_lost": len(lost),
-        "rejoins_durable": sum(t.rejoins_durable for t in transports),
-        "rejoins_amnesiac": sum(t.rejoins_amnesiac for t in transports),
-        "stale_nacks": sum(t.stale_nacks for t in transports),
-    }
-    partial = certify(
-        value,
-        all_nodes=all_nodes,
-        covered=coverage,
-        inputs=inputs,
-        caaf=caaf,
-        certified=certified,
-        reason=reason,
-        epochs=len(epochs),
-        overhead_bits=combined.max_overhead_bits,
-        live_gaps=live_gap_count,
-        incarnations={
-            node: inc for node, inc, _value in ledger.as_entries()
-        },
-        extra=extra,
+    policy = policy or ChurnPolicy.default()
+    plan = ChurnPlan(
+        topology,
+        inputs,
+        churn,
+        schedule or FailureSchedule(),
+        f,
+        caaf,
+        policy.transport,
+        oracle,
     )
-
-    # ------------------- oracle audit --------------------------------- #
-    if oracle is not None:
-        oracle.grade_ledger(ledger.as_entries(), ledger.double_booked)
-        # A lost contribution with a surviving copy, or a live pending
-        # node left unbooked while epochs remained, is a real violation;
-        # a certified-partial after budget exhaustion is honest.
-        recoverable: Set[int] = {
-            u for u in lost if store.holders_of(u)
-        }
-        if not budget_exhausted and partial.certified:
-            end_alive = {
-                u
-                for u in all_nodes
-                if final_network is None
-                or final_network.is_alive(u, final_network.round)
-            }
-            recoverable |= {
-                u
-                for u in all_nodes
-                if not ledger.booked(u)
-                and u not in lost
-                and u in end_alive
-            }
-        oracle.grade_final(
-            partial.value,
-            partial.coverage,
-            partial.certified,
-            recoverable=recoverable,
-        )
-
-    return ChurnOutcome(
-        partial=partial,
-        stats=combined,
-        rounds=combined.rounds_executed,
-        epochs=epochs,
-        ledger=ledger,
-        lost=tuple(sorted(lost)),
-        recovered=tuple(sorted(recovered_all)),
-        transports=transports,
-        network=final_network,
-        tracker=tracker,
+    return drive_epochs(
+        plan, protocol, max_epochs=policy.max_epochs,
+        transport=policy.transport, b=b, c=c, caaf=caaf, rng=rng,
+        injectors=injectors, monitors=monitors,
     )

@@ -37,7 +37,7 @@ from repro.sim.faults import (
 from repro.sim.monitors import DoubleCountOracle, FBudgetMonitor
 
 try:
-    from hypothesis import HealthCheck, given, settings
+    from hypothesis import HealthCheck, example, given, settings
     from hypothesis import strategies as st
 
     HAVE_HYPOTHESIS = True
@@ -156,22 +156,25 @@ class TestChurnPolicy:
     def test_default_carries_a_transport(self):
         policy = ChurnPolicy.default()
         assert policy.transport is not None
-        assert policy.snapshots
 
     def test_jsonable_round_trip(self):
         policy = ChurnPolicy(
             transport=TransportConfig(retransmits=2),
             max_epochs=3,
-            heartbeat_gap=4,
-            snapshots=False,
         )
         assert ChurnPolicy.from_jsonable(policy.as_jsonable()) == policy
 
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             ChurnPolicy(max_epochs=0)
-        with pytest.raises(ValueError):
-            ChurnPolicy(heartbeat_gap=0)
+        # Retired knobs load only at the value the runtime hard-wires.
+        assert ChurnPolicy.from_jsonable(
+            {"heartbeat_gap": 2, "snapshots": True, "max_epochs": 3}
+        ) == ChurnPolicy(max_epochs=3)
+        with pytest.raises(ValueError, match="heartbeat_gap"):
+            ChurnPolicy.from_jsonable({"heartbeat_gap": 4})
+        with pytest.raises(ValueError, match="snapshots"):
+            ChurnPolicy.from_jsonable({"snapshots": False})
 
 
 # --------------------------------------------------------------------- #
@@ -264,6 +267,11 @@ class TestDurableChurn:
         )
 
 
+#: Node 2 rejoins amnesiac after both of its snapshot holders (its
+#: neighbours 1 and 5) crashed for good.
+ALL_HOLDERS_DEAD = "1:crash@r2,2:crash@r2,2:revive@r3:amnesiac,5:crash@r2"
+
+
 class TestAmnesiacChurn:
     def setup_method(self):
         self.topo = grid_graph(3, 3)
@@ -291,29 +299,53 @@ class TestAmnesiacChurn:
         incs = {n: i for n, i, _v in out.ledger.as_entries()}
         assert incs[5] == 1
 
-    def test_without_snapshots_contribution_is_honestly_lost(self):
-        ch = ChurnSchedule.from_spec(
-            "5:crash@r3,5:revive@r9:amnesiac", root=self.topo.root
-        )
-        policy = ChurnPolicy(
-            transport=TransportConfig(retransmits=3), snapshots=False
-        )
-        oracle = DoubleCountOracle(self.inputs, mode="record")
+    def test_all_holders_dead_contribution_is_honestly_lost(self):
+        """Node 2's only snapshot holders (1 and 5) crash for good, so its
+        amnesiac rejoin has nothing to fetch: the contribution is lost,
+        the coverage excludes it, and the oracle agrees no copy survived."""
+        ch = ChurnSchedule.from_spec(ALL_HOLDERS_DEAD, root=self.topo.root)
+        inputs = {u: (u * 5) % 23 + 1 for u in self.topo.nodes()}
+        oracle = DoubleCountOracle(inputs, mode="record")
         out = run_with_churn(
             "unknown_f",
             self.topo,
-            self.inputs,
+            inputs,
             ch,
-            rng=random.Random(7),
-            policy=policy,
+            rng=random.Random(0),
+            policy=self.policy,
             oracle=oracle,
         )
-        assert 5 in out.lost
-        # Never silently wrong: either uncertified, or certified over a
-        # coverage that excludes the lost node — and the oracle agrees.
-        if out.partial.certified:
-            assert 5 not in set(out.partial.coverage or ())
-            assert oracle.double_counts == 0
+        assert 2 in out.lost
+        assert out.partial.certified
+        assert 2 not in set(out.partial.coverage)
+        assert out.result == sum(inputs[u] for u in out.partial.coverage)
+        assert oracle.double_counts == 0
+        assert oracle.lost_contributions == 0
+
+    def test_holder_reviving_durably_keeps_the_node_pending(self):
+        """Holder 1 is down at the handshake but revives durably, so node
+        2 stays pending (not lost) and is recovered once 1 is back."""
+        ch = ChurnSchedule.from_spec(
+            "1:crash@r2,1:revive@r1500,2:crash@r2,2:revive@r3:amnesiac,"
+            "5:crash@r2",
+            root=self.topo.root,
+        )
+        inputs = {u: (u * 5) % 23 + 1 for u in self.topo.nodes()}
+        oracle = DoubleCountOracle(inputs, mode="record")
+        out = run_with_churn(
+            "unknown_f",
+            self.topo,
+            inputs,
+            ch,
+            rng=random.Random(0),
+            policy=self.policy,
+            oracle=oracle,
+        )
+        assert out.lost == ()
+        assert 2 in out.recovered
+        assert out.partial.certified
+        assert set(out.partial.coverage) == set(self.topo.nodes()) - {5}
+        assert oracle.lost_contributions == 0
 
     def test_neutral_input_rejects_count(self):
         from repro.core.caaf import COUNT, MAX, SUM
@@ -728,6 +760,10 @@ if HAVE_HYPOTHESIS:
             suppress_health_check=[HealthCheck.too_slow],
         )
         @given(churn=mixed_churn(), seed=st.integers(0, 2**16))
+        @example(
+            churn=ChurnSchedule.from_spec(ALL_HOLDERS_DEAD, root=_topo.root),
+            seed=0,
+        )
         def test_mixed_churn_is_never_silently_wrong(self, churn, seed):
             """Exact, or a certified partial whose value equals the
             aggregate over its claimed coverage — never a wrong total."""

@@ -55,12 +55,29 @@ CLI_SIDE = {
 }
 
 
+#: Policy knobs the runtime no longer has.  Older bundles carry them at
+#: the one value ``from_jsonable`` still accepts; they encode as absent.
+RETIRED = {
+    "recovery": ("failover", "election_stretch"),
+    "churn_policy": ("heartbeat_gap", "snapshots"),
+}
+
+
 def _without_nulls(value):
     if isinstance(value, dict):
         return {
             k: _without_nulls(v) for k, v in value.items() if v is not None
         }
     return value
+
+
+def _without_retired(params):
+    return {
+        name: {k: v for k, v in value.items() if k not in RETIRED[name]}
+        if name in RETIRED and isinstance(value, dict)
+        else value
+        for name, value in params.items()
+    }
 
 
 @pytest.mark.parametrize("path", CORPUS, ids=CORPUS_IDS)
@@ -71,7 +88,9 @@ def test_bundle_params_round_trip(path):
     )
     # Null fields compare as absent: v1 recovery params predate the
     # policy's (null) integrity field.
-    assert _without_nulls(encoded) == _without_nulls(bundle.params)
+    assert _without_nulls(encoded) == _without_nulls(
+        _without_retired(bundle.params)
+    )
 
 
 def test_every_exclusion_name_is_reachable_from_both_sides():

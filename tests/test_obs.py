@@ -537,6 +537,80 @@ class TestEndToEnd:
             e.get("cat") == "message" for e in doc["traceEvents"]
         )
 
+    @pytest.mark.parametrize("family", ["recovery", "churn", "byz"])
+    def test_one_epoch_span_per_report_row(self, family):
+        """Every resilience family emits one ``epoch[k]`` span per epoch
+        report, in order, with the epoch's protocol run nested inside it
+        and one ``epoch.discarded`` event per discarded epoch."""
+        from repro.adversary.schedule import FailureSchedule
+        from repro.resilience import (
+            ChurnPolicy,
+            RecoveryPolicy,
+            TransportConfig,
+        )
+        from repro.resilience.byzantine import run_with_byzantine
+        from repro.resilience.epochs import run_with_churn
+        from repro.resilience.failover import run_with_recovery
+        from repro.sim.faults import ByzantineSchedule, ChurnSchedule
+
+        topo = grid_graph(4, 4)
+        inputs = {u: u + 1 for u in topo.nodes()}
+        with ObsCapture(seed=0) as cap:
+            if family == "recovery":  # the root dies: two epochs
+                out = run_with_recovery(
+                    "unknown_f",
+                    topo,
+                    inputs,
+                    FailureSchedule({0: 30}),
+                    policy=RecoveryPolicy(transport=None),
+                )
+            elif family == "churn":  # an amnesiac rejoin: two epochs
+                out = run_with_churn(
+                    "unknown_f",
+                    topo,
+                    inputs,
+                    ChurnSchedule.from_spec(
+                        "5:crash@r3,5:revive@r9:amnesiac", root=topo.root
+                    ),
+                    rng=random.Random(7),
+                    policy=ChurnPolicy(
+                        transport=TransportConfig(retransmits=3)
+                    ),
+                )
+            else:  # an evicted equivocator: one discarded epoch
+                out = run_with_byzantine(
+                    "algorithm1",
+                    topo,
+                    inputs,
+                    ByzantineSchedule.from_spec("5:equivocate=3"),
+                    f=1,
+                    b=64,
+                    rng=random.Random(0),
+                )
+        cap.tracer.close_all()
+        assert len(out.epochs) == 2
+        spans = {s["sid"]: s for s in cap.tracer.spans}
+        epochs = sorted(
+            (s for s in cap.tracer.spans if s["cat"] == "epoch"),
+            key=lambda s: s["t0"],
+        )
+        assert [s["name"] for s in epochs] == [
+            f"epoch[{r.epoch}]" for r in out.epochs
+        ]
+        assert all(s["attrs"]["family"] == family for s in epochs)
+        assert all(s["parent"] is None for s in epochs)
+        for earlier, later in zip(epochs, epochs[1:]):
+            assert earlier["t1"] <= later["t0"]
+        runs = [s for s in cap.tracer.spans if s["cat"] == "protocol"]
+        assert len(runs) == len(epochs)
+        assert all(spans[s["parent"]]["cat"] == "epoch" for s in runs)
+        discarded = [
+            e for e in cap.tracer.events if e["name"] == "epoch.discarded"
+        ]
+        assert len(discarded) == sum(r.discarded for r in out.epochs)
+        doc = obs_export.chrome_trace(cap.tracer)
+        assert obs_export.validate_chrome_trace(doc) == []
+
     def test_metrics_recorded_through_runner(self):
         _, cap = _traced_run()
         samples = {name for name, _, _ in cap.registry.as_samples()}

@@ -111,7 +111,7 @@ class TestRecoveryPolicy:
     def test_default_carries_a_transport(self):
         policy = RecoveryPolicy.default()
         assert policy.transport is not None
-        assert policy.failover
+        assert policy.max_epochs > 1  # failover on: room for a second epoch
 
     def test_jsonable_round_trip(self):
         policy = RecoveryPolicy(
@@ -122,8 +122,14 @@ class TestRecoveryPolicy:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             RecoveryPolicy(max_epochs=0)
-        with pytest.raises(ValueError):
-            RecoveryPolicy(election_stretch=0)
+        # Retired knobs load only at the value the runtime hard-wires.
+        assert RecoveryPolicy.from_jsonable(
+            {"failover": True, "election_stretch": 2, "max_epochs": 2}
+        ) == RecoveryPolicy(max_epochs=2)
+        with pytest.raises(ValueError, match="election_stretch"):
+            RecoveryPolicy.from_jsonable({"election_stretch": 3})
+        with pytest.raises(ValueError, match="failover"):
+            RecoveryPolicy.from_jsonable({"failover": False})
 
 
 # --------------------------------------------------------------------- #
@@ -299,7 +305,7 @@ class TestRootFailover:
             self.topo,
             self.inputs,
             schedule=FailureSchedule({0: 30}),
-            policy=RecoveryPolicy(transport=None, failover=False),
+            policy=RecoveryPolicy(transport=None, max_epochs=1),
         )
         assert out.partial.status == "failed"
         assert not out.partial.certified
