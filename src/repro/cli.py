@@ -800,6 +800,15 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     return 1 if failing.intersection(verdicts) else 0
 
 
+#: Trace paths each ``obs`` action takes: (fewest, most, usage words).
+OBS_PATH_ARITY = {
+    "summarize": (1, 1, "exactly one trace file"),
+    "diff": (2, 2, "exactly two trace files"),
+    "top": (1, 1, "exactly one trace file"),
+    "validate": (0, 1, "at most one trace file"),
+}
+
+
 def cmd_obs(args: argparse.Namespace) -> int:
     """Inspect observability artifacts written by ``--trace-out`` /
     ``--metrics-out``.
@@ -819,9 +828,11 @@ def cmd_obs(args: argparse.Namespace) -> int:
     def _fmt_us(us: float) -> str:
         return f"{us / 1000.0:.0f} rounds"
 
+    fewest, most, usage = OBS_PATH_ARITY[args.action]
+    if not fewest <= len(args.paths) <= most:
+        raise SystemExit(f"obs {args.action} takes {usage}")
+
     if args.action == "summarize":
-        if len(args.paths) != 1:
-            raise SystemExit("obs summarize takes exactly one trace file")
         summary = obs_export.summarize_trace(
             obs_export.load_trace(args.paths[0])
         )
@@ -845,8 +856,6 @@ def cmd_obs(args: argparse.Namespace) -> int:
         return 0
 
     if args.action == "diff":
-        if len(args.paths) != 2:
-            raise SystemExit("obs diff takes exactly two trace files")
         a = obs_export.summarize_trace(obs_export.load_trace(args.paths[0]))
         b = obs_export.summarize_trace(obs_export.load_trace(args.paths[1]))
         rows = [
@@ -869,8 +878,6 @@ def cmd_obs(args: argparse.Namespace) -> int:
         return 0
 
     if args.action == "top":
-        if len(args.paths) != 1:
-            raise SystemExit("obs top takes exactly one trace file")
         spans = obs_export.top_spans(
             obs_export.load_trace(args.paths[0]), k=args.k
         )
@@ -896,8 +903,6 @@ def cmd_obs(args: argparse.Namespace) -> int:
         return 0
 
     # validate
-    if len(args.paths) > 1:
-        raise SystemExit("obs validate takes at most one trace file")
     if not args.paths and not args.prom:
         # Checking nothing would pass: a vacuous gate.
         raise SystemExit("obs validate needs a trace file or --prom")
@@ -1424,9 +1429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_obs = sub.add_parser(
         "obs", help="summarize / diff / validate trace + metrics artifacts"
     )
-    p_obs.add_argument(
-        "action", choices=["summarize", "diff", "top", "validate"]
-    )
+    p_obs.add_argument("action", choices=list(OBS_PATH_ARITY))
     p_obs.add_argument(
         "paths",
         nargs="*",

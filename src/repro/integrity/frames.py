@@ -15,6 +15,17 @@ protocol (or transport) handler:
   HMAC-SHA256 truncated to :data:`MAC_BITS` (``mode="mac"``).  Both are
   deterministic functions of the frame content and ``key_seed``, so runs
   record and replay bit-exactly.
+* The tag is computed **once per frame**, by the sender: local
+  broadcast delivers the same frame object to every neighbour, so the
+  coordinator remembers ``(sender, seq) -> (inner, tag)`` for the
+  current and previous round and a receiver reuses that tag only when
+  the delivered ``inner`` *is* the signed tuple (identity, not ``==``)
+  and carries the signed tag.  Any other frame — rebuilt, late, or with
+  a flipped tag — is re-tagged with :func:`compute_tag`, so every
+  ``bad-digest`` verdict comes from a fresh computation.  Equality would
+  not be safe: ``1 == True`` with equal hashes, but their ``repr`` (the
+  bytes the tag covers) differ, so an equal-but-rebuilt frame must be
+  recomputed to be caught.
 * Receivers verify structure, sender binding, tag and per-link sequence
   monotonicity.  Any failure raises a structured
   :class:`FrameIntegrityError` — decoders never crash on garbage and
@@ -42,6 +53,7 @@ import hmac
 import zlib
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..sim.message import Envelope, Part, TAG_BITS
@@ -141,6 +153,13 @@ class IntegrityConfig:
                 f"{self.quarantine_threshold}"
             )
 
+    @cached_property
+    def mac_key(self) -> bytes:
+        """The shared MAC key, derived from ``key_seed`` once per config."""
+        return hashlib.sha256(
+            f"repro-integrity-key:{self.key_seed}".encode("utf-8")
+        ).digest()
+
     @property
     def digest_bits(self) -> int:
         """Wire width of the authenticator tag for this mode."""
@@ -176,10 +195,7 @@ def compute_tag(config: IntegrityConfig, sender: int, seq: int, inner: tuple) ->
     """The frame authenticator: truncated HMAC (mac) or CRC-32 (checksum)."""
     data = _canonical_bytes(sender, seq, inner)
     if config.mode == "mac":
-        key = hashlib.sha256(
-            f"repro-integrity-key:{config.key_seed}".encode("utf-8")
-        ).digest()
-        digest = hmac.new(key, data, hashlib.sha256).digest()
+        digest = hmac.digest(config.mac_key, data, "sha256")
         return int.from_bytes(digest[: MAC_BITS // 8], "big")
     return zlib.crc32(data) & ((1 << CHECKSUM_BITS) - 1)
 
@@ -208,6 +224,13 @@ class IntegrityCoordinator:
         self.epoch = -1
         self.frames = 0
         self.verified = 0
+        #: ``compute_tag`` evaluations (one per frame sent, plus one per
+        #: delivered frame the memo cannot vouch for) and memo hits.
+        self.tags_computed = 0
+        self.tags_reused = 0
+        #: Tags of the frames still deliverable on time, as
+        #: ``seq -> {sender: (inner, tag)}`` (see :meth:`expected_tag`).
+        self._sent: Dict[int, Dict[int, Tuple[tuple, int]]] = {}
         self.rejected: Counter = Counter()
         self.quarantine = LinkQuarantine(self.config.quarantine_threshold)
         #: Every rejection as ``(epoch, round, sender, receiver,
@@ -220,7 +243,50 @@ class IntegrityCoordinator:
     def wrap(self, handlers: Dict[int, NodeHandler]) -> Dict[int, "IntegrityNode"]:
         """Wrap every handler in an :class:`IntegrityNode`; starts a new epoch."""
         self.epoch += 1
+        self._sent = {}
         return {u: IntegrityNode(self, u, handlers[u]) for u in handlers}
+
+    # -- tagging -------------------------------------------------------- #
+
+    def sign(self, sender: int, seq: int, inner: tuple) -> int:
+        """Tag a frame ``sender`` broadcasts in round ``seq``, and remember
+        the tag for its receivers.
+
+        The memo keeps rounds ``seq`` and ``seq - 1`` only: a frame is on
+        time when delivered the round after it was sent, and a later copy
+        is recomputed like any other.
+        """
+        tag = compute_tag(self.config, sender, seq, inner)
+        self.tags_computed += 1
+        sent = self._sent
+        if seq not in sent:
+            for old in [s for s in sent if s < seq - 1]:
+                del sent[old]
+            sent[seq] = {}
+        sent[seq][sender] = (inner, tag)
+        return tag
+
+    def expected_tag(self, sender: int, seq: int, inner: tuple, tag: int) -> int:
+        """The tag a delivered frame must carry.
+
+        Reused from :meth:`sign` only when the frame's ``inner`` *is* the
+        tuple the sender signed (identity, not ``==``), its ``seq`` is a
+        plain int (``True`` would find round 1's entry) and its tag is the
+        one signed, so the memo can only confirm an intact frame.  Every
+        other frame is re-tagged with :func:`compute_tag`; see the module
+        docstring for why equality is not enough.
+        """
+        signed = self._sent.get(seq, {}).get(sender)
+        if (
+            signed is not None
+            and signed[0] is inner
+            and signed[1] == tag
+            and type(seq) is int
+        ):
+            self.tags_reused += 1
+            return tag
+        self.tags_computed += 1
+        return compute_tag(self.config, sender, seq, inner)
 
     def overhead_fn(self, inner_fn=None):
         """Overhead classifier composing with an inner (transport) classifier.
@@ -275,6 +341,8 @@ class IntegrityCoordinator:
         return {
             "frames": self.frames,
             "verified": self.verified,
+            "tags_computed": self.tags_computed,
+            "tags_reused": self.tags_reused,
             "rejected": sum(self.rejected.values()),
             **{f"rejected_{k}": v for k, v in sorted(self.rejected.items())},
             "quarantined": len(self.quarantine.quarantined),
@@ -359,7 +427,7 @@ class IntegrityNode(NodeHandler):
                 sender,
                 me,
             )
-        expected = compute_tag(self.coordinator.config, sender, seq, inner)
+        expected = self.coordinator.expected_tag(sender, seq, inner, tag)
         if tag != expected:
             raise FrameIntegrityError(
                 REASON_DIGEST,
@@ -419,14 +487,14 @@ class IntegrityNode(NodeHandler):
 
     def _frame(self, rnd: int, parts: List[Part]) -> Part:
         """Wrap one round's broadcast into a single authenticated frame."""
-        config = self.coordinator.config
+        coordinator = self.coordinator
         inner = tuple((p.kind, p.payload, p.bits) for p in parts)
-        tag = compute_tag(config, self.node_id, rnd, inner)
+        tag = coordinator.sign(self.node_id, rnd, inner)
         payload_bits = sum(p.bits for p in parts)
         return Part(
             INTEG_KIND,
             (rnd, self.node_id, inner, tag),
-            INTEG_HEADER_BITS + config.digest_bits + payload_bits,
+            INTEG_HEADER_BITS + coordinator.config.digest_bits + payload_bits,
         )
 
 

@@ -269,6 +269,10 @@ class RecordingInjector(FaultInjector):
         # flooded part that receivers would de-duplicate anyway).
         self._digests: Dict[int, Dict[int, List[int]]] = {}
         self._occ: Dict[Tuple, int] = {}
+        # id(part) -> (part, repr(part.payload)) for the current
+        # broadcast: every copy of a part shares the one repr.  Holding
+        # the part keeps its id from being reused by another object.
+        self._reprs: Dict[int, Tuple[Part, str]] = {}
         self._crash_snapshot: Dict[int, float] = {}
 
     # -- lifecycle ------------------------------------------------------ #
@@ -292,6 +296,7 @@ class RecordingInjector(FaultInjector):
         digest = self._digests[self.epoch].setdefault(rnd, [0, 0, 0, 0])
         digest[0] += 1
         digest[1] += bits
+        self._reprs = {}
         for injector in self.inner:
             injector.on_broadcast(rnd, node, parts, bits)
 
@@ -325,8 +330,14 @@ class RecordingInjector(FaultInjector):
             for d, p in deliveries:
                 rewritten.extend(injector.on_transmit(d, sender, receiver, p))
             deliveries = rewritten
+        cached = self._reprs.get(id(part))
+        if cached is not None:
+            payload_repr = cached[1]
+        else:
+            payload_repr = repr(part.payload)
+            self._reprs[id(part)] = (part, payload_repr)
         key = (self.epoch, due, sender, receiver, part.kind,
-               repr(part.payload), part.bits)
+               payload_repr, part.bits)
         occ = self._occ.get(key, 0)
         self._occ[key] = occ + 1
         if deliveries != [(due, part)]:
@@ -335,7 +346,7 @@ class RecordingInjector(FaultInjector):
                 "due": due,
                 "s": sender,
                 "r": receiver,
-                "part": part_key(part),
+                "part": [part.kind, payload_repr, part.bits],
                 "occ": occ,
                 "out": [d for d, _ in deliveries],
             }

@@ -255,7 +255,75 @@ class TestAdaptiveReplay:
         pytest.skip("no two-epoch agg_veri failure found in 12 seeds")
 
 
+class _NoReprCache(dict):
+    """A cache that never hits: the recorder then calls ``repr`` once per
+    delivered copy, as it did before the per-broadcast cache."""
+
+    def get(self, key, default=None):
+        return default
+
+
+class _PerCopyRecorder(RecordingInjector):
+    max_parts = 0
+
+    def on_broadcast(self, rnd, node, parts, bits):
+        super().on_broadcast(rnd, node, parts, bits)
+        self._reprs = _NoReprCache()
+        self.max_parts = max(self.max_parts, len(parts))
+
+
 class TestRecordingInjector:
+    @pytest.mark.parametrize("seed", [1, 4])
+    def test_repr_cache_keeps_transmits_and_occurrences(self, seed):
+        """Multi-part broadcasts under drop/dup/delay record the same
+        entries and occurrence counts with and without the cache."""
+        topo = grid_graph(4, 4)
+        recorders = []
+        for cls in (RecordingInjector, _PerCopyRecorder):
+            recorder = cls([MessageFaults(drop=0.08, duplicate=0.05,
+                                          delay=0.05, seed=seed)])
+            recorders.append(recorder)
+            safe_run_protocol(
+                "unknown_f", topo, make_inputs(topo, random.Random(seed)),
+                seed=seed, rng=random.Random(seed), strict=False,
+                injectors=[recorder],
+            )
+        cached, per_copy = recorders
+        assert cached.transmits and cached.transmits == per_copy.transmits
+        assert cached._occ == per_copy._occ
+        assert per_copy.max_parts > 1
+        assert {len(e["out"]) for e in cached.transmits} >= {0, 2}
+        assert cached.digests_jsonable() == per_copy.digests_jsonable()
+
+    def test_repr_cache_is_keyed_by_identity_not_equality(self):
+        """``Part("a", (1,), 3) == Part("a", (True,), 3)`` with one hash,
+        but their reprs differ: one broadcast carrying both must record two
+        distinct keys."""
+        from repro.sim.message import Part
+
+        class DropAll(FaultInjector):
+            modifies_delivery = True
+
+            def on_transmit(self, due, sender, receiver, part):
+                return []
+
+        class FakeNetwork:
+            crash_rounds = {}
+
+        recorder = RecordingInjector([DropAll()])
+        recorder.attach(FakeNetwork())
+        one, true = Part("a", (1,), 3), Part("a", (True,), 3)
+        again = Part("a", (1,), 3)
+        assert one == true and hash(one) == hash(true)
+        parts = [one, true, again]
+        recorder.on_broadcast(1, 0, parts, 9)
+        for receiver in (1, 2):
+            for part in parts:
+                recorder.on_transmit(2, 0, receiver, part)
+        assert [(e["part"][1], e["occ"]) for e in recorder.transmits] == [
+            ("(1,)", 0), ("(True,)", 0), ("(1,)", 1)
+        ] * 2
+
     def test_recorder_is_transparent(self):
         """A recorded run behaves exactly like the unrecorded one."""
         topo = grid_graph(4, 4)

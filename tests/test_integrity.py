@@ -27,17 +27,23 @@ from repro.graphs import grid_graph
 from repro.integrity import (
     BLAMED_REASONS,
     CHECKSUM_BITS,
+    FrameIntegrityError,
     IntegrityConfig,
     IntegrityCoordinator,
+    IntegrityNode,
     MAC_BITS,
     REASON_DIGEST,
+    REASON_SENDER,
     REASON_STALE,
+    REASON_STRUCTURE,
     as_integrity,
     compute_tag,
     unresolved_corruptions,
 )
+from repro.integrity.frames import integrity_columns
 from repro.resilience import RecoveryPolicy, TransportConfig
 from repro.sim import ExecutionRecord, replay_bundle
+from repro.sim.message import Part
 from repro.sim.faults import (
     MessageCorruption,
     MessageFaults,
@@ -357,6 +363,164 @@ class TestAccountingUnchanged:
         assert sum(coord.rejected.values()) == 0
 
 
+# --------------------------------------------------------------------- #
+# One tag per frame: the sender's tag is reused, never trusted blindly.
+# --------------------------------------------------------------------- #
+
+
+def _verdict(node, rnd, sender, part):
+    """``_verify``'s result as a comparable value: parts or the reason."""
+    try:
+        return ("ok", node._verify(rnd, sender, part))
+    except FrameIntegrityError as exc:
+        return ("rejected", exc.reason)
+
+
+def _memo_and_reference(mode="mac", key_seed=0, sender=3, receiver=4):
+    """A signing sender plus two receivers of one frame stream: one on the
+    sender's coordinator (memoised tags) and one on a coordinator that
+    never signs, so its ``_verify`` always calls ``compute_tag``."""
+    config = IntegrityConfig(mode=mode, key_seed=key_seed)
+    memo, reference = IntegrityCoordinator(config), IntegrityCoordinator(config)
+    memo.wrap({})
+    reference.wrap({})
+    return (
+        IntegrityNode(memo, sender, None),
+        IntegrityNode(memo, receiver, None),
+        IntegrityNode(reference, receiver, None),
+    )
+
+
+def _with_true_for_one(value):
+    """Rebuild ``value`` with its first int leaf equal to 1 as ``True``
+    (equal, same hash, different ``repr``); None when it has no such leaf."""
+    if type(value) is int and value == 1:
+        return True
+    if isinstance(value, tuple):
+        for i, item in enumerate(value):
+            rebuilt = _with_true_for_one(item)
+            if rebuilt is not None:
+                return value[:i] + (rebuilt,) + value[i + 1:]
+    return None
+
+
+def _run_5x5(*injectors, integrity, seed=0):
+    """A seeded grid 5x5 unknown_f run under the reliable transport."""
+    topo = grid_graph(5, 5)
+    rng = random.Random(seed)
+    return run_protocol(
+        "unknown_f",
+        topo,
+        make_inputs(topo, rng),
+        rng=rng,
+        strict=False,
+        injectors=list(injectors),
+        recovery=RecoveryPolicy.default(retransmit_budget=5),
+        integrity=integrity,
+    )
+
+
+class _AuditedCoordinator(IntegrityCoordinator):
+    """Checks that each bad-digest rejection follows a fresh compute of
+    that very frame's tag."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.last_check = None
+        self.digest_rejections_audited = 0
+
+    def expected_tag(self, sender, seq, inner, tag):
+        computed = self.tags_computed
+        expected = super().expected_tag(sender, seq, inner, tag)
+        self.last_check = (sender, seq, inner, self.tags_computed > computed)
+        return expected
+
+    def record_rejection(self, rnd, sender, receiver, part, reason):
+        if reason == REASON_DIGEST:
+            checked_sender, seq, inner, computed = self.last_check
+            assert computed, "bad-digest decided from a reused tag"
+            assert checked_sender == sender
+            assert seq is part.payload[0] and inner is part.payload[2]
+            self.digest_rejections_audited += 1
+        super().record_rejection(rnd, sender, receiver, part, reason)
+
+
+class TestTagWork:
+    def test_clean_frame_reuses_the_senders_tag(self):
+        sender, memo_rx, ref_rx = _memo_and_reference()
+        frame = sender._frame(5, [Part("ack", (1, 2), 8)])
+        assert _verdict(memo_rx, 6, 3, frame) == _verdict(ref_rx, 6, 3, frame)
+        assert memo_rx.coordinator.tags_computed == 1
+        assert memo_rx.coordinator.tags_reused == 1
+        assert ref_rx.coordinator.tags_computed == 1
+        assert ref_rx.coordinator.tags_reused == 0
+
+    def test_equal_but_rebuilt_payload_is_recomputed_and_rejected(self):
+        # (1,) == (True,) and they hash alike, but their repr -- the bytes
+        # the tag covers -- differ.  An ==-keyed memo would accept this.
+        sender, memo_rx, ref_rx = _memo_and_reference()
+        frame = sender._frame(5, [Part("ack", (1, 2), 8)])
+        seq, claimed, inner, tag = frame.payload
+        rebuilt = _with_true_for_one(inner)
+        assert rebuilt == inner and rebuilt is not inner
+        forged = Part(frame.kind, (seq, claimed, rebuilt, tag), frame.bits)
+        assert _verdict(memo_rx, 6, 3, forged) == ("rejected", REASON_DIGEST)
+        assert _verdict(ref_rx, 6, 3, forged) == ("rejected", REASON_DIGEST)
+        assert memo_rx.coordinator.tags_reused == 0
+
+    def test_bool_seq_is_not_matched_to_the_int_seq(self):
+        sender, memo_rx, ref_rx = _memo_and_reference()
+        frame = sender._frame(1, [Part("ack", (7,), 8)])
+        _, claimed, inner, tag = frame.payload
+        forged = Part(frame.kind, (True, claimed, inner, tag), frame.bits)
+        assert _verdict(memo_rx, 2, 3, forged) == _verdict(ref_rx, 2, 3, forged)
+        assert _verdict(memo_rx, 2, 3, forged) == ("rejected", REASON_DIGEST)
+
+    def test_wrap_forgets_the_previous_networks_tags(self):
+        sender, memo_rx, _ = _memo_and_reference()
+        frame = sender._frame(5, [Part("ack", (1,), 8)])
+        memo_rx.coordinator.wrap({})
+        assert _verdict(memo_rx, 6, 3, frame)[0] == "ok"
+        assert memo_rx.coordinator.tags_reused == 0
+
+    def test_memo_keeps_only_the_current_and_previous_round(self):
+        sender, memo_rx, _ = _memo_and_reference()
+        for rnd in range(1, 6):
+            sender._frame(rnd, [Part("ack", (rnd,), 8)])
+        assert sorted(memo_rx.coordinator._sent) == [4, 5]
+
+    def test_drop_run_computes_one_tag_per_frame(self):
+        coord = as_integrity(IntegrityConfig(mode="mac"))
+        record = _run_5x5(MessageFaults(drop=0.01, seed=0), integrity=coord)
+        assert record.correct and record.extra["certified"]
+        counters = coord.counters()
+        assert counters["frames"] > 0
+        assert counters["tags_computed"] == counters["frames"]
+        assert counters["tags_reused"] == counters["verified"]
+        # Work counters only: run rows stay byte-identical.
+        assert set(integrity_columns(coord)) == {
+            "integrity_rejected", "quarantined_links",
+        }
+
+    def test_bitflip_rejections_are_computed_not_reused(self):
+        coord = _AuditedCoordinator(IntegrityConfig(mode="mac"))
+        record = _run_5x5(
+            MessageFaults(drop=0.01, seed=0),
+            MessageCorruption(bitflip=0.02, seed=0),
+            integrity=coord,
+        )
+        assert record.extra["unresolved_corruptions"] == 0
+        assert coord.rejected[REASON_DIGEST] > 0
+        assert coord.digest_rejections_audited == coord.rejected[REASON_DIGEST]
+        # Every frame reaching the tag check costs one compute or reuse.
+        assert coord.tags_computed + coord.tags_reused == (
+            coord.frames
+            + coord.verified
+            + coord.rejected[REASON_DIGEST]
+            + coord.rejected[REASON_STALE]
+        )
+
+
 class TestQuarantine:
     def test_persistently_corrupt_link_is_quarantined(self):
         topo = grid44()
@@ -583,7 +747,7 @@ class TestCacheIdentity:
 # --------------------------------------------------------------------- #
 
 try:
-    from hypothesis import HealthCheck, given, settings
+    from hypothesis import HealthCheck, assume, given, settings
     from hypothesis import strategies as st
 
     HAVE_HYPOTHESIS = True
@@ -659,3 +823,96 @@ class TestSingleBitflipProperty:
         # With a single flip and an intact retransmit budget the NACK
         # path always recovers the dropped frame: the run ends exact.
         assert record.correct, (topo.name, seed, protocol)
+
+
+# --------------------------------------------------------------------- #
+# Property: the tag memo never changes a verification verdict.
+# --------------------------------------------------------------------- #
+
+if HAVE_HYPOTHESIS:
+    _payloads = st.recursive(
+        st.integers(0, 3) | st.integers(-(2**40), 2**40) | st.text(max_size=3),
+        lambda children: st.tuples(children) | st.tuples(children, children),
+        max_leaves=6,
+    )
+    _parts = st.lists(
+        st.builds(
+            Part,
+            st.sampled_from(["ack", "agg", "flood"]),
+            _payloads,
+            st.integers(1, 64),
+        ),
+        min_size=1,
+        max_size=4,
+    )
+
+
+@pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis not installed")
+class TestTagMemoEquivalence:
+    """Over random frames and tamperings, ``_verify`` with the sender's
+    tag memo returns the same parts, or raises the same reason, as a
+    receiver whose every check calls ``compute_tag``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        mode=st.sampled_from(["mac", "checksum"]),
+        key_seed=st.integers(0, 7),
+        seq=st.integers(2, 500),
+        old_parts=_parts,
+        parts=_parts,
+        case=st.sampled_from(
+            ["clean", "bitflip", "truncate", "stale", "future",
+             "sender", "tag", "true-for-one"]
+        ),
+        flip_seed=st.integers(0, 2**16),
+        cut=st.integers(0, 3),
+    )
+    def test_memoised_verify_matches_reference(
+        self, mode, key_seed, seq, old_parts, parts, case, flip_seed, cut
+    ):
+        sender, memo_rx, ref_rx = _memo_and_reference(mode, key_seed)
+        old = sender._frame(seq - 1, old_parts)
+        frame = sender._frame(seq, parts)
+        payload = frame.payload
+        # (round, envelope sender, part) deliveries, in order.
+        deliveries = [(seq + 1, 3, frame)]
+        if case == "bitflip":
+            flipped = flip_int_leaf(payload, random.Random(flip_seed))
+            deliveries = [(seq + 1, 3, Part(frame.kind, flipped, frame.bits))]
+        elif case == "truncate":
+            deliveries = [(seq + 1, 3, frame._replace(payload=payload[:cut]))]
+        elif case == "stale":
+            deliveries = [(seq + 1, 3, frame), (seq + 1, 3, old)]
+        elif case == "future":
+            deliveries = [(seq, 3, frame)]
+        elif case == "sender":
+            deliveries = [(seq + 1, 5, frame)]
+        elif case == "tag":
+            bit = 1 << (flip_seed % memo_rx.coordinator.config.digest_bits)
+            tampered = payload[:3] + (payload[3] ^ bit,)
+            deliveries = [(seq + 1, 3, frame._replace(payload=tampered))]
+        elif case == "true-for-one":
+            rebuilt = _with_true_for_one(payload[2])
+            assume(rebuilt is not None)
+            tampered = payload[:2] + (rebuilt,) + payload[3:]
+            deliveries = [(seq + 1, 3, frame._replace(payload=tampered))]
+
+        got = [_verdict(memo_rx, r, s, p) for r, s, p in deliveries]
+        want = [_verdict(ref_rx, r, s, p) for r, s, p in deliveries]
+        assert got == want
+        assert ref_rx.coordinator.tags_reused == 0
+        expected_reason = {
+            "truncate": REASON_STRUCTURE,
+            "future": REASON_STALE,
+            "sender": REASON_SENDER,
+            "tag": REASON_DIGEST,
+            "true-for-one": REASON_DIGEST,
+        }.get(case)
+        if expected_reason is not None:
+            assert got[-1] == ("rejected", expected_reason)
+        if case in ("clean", "stale"):
+            assert got[0] == ("ok", list(parts))
+            # Both rounds' frames are still in the memo.
+            assert memo_rx.coordinator.tags_reused == len(deliveries)
+        if case == "stale":
+            assert got[1] == ("rejected", REASON_STALE)

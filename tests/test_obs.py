@@ -796,6 +796,25 @@ class TestObsCli:
         assert main(["obs", "validate", str(bad)]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["summarize"], "obs summarize takes exactly one trace file"),
+            (["summarize", "a", "b"],
+             "obs summarize takes exactly one trace file"),
+            (["diff", "a"], "obs diff takes exactly two trace files"),
+            (["diff", "a", "b", "c"], "obs diff takes exactly two trace files"),
+            (["top"], "obs top takes exactly one trace file"),
+            (["top", "a", "b"], "obs top takes exactly one trace file"),
+            (["validate", "a", "b"],
+             "obs validate takes at most one trace file"),
+        ],
+    )
+    def test_obs_path_count_is_a_usage_error(self, argv, message):
+        with pytest.raises(SystemExit) as err:
+            main(["obs", *argv])
+        assert err.value.code == message  # printed to stderr, exit status 1
+
     def test_obs_validate_with_nothing_to_check_is_a_usage_error(self):
         with pytest.raises(SystemExit) as err:
             main(["obs", "validate"])
