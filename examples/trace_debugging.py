@@ -1,10 +1,10 @@
 #!/usr/bin/env python
 """Watching AGG work: execution tracing of the speculative-flooding dance.
 
-Attaches a :class:`repro.sim.Tracer` to an AGG run where a node and its
-neighbourhood crash mid-aggregation (the paper's Figure 3 scenario), then
-uses the trace to answer the questions one asks while studying the
-protocol:
+Puts a :class:`repro.sim.Tracer` in the injector list of an AGG run where
+a node and its neighbourhood crash mid-aggregation (the paper's Figure 3
+scenario), then uses the trace to answer the questions one asks while
+studying the protocol:
 
 * when did the crash happen, and who flooded a critical_failure claim?
 * which nodes initiated speculative partial-sum floods, and when?
@@ -40,7 +40,9 @@ def main() -> None:
     inputs = {u: 1 for u in topology.nodes()}
     nodes = {u: AggNode(params, u, inputs[u]) for u in topology.nodes()}
     tracer = Tracer()
-    network = Network(topology.adjacency, nodes, schedule.crash_rounds, tracer=tracer)
+    network = Network(
+        topology.adjacency, nodes, schedule.crash_rounds, injectors=[tracer]
+    )
     network.run(params.agg_rounds, stop_on_output=False)
     root = nodes[topology.root]
     print(f"AGG result: {root.result} (25 nodes, {len(schedule)} crashed)\n")

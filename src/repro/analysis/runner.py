@@ -306,7 +306,6 @@ def _attach_gray(gray, injectors):
     if recorder is None:
         return tuple(injectors) + (gray,)
     recorder.inner.append(gray)
-    recorder.modifies_delivery = True
     return injectors
 
 

@@ -658,50 +658,21 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     """Chaos harness: protocols under injected message faults + monitors.
 
     Every seed runs one execution with the requested drop/dup/delay/reorder
-    rates (and, optionally, an adaptive crash adversary) with the standard
-    invariant monitors attached in record mode.  The verdict per run is
-    either *correct* (oracle-satisfying output), *aborted* (no output —
-    honest failure), or *SILENT-WRONG* (output outside the oracle interval)
-    — the exit status is nonzero iff any run was silent-wrong, which is
-    exactly the property the paper's protocols are designed to avoid.
+    rates (and, optionally, an adaptive crash adversary) under the
+    standard invariant monitors in record mode.  A run is *correct*,
+    *aborted* (no output: an honest failure) or *SILENT-WRONG* (output
+    outside the oracle interval).  Under the :mod:`repro.resilience`
+    runtime (``--recover`` or ``--retransmit-budget``) *correct* refines
+    to *exact* or *partial-certified*, and a best-effort value nothing
+    vouches for is *PARTIAL-UNCERTIFIED*.  ``--byz`` injects no message
+    faults: the compromised senders' lies are the faults.
 
-    With ``--recover`` (or ``--retransmit-budget``) the run goes through
-    the :mod:`repro.resilience` runtime and the verdicts refine to
-    *exact* (full coverage), *partial-certified* (certified subset
-    coverage, value inside its bounds), and *PARTIAL-UNCERTIFIED* (a
-    best-effort value nothing vouches for).  The exit status is then
-    nonzero iff any run was silent-wrong **or** uncertified — the CI
-    gate for the self-healing stack.
-
-    With ``--corrupt`` the injected faults include payload corruption;
-    a run whose output stands on corrupted bits no integrity layer
-    rejected is *CORRUPT-ACCEPTED* and counted with the silent-wrong
-    gate (pair with ``--integrity mac`` — and ``--recover`` to turn
-    detected-and-dropped frames into retransmissions instead of
-    losses).
-
-    With ``--churn`` the run goes through the churn epoch manager and
-    two further verdicts gate the exactly-once guarantee:
-    *DOUBLE-COUNT* (a contribution booked twice across incarnations)
-    and *LOST-CONTRIBUTION* (a contribution with a surviving copy
-    missing from the certified coverage).  Either fails the campaign.
-
-    With ``--gray`` the runs limp through stalled nodes and inflated
-    links (nothing crashes) and the straggler oracle grades detection
-    quality: *FALSE-SUSPECT* (the φ-accrual detector confirmed a node
-    that was merely slow) and *UNBOUNDED-STALL* (a degradation past the
-    transport's tolerance window that the detector never flagged).
-    Either fails the campaign — the gray-resilience CI gate.
-
-    With ``--byz`` the runs go through the witness cross-validation
-    runtime against compromised senders (no message faults are injected:
-    the lies *are* the faults) and the Byzantine oracle grades the
-    defense from its ground-truth taint ledger: *FALSE-CONVICTION* (an
-    honest node convicted on witness evidence), *UNDETECTED-EQUIVOCATION*
-    (a delivered contradictory claim that never produced an accusation),
-    and *INFLUENCE-EXCEEDED* (a certified value farther from the honest
-    bracket than the advertised ``b * v_max`` influence bound).  Any of
-    the three fails the campaign — the Byzantine CI gate.
+    The exit status is 1 iff some run's verdict fails the campaign:
+    SILENT-WRONG always, PARTIAL-UNCERTIFIED under the runtime,
+    CORRUPT-ACCEPTED under ``--corrupt`` (pair it with ``--integrity
+    mac``, plus ``--recover`` to retransmit rejected frames), and under
+    ``--churn``, ``--gray`` and ``--byz`` their family's
+    :data:`ORACLE_VERDICTS`.  Errored runs do not fail it.
     """
     from .exec import WorkUnit
 

@@ -23,12 +23,12 @@ is the step both papers share (documented in DESIGN.md).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Mapping, Optional, Set, Tuple
 
 from ..graphs.topology import Topology
-from ..sim.message import Envelope
 from ..sim.network import Network
 from ..sim.node import NodeHandler
+from ..sim.trace import Tracer
 
 
 @dataclass
@@ -85,7 +85,10 @@ class CutSimulation:
                 for v in topology.neighbours(u)
             )
         }
-        self.network = Network(topology.adjacency, handlers, crash_rounds)
+        self.tracer = Tracer(record_deliveries=False)
+        self.network = Network(
+            topology.adjacency, handlers, crash_rounds, injectors=[self.tracer]
+        )
         self.transcript = CutTranscript()
 
     @property
@@ -100,21 +103,20 @@ class CutSimulation:
     def run(self, max_rounds: int, stop_on_output: bool = True) -> CutTranscript:
         """Run the protocol, filling the cut transcript."""
         for _ in range(max_rounds):
+            first = len(self.tracer.sends)
             self.network.step()
-            rnd = self.network.round
             a2b = b2a = 0
-            for sender, parts in self.network._in_flight:
-                if sender not in self.boundary:
+            for event in self.tracer.sends[first:]:
+                if event.node not in self.boundary:
                     continue
-                bits = sum(p.bits for p in parts)
-                if sender in self.alice:
-                    a2b += bits
+                if event.node in self.alice:
+                    a2b += event.bits
                 else:
-                    b2a += bits
+                    b2a += event.bits
             self.transcript.alice_to_bob_bits += a2b
             self.transcript.bob_to_alice_bits += b2a
             self.transcript.per_round.append((a2b, b2a))
-            self.transcript.rounds = rnd
+            self.transcript.rounds = self.network.round
             if stop_on_output and self.network.stop_requested():
                 break
         return self.transcript

@@ -39,7 +39,7 @@ from .recorder import (
 )
 from .replay import ReplayDivergence, ReplayInjector, ReplayOutcome, replay_bundle
 from .stats import SimStats
-from .trace import CrashEvent, DeliverEvent, SendEvent, Tracer, attach_tracer
+from .trace import CrashEvent, DeliverEvent, SendEvent, Tracer
 from .validation import Violation, assert_model, validate_model
 
 __all__ = [
@@ -87,7 +87,6 @@ __all__ = [
     "Tracer",
     "Violation",
     "assert_model",
-    "attach_tracer",
     "id_bits",
     "random_churn",
     "standard_monitors",

@@ -20,6 +20,8 @@ round execution:
   ``modifies_delivery = True`` are consulted, so crash-only middleware
   keeps the exact-model delivery path (and its bit-exact determinism).
 * :meth:`FaultInjector.arrange_inbox` may permute one receiver's inbox.
+* :meth:`FaultInjector.on_deliver` observes each delivered copy; only
+  injectors with ``observes_deliveries = True`` get it.
 
 The oblivious crash schedule itself is the :class:`ScheduledCrashes`
 injector — ``Network(..., crash_rounds=...)`` is sugar for prepending one —
@@ -144,6 +146,8 @@ class FaultInjector:
 
     #: Whether this injector rewrites deliveries (drop/dup/delay/reorder).
     modifies_delivery = False
+    #: Whether the network calls :meth:`on_deliver` on this injector.
+    observes_deliveries = False
 
     def __init__(self) -> None:
         self.network = None
@@ -177,6 +181,9 @@ class FaultInjector:
     def arrange_inbox(self, rnd: int, receiver: int, envelopes: List) -> List:
         """Hook: final chance to permute one receiver's round inbox."""
         return envelopes
+
+    def on_deliver(self, rnd: int, sender: int, receiver: int, part: Part) -> None:
+        """Hook: ``receiver`` got ``part`` from ``sender`` in round ``rnd``."""
 
     def end_round(self, rnd: int) -> None:
         """Hook: round ``rnd`` finished computing and broadcasting."""

@@ -19,7 +19,9 @@ On top of the exact model the network supports two optional layers:
   delivery path that can crash nodes online and drop / duplicate / delay /
   reorder in-flight messages, for probing behaviour *outside* the paper's
   oblivious crash model.  The oblivious crash schedule itself is realized
-  as the :class:`repro.sim.faults.ScheduledCrashes` injector.
+  as the :class:`repro.sim.faults.ScheduledCrashes` injector.  Observers
+  (:mod:`repro.sim.trace`: the ``Tracer``, obs ``send`` events) are
+  injectors too; nothing else sees a run's events.
 * **monitors** (:mod:`repro.sim.monitors`) — runtime invariant checks
   evaluated after every round and once at the end of :meth:`Network.run`.
 
@@ -34,7 +36,7 @@ reference counting alone.
 
 **Event-driven rounds.**  A round runs only the nodes with mail or a due
 wake (:meth:`repro.sim.node.NodeHandler.next_wake`, kept in per-round wake
-buckets), in adjacency order, so broadcasts, deliveries, tracer events and
+buckets), in adjacency order, so broadcasts, deliveries, injector hooks and
 recorder digests are the same as with every node running every round.
 Handlers keeping the default wake (``rnd + 1``) run every round they are
 alive.  :meth:`Network.schedule_downtime` wakes the node at its revival
@@ -75,8 +77,6 @@ class Network:
             which the node is dead.  Missing nodes never crash.  Internally
             realized as a :class:`repro.sim.faults.ScheduledCrashes`
             injector prepended to ``injectors``.
-        tracer: Optional :class:`repro.sim.trace.Tracer` receiving event
-            hooks.
         injectors: Optional sequence of
             :class:`repro.sim.faults.FaultInjector` middleware on the
             crash/delivery path.
@@ -104,7 +104,6 @@ class Network:
         adjacency: Mapping[int, Sequence[int]],
         handlers: Mapping[int, NodeHandler],
         crash_rounds: Optional[Mapping[int, int]] = None,
-        tracer=None,
         injectors: Sequence = (),
         monitors: Sequence = (),
         root: Optional[int] = None,
@@ -136,8 +135,6 @@ class Network:
         self._unchecked = set(self.handlers)
         self.stats = SimStats()
         self.round = 0
-        #: Optional :class:`repro.sim.trace.Tracer` receiving event hooks.
-        self.tracer = tracer
         # Broadcasts made in the current round, delivered next round
         # (exact-model fast path).
         self._in_flight: List[tuple] = []
@@ -164,12 +161,19 @@ class Network:
             from .faults import ScheduledCrashes
 
             self.injectors.insert(0, ScheduledCrashes(crash_rounds))
+        if _spans.messages:
+            from .trace import SendEvents
+
+            self.injectors.insert(0, SendEvents())
         for injector in self.injectors:
             injector.attach(self)
         # Delivery-modifying injectors force the scheduled-delivery path;
         # crash-only injectors keep the exact-model fast path.
         self._delivery_injectors = tuple(
             i for i in self.injectors if getattr(i, "modifies_delivery", False)
+        )
+        self._delivery_observers = tuple(
+            i for i in self.injectors if getattr(i, "observes_deliveries", False)
         )
         self.monitors: List = list(monitors)
         for monitor in self.monitors:
@@ -314,16 +318,11 @@ class Network:
                 if wake is not None:
                     wakes.setdefault(max(wake, 1), set()).add(node)
         active = wakes.pop(rnd, set()).union(inboxes)
-        if self.tracer is not None:
-            # Nodes going down this round get their crash event even idle.
-            active.update(u for u in self.adjacency if self._goes_down(u, rnd))
         unchecked = self._unchecked
         for node in sorted(active, key=self._order.__getitem__):
             # A down node's wake is not lost: its first live round after
             # an outage is the end of one, where schedule_downtime woke it.
             if not self.is_alive(node, rnd):
-                if self.tracer is not None and self._goes_down(node, rnd):
-                    self.tracer.on_crash(rnd, node)
                 continue
             handler = self.handlers[node]
             parts = list(handler.on_round(rnd, inboxes.get(node, ())))
@@ -342,12 +341,6 @@ class Network:
         if wake is not None:
             self._wakes.setdefault(max(wake, self.round + 1), set()).add(node)
 
-    def _goes_down(self, node: int, rnd: int) -> bool:
-        """Whether ``rnd`` is the first round of a crash or an outage."""
-        return self.crash_rounds.get(node) == rnd or any(
-            s == rnd for s, _ in self.down_intervals.get(node, ())
-        )
-
     def _broadcast(self, rnd: int, node: int, parts: List[Part]) -> None:
         """Book one node's broadcast and put it on the delivery path."""
         bits = sum(p.bits for p in parts)
@@ -357,18 +350,6 @@ class Network:
             else 0
         )
         self.stats.record_broadcast(node, len(parts), bits, overhead)
-        if _spans.messages:
-            _spans.active().event(
-                "send",
-                cat="message",
-                tid=node,
-                round=rnd,
-                parts=len(parts),
-                bits=bits,
-                kinds=",".join(p.kind for p in parts),
-            )
-        if self.tracer is not None:
-            self.tracer.on_send(rnd, node, parts, bits)
         for injector in self.injectors:
             injector.on_broadcast(rnd, node, parts, bits)
         if self._delivery_injectors:
@@ -386,7 +367,7 @@ class Network:
         """
         inboxes: Dict[int, List[Envelope]] = {}
         alive: Dict[int, bool] = {}
-        tracer = self.tracer
+        observers = self._delivery_observers
         flaps = self.link_flaps
         for sender, parts in self._in_flight:
             envelopes = [Envelope(sender, p) for p in parts]
@@ -398,9 +379,9 @@ class Network:
                     live = alive[neighbour] = self.is_alive(neighbour, rnd)
                 if live:
                     inboxes.setdefault(neighbour, []).extend(envelopes)
-                    if tracer is not None:
+                    for observer in observers:
                         for p in parts:
-                            tracer.on_deliver(rnd, sender, neighbour, p)
+                            observer.on_deliver(rnd, sender, neighbour, p)
         self._in_flight = []
         return inboxes
 
@@ -429,6 +410,7 @@ class Network:
         is due this round, then let injectors reorder each inbox."""
         inboxes: Dict[int, List[Envelope]] = {}
         alive: Dict[int, bool] = {}
+        observers = self._delivery_observers
         still_pending: List[tuple] = []
         for due, sender, receiver, part in self._pending:
             if due > rnd:
@@ -452,8 +434,8 @@ class Network:
             if self.link_flaps and not self.link_up(sender, receiver, rnd):
                 continue
             inboxes.setdefault(receiver, []).append(Envelope(sender, part))
-            if self.tracer is not None:
-                self.tracer.on_deliver(rnd, sender, receiver, part)
+            for observer in observers:
+                observer.on_deliver(rnd, sender, receiver, part)
         self._pending = still_pending
         for receiver, box in inboxes.items():
             for injector in self._delivery_injectors:

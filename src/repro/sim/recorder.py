@@ -78,6 +78,34 @@ def part_key(part: Part) -> List[Any]:
     return [part.kind, repr(part.payload), part.bits]
 
 
+class TransmitKeys:
+    """One epoch's decision keys ``(due, sender, receiver, kind,
+    payload_repr, bits, occ)`` for the recorder and the replayer; ``occ``
+    counts earlier copies with the same key."""
+
+    def __init__(self) -> None:
+        self._occ: Dict[Tuple, int] = {}
+        # id(part) -> (part, payload repr) for the current broadcast; the
+        # held part keeps its id from being reused.
+        self._reprs: Dict[int, Tuple[Part, str]] = {}
+
+    def new_broadcast(self) -> None:
+        self._reprs = {}
+
+    def key(self, due: int, sender: int, receiver: int, part: Part) -> Tuple:
+        cached = self._reprs.get(id(part))
+        if cached is None:
+            cached = self._reprs[id(part)] = (part, repr(part.payload))
+        base = (due, sender, receiver, part.kind, cached[1], part.bits)
+        occ = self._occ[base] = self._occ.get(base, -1) + 1
+        return base + (occ,)
+
+    @staticmethod
+    def of_entry(t: Dict[str, Any]) -> Tuple:
+        """The key of a bundle ``transmits`` entry."""
+        return (t["due"], t["s"], t["r"], *t["part"], t["occ"])
+
+
 @dataclass
 class ExecutionRecord:
     """One complete, replayable execution — the in-memory form of a bundle.
@@ -254,9 +282,6 @@ class RecordingInjector(FaultInjector):
     def __init__(self, inner: Sequence[FaultInjector] = ()) -> None:
         super().__init__()
         self.inner: List[FaultInjector] = list(inner)
-        self.modifies_delivery = any(
-            getattr(i, "modifies_delivery", False) for i in self.inner
-        )
         self.epoch = -1
         self.transmits: List[Dict[str, Any]] = []
         self.reorders: List[Dict[str, Any]] = []
@@ -268,12 +293,13 @@ class RecordingInjector(FaultInjector):
         # broadcast pattern is unchanged (e.g. a removed duplicate of a
         # flooded part that receivers would de-duplicate anyway).
         self._digests: Dict[int, Dict[int, List[int]]] = {}
-        self._occ: Dict[Tuple, int] = {}
-        # id(part) -> (part, repr(part.payload)) for the current
-        # broadcast: every copy of a part shares the one repr.  Holding
-        # the part keeps its id from being reused by another object.
-        self._reprs: Dict[int, Tuple[Part, str]] = {}
+        self._keys = TransmitKeys()
         self._crash_snapshot: Dict[int, float] = {}
+
+    @property
+    def modifies_delivery(self) -> bool:
+        """Whether the inner chain, as it stands, rewrites deliveries."""
+        return any(getattr(i, "modifies_delivery", False) for i in self.inner)
 
     # -- lifecycle ------------------------------------------------------ #
 
@@ -281,7 +307,7 @@ class RecordingInjector(FaultInjector):
         """Start a new epoch: forward attach, snapshot baseline crashes."""
         super().attach(network)
         self.epoch += 1
-        self._occ = {}
+        self._keys = TransmitKeys()
         for injector in self.inner:
             injector.attach(network)
         self._crash_snapshot = dict(network.crash_rounds)
@@ -296,7 +322,7 @@ class RecordingInjector(FaultInjector):
         digest = self._digests[self.epoch].setdefault(rnd, [0, 0, 0, 0])
         digest[0] += 1
         digest[1] += bits
-        self._reprs = {}
+        self._keys.new_broadcast()
         for injector in self.inner:
             injector.on_broadcast(rnd, node, parts, bits)
 
@@ -330,24 +356,15 @@ class RecordingInjector(FaultInjector):
             for d, p in deliveries:
                 rewritten.extend(injector.on_transmit(d, sender, receiver, p))
             deliveries = rewritten
-        cached = self._reprs.get(id(part))
-        if cached is not None:
-            payload_repr = cached[1]
-        else:
-            payload_repr = repr(part.payload)
-            self._reprs[id(part)] = (part, payload_repr)
-        key = (self.epoch, due, sender, receiver, part.kind,
-               payload_repr, part.bits)
-        occ = self._occ.get(key, 0)
-        self._occ[key] = occ + 1
+        key = self._keys.key(due, sender, receiver, part)
         if deliveries != [(due, part)]:
             entry = {
                 "e": self.epoch,
                 "due": due,
                 "s": sender,
                 "r": receiver,
-                "part": [part.kind, payload_repr, part.bits],
-                "occ": occ,
+                "part": [part.kind, key[4], part.bits],
+                "occ": key[6],
                 "out": [d for d, _ in deliveries],
             }
             if any(p != part for _, p in deliveries):

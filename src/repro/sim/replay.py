@@ -30,7 +30,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from .faults import FaultInjector
 from .message import Part
-from .recorder import ExecutionRecord, part_key
+from .recorder import ExecutionRecord, TransmitKeys, part_key
 
 
 class ReplayDivergence(RuntimeError):
@@ -83,8 +83,7 @@ class ReplayInjector(FaultInjector):
         self._crashes: Dict[int, Dict[int, List[Tuple[int, int]]]] = {}
         self._digests: Dict[int, Dict[int, Tuple[int, int]]] = {}
         for t in record.transmits:
-            key = (t["due"], t["s"], t["r"], t["part"][0], t["part"][1],
-                   t["part"][2], t["occ"])
+            key = TransmitKeys.of_entry(t)
             # v2 entries with content rewrites carry the full delivered
             # (due, part_key) list in "outp"; plain decisions only dues.
             if t.get("outp") is not None:
@@ -113,7 +112,7 @@ class ReplayInjector(FaultInjector):
                 row[0]: tuple(row[1:]) for row in rows
             }
         # Live per-epoch state.
-        self._occ: Dict[Tuple, int] = {}
+        self._keys = TransmitKeys()
         self._consumed_due: Dict[int, int] = {}
         self._consumed_reorders: Dict[int, int] = {}
         self._live_digest: Dict[int, List[int]] = {}
@@ -146,7 +145,7 @@ class ReplayInjector(FaultInjector):
         """Advance to the next recorded epoch and reset live tallies."""
         super().attach(network)
         self.epoch += 1
-        self._occ = {}
+        self._keys = TransmitKeys()
         self._consumed_due = {}
         self._consumed_reorders = {}
         self._live_digest = {}
@@ -155,15 +154,14 @@ class ReplayInjector(FaultInjector):
         digest = self._live_digest.setdefault(rnd, [0, 0, 0, 0])
         digest[0] += 1
         digest[1] += bits
+        self._keys.new_broadcast()
 
     def on_transmit(
         self, due: int, sender: int, receiver: int, part: Part
     ) -> List[Tuple[int, Part]]:
         """Apply the recorded decision for this copy, if one exists."""
-        base = (due, sender, receiver, part.kind, repr(part.payload), part.bits)
-        occ = self._occ.get(base, 0)
-        self._occ[base] = occ + 1
-        out = self._transmits.get(self.epoch, {}).get(base + (occ,))
+        key = self._keys.key(due, sender, receiver, part)
+        out = self._transmits.get(self.epoch, {}).get(key)
         if out is None:
             return [(due, part)]
         self._consumed_due[due] = self._consumed_due.get(due, 0) + 1

@@ -7,13 +7,16 @@ did the flood reach node 17", and "what did the root hear in round 42"
 without print statements inside handlers.
 
 Events are cheap namedtuples; filters return lists so they compose with
-ordinary list comprehensions.
+ordinary list comprehensions.  :class:`SendEvents` is the obs-layer
+counterpart: it turns each broadcast into an obs ``send`` event.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Set
+from typing import Dict, Iterable, List, NamedTuple, Optional, Set
 
+from ..obs import spans as _spans
+from .faults import FaultInjector
 from .message import Part
 
 
@@ -42,16 +45,17 @@ class CrashEvent(NamedTuple):
     node: int
 
 
-class Tracer:
+class Tracer(FaultInjector):
     """Collects simulator events, with query helpers.
 
-    Attach via ``Network(..., tracer=Tracer())`` or
-    :func:`attach_tracer`.  Deliveries are voluminous; pass
-    ``record_deliveries=False`` to keep only sends and crashes.
+    An injector that changes nothing: attach via
+    ``Network(..., injectors=[Tracer()])``.  Deliveries are voluminous;
+    pass ``record_deliveries=False`` to keep only sends and crashes.
     """
 
     def __init__(self, record_deliveries: bool = True) -> None:
-        self.record_deliveries = record_deliveries
+        super().__init__()
+        self.observes_deliveries = record_deliveries
         self.sends: List[SendEvent] = []
         self.deliveries: List[DeliverEvent] = []
         self.crashes: List[CrashEvent] = []
@@ -61,20 +65,21 @@ class Tracer:
     # Recording hooks (called by Network).
     # ------------------------------------------------------------------ #
 
-    def on_send(self, rnd: int, node: int, parts: List[Part], bits: int) -> None:
-        """Network hook: one physical broadcast happened."""
+    def begin_round(self, rnd: int) -> None:
+        """Record each node's first dead round as its crash."""
+        network, seen = self.network, self._crashed_seen
+        for node in network.adjacency:
+            if node not in seen and not network.is_alive(node, rnd):
+                seen.add(node)
+                self.crashes.append(CrashEvent(rnd, node))
+
+    def on_broadcast(self, rnd: int, node: int, parts, bits: int) -> None:
+        """One physical broadcast happened."""
         self.sends.append(SendEvent(rnd, node, tuple(parts), bits))
 
     def on_deliver(self, rnd: int, sender: int, receiver: int, part: Part) -> None:
-        """Network hook: one part was delivered to one neighbour."""
-        if self.record_deliveries:
-            self.deliveries.append(DeliverEvent(rnd, sender, receiver, part))
-
-    def on_crash(self, rnd: int, node: int) -> None:
-        """Network hook: a node entered its first dead round."""
-        if node not in self._crashed_seen:
-            self._crashed_seen.add(node)
-            self.crashes.append(CrashEvent(rnd, node))
+        """One part was delivered to one neighbour."""
+        self.deliveries.append(DeliverEvent(rnd, sender, receiver, part))
 
     # ------------------------------------------------------------------ #
     # Queries.
@@ -164,8 +169,18 @@ class Tracer:
         return "\n".join(lines) if lines else "(no matching events)"
 
 
-def attach_tracer(network, tracer: Optional[Tracer] = None) -> Tracer:
-    """Attach a tracer to an existing network; returns the tracer."""
-    tracer = tracer or Tracer()
-    network.tracer = tracer
-    return tracer
+class SendEvents(FaultInjector):
+    """Emits one obs ``send`` event per broadcast to the active span
+    tracer; ``Network`` puts one first in its injector list when
+    message-detail tracing is on."""
+
+    def on_broadcast(self, rnd: int, node: int, parts, bits: int) -> None:
+        _spans.active().event(
+            "send",
+            cat="message",
+            tid=node,
+            round=rnd,
+            parts=len(parts),
+            bits=bits,
+            kinds=",".join(p.kind for p in parts),
+        )

@@ -22,7 +22,7 @@ def traced_agg(topo, t=2, schedule=None, inputs=None):
     inputs = inputs or {u: 1 for u in topo.nodes()}
     nodes = {u: AggNode(params, u, inputs[u]) for u in topo.nodes()}
     tracer = Tracer()
-    net = Network(topo.adjacency, nodes, schedule.crash_rounds, tracer=tracer)
+    net = Network(topo.adjacency, nodes, schedule.crash_rounds, injectors=[tracer])
     net.run(params.agg_rounds, stop_on_output=False)
     return params, nodes, tracer
 
@@ -144,7 +144,7 @@ class TestVeriTiming:
             for u, r in schedule.crash_rounds.items()
         }
         tracer = Tracer()
-        vnet = Network(topo.adjacency, veri_nodes, shifted, tracer=tracer)
+        vnet = Network(topo.adjacency, veri_nodes, shifted, injectors=[tracer])
         vnet.run(params.veri_rounds, stop_on_output=False)
         return params, nodes, veri_nodes, tracer
 

@@ -87,7 +87,7 @@ class TestAgainstMeasurements:
             topo.adjacency,
             nodes,
             (schedule or FailureSchedule()).crash_rounds,
-            tracer=tracer,
+            injectors=[tracer],
         )
         net.run(params.agg_rounds, stop_on_output=False)
         return topo, params, tracer, net

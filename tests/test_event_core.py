@@ -88,8 +88,8 @@ def _captured(run, every_round):
     def traced_init(self, adjacency, handlers, *args, **kwargs):
         if every_round:
             handlers = {u: EveryRound(h) for u, h in handlers.items()}
-        kwargs["tracer"] = Tracer()
-        tracers.append(kwargs["tracer"])
+        tracers.append(Tracer())
+        kwargs["injectors"] = [*kwargs.get("injectors", ()), tracers[-1]]
         init(self, adjacency, handlers, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:

@@ -5,7 +5,8 @@ its receivers and checks each receiver's liveness once per round.  The
 reference below builds a fresh envelope per (receiver, part) and asks
 ``is_alive`` per edge, as the model reads (Section 2): every live
 neighbour of a sender gets its round ``r - 1`` broadcast in round ``r``,
-in broadcast order, unless the link is flapped.
+in broadcast order, unless the link is flapped.  The scheduled-delivery
+path, taken under a pass-through delivery injector, must agree with it.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.graphs import Topology, random_geometric
+from repro.sim.faults import MessageFaults
 from repro.sim.message import Envelope, Part
 from repro.sim.network import Network
 from repro.sim.node import NodeHandler
@@ -105,16 +107,20 @@ def scenarios(draw):
     return topology, crashes, downtimes, flaps, seed
 
 
-def _network(topology, crashes, downtimes, flaps, seed):
+def _network(topology, crashes, downtimes, flaps, seed, faults=()):
     handlers = {u: Chatter(u, seed) for u in topology.adjacency}
+    tracer = Tracer()
     net = Network(
-        topology.adjacency, handlers, crash_rounds=crashes, tracer=Tracer()
+        topology.adjacency,
+        handlers,
+        crash_rounds=crashes,
+        injectors=[*faults, tracer],
     )
     for u, start, end in downtimes:
         net.schedule_downtime(u, start, end)
     for u, v, start, end in flaps:
         net.schedule_link_flap(u, v, start, end)
-    return net
+    return net, tracer
 
 
 @settings(
@@ -124,7 +130,7 @@ def _network(topology, crashes, downtimes, flaps, seed):
 )
 @given(scenarios())
 def test_exact_delivery_matches_reference(scenario):
-    net = _network(*scenario)
+    net, tracer = _network(*scenario)
     reference_tracer = Tracer()
     deliver = net._deliver_exact
 
@@ -160,7 +166,29 @@ def test_exact_delivery_matches_reference(scenario):
     net._deliver_exact = checked
     for _ in range(ROUNDS):
         net.step()
-    assert net.tracer.deliveries == reference_tracer.deliveries
+    assert tracer.deliveries == reference_tracer.deliveries
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(scenarios())
+def test_scheduled_delivery_matches_exact(scenario):
+    """A pass-through delivery injector moves the run onto the scheduled
+    path; its events, inboxes and stats must equal the exact path's."""
+    runs = []
+    for faults in ((), (MessageFaults(seed=0),)):
+        net, tracer = _network(*scenario, faults=faults)
+        assert bool(net._delivery_injectors) == bool(faults)
+        for _ in range(ROUNDS):
+            net.step()
+        inboxes = {u: h.inboxes for u, h in net.handlers.items()}
+        runs.append(
+            (tracer.sends, tracer.deliveries, tracer.crashes, inboxes, net.stats)
+        )
+    assert runs[0] == runs[1]
 
 
 class Speaker(Chatter):
@@ -174,16 +202,17 @@ class Speaker(Chatter):
 def test_crashing_node_receives_nothing_but_its_last_broadcast_lands():
     line = {0: [1], 1: [0, 2], 2: [1]}
     handlers = {u: Speaker(u, 0) for u in line}
-    net = Network(line, handlers, crash_rounds={1: 3}, tracer=Tracer())
+    tracer = Tracer()
+    net = Network(line, handlers, crash_rounds={1: 3}, injectors=[tracer])
     for _ in range(4):
         net.step()
     assert 3 not in handlers[1].inboxes
     landed = [
         (e.receiver, e.part.payload)
-        for e in net.tracer.deliveries
+        for e in tracer.deliveries
         if e.round == 3 and e.sender == 1
     ]
     assert landed == [(0, (1, 2)), (2, (1, 2))]
     assert not any(
-        e.round == 3 and e.receiver == 1 for e in net.tracer.deliveries
+        e.round == 3 and e.receiver == 1 for e in tracer.deliveries
     )

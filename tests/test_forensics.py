@@ -268,7 +268,7 @@ class _PerCopyRecorder(RecordingInjector):
 
     def on_broadcast(self, rnd, node, parts, bits):
         super().on_broadcast(rnd, node, parts, bits)
-        self._reprs = _NoReprCache()
+        self._keys._reprs = _NoReprCache()
         self.max_parts = max(self.max_parts, len(parts))
 
 
@@ -290,7 +290,7 @@ class TestRecordingInjector:
             )
         cached, per_copy = recorders
         assert cached.transmits and cached.transmits == per_copy.transmits
-        assert cached._occ == per_copy._occ
+        assert cached._keys._occ == per_copy._keys._occ
         assert per_copy.max_parts > 1
         assert {len(e["out"]) for e in cached.transmits} >= {0, 2}
         assert cached.digests_jsonable() == per_copy.digests_jsonable()

@@ -5,7 +5,7 @@ import pytest
 from repro.core.agg import AggNode
 from repro.core.params import params_for
 from repro.graphs import grid_graph, path_graph
-from repro.sim import Network, Part, Tracer, attach_tracer
+from repro.sim import Network, Part, Tracer
 from repro.sim.node import RelayNode, SilentNode
 
 
@@ -29,7 +29,7 @@ class TestEventCapture:
         net = Network(
             line3(),
             {0: Beacon(part), 1: RelayNode(), 2: RelayNode()},
-            tracer=tracer,
+            injectors=[tracer],
         )
         net.run(3, stop_on_output=False)
         # Beacon at round 1, node 1 forwards at round 2, node 2 at round 3.
@@ -44,7 +44,7 @@ class TestEventCapture:
         net = Network(
             line3(),
             {0: Beacon(part), 1: RelayNode(), 2: SilentNode()},
-            tracer=tracer,
+            injectors=[tracer],
         )
         net.run(3, stop_on_output=False)
         received_by_1 = tracer.deliveries_to(1)
@@ -57,7 +57,7 @@ class TestEventCapture:
         net = Network(
             line3(),
             {0: Beacon(part), 1: RelayNode(), 2: RelayNode()},
-            tracer=tracer,
+            injectors=[tracer],
         )
         net.run(3, stop_on_output=False)
         assert tracer.deliveries == []
@@ -69,16 +69,10 @@ class TestEventCapture:
             line3(),
             {i: SilentNode() for i in range(3)},
             crash_rounds={1: 2},
-            tracer=tracer,
+            injectors=[tracer],
         )
         net.run(4, stop_on_output=False)
         assert tracer.crashes == [(2, 1)]
-
-    def test_attach_tracer_to_existing_network(self):
-        net = Network(line3(), {i: SilentNode() for i in range(3)})
-        tracer = attach_tracer(net)
-        net.run(2, stop_on_output=False)
-        assert tracer.sends == []
 
 
 class TestQueries:
@@ -87,7 +81,7 @@ class TestQueries:
         params = params_for(topo, t=1)
         nodes = {u: AggNode(params, u, 1) for u in topo.nodes()}
         tracer = Tracer()
-        net = Network(topo.adjacency, nodes, tracer=tracer)
+        net = Network(topo.adjacency, nodes, injectors=[tracer])
         net.run(params.agg_rounds, stop_on_output=False)
         return topo, params, tracer
 
@@ -116,7 +110,7 @@ class TestQueries:
         params = params_for(topo, t=0)
         nodes = {u: AggNode(params, u, 1) for u in topo.nodes()}
         tracer = Tracer()
-        net = Network(topo.adjacency, nodes, tracer=tracer)
+        net = Network(topo.adjacency, nodes, injectors=[tracer])
         net.run(params.agg_rounds, stop_on_output=False)
         assert sum(tracer.bits_per_round().values()) == net.stats.total_bits
 
@@ -135,7 +129,7 @@ class TestHookContracts:
         net = Network(
             line3(),
             {0: Beacon(part, at=2), 1: SilentNode(), 2: SilentNode()},
-            tracer=tracer,
+            injectors=[tracer],
         )
         net.run(3, stop_on_output=False)
         assert len(tracer.sends) == 1
@@ -151,7 +145,7 @@ class TestHookContracts:
         net = Network(
             line3(),
             {0: Beacon(part, at=2), 1: SilentNode(), 2: SilentNode()},
-            tracer=tracer,
+            injectors=[tracer],
         )
         net.run(3, stop_on_output=False)
         assert len(tracer.deliveries) == 1
@@ -167,7 +161,7 @@ class TestHookContracts:
             line3(),
             {i: SilentNode() for i in range(3)},
             crash_rounds={2: 3, 1: 5},
-            tracer=tracer,
+            injectors=[tracer],
         )
         net.run(6, stop_on_output=False)
         assert tracer.crashes == [(3, 2), (5, 1)]
@@ -179,7 +173,7 @@ class TestHookContracts:
             line3(),
             {0: Beacon(part, at=1), 1: SilentNode(), 2: SilentNode()},
             crash_rounds={1: 2},
-            tracer=tracer,
+            injectors=[tracer],
         )
         net.run(2, stop_on_output=False)
         assert tracer.deliveries == []  # only neighbour died before delivery
@@ -194,8 +188,7 @@ class TestHookContracts:
         net = Network(
             line3(),
             {0: Beacon(part, at=1), 1: RelayNode(), 2: SilentNode()},
-            tracer=tracer,
-            injectors=[MessageFaults(seed=0)],
+            injectors=[MessageFaults(seed=0), tracer],
         )
         net.run(3, stop_on_output=False)
         assert [(e.round, e.node) for e in tracer.sends] == [(1, 0), (2, 1)]
@@ -212,7 +205,7 @@ class TestTimeline:
             line3(),
             {0: Beacon(part), 1: RelayNode(), 2: RelayNode()},
             crash_rounds={2: 3},
-            tracer=tracer,
+            injectors=[tracer],
         )
         net.run(4, stop_on_output=False)
         text = tracer.timeline()
@@ -229,7 +222,7 @@ class TestTimeline:
                 return [part]
 
         tracer = Tracer()
-        net = Network(line3(), {i: Chatty() for i in range(3)}, tracer=tracer)
+        net = Network(line3(), {i: Chatty() for i in range(3)}, injectors=[tracer])
         net.run(10, stop_on_output=False)
         text = tracer.timeline(limit=5)
         assert "truncated" in text
