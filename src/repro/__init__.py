@@ -14,52 +14,28 @@ Public API highlights:
 * :mod:`repro.graphs`, :mod:`repro.adversary`, :mod:`repro.sim` — the
   substrate: topologies, oblivious failure adversaries, and the synchronous
   local-broadcast simulator.
+
+Names are imported on first access (PEP 562), so a protocol run that
+imports :mod:`repro.exec` loads neither :mod:`repro.lowerbound` nor
+numpy, which only the lower-bound machinery and curve fitting use.
 """
 
-from . import adversary, analysis, baselines, core, extensions, graphs, lowerbound, sim
-from .adversary import FailureSchedule
-from .extensions import distributed_average, distributed_median, distributed_select
-from .core import (
-    CAAF,
-    COUNT,
-    MAX,
-    SUM,
-    is_correct_result,
-    run_agg,
-    run_agg_veri_pair,
-    run_algorithm1,
-    run_unknown_f,
-)
-from .baselines import run_bruteforce, run_folklore, run_plain_tag
-from .graphs import Topology
+from ._lazy import export_table, facade
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CAAF",
-    "COUNT",
-    "FailureSchedule",
-    "MAX",
-    "SUM",
-    "Topology",
-    "adversary",
-    "analysis",
-    "baselines",
-    "core",
-    "distributed_average",
-    "distributed_median",
-    "distributed_select",
-    "extensions",
-    "graphs",
-    "lowerbound",
-    "is_correct_result",
-    "run_agg",
-    "run_agg_veri_pair",
-    "run_algorithm1",
-    "run_bruteforce",
-    "run_folklore",
-    "run_plain_tag",
-    "run_unknown_f",
-    "sim",
-    "__version__",
-]
+_EXPORTS = export_table({
+    "adversary": "FailureSchedule",
+    "analysis": "",
+    "baselines": "run_bruteforce run_folklore run_plain_tag",
+    "core": "CAAF COUNT MAX SUM is_correct_result run_agg run_agg_veri_pair "
+            "run_algorithm1 run_unknown_f",
+    "extensions": "distributed_average distributed_median distributed_select",
+    "graphs": "Topology",
+    "lowerbound": "",
+    "sim": "",
+})
+
+__all__ = sorted(_EXPORTS) + ["__version__"]
+
+__getattr__, __dir__ = facade(__name__, _EXPORTS, globals())

@@ -65,7 +65,6 @@ from .adversary import no_failures
 from .analysis import (
     SweepCheckpoint,
     families,
-    figure1_data,
     format_series,
     format_table,
     make_inputs,
@@ -981,6 +980,8 @@ def cmd_shrink(args: argparse.Namespace) -> int:
 
 
 def cmd_figure1(args: argparse.Namespace) -> int:
+    from .analysis.figure1 import figure1_data
+
     data = figure1_data(args.n, args.failures, _ints(args.bs))
     series = {
         name: [round(v, 2) for v in values]

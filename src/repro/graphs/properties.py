@@ -71,6 +71,21 @@ def diameter(
 ) -> int:
     """Exact diameter of the (sub)graph induced by ``nodes`` (default: all).
 
+    Takes & Kosters' BoundingDiameters (CIKM 2011), usually a handful of
+    BFS instead of one per node.  A BFS from ``v`` bounds every
+    candidate ``w``'s eccentricity by ``max(ecc(v) - d(v, w), d(v, w)) <=
+    ecc(w) <= ecc(v) + d(v, w)``, and the diameter ``D`` by ``ecc(v) <= D
+    <= 2 * ecc(v)``.  A candidate is dropped once its bounds meet, or once
+    it can neither raise the lower bound (``hi <= d_low``) nor lower the
+    upper one (``2 * lo >= d_high``); every dropped node's eccentricity
+    is then at most ``d_low``, so ``D <= max(d_low, largest candidate
+    hi)`` too.  The search stops when ``d_low == d_high`` or no candidate
+    is left, and ``d_low`` is the diameter either way.
+    Sources alternate between the largest upper bound (ties to the larger
+    lower bound: likely periphery) and the smallest lower bound (ties to
+    the smaller upper bound: likely centre), then to the higher degree,
+    then to ``adjacency`` order.
+
     Raises ValueError if the induced subgraph is disconnected or empty.
     """
     if nodes is None:
@@ -80,16 +95,39 @@ def diameter(
     if not included:
         raise ValueError("cannot take the diameter of an empty graph")
     excluded = set(adjacency) - included
-    best = 0
-    seen_size = None
-    for u in included:
-        levels = bfs_levels(adjacency, u, excluded)
-        if seen_size is None:
-            seen_size = len(levels)
-            if seen_size != len(included):
-                raise ValueError("induced subgraph is disconnected")
-        best = max(best, max(levels.values()))
-    return best
+    size = len(included)
+    candidates = [u for u in adjacency if u in included]
+    lo = dict.fromkeys(candidates, 0)
+    hi = dict.fromkeys(candidates, size - 1)
+    d_low, d_high = 0, size - 1
+    pick_high = True
+    while d_low < d_high and candidates:
+        if pick_high:
+            v = max(candidates,
+                    key=lambda w: (hi[w], lo[w], len(adjacency[w])))
+        else:
+            v = min(candidates,
+                    key=lambda w: (lo[w], hi[w], -len(adjacency[w])))
+        pick_high = not pick_high
+        levels = bfs_levels(adjacency, v, excluded)
+        if len(levels) != size:
+            raise ValueError("induced subgraph is disconnected")
+        ecc = max(levels.values())
+        d_low = max(d_low, ecc)
+        d_high = min(d_high, 2 * ecc)
+        kept = []
+        for w in candidates:
+            if w == v:
+                continue
+            dist = levels[w]
+            lo_w = lo[w] = max(lo[w], ecc - dist, dist)
+            hi_w = hi[w] = min(hi[w], ecc + dist)
+            d_low = max(d_low, lo_w)
+            if lo_w < hi_w and (hi_w > d_low or 2 * lo_w < d_high):
+                kept.append(w)
+        candidates = kept
+        d_high = min(d_high, max([d_low] + [hi[w] for w in candidates]))
+    return d_low
 
 
 def subgraph_without(

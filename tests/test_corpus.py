@@ -44,3 +44,17 @@ def test_corpus_bundle_is_small(path):
         f"{os.path.basename(path)} has {bundle.n_decisions} events; "
         "run `repro-agg shrink` before checking bundles in"
     )
+
+
+def test_rerecorded_bundle_is_byte_reproducible():
+    """Two re-records of one bundle write the same bytes, and the
+    re-recorded bundle still replays strictly."""
+    from repro.adversary.shrink import rerecord_bundle
+
+    path = os.path.join(CORPUS_DIR, "tag-grid4x4-s0-record-e5d2c5bb1f.min.json")
+    bundle = ExecutionRecord.load(path)
+    first = rerecord_bundle(bundle).to_json()
+    second = rerecord_bundle(bundle).to_json()
+    assert first == second
+    assert " at 0x" not in first
+    assert replay_bundle(ExecutionRecord.from_json(first)).reproduced
