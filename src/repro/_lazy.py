@@ -1,10 +1,11 @@
 """Lazy package facades (PEP 562).
 
-``repro`` and ``repro.analysis`` re-export names from their submodules.
-Importing those eagerly would make every ``import repro.exec`` load
-:mod:`repro.lowerbound` and numpy, which no protocol run calls.  A
-facade instead declares one table and imports a submodule the first time
-one of its names is read.
+``repro``, ``repro.analysis`` and ``repro.adversary`` re-export names
+from their submodules.  Importing those eagerly would make every
+``import repro.exec`` load :mod:`repro.lowerbound`, numpy and the
+adversary search and shrinker, which no protocol run calls.  A facade
+instead declares one table and imports a submodule the first time one of
+its names is read.
 """
 
 from __future__ import annotations

@@ -1,73 +1,28 @@
-"""Oblivious crash-failure adversaries with edge-failure budgets."""
+"""Oblivious crash-failure adversaries with edge-failure budgets.
 
-from .adaptive import (
-    ADAPTIVE_FAMILIES,
-    AdaptiveAdversary,
-    RootIsolationAdversary,
-    TopTalkerAdversary,
-    TriggerAdversary,
-    make_adaptive,
-)
-from .adversaries import (
-    articulation_points,
-    blocker_failures,
-    chain_failures,
-    concentrated_failures,
-    no_failures,
-    predicted_tree,
-    random_failures,
-    spread_failures,
-    targeted_failures,
-    tree_path_to_root,
-)
-from .budget import EdgeBudget, affordable_nodes
-from .schedule import FailureSchedule, merge_schedules
-from .search import (
-    SearchResult,
-    make_algorithm1_evaluator,
-    mutate_schedule,
-    random_schedule,
-    search_worst_adversary,
-)
-from .shrink import (
-    ShrinkResult,
-    components_of,
-    failure_signature,
-    rerecord_bundle,
-    restrict_bundle,
-    shrink_bundle,
-)
+Names are imported on first access (see :mod:`repro._lazy`): a protocol
+run needs :mod:`.schedule` but not the adaptive adversaries, the
+worst-case search or the bundle shrinker.
+"""
 
-__all__ = [
-    "ADAPTIVE_FAMILIES",
-    "AdaptiveAdversary",
-    "RootIsolationAdversary",
-    "TopTalkerAdversary",
-    "TriggerAdversary",
-    "make_adaptive",
-    "SearchResult",
-    "ShrinkResult",
-    "components_of",
-    "failure_signature",
-    "rerecord_bundle",
-    "restrict_bundle",
-    "shrink_bundle",
-    "make_algorithm1_evaluator",
-    "mutate_schedule",
-    "random_schedule",
-    "search_worst_adversary",
-    "articulation_points",
-    "targeted_failures",
-    "EdgeBudget",
-    "FailureSchedule",
-    "affordable_nodes",
-    "blocker_failures",
-    "chain_failures",
-    "concentrated_failures",
-    "merge_schedules",
-    "no_failures",
-    "predicted_tree",
-    "random_failures",
-    "spread_failures",
-    "tree_path_to_root",
-]
+from .._lazy import export_table, facade
+
+_EXPORTS = export_table({
+    "adaptive": "ADAPTIVE_FAMILIES AdaptiveAdversary RootIsolationAdversary "
+                "TopTalkerAdversary TriggerAdversary make_adaptive",
+    "adversaries": "articulation_points blocker_failures chain_failures "
+                   "concentrated_failures no_failures predicted_tree "
+                   "random_failures spread_failures targeted_failures "
+                   "tree_path_to_root",
+    "budget": "EdgeBudget affordable_nodes",
+    "schedule": "FailureSchedule merge_schedules",
+    "search": "SearchResult make_algorithm1_evaluator mutate_schedule "
+              "random_schedule search_worst_adversary",
+    "shrink": "ShrinkResult components_of failure_signature rerecord_bundle "
+              "restrict_bundle shrink_bundle",
+})
+
+#: The re-exported names; submodules stay out, as they always have.
+__all__ = sorted(name for name, module in _EXPORTS.items() if name != module)
+
+__getattr__, __dir__ = facade(__name__, _EXPORTS, globals())

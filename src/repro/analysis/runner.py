@@ -359,7 +359,13 @@ def _run_plain(
     """The Section 2 path of :func:`run_protocol`, optionally over the
     transport and integrity overlays; graded exactly against the oracle."""
     transport, integrity, gray = cfg["transport"], cfg["integrity"], cfg["gray"]
-    base = dict(schedule=schedule, c=c, caaf=caaf, injectors=injectors)
+    if protocol == "agg_veri":
+        # The AGG-only oracle would mis-grade a pair whose VERI rejects, so
+        # the pair relies on the post-run grading below instead.
+        monitors = [m for m in monitors if m.rule != "oracle"]
+    base = dict(
+        schedule=schedule, c=c, caaf=caaf, injectors=(*injectors, *monitors)
+    )
     overlays = dict(
         transport=transport,
         integrity=integrity,
@@ -370,8 +376,7 @@ def _run_plain(
         if f is None or b is None:
             raise ValueError("algorithm1 needs f and b")
         out = run_algorithm1(
-            topology, inputs, f=f, b=b, rng=rng, monitors=monitors,
-            **base, **overlays,
+            topology, inputs, f=f, b=b, rng=rng, **base, **overlays,
         )
         extra = {
             "pairs_run": out.pairs_run,
@@ -381,17 +386,15 @@ def _run_plain(
             "t": out.plan.t,
         }
     elif protocol == "bruteforce":
-        out = run_bruteforce(topology, inputs, monitors=monitors, **base)
+        out = run_bruteforce(topology, inputs, **base)
     elif protocol == "folklore":
         if f is None:
             raise ValueError("folklore needs f")
-        out = run_folklore(topology, inputs, f=f, monitors=monitors, **base)
+        out = run_folklore(topology, inputs, f=f, **base)
     elif protocol == "tag":
-        out = run_plain_tag(topology, inputs, monitors=monitors, **base)
+        out = run_plain_tag(topology, inputs, **base)
     elif protocol == "unknown_f":
-        out = run_unknown_f(
-            topology, inputs, monitors=monitors, **base, **overlays
-        )
+        out = run_unknown_f(topology, inputs, **base, **overlays)
         extra = {
             "pairs_run": out.pairs_run,
             "accepted_guess": out.accepted_guess,
@@ -400,12 +403,7 @@ def _run_plain(
     elif protocol == "agg_veri":
         if t is None:
             raise ValueError("agg_veri needs t")
-        # The AGG-only oracle would mis-grade a pair whose VERI rejects, so
-        # the pair relies on the post-run grading below instead.
-        pair_monitors = [m for m in monitors if m.rule != "oracle"]
-        pair = run_agg_veri_pair(
-            topology, inputs, t=t, monitors=pair_monitors, **base
-        )
+        pair = run_agg_veri_pair(topology, inputs, t=t, **base)
         result = pair.agg_result if pair.accepted else None
         rounds = pair.agg_stats.rounds_executed + pair.veri_stats.rounds_executed
         cc = max(
@@ -427,7 +425,7 @@ def _run_plain(
             protocol, topology, f, schedule, result, correct, cc, rounds,
             extra,
         )
-        return _finish_record(record, pair_monitors, strict_monitors)
+        return _finish_record(record, monitors, strict_monitors)
     else:
         raise ValueError(f"unknown protocol {protocol!r}")
 

@@ -126,12 +126,10 @@ def run_bruteforce(
     c: int = 2,
     caaf: CAAF = SUM,
     injectors=(),
-    monitors=(),
 ) -> BaselineOutcome:
     """Run the brute-force protocol once.
 
-    ``injectors`` and ``monitors`` are forwarded to the
-    :class:`repro.sim.network.Network`.
+    ``injectors`` are forwarded to the :class:`repro.sim.network.Network`.
     """
     schedule = schedule or FailureSchedule()
     schedule.validate(topology)
@@ -146,7 +144,6 @@ def run_bruteforce(
         nodes,
         schedule.crash_rounds,
         injectors=injectors,
-        monitors=monitors,
         root=topology.root,
     )
     stats = network.run(2 * params.cd, stop_on_output=False)

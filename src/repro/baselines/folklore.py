@@ -172,7 +172,6 @@ def run_folklore(
     c: int = 2,
     caaf: CAAF = SUM,
     injectors=(),
-    monitors=(),
 ) -> BaselineOutcome:
     """Run the folklore protocol: up to ``f + 1`` tree epochs.
 
@@ -194,7 +193,6 @@ def run_folklore(
         nodes,
         schedule.crash_rounds,
         injectors=injectors,
-        monitors=monitors,
         root=topology.root,
     )
     max_rounds = (f + 1) * (2 * params.cd + 2)
@@ -215,7 +213,6 @@ def run_plain_tag(
     c: int = 2,
     caaf: CAAF = SUM,
     injectors=(),
-    monitors=(),
 ) -> BaselineOutcome:
     """Run a single non-fault-tolerant tree aggregation (TAG).
 
@@ -238,7 +235,6 @@ def run_plain_tag(
         nodes,
         schedule.crash_rounds,
         injectors=injectors,
-        monitors=monitors,
         root=topology.root,
     )
     stats = network.run(2 * params.cd + 2, stop_on_output=True)

@@ -132,12 +132,10 @@ def run_gossip(
     rounds: Optional[int] = None,
     schedule: Optional[FailureSchedule] = None,
     injectors=(),
-    monitors=(),
 ) -> GossipOutcome:
     """Run broadcast push-sum for ``rounds`` rounds (default ``10 d``).
 
-    ``injectors`` and ``monitors`` are forwarded to the
-    :class:`repro.sim.network.Network`.
+    ``injectors`` are forwarded to the :class:`repro.sim.network.Network`.
     """
     schedule = schedule or FailureSchedule()
     schedule.validate(topology)
@@ -157,7 +155,6 @@ def run_gossip(
         nodes,
         schedule.crash_rounds,
         injectors=injectors,
-        monitors=monitors,
         root=topology.root,
     )
     stats = network.run(total_rounds + 1, stop_on_output=False)

@@ -471,12 +471,10 @@ def run_agg(
     caaf=None,
     max_input: Optional[int] = None,
     injectors=(),
-    monitors=(),
 ) -> AggOutcome:
     """Run one AGG execution on ``topology`` with the given failure schedule.
 
-    ``injectors`` and ``monitors`` are forwarded to the
-    :class:`repro.sim.network.Network`.
+    ``injectors`` are forwarded to the :class:`repro.sim.network.Network`.
     """
     from .caaf import SUM
 
@@ -499,7 +497,6 @@ def run_agg(
         nodes,
         schedule.crash_rounds,
         injectors=injectors,
-        monitors=monitors,
         root=topology.root,
     )
     stats = network.run(params.agg_rounds, stop_on_output=False)

@@ -335,7 +335,7 @@ def run_intervals(
     The arguments are those of :func:`run_algorithm1`; ``f`` is the
     edge-failure budget the schedule is checked against (None: not
     checked), ``rng`` feeds the root's ``select_intervals``, and
-    ``overlays`` (injectors, monitors, transport, integrity) go to
+    ``overlays`` (injectors, transport, integrity) go to
     :func:`repro.resilience.transport.overlay_network`.
     """
     # Lazy import: resilience builds on core, so core must not import it
@@ -401,16 +401,14 @@ def run_algorithm1(
     caaf: CAAF = SUM,
     rng: Optional[random.Random] = None,
     injectors=(),
-    monitors=(),
     transport=None,
     integrity=None,
     allow_root_crash: bool = False,
 ) -> IntervalOutcome:
     """Run Algorithm 1 once with TC budget ``b`` and failure budget ``f``.
 
-    ``injectors`` and ``monitors`` are forwarded to the
-    :class:`repro.sim.network.Network` (see :mod:`repro.sim.faults` and
-    :mod:`repro.sim.monitors`).  ``transport`` (a
+    ``injectors`` are forwarded to the :class:`repro.sim.network.Network`
+    (see :mod:`repro.sim.faults`).  ``transport`` (a
     :class:`repro.resilience.transport.TransportConfig` or
     ``ReliableTransport``) runs every protocol round over the reliable
     local-broadcast shim — each logical round then spans the transport's
@@ -426,6 +424,5 @@ def run_algorithm1(
         lambda params: TradeoffPlan(params=params, b=b, f=f),
         topology, inputs, schedule, f=f, c=c, caaf=caaf,
         rng=rng, allow_root_crash=allow_root_crash,
-        injectors=injectors, monitors=monitors,
-        transport=transport, integrity=integrity,
+        injectors=injectors, transport=transport, integrity=integrity,
     )

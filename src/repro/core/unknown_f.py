@@ -85,14 +85,13 @@ def run_unknown_f(
     c: int = 2,
     caaf: CAAF = SUM,
     injectors=(),
-    monitors=(),
     transport=None,
     integrity=None,
     allow_root_crash: bool = False,
 ) -> IntervalOutcome:
     """Run the unknown-``f`` doubling protocol once.
 
-    ``injectors`` and ``monitors`` are forwarded to the
+    ``injectors`` are forwarded to the
     :class:`repro.sim.network.Network`.  ``transport`` runs the protocol
     over the reliable local-broadcast shim (one logical round per
     transport window); ``integrity`` wraps every broadcast in an
@@ -103,6 +102,5 @@ def run_unknown_f(
     return run_intervals(
         DoublingPlan, topology, inputs, schedule, f=None, c=c, caaf=caaf,
         rng=None, allow_root_crash=allow_root_crash,
-        injectors=injectors, monitors=monitors,
-        transport=transport, integrity=integrity,
+        injectors=injectors, transport=transport, integrity=integrity,
     )

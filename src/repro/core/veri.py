@@ -246,14 +246,13 @@ def run_agg_veri_pair(
     caaf=None,
     max_input: Optional[int] = None,
     injectors=(),
-    monitors=(),
 ) -> PairOutcome:
     """Run AGG then VERI back-to-back on one shared failure schedule.
 
     The schedule's crash rounds are interpreted on the combined timeline:
     AGG occupies rounds ``1 .. 7cd+4`` and VERI rounds ``7cd+5 .. 12cd+7``.
-    ``injectors`` and ``monitors`` are shared by both executions (injector
-    fault budgets therefore span the pair).
+    ``injectors`` are shared by both executions (injector fault budgets
+    therefore span the pair).
     """
     schedule = schedule or FailureSchedule()
     schedule.validate(topology)
@@ -266,7 +265,6 @@ def run_agg_veri_pair(
         caaf=caaf,
         max_input=max_input,
         injectors=injectors,
-        monitors=monitors,
     )
     params = next(iter(agg.nodes.values())).p
     veri_nodes = {
@@ -281,7 +279,6 @@ def run_agg_veri_pair(
         veri_nodes,
         shifted,
         injectors=injectors,
-        monitors=monitors,
         root=topology.root,
     )
     veri_stats = veri_network.run(params.veri_rounds, stop_on_output=False)

@@ -201,7 +201,6 @@ def run_epoch(
     caaf,
     rng: Optional[random.Random],
     injectors: Sequence,
-    monitors: Sequence,
     transport: Optional[ReliableTransport],
 ):
     """One protocol execution on ``world``, with the root allowed to die."""
@@ -213,7 +212,6 @@ def run_epoch(
         c=c,
         caaf=caaf,
         injectors=tuple(world.injectors) + tuple(injectors),
-        monitors=monitors,
         transport=transport,
         integrity=world.integrity,
         allow_root_crash=True,
@@ -273,8 +271,8 @@ def drive_epochs(
             c=c,
             caaf=caaf,
             rng=rng,
-            injectors=injectors,
-            monitors=run.monitors,
+            # Monitors watch the epochs only, never the side-runs.
+            injectors=(*injectors, *run.monitors),
             transport=reliable,
         )
         run.network = out.network

@@ -20,8 +20,16 @@ round execution:
   ``modifies_delivery = True`` are consulted, so crash-only middleware
   keeps the exact-model delivery path (and its bit-exact determinism).
 * :meth:`FaultInjector.arrange_inbox` may permute one receiver's inbox.
-* :meth:`FaultInjector.on_deliver` observes each delivered copy; only
-  injectors with ``observes_deliveries = True`` get it.
+* :meth:`FaultInjector.on_deliver` observes each delivered copy.
+* :meth:`FaultInjector.end_run` fires once, after the last round of
+  :meth:`repro.sim.network.Network.run`.
+
+The network calls each observer hook (``begin_round``, ``on_broadcast``,
+``on_deliver``, ``end_round``, ``end_run``) only on the injectors whose
+class overrides the base no-op, in list order, so an injector pays
+nothing for the hooks it does not define.  The runtime invariant
+monitors (:mod:`repro.sim.monitors`) are injectors too; callers put them
+last, so they check a round after every fault of that round.
 
 The oblivious crash schedule itself is the :class:`ScheduledCrashes`
 injector — ``Network(..., crash_rounds=...)`` is sugar for prepending one —
@@ -146,8 +154,6 @@ class FaultInjector:
 
     #: Whether this injector rewrites deliveries (drop/dup/delay/reorder).
     modifies_delivery = False
-    #: Whether the network calls :meth:`on_deliver` on this injector.
-    observes_deliveries = False
 
     def __init__(self) -> None:
         self.network = None
@@ -187,6 +193,10 @@ class FaultInjector:
 
     def end_round(self, rnd: int) -> None:
         """Hook: round ``rnd`` finished computing and broadcasting."""
+
+    def end_run(self, rnd: int) -> None:
+        """Hook: :meth:`repro.sim.network.Network.run` stopped after
+        round ``rnd``; called once per run."""
 
 
 class ScheduledCrashes(FaultInjector):

@@ -19,8 +19,11 @@ catches out-of-model behaviour introduced by the chaos layer
 Every monitor runs in one of two modes: ``strict`` raises
 :class:`InvariantViolation` at the moment the invariant breaks, ``record``
 accumulates :class:`MonitorEvent` diagnostics for post-run inspection.
-Attach via ``Network(..., monitors=[...])``; :meth:`Network.run` calls
-``after_round`` each round and ``finalize`` once at the end.
+A monitor is a :class:`repro.sim.faults.FaultInjector` that changes
+nothing: attach it last in ``Network(..., injectors=[...])``, so its
+``end_round`` checks a round after every other injector's, and its
+``end_run`` runs once after :meth:`repro.sim.network.Network.run`'s last
+round.  Both read the attached ``self.network``.
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
+
+from .faults import FaultInjector
 
 MODES = ("strict", "record")
 
@@ -38,7 +43,7 @@ class InvariantViolation(RuntimeError):
     Attributes:
         rule: Short invariant name (``"root-safe"``, ``"f-budget"``, ...).
         round: Round in which the violation was detected (None: at
-            finalization).
+            the end of a run).
     """
 
     def __init__(self, rule: str, message: str, rnd: Optional[int] = None):
@@ -61,29 +66,21 @@ class MonitorEvent:
         return f"[{self.rule}{at}] {self.message}"
 
 
-class Monitor:
+class Monitor(FaultInjector):
     """Base runtime monitor.
 
-    Subclasses implement :meth:`after_round` and/or :meth:`finalize` and
-    call :meth:`report` when their invariant breaks.
+    Subclasses implement ``end_round`` and/or ``end_run`` and call
+    :meth:`report` when their invariant breaks.
     """
 
     rule = "invariant"
 
     def __init__(self, mode: str = "strict") -> None:
+        super().__init__()
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         self.mode = mode
         self.violations: List[MonitorEvent] = []
-
-    def attach(self, network) -> None:
-        """Bind to a network; called from ``Network.__init__``."""
-
-    def after_round(self, network) -> None:
-        """Check the invariant after one executed round."""
-
-    def finalize(self, network) -> None:
-        """Check end-of-run invariants; called once by ``Network.run``."""
 
     def report(self, message: str, rnd: Optional[int] = None) -> None:
         """Record a violation; raise immediately in strict mode."""
@@ -113,12 +110,12 @@ class RootSafetyMonitor(Monitor):
         self.root = root
         self._tripped = False
 
-    def after_round(self, network) -> None:
+    def end_round(self, rnd: int) -> None:
         """Report once, in the first round the root is dead."""
-        if self._tripped or network.is_alive(self.root):
+        if self._tripped or self.network.is_alive(self.root):
             return
         self._tripped = True
-        self.report(f"the root (node {self.root}) is dead", network.round)
+        self.report(f"the root (node {self.root}) is dead", rnd)
 
 
 class FBudgetMonitor(Monitor):
@@ -155,11 +152,11 @@ class FBudgetMonitor(Monitor):
         link_up = getattr(network, "link_up", None)
         return link_up is not None and not link_up(u, v, rnd)
 
-    def after_round(self, network) -> None:
+    def end_round(self, rnd: int) -> None:
         """Charge every up->down edge transition against the budget."""
         if self._tripped:
             return
-        rnd = network.round
+        network = self.network
         known = network.adjacency
         charged = False
         for u, v in self.topology.edges():
@@ -192,27 +189,26 @@ class CCEnvelopeMonitor(Monitor):
         self.bound_bits = bound_bits
         self._tripped = False
 
-    def after_round(self, network) -> None:
+    def end_round(self, rnd: int) -> None:
         """Compare the running per-node maximum against the envelope."""
         if self._tripped:
             return
-        worst = network.stats.max_bits
+        stats = self.network.stats
+        worst = stats.max_bits
         if worst > self.bound_bits:
             self._tripped = True
-            node = max(
-                network.stats.bits_sent, key=network.stats.bits_sent.get
-            )
+            node = max(stats.bits_sent, key=stats.bits_sent.get)
             self.report(
                 f"node {node} sent {worst} bits, envelope is "
                 f"{self.bound_bits:.0f}",
-                network.round,
+                rnd,
             )
 
 
 class OracleMonitor(Monitor):
     """Zero-error on termination, per the Section 2 correctness oracle.
 
-    At finalization, if the root's handler exposes a non-``None``
+    At the end of the run, if the root's handler exposes a non-``None``
     ``result`` attribute, it must lie in ``[agg(s1), agg(s2)]`` where
     ``s1`` are the inputs of nodes still connected to the root through
     live nodes and ``s2`` all inputs.  A ``None`` result (no output /
@@ -234,8 +230,9 @@ class OracleMonitor(Monitor):
         self.inputs = dict(inputs)
         self.caaf = caaf
 
-    def finalize(self, network) -> None:
+    def end_run(self, rnd: int) -> None:
         """Grade the root's result against the correctness interval."""
+        network = self.network
         handler = network.handlers.get(self.topology.root)
         result = getattr(handler, "result", None)
         if result is None:
@@ -245,9 +242,7 @@ class OracleMonitor(Monitor):
         from ..core.correctness import correctness_interval
 
         caaf = self.caaf or SUM
-        failed = {
-            u for u, r in network.crash_rounds.items() if r <= network.round
-        }
+        failed = {u for u, r in network.crash_rounds.items() if r <= rnd}
         survivors = self.topology.alive_component(failed)
         lo, hi = correctness_interval(caaf, self.inputs, survivors)
         if not lo <= result <= hi:
@@ -255,7 +250,7 @@ class OracleMonitor(Monitor):
                 f"root output {result} outside the correctness interval "
                 f"[{lo}, {hi}] ({len(survivors)}/{self.topology.n_nodes} "
                 f"survivors)",
-                network.round,
+                rnd,
             )
 
 
@@ -279,24 +274,24 @@ class RecoverySafetyMonitor(Monitor):
         self.root = root
         self.crash_round: Optional[int] = None
 
-    def after_round(self, network) -> None:
+    def end_round(self, rnd: int) -> None:
         """Note (once) the round the root died; never raises for it."""
-        if self.crash_round is not None or network.is_alive(self.root):
+        if self.crash_round is not None or self.network.is_alive(self.root):
             return
-        self.crash_round = network.round
+        self.crash_round = rnd
         self.violations.append(
             MonitorEvent(
                 self.rule,
-                network.round,
+                rnd,
                 f"the root (node {self.root}) crashed; failover engaged",
             )
         )
 
-    def finalize(self, network) -> None:
+    def end_run(self, rnd: int) -> None:
         """A dead root must have stayed silent: no output may survive it."""
         if self.crash_round is None:
             return
-        handler = network.handlers.get(self.root)
+        handler = self.network.handlers.get(self.root)
         result = getattr(handler, "result", None)
         if result is not None:
             self.report(
@@ -313,7 +308,7 @@ class CorruptionOracleMonitor(Monitor):
     (:class:`repro.sim.faults.MessageCorruption`, or the replay injector
     reproducing a recorded corrupted run).  ``coordinator`` is the
     :class:`repro.integrity.frames.IntegrityCoordinator` whose rejection
-    log is the defence's account of what it caught.  At finalization any
+    log is the defence's account of what it caught.  At each run's end any
     delivered corruption without a matching rejection is a
     **silent corruption**: the protocol consumed corrupted bits without
     noticing, the exact failure mode the integrity layer exists to
@@ -321,8 +316,8 @@ class CorruptionOracleMonitor(Monitor):
     corruption is silent by definition — the monitor then documents the
     exposure rather than guarding a guarantee.
 
-    ``finalize`` may run once per epoch under failover; already-reported
-    keys are skipped so each silent corruption is reported exactly once.
+    ``end_run`` runs once per epoch under failover; already-reported keys
+    are skipped so each silent corruption is reported exactly once.
     """
 
     rule = "silent-corruption"
@@ -333,7 +328,7 @@ class CorruptionOracleMonitor(Monitor):
         self.coordinator = coordinator
         self._reported: set = set()
 
-    def finalize(self, network) -> None:
+    def end_run(self, rnd: int) -> None:
         """Match delivered corruptions against integrity rejections."""
         # Imported lazily: repro.sim must not import repro.integrity at
         # module scope (integrity builds on sim).
@@ -484,7 +479,7 @@ class StragglerOracle(Monitor):
       ``suspect`` on the affected node.  Silent unbounded stretch is the
       gray failure the paper's binary fault model cannot see.
 
-    False suspicions are graded at each network's ``finalize`` (liveness
+    False suspicions are graded at each network's ``end_run`` (liveness
     is only known there); missed degradations are graded once, by the
     runner, after the whole run via :meth:`grade_final` — mid-run the
     detector may simply not have accrued yet.
@@ -513,10 +508,11 @@ class StragglerOracle(Monitor):
     def _detector(self):
         return getattr(self.transport, "detector", None)
 
-    def finalize(self, network) -> None:
+    def end_run(self, rnd: int) -> None:
         detector = self._detector()
         if detector is None:
             return
+        network = self.network
         for e in detector.events:
             if e.level != "confirm":
                 continue
@@ -722,7 +718,7 @@ class RetransmitBudgetMonitor(Monitor):
         self.transport = transport
         self._reported: set = set()
 
-    def _check(self, network) -> None:
+    def end_round(self, rnd: int) -> None:
         for sender, logical_round, used in self.transport.budget_overruns():
             key = (sender, logical_round)
             if key in self._reported:
@@ -732,14 +728,10 @@ class RetransmitBudgetMonitor(Monitor):
                 f"node {sender} used {used} retransmissions for logical "
                 f"round {logical_round}, budget is "
                 f"{self.transport.config.retransmits}",
-                network.round,
+                rnd,
             )
 
-    def after_round(self, network) -> None:
-        self._check(network)
-
-    def finalize(self, network) -> None:
-        self._check(network)
+    end_run = end_round
 
 
 def theorem1_cc_envelope(

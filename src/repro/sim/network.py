@@ -13,17 +13,17 @@ This is the paper's model, realized exactly (Section 2):
 * Per-node bits are accounted in :class:`repro.sim.stats.SimStats`; the max
   over nodes is the paper's communication complexity for the execution.
 
-On top of the exact model the network supports two optional layers:
-
-* **fault injectors** (:mod:`repro.sim.faults`) — middleware on the
-  delivery path that can crash nodes online and drop / duplicate / delay /
-  reorder in-flight messages, for probing behaviour *outside* the paper's
-  oblivious crash model.  The oblivious crash schedule itself is realized
-  as the :class:`repro.sim.faults.ScheduledCrashes` injector.  Observers
-  (:mod:`repro.sim.trace`: the ``Tracer``, obs ``send`` events) are
-  injectors too; nothing else sees a run's events.
-* **monitors** (:mod:`repro.sim.monitors`) — runtime invariant checks
-  evaluated after every round and once at the end of :meth:`Network.run`.
+On top of the exact model the network takes one list of **fault
+injectors** (:mod:`repro.sim.faults`): middleware on the delivery path
+that can crash nodes online and drop / duplicate / delay / reorder
+in-flight messages, for probing behaviour *outside* the paper's oblivious
+crash model.  The oblivious crash schedule itself is realized as the
+:class:`repro.sim.faults.ScheduledCrashes` injector.  Observers
+(:mod:`repro.sim.trace`: the ``Tracer``, obs ``send`` events) and the
+runtime invariant monitors (:mod:`repro.sim.monitors`, checked at every
+round's end and once at the end of :meth:`Network.run`) are injectors
+too; nothing else sees a run's events.  Each observer hook goes only to
+the injectors whose class defines it, in list order.
 
 When no injector modifies deliveries the original exact delivery path is
 used, so in-model executions are bit- and order-identical to the
@@ -79,10 +79,7 @@ class Network:
             injector prepended to ``injectors``.
         injectors: Optional sequence of
             :class:`repro.sim.faults.FaultInjector` middleware on the
-            crash/delivery path.
-        monitors: Optional sequence of :class:`repro.sim.monitors.Monitor`
-            invariant checks, run after every round and finalized by
-            :meth:`run`.
+            crash/delivery path, observers and monitors, in hook order.
         root: Optional id of the designated root node.  When given, every
             path that can kill a node — the ``crash_rounds`` schedule, a
             :class:`repro.sim.faults.ScheduledCrashes` injector, and
@@ -105,7 +102,6 @@ class Network:
         handlers: Mapping[int, NodeHandler],
         crash_rounds: Optional[Mapping[int, int]] = None,
         injectors: Sequence = (),
-        monitors: Sequence = (),
         root: Optional[int] = None,
         allow_root_crash: bool = False,
         overhead_fn=None,
@@ -156,10 +152,10 @@ class Network:
         #: Current incarnation per node (0 = original process; bumped by
         #: the churn injector each time the node revives).
         self.incarnations: Dict[int, int] = {}
+        from .faults import FaultInjector, ScheduledCrashes
+
         self.injectors: List = list(injectors)
         if crash_rounds:
-            from .faults import ScheduledCrashes
-
             self.injectors.insert(0, ScheduledCrashes(crash_rounds))
         if _spans.messages:
             from .trace import SendEvents
@@ -172,12 +168,20 @@ class Network:
         self._delivery_injectors = tuple(
             i for i in self.injectors if getattr(i, "modifies_delivery", False)
         )
-        self._delivery_observers = tuple(
-            i for i in self.injectors if getattr(i, "observes_deliveries", False)
-        )
-        self.monitors: List = list(monitors)
-        for monitor in self.monitors:
-            monitor.attach(self)
+
+        # Each observer hook goes only to the injectors whose class
+        # overrides the base no-op.
+        def subscribers(hook: str) -> tuple:
+            noop = getattr(FaultInjector, hook)
+            return tuple(
+                i for i in self.injectors if getattr(type(i), hook) is not noop
+            )
+
+        self._begin_round = subscribers("begin_round")
+        self._on_broadcast = subscribers("on_broadcast")
+        self._on_deliver = subscribers("on_deliver")
+        self._end_round = subscribers("end_round")
+        self._end_run = subscribers("end_run")
 
     # ------------------------------------------------------------------ #
     # Construction-time validation.
@@ -303,7 +307,7 @@ class Network:
         due wake in adjacency order; each broadcasts for next round."""
         self.round += 1
         rnd = self.round
-        for injector in self.injectors:
+        for injector in self._begin_round:
             injector.begin_round(rnd)
 
         if self._delivery_injectors:
@@ -331,10 +335,8 @@ class Network:
             unchecked.add(node)
             self._wake(node, handler.next_wake(rnd))
         self.stats.rounds_executed = rnd
-        for injector in self.injectors:
+        for injector in self._end_round:
             injector.end_round(rnd)
-        for monitor in self.monitors:
-            monitor.after_round(self)
 
     def _wake(self, node: int, wake: Optional[int]) -> None:
         """Put ``node`` in the bucket of round ``wake`` (None: no wake)."""
@@ -350,7 +352,7 @@ class Network:
             else 0
         )
         self.stats.record_broadcast(node, len(parts), bits, overhead)
-        for injector in self.injectors:
+        for injector in self._on_broadcast:
             injector.on_broadcast(rnd, node, parts, bits)
         if self._delivery_injectors:
             self._transmit(rnd, node, parts)
@@ -367,7 +369,7 @@ class Network:
         """
         inboxes: Dict[int, List[Envelope]] = {}
         alive: Dict[int, bool] = {}
-        observers = self._delivery_observers
+        observers = self._on_deliver
         flaps = self.link_flaps
         for sender, parts in self._in_flight:
             envelopes = [Envelope(sender, p) for p in parts]
@@ -410,7 +412,7 @@ class Network:
         is due this round, then let injectors reorder each inbox."""
         inboxes: Dict[int, List[Envelope]] = {}
         alive: Dict[int, bool] = {}
-        observers = self._delivery_observers
+        observers = self._on_deliver
         still_pending: List[tuple] = []
         for due, sender, receiver, part in self._pending:
             if due > rnd:
@@ -464,7 +466,8 @@ class Network:
         Also stops once the designated root is dead — impossible in the
         strict model, but under ``allow_root_crash`` the remaining rounds
         cannot produce an output and the failover layer takes over.
-        Monitors are finalized exactly once, after the last round.
+        Every injector's :meth:`~repro.sim.faults.FaultInjector.end_run`
+        fires exactly once, after the last round.
         """
         if max_rounds < 0:
             raise ValueError(f"max_rounds must be >= 0, got {max_rounds}")
@@ -474,6 +477,6 @@ class Network:
                 break
             if self.root is not None and not self.is_alive(self.root):
                 break
-        for monitor in self.monitors:
-            monitor.finalize(self)
+        for injector in self._end_run:
+            injector.end_run(self.round)
         return self.stats

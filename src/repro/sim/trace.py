@@ -55,7 +55,7 @@ class Tracer(FaultInjector):
 
     def __init__(self, record_deliveries: bool = True) -> None:
         super().__init__()
-        self.observes_deliveries = record_deliveries
+        self.record_deliveries = record_deliveries
         self.sends: List[SendEvent] = []
         self.deliveries: List[DeliverEvent] = []
         self.crashes: List[CrashEvent] = []
@@ -79,7 +79,8 @@ class Tracer(FaultInjector):
 
     def on_deliver(self, rnd: int, sender: int, receiver: int, part: Part) -> None:
         """One part was delivered to one neighbour."""
-        self.deliveries.append(DeliverEvent(rnd, sender, receiver, part))
+        if self.record_deliveries:
+            self.deliveries.append(DeliverEvent(rnd, sender, receiver, part))
 
     # ------------------------------------------------------------------ #
     # Queries.

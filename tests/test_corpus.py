@@ -14,6 +14,7 @@ import os
 import pytest
 
 from repro.sim import ExecutionRecord, is_failure, replay_bundle
+from repro.sim.recorder import SUPPORTED_BUNDLE_VERSIONS
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
 BUNDLES = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.json")))
@@ -21,6 +22,15 @@ BUNDLES = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.json")))
 
 def test_corpus_is_not_empty():
     assert BUNDLES, f"no bundles in {CORPUS_DIR}"
+
+
+def test_corpus_covers_every_bundle_version():
+    """The corpus is the only load fixture for old bundle formats, so it
+    keeps a bundle of every version the loader accepts.  Re-recording a
+    bundle upgrades it to the current version; re-record one only when
+    another bundle still holds its old version."""
+    versions = {ExecutionRecord.load(path).version for path in BUNDLES}
+    assert versions == SUPPORTED_BUNDLE_VERSIONS
 
 
 @pytest.mark.parametrize(

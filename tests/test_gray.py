@@ -555,11 +555,13 @@ class TestStragglerOracle:
         oracle = StragglerOracle(
             GrayFailureSchedule(), transport=_FakeTransport(det), mode="record"
         )
-        oracle.finalize(_FakeNetwork(alive=True))
+        net = _FakeNetwork(alive=True)
+        oracle.attach(net)
+        oracle.end_run(40)
         assert oracle.false_suspects == 1
         assert any(v.rule == "false-suspect" for v in oracle.violations)
-        # Re-finalizing (next epoch) must not double-report the pair.
-        oracle.finalize(_FakeNetwork(alive=True))
+        # A second run's end (next epoch) must not double-report the pair.
+        oracle.end_run(40)
         assert oracle.false_suspects == 1
 
     def test_confirm_on_dead_peer_is_legitimate(self):
@@ -567,7 +569,9 @@ class TestStragglerOracle:
         oracle = StragglerOracle(
             GrayFailureSchedule(), transport=_FakeTransport(det), mode="record"
         )
-        oracle.finalize(_FakeNetwork(alive=False))
+        net = _FakeNetwork(alive=False)
+        oracle.attach(net)
+        oracle.end_run(40)
         assert oracle.false_suspects == 0
         assert not oracle.violations
 

@@ -1,8 +1,9 @@
-"""Cold start: a protocol run loads neither numpy nor the lower-bound code.
+"""Cold start: a protocol run loads neither numpy, the lower-bound code
+nor the adversary search, shrinker and adaptive adversaries.
 
-``repro`` and ``repro.analysis`` import their re-exported names on first
-access.  Each check runs in a fresh interpreter, since this test process
-has long since imported everything.
+``repro``, ``repro.analysis`` and ``repro.adversary`` import their
+re-exported names on first access.  Each check runs in a fresh
+interpreter, since this test process has long since imported everything.
 """
 
 import json
@@ -14,14 +15,17 @@ import textwrap
 import pytest
 
 import repro
+import repro.adversary
 import repro.analysis
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
 
-#: Modules only the lower-bound machinery, curve fitting and the report use.
+#: Modules only the lower-bound machinery, curve fitting, the report, the
+#: adversary search, the shrinker and adaptive adversaries use.
 HEAVY = ("numpy", "repro.lowerbound", "repro.analysis.figure1",
-         "repro.analysis.report")
+         "repro.analysis.report", "repro.adversary.search",
+         "repro.adversary.shrink", "repro.adversary.adaptive")
 
 
 REPORT = f"""
@@ -83,8 +87,8 @@ def test_cli_run_loads_no_numpy(tmp_path):
     assert out["loaded"] == []
 
 
-@pytest.mark.parametrize("package", [repro, repro.analysis],
-                         ids=["repro", "repro.analysis"])
+@pytest.mark.parametrize("package", [repro, repro.analysis, repro.adversary],
+                         ids=["repro", "repro.analysis", "repro.adversary"])
 def test_every_public_name_resolves(package):
     for name in package.__all__:
         assert getattr(package, name) is not None, name
@@ -96,3 +100,5 @@ def test_unknown_name_is_an_attribute_error():
         repro.no_such_name
     with pytest.raises(AttributeError):
         repro.analysis.no_such_name
+    with pytest.raises(AttributeError):
+        repro.adversary.no_such_name

@@ -51,7 +51,7 @@ def silent_net(topology, monitors, crash_rounds=None, root_handler=None):
         topology.adjacency,
         handlers,
         crash_rounds=crash_rounds,
-        monitors=monitors,
+        injectors=monitors,
     )
 
 
@@ -83,13 +83,10 @@ class TestMonitorBase:
 class TestRootSafety:
     def test_trips_when_root_dies(self):
         topo = path_graph(4)
-        net = silent_net(
-            topo,
-            [RootSafetyMonitor(topo.root, mode="record")],
-            crash_rounds={topo.root: 2},
-        )
+        monitors = [RootSafetyMonitor(topo.root, mode="record")]
+        net = silent_net(topo, monitors, crash_rounds={topo.root: 2})
         net.run(4, stop_on_output=False)
-        events = violations_of(net.monitors)
+        events = violations_of(monitors)
         assert len(events) == 1  # reported once, not per round
         assert events[0].rule == "root-safe"
         assert events[0].round == 2
@@ -106,35 +103,28 @@ class TestRootSafety:
 
     def test_quiet_when_root_lives(self):
         topo = path_graph(4)
-        net = silent_net(
-            topo,
-            [RootSafetyMonitor(topo.root, mode="strict")],
-            crash_rounds={2: 2},
-        )
+        monitor = RootSafetyMonitor(topo.root, mode="strict")
+        net = silent_net(topo, [monitor], crash_rounds={2: 2})
         net.run(4, stop_on_output=False)
-        assert net.monitors[0].ok
+        assert monitor.ok
 
 
 class TestFBudget:
     def test_within_budget_is_quiet(self):
         topo = path_graph(5)
         # Crashing an endpoint of degree 1 costs 1 edge.
-        net = silent_net(
-            topo, [FBudgetMonitor(topo, f=1, mode="strict")], crash_rounds={4: 2}
-        )
+        monitor = FBudgetMonitor(topo, f=1, mode="strict")
+        net = silent_net(topo, [monitor], crash_rounds={4: 2})
         net.run(3, stop_on_output=False)
-        assert net.monitors[0].ok
+        assert monitor.ok
 
     def test_overspend_detected_at_crash_round(self):
         topo = grid_graph(3, 3)
         centre = 4  # degree 4 in a 3x3 grid
-        net = silent_net(
-            topo,
-            [FBudgetMonitor(topo, f=3, mode="record")],
-            crash_rounds={centre: 2},
-        )
+        monitors = [FBudgetMonitor(topo, f=3, mode="record")]
+        net = silent_net(topo, monitors, crash_rounds={centre: 2})
         net.run(4, stop_on_output=False)
-        events = violations_of(net.monitors)
+        events = violations_of(monitors)
         assert len(events) == 1
         assert "exceed" in events[0].message
         assert events[0].round == 2
@@ -148,13 +138,10 @@ class TestCCEnvelope:
     def test_trips_when_bits_exceed_bound(self):
         topo = path_graph(3)
         handlers = {u: Chatty(bits=10) for u in topo.nodes()}
-        net = Network(
-            topo.adjacency,
-            handlers,
-            monitors=[CCEnvelopeMonitor(25, mode="record")],
-        )
+        monitors = [CCEnvelopeMonitor(25, mode="record")]
+        net = Network(topo.adjacency, handlers, injectors=monitors)
         net.run(5, stop_on_output=False)
-        events = violations_of(net.monitors)
+        events = violations_of(monitors)
         assert len(events) == 1
         assert events[0].round == 3  # 30 bits > 25 after the third round
 
@@ -169,7 +156,7 @@ class TestCCEnvelope:
             f=3,
             b=60,
             rng=random.Random(1),
-            monitors=[CCEnvelopeMonitor(bound, mode="strict")],
+            injectors=[CCEnvelopeMonitor(bound, mode="strict")],
         )
         assert out.result == sum(inputs.values())
 
@@ -183,20 +170,18 @@ class TestCCEnvelope:
 class TestOracle:
     def test_none_result_is_not_a_violation(self):
         topo = path_graph(3)
-        net = silent_net(topo, [OracleMonitor(topo, {0: 1, 1: 1, 2: 1})])
+        monitor = OracleMonitor(topo, {0: 1, 1: 1, 2: 1})
+        net = silent_net(topo, [monitor])
         net.run(2, stop_on_output=False)
-        assert net.monitors[0].ok
+        assert monitor.ok
 
     def test_correct_result_passes(self):
         topo = path_graph(3)
         inputs = {0: 1, 1: 2, 2: 3}
-        net = silent_net(
-            topo,
-            [OracleMonitor(topo, inputs, mode="strict")],
-            root_handler=RootWithResult(6),
-        )
+        monitor = OracleMonitor(topo, inputs, mode="strict")
+        net = silent_net(topo, [monitor], root_handler=RootWithResult(6))
         net.run(3, stop_on_output=False)
-        assert net.monitors[0].ok
+        assert monitor.ok
 
     def test_wrong_result_raises_at_finalize(self):
         topo = path_graph(3)
@@ -214,14 +199,15 @@ class TestOracle:
         # is acceptable.
         topo = path_graph(3)
         inputs = {0: 1, 1: 2, 2: 3}
+        monitor = OracleMonitor(topo, inputs, mode="strict")
         net = silent_net(
             topo,
-            [OracleMonitor(topo, inputs, mode="strict")],
+            [monitor],
             crash_rounds={2: 1},
             root_handler=RootWithResult(3),
         )
         net.run(3, stop_on_output=False)
-        assert net.monitors[0].ok
+        assert monitor.ok
 
 
 class TestStandardStack:
