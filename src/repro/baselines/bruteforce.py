@@ -74,10 +74,10 @@ class BruteForceNode(NodeHandler):
             return []
 
         fresh = self.floods.absorb(inbox, rel)
-        started = any(env.part.kind == "bf_start" for env in fresh)
-        for env in fresh:
-            if env.part.kind == "bf_value":
-                node, value = env.part.payload
+        started = any(part.kind == "bf_start" for part in fresh)
+        for part in fresh:
+            if part.kind == "bf_value":
+                node, value = part.payload
                 self.values.setdefault(node, value)
 
         if self.is_root and rel == 1:

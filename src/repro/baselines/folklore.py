@@ -127,16 +127,22 @@ class TreeEpochNode(NodeHandler):
         if self.is_root and rel == 1:
             out.append(_tc_part(self.p, 0))
         if not self.is_root and self.level is None:
-            beacons = [env for env in inbox if env.part.kind == "fl_tree"]
+            beacons = [
+                (env.sender, part.payload)
+                for env in inbox
+                for part in env.parts
+                if part.kind == "fl_tree"
+            ]
             if beacons:
-                chosen = min(beacons, key=lambda env: env.sender)
-                self.level = chosen.part.payload[0] + 1
-                self.parent = chosen.sender
-                out.append(_ack_part(self.p, chosen.sender))
+                parent, payload = min(beacons, key=lambda beacon: beacon[0])
+                self.level = payload[0] + 1
+                self.parent = parent
+                out.append(_ack_part(self.p, parent))
                 out.append(_tc_part(self.p, self.level))
         for env in inbox:
-            if env.part.kind == "fl_ack" and env.part.payload == (self.node_id,):
-                self.children.add(env.sender)
+            for part in env.parts:
+                if part.kind == "fl_ack" and part.payload == (self.node_id,):
+                    self.children.add(env.sender)
 
     def _aggregation_round(
         self, q: int, inbox: Sequence[Envelope], out: List[Part]
@@ -146,9 +152,10 @@ class TreeEpochNode(NodeHandler):
         if q != self.p.cd - self.level + 1:
             return
         arrived = {
-            env.sender: env.part.payload
+            env.sender: part.payload
             for env in inbox
-            if env.part.kind == "fl_agg"
+            for part in env.parts
+            if part.kind == "fl_agg"
         }
         for child in sorted(self.children):
             if child in arrived:

@@ -65,10 +65,11 @@ class PushSumNode(NodeHandler):
 
     def on_round(self, rnd: int, inbox: Sequence[Envelope]) -> List[Part]:
         for env in inbox:
-            if env.part.kind == "gossip":
-                share_s, share_w = env.part.payload
-                self.s += share_s
-                self.w += share_w
+            for part in env.parts:
+                if part.kind == "gossip":
+                    share_s, share_w = part.payload
+                    self.s += share_s
+                    self.w += share_w
         if rnd > self.rounds:
             return []
         out_s, out_w = self.s / 2, self.w / 2

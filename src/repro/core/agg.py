@@ -303,20 +303,24 @@ class AggNode(PhasedNode):
 
         if not self.is_root and not st.activated:
             beacons = [
-                env for env in inbox if env.part.kind == "tree_construct"
+                (env.sender, part.payload)
+                for env in inbox
+                for part in env.parts
+                if part.kind == "tree_construct"
             ]
             if beacons:
                 # Arbitrary tie breaking, realized as smallest sender id.
-                chosen = min(beacons, key=lambda env: env.sender)
-                sender_level, sender_ancestors = chosen.part.payload
+                parent, (sender_level, sender_ancestors) = min(
+                    beacons, key=lambda beacon: beacon[0]
+                )
                 st.activated = True
                 st.level = sender_level + 1
-                st.parent = chosen.sender
+                st.parent = parent
                 width = 2 * self.p.t
-                chain = ([chosen.sender] + list(sender_ancestors))[:width]
+                chain = ([parent] + list(sender_ancestors))[:width]
                 chain += [None] * (width - len(chain))
                 st.ancestors = [self.node_id] + chain
-                out.append(wire.ack(self.p, chosen.sender))
+                out.append(wire.ack(self.p, parent))
                 self._pending_tree_construct = rel + 1
 
         if self._pending_tree_construct == rel:
@@ -330,8 +334,9 @@ class AggNode(PhasedNode):
             )
 
         for env in inbox:
-            if env.part.kind == "ack" and env.part.payload == (self.node_id,):
-                st.children.add(env.sender)
+            for part in env.parts:
+                if part.kind == "ack" and part.payload == (self.node_id,):
+                    st.children.add(env.sender)
         return out
 
     # ------------------------------------------------------------------ #
@@ -349,9 +354,10 @@ class AggNode(PhasedNode):
         if p != self.p.cd - st.level + 1:
             return None
         arrived = {
-            env.sender: env.part.payload
+            env.sender: part.payload
             for env in inbox
-            if env.part.kind == "aggregation"
+            for part in env.parts
+            if part.kind == "aggregation"
         }
         for child in sorted(st.children):
             if child in arrived:
@@ -421,9 +427,8 @@ class AggNode(PhasedNode):
     # Observations and output.
     # ------------------------------------------------------------------ #
 
-    def _note_flood_observations(self, fresh: Sequence[Envelope]) -> None:
-        for env in fresh:
-            kind, payload = env.part.kind, env.part.payload
+    def _note_flood_observations(self, fresh: Sequence[Part]) -> None:
+        for kind, payload, _bits in fresh:
             if kind == "flooded_psum":
                 source, psum = payload
                 self.flooded_sources.setdefault(source, psum)

@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..adversary.schedule import FailureSchedule
 from ..graphs.topology import Topology
-from ..sim.message import Envelope
+from ..sim.message import Envelope, Part
 from ..sim.network import Network
 from ..sim.stats import SimStats
 from . import wire
@@ -185,9 +185,8 @@ class VeriNode(PhasedNode):
     # Observations and output.
     # ------------------------------------------------------------------ #
 
-    def _note_flood_observations(self, fresh: Sequence[Envelope]) -> None:
-        for env in fresh:
-            kind, payload = env.part.kind, env.part.payload
+    def _note_flood_observations(self, fresh: Sequence[Part]) -> None:
+        for kind, payload, _bits in fresh:
             if kind == "failed_parent":
                 self.failed_parent_claims.add(payload)
             elif kind == "failed_child":

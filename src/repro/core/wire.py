@@ -141,18 +141,3 @@ def not_lfc_tail(p: ProtocolParams, node: int) -> Part:
 def veri_overflow(p: ProtocolParams) -> Part:
     """The special symbol that makes VERI output false on budget overflow."""
     return Part("veri_overflow", (), _overhead(p))
-
-
-# --------------------------------------------------------------------- #
-# Inbox helpers.
-# --------------------------------------------------------------------- #
-
-
-def parts_from(inbox, sender: int):
-    """Envelopes in ``inbox`` physically sent by ``sender``."""
-    return [env for env in inbox if env.sender == sender]
-
-
-def parts_of_kind(inbox, kind: str):
-    """Envelopes in ``inbox`` whose part has the given kind."""
-    return [env for env in inbox if env.part.kind == kind]

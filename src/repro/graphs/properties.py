@@ -86,6 +86,13 @@ def diameter(
     the smaller upper bound: likely centre), then to the higher degree,
     then to ``adjacency`` order.
 
+    When every node has the same eccentricity (vertex-transitive graphs:
+    cycles, tori, hypercubes, complete graphs) no candidate is ever
+    dropped, and keeping the bounds costs about as much as the BFS
+    themselves.  So after ``2 * size.bit_length()`` BFS in a row that drop
+    no candidate, the bounds stop being kept: every remaining candidate is
+    searched, one BFS each, and ``d_low`` is still the diameter.
+
     Raises ValueError if the induced subgraph is disconnected or empty.
     """
     if nodes is None:
@@ -101,8 +108,12 @@ def diameter(
     hi = dict.fromkeys(candidates, size - 1)
     d_low, d_high = 0, size - 1
     pick_high = True
+    # BFS in a row that dropped no candidate; bounds are kept below patience.
+    idle, patience = 0, 2 * size.bit_length()
     while d_low < d_high and candidates:
-        if pick_high:
+        if idle >= patience:
+            v = candidates.pop()
+        elif pick_high:
             v = max(candidates,
                     key=lambda w: (hi[w], lo[w], len(adjacency[w])))
         else:
@@ -115,6 +126,8 @@ def diameter(
         ecc = max(levels.values())
         d_low = max(d_low, ecc)
         d_high = min(d_high, 2 * ecc)
+        if idle >= patience:
+            continue
         kept = []
         for w in candidates:
             if w == v:
@@ -125,6 +138,7 @@ def diameter(
             d_low = max(d_low, lo_w)
             if lo_w < hi_w and (hi_w > d_low or 2 * lo_w < d_high):
                 kept.append(w)
+        idle = idle + 1 if len(kept) == len(candidates) - 1 else 0
         candidates = kept
         d_high = min(d_high, max([d_low] + [hi[w] for w in candidates]))
     return d_low

@@ -463,22 +463,24 @@ class IntegrityNode(NodeHandler):
         quarantine = coordinator.quarantine
         verified_inbox: List[Envelope] = []
         for envelope in inbox:
-            sender, part = envelope.sender, envelope.part
-            if quarantine.is_quarantined((sender, self.node_id)):
-                coordinator.record_rejection(
-                    rnd, sender, self.node_id, part, REASON_QUARANTINED
-                )
-                continue
-            try:
-                parts = self._verify(rnd, sender, part)
-            except FrameIntegrityError as exc:
-                coordinator.record_rejection(
-                    rnd, sender, self.node_id, part, exc.reason
-                )
-                continue
-            coordinator.verified += 1
-            quarantine.clear((sender, self.node_id))
-            verified_inbox.extend(Envelope(sender, p) for p in parts)
+            sender = envelope.sender
+            for part in envelope.parts:
+                if quarantine.is_quarantined((sender, self.node_id)):
+                    coordinator.record_rejection(
+                        rnd, sender, self.node_id, part, REASON_QUARANTINED
+                    )
+                    continue
+                try:
+                    parts = self._verify(rnd, sender, part)
+                except FrameIntegrityError as exc:
+                    coordinator.record_rejection(
+                        rnd, sender, self.node_id, part, exc.reason
+                    )
+                    continue
+                coordinator.verified += 1
+                quarantine.clear((sender, self.node_id))
+                if parts:
+                    verified_inbox.append(Envelope(sender, tuple(parts)))
         out = list(self.inner.on_round(rnd, verified_inbox))
         if not out:
             return []

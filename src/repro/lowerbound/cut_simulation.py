@@ -28,7 +28,7 @@ from typing import Iterable, List, Mapping, Optional, Set, Tuple
 from ..graphs.topology import Topology
 from ..sim.network import Network
 from ..sim.node import NodeHandler
-from ..sim.trace import Tracer
+from ..sim.trace import SendTracer
 
 
 @dataclass
@@ -85,7 +85,7 @@ class CutSimulation:
                 for v in topology.neighbours(u)
             )
         }
-        self.tracer = Tracer(record_deliveries=False)
+        self.tracer = SendTracer()
         self.network = Network(
             topology.adjacency, handlers, crash_rounds, injectors=[self.tracer]
         )

@@ -294,7 +294,11 @@ class WitnessCoordinator:
 
     def observe_inbox(self, rnd: int, receiver: int, envelopes) -> None:
         for env in envelopes:
-            parts = self._unwrap(env.sender, env.part)
+            parts = [
+                inner
+                for part in env.parts
+                for inner in self._unwrap(env.sender, part)
+            ]
             for kind, payload in parts:
                 if kind not in (
                     "aggregation",

@@ -312,16 +312,16 @@ class SnapshotNode(NodeHandler):
 
     def on_round(self, rnd: int, inbox) -> List[Part]:
         for envelope in inbox:
-            part = envelope.part
-            if part.kind == SNAP_REQ_KIND:
-                (who,) = part.payload
-                if who in self.cache:
-                    self._replies_due.append((who, self.cache[who]))
-            elif part.kind == SNAP_KIND:
-                node, value = part.payload
-                self.heard.setdefault(node, value)
-                if node == self.node_id and self.requesting:
-                    self.recovered = self.heard[node]
+            for part in envelope.parts:
+                if part.kind == SNAP_REQ_KIND:
+                    (who,) = part.payload
+                    if who in self.cache:
+                        self._replies_due.append((who, self.cache[who]))
+                elif part.kind == SNAP_KIND:
+                    node, value = part.payload
+                    self.heard.setdefault(node, value)
+                    if node == self.node_id and self.requesting:
+                        self.recovered = self.heard[node]
         out: List[Part] = []
         if rnd == 1 and self.announce is not None:
             out.append(Part(SNAP_KIND, (self.node_id, self.announce), self.snap_bits))

@@ -133,12 +133,13 @@ class ElectionNode(NodeHandler):
 
     def on_round(self, rnd: int, inbox) -> List[Part]:
         for envelope in inbox:
-            if envelope.part.kind != ELECT_KIND:
-                continue
-            (candidate,) = envelope.part.payload
-            if self.best is None or candidate < self.best:
-                self.best = candidate
-                self._announce = True
+            for part in envelope.parts:
+                if part.kind != ELECT_KIND:
+                    continue
+                (candidate,) = part.payload
+                if self.best is None or candidate < self.best:
+                    self.best = candidate
+                    self._announce = True
         if self._announce:
             self._announce = False
             return [

@@ -708,113 +708,131 @@ class TransportNode(NodeHandler):
         requesters: set = set()
         hedge_relays: List[tuple] = []
         for envelope in inbox:
-            sender, part = envelope.sender, envelope.part
-            if part.kind == FRAME_KIND:
-                # Defensive decode: under corruption injection with no
-                # integrity layer a frame payload can be truncated or
-                # have a flipped field — drop it instead of crashing
-                # (the NACK path then recovers the logical frame).
-                # Incarnation-0 frames keep the historical 3-field shape
-                # so pre-churn recordings replay bit-identically; revived
-                # senders append their incarnation as a 4th field.
-                payload = part.payload
-                if (
-                    not isinstance(payload, tuple)
-                    or len(payload) not in (3, 4)
-                    or not isinstance(payload[0], int)
-                    or not isinstance(payload[2], tuple)
-                    or (len(payload) == 4 and not isinstance(payload[3], int))
-                ):
-                    transport.malformed += 1
-                    continue
-                frame_inc = payload[3] if len(payload) == 4 else 0
-                if frame_inc > self._peer_inc.get(sender, 0):
-                    self._peer_inc[sender] = frame_inc
-                frame_lr = payload[0]
-                if frame_lr <= self._delivered:
-                    transport.stale_frames += 1
-                    continue
-                buf = self._buf.setdefault(frame_lr, {})
-                if sender in buf:
-                    transport.duplicates_suppressed += 1
-                    continue
-                buf[sender] = payload[2]
-                if payload[1] == 0:
-                    transport.note_arrival(self.node_id, sender, frame_lr, rnd)
-                if sender not in self._expected and sender in self.neighbours:
-                    self._expected.add(sender)
-                    transport.revivals += 1
-            elif part.kind == HEDGE_KIND:
-                # A neighbour relaying another node's buffered frame on my
-                # behalf.  Hedges never feed the detector or the RTO — the
-                # relay path's timing says nothing about the origin link.
-                payload = part.payload
-                if (
-                    not isinstance(payload, tuple)
-                    or len(payload) != 3
-                    or not isinstance(payload[0], int)
-                    or not isinstance(payload[1], int)
-                    or not isinstance(payload[2], tuple)
-                ):
-                    transport.malformed += 1
-                    continue
-                hedge_lr, origin, parts = payload
-                if hedge_lr <= self._delivered:
-                    transport.stale_frames += 1
-                    continue
-                buf = self._buf.setdefault(hedge_lr, {})
-                if origin in buf:
-                    transport.duplicates_suppressed += 1
-                    continue
-                buf[origin] = parts
-                transport.hedge_deliveries += 1
-                if origin not in self._expected and origin in self.neighbours:
-                    self._expected.add(origin)
-                    transport.revivals += 1
-            elif part.kind == NACK_KIND:
-                payload = part.payload
-                if (
-                    not isinstance(payload, tuple)
-                    or len(payload) not in (2, 3)
-                    or not isinstance(payload[0], int)
-                    or not isinstance(payload[1], tuple)
-                    or (len(payload) == 3 and not isinstance(payload[2], int))
-                ):
-                    transport.malformed += 1
-                    continue
-                nack_lr, missing = payload[0], payload[1]
-                # Stale-NACK guard: a NACK stamped with an incarnation
-                # older than the sender's latest observed one references
-                # a seq window from before its crash.  The rebooted peer
-                # re-syncs at the next window boundary on its own, so
-                # retransmitting against the ghost request would only
-                # burn per-frame budget needed for real losses.
-                nack_inc = payload[2] if len(payload) == 3 else 0
-                if nack_inc < self._peer_inc.get(sender, 0):
-                    transport.stale_nacks += 1
-                    continue
-                if nack_lr == lr and slot > 1 and self.node_id in missing:
-                    requesters.add(sender)
-                if transport.config.hedge and nack_lr == lr:
-                    # Hedged retransmission: on the *second* NACK I see
-                    # from the same requester for the same missing origin,
-                    # the primary path is presumed degraded — if I hold a
-                    # buffered copy, stand for the relay election.
-                    for origin in missing:
-                        if origin == self.node_id:
-                            continue
-                        key = (lr, origin, sender)
-                        seen = self._nack_seen.get(key, 0) + 1
-                        self._nack_seen[key] = seen
-                        parts = self._buf.get(lr, {}).get(origin)
-                        if parts is None or seen < 2:
-                            continue
-                        if transport.claim_hedge(origin, lr, sender):
-                            hedge_relays.append((origin, parts))
-            else:  # non-transport part: a mixed network; pass through.
-                buf = self._buf.setdefault(lr, {})
-                existing = buf.get(sender, ())
-                buf[sender] = existing + ((part.kind, part.payload, part.bits),)
+            sender = envelope.sender
+            for part in envelope.parts:
+                if part.kind == FRAME_KIND:
+                    # Defensive decode: under corruption injection with no
+                    # integrity layer a frame payload can be truncated or
+                    # have a flipped field — drop it instead of crashing
+                    # (the NACK path then recovers the logical frame).
+                    # Incarnation-0 frames keep the historical 3-field shape
+                    # so pre-churn recordings replay bit-identically; revived
+                    # senders append their incarnation as a 4th field.
+                    payload = part.payload
+                    if (
+                        not isinstance(payload, tuple)
+                        or len(payload) not in (3, 4)
+                        or not isinstance(payload[0], int)
+                        or not isinstance(payload[2], tuple)
+                        or (
+                            len(payload) == 4
+                            and not isinstance(payload[3], int)
+                        )
+                    ):
+                        transport.malformed += 1
+                        continue
+                    frame_inc = payload[3] if len(payload) == 4 else 0
+                    if frame_inc > self._peer_inc.get(sender, 0):
+                        self._peer_inc[sender] = frame_inc
+                    frame_lr = payload[0]
+                    if frame_lr <= self._delivered:
+                        transport.stale_frames += 1
+                        continue
+                    buf = self._buf.setdefault(frame_lr, {})
+                    if sender in buf:
+                        transport.duplicates_suppressed += 1
+                        continue
+                    buf[sender] = payload[2]
+                    if payload[1] == 0:
+                        transport.note_arrival(
+                            self.node_id, sender, frame_lr, rnd
+                        )
+                    if (
+                        sender not in self._expected
+                        and sender in self.neighbours
+                    ):
+                        self._expected.add(sender)
+                        transport.revivals += 1
+                elif part.kind == HEDGE_KIND:
+                    # A neighbour relaying another node's buffered frame on
+                    # my behalf.  Hedges never feed the detector or the RTO
+                    # — the relay path's timing says nothing about the
+                    # origin link.
+                    payload = part.payload
+                    if (
+                        not isinstance(payload, tuple)
+                        or len(payload) != 3
+                        or not isinstance(payload[0], int)
+                        or not isinstance(payload[1], int)
+                        or not isinstance(payload[2], tuple)
+                    ):
+                        transport.malformed += 1
+                        continue
+                    hedge_lr, origin, parts = payload
+                    if hedge_lr <= self._delivered:
+                        transport.stale_frames += 1
+                        continue
+                    buf = self._buf.setdefault(hedge_lr, {})
+                    if origin in buf:
+                        transport.duplicates_suppressed += 1
+                        continue
+                    buf[origin] = parts
+                    transport.hedge_deliveries += 1
+                    if (
+                        origin not in self._expected
+                        and origin in self.neighbours
+                    ):
+                        self._expected.add(origin)
+                        transport.revivals += 1
+                elif part.kind == NACK_KIND:
+                    payload = part.payload
+                    if (
+                        not isinstance(payload, tuple)
+                        or len(payload) not in (2, 3)
+                        or not isinstance(payload[0], int)
+                        or not isinstance(payload[1], tuple)
+                        or (
+                            len(payload) == 3
+                            and not isinstance(payload[2], int)
+                        )
+                    ):
+                        transport.malformed += 1
+                        continue
+                    nack_lr, missing = payload[0], payload[1]
+                    # Stale-NACK guard: a NACK stamped with an incarnation
+                    # older than the sender's latest observed one references
+                    # a seq window from before its crash.  The rebooted peer
+                    # re-syncs at the next window boundary on its own, so
+                    # retransmitting against the ghost request would only
+                    # burn per-frame budget needed for real losses.
+                    nack_inc = payload[2] if len(payload) == 3 else 0
+                    if nack_inc < self._peer_inc.get(sender, 0):
+                        transport.stale_nacks += 1
+                        continue
+                    if nack_lr == lr and slot > 1 and self.node_id in missing:
+                        requesters.add(sender)
+                    if transport.config.hedge and nack_lr == lr:
+                        # Hedged retransmission: on the *second* NACK I see
+                        # from the same requester for the same missing origin,
+                        # the primary path is presumed degraded — if I hold a
+                        # buffered copy, stand for the relay election.
+                        for origin in missing:
+                            if origin == self.node_id:
+                                continue
+                            key = (lr, origin, sender)
+                            seen = self._nack_seen.get(key, 0) + 1
+                            self._nack_seen[key] = seen
+                            parts = self._buf.get(lr, {}).get(origin)
+                            if parts is None or seen < 2:
+                                continue
+                            if transport.claim_hedge(origin, lr, sender):
+                                hedge_relays.append((origin, parts))
+                else:  # non-transport part: a mixed network; pass through.
+                    buf = self._buf.setdefault(lr, {})
+                    existing = buf.get(sender, ())
+                    buf[sender] = existing + (
+                        (part.kind, part.payload, part.bits),
+                    )
         return requesters, hedge_relays
 
     def _advance_logical_round(self, lr: int, rnd: int) -> Part:
@@ -842,9 +860,12 @@ class TransportNode(NodeHandler):
                 k: v for k, v in self._nack_seen.items() if k[0] >= lr
             }
             logical_inbox = [
-                Envelope(sender, Part(kind, payload, bits))
+                Envelope(sender, tuple(
+                    Part(kind, payload, bits)
+                    for kind, payload, bits in arrived[sender]
+                ))
                 for sender in sorted(arrived)
-                for kind, payload, bits in arrived[sender]
+                if arrived[sender]
             ]
         else:
             logical_inbox = []

@@ -26,7 +26,7 @@ from .monitors import (
     violations_of,
 )
 from .network import NEVER, ROOT_CRASH_ERROR, Network
-from .node import NodeHandler, RelayNode, SilentNode
+from .node import NodeHandler, SilentNode
 from .recorder import (
     BUNDLE_FORMAT,
     BUNDLE_VERSION,
@@ -39,7 +39,7 @@ from .recorder import (
 )
 from .replay import ReplayDivergence, ReplayInjector, ReplayOutcome, replay_bundle
 from .stats import SimStats
-from .trace import CrashEvent, DeliverEvent, SendEvent, Tracer
+from .trace import CrashEvent, DeliverEvent, SendEvent, SendTracer, Tracer
 from .validation import Violation, assert_model, validate_model
 
 __all__ = [
@@ -77,10 +77,10 @@ __all__ = [
     "Part",
     "REJOIN_AMNESIAC",
     "REJOIN_DURABLE",
-    "RelayNode",
     "RootSafetyMonitor",
     "ScheduledCrashes",
     "SendEvent",
+    "SendTracer",
     "SilentNode",
     "SimStats",
     "TAG_BITS",

@@ -1069,18 +1069,19 @@ class MessageCorruption(FaultInjector):
     def arrange_inbox(self, rnd: int, receiver: int, envelopes: List) -> List:
         """Observe (never modify) the inbox: log delivered corruptions."""
         for envelope in envelopes:
-            key = (envelope.sender, receiver, envelope.part.content_key)
-            mode = self._corrupt.get(key)
-            if mode is not None:
-                ledger = (
-                    self.delivered_corruptions
-                    if mode == "content"
-                    else self.delivered_stales
-                )
-                ledger.append(
-                    (self.epoch, rnd, envelope.sender, receiver,
-                     envelope.part.content_key)
-                )
+            for part in envelope.parts:
+                key = (envelope.sender, receiver, part.content_key)
+                mode = self._corrupt.get(key)
+                if mode is not None:
+                    ledger = (
+                        self.delivered_corruptions
+                        if mode == "content"
+                        else self.delivered_stales
+                    )
+                    ledger.append(
+                        (self.epoch, rnd, envelope.sender, receiver,
+                         part.content_key)
+                    )
         return envelopes
 
     def __repr__(self) -> str:
@@ -1881,12 +1882,13 @@ class ByzantineSchedule(FaultInjector):
     def arrange_inbox(self, rnd: int, receiver: int, envelopes: List) -> List:
         """Observe (never modify) the inbox: log delivered taints."""
         for envelope in envelopes:
-            key = (envelope.sender, receiver, envelope.part.content_key)
-            if key in self._taint:
-                self.delivered_taints.append(
-                    (self.epoch, rnd, envelope.sender, receiver,
-                     envelope.part.content_key)
-                )
+            for part in envelope.parts:
+                key = (envelope.sender, receiver, part.content_key)
+                if key in self._taint:
+                    self.delivered_taints.append(
+                        (self.epoch, rnd, envelope.sender, receiver,
+                         part.content_key)
+                    )
         return envelopes
 
     def __repr__(self) -> str:

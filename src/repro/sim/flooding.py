@@ -14,6 +14,13 @@ Two timing details matter for the paper's round-exact wave arguments
   round ``r + x``.
 * De-duplication is purely content-based; a node that already forwarded a
   content (as initiator or forwarder) never sends it again.
+
+A received broadcast is one :class:`~repro.sim.message.Envelope`.  Most
+envelopes a node receives carry only contents it has already seen (copies
+of the same flood reach it from several neighbours), so
+:meth:`FloodManager.absorb` skips such an envelope with one subset check
+of its content keys against the seen set, and walks parts only for the
+rest.
 """
 
 from __future__ import annotations
@@ -47,26 +54,30 @@ class FloodManager:
         """Whether this node has already seen a flood content."""
         return (kind, payload) in self._seen
 
-    def absorb(self, inbox: Sequence[Envelope], rnd: int = 0) -> List[Envelope]:
+    def absorb(self, inbox: Sequence[Envelope], rnd: int = 0) -> List[Part]:
         """Process received envelopes; queue first-seen floods for forwarding.
 
-        Returns the envelopes whose content was seen for the *first* time
-        (useful for handlers that react to new flood contents).
+        Returns the flood parts seen for the *first* time, in inbox order
+        (useful for handlers that react to new flood contents).  An
+        envelope whose every content was seen before is skipped with one
+        set comparison on its shared ``keys``.
         """
-        fresh: List[Envelope] = []
+        fresh: List[Part] = []
         kinds, seen = self._flood_kinds, self._seen
         for env in inbox:
-            part = env.part
-            if part.kind not in kinds:
+            if env.keys <= seen:
                 continue
-            key = (part.kind, part.payload)  # Part.content_key, inlined
-            if key in seen:
-                continue
-            seen.add(key)
-            self.known[key] = part
-            self.first_seen_round[key] = rnd
-            self._queue.append(part)
-            fresh.append(env)
+            for part in env.parts:
+                if part.kind not in kinds:
+                    continue
+                key = (part.kind, part.payload)  # Part.content_key, inlined
+                if key in seen:
+                    continue
+                seen.add(key)
+                self.known[key] = part
+                self.first_seen_round[key] = rnd
+                self._queue.append(part)
+                fresh.append(part)
         return fresh
 
     def initiate(self, part: Part, rnd: int = 0) -> bool:

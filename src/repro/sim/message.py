@@ -4,7 +4,8 @@ The paper measures communication complexity (CC) in *bits locally broadcast*
 per node.  Every logical message ("part") therefore carries an explicit size
 in bits.  Several parts emitted by one node in the same round are combined
 into a single physical broadcast (as the paper's pseudo-code caption allows);
-the physical broadcast costs the sum of its parts' bits.
+the physical broadcast costs the sum of its parts' bits, and a receiver
+gets it as one :class:`Envelope` holding every part.
 
 Ids are ``ceil(log2 N)`` bits, matching the paper's ``log N``-bit node ids.
 Small constant *tags* distinguish message kinds on the wire.
@@ -60,11 +61,46 @@ class Part(NamedTuple):
         return (self.kind, self.payload)
 
 
-class Envelope(NamedTuple):
-    """A part together with the id of the node that physically sent it."""
+class Envelope:
+    """One received broadcast: the sender's id and the parts it sent.
 
-    sender: int
-    part: Part
+    The exact-model path delivers one envelope per broadcast, shared by
+    every live neighbour; the fault-injection path delivers one
+    single-part envelope per copy, because injectors act on each copy.
+
+    Attributes:
+        sender: Id of the node that physically sent the parts.
+        parts: The broadcast's parts, in broadcast order (never empty).
+        keys: Frozenset of the parts' content keys, built on first use
+            and then shared by every receiver of the envelope.  A
+            frozenset keeps its elements' hashes, so set operations on
+            ``keys`` hash no payload again.  Its iteration order depends
+            on the hash seed, so it stays out of ``repr`` and equality.
+    """
+
+    __slots__ = ("sender", "parts", "_keys")
+
+    def __init__(self, sender: int, parts: tuple) -> None:
+        self.sender = sender
+        self.parts = parts
+        self._keys = None
+
+    @property
+    def keys(self) -> frozenset:
+        keys = self._keys
+        if keys is None:
+            keys = self._keys = frozenset(
+                [(p.kind, p.payload) for p in self.parts]
+            )
+        return keys
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Envelope):
+            return NotImplemented
+        return self.sender == other.sender and self.parts == other.parts
+
+    def __repr__(self) -> str:
+        return f"Envelope(sender={self.sender!r}, parts={self.parts!r})"
 
 
 def total_bits(parts) -> int:

@@ -28,11 +28,13 @@ the injectors whose class defines it, in list order.
 When no injector modifies deliveries the original exact delivery path is
 used, so in-model executions are bit- and order-identical to the
 middleware-free simulator.  That path delivers each broadcast once, as the
-model's local broadcast reads: one envelope list per broadcast, shared by
-every live neighbour (each receiver still gets its own inbox list), with
-each receiver's liveness checked once per round.  Injectors hold a
-non-owning reference back to the network, so a finished run is freed by
-reference counting alone.
+model's local broadcast reads: one :class:`~repro.sim.message.Envelope`
+holding all of the broadcast's parts, shared by every live neighbour (each
+receiver still gets its own inbox list), with each receiver's liveness
+checked once per round.  The fault-injection path delivers one single-part
+envelope per copy, since injectors drop, duplicate, delay and reorder
+copies one part at a time.  Injectors hold a non-owning reference back to
+the network, so a finished run is freed by reference counting alone.
 
 **Event-driven rounds.**  A round runs only the nodes with mail or a due
 wake (:meth:`repro.sim.node.NodeHandler.next_wake`, kept in per-round wake
@@ -329,7 +331,7 @@ class Network:
             if not self.is_alive(node, rnd):
                 continue
             handler = self.handlers[node]
-            parts = list(handler.on_round(rnd, inboxes.get(node, ())))
+            parts = tuple(handler.on_round(rnd, inboxes.get(node, ())))
             if parts:
                 self._broadcast(rnd, node, parts)
             unchecked.add(node)
@@ -343,7 +345,7 @@ class Network:
         if wake is not None:
             self._wakes.setdefault(max(wake, self.round + 1), set()).add(node)
 
-    def _broadcast(self, rnd: int, node: int, parts: List[Part]) -> None:
+    def _broadcast(self, rnd: int, node: int, parts: tuple) -> None:
         """Book one node's broadcast and put it on the delivery path."""
         bits = sum(p.bits for p in parts)
         overhead = (
@@ -363,16 +365,16 @@ class Network:
         """Exact-model delivery: last round's broadcasts reach all live
         neighbours, in broadcast order.
 
-        A broadcast's envelopes are built once and shared by every
-        receiver (each still gets its own inbox list), and each receiver's
-        liveness is checked once per round.
+        Each broadcast is one envelope, shared by every receiver (each
+        still gets its own inbox list), and each receiver's liveness is
+        checked once per round.
         """
         inboxes: Dict[int, List[Envelope]] = {}
         alive: Dict[int, bool] = {}
         observers = self._on_deliver
         flaps = self.link_flaps
         for sender, parts in self._in_flight:
-            envelopes = [Envelope(sender, p) for p in parts]
+            envelope = Envelope(sender, parts)
             for neighbour in self.adjacency[sender]:
                 if flaps and not self.link_up(sender, neighbour, rnd):
                     continue
@@ -380,7 +382,7 @@ class Network:
                 if live is None:
                     live = alive[neighbour] = self.is_alive(neighbour, rnd)
                 if live:
-                    inboxes.setdefault(neighbour, []).extend(envelopes)
+                    inboxes.setdefault(neighbour, []).append(envelope)
                     for observer in observers:
                         for p in parts:
                             observer.on_deliver(rnd, sender, neighbour, p)
@@ -409,7 +411,8 @@ class Network:
 
     def _deliver_scheduled(self, rnd: int) -> Dict[int, List[Envelope]]:
         """Fault-injection delivery: hand over every pending delivery that
-        is due this round, then let injectors reorder each inbox."""
+        is due this round, one single-part envelope per copy, then let
+        injectors reorder each inbox."""
         inboxes: Dict[int, List[Envelope]] = {}
         alive: Dict[int, bool] = {}
         observers = self._on_deliver
@@ -435,7 +438,7 @@ class Network:
             # window is open; copies delayed *into* the window are lost too.
             if self.link_flaps and not self.link_up(sender, receiver, rnd):
                 continue
-            inboxes.setdefault(receiver, []).append(Envelope(sender, part))
+            inboxes.setdefault(receiver, []).append(Envelope(sender, (part,)))
             for observer in observers:
                 observer.on_deliver(rnd, sender, receiver, part)
         self._pending = still_pending

@@ -76,25 +76,3 @@ class SilentNode(NodeHandler):
 
     def on_round(self, rnd: int, inbox: Sequence[Envelope]) -> List[Part]:
         return []
-
-
-class RelayNode(NodeHandler):
-    """A node that re-broadcasts every distinct part it receives once.
-
-    Used in tests of the delivery semantics and as the simplest possible
-    flooding participant.
-    """
-
-    def __init__(self) -> None:
-        self._seen = set()
-        self.received: List[Envelope] = []
-
-    def on_round(self, rnd: int, inbox: Sequence[Envelope]) -> List[Part]:
-        out: List[Part] = []
-        for env in inbox:
-            self.received.append(env)
-            key = env.part.content_key
-            if key not in self._seen:
-                self._seen.add(key)
-                out.append(env.part)
-        return out

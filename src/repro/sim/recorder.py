@@ -414,7 +414,7 @@ class RecordingInjector(FaultInjector):
         """Run the inner chain on one inbox; record the final permutation."""
         digest = self._digests[self.epoch].setdefault(rnd, [0, 0, 0, 0])
         digest[2] += len(envelopes)
-        digest[3] += sum(e.part.bits for e in envelopes)
+        digest[3] += sum(p.bits for e in envelopes for p in e.parts)
         arranged = list(envelopes)
         for injector in self.inner:
             if getattr(injector, "modifies_delivery", False):

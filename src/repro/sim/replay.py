@@ -214,21 +214,22 @@ class ReplayInjector(FaultInjector):
         """Apply the recorded permutation for this inbox, if one exists."""
         digest = self._live_digest.setdefault(rnd, [0, 0, 0, 0])
         digest[2] += len(envelopes)
-        digest[3] += sum(e.part.bits for e in envelopes)
+        digest[3] += sum(p.bits for e in envelopes for p in e.parts)
         if self._corrupt:
             for envelope in envelopes:
-                key = (envelope.sender, receiver, envelope.part.content_key)
-                mode = self._corrupt.get(key)
-                if mode is not None:
-                    ledger = (
-                        self.delivered_corruptions
-                        if mode == "content"
-                        else self.delivered_stales
-                    )
-                    ledger.append(
-                        (self.epoch, rnd, envelope.sender, receiver,
-                         envelope.part.content_key)
-                    )
+                for part in envelope.parts:
+                    key = (envelope.sender, receiver, part.content_key)
+                    mode = self._corrupt.get(key)
+                    if mode is not None:
+                        ledger = (
+                            self.delivered_corruptions
+                            if mode == "content"
+                            else self.delivered_stales
+                        )
+                        ledger.append(
+                            (self.epoch, rnd, envelope.sender, receiver,
+                             part.content_key)
+                        )
         perm = self._reorders.get(self.epoch, {}).get((rnd, receiver))
         if perm is None:
             return envelopes

@@ -1,7 +1,8 @@
 """Structured execution tracing for the simulator.
 
 A :class:`Tracer` attached to a :class:`repro.sim.network.Network` records
-every broadcast, delivery, and crash as typed events.  Traces are the
+every broadcast, delivery, and crash as typed events; a
+:class:`SendTracer` records only broadcasts and crashes.  Traces are the
 debugging story for protocol work: they answer "who sent what when", "when
 did the flood reach node 17", and "what did the root hear in round 42"
 without print statements inside handlers.
@@ -45,19 +46,18 @@ class CrashEvent(NamedTuple):
     node: int
 
 
-class Tracer(FaultInjector):
-    """Collects simulator events, with query helpers.
+class SendTracer(FaultInjector):
+    """Collects broadcasts and crashes, with query helpers.
 
     An injector that changes nothing: attach via
-    ``Network(..., injectors=[Tracer()])``.  Deliveries are voluminous;
-    pass ``record_deliveries=False`` to keep only sends and crashes.
+    ``Network(..., injectors=[SendTracer()])``.  It defines no
+    ``on_deliver``, so the network never calls it per delivered copy;
+    :class:`Tracer` adds the deliveries.
     """
 
-    def __init__(self, record_deliveries: bool = True) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.record_deliveries = record_deliveries
         self.sends: List[SendEvent] = []
-        self.deliveries: List[DeliverEvent] = []
         self.crashes: List[CrashEvent] = []
         self._crashed_seen: Set[int] = set()
 
@@ -77,11 +77,6 @@ class Tracer(FaultInjector):
         """One physical broadcast happened."""
         self.sends.append(SendEvent(rnd, node, tuple(parts), bits))
 
-    def on_deliver(self, rnd: int, sender: int, receiver: int, part: Part) -> None:
-        """One part was delivered to one neighbour."""
-        if self.record_deliveries:
-            self.deliveries.append(DeliverEvent(rnd, sender, receiver, part))
-
     # ------------------------------------------------------------------ #
     # Queries.
     # ------------------------------------------------------------------ #
@@ -100,19 +95,6 @@ class Tracer(FaultInjector):
         """The earliest broadcast carrying a part of ``kind``."""
         events = self.sends_of_kind(kind)
         return min(events, default=None, key=lambda e: e.round)
-
-    def deliveries_to(self, node: int) -> List[DeliverEvent]:
-        """Everything ``node`` received."""
-        return [e for e in self.deliveries if e.receiver == node]
-
-    def first_delivery(
-        self, receiver: int, kind: str
-    ) -> Optional[DeliverEvent]:
-        """When ``receiver`` first heard a part of ``kind`` (None if never)."""
-        for e in self.deliveries:
-            if e.receiver == receiver and e.part.kind == kind:
-                return e
-        return None
 
     def bits_per_round(self) -> Dict[int, int]:
         """Total bits broadcast network-wide, per round."""
@@ -168,6 +150,35 @@ class Tracer(FaultInjector):
                 lines.append(f"... (truncated at {limit} lines)")
                 break
         return "\n".join(lines) if lines else "(no matching events)"
+
+
+class Tracer(SendTracer):
+    """A :class:`SendTracer` that also records every delivered part.
+
+    Deliveries are voluminous (one event per part per receiver); use
+    :class:`SendTracer` when sends and crashes are enough.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.deliveries: List[DeliverEvent] = []
+
+    def on_deliver(self, rnd: int, sender: int, receiver: int, part: Part) -> None:
+        """One part was delivered to one neighbour."""
+        self.deliveries.append(DeliverEvent(rnd, sender, receiver, part))
+
+    def deliveries_to(self, node: int) -> List[DeliverEvent]:
+        """Everything ``node`` received."""
+        return [e for e in self.deliveries if e.receiver == node]
+
+    def first_delivery(
+        self, receiver: int, kind: str
+    ) -> Optional[DeliverEvent]:
+        """When ``receiver`` first heard a part of ``kind`` (None if never)."""
+        for e in self.deliveries:
+            if e.receiver == receiver and e.part.kind == kind:
+                return e
+        return None
 
 
 class SendEvents(FaultInjector):

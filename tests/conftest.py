@@ -32,6 +32,7 @@ from repro.graphs import (
     path_graph,
     star_graph,
 )
+from repro.sim.node import NodeHandler
 
 
 @pytest.fixture
@@ -84,3 +85,25 @@ def unit_inputs(topology):
 def indexed_inputs(topology):
     """Node u holds u + 1 — distinct contributions for double-count checks."""
     return {u: u + 1 for u in topology.nodes()}
+
+
+class RelayNode(NodeHandler):
+    """Re-broadcasts every distinct part it receives, once.
+
+    The simplest flooding participant, for tests of the delivery
+    semantics; ``received`` keeps every envelope delivered to it.
+    """
+
+    def __init__(self):
+        self._seen = set()
+        self.received = []
+
+    def on_round(self, rnd, inbox):
+        out = []
+        for env in inbox:
+            self.received.append(env)
+            for part in env.parts:
+                if part.content_key not in self._seen:
+                    self._seen.add(part.content_key)
+                    out.append(part)
+        return out

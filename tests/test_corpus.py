@@ -10,6 +10,8 @@ past forensics.
 
 import glob
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -68,3 +70,31 @@ def test_rerecorded_bundle_is_byte_reproducible():
     assert first == second
     assert " at 0x" not in first
     assert replay_bundle(ExecutionRecord.from_json(first)).reproduced
+
+
+_RERECORD = """
+import sys
+from repro.adversary.shrink import rerecord_bundle
+from repro.sim import ExecutionRecord
+sys.stdout.write(rerecord_bundle(ExecutionRecord.load(sys.argv[1])).to_json())
+"""
+
+
+def test_rerecorded_bundle_bytes_do_not_depend_on_hash_seed():
+    """Set iteration order changes with ``PYTHONHASHSEED``; nothing built
+    from a set (such as an envelope's content keys) may reach a bundle."""
+    path = os.path.join(CORPUS_DIR, "tag-grid4x4-s0-record-e5d2c5bb1f.min.json")
+    src = os.path.join(os.path.dirname(CORPUS_DIR), os.pardir, "src")
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [os.path.abspath(src), env.get("PYTHONPATH")])
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", _RERECORD, path],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].startswith("{")

@@ -13,7 +13,7 @@ from repro.analysis.cost_model import (
 from repro.core.agg import AggNode
 from repro.core.params import ProtocolParams, params_for
 from repro.graphs import grid_graph
-from repro.sim import Network, Tracer
+from repro.sim import Network, SendTracer
 
 
 def make_params(t=2):
@@ -82,7 +82,7 @@ class TestAgainstMeasurements:
         topo = grid_graph(4, 4)
         params = params_for(topo, t=t)
         nodes = {u: AggNode(params, u, 1) for u in topo.nodes()}
-        tracer = Tracer(record_deliveries=False)
+        tracer = SendTracer()
         net = Network(
             topo.adjacency,
             nodes,

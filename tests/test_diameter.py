@@ -160,3 +160,39 @@ def test_large_grid_needs_few_bfs(monkeypatch):
     monkeypatch.setattr(properties, "bfs_levels", counting)
     assert properties.diameter(topo.adjacency) == 198
     assert len(calls) <= 20
+
+
+def _bfs_count(monkeypatch, adjacency):
+    calls = []
+    real = properties.bfs_levels
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(properties, "bfs_levels", counting)
+    result = properties.diameter(adjacency)
+    monkeypatch.undo()
+    return result, len(calls)
+
+
+def test_benchmark_graphs_keep_their_bfs_counts(monkeypatch):
+    grid = gen.grid_graph(20, 20).adjacency
+    geo = gen.random_geometric(200, radius=0.15, rng=random.Random(0)).adjacency
+    assert _bfs_count(monkeypatch, grid) == (38, 5)
+    assert _bfs_count(monkeypatch, geo) == (13, 4)
+
+
+@pytest.mark.parametrize("topo", [
+    gen.cycle_graph(101),
+    gen.torus_graph(9, 11),
+    gen.hypercube_graph(7),
+    gen.complete_graph(30),
+], ids=lambda topo: topo.name)
+def test_vertex_transitive_graphs_match_all_pairs(monkeypatch, topo):
+    """Every eccentricity is equal, so no candidate is ever dropped and
+    the search ends without its bounds; it still visits every node."""
+    expected = all_pairs_diameter(topo.adjacency)
+    assert _bfs_count(monkeypatch, topo.adjacency) == (
+        expected, len(topo.adjacency)
+    )

@@ -1,12 +1,14 @@
 """The exact-model delivery contract, against a naive reference.
 
-``Network._deliver_exact`` shares one envelope list per broadcast among
-its receivers and checks each receiver's liveness once per round.  The
-reference below builds a fresh envelope per (receiver, part) and asks
-``is_alive`` per edge, as the model reads (Section 2): every live
-neighbour of a sender gets its round ``r - 1`` broadcast in round ``r``,
-in broadcast order, unless the link is flapped.  The scheduled-delivery
-path, taken under a pass-through delivery injector, must agree with it.
+``Network._deliver_exact`` delivers one envelope per broadcast, shared by
+all its receivers, and checks each receiver's liveness once per round.
+The reference below builds one ``(sender, part)`` copy per (receiver,
+part) and asks ``is_alive`` per edge, as the model reads (Section 2):
+every live neighbour of a sender gets its round ``r - 1`` broadcast in
+round ``r``, in broadcast order, unless the link is flapped.  Inboxes are
+compared as flattened ``(sender, part)`` sequences.  The scheduled-delivery
+path, taken under a pass-through delivery injector, delivers one
+single-part envelope per copy and must agree with it.
 """
 
 from __future__ import annotations
@@ -27,16 +29,22 @@ from repro.sim.trace import Tracer
 ROUNDS = 8
 
 
+def flat(inbox: Sequence[Envelope]) -> List[tuple]:
+    """An inbox as its ``(sender, part)`` copies, in delivery order."""
+    return [(env.sender, part) for env in inbox for part in env.parts]
+
+
 class Chatter(NodeHandler):
-    """Broadcasts 0-3 seeded parts per round; records its inboxes."""
+    """Broadcasts 0-3 seeded parts per round; records its inboxes as
+    flattened ``(sender, part)`` copies."""
 
     def __init__(self, node: int, seed: int) -> None:
         self.node = node
         self.seed = seed
-        self.inboxes: Dict[int, tuple] = {}
+        self.inboxes: Dict[int, list] = {}
 
     def on_round(self, rnd: int, inbox: Sequence[Envelope]):
-        self.inboxes[rnd] = tuple(inbox)
+        self.inboxes[rnd] = flat(inbox)
         rng = random.Random(self.seed * 1_000_003 + self.node * 1009 + rnd)
         return [
             Part(rng.choice("abc"), (self.node, rnd, i), rng.randint(1, 9))
@@ -45,17 +53,16 @@ class Chatter(NodeHandler):
 
 
 def reference_deliver(net: Network, in_flight, rnd: int, tracer: Tracer):
-    """One envelope and one liveness check per (receiver, part) copy."""
-    inboxes: Dict[int, List[Envelope]] = {}
+    """One ``(sender, part)`` copy and one liveness check per (receiver,
+    part)."""
+    inboxes: Dict[int, List[tuple]] = {}
     for sender, parts in in_flight:
         for receiver in net.adjacency[sender]:
             if not net.link_up(sender, receiver, rnd):
                 continue
             for part in parts:
                 if net.is_alive(receiver, rnd):
-                    inboxes.setdefault(receiver, []).append(
-                        Envelope(sender, part)
-                    )
+                    inboxes.setdefault(receiver, []).append((sender, part))
                     tracer.on_deliver(rnd, sender, receiver, part)
     return inboxes
 
@@ -138,15 +145,24 @@ def test_exact_delivery_matches_reference(scenario):
         in_flight = list(net._in_flight)
         expected = reference_deliver(net, in_flight, rnd, reference_tracer)
         inboxes = deliver(rnd)
-        assert inboxes == expected
+        assert {u: flat(box) for u, box in inboxes.items()} == expected
         assert list(inboxes) == list(expected)
+        # One envelope per broadcast, the same object in every inbox.
+        shared: Dict[int, Envelope] = {}
+        for box in inboxes.values():
+            assert len({env.sender for env in box}) == len(box)
+            for env in box:
+                assert shared.setdefault(env.sender, env) is env
+        for sender, parts in in_flight:
+            if sender in shared:
+                assert shared[sender].parts == tuple(parts)
         # Each receiver owns its inbox list: mutating one leaves the rest.
         assert len({id(box) for box in inboxes.values()}) == len(inboxes)
         for receiver, box in inboxes.items():
-            box.append(Envelope(-1, Part("mutation", (), 0)))
+            box.append(Envelope(-1, (Part("mutation", (), 0),)))
             for other, other_box in inboxes.items():
                 if other != receiver:
-                    assert other_box == expected[other]
+                    assert flat(other_box) == expected[other]
             box.pop()
         # A node crashing at ``rnd`` receives nothing in ``rnd``; its
         # round ``rnd - 1`` broadcast is still delivered.
@@ -159,8 +175,12 @@ def test_exact_delivery_matches_reference(scenario):
                     if net.is_alive(receiver, rnd) and net.link_up(
                         sender, receiver, rnd
                     ):
-                        got = [e for e in inboxes[receiver] if e.sender == sender]
-                        assert [e.part for e in got] == list(parts)
+                        got = [
+                            part
+                            for s, part in flat(inboxes[receiver])
+                            if s == sender
+                        ]
+                        assert got == list(parts)
         return inboxes
 
     net._deliver_exact = checked
@@ -195,7 +215,7 @@ class Speaker(Chatter):
     """Broadcasts one part every round."""
 
     def on_round(self, rnd: int, inbox: Sequence[Envelope]):
-        self.inboxes[rnd] = tuple(inbox)
+        self.inboxes[rnd] = flat(inbox)
         return [Part("a", (self.node, rnd), 3)]
 
 
@@ -216,3 +236,45 @@ def test_crashing_node_receives_nothing_but_its_last_broadcast_lands():
     assert not any(
         e.round == 3 and e.receiver == 1 for e in tracer.deliveries
     )
+
+
+class Keeper(NodeHandler):
+    """Node 0 broadcasts three parts in round 1; everyone keeps its raw
+    inboxes."""
+
+    def __init__(self, node: int) -> None:
+        self.node = node
+        self.inboxes: Dict[int, list] = {}
+
+    def on_round(self, rnd: int, inbox: Sequence[Envelope]):
+        self.inboxes[rnd] = list(inbox)
+        if self.node == 0 and rnd == 1:
+            return [Part("a", (i,), 2) for i in range(3)]
+        return []
+
+
+def test_each_live_neighbour_gets_the_same_envelope_once():
+    star = {0: [1, 2, 3, 4], 1: [0], 2: [0], 3: [0], 4: [0]}
+    handlers = {u: Keeper(u) for u in star}
+    net = Network(star, handlers, crash_rounds={4: 2})
+    net.run(2, stop_on_output=False)
+    boxes = [handlers[u].inboxes[2] for u in (1, 2, 3)]
+    assert [len(box) for box in boxes] == [1, 1, 1]
+    (envelope,) = boxes[0]
+    assert all(box[0] is envelope for box in boxes)
+    assert envelope.sender == 0
+    assert envelope.parts == tuple(Part("a", (i,), 2) for i in range(3))
+    assert 2 not in handlers[4].inboxes
+
+
+def test_scheduled_path_delivers_one_single_part_envelope_per_copy():
+    star = {0: [1, 2], 1: [0], 2: [0]}
+    handlers = {u: Keeper(u) for u in star}
+    net = Network(star, handlers, injectors=[MessageFaults(seed=0)])
+    net.run(2, stop_on_output=False)
+    for u in (1, 2):
+        box = handlers[u].inboxes[2]
+        assert [env.parts for env in box] == [
+            (Part("a", (i,), 2),) for i in range(3)
+        ]
+        assert {env.sender for env in box} == {0}

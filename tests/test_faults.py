@@ -18,7 +18,8 @@ from repro.graphs import grid_graph
 from repro.sim import Network, Part
 from repro.sim.faults import FaultInjector, MessageFaults, ScheduledCrashes
 from repro.sim.monitors import InvariantViolation, standard_monitors
-from repro.sim.node import NodeHandler, RelayNode, SilentNode
+from repro.sim.node import NodeHandler, SilentNode
+from tests.conftest import RelayNode
 
 
 class Beacon(SilentNode):
@@ -38,7 +39,8 @@ class Recorder(NodeHandler):
 
     def on_round(self, rnd, inbox):
         for env in inbox:
-            self.received.append((rnd, env.sender, env.part.kind))
+            for part in env.parts:
+                self.received.append((rnd, env.sender, part.kind))
         return []
 
 

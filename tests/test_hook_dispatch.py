@@ -26,7 +26,7 @@ from repro.core.unknown_f import run_unknown_f
 from repro.graphs import grid_graph, path_graph, random_regular
 from repro.resilience.failover import RecoveryPolicy
 from repro.resilience.transport import TransportConfig
-from repro.sim import Network, Tracer
+from repro.sim import Network, SendTracer, Tracer
 from repro.sim.faults import FaultInjector, MessageFaults
 from repro.sim.monitors import Monitor, standard_monitors, violations_of
 from repro.sim.node import SilentNode
@@ -58,7 +58,7 @@ TOPOLOGIES = {
     "regular:8,3": lambda: random_regular(8, 3, rng=random.Random(2)),
 }
 #: The stack's injectors before the monitors, in the drawn order.
-LAYERS = ("faults", "tracer", "quiet_tracer", "recorder", "adaptive")
+LAYERS = ("faults", "tracer", "send_tracer", "recorder", "adaptive")
 
 
 def _stack(layers, topo, inputs, f, seed):
@@ -69,8 +69,8 @@ def _stack(layers, topo, inputs, f, seed):
             built.append(MessageFaults(drop=0.05, duplicate=0.05, seed=seed))
         elif layer == "tracer":
             built.append(Tracer())
-        elif layer == "quiet_tracer":
-            built.append(Tracer(record_deliveries=False))
+        elif layer == "send_tracer":
+            built.append(SendTracer())
         elif layer == "recorder":
             built.append(RecordingInjector(
                 [MessageFaults(drop=0.05, delay=0.05, seed=seed + 1),
@@ -105,6 +105,8 @@ def _observed(protocol, topo, layers, crashes, seed, network_cls):
     for injector in injectors:
         if isinstance(injector, Tracer):
             seen.append((injector.sends, injector.deliveries, injector.crashes))
+        elif isinstance(injector, SendTracer):
+            seen.append((injector.sends, injector.crashes))
         elif isinstance(injector, RecordingInjector):
             seen.append((
                 injector.digests_jsonable(),

@@ -157,14 +157,3 @@ class TestWireSizes:
         assert "aggregation" not in wire.AGG_FLOOD_KINDS
         assert "flooded_psum" in wire.AGG_FLOOD_KINDS
         assert "failed_parent" in wire.VERI_FLOOD_KINDS
-
-    def test_inbox_helpers(self):
-        from repro.sim.message import Envelope, Part
-
-        inbox = [
-            Envelope(1, Part("a", (), 1)),
-            Envelope(2, Part("b", (), 1)),
-            Envelope(1, Part("b", (), 1)),
-        ]
-        assert len(wire.parts_from(inbox, 1)) == 2
-        assert len(wire.parts_of_kind(inbox, "b")) == 2

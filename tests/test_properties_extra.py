@@ -49,7 +49,7 @@ class TestFloodManagerProperties:
             if initiate:
                 fm.initiate(part)
             else:
-                fm.absorb([Envelope(sender, part)])
+                fm.absorb([Envelope(sender, (part,))])
             emitted.extend(fm.emit())
         keys = [p.content_key for p in emitted]
         assert len(keys) == len(set(keys))
@@ -61,7 +61,7 @@ class TestFloodManagerProperties:
     def test_everything_seen_is_known(self, contents):
         fm = FloodManager({"f"})
         for content in contents:
-            fm.absorb([Envelope(0, Part("f", (content,), 1))])
+            fm.absorb([Envelope(0, (Part("f", (content,), 1),))])
         fm.emit()
         for content in set(contents):
             assert fm.has_seen("f", (content,))

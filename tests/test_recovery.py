@@ -72,13 +72,13 @@ class TestStaleNackGuard:
         transport, node0 = _pair()
         # Peer 1 announces incarnation 2 via a stamped frame...
         node0._absorb(
-            1, 1, 1, [Envelope(1, Part(FRAME_KIND, (1, 0, (), 2), 30))]
+            1, 1, 1, [Envelope(1, (Part(FRAME_KIND, (1, 0, (), 2), 30),))]
         )
         assert node0._peer_inc[1] == 2
         # ...then a NACK from its dead incarnation 1 arrives (delayed in
         # flight across the crash).  It must not trigger a retransmit.
         wants, _ = node0._absorb(
-            1, 2, 2, [Envelope(1, Part(NACK_KIND, (1, (0,), 1), 25))]
+            1, 2, 2, [Envelope(1, (Part(NACK_KIND, (1, (0,), 1), 25),))]
         )
         assert not wants
         assert transport.stale_nacks == 1
@@ -86,10 +86,10 @@ class TestStaleNackGuard:
     def test_current_incarnation_nack_still_retransmits(self):
         transport, node0 = _pair()
         node0._absorb(
-            1, 1, 1, [Envelope(1, Part(FRAME_KIND, (1, 0, (), 2), 30))]
+            1, 1, 1, [Envelope(1, (Part(FRAME_KIND, (1, 0, (), 2), 30),))]
         )
         wants, _ = node0._absorb(
-            1, 2, 2, [Envelope(1, Part(NACK_KIND, (1, (0,), 2), 25))]
+            1, 2, 2, [Envelope(1, (Part(NACK_KIND, (1, (0,), 2), 25),))]
         )
         assert wants
         assert transport.stale_nacks == 0
@@ -99,10 +99,10 @@ class TestStaleNackGuard:
         legacy path must keep retransmitting."""
         transport, node0 = _pair()
         node0._absorb(
-            1, 1, 1, [Envelope(1, Part(FRAME_KIND, (1, 0, ()), 26))]
+            1, 1, 1, [Envelope(1, (Part(FRAME_KIND, (1, 0, ()), 26),))]
         )
         wants, _ = node0._absorb(
-            1, 2, 2, [Envelope(1, Part(NACK_KIND, (1, (0,)), 21))]
+            1, 2, 2, [Envelope(1, (Part(NACK_KIND, (1, (0,)), 21),))]
         )
         assert wants
         assert transport.stale_nacks == 0
@@ -135,7 +135,7 @@ class TestAmnesiacInner:
     def test_amnesiac_revive_resets_transport_state(self):
         transport, node0 = _pair()
         node0._absorb(
-            1, 1, 1, [Envelope(1, Part(FRAME_KIND, (1, 0, (), 1), 30))]
+            1, 1, 1, [Envelope(1, (Part(FRAME_KIND, (1, 0, (), 1), 30),))]
         )
         assert node0._buf
         node0.on_churn_revive("amnesiac", 1, rnd=7)
@@ -147,7 +147,7 @@ class TestAmnesiacInner:
     def test_durable_revive_keeps_state(self):
         transport, node0 = _pair()
         node0._absorb(
-            1, 1, 1, [Envelope(1, Part(FRAME_KIND, (1, 0, (), 1), 30))]
+            1, 1, 1, [Envelope(1, (Part(FRAME_KIND, (1, 0, (), 1), 30),))]
         )
         node0.on_churn_revive("durable", 1, rnd=7)
         assert node0._buf, "durable rejoin must keep buffered frames"

@@ -72,9 +72,13 @@ class TestPart:
 
     def test_envelope_fields(self):
         part = Part("x", (3,), 7)
-        env = Envelope(4, part)
+        env = Envelope(4, (part,))
         assert env.sender == 4
-        assert env.part is part
+        assert env.parts[0] is part
+        assert env.keys == {part.content_key}
+        # ``keys`` stays out of the envelope's text and equality.
+        assert repr(env) == f"Envelope(sender=4, parts=({part!r},))"
+        assert env == Envelope(4, (part,))
 
 
 class TestTotalBits:

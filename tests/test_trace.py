@@ -5,8 +5,9 @@ import pytest
 from repro.core.agg import AggNode
 from repro.core.params import params_for
 from repro.graphs import grid_graph, path_graph
-from repro.sim import Network, Part, Tracer
-from repro.sim.node import RelayNode, SilentNode
+from repro.sim import Network, Part, SendTracer, Tracer
+from repro.sim.node import SilentNode
+from tests.conftest import RelayNode
 
 
 class Beacon(SilentNode):
@@ -53,14 +54,16 @@ class TestEventCapture:
 
     def test_deliveries_can_be_disabled(self):
         part = Part("ping", (), 4)
-        tracer = Tracer(record_deliveries=False)
+        tracer = SendTracer()
         net = Network(
             line3(),
             {0: Beacon(part), 1: RelayNode(), 2: RelayNode()},
             injectors=[tracer],
         )
         net.run(3, stop_on_output=False)
-        assert tracer.deliveries == []
+        # A send-only tracer is never called per delivered copy.
+        assert tracer not in net._on_deliver
+        assert not hasattr(tracer, "deliveries")
         assert tracer.sends  # sends still captured
 
     def test_crash_events_once(self):
