@@ -59,21 +59,18 @@ class BruteForceNode(NodeHandler):
         self.my_value = params.caaf.prepare(my_input)
         self.start_round = start_round
         self.floods = FloodManager(BF_FLOOD_KINDS)
+        #: ``2c`` flooding rounds, as in the paper's analysis.
+        self.total_rounds = 2 * params.cd
         self.values: Dict[int, int] = {}
         self.done = False
         self.result: Optional[int] = None
-
-    @property
-    def total_rounds(self) -> int:
-        """``2c`` flooding rounds, as in the paper's analysis."""
-        return 2 * self.p.cd
 
     def on_round(self, rnd: int, inbox: Sequence[Envelope]) -> List[Part]:
         rel = rnd - self.start_round + 1
         if rel < 1 or rel > self.total_rounds:
             return []
 
-        fresh = self.floods.absorb(inbox, rel)
+        fresh = self.floods.absorb(inbox)
         started = any(part.kind == "bf_start" for part in fresh)
         for part in fresh:
             if part.kind == "bf_value":
@@ -95,11 +92,11 @@ class BruteForceNode(NodeHandler):
     def next_wake(self, rnd: int) -> Optional[int]:
         """Only the root has slots (its start and its output); every
         other node acts on the start flood alone."""
-        if not self.is_root:
+        if not self.is_root or rnd >= self.start_round - 1 + self.total_rounds:
             return None
-        rel = rnd - self.start_round + 1
-        later = [slot for slot in (1, self.total_rounds) if slot > rel]
-        return self.start_round - 1 + min(later) if later else None
+        if rnd < self.start_round:
+            return self.start_round
+        return self.start_round - 1 + self.total_rounds
 
     def _flood_own_value(self) -> None:
         if self.floods.initiate(bf_value(self.p, self.node_id, self.my_value)):

@@ -38,7 +38,7 @@ from ..graphs.topology import Topology
 from ..obs import spans as _spans
 from ..sim.flooding import FloodManager
 from ..sim.message import Envelope, Part
-from ..sim.network import Network
+from ..sim.network import NEVER, Network
 from ..sim.node import NodeHandler
 from ..sim.stats import SimStats
 from . import wire
@@ -95,6 +95,7 @@ class PhasedNode(NodeHandler):
         #: never change, so neither do these.
         self.spans = params.phase_spans(self.PHASES)
         self.last_round = self.spans[-1][1]
+        self.cd = params.cd
         self.bits_sent = 0
         #: Set once this node floods or hears the abort symbol.
         self.aborted = False
@@ -115,7 +116,7 @@ class PhasedNode(NodeHandler):
         if _spans.enabled and self.is_root:
             self._obs_mark(rnd, rel, idx)
 
-        fresh = self.floods.absorb(inbox, rel)
+        fresh = self.floods.absorb(inbox)
         self._note_flood_observations(fresh)
 
         out: List[Part] = []
@@ -130,7 +131,7 @@ class PhasedNode(NodeHandler):
         return out
 
     def next_wake(self, rnd: int) -> Optional[int]:
-        """The next of this node's fixed slots (:meth:`_slots`).
+        """The next of this node's fixed slots (:meth:`_next_slot`).
 
         An aborted node has no slots left; the root keeps its output
         slot, and while tracing is on it runs every round for its phase
@@ -143,11 +144,12 @@ class PhasedNode(NodeHandler):
             return None
         if _spans.enabled and self.is_root:
             return base + max(rel, 0) + 1
-        slots = [last] if self.is_root else []
+        slot = last if self.is_root else NEVER
         if not self.aborted:
-            slots += self._slots()
-        later = [slot for slot in slots if slot > rel]
-        return base + min(later) if later else None
+            if self.is_root and rel < self.spans[0][0]:
+                slot = self.spans[0][0]
+            slot = self._next_slot(rel, slot)
+        return None if slot == NEVER else base + slot
 
     def _obs_mark(self, rnd: int, rel: int, idx: int) -> None:
         """Emit root-timeline phase spans (phases are fixed round
@@ -206,10 +208,11 @@ class PhasedNode(NodeHandler):
         """The special-symbol mechanism of Algorithms 2 and 3: flood the
         ``ABORT`` symbol instead of exceeding the ``BUDGET`` bits (read
         from ``self.p`` at every check), then send nothing else."""
+        if not out:  # nothing to book or to hold back
+            return out
         planned = sum(part.bits for part in out)
         if (
             not self.aborted
-            and out
             and self.bits_sent + planned > getattr(self.p, self.BUDGET)
         ):
             self.aborted = True
@@ -272,22 +275,28 @@ class AggNode(PhasedNode):
     #: ``on_round`` to the class whose ``vars()`` define it.
     on_round = PhasedNode.on_round
 
-    def _slots(self) -> List[int]:
-        """Phase-relative slots of the phase methods.  Besides those, an
-        empty-inbox round only matters for a node still waiting to
-        forward its beacon, and for an activated node's first aggregation
-        round (it sets ``max_level``)."""
-        st, spans, cd = self.state, self.spans, self.p.cd
-        slots = [spans[0][0]] if self.is_root else []
-        if self._pending_tree_construct is not None:
-            slots.append(self._pending_tree_construct)
+    def _next_slot(self, rel: int, slot):
+        """The earliest of ``slot`` and the phase-relative slots of the
+        phase methods after ``rel``.  Besides those, an empty-inbox round
+        only matters for a node still waiting to forward its beacon, and
+        for an activated node's first aggregation round (it sets
+        ``max_level``)."""
+        st, spans, cd = self.state, self.spans, self.cd
+        pending = self._pending_tree_construct
+        if pending is not None and rel < pending < slot:
+            slot = pending
         if st.activated:
-            if st.level <= cd:
-                slots.append(spans[1][0] + cd - st.level)
-                if st.max_level < st.level:
-                    slots.append(spans[1][0])
-            slots += (spans[2][0] + st.level, spans[3][0])
-        return slots
+            level = st.level
+            if level <= cd:
+                if rel < spans[1][0] + cd - level < slot:
+                    slot = spans[1][0] + cd - level
+                if st.max_level < level and rel < spans[1][0] < slot:
+                    slot = spans[1][0]
+            if rel < spans[2][0] + level < slot:
+                slot = spans[2][0] + level
+            if rel < spans[3][0] < slot:
+                slot = spans[3][0]
+        return slot
 
     # ------------------------------------------------------------------ #
     # Phase 1: tree construction (rounds 1 .. 2cd+1).
@@ -347,11 +356,11 @@ class AggNode(PhasedNode):
         self, p: int, inbox: Sequence[Envelope]
     ) -> Optional[List[Part]]:
         st = self.state
-        if not st.activated or st.level > self.p.cd:
+        if not st.activated or st.level > self.cd:
             return None
         if st.max_level < st.level:
             st.max_level = st.level
-        if p != self.p.cd - st.level + 1:
+        if p != self.cd - st.level + 1:
             return None
         arrived = {
             env.sender: part.payload

@@ -18,7 +18,9 @@ rare brute-force fallback — total
 
 The interval machinery (:class:`IntervalNode`, :class:`IntervalOutcome`,
 :func:`run_intervals`) is shared with the unknown-``f`` doubling protocol
-(:mod:`repro.core.unknown_f`); only the plan differs.
+(:mod:`repro.core.unknown_f`); only the plan differs.  A plan's derived
+values are computed once, and :meth:`IntervalNode.next_wake` is a running
+minimum, since both run on every handler call of every dormant node.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from ..adversary.schedule import FailureSchedule
@@ -69,23 +72,25 @@ class TradeoffPlan:
         if self.f < 1:
             raise ValueError("Theorem 1 requires f >= 1")
 
-    @property
+    @cached_property
     def x(self) -> int:
         """Number of intervals: ``floor((b - 2c) / (19c))``."""
         return (self.b - 2 * self.params.c) // (19 * self.params.c)
 
-    @property
+    @cached_property
     def t(self) -> int:
         """AGG/VERI tolerance parameter: ``floor(2f / x)``."""
         return (2 * self.f) // self.x
 
-    n_intervals = x
+    @cached_property
+    def n_intervals(self) -> int:
+        return self.x
 
     def tolerance(self, interval: int) -> int:
         """Every interval's pair runs with the same ``t``."""
         return self.t
 
-    @property
+    @cached_property
     def interval_rounds(self) -> int:
         """Rounds per interval: ``19c`` flooding rounds."""
         return 19 * self.params.cd
@@ -96,12 +101,12 @@ class TradeoffPlan:
             raise ValueError(f"interval {i} out of range [1, {self.x}]")
         return (i - 1) * self.interval_rounds + 1
 
-    @property
+    @cached_property
     def bruteforce_start(self) -> int:
         """First round of the brute-force fallback window."""
         return (self.b - 2 * self.params.c) * self.params.diameter + 1
 
-    @property
+    @cached_property
     def total_rounds(self) -> int:
         """The TC budget in rounds: ``b * d``."""
         return self.b * self.params.diameter
@@ -183,21 +188,24 @@ class IntervalNode(NodeHandler):
         last = plan.total_rounds
         if self.done or rnd >= last:
             return None
+        # A running minimum over the candidates after ``rnd`` (last + 1: none).
         span = plan.interval_rounds
-        wakes = []
         nxt = (rnd - 1) // span + 1  # 0-based index of the next interval start
-        if nxt < plan.n_intervals:
-            wakes.append(nxt * span + 1)
+        wake = nxt * span + 1 if nxt < plan.n_intervals else last + 1
         if self._agg is not None:
             handoff = self._agg.last_round
-            wakes.append(handoff + 1 + span * max(0, -((handoff - rnd) // span)))
-        if self._bf is None:
-            wakes.append(plan.bruteforce_start)
+            if handoff < rnd:
+                handoff -= span * ((handoff - rnd) // span)
+            if handoff + 1 < wake:
+                wake = handoff + 1
+        if self._bf is None and rnd < plan.bruteforce_start < wake:
+            wake = plan.bruteforce_start
         for child in (self._agg, self._veri, self._bf):
             if child is not None:
-                wakes.append(child.next_wake(rnd))
-        wake = min((w for w in wakes if w is not None and w > rnd), default=None)
-        return wake if wake is not None and wake <= last else None
+                child_wake = child.next_wake(rnd)
+                if child_wake is not None and rnd < child_wake < wake:
+                    wake = child_wake
+        return wake if wake <= last else None
 
     def _maybe_arm(self, rnd: int) -> None:
         plan = self.plan

@@ -21,11 +21,16 @@ to end.
 Bit budgets are the paper's abort thresholds: a node running AGG floods an
 abort symbol once it has sent ``(11t+14)(logN+5)`` bits; a node running VERI
 floods an overflow symbol once it has sent ``(5t+7)(3logN+10)`` bits.
+
+Derived values (wire sizes, round totals, budgets) are cached properties;
+``cd`` stays a plain property, whose reads the perf benchmark's layer
+tracer counts (hot handler code copies it into a node attribute).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from ..graphs.topology import Topology
@@ -77,17 +82,17 @@ class ProtocolParams:
     # Wire sizes.
     # ------------------------------------------------------------------ #
 
-    @property
+    @cached_property
     def id_bits(self) -> int:
         """Bits per node id (the paper's ``log N``)."""
         return id_bits(self.n_nodes)
 
-    @property
+    @cached_property
     def level_bits(self) -> int:
         """Bits per tree-level field (levels stay within ``c * d``)."""
         return value_bits(max(1, self.c * self.diameter))
 
-    @property
+    @cached_property
     def psum_bits(self) -> int:
         """Bits per partial aggregate."""
         return self.caaf.value_bits_for(self.n_nodes, self.max_input)
@@ -112,17 +117,17 @@ class ProtocolParams:
             last = spans[-1][1]
         return tuple(spans)
 
-    @property
+    @cached_property
     def agg_rounds(self) -> int:
         """Total rounds of one AGG execution (``7cd + 4``)."""
         return self.phase_spans(AGG_PHASES)[-1][1]
 
-    @property
+    @cached_property
     def veri_rounds(self) -> int:
         """Total rounds of one VERI execution (``5cd + 3``)."""
         return self.phase_spans(VERI_PHASES)[-1][1]
 
-    @property
+    @cached_property
     def pair_rounds(self) -> int:
         """Rounds of an AGG immediately followed by a VERI (``12cd + 7``)."""
         return self.agg_rounds + self.veri_rounds
@@ -131,12 +136,12 @@ class ProtocolParams:
     # Bit budgets (the abort thresholds of Algorithms 2 and 3).
     # ------------------------------------------------------------------ #
 
-    @property
+    @cached_property
     def agg_bit_budget(self) -> int:
         """AGG's per-node abort threshold ``(11t + 14)(logN + 5)``."""
         return (11 * self.t + 14) * (self.id_bits + 5)
 
-    @property
+    @cached_property
     def veri_bit_budget(self) -> int:
         """VERI's per-node overflow threshold ``(5t + 7)(3 logN + 10)``."""
         return (5 * self.t + 7) * (3 * self.id_bits + 10)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional
 
 from ..adversary.schedule import FailureSchedule
@@ -45,15 +46,17 @@ class DoublingPlan:
     name = "unknown_f"
     span_attrs = ("max_guesses",)
 
-    @property
+    @cached_property
     def max_guesses(self) -> int:
         """``ceil(log2 N) + 1`` guesses reach ``t >= N`` and hence any ``f``."""
         return max(1, math.ceil(math.log2(self.params.n_nodes))) + 1
 
-    #: One interval per guess.
-    n_intervals = max_guesses
+    @cached_property
+    def n_intervals(self) -> int:
+        """One interval per guess."""
+        return self.max_guesses
 
-    @property
+    @cached_property
     def interval_rounds(self) -> int:
         return 19 * self.params.cd
 
@@ -69,11 +72,11 @@ class DoublingPlan:
         """Every interval (the coins are not used)."""
         return list(range(1, self.max_guesses + 1))
 
-    @property
+    @cached_property
     def bruteforce_start(self) -> int:
         return self.max_guesses * self.interval_rounds + 1
 
-    @property
+    @cached_property
     def total_rounds(self) -> int:
         return self.max_guesses * self.interval_rounds + 2 * self.params.cd
 

@@ -34,7 +34,7 @@ Three fixed phases (``5cd + 3`` rounds, at most ``8c`` flooding rounds):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Sequence, Set, Tuple
 
 from ..adversary.schedule import FailureSchedule
 from ..graphs.topology import Topology
@@ -85,15 +85,20 @@ class VeriNode(PhasedNode):
     #: See ``AggNode.on_round``.
     on_round = PhasedNode.on_round
 
-    def _slots(self) -> List[int]:
-        """Phase-relative slots of the phase methods."""
-        st, spans, cd = self.state, self.spans, self.p.cd
-        slots = [spans[0][0]] if self.is_root else []
+    def _next_slot(self, rel: int, slot):
+        """The earliest of ``slot`` and the phase-relative slots of the
+        phase methods after ``rel``."""
+        st, spans, cd = self.state, self.spans, self.cd
         if st.activated:
-            if st.level <= cd:
-                slots += (spans[0][0] + st.level, spans[1][0] + cd - st.level)
-            slots.append(spans[2][0])
-        return slots
+            level = st.level
+            if level <= cd:
+                if rel < spans[0][0] + level < slot:
+                    slot = spans[0][0] + level
+                if rel < spans[1][0] + cd - level < slot:
+                    slot = spans[1][0] + cd - level
+            if rel < spans[2][0] < slot:
+                slot = spans[2][0]
+        return slot
 
     # ------------------------------------------------------------------ #
     # Phase 1: failed-parent detection (phase rounds 1 .. 2cd+1).
@@ -104,7 +109,7 @@ class VeriNode(PhasedNode):
         if self.is_root and p == 1:
             self.floods.initiate(wire.detect_failed_parent(self.p))
             return
-        if not st.activated or self.is_root or st.level > self.p.cd:
+        if not st.activated or self.is_root or st.level > self.cd:
             return
         if p == st.level + 1:
             heard_parent = any(env.sender == st.parent for env in inbox)
@@ -122,9 +127,9 @@ class VeriNode(PhasedNode):
 
     def _failed_child_round(self, q: int, inbox: Sequence[Envelope]) -> None:
         st = self.state
-        if not st.activated or st.level > self.p.cd:
+        if not st.activated or st.level > self.cd:
             return
-        if q != self.p.cd - st.level + 1:
+        if q != self.cd - st.level + 1:
             return
         if not st.children:
             self.floods.initiate(wire.detect_failed_child(self.p, self.node_id))

@@ -21,11 +21,15 @@ of the same flood reach it from several neighbours), so
 :meth:`FloodManager.absorb` skips such an envelope with one subset check
 of its content keys against the seen set, and walks parts only for the
 rest.
+
+A :class:`FloodManager` keeps one key per seen content and its forward
+queue, nothing more; a handler that needs a content's part or arrival
+round keeps it from the fresh parts :meth:`FloodManager.absorb` returns.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Set
+from typing import Iterable, List, Sequence, Set
 
 from .message import Envelope, Part
 
@@ -44,17 +48,12 @@ class FloodManager:
         self._flood_kinds: Set[str] = set(flood_kinds)
         self._seen: Set[tuple] = set()
         self._queue: List[Part] = []
-        #: Every flood part ever received or initiated, keyed by content.
-        self.known: Dict[tuple, Part] = {}
-        #: Round of first receipt/initiation per content (filled by callers
-        #: passing ``rnd`` to :meth:`absorb` / :meth:`initiate`).
-        self.first_seen_round: Dict[tuple, int] = {}
 
     def has_seen(self, kind: str, payload) -> bool:
         """Whether this node has already seen a flood content."""
         return (kind, payload) in self._seen
 
-    def absorb(self, inbox: Sequence[Envelope], rnd: int = 0) -> List[Part]:
+    def absorb(self, inbox: Sequence[Envelope]) -> List[Part]:
         """Process received envelopes; queue first-seen floods for forwarding.
 
         Returns the flood parts seen for the *first* time, in inbox order
@@ -63,7 +62,7 @@ class FloodManager:
         set comparison on its shared ``keys``.
         """
         fresh: List[Part] = []
-        kinds, seen = self._flood_kinds, self._seen
+        kinds, seen, queue = self._flood_kinds, self._seen, self._queue
         for env in inbox:
             if env.keys <= seen:
                 continue
@@ -74,13 +73,11 @@ class FloodManager:
                 if key in seen:
                     continue
                 seen.add(key)
-                self.known[key] = part
-                self.first_seen_round[key] = rnd
-                self._queue.append(part)
+                queue.append(part)
                 fresh.append(part)
         return fresh
 
-    def initiate(self, part: Part, rnd: int = 0) -> bool:
+    def initiate(self, part: Part) -> bool:
         """Start a new flood; returns False if the content was already seen.
 
         The paper notes that when several witnesses would flood identical
@@ -93,8 +90,6 @@ class FloodManager:
         if key in self._seen:
             return False
         self._seen.add(key)
-        self.known[key] = part
-        self.first_seen_round[key] = rnd
         self._queue.append(part)
         return True
 
@@ -102,7 +97,3 @@ class FloodManager:
         """Drain the queue of parts to broadcast this round."""
         out, self._queue = self._queue, []
         return out
-
-    def contents(self, kind: str) -> List[tuple]:
-        """All payloads seen for one flood kind."""
-        return [payload for (k, payload) in self._seen if k == kind]

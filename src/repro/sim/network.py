@@ -325,10 +325,13 @@ class Network:
                     wakes.setdefault(max(wake, 1), set()).add(node)
         active = wakes.pop(rnd, set()).union(inboxes)
         unchecked = self._unchecked
+        crashes, churn = self.crash_rounds, self.down_intervals
         for node in sorted(active, key=self._order.__getitem__):
             # A down node's wake is not lost: its first live round after
             # an outage is the end of one, where schedule_downtime woke it.
-            if not self.is_alive(node, rnd):
+            if rnd >= crashes.get(node, NEVER) or (
+                churn and not self.is_alive(node, rnd)
+            ):
                 continue
             handler = self.handlers[node]
             parts = tuple(handler.on_round(rnd, inboxes.get(node, ())))
@@ -367,12 +370,13 @@ class Network:
 
         Each broadcast is one envelope, shared by every receiver (each
         still gets its own inbox list), and each receiver's liveness is
-        checked once per round.
+        checked once per round (:meth:`is_alive` only under churn).
         """
         inboxes: Dict[int, List[Envelope]] = {}
         alive: Dict[int, bool] = {}
         observers = self._on_deliver
         flaps = self.link_flaps
+        crashes, churn = self.crash_rounds, self.down_intervals
         for sender, parts in self._in_flight:
             envelope = Envelope(sender, parts)
             for neighbour in self.adjacency[sender]:
@@ -380,7 +384,10 @@ class Network:
                     continue
                 live = alive.get(neighbour)
                 if live is None:
-                    live = alive[neighbour] = self.is_alive(neighbour, rnd)
+                    live = alive[neighbour] = (
+                        rnd < crashes.get(neighbour, NEVER)
+                        and (not churn or self.is_alive(neighbour, rnd))
+                    )
                 if live:
                     inboxes.setdefault(neighbour, []).append(envelope)
                     for observer in observers:

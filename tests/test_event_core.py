@@ -23,9 +23,9 @@ import pytest
 from repro.adversary import FailureSchedule, random_failures
 from repro.analysis.runner import run_protocol
 from repro.baselines.bruteforce import BruteForceNode
-from repro.core.agg import AggNode, run_agg
+from repro.core.agg import AggNode, TreeState, run_agg
 from repro.core.algorithm1 import IntervalNode, TradeoffPlan
-from repro.core.params import params_for
+from repro.core.params import ProtocolParams, params_for
 from repro.core.unknown_f import DoublingPlan
 from repro.core.veri import VeriNode
 from repro.graphs import (
@@ -423,6 +423,158 @@ def test_default_handlers_mixed_in_run_every_round():
     net.run(5, stop_on_output=False)
     assert [r for r, _ in nodes[2].inner.calls] == [1, 2, 3, 4, 5]
     assert nodes[1].calls == [(3, 1)]
+
+
+# --------------------------------------------------------------------- #
+# Wakes against the list-and-min formulas they replaced.
+# --------------------------------------------------------------------- #
+
+
+def _ref_agg_slots(node):
+    st, spans, cd = node.state, node.spans, node.p.cd
+    slots = [spans[0][0]] if node.is_root else []
+    if node._pending_tree_construct is not None:
+        slots.append(node._pending_tree_construct)
+    if st.activated:
+        if st.level <= cd:
+            slots.append(spans[1][0] + cd - st.level)
+            if st.max_level < st.level:
+                slots.append(spans[1][0])
+        slots += (spans[2][0] + st.level, spans[3][0])
+    return slots
+
+
+def _ref_veri_slots(node):
+    st, spans, cd = node.state, node.spans, node.p.cd
+    slots = [spans[0][0]] if node.is_root else []
+    if st.activated:
+        if st.level <= cd:
+            slots += (spans[0][0] + st.level, spans[1][0] + cd - st.level)
+        slots.append(spans[2][0])
+    return slots
+
+
+def _ref_wake(node, rnd):
+    """Every wake as a list of candidates and a ``min`` over the later
+    ones, as the handlers computed it before their running minimum."""
+    if isinstance(node, BruteForceNode):
+        if not node.is_root:
+            return None
+        rel = rnd - node.start_round + 1
+        later = [slot for slot in (1, 2 * node.p.cd) if slot > rel]
+        return node.start_round - 1 + min(later) if later else None
+    if isinstance(node, (AggNode, VeriNode)):
+        base = node.start_round - 1
+        rel = rnd - base
+        last = node.last_round
+        if rel >= last:
+            return None
+        if obs_spans.enabled and node.is_root:
+            return base + max(rel, 0) + 1
+        slots = [last] if node.is_root else []
+        if not node.aborted:
+            ref = _ref_agg_slots if isinstance(node, AggNode) else _ref_veri_slots
+            slots += ref(node)
+        later = [slot for slot in slots if slot > rel]
+        return base + min(later) if later else None
+    plan = node.plan
+    last = plan.total_rounds
+    if node.done or rnd >= last:
+        return None
+    span = plan.interval_rounds
+    wakes = []
+    nxt = (rnd - 1) // span + 1
+    if nxt < plan.n_intervals:
+        wakes.append(nxt * span + 1)
+    if node._agg is not None:
+        handoff = node._agg.last_round
+        wakes.append(handoff + 1 + span * max(0, -((handoff - rnd) // span)))
+    if node._bf is None:
+        wakes.append(plan.bruteforce_start)
+    for child in (node._agg, node._veri, node._bf):
+        if child is not None:
+            wakes.append(_ref_wake(child, rnd))
+    wake = min((w for w in wakes if w is not None and w > rnd), default=None)
+    return wake if wake is not None and wake <= last else None
+
+
+if given is not None:
+
+    def _tree_state(data, cd):
+        state = TreeState(activated=data.draw(st.booleans()))
+        if state.activated:
+            level = state.level = data.draw(
+                st.integers(0, cd) | st.integers(0, 3 * cd)
+            )
+            state.max_level = data.draw(
+                st.sampled_from([-1, level - 1, level, level + 1])
+            )
+        return state
+
+    def _drawn_node(data, plan, root):
+        """An interval handler in a drawn state: done or not, with each
+        child armed or not and, when armed, in a drawn state."""
+        params = plan.params
+        node_id = params.root if root else params.root + 1
+        node = IntervalNode(plan, node_id, 3, rng=random.Random(0))
+        node.done = data.draw(st.booleans())
+        last = plan.total_rounds
+        t = data.draw(st.integers(0, 4))
+        if data.draw(st.booleans()):
+            agg = AggNode(
+                params.with_t(t), node_id, 3,
+                start_round=data.draw(st.integers(1, last)),
+            )
+            agg.state = _tree_state(data, params.cd)
+            agg.aborted = data.draw(st.booleans())
+            agg._pending_tree_construct = data.draw(
+                st.none() | st.integers(1, agg.last_round)
+            )
+            node._agg = agg
+        if data.draw(st.booleans()):
+            veri = VeriNode(
+                params.with_t(t), node_id, _tree_state(data, params.cd),
+                start_round=data.draw(st.integers(1, last)),
+            )
+            veri.aborted = data.draw(st.booleans())
+            node._veri = veri
+        if data.draw(st.booleans()):
+            node._bf = BruteForceNode(
+                params, node_id, 3, start_round=data.draw(st.integers(1, last))
+            )
+        return node
+
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        data=st.data(),
+        c=st.integers(1, 3),
+        d=st.integers(1, 6),
+        n=st.integers(2, 70),
+        doubling=st.booleans(),
+        root=st.booleans(),
+        spans_on=st.booleans(),
+    )
+    def test_wakes_equal_the_list_and_min_reference(
+        data, c, d, n, doubling, root, spans_on
+    ):
+        params = ProtocolParams(n_nodes=n, root=0, diameter=d, c=c)
+        if doubling:
+            plan = DoublingPlan(params=params)
+        else:
+            b = data.draw(st.integers(21 * c, 50 * c), label="b")
+            f = data.draw(st.integers(1, 2 * n), label="f")
+            plan = TradeoffPlan(params=params, b=b, f=f)
+        node = _drawn_node(data, plan, root)
+        saved = obs_spans.enabled
+        obs_spans.enabled = spans_on
+        try:
+            for rnd in range(plan.total_rounds + 2):
+                assert node.next_wake(rnd) == _ref_wake(node, rnd), rnd
+                for child in (node._agg, node._veri, node._bf):
+                    if child is not None:
+                        assert child.next_wake(rnd) == _ref_wake(child, rnd)
+        finally:
+            obs_spans.enabled = saved
 
 
 # --------------------------------------------------------------------- #

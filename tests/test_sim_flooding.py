@@ -23,10 +23,10 @@ class Flooder(NodeHandler):
         self.first_seen = {}
 
     def on_round(self, rnd: int, inbox: Sequence[Envelope]):
-        for part in self.floods.absorb(inbox, rnd):
+        for part in self.floods.absorb(inbox):
             self.first_seen.setdefault(part.content_key, rnd)
         if self.initiate_part is not None and rnd == self.initiate_round:
-            self.floods.initiate(self.initiate_part, rnd)
+            self.floods.initiate(self.initiate_part)
         return self.floods.emit()
 
 
@@ -34,7 +34,7 @@ class TestFloodManager:
     def test_absorb_queues_first_receipt(self):
         fm = FloodManager({"f"})
         part = Part("f", (1,), 2)
-        fresh = fm.absorb([Envelope(0, (part,))], rnd=3)
+        fresh = fm.absorb([Envelope(0, (part,))])
         assert fresh == [part]
         assert fm.emit() == [part]
 
@@ -79,18 +79,13 @@ class TestFloodManager:
         with pytest.raises(ValueError):
             fm.initiate(Part("other", (), 1))
 
-    def test_has_seen_and_contents(self):
+    def test_has_seen_absorbed_and_initiated(self):
         fm = FloodManager({"f"})
         fm.absorb([Envelope(0, (Part("f", (1,), 2),))])
         fm.initiate(Part("f", (2,), 2))
         assert fm.has_seen("f", (1,))
         assert fm.has_seen("f", (2,))
-        assert sorted(fm.contents("f")) == [(1,), (2,)]
-
-    def test_first_seen_round_recorded(self):
-        fm = FloodManager({"f"})
-        fm.absorb([Envelope(0, (Part("f", (1,), 2),))], rnd=7)
-        assert fm.first_seen_round[("f", (1,))] == 7
+        assert not fm.has_seen("f", (3,))
 
 
 class ReferenceFloods:
@@ -100,28 +95,23 @@ class ReferenceFloods:
         self.kinds = set(kinds)
         self.seen = set()
         self.queue = []
-        self.known = {}
-        self.first_seen_round = {}
 
-    def _take(self, part, rnd):
-        key = part.content_key
-        self.seen.add(key)
-        self.known[key] = part
-        self.first_seen_round[key] = rnd
+    def _take(self, part):
+        self.seen.add(part.content_key)
         self.queue.append(part)
 
-    def absorb(self, copies, rnd):
+    def absorb(self, copies):
         fresh = []
         for _sender, part in copies:
             if part.kind in self.kinds and part.content_key not in self.seen:
-                self._take(part, rnd)
+                self._take(part)
                 fresh.append(part)
         return fresh
 
-    def initiate(self, part, rnd):
+    def initiate(self, part):
         if part.content_key in self.seen:
             return False
-        self._take(part, rnd)
+        self._take(part)
         return True
 
 
@@ -154,23 +144,19 @@ class TestAbsorbMatchesReference:
         ),
         pool=st.lists(_envelopes, min_size=1, max_size=6),
     )
-    def test_fresh_parts_queue_known_and_rounds_match(self, rounds, pool):
+    def test_fresh_parts_and_queue_match(self, rounds, pool):
         """Envelopes are drawn from a shared pool, as a broadcast is shared
         by its receivers, so inboxes repeat envelope objects."""
         fm = FloodManager({"f", "g"})
         ref = ReferenceFloods({"f", "g"})
-        for rnd, (picks, initiated) in enumerate(rounds, start=1):
+        for picks, initiated in rounds:
             inbox = [pool[i % len(pool)] for i in picks]
             copies = [(env.sender, p) for env in inbox for p in env.parts]
-            assert fm.absorb(inbox, rnd) == ref.absorb(copies, rnd)
+            assert fm.absorb(inbox) == ref.absorb(copies)
             for part in initiated:
-                assert fm.initiate(part, rnd) == ref.initiate(part, rnd)
+                assert fm.initiate(part) == ref.initiate(part)
             assert fm.emit() == ref.queue
             ref.queue = []
-            assert list(fm.known.items()) == list(ref.known.items())
-            assert list(fm.first_seen_round.items()) == list(
-                ref.first_seen_round.items()
-            )
 
     def test_duplicate_broadcast_walks_no_part(self):
         """An envelope whose every content was seen costs one set check:
@@ -182,12 +168,12 @@ class TestAbsorbMatchesReference:
 
         parts = (Part("f", (1,), 2), Part("g", (2,), 2))
         fm = FloodManager({"f", "g"})
-        fm.absorb([Envelope(0, parts)], rnd=1)
+        fm.absorb([Envelope(0, parts)])
         fm.emit()
         duplicate = Envelope(1, parts)
         duplicate.keys  # built once, as the first receiver does
         duplicate.parts = Untouchable(parts)
-        assert fm.absorb([duplicate], rnd=2) == []
+        assert fm.absorb([duplicate]) == []
         assert fm.emit() == []
 
 
