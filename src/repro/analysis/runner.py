@@ -804,11 +804,15 @@ def safe_run_protocol(
       :func:`error_record` (``correct=False``, ``error`` / ``error_kind``
       set).  ``KeyboardInterrupt``/``SystemExit`` always propagate, so an
       interrupted sweep stops instead of recording bogus rows.
-    * ``capture_dir`` — forensics: wrap the execution in a
+    * ``capture_dir`` — forensics: wrap every attempt in a
       :class:`repro.sim.recorder.RecordingInjector` and, whenever the
       final row is a failure (:func:`repro.sim.recorder.is_failure`),
       write a deterministic repro bundle there and note its path in
-      ``record.extra["bundle"]``.
+      ``record.extra["bundle"]``.  Work units do not record every run:
+      :func:`repro.exec.scheduler.execute_unit` runs a unit without
+      ``capture_dir`` and calls this path only to re-execute a unit
+      whose row failed, so passing units skip the recorder's per-copy
+      bookkeeping and a failing unit runs twice.
     """
     if retries < 0:
         raise ValueError(f"retries must be >= 0, got {retries}")

@@ -1286,7 +1286,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--capture-dir",
             default=None,
             dest="capture_dir",
-            help="write a repro bundle here for every failing run" + capture_note,
+            help="write a repro bundle here for every failing run; passing "
+            "runs are not recorded, a failing one is re-executed once under "
+            "the recorder" + capture_note,
         )
 
     def obs(p):

@@ -91,6 +91,15 @@ class TradeoffPlan:
         return self.t
 
     @cached_property
+    def _pair_params(self) -> ProtocolParams:
+        return self.params.with_t(self.t)
+
+    def interval_params(self, interval: int) -> ProtocolParams:
+        """The AGG/VERI parameters of interval ``interval``: one object,
+        shared by every node and every interval."""
+        return self._pair_params
+
+    @cached_property
     def interval_rounds(self) -> int:
         """Rounds per interval: ``19c`` flooding rounds."""
         return 19 * self.params.cd
@@ -218,7 +227,7 @@ class IntervalNode(NodeHandler):
                 self._agg = None
                 if not self.is_root or interval in self.selected:
                     self._agg = AggNode(
-                        plan.params.with_t(plan.tolerance(interval)),
+                        plan.interval_params(interval),
                         self.node_id,
                         self.my_input,
                         start_round=rnd,

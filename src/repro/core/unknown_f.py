@@ -24,7 +24,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..adversary.schedule import FailureSchedule
 from ..graphs.topology import Topology
@@ -67,6 +67,18 @@ class DoublingPlan:
     def tolerance(self, interval: int) -> int:
         """Tolerance of 1-based interval ``interval``."""
         return self.guess_for(interval - 1)
+
+    @cached_property
+    def _guess_params(self) -> Tuple[ProtocolParams, ...]:
+        return tuple(
+            self.params.with_t(self.guess_for(k))
+            for k in range(self.n_intervals)
+        )
+
+    def interval_params(self, interval: int) -> ProtocolParams:
+        """The AGG/VERI parameters of 1-based interval ``interval``: one
+        object per guess, shared by every node."""
+        return self._guess_params[interval - 1]
 
     def select_intervals(self, rng: random.Random) -> List[int]:
         """Every interval (the coins are not used)."""

@@ -33,6 +33,7 @@ order never affects output, only wall clock.
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -248,21 +249,80 @@ def stamp_injected(record, injectors) -> None:
             record.extra["injected_corruptions"] = injector.counts.total
 
 
+def _run(unit: WorkUnit, capture_dir: Optional[str] = None):
+    """Derive the unit afresh and run it through ``safe_run_protocol``."""
+    from ..analysis.runner import safe_run_protocol
+
+    inputs, schedule, kwargs = derive_run(unit)
+    record = safe_run_protocol(
+        unit.protocol,
+        unit.topology,
+        inputs,
+        schedule=schedule,
+        timeout_s=unit.timeout_s,
+        retries=unit.retries,
+        backoff_s=unit.backoff_s,
+        seed=unit.seed,
+        capture_dir=capture_dir,
+        **kwargs,
+    )
+    record.seed = unit.seed
+    stamp_injected(record, kwargs["injectors"])
+    return record
+
+
+def _capture_failure(unit: WorkUnit, record) -> None:
+    """Give a failing ``record`` of ``unit`` its repro bundle.
+
+    Re-executes the unit once under the recorder (``safe_run_protocol``
+    with ``capture_dir``), from a fresh :func:`derive_run`: only the
+    unit, as data, can rebuild unconsumed injectors, monitors and
+    attempt RNGs.  The re-execution emits no ``obs`` spans and folds no
+    run into the metrics registry, so a traced unit shows one execution.
+    ``record`` stays the row of the first execution; the bundle path is
+    attached only when the re-execution reproduces its outcome
+    (:func:`repro.sim.recorder.expected_outcome`).  Otherwise
+    ``extra["capture_diverged"]`` names the outcome fields that differ
+    and the re-execution's bundle, which records another run, is
+    deleted.
+    """
+    from ..obs import suspended
+    from ..sim.recorder import expected_outcome
+
+    with suspended():
+        rerun = _run(unit, unit.capture_dir)
+    want, got = expected_outcome(record), expected_outcome(rerun)
+    if want == got:
+        record.extra["bundle"] = rerun.extra["bundle"]
+        return
+    record.extra["capture_diverged"] = ",".join(
+        key for key in want if want[key] != got[key]
+    )
+    if "bundle" in rerun.extra:
+        os.remove(rerun.extra["bundle"])
+
+
 def execute_unit(unit: WorkUnit):
     """Run one work unit; the engine's entry point.
 
     :func:`derive_run` builds the run and
-    :func:`repro.analysis.runner.safe_run_protocol` executes it.
-    Per-unit timeouts go through ``safe_run_protocol``'s own
+    :func:`repro.analysis.runner.safe_run_protocol` executes it,
+    unrecorded.  Per-unit timeouts go through ``safe_run_protocol``'s own
     ``timeout_s`` path — workers execute in their process's main thread,
     so the ``SIGALRM`` wall-clock limit is exactly as hard there as
     in-process.
+
+    With ``capture_dir`` set, passing units are still not recorded: a
+    failing row (:func:`repro.sim.recorder.is_failure`) that is not a
+    ``RunTimeout`` gets its bundle from one recorded re-execution
+    (:func:`_capture_failure`).  Passing units thus skip the recorder's
+    per-copy bookkeeping; the price is that a failing unit runs twice.
 
     Never raises (other than ``KeyboardInterrupt``/``SystemExit``): any
     unexpected error becomes a structured error record, matching
     ``safe_run_protocol``'s contract.
     """
-    from ..analysis.runner import error_record, safe_run_protocol
+    from ..analysis.runner import error_record
     from ..obs import spans as _spans
 
     if _spans.enabled:
@@ -272,21 +332,12 @@ def execute_unit(unit: WorkUnit):
         # for the process-pool backend.
         _spans.active().push_process(unit.label())
     try:
-        inputs, schedule, kwargs = derive_run(unit)
-        record = safe_run_protocol(
-            unit.protocol,
-            unit.topology,
-            inputs,
-            schedule=schedule,
-            timeout_s=unit.timeout_s,
-            retries=unit.retries,
-            backoff_s=unit.backoff_s,
-            seed=unit.seed,
-            capture_dir=unit.capture_dir,
-            **kwargs,
-        )
-        record.seed = unit.seed
-        stamp_injected(record, kwargs["injectors"])
+        record = _run(unit)
+        if unit.capture_dir is not None and record.error_kind != "RunTimeout":
+            from ..sim.recorder import is_failure
+
+            if is_failure(record):
+                _capture_failure(unit, record)
         return record
     except (KeyboardInterrupt, SystemExit):
         raise

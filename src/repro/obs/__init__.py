@@ -25,7 +25,8 @@ bit-for-bit identical with tracing on or off.
 
 from __future__ import annotations
 
-from typing import Optional
+from contextlib import contextmanager
+from typing import Iterator, Optional
 
 from . import export, metrics, spans
 from .metrics import MetricsRegistry, merge_counter_tree
@@ -40,7 +41,24 @@ __all__ = [
     "merge_counter_tree",
     "metrics",
     "spans",
+    "suspended",
 ]
+
+
+@contextmanager
+def suspended() -> Iterator[None]:
+    """Disarm the active tracer and registry for the body, then re-arm
+    them: work done inside records no span and no metric."""
+    tracer, registry = spans.active(), metrics.active()
+    spans.deactivate()
+    metrics.deactivate()
+    try:
+        yield
+    finally:
+        if tracer is not None:
+            spans.activate(tracer)
+        if registry is not None:
+            metrics.activate(registry)
 
 
 class ObsCapture:

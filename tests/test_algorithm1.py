@@ -15,11 +15,11 @@ from repro.adversary import (
     random_failures,
     spread_failures,
 )
-from repro.core.algorithm1 import TradeoffPlan, run_algorithm1
+from repro.core.algorithm1 import IntervalNode, TradeoffPlan, run_algorithm1
 from repro.core.caaf import MAX, SUM
 from repro.core.correctness import is_correct_result
 from repro.core.params import params_for
-from repro.core.unknown_f import run_unknown_f
+from repro.core.unknown_f import DoublingPlan, run_unknown_f
 from repro.graphs import cycle_graph, grid_graph, path_graph
 from tests.conftest import indexed_inputs, unit_inputs
 
@@ -253,6 +253,30 @@ class TestIntervalContract:
             assert out.winning_interval in out.selected_intervals
             assert out.accepted_guess == plan.tolerance(out.winning_interval)
         assert accepted
+
+    @pytest.mark.parametrize("protocol", ["algorithm1", "unknown_f"])
+    def test_interval_params_shared_by_every_node(self, protocol):
+        """Every node armed at an interval holds the plan's one params
+        object for it, equal to ``params.with_t(tolerance)``."""
+        topo = grid_graph(4, 4)
+        params = params_for(topo)
+        plan = (
+            make_plan(topo, b=100, f=6)
+            if protocol == "algorithm1"
+            else DoublingPlan(params=params)
+        )
+        nodes = [
+            IntervalNode(plan, u, 1, rng=random.Random(0))
+            for u in topo.nodes()
+        ]
+        root = nodes[topo.root]
+        for interval in root.selected:
+            start = (interval - 1) * plan.interval_rounds + 1
+            for node in nodes:
+                node._maybe_arm(start)
+            held = {id(node._agg.p) for node in nodes}
+            assert held == {id(plan.interval_params(interval))}
+            assert root._agg.p == params.with_t(plan.tolerance(interval))
 
 
 class TestModelValidation:

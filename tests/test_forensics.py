@@ -8,6 +8,7 @@ round.
 """
 
 import copy
+import dataclasses
 import glob
 import json
 import os
@@ -59,6 +60,15 @@ def chaos_capture(tmp_path, seed=2, protocol="unknown_f", spec=None,
     path = record.extra.get("bundle")
     bundle = ExecutionRecord.load(path) if path else None
     return record, bundle
+
+
+def row_without_capture(record):
+    """A row's columns minus its bundle path and wall-clock telemetry:
+    what a recorded and an unrecorded execution must agree on."""
+    row = record.as_dict()
+    for key in ("bundle", "attempt_latencies", "retry_backoffs"):
+        row.pop(key, None)
+    return row
 
 
 class TestCapture:
@@ -345,9 +355,7 @@ class TestRecordingInjector:
             [RecordingInjector([MessageFaults(drop=0.08, duplicate=0.03,
                                               seed=3)])]
         )
-        assert recorded.result == plain.result
-        assert recorded.cc_bits == plain.cc_bits
-        assert recorded.rounds == plain.rounds
+        assert row_without_capture(recorded) == row_without_capture(plain)
 
     def test_is_failure_matches_sweep_semantics(self):
         from repro.analysis.runner import RunRecord
@@ -365,3 +373,181 @@ class TestRecordingInjector:
         assert is_failure(row(correct=False))
         assert is_failure(row(error="boom", error_kind="ValueError"))
         assert is_failure(row(extra={"violations": ["[oracle@r3] bad"]}))
+
+
+class _UnitsOnly(Exception):
+    """Raised by the engine spy once the CLI has built its units."""
+
+
+def chaos_units(monkeypatch, argv):
+    """The work units ``repro-agg chaos <argv>`` builds, not run."""
+    from repro.cli import main
+    from repro.exec import ExecutionEngine
+
+    units = []
+
+    def spy(self, batch, *args, **kwargs):
+        units.extend(batch)
+        raise _UnitsOnly
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ExecutionEngine, "run", spy)
+        with pytest.raises(_UnitsOnly):
+            main(["chaos", *argv.split()])
+    return units
+
+
+#: One chaos argv per fault family, with the seeds to run: each family
+#: has passing or failing seeds, and the table has both.
+FAMILY_ARGVS = [
+    pytest.param(
+        "--topology grid:4x4 --protocol unknown_f "
+        "--inject drop=0.08,dup=0.03,delay=0.05,reorder=0.1 --seeds 2",
+        id="drop-dup-delay-reorder",
+    ),
+    pytest.param(
+        "--topology grid:4x4 --protocol unknown_f --inject drop=0.02 "
+        "--corrupt bitflip:0.02,stale:0.01 --integrity mac --recover "
+        "--seeds 1",
+        id="corruption-mac",
+    ),
+    pytest.param(
+        "--topology grid:3x3 --protocol algorithm1 -f 2 -b 64 "
+        "--inject drop=0.1 --retransmit-budget 1 --gray rate:0.6 "
+        "--seed 2 --seeds 2",
+        id="gray",
+    ),
+    pytest.param(
+        "--topology grid:3x3 --protocol unknown_f --inject drop=0.02 "
+        "--churn rate:0.1 --seeds 1",
+        id="churn-pass",
+    ),
+    pytest.param(
+        "--topology grid:3x3 --protocol unknown_f --inject drop=0.2 "
+        "--churn rate:0.4 --max-epochs 1 --seed 1 --seeds 1",
+        id="churn-fail",
+    ),
+    pytest.param(
+        "--topology grid:4x4 --protocol algorithm1 -f 1 -b 64 "
+        "--byz rate:0.15 --seeds 1",
+        id="byzantine-pass",
+    ),
+    pytest.param(
+        "--topology grid:4x4 --protocol algorithm1 -f 1 -b 64 "
+        "--byz 5:equivocate,9:inflate=3,10:omit --witnesses 1 "
+        "--evict-policy flag --seeds 1",
+        id="byzantine-fail",
+    ),
+    pytest.param(
+        "--topology grid:4x4 --protocol algorithm1 -f 2 -b 60 "
+        "--inject drop=0.05 --adaptive top-talker --seeds 2",
+        id="adaptive",
+    ),
+    pytest.param(
+        "--topology grid:4x4 --protocol unknown_f --inject drop=0.05 "
+        "--recover --integrity mac --allow-root-crash --seeds 1",
+        id="recovery-integrity",
+    ),
+]
+
+
+class TestCaptureOnFailure:
+    """``execute_unit`` records only failing units, by re-executing them:
+    a unit's row must not depend on ``capture_dir``, and every failing
+    row must carry a bundle that strict-replays."""
+
+    @pytest.mark.parametrize("argv", FAMILY_ARGVS)
+    def test_capture_dir_never_changes_the_row(
+        self, argv, monkeypatch, tmp_path
+    ):
+        from repro.exec import execute_unit
+
+        units = chaos_units(monkeypatch, argv)
+        assert units
+        for unit in units:
+            plain = execute_unit(unit)
+            captured = execute_unit(
+                dataclasses.replace(unit, capture_dir=str(tmp_path))
+            )
+            assert row_without_capture(captured) == row_without_capture(plain)
+            assert "bundle" not in plain.extra
+            if not is_failure(plain):
+                assert "bundle" not in captured.extra
+                continue
+            bundle = captured.extra["bundle"]
+            replay_bundle(bundle, strict=True)
+            assert ExecutionRecord.load(bundle).seed == unit.seed
+
+    def test_passing_units_write_nothing(self, monkeypatch, tmp_path):
+        """No passing unit constructs a recorder."""
+        from repro.exec import execute_unit
+        from repro.sim import recorder
+
+        built = []
+
+        class Counting(RecordingInjector):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(recorder, "RecordingInjector", Counting)
+        units = chaos_units(
+            monkeypatch,
+            "--topology grid:4x4 --protocol unknown_f --inject drop=0.08,"
+            "dup=0.03,delay=0.05 --seeds 3",
+        )
+        rows = [
+            execute_unit(dataclasses.replace(u, capture_dir=str(tmp_path)))
+            for u in units
+        ]
+        failing = [r for r in rows if is_failure(r)]
+        assert 0 < len(failing) < len(rows)
+        assert len(built) == len(failing)
+        assert sorted(glob.glob(str(tmp_path / "*.json"))) == sorted(
+            r.extra["bundle"] for r in failing
+        )
+
+    def test_diverging_re_execution_is_flagged(self, monkeypatch, tmp_path):
+        """An injector whose state outlives a run makes the recorded
+        re-execution differ: the first execution's row is kept, flagged,
+        and no bundle of the other run is left behind."""
+        from repro.exec import execute_unit, scheduler
+
+        runs = []
+
+        class SecondRunDropsAll(FaultInjector):
+            modifies_delivery = True
+
+            def __init__(self):
+                super().__init__()
+                runs.append(self)
+                self.drop = len(runs) > 1
+
+            def on_transmit(self, due, sender, receiver, part):
+                return [] if self.drop else [(due, part)]
+
+        derive_run = scheduler.derive_run
+
+        def derive_with_state(unit):
+            inputs, schedule, kwargs = derive_run(unit)
+            kwargs["injectors"] += (SecondRunDropsAll(),)
+            return inputs, schedule, kwargs
+
+        units = chaos_units(
+            monkeypatch,
+            "--topology grid:4x4 --protocol unknown_f --inject drop=0.08,"
+            "dup=0.03,delay=0.05 --seed 2 --seeds 1",
+        )
+        expected = execute_unit(units[0])
+        assert is_failure(expected)
+        monkeypatch.setattr(scheduler, "derive_run", derive_with_state)
+        record = execute_unit(
+            dataclasses.replace(units[0], capture_dir=str(tmp_path))
+        )
+        assert len(runs) == 2
+        assert record.result == expected.result
+        assert record.cc_bits == expected.cc_bits
+        assert "bundle" not in record.extra
+        assert record.extra["capture_diverged"]
+        assert "result" in record.extra["capture_diverged"].split(",")
+        assert not glob.glob(str(tmp_path / "*.json"))

@@ -847,3 +847,34 @@ class TestObsCli:
         b, _ = self._run_traced(tmp_path, trace_name="b.jsonl")
         assert open(a).read() == open(b).read()
         capsys.readouterr()
+
+    def test_captured_failing_unit_traces_one_execution(self, tmp_path, capsys):
+        """A failing chaos unit with ``--capture-dir`` is re-executed under
+        the recorder for its bundle; the re-execution adds no span and
+        folds no run, so the artifacts match an uncaptured run's except
+        for wall-clock samples."""
+        argv = [
+            "chaos", "--topology", "grid:4x4", "--protocol", "unknown_f",
+            "--inject", "drop=0.08,dup=0.03,delay=0.05", "--seed", "2",
+            "--seeds", "2",
+        ]
+
+        def traced(name, *extra):
+            trace = str(tmp_path / f"{name}.jsonl")
+            prom = str(tmp_path / f"{name}.prom")
+            assert main([*argv, *extra, "--trace-out", trace,
+                         "--metrics-out", prom]) == 1
+            lines = [
+                line for line in open(trace)
+                if '"name": "repro_exec_unit_wall' not in line
+            ]
+            return lines, open(prom).read()
+
+        plain, _ = traced("plain")
+        captured, prom = traced(
+            "captured", "--capture-dir", str(tmp_path / "bundles")
+        )
+        assert len(list((tmp_path / "bundles").iterdir())) == 2
+        assert captured == plain
+        assert 'repro_runs_total{protocol="unknown_f"} 2' in prom
+        capsys.readouterr()
