@@ -61,24 +61,46 @@ def from_edge_list(text: str, name: Optional[str] = None, root: int = 0) -> Topo
     return Topology(adjacency, name=parsed_name or "edge_list", root=parsed_root)
 
 
-def to_json(topology: Topology) -> str:
-    """Serialize to a JSON document (adjacency, name, root)."""
-    return json.dumps(
-        {
-            "name": topology.name,
-            "root": topology.root,
-            "adjacency": {str(u): list(vs) for u, vs in topology.adjacency.items()},
-        },
-        indent=2,
-        sort_keys=True,
+def to_dict(topology: Topology) -> Dict:
+    """The JSON-ready form: adjacency (string keys), name, root, and the
+    node order when it is not ascending.
+
+    A network runs its nodes in adjacency order, but JSON writers sort
+    string keys ("10" before "2"), so :func:`from_dict` rebuilds the
+    adjacency in ascending ids (every generator's order) unless ``order``
+    records another one.
+    """
+    doc = {
+        "name": topology.name,
+        "root": topology.root,
+        "adjacency": {str(u): list(vs) for u, vs in topology.adjacency.items()},
+    }
+    order = list(topology.adjacency)
+    if order != sorted(order):
+        doc["order"] = order
+    return doc
+
+
+def from_dict(doc: Dict, name: str = "json") -> Topology:
+    """Rebuild a :func:`to_dict` form, in its recorded node order;
+    ``name`` is the fallback when the form has none."""
+    adjacency = doc["adjacency"]
+    order = doc.get("order") or sorted(map(int, adjacency))
+    return Topology(
+        {int(u): list(adjacency[str(u)]) for u in order},
+        name=doc.get("name", name),
+        root=int(doc.get("root", 0)),
     )
+
+
+def to_json(topology: Topology) -> str:
+    """Serialize to a JSON document (:func:`to_dict`)."""
+    return json.dumps(to_dict(topology), indent=2, sort_keys=True)
 
 
 def from_json(text: str) -> Topology:
     """Parse the :func:`to_json` format."""
-    doc = json.loads(text)
-    adjacency = {int(u): list(vs) for u, vs in doc["adjacency"].items()}
-    return Topology(adjacency, name=doc.get("name", "json"), root=doc.get("root", 0))
+    return from_dict(json.loads(text))
 
 
 def to_dot(topology: Topology, highlight: Optional[set] = None) -> str:

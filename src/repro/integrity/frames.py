@@ -26,6 +26,13 @@ protocol (or transport) handler:
   not be safe: ``1 == True`` with equal hashes, but their ``repr`` (the
   bytes the tag covers) differ, so an equal-but-rebuilt frame must be
   recomputed to be caught.
+* The inner parts are decoded **once per frame** too:
+  :meth:`IntegrityCoordinator.sign` checks ``inner``'s structure and
+  keeps the decoded parts as one :class:`~repro.sim.message.Envelope`,
+  which every intact copy (the signed ``inner`` object, the signed tag,
+  an int seq and the right claimed sender) delivers after only the
+  receiver's staleness check.  Every other frame is decoded and checked
+  in full.
 * Receivers verify structure, sender binding, tag and per-link sequence
   monotonicity.  Any failure raises a structured
   :class:`FrameIntegrityError` — decoders never crash on garbage and
@@ -191,6 +198,20 @@ def _canonical_bytes(sender: int, seq: int, inner: tuple) -> bytes:
     return repr((sender, seq, inner)).encode("utf-8")
 
 
+def decode_inner(inner: tuple) -> Tuple[Part, ...]:
+    """A frame's ``inner`` field as :class:`Part` objects.
+
+    Raises ``TypeError`` or ``ValueError`` when ``inner`` is not a tuple
+    of ``(kind: str, payload, bits: int)`` triples.
+    """
+    parts = []
+    for kind, payload, bits in inner:
+        if not isinstance(kind, str) or not isinstance(bits, int):
+            raise TypeError("inner part types")
+        parts.append(Part(kind, payload, bits))
+    return tuple(parts)
+
+
 def compute_tag(config: IntegrityConfig, sender: int, seq: int, inner: tuple) -> int:
     """The frame authenticator: truncated HMAC (mac) or CRC-32 (checksum)."""
     data = _canonical_bytes(sender, seq, inner)
@@ -228,9 +249,13 @@ class IntegrityCoordinator:
         #: delivered frame the memo cannot vouch for) and memo hits.
         self.tags_computed = 0
         self.tags_reused = 0
-        #: Tags of the frames still deliverable on time, as
-        #: ``seq -> {sender: (inner, tag)}`` (see :meth:`expected_tag`).
-        self._sent: Dict[int, Dict[int, Tuple[tuple, int]]] = {}
+        #: The frames still deliverable on time, as ``seq -> {sender:
+        #: (inner, tag, envelope)}``: the signed inner tuple, its tag and
+        #: the verified envelope every intact copy delivers (None when
+        #: ``inner`` is malformed); see :meth:`intact`.
+        self._sent: Dict[
+            int, Dict[int, Tuple[tuple, int, Optional[Envelope]]]
+        ] = {}
         self.rejected: Counter = Counter()
         self.quarantine = LinkQuarantine(self.config.quarantine_threshold)
         #: Every rejection as ``(epoch, round, sender, receiver,
@@ -250,41 +275,60 @@ class IntegrityCoordinator:
 
     def sign(self, sender: int, seq: int, inner: tuple) -> int:
         """Tag a frame ``sender`` broadcasts in round ``seq``, and remember
-        the tag for its receivers.
+        the tag and the decoded parts for its receivers.
 
-        The memo keeps rounds ``seq`` and ``seq - 1`` only: a frame is on
-        time when delivered the round after it was sent, and a later copy
-        is recomputed like any other.
+        ``inner`` is decoded (and its structure checked) here, once per
+        frame; every intact copy then delivers the same envelope.  The
+        memo keeps rounds ``seq`` and ``seq - 1`` only: a frame is on time
+        when delivered the round after it was sent, and a later copy is
+        recomputed like any other.
         """
         tag = compute_tag(self.config, sender, seq, inner)
         self.tags_computed += 1
+        try:
+            envelope = Envelope(sender, decode_inner(inner))
+        except (TypeError, ValueError):
+            envelope = None
         sent = self._sent
         if seq not in sent:
             for old in [s for s in sent if s < seq - 1]:
                 del sent[old]
             sent[seq] = {}
-        sent[seq][sender] = (inner, tag)
+        sent[seq][sender] = (inner, tag, envelope)
         return tag
 
-    def expected_tag(self, sender: int, seq: int, inner: tuple, tag: int) -> int:
-        """The tag a delivered frame must carry.
+    def intact(self, sender: int, payload) -> Optional[Envelope]:
+        """The shared verified envelope of an intact copy of a frame
+        ``sender`` signed, else None.
 
-        Reused from :meth:`sign` only when the frame's ``inner`` *is* the
-        tuple the sender signed (identity, not ``==``), its ``seq`` is a
-        plain int (``True`` would find round 1's entry) and its tag is the
-        one signed, so the memo can only confirm an intact frame.  Every
-        other frame is re-tagged with :func:`compute_tag`; see the module
-        docstring for why equality is not enough.
+        Intact means ``payload`` is a ``(seq, sender, inner, tag)`` tuple
+        of plain ints whose ``inner`` *is* the signed tuple (identity,
+        not ``==``) and whose ``tag`` is the signed tag.  Such a copy
+        passes every structure, sender and tag check, so its signed tag
+        is reused and only the receiver's staleness check is left.  Every
+        other frame returns None and is verified in full, its tag freshly
+        computed by :meth:`expected_tag`.
         """
-        signed = self._sent.get(seq, {}).get(sender)
+        if type(payload) is not tuple or len(payload) != 4:
+            return None
+        seq, claimed, inner, tag = payload
         if (
-            signed is not None
-            and signed[0] is inner
-            and signed[1] == tag
-            and type(seq) is int
+            type(seq) is not int
+            or type(claimed) is not int
+            or type(tag) is not int
+            or claimed != sender
         ):
-            self.tags_reused += 1
-            return tag
+            return None
+        signed = self._sent.get(seq, {}).get(sender)
+        if signed is None or signed[0] is not inner or signed[1] != tag:
+            return None
+        return signed[2]
+
+    def expected_tag(self, sender: int, seq: int, inner: tuple, tag: int) -> int:
+        """The tag a delivered frame that is not an intact signed copy
+        (:meth:`intact`) must carry, always freshly computed with
+        :func:`compute_tag`; see the module docstring for why equality
+        with the signed frame is not enough to reuse its tag."""
         self.tags_computed += 1
         return compute_tag(self.config, sender, seq, inner)
 
@@ -303,12 +347,20 @@ class IntegrityCoordinator:
                 return inner_fn(part) if inner_fn is not None else 0
             overhead = framing
             if inner_fn is not None:
+                payload = part.payload
                 try:
-                    inner = part.payload[2]
+                    inner = payload[2]
                 except (TypeError, IndexError):
-                    inner = ()
-                for kind, payload, bits in inner:
-                    overhead += inner_fn(Part(kind, payload, bits))
+                    return overhead
+                # A frame just signed (every broadcast one) reuses the
+                # parts decoded at signing.
+                signed = self.intact(payload[1], payload)
+                if signed is not None:
+                    for inner_part in signed.parts:
+                        overhead += inner_fn(inner_part)
+                else:
+                    for kind, inner_payload, bits in inner:
+                        overhead += inner_fn(Part(kind, inner_payload, bits))
             return overhead
 
         return classify
@@ -386,10 +438,16 @@ class IntegrityNode(NodeHandler):
 
     # -- frame verification --------------------------------------------- #
 
-    def _verify(self, rnd: int, sender: int, part: Part) -> List[Part]:
-        """Verify one delivered frame; returns the inner parts or raises
-        :class:`FrameIntegrityError` (never any other exception, however
-        mangled the payload)."""
+    def _open(self, rnd: int, sender: int, part: Part) -> Envelope:
+        """Verify one delivered frame; returns the envelope of its inner
+        parts or raises :class:`FrameIntegrityError` (never any other
+        exception, however mangled the payload).
+
+        An intact copy of a signed frame gets the envelope shared by all
+        its receivers (:meth:`IntegrityCoordinator.intact`) and skips
+        straight to the staleness check; any other frame is decoded and
+        checked in full.
+        """
         me = self.node_id
         if part.kind != INTEG_KIND:
             raise FrameIntegrityError(
@@ -399,6 +457,38 @@ class IntegrityNode(NodeHandler):
                 me,
             )
         payload = part.payload
+        coordinator = self.coordinator
+        envelope = coordinator.intact(sender, payload)
+        if envelope is not None:
+            seq = payload[0]
+            coordinator.tags_reused += 1
+        else:
+            seq, envelope = self._verify_in_full(sender, payload)
+        # Authentic frame — but possibly a replayed (or duplicated) old
+        # one.  Frames are broadcast in round ``seq`` and delivered no
+        # earlier than ``seq + 1``; per-link seq must strictly increase.
+        if seq > rnd - 1:
+            raise FrameIntegrityError(
+                REASON_STALE,
+                f"frame seq {seq} from the future at round {rnd}",
+                sender,
+                me,
+            )
+        last = self._last_seq.get(sender, 0)
+        if seq <= last:
+            raise FrameIntegrityError(
+                REASON_STALE,
+                f"frame seq {seq} not newer than last accepted {last}",
+                sender,
+                me,
+            )
+        self._last_seq[sender] = seq
+        return envelope
+
+    def _verify_in_full(self, sender: int, payload) -> Tuple[int, Envelope]:
+        """Structure, sender binding and tag of a frame that is not an
+        intact signed copy; returns its ``(seq, envelope)``."""
+        me = self.node_id
         try:
             seq, claimed_sender, inner, tag = payload
             if not (
@@ -408,11 +498,7 @@ class IntegrityNode(NodeHandler):
                 and isinstance(inner, tuple)
             ):
                 raise TypeError("field types")
-            parts = []
-            for kind, inner_payload, bits in inner:
-                if not isinstance(kind, str) or not isinstance(bits, int):
-                    raise TypeError("inner part types")
-                parts.append(Part(kind, inner_payload, bits))
+            parts = decode_inner(inner)
         except (TypeError, ValueError) as exc:
             raise FrameIntegrityError(
                 REASON_STRUCTURE,
@@ -435,52 +521,40 @@ class IntegrityNode(NodeHandler):
                 sender,
                 me,
             )
-        # Authentic frame — but possibly a replayed (or duplicated) old
-        # one.  Frames are broadcast in round ``seq`` and delivered no
-        # earlier than ``seq + 1``; per-link seq must strictly increase.
-        if seq > rnd - 1:
-            raise FrameIntegrityError(
-                REASON_STALE,
-                f"frame seq {seq} from the future at round {rnd}",
-                sender,
-                me,
-            )
-        if seq <= self._last_seq.get(sender, 0):
-            raise FrameIntegrityError(
-                REASON_STALE,
-                f"frame seq {seq} not newer than last accepted "
-                f"{self._last_seq.get(sender, 0)}",
-                sender,
-                me,
-            )
-        self._last_seq[sender] = seq
-        return parts
+        return seq, Envelope(sender, parts)
 
     # -- round machinery ----------------------------------------------- #
 
     def on_round(self, rnd: int, inbox) -> List[Part]:
         coordinator = self.coordinator
         quarantine = coordinator.quarantine
+        me = self.node_id
+        # Only a rejection in this loop can quarantine one of my links.
+        guarded = bool(quarantine.quarantined or quarantine.quarantined_nodes)
         verified_inbox: List[Envelope] = []
         for envelope in inbox:
             sender = envelope.sender
             for part in envelope.parts:
-                if quarantine.is_quarantined((sender, self.node_id)):
+                if guarded and quarantine.is_quarantined((sender, me)):
                     coordinator.record_rejection(
-                        rnd, sender, self.node_id, part, REASON_QUARANTINED
+                        rnd, sender, me, part, REASON_QUARANTINED
                     )
                     continue
                 try:
-                    parts = self._verify(rnd, sender, part)
+                    verified = self._open(rnd, sender, part)
                 except FrameIntegrityError as exc:
                     coordinator.record_rejection(
-                        rnd, sender, self.node_id, part, exc.reason
+                        rnd, sender, me, part, exc.reason
+                    )
+                    guarded = bool(
+                        quarantine.quarantined or quarantine.quarantined_nodes
                     )
                     continue
                 coordinator.verified += 1
-                quarantine.clear((sender, self.node_id))
-                if parts:
-                    verified_inbox.append(Envelope(sender, tuple(parts)))
+                if quarantine.scores:
+                    quarantine.clear((sender, me))
+                if verified.parts:
+                    verified_inbox.append(verified)
         out = list(self.inner.on_round(rnd, verified_inbox))
         if not out:
             return []

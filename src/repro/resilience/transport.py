@@ -20,7 +20,10 @@ Mechanism — windowed logical rounds:
   copies injected by the network are suppressed — and buffered per logical
   round, so arbitrary within-window reordering and delays are absorbed.
   The delivered inbox is sorted by sender id with per-frame part order
-  preserved, which reproduces the exact-model delivery order.
+  preserved, which reproduces the exact-model delivery order.  Every
+  receiver of a frame buffers the very contents tuple its sender framed,
+  so each frame's logical-inbox envelope is built once and shared
+  (:meth:`ReliableTransport.logical_envelope`), as on the exact path.
 * At fixed **NACK slots** inside the window a receiver that is still
   missing a frame broadcasts a NACK naming the missing senders; the named
   senders rebroadcast their frame (attempt > 0).  NACK slots follow a
@@ -202,6 +205,9 @@ class ReliableTransport:
 
     def __init__(self, config: Optional[TransportConfig] = None) -> None:
         self.config = config or TransportConfig()
+        #: ``config.adaptive``, read once: the transport consults it in
+        #: every round of every node.
+        self.adaptive = self.config.adaptive
         self.n_nodes = 0
         #: Retransmissions used, per ``(sender, logical_round)``.
         self.retx_used: Dict[Tuple[int, int], int] = {}
@@ -249,6 +255,11 @@ class ReliableTransport:
         self._starts: Dict[int, int] = {1: 1}
         #: Per-round missing-frame reports: round -> node -> count.
         self._reports: Dict[int, Dict[int, int]] = {}
+        #: Logical-inbox envelopes of logical round ``_envelopes_lr``,
+        #: shared by every receiver of one frame: ``sender -> (buffered
+        #: contents, envelope)`` (see :meth:`logical_envelope`).
+        self._envelopes: Dict[int, Tuple[tuple, Envelope]] = {}
+        self._envelopes_lr = 0
 
     @property
     def window(self) -> int:
@@ -264,6 +275,8 @@ class ReliableTransport:
         self._cur_start = 1
         self._starts = {1: 1}
         self._reports = {}
+        self._envelopes = {}
+        self._envelopes_lr = 0
         if self.detector is not None:
             self.detector._last = {}
             self.detector._level = {}
@@ -287,7 +300,7 @@ class ReliableTransport:
         every reporting node had a complete inbox (earliest possible:
         after slot 2), or at the fixed cap :attr:`window`.
         """
-        if not self.config.adaptive:
+        if not self.adaptive:
             window = self.config.window
             return (rnd - 1) // window + 1, (rnd - 1) % window + 1
         slot = rnd - self._cur_start + 1
@@ -306,7 +319,7 @@ class ReliableTransport:
 
     def window_start(self, logical_round: int) -> int:
         """First physical round of ``logical_round``'s window."""
-        if not self.config.adaptive:
+        if not self.adaptive:
             return (logical_round - 1) * self.config.window + 1
         return self._starts.get(
             logical_round, (logical_round - 1) * self.config.window + 1
@@ -317,6 +330,30 @@ class ReliableTransport:
         self._reports.setdefault(rnd, {})[node] = missing
         for old in [r for r in self._reports if r < rnd - 2]:
             del self._reports[old]
+
+    def logical_envelope(
+        self, sender: int, logical_round: int, contents: tuple
+    ) -> Envelope:
+        """The logical-inbox envelope of ``sender``'s frame ``contents``
+        (``(kind, payload, bits)`` triples) for ``logical_round``.
+
+        Local broadcast hands every receiver the same buffered tuple, so
+        a receiver whose ``contents`` *is* (identity, not ``==``) the
+        tuple the sender's last envelope was built from gets that
+        envelope, and the frame's parts are built once.  Only the logical
+        round being delivered is kept.
+        """
+        if logical_round != self._envelopes_lr:
+            self._envelopes = {}
+            self._envelopes_lr = logical_round
+        memo = self._envelopes.get(sender)
+        if memo is not None and memo[0] is contents:
+            return memo[1]
+        envelope = Envelope(sender, tuple(
+            Part(kind, payload, bits) for kind, payload, bits in contents
+        ))
+        self._envelopes[sender] = (contents, envelope)
+        return envelope
 
     # ------------------------------------------------------------------ #
     # Detection and per-link timing (adaptive / hedge modes).
@@ -591,19 +628,24 @@ class TransportNode(NodeHandler):
         the current window is still missing; frames, NACKs and hedges
         arrive as mail.  A not-due fixed-mode round absorbs nothing,
         advances nothing and NACKs nothing."""
-        cfg = self.transport.config
-        if cfg.adaptive:
+        transport = self.transport
+        if transport.adaptive:
             # locate() seals adaptive windows from every node's per-round
             # report_missing, so an adaptive node runs every round.
             return rnd + 1
-        lr, slot = self.transport.locate(rnd + 1)
+        # Fixed windows: round rnd + 1 is slot rnd % W + 1 of logical
+        # round rnd // W + 1, whose successor starts at round lr * W + 1.
+        cfg = transport.config
+        window = cfg.window
+        slot = rnd % window + 1
         if slot == 1:
             return rnd + 1
+        lr = rnd // window + 1
         if not self._expected.issubset(self._buf.get(lr, ())):
-            nack = next((s for s in cfg.nack_slots if s >= slot), None)
-            if nack is not None:
-                return rnd + 1 + nack - slot
-        return self.transport.window_start(lr + 1)
+            for nack in cfg.nack_slots:
+                if nack >= slot:
+                    return rnd + 1 + nack - slot
+        return lr * window + 1
 
     # -- churn ---------------------------------------------------------- #
 
@@ -635,8 +677,8 @@ class TransportNode(NodeHandler):
     # -- round machinery ----------------------------------------------- #
 
     def on_round(self, rnd: int, inbox) -> List[Part]:
-        cfg = self.transport.config
-        lr, slot = self.transport.locate(rnd)
+        transport = self.transport
+        lr, slot = transport.locate(rnd)
 
         requesters, hedge_relays = self._absorb(lr, slot, rnd, inbox)
         out: List[Part] = []
@@ -644,7 +686,7 @@ class TransportNode(NodeHandler):
         if slot == 1:
             out.append(self._advance_logical_round(lr, rnd))
         elif requesters and self._outbox_round == lr:
-            attempt = self.transport.consume_retransmit(
+            attempt = transport.consume_retransmit(
                 self.node_id, lr, sorted(requesters)
             )
             if attempt is not None:
@@ -653,24 +695,28 @@ class TransportNode(NodeHandler):
         for origin, parts in hedge_relays:
             out.append(self._hedge(lr, origin, parts))
 
-        missing = sorted(self._expected - set(self._buf.get(lr, {})))
-        if cfg.adaptive:
+        if transport.adaptive:
+            missing = sorted(self._expected.difference(self._buf.get(lr, ())))
             due = [m for m in missing if self._nack_due(lr, m, slot)]
             if due:
-                self.transport.nacks += 1
+                transport.nacks += 1
                 for m in due:
                     self._last_nack[(lr, m)] = slot
                 payload = (lr, tuple(due))
-                bits = self.transport.nack_bits(len(due))
+                bits = transport.nack_bits(len(due))
                 if self._incarnation:
                     payload += (self._incarnation,)
                     bits += INCARNATION_BITS
                 out.append(Part(NACK_KIND, payload, bits))
-            self.transport.report_missing(self.node_id, rnd, len(missing))
-        elif slot in cfg.nack_slots and missing:
-            self.transport.nacks += 1
-            payload = (lr, tuple(missing))
-            bits = self.transport.nack_bits(len(missing))
+            transport.report_missing(self.node_id, rnd, len(missing))
+            return out
+        if slot not in transport.config.nack_slots:
+            return out
+        missing = self._expected.difference(self._buf.get(lr, ()))
+        if missing:
+            transport.nacks += 1
+            payload = (lr, tuple(sorted(missing)))
+            bits = transport.nack_bits(len(missing))
             if self._incarnation:
                 payload += (self._incarnation,)
                 bits += INCARNATION_BITS
@@ -841,7 +887,7 @@ class TransportNode(NodeHandler):
         if lr > 1:
             arrived = self._buf.pop(lr - 1, {})
             detector = transport.detector
-            for sender in sorted(self._expected - set(arrived)):
+            for sender in sorted(self._expected.difference(arrived)):
                 transport.record_gap(lr - 1, sender, self.node_id, rnd)
                 # Graded eviction: with a φ-accrual detector a missing
                 # frame alone does not kill the peer — only a *confirmed*
@@ -853,17 +899,16 @@ class TransportNode(NodeHandler):
                     == LEVEL_CONFIRM
                 ):
                     self._expected.discard(sender)
-            self._last_nack = {
-                k: v for k, v in self._last_nack.items() if k[0] >= lr
-            }
-            self._nack_seen = {
-                k: v for k, v in self._nack_seen.items() if k[0] >= lr
-            }
+            if self._last_nack:
+                self._last_nack = {
+                    k: v for k, v in self._last_nack.items() if k[0] >= lr
+                }
+            if self._nack_seen:
+                self._nack_seen = {
+                    k: v for k, v in self._nack_seen.items() if k[0] >= lr
+                }
             logical_inbox = [
-                Envelope(sender, tuple(
-                    Part(kind, payload, bits)
-                    for kind, payload, bits in arrived[sender]
-                ))
+                transport.logical_envelope(sender, lr - 1, arrived[sender])
                 for sender in sorted(arrived)
                 if arrived[sender]
             ]

@@ -33,7 +33,10 @@ holding all of the broadcast's parts, shared by every live neighbour (each
 receiver still gets its own inbox list), with each receiver's liveness
 checked once per round.  The fault-injection path delivers one single-part
 envelope per copy, since injectors drop, duplicate, delay and reorder
-copies one part at a time.  Injectors hold a non-owning reference back to
+copies one part at a time.  It files each scheduled copy in the bucket of
+its due round, so a round hands over only the copies due in it, in the
+order they were scheduled, and reads liveness once per receiver and once
+per sender per round.  Injectors hold a non-owning reference back to
 the network, so a finished run is freed by reference counting alone.
 
 **Event-driven rounds.**  A round runs only the nodes with mail or a due
@@ -136,9 +139,10 @@ class Network:
         # Broadcasts made in the current round, delivered next round
         # (exact-model fast path).
         self._in_flight: List[tuple] = []
-        # Scheduled deliveries ``(due_round, sender, receiver, part)``
-        # (fault-injection path; supports delays and duplicates).
-        self._pending: List[tuple] = []
+        # Scheduled deliveries (fault-injection path; supports delays and
+        # duplicates): due round -> ``(sender, receiver, part)`` copies in
+        # scheduling order.
+        self._due: Dict[int, List[tuple]] = {}
 
         #: First dead round per node; mutated online by injectors via
         #: :meth:`schedule_crash`.
@@ -401,12 +405,15 @@ class Network:
 
         Each (neighbour, part) copy nominally arrives at ``rnd + 1``; every
         delivery-modifying injector may drop it, duplicate it, or move its
-        due round.
+        due round.  A copy due no later than this round arrives next round.
         """
+        soonest = rnd + 1
+        buckets = self._due
+        first, *rest = self._delivery_injectors
         for neighbour in self.adjacency[sender]:
             for part in parts:
-                deliveries = [(rnd + 1, part)]
-                for injector in self._delivery_injectors:
+                deliveries = first.on_transmit(soonest, sender, neighbour, part)
+                for injector in rest:
                     rewritten: List[tuple] = []
                     for due, p in deliveries:
                         rewritten.extend(
@@ -414,23 +421,36 @@ class Network:
                         )
                     deliveries = rewritten
                 for due, p in deliveries:
-                    self._pending.append((due, sender, neighbour, p))
+                    if due < soonest:
+                        due = soonest
+                    bucket = buckets.get(due)
+                    if bucket is None:
+                        bucket = buckets[due] = []
+                    bucket.append((sender, neighbour, p))
 
     def _deliver_scheduled(self, rnd: int) -> Dict[int, List[Envelope]]:
-        """Fault-injection delivery: hand over every pending delivery that
-        is due this round, one single-part envelope per copy, then let
-        injectors reorder each inbox."""
+        """Fault-injection delivery: hand over every copy due this round,
+        in scheduling order, one single-part envelope per copy, then let
+        injectors reorder each inbox.
+
+        Liveness is read inline from the crash map (:meth:`is_alive` only
+        under churn), once per receiver and once per sender per round.
+        """
         inboxes: Dict[int, List[Envelope]] = {}
+        copies = self._due.pop(rnd, None)
+        if not copies:
+            return inboxes
         alive: Dict[int, bool] = {}
+        sender_alive: Dict[int, bool] = {}
         observers = self._on_deliver
-        still_pending: List[tuple] = []
-        for due, sender, receiver, part in self._pending:
-            if due > rnd:
-                still_pending.append((due, sender, receiver, part))
-                continue
+        flaps = self.link_flaps
+        crashes, churn = self.crash_rounds, self.down_intervals
+        for sender, receiver, part in copies:
             live = alive.get(receiver)
             if live is None:
-                live = alive[receiver] = self.is_alive(receiver, rnd)
+                live = alive[receiver] = rnd < crashes.get(
+                    receiver, NEVER
+                ) and (not churn or self.is_alive(receiver, rnd))
             if not live:
                 continue
             # A delivery at round ``rnd`` requires a broadcast at round
@@ -439,16 +459,23 @@ class Network:
             # after the sender's crash round (delivery exactly *at* the
             # crash round stays, matching the model's "the round r-1
             # broadcast is still delivered").
-            if not self.is_alive(sender, rnd - 1):
+            sent = sender_alive.get(sender)
+            if sent is None:
+                sent = sender_alive[sender] = rnd - 1 < crashes.get(
+                    sender, NEVER
+                ) and (not churn or self.is_alive(sender, rnd - 1))
+            if not sent:
                 continue
             # A flapped link carries nothing in either direction while its
             # window is open; copies delayed *into* the window are lost too.
-            if self.link_flaps and not self.link_up(sender, receiver, rnd):
+            if flaps and not self.link_up(sender, receiver, rnd):
                 continue
-            inboxes.setdefault(receiver, []).append(Envelope(sender, (part,)))
+            box = inboxes.get(receiver)
+            if box is None:
+                box = inboxes[receiver] = []
+            box.append(Envelope(sender, (part,)))
             for observer in observers:
                 observer.on_deliver(rnd, sender, receiver, part)
-        self._pending = still_pending
         for receiver, box in inboxes.items():
             for injector in self._delivery_injectors:
                 box = injector.arrange_inbox(rnd, receiver, box)

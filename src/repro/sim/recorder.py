@@ -221,15 +221,12 @@ class ExecutionRecord:
         return hashlib.sha256(body.encode("utf-8")).hexdigest()[:length]
 
     def build_topology(self):
-        """Reconstruct the :class:`repro.graphs.topology.Topology`."""
+        """Reconstruct the :class:`repro.graphs.topology.Topology`, in the
+        recorded node order (:func:`repro.graphs.io.from_dict`)."""
         # Imported lazily: repro.graphs is a sibling package of repro.sim.
-        from ..graphs.topology import Topology
+        from ..graphs.io import from_dict
 
-        return Topology(
-            {int(u): list(vs) for u, vs in self.topology["adjacency"].items()},
-            name=self.topology.get("name", "bundle"),
-            root=int(self.topology["root"]),
-        )
+        return from_dict(self.topology, name="bundle")
 
     def build_inputs(self) -> Dict[int, int]:
         """Reconstruct the per-node input map with int keys."""
@@ -254,14 +251,12 @@ def _listify(value: Any) -> Any:
 
 
 def serialize_topology(topology) -> Dict[str, Any]:
-    """The bundle's inline topology form (adjacency + root + name)."""
-    return {
-        "name": topology.name,
-        "root": topology.root,
-        "adjacency": {
-            str(u): list(vs) for u, vs in topology.adjacency.items()
-        },
-    }
+    """The bundle's inline topology form: :func:`repro.graphs.io.to_dict`
+    (adjacency + root + name, and the node order when it is not
+    ascending)."""
+    from ..graphs.io import to_dict
+
+    return to_dict(topology)
 
 
 class RecordingInjector(FaultInjector):

@@ -154,6 +154,31 @@ class TestBundleFormat:
             on_disk = json.load(fh)
         assert on_disk == bundle.to_jsonable()
 
+    def test_node_order_survives_the_sorted_json(self, tmp_path):
+        """A network runs its nodes in adjacency order; the sorted JSON
+        keys put node 10 before node 2, so the rebuilt topology must
+        restore the run's order."""
+        from repro.graphs.topology import Topology
+        from repro.sim.recorder import serialize_topology
+
+        _, bundle = chaos_capture(tmp_path)
+        assert "order" not in bundle.topology
+        rebuilt = ExecutionRecord.from_json(bundle.to_json()).build_topology()
+        assert list(rebuilt.adjacency) == list(range(16))
+
+        grid = grid_graph(4, 4)
+        order = [5, 12, 0, *(u for u in range(16) if u not in (5, 12, 0))]
+        shuffled = Topology(
+            {u: grid.adjacency[u] for u in order}, name="shuffled", root=0
+        )
+        again = ExecutionRecord.from_json(
+            dataclasses.replace(
+                bundle, topology=serialize_topology(shuffled)
+            ).to_json()
+        )
+        assert again.topology["order"] == order
+        assert list(again.build_topology().adjacency) == order
+
 
 class TestReplay:
     def test_replay_reproduces_the_recording_exactly(self, tmp_path):
@@ -449,6 +474,41 @@ FAMILY_ARGVS = [
         id="recovery-integrity",
     ),
 ]
+
+
+#: Corruption without the reliable transport, with and without MAC
+#: frames: seeds 0 and 1 both fail and are captured.
+CORRUPTION_ARGVS = [
+    pytest.param(
+        "--topology grid:4x4 --protocol unknown_f --corrupt bitflip:0.03 "
+        "--seeds 2",
+        id="corruption-only",
+    ),
+    pytest.param(
+        "--topology grid:4x4 --protocol unknown_f --corrupt bitflip:0.03 "
+        "--integrity mac --seeds 2",
+        id="corruption-mac-no-transport",
+    ),
+]
+
+
+class TestCorruptionReplay:
+    @pytest.mark.parametrize("argv", CORRUPTION_ARGVS)
+    def test_captured_bundles_replay_strictly(self, argv, tmp_path, capsys):
+        """The silent-corruption ledger is filled in delivery order, which
+        follows the node order; replay must reproduce it exactly."""
+        from repro.cli import main
+
+        status = main(
+            ["chaos", *argv.split(), "--capture-dir", str(tmp_path)]
+        )
+        capsys.readouterr()
+        bundles = sorted(glob.glob(str(tmp_path / "*.json")))
+        assert status == 1 and len(bundles) == 2
+        for path in bundles:
+            bundle = ExecutionRecord.load(path)
+            assert bundle.expected["violations"]
+            replay_bundle(path, strict=True)
 
 
 class TestCaptureOnFailure:

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from repro.graphs import grid_graph, io, random_geometric, star_graph
+from repro.graphs import Topology, grid_graph, io, random_geometric, star_graph
 
 
 class TestEdgeList:
@@ -45,6 +45,19 @@ class TestJson:
     def test_json_is_stable(self):
         topo = grid_graph(2, 3)
         assert io.to_json(topo) == io.to_json(topo)
+
+    def test_node_order_survives_the_sorted_keys(self):
+        # A network runs its nodes in adjacency order; the sorted JSON
+        # keys put "10" before "2", so the order must be rebuilt.
+        topo = grid_graph(4, 4)
+        back = io.from_json(io.to_json(topo))
+        assert list(back.adjacency) == list(topo.adjacency)
+        assert "order" not in io.to_dict(topo)
+
+        order = [5, 12, 0, *(u for u in range(16) if u not in (5, 12, 0))]
+        shuffled = Topology({u: topo.adjacency[u] for u in order}, root=0)
+        assert io.to_dict(shuffled)["order"] == order
+        assert list(io.from_json(io.to_json(shuffled)).adjacency) == order
 
 
 class TestDot:

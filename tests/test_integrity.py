@@ -369,9 +369,9 @@ class TestAccountingUnchanged:
 
 
 def _verdict(node, rnd, sender, part):
-    """``_verify``'s result as a comparable value: parts or the reason."""
+    """``_open``'s result as a comparable value: parts or the reason."""
     try:
-        return ("ok", node._verify(rnd, sender, part))
+        return ("ok", list(node._open(rnd, sender, part).parts))
     except FrameIntegrityError as exc:
         return ("rejected", exc.reason)
 
@@ -379,7 +379,7 @@ def _verdict(node, rnd, sender, part):
 def _memo_and_reference(mode="mac", key_seed=0, sender=3, receiver=4):
     """A signing sender plus two receivers of one frame stream: one on the
     sender's coordinator (memoised tags) and one on a coordinator that
-    never signs, so its ``_verify`` always calls ``compute_tag``."""
+    never signs, so its ``_open`` always calls ``compute_tag``."""
     config = IntegrityConfig(mode=mode, key_seed=key_seed)
     memo, reference = IntegrityCoordinator(config), IntegrityCoordinator(config)
     memo.wrap({})
