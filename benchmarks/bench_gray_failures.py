@@ -4,12 +4,12 @@ The paper's fault model is crash-stop: a node is either perfectly on
 time or gone forever, and every bound in the paper leans on that
 dichotomy.  This bench measures what the gray-failure stack
 (:mod:`repro.sim.faults` stalls, :mod:`repro.resilience.detector`
-phi-accrual suspicion, adaptive per-link RTO, hedged retransmission)
-buys when nodes are merely *degraded*:
+phi-accrual suspicion, adaptive per-link RTO) buys when nodes are merely
+*degraded*:
 
 * **Exactness vs stall severity.**  Random stall/limp schedules at
-  severities 1x-2x across three transport arms (fixed RTO, adaptive
-  RTO, adaptive + hedging).  Mild grayness within the retransmit
+  severities 1x-2x in two transport arms (fixed RTO, adaptive RTO).
+  Mild grayness within the retransmit
   budget stays exact, and the :class:`StragglerOracle` confirms zero
   FALSE-SUSPECT (a slow node escalated to confirmed-dead) and zero
   UNBOUNDED-STALL (a degradation the detector never flagged) in every
@@ -18,10 +18,6 @@ buys when nodes are merely *degraded*:
   adaptive-RTO arm seals its logical rounds early when loss reports
   come back clean, finishing in strictly fewer simulator rounds than
   the fixed-window arm, seed for seed in aggregate.
-* **Hedging is free when healthy.**  On a clean run the hedger never
-  fires (no suspicion, no hedge), so the protocol CC column is
-  bit-for-bit identical to the unhedged baseline and all hedge traffic
-  that *does* fire under grayness books as ``overhead_bits``.
 """
 
 import pytest
@@ -35,14 +31,10 @@ from _util import emit, once
 
 SEEDS = 5
 HORIZON = 160
-ARMS = (
-    ("fixed", "fixed", False),
-    ("adaptive", "adaptive", False),
-    ("adaptive+hedge", "adaptive", True),
-)
+ARMS = ("fixed", "adaptive")
 
 
-def _unit(topo, seed, rto, hedge, gray):
+def _unit(topo, seed, rto, gray):
     return WorkUnit(
         protocol="algorithm1",
         topology=topo,
@@ -51,12 +43,12 @@ def _unit(topo, seed, rto, hedge, gray):
         b=64,
         schedule={"kind": "none"},
         monitors={"mode": "record", "recovery": False},
-        transport=TransportConfig(retransmits=2, rto=rto, hedge=hedge),
+        transport=TransportConfig(retransmits=2, rto=rto),
         gray=gray,
     )
 
 
-def _campaign(topo, severity, rto, hedge):
+def _campaign(topo, severity, rto):
     rows = {
         "exact": 0,
         "false_suspects": 0,
@@ -74,7 +66,7 @@ def _campaign(topo, severity, rto, hedge):
         "max_severity": severity,
     }
     for seed in range(SEEDS):
-        record = execute_unit(_unit(topo, seed, rto, hedge, gray))
+        record = execute_unit(_unit(topo, seed, rto, gray))
         extra = record.extra
         if record.correct:
             rows["exact"] += 1
@@ -92,12 +84,12 @@ def run_gray_study():
     topo = grid_graph(4, 4)
     table = []
     for severity in (1, 2):
-        for label, rto, hedge in ARMS:
-            rows = _campaign(topo, severity, rto, hedge)
+        for rto in ARMS:
+            rows = _campaign(topo, severity, rto)
             table.append(
                 {
                     "severity": f"x{severity}",
-                    "transport": label,
+                    "transport": rto,
                     "seeds": SEEDS,
                     "exact": rows["exact"],
                     "false-suspect": rows["false_suspects"],
@@ -110,27 +102,6 @@ def run_gray_study():
                 }
             )
     return topo, table
-
-
-def run_hedge_cc_study():
-    """Clean runs, hedged vs unhedged: the same seeds, same CC bits."""
-    topo = grid_graph(4, 4)
-    rows = []
-    for seed in range(SEEDS):
-        base = execute_unit(_unit(topo, seed, "fixed", False, None))
-        hedged = execute_unit(_unit(topo, seed, "adaptive", True, None))
-        rows.append(
-            {
-                "seed": seed,
-                "base CC": base.cc_bits,
-                "hedged CC": hedged.cc_bits,
-                "base rounds": base.rounds,
-                "hedged rounds": hedged.rounds,
-                "suspects": hedged.extra.get("suspects", 0),
-                "exact": hedged.correct,
-            }
-        )
-    return rows
 
 
 @pytest.mark.benchmark(group="gray")
@@ -146,11 +117,11 @@ def test_gray_failures_stay_exact(benchmark):
             ),
         ),
     )
-    # The acceptance bar: severities <= 2x stay exact in at least 5 of
-    # the 6 arms, and the oracle never sees a merely-slow node escalated
-    # to confirmed-dead or a degradation it failed to flag.
+    # The acceptance bar: severities <= 2x stay exact in all but at most
+    # one arm, and the oracle never sees a merely-slow node escalated to
+    # confirmed-dead or a degradation it failed to flag.
     fully_exact = sum(1 for row in table if row["exact"] == SEEDS)
-    assert fully_exact >= 5
+    assert fully_exact >= len(table) - 1
     for row in table:
         assert row["false-suspect"] == 0
         assert row["unbounded-stall"] == 0
@@ -167,22 +138,3 @@ def test_adaptive_rto_beats_fixed_windows(benchmark):
             by_key[(severity, "adaptive")]["rounds"]
             < by_key[(severity, "fixed")]["rounds"]
         )
-
-
-@pytest.mark.benchmark(group="gray")
-def test_hedging_is_free_on_clean_runs(benchmark):
-    rows = once(benchmark, run_hedge_cc_study)
-    emit(
-        "e25_gray_hedge_cc",
-        format_table(
-            rows,
-            title=(
-                "E25: protocol CC with hedging on a clean run vs baseline "
-                "(no suspicion => no hedges => identical bits)"
-            ),
-        ),
-    )
-    for row in rows:
-        assert row["hedged CC"] == row["base CC"]
-        assert row["suspects"] == 0
-        assert row["exact"]

@@ -15,7 +15,7 @@ _EXPORTS = export_table({
                    "random_failures spread_failures targeted_failures "
                    "tree_path_to_root",
     "budget": "EdgeBudget affordable_nodes",
-    "schedule": "FailureSchedule merge_schedules",
+    "schedule": "FailureSchedule",
     "search": "SearchResult make_algorithm1_evaluator mutate_schedule "
               "random_schedule search_worst_adversary",
     "shrink": "ShrinkResult components_of failure_signature rerecord_bundle "

@@ -10,7 +10,7 @@ total number of edge failures.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Mapping, Optional, Set
+from typing import Dict, Mapping, Optional, Set
 
 from ..graphs.topology import Topology
 from ..sim.network import ROOT_CRASH_ERROR
@@ -113,12 +113,3 @@ class FailureSchedule:
     def __repr__(self) -> str:
         items = sorted(self.crash_rounds.items())
         return f"FailureSchedule({items!r})"
-
-
-def merge_schedules(schedules: Iterable[FailureSchedule]) -> FailureSchedule:
-    """Combine schedules, keeping the earliest crash round per node."""
-    merged = FailureSchedule()
-    for schedule in schedules:
-        for node, rnd in schedule.crash_rounds.items():
-            merged.add(node, rnd)
-    return merged

@@ -13,16 +13,14 @@ _EXPORTS = export_table({
                   "record_to_jsonable",
     "families": "",
     "figure1": "Figure1Data Figure1Measured figure1_data figure1_measured",
-    "fitting": "FitResult fit_affine fit_power_law fit_theorem1_b_sweep "
-               "shape_report",
-    "latex": "escape format_latex_series format_latex_table",
+    "fitting": "FitResult fit_power_law fit_theorem1_b_sweep",
+    "latex": "escape format_latex_table",
     "regression": "Drift capture_baseline compare_to_baseline measure_metrics",
-    "registry": "EXPERIMENTS Experiment by_id index_table",
+    "registry": "EXPERIMENTS Experiment index_table",
     "report": "generate_report",
     "runner": "RunRecord RunTimeout error_record make_inputs run_protocol "
               "safe_run_protocol wall_clock_limit",
-    "statistics": "Summary bootstrap_ci geometric_mean significantly_less "
-                  "summarize",
+    "statistics": "Summary summarize",
     "sweep": "SweepPoint aggregate random_schedule_spec run_point sweep_b "
              "sweep_f",
     "tables": "format_series format_table",

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from ..core.params import AGG_PHASES, ProtocolParams
+from ..core.params import ProtocolParams
 from ..sim.message import TAG_BITS
 
 
@@ -98,37 +98,3 @@ def predict_veri_costs(p: ProtocolParams, failures: int) -> PhaseCosts:
             "lfc_detection": lfc_phase,
         }
     )
-
-
-def predict_pair_total(p: ProtocolParams, failures: int) -> float:
-    """Predicted worst-case bits for one AGG + VERI pair."""
-    return (
-        predict_agg_costs(p, failures).total
-        + predict_veri_costs(p, failures).total
-    )
-
-
-def within_paper_budget(p: ProtocolParams, failures: int) -> bool:
-    """Whether the model's prediction at ``failures <= t`` stays under the
-    paper's abort thresholds — i.e. the thresholds are loose enough that
-    tolerable executions never abort."""
-    failures = min(failures, p.t)
-    agg_ok = predict_agg_costs(p, failures).total <= p.agg_bit_budget
-    veri_ok = predict_veri_costs(p, failures).total <= p.veri_bit_budget
-    return agg_ok and veri_ok
-
-
-def phase_breakdown_from_trace(tracer, p: ProtocolParams) -> Dict[str, int]:
-    """Measured network-wide bits per AGG phase, from a tracer.
-
-    Splits :meth:`repro.sim.trace.Tracer.bits_per_round` at the phase
-    boundaries of a standalone AGG execution (start round 1).
-    """
-    keys = ("construction", "aggregation", "flooding", "selection")
-    per_round = tracer.bits_per_round()
-    out = {}
-    for name, (lo, hi) in zip(keys, p.phase_spans(AGG_PHASES)):
-        out[name] = sum(
-            bits for rnd, bits in per_round.items() if lo <= rnd <= hi
-        )
-    return out

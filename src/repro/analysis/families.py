@@ -268,9 +268,9 @@ def has_events(schedule) -> bool:
 class Exclusion(NamedTuple):
     """Families ``a`` and ``b`` do not compose, because ``reason``.
 
-    Besides family names, rows may name the transport knobs ``rto`` and
-    ``hedge`` and the injector kinds ``corruption`` and ``faults``
-    (drop/dup/delay/reorder message faults).
+    Besides family names, rows may name the transport knob ``rto`` and
+    the injector kinds ``corruption`` and ``faults`` (drop/dup/delay/
+    reorder message faults).
     """
 
     a: str
@@ -284,7 +284,6 @@ class Exclusion(NamedTuple):
         )
 
 
-_FIXED_WINDOW = "the churn epoch manager assumes fixed-window round arithmetic"
 _IN_MODEL = "the witness audits assume in-model delivery for honest nodes"
 
 EXCLUSIONS: Tuple[Exclusion, ...] = (
@@ -299,8 +298,10 @@ EXCLUSIONS: Tuple[Exclusion, ...] = (
         "churn", "integrity",
         "the churn epoch manager does not run the integrity layer yet",
     ),
-    Exclusion("rto", "churn", _FIXED_WINDOW),
-    Exclusion("hedge", "churn", _FIXED_WINDOW),
+    Exclusion(
+        "rto", "churn",
+        "the churn epoch manager assumes fixed-window round arithmetic",
+    ),
     Exclusion("byz", "recovery", _IN_MODEL),
     Exclusion("byz", "transport", _IN_MODEL),
     Exclusion("byz", "churn", _IN_MODEL),
@@ -344,8 +345,6 @@ def active(cfg: Dict[str, Any], injectors=()) -> set:
     ]
     if any(t is not None and t.rto != "fixed" for t in transports):
         on.add("rto")
-    if any(t is not None and t.hedge for t in transports):
-        on.add("hedge")
     # A replay injector counts as corruption only when its bundle recorded
     # content rewrites (a byz bundle's replay carries the ledger, not them).
     if any(

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -101,32 +101,3 @@ def fit_power_law(xs: Sequence[float], ys: Sequence[float]) -> FitResult:
         r_squared=_r_squared(y, preds),
         predictions=tuple(float(p) for p in preds),
     )
-
-
-def fit_affine(xs: Sequence[float], ys: Sequence[float]) -> FitResult:
-    """Fit ``y = a + b*x`` (used for the CC-linear-in-t claim)."""
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    b, a = np.polyfit(x, y, 1)
-    preds = a + b * x
-    return FitResult(
-        model="a + b*x",
-        coefficients=(float(a), float(b)),
-        r_squared=_r_squared(y, preds),
-        predictions=tuple(float(p) for p in preds),
-    )
-
-
-def shape_report(
-    bs: Sequence[int], ccs: Sequence[float], n: int, f: int
-) -> Dict[str, float]:
-    """One-stop summary used by benches: Theorem 1 fit quality plus the
-    empirical decay exponent of the b sweep."""
-    t1 = fit_theorem1_b_sweep(bs, ccs, n, f)
-    power = fit_power_law(bs, ccs)
-    return {
-        "theorem1_r2": t1.r_squared,
-        "alpha": t1.coefficients[0],
-        "beta": t1.coefficients[1],
-        "decay_exponent": power.coefficients[1],
-    }

@@ -1,4 +1,4 @@
-"""LaTeX rendering of experiment tables and series.
+"""LaTeX rendering of experiment tables.
 
 The ASCII tables in :mod:`repro.analysis.tables` are terminal-first; this
 module renders the same row dictionaries as LaTeX ``tabular``/``booktabs``
@@ -86,19 +86,3 @@ def format_latex_table(
     lines.append(r"\end{tabular}")
     lines.append(r"\end{table}")
     return "\n".join(lines)
-
-
-def format_latex_series(
-    xs: Sequence[Any],
-    series: Dict[str, Sequence[float]],
-    x_label: str = "$b$",
-    caption: Optional[str] = None,
-) -> str:
-    """Render aligned series (Figure-style data) as a LaTeX table."""
-    rows = []
-    for i, x in enumerate(xs):
-        row: Dict[str, Any] = {x_label: x}
-        for name, values in series.items():
-            row[name] = values[i]
-        rows.append(row)
-    return format_latex_table(rows, caption=caption)

@@ -9,7 +9,6 @@ drift apart.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -221,10 +220,9 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
         "exact results at stall severities <= 2x in every transport arm "
         "with zero false-suspect / unbounded-stall verdicts; adaptive "
         "RTOs finish in under half the fixed-window rounds at identical "
-        "protocol CC, and a clean run's hedged CC equals the unhedged "
-        "baseline bit-for-bit",
+        "protocol CC",
         "bench_gray_failures.py",
-        ("e25_gray_failures.txt", "e25_gray_hedge_cc.txt"),
+        ("e25_gray_failures.txt",),
     ),
     Experiment(
         "E26",
@@ -249,21 +247,6 @@ EXPERIMENTS: Tuple[Experiment, ...] = (
         ("e27_byzantine.txt", "e27_byz_cc_isolation.txt"),
     ),
 )
-
-
-def by_id(exp_id: str) -> Experiment:
-    """Look up an experiment by id (e.g. ``"E7"``)."""
-    for experiment in EXPERIMENTS:
-        if experiment.exp_id == exp_id:
-            return experiment
-    raise KeyError(f"unknown experiment {exp_id!r}")
-
-
-def benchmarks_dir() -> str:
-    """Absolute path of the benchmarks directory."""
-    return os.path.abspath(
-        os.path.join(os.path.dirname(__file__), "..", "..", "..", "benchmarks")
-    )
 
 
 def index_table() -> List[Dict[str, str]]:

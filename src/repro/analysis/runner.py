@@ -441,9 +441,6 @@ def _run_plain(
         # failover layer's certification).
         extra["live_gaps"] = len(transport.live_gaps(network))
         stats.link_stats = transport.link_counters()
-        if transport.config.hedge:
-            extra["hedges"] = counters["hedges"]
-            extra["hedge_deliveries"] = counters["hedge_deliveries"]
         if transport.detector is not None:
             extra["suspects"] = counters["suspects"]
             extra["confirms"] = counters["confirms"]

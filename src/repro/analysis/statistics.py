@@ -2,18 +2,16 @@
 
 The paper's CC definition averages over coin flips; our sweeps estimate
 that expectation from finitely many seeded runs.  This module provides the
-uncertainty quantification the benches report: means with standard errors,
-normal-approximation and bootstrap confidence intervals, and a two-sample
-comparison helper used to claim "protocol A beats protocol B" honestly.
+uncertainty quantification the benches report: means with standard errors
+and normal-approximation confidence intervals.
 """
 
 from __future__ import annotations
 
 import math
-import random
 import statistics as _stats
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -56,49 +54,3 @@ def summarize(samples: Sequence[float]) -> Summary:
         ci_low=mean - Z_95 * stderr,
         ci_high=mean + Z_95 * stderr,
     )
-
-
-def bootstrap_ci(
-    samples: Sequence[float],
-    rng: Optional[random.Random] = None,
-    resamples: int = 1000,
-    confidence: float = 0.95,
-) -> Tuple[float, float]:
-    """Percentile bootstrap CI for the mean — no normality assumption.
-
-    Appropriate for CC samples, whose distribution is skewed (a few seeds
-    hit extra AGG+VERI pairs or the brute-force fallback).
-    """
-    values = list(samples)
-    if not values:
-        raise ValueError("no samples")
-    if not 0 < confidence < 1:
-        raise ValueError("confidence must be in (0, 1)")
-    rng = rng or random.Random(0)
-    n = len(values)
-    means = sorted(
-        _stats.fmean(rng.choices(values, k=n)) for _ in range(resamples)
-    )
-    alpha = (1 - confidence) / 2
-    lo_idx = max(0, int(alpha * resamples))
-    hi_idx = min(resamples - 1, int((1 - alpha) * resamples))
-    return means[lo_idx], means[hi_idx]
-
-
-def significantly_less(
-    a: Sequence[float], b: Sequence[float]
-) -> bool:
-    """Whether sample ``a``'s mean is below ``b``'s with non-overlapping
-    95% CIs — the conservative "A beats B" criterion the benches use."""
-    sa, sb = summarize(a), summarize(b)
-    return sa.mean < sb.mean and not sa.overlaps(sb)
-
-
-def geometric_mean(samples: Sequence[float]) -> float:
-    """Geometric mean (for ratio-style series like per-b speedups)."""
-    values = [v for v in samples]
-    if not values:
-        raise ValueError("no samples")
-    if any(v <= 0 for v in values):
-        raise ValueError("geometric mean needs positive samples")
-    return math.exp(_stats.fmean(math.log(v) for v in values))

@@ -166,9 +166,3 @@ def run_gossip(
         rounds=stats.rounds_executed,
         stats=stats,
     )
-
-
-def total_mass(nodes: Dict[int, PushSumNode]) -> float:
-    """Resident ``s``-mass across nodes (conserved without failures,
-    modulo the in-flight halves)."""
-    return sum(node.s for node in nodes.values())

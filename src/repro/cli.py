@@ -241,14 +241,6 @@ FLAG_TABLE = (
         "RTT estimator and closes clean windows early (needs "
         "--recover or --retransmit-budget)",
     ), "rto", needs=(_NEEDS_TRANSPORT,), label="--rto adaptive"),
-    FaultFlag("--hedge", dict(
-        action="store_true",
-        default=False,
-        help="hedged retransmission: a neighbour holding a copy of a "
-        "twice-NACKed frame relays it on the alternative path, "
-        "booked entirely as overhead (needs --recover or "
-        "--retransmit-budget)",
-    ), "hedge", needs=(_NEEDS_TRANSPORT,)),
     FaultFlag("--byz", dict(
         help="Byzantine compromise schedule (algorithm1 / unknown_f): "
         "an explicit spec '5:equivocate,7:inflate=4@r3,9:omit' "
@@ -329,10 +321,10 @@ def _fault_config(args, horizon: Optional[int]):
 
     ``--recover`` gets the full self-healing stack (reliable transport +
     root failover + certified partial results); ``--retransmit-budget``
-    alone gets just the transport shim, which ``--rto`` / ``--hedge``
-    tune.  ``--integrity checksum|mac`` adds authenticated wire frames on
-    top of either (or standalone); the MAC key is derived from ``--seed``
-    so runs stay deterministic.  Schedule specs stay declarative (see
+    alone gets just the transport shim, which ``--rto`` tunes.
+    ``--integrity checksum|mac`` adds authenticated wire frames on top of
+    either (or standalone); the MAC key is derived from ``--seed`` so
+    runs stay deterministic.  Schedule specs stay declarative (see
     :func:`_schedule_spec`); ``--max-epochs`` builds the churn policy and
     ``--witnesses`` / ``--evict-policy`` the
     :class:`repro.resilience.ByzantineConfig`.
@@ -351,17 +343,13 @@ def _fault_config(args, horizon: Optional[int]):
         recovery = RecoveryPolicy.default(
             retransmit_budget=5 if budget is None else budget
         )
-        if args.rto != "fixed" or args.hedge:
+        if args.rto != "fixed":
             recovery = dataclasses.replace(
                 recovery,
-                transport=dataclasses.replace(
-                    recovery.transport, rto=args.rto, hedge=args.hedge
-                ),
+                transport=dataclasses.replace(recovery.transport, rto=args.rto),
             )
     elif budget is not None:
-        transport = TransportConfig(
-            retransmits=budget, rto=args.rto, hedge=args.hedge
-        )
+        transport = TransportConfig(retransmits=budget, rto=args.rto)
     if args.max_epochs is not None:
         churn_policy = dataclasses.replace(
             ChurnPolicy.default(), max_epochs=args.max_epochs

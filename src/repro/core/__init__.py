@@ -32,7 +32,6 @@ from .correctness import (
     achievable_results_exhaustive,
     correctness_interval,
     exact_aggregate,
-    exact_sum,
     is_correct_result,
     surviving_nodes,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "by_name",
     "correctness_interval",
     "exact_aggregate",
-    "exact_sum",
     "is_correct_result",
     "params_for",
     "run_agg",

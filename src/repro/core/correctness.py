@@ -19,7 +19,7 @@ from typing import Dict, Iterable, Optional, Set, Tuple
 
 from ..adversary.schedule import FailureSchedule
 from ..graphs.topology import Topology
-from .caaf import CAAF, SUM
+from .caaf import CAAF
 
 
 def surviving_nodes(
@@ -108,8 +108,3 @@ def is_correct_result(
 def exact_aggregate(caaf: CAAF, inputs: Dict[int, int]) -> int:
     """The failure-free ground truth: the aggregate of all inputs."""
     return caaf.aggregate_inputs(inputs.values())
-
-
-def exact_sum(inputs: Dict[int, int]) -> int:
-    """Ground-truth SUM of all inputs (convenience)."""
-    return exact_aggregate(SUM, inputs)

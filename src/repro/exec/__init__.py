@@ -32,7 +32,6 @@ from .pool import (
     ExecutionEngine,
     ProcessBackend,
     SerialBackend,
-    ShuffledBackend,
     pooled_map,
 )
 from .progress import ProgressEmitter, ProgressTracker, live_renderer
@@ -45,7 +44,6 @@ __all__ = [
     "ProgressTracker",
     "ResultCache",
     "SerialBackend",
-    "ShuffledBackend",
     "WorkUnit",
     "execute_unit",
     "live_renderer",

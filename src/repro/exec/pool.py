@@ -23,17 +23,16 @@ order, with these guarantees:
   the cache and (in order) to the checkpoint, then re-raises — an
   interrupted sweep resumes the same way at any ``jobs`` value.
 
-Three backends implement the submit/collect protocol: ``SerialBackend``
-(in-process, the ``--jobs 1`` path — no subprocesses, no pickling),
-``ProcessBackend`` (the real pool), and ``ShuffledBackend`` (in-process
-but releasing completions in adversarial order — the test hook proving
-completion order is immaterial).
+Two backends implement the submit/collect protocol: ``SerialBackend``
+(in-process, the ``--jobs 1`` path — no subprocesses, no pickling) and
+``ProcessBackend`` (the real pool).  Any object with the same five
+methods can stand in; the test suite's shuffling backend proves that
+completion order is immaterial.
 """
 
 from __future__ import annotations
 
 import collections
-import random
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -79,38 +78,6 @@ class SerialBackend:
 
     def shutdown(self, cancel: bool = False) -> None:
         self._queue.clear()
-
-
-class ShuffledBackend:
-    """In-process backend that releases completions in shuffled order.
-
-    Units execute eagerly at submit time (still one at a time, still
-    self-seeded); ``next_completed`` then hands results back in an order
-    chosen by ``rng``.  This simulates arbitrary parallel completion
-    order without processes — the property-test hook.
-    """
-
-    def __init__(self, rng: Optional[random.Random] = None) -> None:
-        self.rng = rng or random.Random(0)
-        self._buffer: List[Tuple[int, RunRecord]] = []
-
-    def submit(self, index: int, unit: WorkUnit, hard_timeout_s=None) -> None:
-        self._buffer.append((index, execute_unit(unit)))
-
-    def inflight(self) -> int:
-        return len(self._buffer)
-
-    def next_completed(self) -> Completion:
-        pick = self.rng.randrange(len(self._buffer))
-        index, record = self._buffer.pop(pick)
-        return index, record, None
-
-    def drain(self) -> List[Tuple[int, RunRecord]]:
-        drained, self._buffer = list(self._buffer), []
-        return drained
-
-    def shutdown(self, cancel: bool = False) -> None:
-        self._buffer.clear()
 
 
 class ProcessBackend:

@@ -1,16 +1,8 @@
 """Extensions built on the paper's protocols: quantiles and monitoring."""
 
-from .histogram import (
-    Bucket,
-    HistogramOutcome,
-    distributed_histogram,
-    equi_width_buckets,
-    exact_histogram,
-)
 from .monitoring import (
     EpochResult,
     MonitoringOutcome,
-    constant_inputs,
     drifting_inputs,
     run_monitoring,
 )
@@ -21,20 +13,11 @@ from .quantiles import (
     distributed_select,
     probe_budget,
 )
-from .topk import TopKOutcome, distributed_topk
 
 __all__ = [
-    "Bucket",
     "EpochResult",
-    "HistogramOutcome",
-    "distributed_histogram",
-    "equi_width_buckets",
-    "exact_histogram",
     "MonitoringOutcome",
     "QueryOutcome",
-    "TopKOutcome",
-    "constant_inputs",
-    "distributed_topk",
     "distributed_average",
     "distributed_median",
     "distributed_select",

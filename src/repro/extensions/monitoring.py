@@ -106,11 +106,6 @@ def run_monitoring(
     return outcome
 
 
-def constant_inputs(inputs: Dict[int, int]) -> InputsFn:
-    """Every epoch reads the same values."""
-    return lambda _epoch: inputs
-
-
 def drifting_inputs(
     base: Dict[int, int], rng: random.Random, jitter: int = 3
 ) -> InputsFn:

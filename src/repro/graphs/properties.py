@@ -53,18 +53,6 @@ def component_of(
     return set(bfs_levels(adjacency, source, excluded))
 
 
-def eccentricity(
-    adjacency: Mapping[int, Sequence[int]],
-    source: int,
-    excluded: Optional[Set[int]] = None,
-) -> int:
-    """Largest hop distance from ``source`` within its component."""
-    levels = bfs_levels(adjacency, source, excluded)
-    if not levels:
-        raise ValueError(f"source {source} is excluded or absent")
-    return max(levels.values())
-
-
 def diameter(
     adjacency: Mapping[int, Sequence[int]],
     nodes: Optional[Iterable[int]] = None,
@@ -142,17 +130,6 @@ def diameter(
         candidates = kept
         d_high = min(d_high, max([d_low] + [hi[w] for w in candidates]))
     return d_low
-
-
-def subgraph_without(
-    adjacency: Mapping[int, Sequence[int]], removed: Set[int]
-) -> Dict[int, List[int]]:
-    """Adjacency of the graph with ``removed`` nodes (and their edges) deleted."""
-    return {
-        u: [v for v in vs if v not in removed]
-        for u, vs in adjacency.items()
-        if u not in removed
-    }
 
 
 def edge_count(adjacency: Mapping[int, Sequence[int]]) -> int:

@@ -13,8 +13,7 @@ Three sinks, all deterministic for a fixed seed:
 * **Prometheus textfile** — standard exposition format for the
   node-exporter textfile collector.
 
-Plus terminal renderers (span tree, metrics table) and the pure
-functions behind the ``repro-agg obs`` verb: summarize, diff, top-k,
+Plus the pure functions behind the ``repro-agg obs`` verb: summarize, diff, top-k,
 trace validation, and a Prometheus format linter.
 """
 
@@ -35,8 +34,6 @@ __all__ = [
     "lint_prometheus",
     "load_trace",
     "prometheus_text",
-    "render_metrics_table",
-    "render_span_tree",
     "summarize_trace",
     "top_spans",
     "validate_chrome_trace",
@@ -206,67 +203,6 @@ def write_prometheus(path: str, registry: MetricsRegistry) -> None:
     _ensure_dir(path)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(prometheus_text(registry))
-
-
-# --------------------------------------------------------------------- #
-# terminal renderers
-# --------------------------------------------------------------------- #
-
-
-def render_span_tree(tracer: SpanTracer, max_spans: int = 200) -> str:
-    """An indented parent/child span listing with round + wall times."""
-    by_parent: Dict[Optional[str], List[Dict[str, Any]]] = {}
-    for span in tracer.spans:
-        by_parent.setdefault(span["parent"], []).append(span)
-    lines: List[str] = [f"trace {tracer.trace_id} (detail={tracer.detail})"]
-    emitted = 0
-
-    def walk(parent: Optional[str], depth: int) -> None:
-        nonlocal emitted
-        for span in sorted(
-            by_parent.get(parent, ()), key=lambda s: (s["t0"], s["sid"])
-        ):
-            if emitted >= max_spans:
-                return
-            emitted += 1
-            wall = span.get("wall_ns")
-            wall_part = f"  wall={wall / 1e6:.2f}ms" if wall else ""
-            lines.append(
-                f"{'  ' * (depth + 1)}{span['name']} "
-                f"[{span['cat']}] pid={span['pid']} tid={span['tid']} "
-                f"rounds {span['t0']:g}..{span['t1']:g}{wall_part}"
-            )
-            walk(span["sid"], depth + 1)
-
-    # roots are spans whose parent was never closed into the trace, too
-    known = {s["sid"] for s in tracer.spans}
-    roots = sorted(
-        (p for p in by_parent if p is None or p not in known),
-        key=lambda p: (p is not None, p or ""),
-    )
-    for root in roots:
-        walk(root, 0)
-    if emitted >= max_spans:
-        lines.append(f"  ... ({len(tracer.spans) - emitted} more spans)")
-    if tracer.events:
-        lines.append(f"  + {len(tracer.events)} instant events")
-    return "\n".join(lines)
-
-
-def render_metrics_table(registry: MetricsRegistry) -> str:
-    """A plain fixed-width metric/labels/value table."""
-    rows = [
-        (name, _prom_labels(labels) or "-", _fmt_value(value))
-        for name, labels, value in registry.as_samples()
-    ]
-    if not rows:
-        return "(no metrics recorded)"
-    w_name = max(len(r[0]) for r in rows)
-    w_lab = max(len(r[1]) for r in rows)
-    return "\n".join(
-        f"{name:<{w_name}}  {labels:<{w_lab}}  {value}"
-        for name, labels, value in rows
-    )
 
 
 # --------------------------------------------------------------------- #

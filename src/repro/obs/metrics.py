@@ -317,8 +317,6 @@ def record_link_stats(
 _EXTRA_COUNTERS = (
     ("retransmissions", "repro_transport_retransmissions_total"),
     ("nacks", "repro_transport_nacks_total"),
-    ("hedges", "repro_transport_hedges_total"),
-    ("hedge_deliveries", "repro_transport_hedge_deliveries_total"),
     ("live_gaps", "repro_transport_live_gaps_total"),
     ("suspects", "repro_detector_suspects_total"),
     ("confirms", "repro_detector_confirms_total"),

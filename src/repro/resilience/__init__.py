@@ -61,7 +61,6 @@ from .partial import (
 )
 from .transport import (
     FRAME_KIND,
-    HEDGE_KIND,
     NACK_KIND,
     RTO_MODES,
     TRANSPORT_KINDS,
@@ -120,7 +119,6 @@ __all__ = [
     "EpochOutcome",
     "EpochReport",
     "FRAME_KIND",
-    "HEDGE_KIND",
     "LEVEL_CONFIRM",
     "LEVEL_SUSPECT",
     "LEVEL_TRUST",

@@ -24,7 +24,7 @@ estimators the reliable transport uses instead of fixed schedules:
 * :class:`AdaptiveRto` — per-link retransmission timeout: EWMA of the
   observed RTT plus four mean deviations (the classic TCP estimator,
   RFC 6298 coefficients), with Karn-style sample exclusion handled by
-  the caller (only first-attempt, non-hedged frames are sampled).  The
+  the caller (only first-attempt frames are sampled).  The
   RTO never falls below the minimum RTT ever observed on the link, so a
   burst of fast samples cannot make the timer fire before a physically
   possible reply.
@@ -218,7 +218,7 @@ class AdaptiveRto:
     """Per-link retransmission timeout from EWMA RTT + mean deviation.
 
     Units are physical rounds.  ``sample`` must only be fed Karn-clean
-    RTTs (first-attempt, non-hedged frames on links with no outstanding
+    RTTs (first-attempt frames on links with no outstanding
     retransmission); the caller enforces that exclusion.
     """
 

@@ -48,7 +48,7 @@ envelope checks stay honest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -62,9 +62,7 @@ from .detector import LEVEL_CONFIRM, PhiAccrualDetector, AdaptiveRto
 #: Wire kinds used by the transport shim.
 FRAME_KIND = "xport_frame"
 NACK_KIND = "xport_nack"
-#: A neighbour's relay of another sender's frame (hedged retransmission).
-HEDGE_KIND = "xport_hedge"
-TRANSPORT_KINDS = frozenset({FRAME_KIND, NACK_KIND, HEDGE_KIND})
+TRANSPORT_KINDS = frozenset({FRAME_KIND, NACK_KIND})
 
 #: Accepted retransmission-timing modes.
 RTO_MODES = ("fixed", "adaptive")
@@ -100,17 +98,13 @@ class TransportConfig:
             and lets the coordinator close a logical round early once
             every live node reports a complete inbox — clean stretches
             run 2-round windows instead of :attr:`window`-round ones,
-            while degraded links stretch back up to the fixed cap.
-        hedge: Enable hedged retransmission: a neighbour holding a copy
-            of a frame a receiver has NACKed twice relays it on the
-            alternative path (booked entirely as overhead).  On clean
-            runs no NACK is ever repeated, so hedging changes nothing.
+            while degraded links stretch back up to the fixed cap.  The
+            φ-accrual detector runs only in this mode.
     """
 
     retransmits: int = 2
     backoff_cap: int = 8
     rto: str = "fixed"
-    hedge: bool = False
 
     def __post_init__(self) -> None:
         if self.retransmits < 0:
@@ -130,11 +124,6 @@ class TransportConfig:
     def adaptive(self) -> bool:
         """Whether per-link adaptive RTO replaces the fixed schedule."""
         return self.rto == "adaptive"
-
-    @property
-    def detecting(self) -> bool:
-        """Whether the φ-accrual detector runs (adaptive RTO or hedging)."""
-        return self.adaptive or self.hedge
 
     @cached_property
     def nack_slots(self) -> Tuple[int, ...]:
@@ -163,25 +152,27 @@ class TransportConfig:
         return (slots[-1] + 1) if slots else 2
 
     def as_jsonable(self) -> Dict[str, int]:
-        # rto/hedge are emitted only when non-default so pre-gray (v3 and
-        # older) bundle bytes are unchanged for fixed-schedule configs.
+        # rto is emitted only when non-default so pre-gray (v3 and older)
+        # bundle bytes are unchanged for fixed-schedule configs.
         out: Dict[str, object] = {
             "retransmits": self.retransmits,
             "backoff_cap": self.backoff_cap,
         }
         if self.rto != "fixed":
             out["rto"] = self.rto
-        if self.hedge:
-            out["hedge"] = True
         return out
 
     @classmethod
     def from_jsonable(cls, data: Dict[str, int]) -> "TransportConfig":
+        # A bundle recorded with hedged retransmission on cannot be
+        # replayed: the transport no longer relays overheard frames.
+        from .driver import retired_knobs
+
+        retired_knobs(data, hedge=False)
         return cls(
             retransmits=int(data["retransmits"]),
             backoff_cap=int(data.get("backoff_cap", 8)),
             rto=str(data.get("rto", "fixed")),
-            hedge=bool(data.get("hedge", False)),
         )
 
 
@@ -230,23 +221,18 @@ class ReliableTransport:
         #: layer); dropped rather than crashing the decoder.
         self.malformed = 0
         self.gaps: List[TransportGap] = []
-        #: Hedged relays sent / hedged copies that filled a missing slot.
-        self.hedges = 0
-        self.hedge_deliveries = 0
         #: Per-link retransmission audit: attempts granted and budget-cap
         #: hits, keyed ``(frame sender, NACKing receiver)`` — the
         #: aggregate counters above stay, but per-link RTO adaptation is
         #: only auditable with the link-level split.
         self.link_attempts: Dict[Tuple[int, int], int] = {}
         self.link_cap_hits: Dict[Tuple[int, int], int] = {}
-        #: φ-accrual suspicion and per-link RTO state (adaptive / hedge
-        #: modes only; ``None`` keeps the fixed path untouched).
+        #: φ-accrual suspicion and per-link RTO state (adaptive mode
+        #: only; ``None`` keeps the fixed path untouched).
         self.detector: Optional[PhiAccrualDetector] = (
-            PhiAccrualDetector() if self.config.detecting else None
+            PhiAccrualDetector() if self.adaptive else None
         )
         self.rtos: Dict[Tuple[int, int], AdaptiveRto] = {}
-        #: Hedge claims already granted, per ``(origin, lr, receiver)``.
-        self._hedge_claims: set = set()
         # Adaptive-window state: start round of the current logical round
         # plus the sealed history (lr -> start round).  Fixed mode never
         # touches these; slot arithmetic stays closed-form.
@@ -356,7 +342,7 @@ class ReliableTransport:
         return envelope
 
     # ------------------------------------------------------------------ #
-    # Detection and per-link timing (adaptive / hedge modes).
+    # Detection and per-link timing (adaptive mode).
     # ------------------------------------------------------------------ #
 
     def rto_of(self, receiver: int, sender: int) -> AdaptiveRto:
@@ -384,24 +370,6 @@ class ReliableTransport:
             rtt = max(1, rnd - self.window_start(frame_lr))
             self.rto_of(receiver, sender).sample(rtt)
 
-    def claim_hedge(self, origin: int, logical_round: int, receiver: int) -> bool:
-        """First-claimant election for one hedged relay (deterministic:
-        nodes run in a fixed order, so the same neighbour wins on replay)."""
-        key = (origin, logical_round, receiver)
-        if key in self._hedge_claims:
-            return False
-        self._hedge_claims.add(key)
-        self.hedges += 1
-        if _spans.enabled:
-            _spans.active().event(
-                "transport.hedge",
-                cat="transport",
-                tid=origin,
-                round=logical_round,
-                receiver=receiver,
-            )
-        return True
-
     # ------------------------------------------------------------------ #
     # Bit accounting.
     # ------------------------------------------------------------------ #
@@ -428,10 +396,6 @@ class ReliableTransport:
                 header += INCARNATION_BITS
             return header
         if part.kind == NACK_KIND:
-            return part.bits
-        if part.kind == HEDGE_KIND:
-            # A relayed copy of another node's frame: repair traffic in
-            # full, exactly like a retransmission.
             return part.bits
         return 0
 
@@ -531,9 +495,6 @@ class ReliableTransport:
             "malformed": self.malformed,
             "gaps": len(self.gaps),
         }
-        if self.config.hedge:
-            out["hedges"] = self.hedges
-            out["hedge_deliveries"] = self.hedge_deliveries
         if self.detector is not None:
             out.update(self.detector.counters())
         return out
@@ -610,8 +571,6 @@ class TransportNode(NodeHandler):
         self._peer_inc: Dict[int, int] = {}
         #: Adaptive mode: slot of my last NACK, per ``(lr, sender)``.
         self._last_nack: Dict[Tuple[int, int], int] = {}
-        #: Hedge mode: NACKs seen, per ``(lr, origin, requester)``.
-        self._nack_seen: Dict[Tuple[int, int, int], int] = {}
 
     # -- delegation ---------------------------------------------------- #
 
@@ -625,8 +584,8 @@ class TransportNode(NodeHandler):
 
     def next_wake(self, rnd: int) -> Optional[int]:
         """The next window start, or the next NACK slot while a frame of
-        the current window is still missing; frames, NACKs and hedges
-        arrive as mail.  A not-due fixed-mode round absorbs nothing,
+        the current window is still missing; frames and NACKs arrive as
+        mail.  A not-due fixed-mode round absorbs nothing,
         advances nothing and NACKs nothing."""
         transport = self.transport
         if transport.adaptive:
@@ -680,7 +639,7 @@ class TransportNode(NodeHandler):
         transport = self.transport
         lr, slot = transport.locate(rnd)
 
-        requesters, hedge_relays = self._absorb(lr, slot, rnd, inbox)
+        requesters = self._absorb(lr, slot, rnd, inbox)
         out: List[Part] = []
 
         if slot == 1:
@@ -691,9 +650,6 @@ class TransportNode(NodeHandler):
             )
             if attempt is not None:
                 out.append(self._frame(lr, attempt))
-
-        for origin, parts in hedge_relays:
-            out.append(self._hedge(lr, origin, parts))
 
         if transport.adaptive:
             missing = sorted(self._expected.difference(self._buf.get(lr, ())))
@@ -737,22 +693,11 @@ class TransportNode(NodeHandler):
             return slot >= rto + 2
         return slot >= last + max(2, rto)
 
-    def _hedge(self, lr: int, origin: int, parts: tuple) -> Part:
-        """Relay a buffered copy of ``origin``'s frame (hedged repair)."""
-        payload_bits = sum(bits for _k, _p, bits in parts)
-        header = FRAME_HEADER_BITS + id_bits(max(self.transport.n_nodes, 2))
-        return Part(HEDGE_KIND, (lr, origin, parts), header + payload_bits)
-
-    def _absorb(self, lr: int, slot: int, rnd: int, inbox):
-        """File incoming frames, NACKs and hedges.
-
-        Returns ``(requesters, hedge_relays)``: the set of neighbours
-        whose NACKs named me this round, and ``(origin, parts)`` pairs I
-        won the hedge election for and must relay.
-        """
+    def _absorb(self, lr: int, slot: int, rnd: int, inbox) -> set:
+        """File incoming frames and NACKs; returns the neighbours whose
+        NACKs named me this round."""
         transport = self.transport
         requesters: set = set()
-        hedge_relays: List[tuple] = []
         for envelope in inbox:
             sender = envelope.sender
             for part in envelope.parts:
@@ -799,37 +744,6 @@ class TransportNode(NodeHandler):
                     ):
                         self._expected.add(sender)
                         transport.revivals += 1
-                elif part.kind == HEDGE_KIND:
-                    # A neighbour relaying another node's buffered frame on
-                    # my behalf.  Hedges never feed the detector or the RTO
-                    # — the relay path's timing says nothing about the
-                    # origin link.
-                    payload = part.payload
-                    if (
-                        not isinstance(payload, tuple)
-                        or len(payload) != 3
-                        or not isinstance(payload[0], int)
-                        or not isinstance(payload[1], int)
-                        or not isinstance(payload[2], tuple)
-                    ):
-                        transport.malformed += 1
-                        continue
-                    hedge_lr, origin, parts = payload
-                    if hedge_lr <= self._delivered:
-                        transport.stale_frames += 1
-                        continue
-                    buf = self._buf.setdefault(hedge_lr, {})
-                    if origin in buf:
-                        transport.duplicates_suppressed += 1
-                        continue
-                    buf[origin] = parts
-                    transport.hedge_deliveries += 1
-                    if (
-                        origin not in self._expected
-                        and origin in self.neighbours
-                    ):
-                        self._expected.add(origin)
-                        transport.revivals += 1
                 elif part.kind == NACK_KIND:
                     payload = part.payload
                     if (
@@ -857,29 +771,13 @@ class TransportNode(NodeHandler):
                         continue
                     if nack_lr == lr and slot > 1 and self.node_id in missing:
                         requesters.add(sender)
-                    if transport.config.hedge and nack_lr == lr:
-                        # Hedged retransmission: on the *second* NACK I see
-                        # from the same requester for the same missing origin,
-                        # the primary path is presumed degraded — if I hold a
-                        # buffered copy, stand for the relay election.
-                        for origin in missing:
-                            if origin == self.node_id:
-                                continue
-                            key = (lr, origin, sender)
-                            seen = self._nack_seen.get(key, 0) + 1
-                            self._nack_seen[key] = seen
-                            parts = self._buf.get(lr, {}).get(origin)
-                            if parts is None or seen < 2:
-                                continue
-                            if transport.claim_hedge(origin, lr, sender):
-                                hedge_relays.append((origin, parts))
                 else:  # non-transport part: a mixed network; pass through.
                     buf = self._buf.setdefault(lr, {})
                     existing = buf.get(sender, ())
                     buf[sender] = existing + (
                         (part.kind, part.payload, part.bits),
                     )
-        return requesters, hedge_relays
+        return requesters
 
     def _advance_logical_round(self, lr: int, rnd: int) -> Part:
         """Finalize round ``lr - 1``, feed the inner handler, emit frame ``lr``."""
@@ -902,10 +800,6 @@ class TransportNode(NodeHandler):
             if self._last_nack:
                 self._last_nack = {
                     k: v for k, v in self._last_nack.items() if k[0] >= lr
-                }
-            if self._nack_seen:
-                self._nack_seen = {
-                    k: v for k, v in self._nack_seen.items() if k[0] >= lr
                 }
             logical_inbox = [
                 transport.logical_envelope(sender, lr - 1, arrived[sender])

@@ -26,7 +26,7 @@ from .monitors import (
     violations_of,
 )
 from .network import NEVER, ROOT_CRASH_ERROR, Network
-from .node import NodeHandler, SilentNode
+from .node import NodeHandler
 from .recorder import (
     BUNDLE_FORMAT,
     BUNDLE_VERSION,
@@ -81,7 +81,6 @@ __all__ = [
     "ScheduledCrashes",
     "SendEvent",
     "SendTracer",
-    "SilentNode",
     "SimStats",
     "TAG_BITS",
     "Tracer",

@@ -26,7 +26,7 @@ runs the node only in rounds where it has mail or a due wake:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .message import Envelope, Part
 
@@ -69,10 +69,3 @@ class NodeHandler(ABC):
         handlers that ran since the last check.
         """
         return False
-
-
-class SilentNode(NodeHandler):
-    """A node that never sends anything (useful in tests and as filler)."""
-
-    def on_round(self, rnd: int, inbox: Sequence[Envelope]) -> List[Part]:
-        return []

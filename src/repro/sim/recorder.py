@@ -48,7 +48,7 @@ BUNDLE_FORMAT = "repro-bundle"
 #: the same revive/flap timeline; v4 adds gray-failure params
 #: (``params["gray"]`` — a serialized
 #: :class:`repro.sim.faults.GrayFailureSchedule` — plus the transport's
-#: ``rto``/``hedge`` knobs inside ``params["transport"]``) so straggler
+#: ``rto`` knob inside ``params["transport"]``) so straggler
 #: runs replay with the same degradation ledger and detection config;
 #: v5 adds Byzantine params (``params["byz"]`` — a serialized
 #: :class:`repro.sim.faults.ByzantineSchedule` — and

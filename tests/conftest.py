@@ -32,6 +32,8 @@ from repro.graphs import (
     path_graph,
     star_graph,
 )
+from repro.analysis.cost_model import predict_agg_costs, predict_veri_costs
+from repro.exec.scheduler import execute_unit
 from repro.sim.node import NodeHandler
 
 
@@ -107,3 +109,52 @@ class RelayNode(NodeHandler):
                     self._seen.add(part.content_key)
                     out.append(part)
         return out
+
+
+class SilentNode(NodeHandler):
+    """A node that never sends anything."""
+
+    def on_round(self, rnd, inbox):
+        return []
+
+
+class ShuffledBackend:
+    """In-process engine backend that releases completions in shuffled
+    order.
+
+    Units execute eagerly at submit time (still one at a time, still
+    self-seeded); ``next_completed`` then hands results back in an order
+    chosen by ``rng``.  This simulates arbitrary parallel completion
+    order without processes.
+    """
+
+    def __init__(self, rng=None):
+        self.rng = rng or random.Random(0)
+        self._buffer = []
+
+    def submit(self, index, unit, hard_timeout_s=None):
+        self._buffer.append((index, execute_unit(unit)))
+
+    def inflight(self):
+        return len(self._buffer)
+
+    def next_completed(self):
+        pick = self.rng.randrange(len(self._buffer))
+        index, record = self._buffer.pop(pick)
+        return index, record, None
+
+    def drain(self):
+        drained, self._buffer = list(self._buffer), []
+        return drained
+
+    def shutdown(self, cancel=False):
+        self._buffer.clear()
+
+
+def within_paper_budget(p, failures):
+    """Whether the cost model's prediction at ``failures <= t`` stays under
+    the paper's abort thresholds, i.e. tolerable executions never abort."""
+    failures = min(failures, p.t)
+    agg_ok = predict_agg_costs(p, failures).total <= p.agg_bit_budget
+    veri_ok = predict_veri_costs(p, failures).total <= p.veri_bit_budget
+    return agg_ok and veri_ok

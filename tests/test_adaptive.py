@@ -15,7 +15,7 @@ from repro.adversary.budget import EdgeBudget
 from repro.analysis.runner import make_inputs, run_protocol
 from repro.graphs import grid_graph, path_graph, star_graph
 from repro.sim import Network, Part
-from repro.sim.node import SilentNode
+from tests.conftest import SilentNode
 
 
 class Chatty(SilentNode):

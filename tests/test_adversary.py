@@ -12,7 +12,6 @@ from repro.adversary import (
     blocker_failures,
     chain_failures,
     concentrated_failures,
-    merge_schedules,
     no_failures,
     predicted_tree,
     random_failures,
@@ -82,12 +81,6 @@ class TestFailureSchedule:
         s = FailureSchedule({6: 2})
         assert not s.respects_c_constraint(topo, c=1)
         assert s.respects_c_constraint(topo, c=2)
-
-    def test_merge_keeps_earliest(self):
-        a = FailureSchedule({1: 5})
-        b = FailureSchedule({1: 3, 2: 9})
-        merged = merge_schedules([a, b])
-        assert merged.crash_rounds == {1: 3, 2: 9}
 
     def test_len(self):
         assert len(FailureSchedule({1: 2, 5: 3})) == 2

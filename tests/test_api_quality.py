@@ -73,7 +73,6 @@ MODULES = PACKAGES + [
     "repro.analysis.report",
     "repro.analysis.registry",
     "repro.extensions.quantiles",
-    "repro.extensions.topk",
     "repro.extensions.monitoring",
     "repro.cli",
 ]
@@ -131,9 +130,101 @@ def test_version_is_exposed():
     assert repro.__version__.count(".") == 2
 
 
+#: Top-level ``src/repro`` definitions that only tests name, and why each
+#: stays.  Everything else that only tests reach is dead weight: delete
+#: it, or move it into ``tests/``.
+TEST_ONLY_ALLOWED = {
+    # Reference oracles the tests compare src/ against.
+    "decode_part": "the wire decoder every encoder is round-tripped through",
+    "encoding_fits_declared_size": "checks each encoding against its charged bits",
+    "build_fragment_model": "oracle fragment structure AGG is checked against",
+    "oracle_representative_set_is_valid": "oracle for AGG's selected psums",
+    "theorem1_cc_envelope": "Theorem 1's CC envelope, for a run-path monitor",
+    "exact_aggregate": "the failure-free ground truth results are checked on",
+    "predict_agg_costs": "analytic AGG model measured traffic is held to",
+    "predict_veri_costs": "analytic VERI model measured traffic is held to",
+    "agg_abort": "AGG builds it by name: getattr(wire, self.ABORT)",
+    "veri_overflow": "VERI builds it by name: getattr(wire, self.ABORT)",
+    # Graphs, schedules and aggregates that tests use as inputs.
+    "barbell_graph": "test topology",
+    "caterpillar_graph": "test topology",
+    "complete_graph": "test topology",
+    "random_tree": "test topology",
+    "standard_suite": "test topology catalogue",
+    "concentrated_failures": "failure schedule tests use as a scenario",
+    "bounded_min": "CAAF whose laws the CAAF tests check",
+    "bounded_lcm": "CAAF whose laws the CAAF tests check",
+    # Checks of the paper's lower-bound lemmas and bounds.
+    "NewmanSimulation": "Newman's theorem, checked on small instances",
+    "find_seed_set": "Newman's theorem, checked on small instances",
+    "TrivialEquality": "EQUALITYCP baseline protocol of the lower bound",
+    "equal_instance": "UNIONSIZECP promise instance of the lower bound",
+    "wrap_count": "UNIONSIZECP protocol cost driver",
+    "build_matrix": "EQUALITYCP matrix for the rectangle lemma",
+    "diagonal_set_is_valid_rectangle": "the rectangle lemma's check",
+    "transmitted_bits": "the timing-encoding lemma's bit count",
+    "agg_veri_budget": "the paper's per-node AGG + VERI ceiling",
+    "equality_lower_bound": "Lemma 11",
+    "crossover_b": "Theorem 1's knee, b ~ f",
+    "sample_curve": "samples the paper's bound curves",
+    # Lost their last src reader when its caller was deleted as test-only;
+    # next in line for deletion unless a bench or report takes them up.
+    "fit_power_law": "was reached only through the deleted shape_report",
+    "summarize": "was reached only through the deleted significantly_less",
+}
+
+
+def _reached_names(tree, skip=frozenset()):
+    """The names a module's code uses (``Name`` ids and ``Attribute``
+    attributes), outside imports and the ``skip`` nodes.  Strings, such
+    as ``__all__`` entries and lazy export tables, are not uses."""
+    names, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node in skip or isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _words(directory):
+    return {
+        word
+        for path in directory.rglob("*.py")
+        for word in re.findall(r"\w+", path.read_text())
+    }
+
+
+def _test_only_definitions():
+    """Top-level ``src/repro`` functions and classes that ``tests/`` name
+    but nothing else reaches: no bench or example names them, and no
+    ``src`` code uses them outside their own definition (imports, package
+    re-exports and ``__all__`` do not count)."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    defined, reached = set(), set()
+    for path in (ROOT / "src" / "repro").rglob("*.py"):
+        tree = ast.parse(path.read_text())
+        tops = [
+            node for node in tree.body
+            if isinstance(node, kinds) and not re.fullmatch(r"__\w+__", node.name)
+        ]
+        defined.update(node.name for node in tops)
+        reached |= _reached_names(tree, skip=set(tops))
+        for node in tops:
+            reached |= _reached_names(node) - {node.name}
+    outside = _words(ROOT / "benchmarks") | _words(ROOT / "examples")
+    return (defined & _words(ROOT / "tests")) - outside - reached
+
+
 def test_every_definition_is_used_somewhere():
     """A function or class under ``src/repro`` that no code names outside
-    its own definition is dead weight: delete it (dunders excepted)."""
+    its own definition is dead weight: delete it (dunders excepted).  Nor
+    may a top-level one be reached only from tests, unless
+    :data:`TEST_ONLY_ALLOWED` says why it stays."""
     definitions = Counter()
     for path in (ROOT / "src" / "repro").rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -151,3 +242,10 @@ def test_every_definition_is_used_somewhere():
         name for name, count in definitions.items() if mentions[name] <= count
     )
     assert not unused, f"defined but never named elsewhere: {unused}"
+    test_only = _test_only_definitions()
+    assert test_only <= set(TEST_ONLY_ALLOWED), (
+        "reached only from tests: "
+        f"{sorted(test_only - set(TEST_ONLY_ALLOWED))}"
+    )
+    stale = sorted(set(TEST_ONLY_ALLOWED) - test_only)
+    assert not stale, f"TEST_ONLY_ALLOWED names src/ uses or lost: {stale}"

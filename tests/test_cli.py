@@ -226,7 +226,6 @@ class TestGrayFlags:
                 "2",
                 "--rto",
                 "adaptive",
-                "--hedge",
                 "--gray",
                 "rate:0.3",
                 "--seeds",
@@ -246,7 +245,7 @@ class TestFlagValidation:
         "argv,needle",
         [
             (["run", "--rto", "adaptive"], "--rto adaptive"),
-            (["run", "--hedge"], "--hedge"),
+            (["chaos", "--rto", "adaptive"], "--rto adaptive"),
             (
                 [
                     "run",
@@ -260,7 +259,7 @@ class TestFlagValidation:
                 "mutually exclusive",
             ),
             (
-                ["run", "--retransmit-budget", "2", "--hedge", "--churn", "rate:0.1"],
+                ["chaos", "--recover", "--churn", "rate:0.1"],
                 "mutually exclusive",
             ),
             (["run", "--flap-rate", "0.5"], "--flap-rate"),
@@ -319,6 +318,12 @@ class TestFlagValidation:
         with pytest.raises(SystemExit) as err:
             main(argv + ["--topology", "grid:3x3"])
         assert needle in str(err.value)
+
+    def test_hedge_is_no_longer_an_option(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["run", "--hedge", "--topology", "grid:3x3"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --hedge" in capsys.readouterr().err
 
     def test_amnesiac_with_churn_still_works(self, capsys):
         code = main(

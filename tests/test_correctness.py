@@ -8,7 +8,6 @@ from repro.core.correctness import (
     achievable_results_exhaustive,
     correctness_interval,
     exact_aggregate,
-    exact_sum,
     is_correct_result,
     surviving_nodes,
 )
@@ -115,5 +114,5 @@ class TestIsCorrect:
 
     def test_exact_helpers(self):
         inputs = {0: 3, 1: 4}
-        assert exact_sum(inputs) == 7
+        assert exact_aggregate(SUM, inputs) == 7
         assert exact_aggregate(MAX, inputs) == 4

@@ -12,7 +12,8 @@ from repro.lowerbound.cut_simulation import (
     split_by_bfs_half,
 )
 from repro.sim.message import Part
-from repro.sim.node import NodeHandler, SilentNode
+from repro.sim.node import NodeHandler
+from tests.conftest import SilentNode
 
 
 class Beacon(SilentNode):

@@ -114,9 +114,6 @@ ADAPTIVE = TransportConfig(retransmits=2, rto="adaptive")
 OVERLAYS = {
     "transport": lambda topo, rng: {"transport": FIXED},
     "adaptive": lambda topo, rng: {"transport": ADAPTIVE},
-    "hedge": lambda topo, rng: {
-        "transport": TransportConfig(retransmits=2, hedge=True)
-    },
     "mac": lambda topo, rng: {"integrity": "mac"},
     "transport+mac": lambda topo, rng: {"transport": FIXED, "integrity": "mac"},
     "recovery": lambda topo, rng: {"recovery": RecoveryPolicy(FIXED)},

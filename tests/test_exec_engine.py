@@ -17,7 +17,6 @@ from repro.exec import (
     ProgressTracker,
     ResultCache,
     SerialBackend,
-    ShuffledBackend,
     WorkUnit,
     execute_unit,
     live_renderer,
@@ -30,6 +29,7 @@ from repro.exec.cache import parse_age
 from repro.exec.pool import ProcessBackend, WorkerCrashed, _OrderedCheckpointWriter
 from repro.exec.scheduler import build_schedule
 from repro.graphs import grid_graph
+from tests.conftest import ShuffledBackend
 
 
 def _unit(topology, seed=0, b=42, f=2, **kwargs):

@@ -29,8 +29,9 @@ from repro.adversary.search import (
     search_worst_adversary,
 )
 from repro.core.caaf import SUM
-from repro.exec import ExecutionEngine, ResultCache, ShuffledBackend
+from repro.exec import ExecutionEngine, ResultCache
 from repro.graphs import grid_graph
+from tests.conftest import ShuffledBackend
 
 try:
     from hypothesis import given, settings

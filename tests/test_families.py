@@ -35,7 +35,6 @@ RUNNER_SIDE = {
     },
     "faults": {"injectors": (MessageFaults.from_spec("drop=0.05"),)},
     "rto": {"transport": TransportConfig(retransmits=2, rto="adaptive")},
-    "hedge": {"transport": TransportConfig(retransmits=2, hedge=True)},
     "allow_root_crash": {"allow_root_crash": True},
 }
 
@@ -50,7 +49,6 @@ CLI_SIDE = {
     "corruption": ["--corrupt", "bitflip:0.02"],
     "faults": ["--inject", "drop=0.05"],
     "rto": ["--retransmit-budget", "2", "--rto", "adaptive"],
-    "hedge": ["--retransmit-budget", "2", "--hedge"],
     "allow_root_crash": ["--allow-root-crash"],
 }
 

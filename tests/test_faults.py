@@ -18,8 +18,8 @@ from repro.graphs import grid_graph
 from repro.sim import Network, Part
 from repro.sim.faults import FaultInjector, MessageFaults, ScheduledCrashes
 from repro.sim.monitors import InvariantViolation, standard_monitors
-from repro.sim.node import NodeHandler, SilentNode
-from tests.conftest import RelayNode
+from repro.sim.node import NodeHandler
+from tests.conftest import RelayNode, SilentNode
 
 
 class Beacon(SilentNode):

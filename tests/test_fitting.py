@@ -5,11 +5,9 @@ import math
 import pytest
 
 from repro.analysis.fitting import (
-    fit_affine,
     fit_linear_basis,
     fit_power_law,
     fit_theorem1_b_sweep,
-    shape_report,
 )
 
 
@@ -32,21 +30,6 @@ class TestPowerLaw:
     def test_rejects_non_positive(self):
         with pytest.raises(ValueError):
             fit_power_law([1, 2], [0, 3])
-
-
-class TestAffine:
-    def test_recovers_line(self):
-        xs = [0, 1, 2, 3]
-        ys = [5 + 2 * x for x in xs]
-        fit = fit_affine(xs, ys)
-        a, b = fit.coefficients
-        assert a == pytest.approx(5)
-        assert b == pytest.approx(2)
-
-    def test_r_squared_penalizes_noise(self):
-        fit_clean = fit_affine([0, 1, 2, 3], [0, 1, 2, 3])
-        fit_noisy = fit_affine([0, 1, 2, 3], [0, 3, 1, 4])
-        assert fit_clean.r_squared > fit_noisy.r_squared
 
 
 class TestTheorem1Fit:
@@ -76,14 +59,6 @@ class TestTheorem1Fit:
         ccs = [567.7, 370.0, 285.7, 244.0, 232.0]
         fit = fit_theorem1_b_sweep(bs, ccs, n=36, f=10)
         assert fit.r_squared > 0.98
-
-    def test_shape_report_keys(self):
-        report = shape_report(
-            [42, 84, 168], [500.0, 300.0, 200.0], n=36, f=10
-        )
-        assert set(report) == {"theorem1_r2", "alpha", "beta", "decay_exponent"}
-        assert -2 < report["decay_exponent"] < 0
-
 
 class TestLinearBasis:
     def test_constant_series(self):

@@ -10,7 +10,6 @@ from repro.baselines.gossip import (
     PushSumNode,
     gossip_part,
     run_gossip,
-    total_mass,
 )
 from repro.graphs import complete_graph, grid_graph, path_graph
 from repro.sim.network import Network
@@ -58,7 +57,8 @@ class TestMassConservation:
         net = Network(topo.adjacency, nodes)
         net.run(rounds + 1, stop_on_output=False)
         # After the final delivery no mass is in flight.
-        assert total_mass(nodes) == pytest.approx(sum(inputs.values()))
+        resident = sum(node.s for node in nodes.values())
+        assert resident == pytest.approx(sum(inputs.values()))
 
     def test_crash_destroys_mass(self):
         topo = grid_graph(4, 4)

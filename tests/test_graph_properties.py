@@ -89,12 +89,6 @@ class TestDiameter:
         with pytest.raises(ValueError):
             properties.diameter({}, nodes=set())
 
-    def test_eccentricity(self):
-        adj = path_graph(5).adjacency
-        assert properties.eccentricity(adj, 0) == 4
-        assert properties.eccentricity(adj, 2) == 2
-
-
 class TestEdgesAndValidation:
     def test_edge_count(self):
         assert properties.edge_count(grid_graph(3, 3).adjacency) == 12
@@ -102,12 +96,6 @@ class TestEdgesAndValidation:
     def test_edges_sorted_pairs(self):
         edges = properties.edges(path_graph(3).adjacency)
         assert edges == [(0, 1), (1, 2)]
-
-    def test_subgraph_without(self):
-        sub = properties.subgraph_without(path_graph(4).adjacency, {1})
-        assert set(sub) == {0, 2, 3}
-        assert sub[0] == []
-        assert sub[2] == [3]
 
     def test_validate_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):

@@ -12,8 +12,6 @@ Acceptance properties (ISSUE 8):
 * Adaptive per-link RTO closes clean windows early: on the same
   workload the adaptive transport finishes in measurably fewer physical
   rounds than the fixed NACK schedule, at identical protocol CC.
-* Hedged retransmission is invisible on clean runs: protocol CC is
-  bit-for-bit identical with and without ``hedge=True``.
 * Every gray schedule is deterministic (profiles are pure functions of
   the broadcast round) and rides repro bundles: a recorded gray run
   replays bit-exactly.
@@ -409,7 +407,7 @@ class TestAdaptiveWindows:
 # --------------------------------------------------------------------- #
 
 
-def _gray_run(rto="fixed", hedge=False, gray=None, seed=3, protocol="algorithm1"):
+def _gray_run(rto="fixed", gray=None, seed=3, protocol="algorithm1"):
     from repro.sim.monitors import standard_monitors
 
     topo = grid_graph(3, 3)
@@ -417,9 +415,7 @@ def _gray_run(rto="fixed", hedge=False, gray=None, seed=3, protocol="algorithm1"
     inputs = {u: u + 1 for u in topo.nodes()}
     # Coerce the transport up front so the straggler oracle watches the
     # same live detector the run uses (the scheduler does the same).
-    transport = ReliableTransport(
-        TransportConfig(retransmits=2, rto=rto, hedge=hedge)
-    )
+    transport = ReliableTransport(TransportConfig(retransmits=2, rto=rto))
     monitors = None
     if gray is not None:
         monitors = standard_monitors(
@@ -472,25 +468,15 @@ class TestGrayEndToEnd:
         assert adaptive.rounds < fixed.rounds
         assert adaptive.result == fixed.result
 
-    def test_clean_hedging_is_bit_identical(self):
-        plain = _gray_run(hedge=False)
-        hedged = _gray_run(hedge=True)
-        assert hedged.cc_bits == plain.cc_bits
-        assert hedged.result == plain.result
-        assert hedged.rounds == plain.rounds
-        assert hedged.extra.get("hedges", 0) == 0
-
     def test_gray_counters_surface_in_extras(self):
         gray = GrayFailureSchedule.from_spec("4:stall@r5-r15:x2")
-        record = _gray_run(rto="adaptive", hedge=True, gray=gray)
+        record = _gray_run(rto="adaptive", gray=gray)
         for key in (
             "gray_stalled",
             "gray_inflated",
             "gray_delay_rounds",
             "suspects",
             "confirms",
-            "hedges",
-            "hedge_deliveries",
         ):
             assert key in record.extra, key
 
@@ -649,13 +635,22 @@ class TestGrayBundles:
         assert outcome.reproduced
 
     def test_transport_config_jsonable_round_trips_gray_knobs(self):
-        cfg = TransportConfig(retransmits=3, rto="adaptive", hedge=True)
+        cfg = TransportConfig(retransmits=3, rto="adaptive")
         data = cfg.as_jsonable()
-        assert data["rto"] == "adaptive" and data["hedge"] is True
+        assert data["rto"] == "adaptive" and "hedge" not in data
         assert TransportConfig.from_jsonable(data) == cfg
         # Pre-gray configs serialize byte-identically to v3 bundles.
         legacy = TransportConfig(retransmits=3).as_jsonable()
-        assert "rto" not in legacy and "hedge" not in legacy
+        assert "rto" not in legacy
+
+    def test_hedged_transport_config_is_a_retired_knob(self):
+        data = {"retransmits": 2, "backoff_cap": 8, "hedge": True}
+        with pytest.raises(ValueError, match="no longer supported"):
+            TransportConfig.from_jsonable(data)
+
+    def test_unhedged_transport_config_loads_as_the_default(self):
+        data = {"retransmits": 2, "backoff_cap": 8, "hedge": False}
+        assert TransportConfig.from_jsonable(data) == TransportConfig()
 
 
 # --------------------------------------------------------------------- #
@@ -695,19 +690,8 @@ if HAVE_HYPOTHESIS:
             suppress_health_check=[HealthCheck.too_slow],
         )
         def test_clean_runs_raise_no_suspicion(self, seed):
-            record = _gray_run(rto="adaptive", hedge=True, seed=seed)
+            record = _gray_run(rto="adaptive", seed=seed)
             assert record.correct
             assert record.extra["suspects"] == 0
             assert record.extra["confirms"] == 0
 
-        @given(st.integers(min_value=0, max_value=100))
-        @settings(
-            max_examples=6,
-            deadline=None,
-            suppress_health_check=[HealthCheck.too_slow],
-        )
-        def test_clean_hedged_cc_is_bit_identical(self, seed):
-            plain = _gray_run(hedge=False, seed=seed)
-            hedged = _gray_run(hedge=True, seed=seed)
-            assert hedged.cc_bits == plain.cc_bits
-            assert hedged.result == plain.result

@@ -29,7 +29,7 @@ from repro.resilience.transport import TransportConfig
 from repro.sim import Network, SendTracer, Tracer
 from repro.sim.faults import FaultInjector, MessageFaults
 from repro.sim.monitors import Monitor, standard_monitors, violations_of
-from repro.sim.node import SilentNode
+from tests.conftest import SilentNode
 from repro.sim.recorder import RecordingInjector
 
 try:

@@ -4,7 +4,6 @@ import pytest
 
 from repro.analysis.latex import (
     escape,
-    format_latex_series,
     format_latex_table,
 )
 
@@ -67,15 +66,3 @@ class TestTable:
     def test_float_formatting_trims_zeroes(self):
         tex = format_latex_table([{"v": 2.50}])
         assert "2.5 " in tex or r"2.5 \\" in tex
-
-
-class TestSeries:
-    def test_series_table(self):
-        tex = format_latex_series(
-            [42, 84],
-            {"UB": [404.8, 252.4], "LB": [2.4, 1.8]},
-            caption="Figure 1",
-        )
-        assert "UB" in tex and "LB" in tex
-        assert "404.8" in tex
-        assert r"\caption{Figure 1}" in tex

@@ -6,12 +6,13 @@ import pytest
 
 from repro.adversary import FailureSchedule, random_failures
 from repro.core.caaf import MAX
-from repro.extensions.monitoring import (
-    constant_inputs,
-    drifting_inputs,
-    run_monitoring,
-)
+from repro.extensions.monitoring import drifting_inputs, run_monitoring
 from repro.graphs import grid_graph
+
+
+def constant_inputs(inputs):
+    """Every epoch reads the same values."""
+    return lambda _epoch: inputs
 
 
 class TestBasics:

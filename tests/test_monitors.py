@@ -20,7 +20,8 @@ from repro.sim.monitors import (
     theorem1_cc_envelope,
     violations_of,
 )
-from repro.sim.node import NodeHandler, SilentNode
+from repro.sim.node import NodeHandler
+from tests.conftest import SilentNode
 
 
 class Chatty(SilentNode):

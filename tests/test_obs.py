@@ -366,23 +366,6 @@ class TestExporters:
         assert '# TYPE repro_runs_total counter' in text
         assert 'le="+Inf"' in text
 
-    def test_render_span_tree(self):
-        out = obs_export.render_span_tree(_sample_tracer())
-        assert "run" in out and "phase_a" in out
-        # nesting is visible as deeper indentation
-        run_line = next(l for l in out.splitlines() if "run " in l)
-        child = next(l for l in out.splitlines() if "phase_a" in l)
-        assert len(child) - len(child.lstrip()) > len(run_line) - len(
-            run_line.lstrip()
-        )
-
-    def test_render_metrics_table(self):
-        out = obs_export.render_metrics_table(_sample_registry())
-        assert "repro_runs_total" in out
-        assert obs_export.render_metrics_table(MetricsRegistry()) == (
-            "(no metrics recorded)"
-        )
-
     def test_write_and_load_both_formats(self, tmp_path):
         tracer = _sample_tracer()
         chrome = str(tmp_path / "t.json")

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.adversary.schedule import FailureSchedule
-from repro.analysis.cost_model import predict_agg_costs, within_paper_budget
+from repro.analysis.cost_model import predict_agg_costs
 from repro.core.caaf import COUNT, MAX, OR, SUM
 from repro.core.correctness import (
     achievable_results_exhaustive,
@@ -21,6 +21,7 @@ from repro.lowerbound.timing_encoding import (
 )
 from repro.sim.flooding import FloodManager
 from repro.sim.message import Envelope, Part
+from tests.conftest import within_paper_budget
 
 SETTINGS = dict(
     max_examples=60,

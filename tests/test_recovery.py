@@ -77,7 +77,7 @@ class TestStaleNackGuard:
         assert node0._peer_inc[1] == 2
         # ...then a NACK from its dead incarnation 1 arrives (delayed in
         # flight across the crash).  It must not trigger a retransmit.
-        wants, _ = node0._absorb(
+        wants = node0._absorb(
             1, 2, 2, [Envelope(1, (Part(NACK_KIND, (1, (0,), 1), 25),))]
         )
         assert not wants
@@ -88,7 +88,7 @@ class TestStaleNackGuard:
         node0._absorb(
             1, 1, 1, [Envelope(1, (Part(FRAME_KIND, (1, 0, (), 2), 30),))]
         )
-        wants, _ = node0._absorb(
+        wants = node0._absorb(
             1, 2, 2, [Envelope(1, (Part(NACK_KIND, (1, (0,), 2), 25),))]
         )
         assert wants
@@ -101,7 +101,7 @@ class TestStaleNackGuard:
         node0._absorb(
             1, 1, 1, [Envelope(1, (Part(FRAME_KIND, (1, 0, ()), 26),))]
         )
-        wants, _ = node0._absorb(
+        wants = node0._absorb(
             1, 2, 2, [Envelope(1, (Part(NACK_KIND, (1, (0,)), 21),))]
         )
         assert wants

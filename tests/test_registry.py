@@ -2,14 +2,7 @@
 
 import os
 
-import pytest
-
-from repro.analysis.registry import (
-    EXPERIMENTS,
-    benchmarks_dir,
-    by_id,
-    index_table,
-)
+from repro.analysis.registry import EXPERIMENTS, index_table
 
 REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 BENCH_DIR = os.path.join(REPO_ROOT, "benchmarks")
@@ -20,11 +13,6 @@ class TestRegistry:
         ids = [e.exp_id for e in EXPERIMENTS]
         assert len(ids) == len(set(ids))
         assert ids == [f"E{i}" for i in range(1, len(ids) + 1)]
-
-    def test_by_id(self):
-        assert by_id("E2").paper_artifact == "Table 2"
-        with pytest.raises(KeyError):
-            by_id("E99")
 
     def test_every_bench_module_exists(self):
         for experiment in EXPERIMENTS:

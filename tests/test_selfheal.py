@@ -90,7 +90,7 @@ class TestTransportConfig:
     def test_pickle_round_trip_stays_equal(self):
         import pickle
 
-        cfg = TransportConfig(retransmits=3, backoff_cap=4, hedge=True)
+        cfg = TransportConfig(retransmits=3, backoff_cap=4, rto="adaptive")
         cold = pickle.loads(pickle.dumps(cfg))
         cfg.window  # fill the cache before the second round trip
         warm = pickle.loads(pickle.dumps(cfg))

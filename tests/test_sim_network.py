@@ -6,8 +6,8 @@ import pytest
 
 from repro.sim.message import Envelope, Part
 from repro.sim.network import Network
-from repro.sim.node import NodeHandler, SilentNode
-from tests.conftest import RelayNode
+from repro.sim.node import NodeHandler
+from tests.conftest import RelayNode, SilentNode
 
 
 class Beacon(NodeHandler):

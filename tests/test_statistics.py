@@ -6,9 +6,6 @@ import pytest
 
 from repro.analysis.statistics import (
     Summary,
-    bootstrap_ci,
-    geometric_mean,
-    significantly_less,
     summarize,
 )
 
@@ -52,57 +49,6 @@ class TestOverlap:
         a = Summary(10, 1.0, 1.0, 0.3, 0.4, 1.6)
         b = Summary(10, 1.5, 1.0, 0.3, 0.9, 2.1)
         assert a.overlaps(b)
-
-
-class TestBootstrap:
-    def test_contains_sample_mean(self):
-        rng = random.Random(2)
-        samples = [rng.gauss(50, 5) for _ in range(40)]
-        lo, hi = bootstrap_ci(samples, rng=random.Random(3))
-        sample_mean = sum(samples) / len(samples)
-        assert lo <= sample_mean <= hi
-        # And the interval is reasonably tight: within a couple of stderrs.
-        assert hi - lo < 5
-
-    def test_deterministic_given_rng(self):
-        samples = [1.0, 2.0, 3.0, 4.0]
-        a = bootstrap_ci(samples, rng=random.Random(7))
-        b = bootstrap_ci(samples, rng=random.Random(7))
-        assert a == b
-
-    def test_degenerate_constant_samples(self):
-        lo, hi = bootstrap_ci([5.0] * 10, rng=random.Random(0))
-        assert lo == hi == 5.0
-
-    def test_validates_inputs(self):
-        with pytest.raises(ValueError):
-            bootstrap_ci([])
-        with pytest.raises(ValueError):
-            bootstrap_ci([1.0], confidence=1.5)
-
-
-class TestComparisons:
-    def test_clearly_separated_samples(self):
-        a = [10.0, 11.0, 9.0, 10.5] * 4
-        b = [100.0, 98.0, 103.0, 99.0] * 4
-        assert significantly_less(a, b)
-        assert not significantly_less(b, a)
-
-    def test_noisy_overlap_is_not_significant(self):
-        rng = random.Random(5)
-        a = [rng.gauss(10, 5) for _ in range(5)]
-        b = [x + 0.5 for x in a]
-        assert not significantly_less(a, b)
-
-    def test_geometric_mean(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-        assert geometric_mean([2.0, 2.0, 2.0]) == pytest.approx(2.0)
-
-    def test_geometric_mean_validates(self):
-        with pytest.raises(ValueError):
-            geometric_mean([])
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, 0.0])
 
 
 class TestStrictRunner:

@@ -6,8 +6,7 @@ from repro.core.agg import AggNode
 from repro.core.params import params_for
 from repro.graphs import grid_graph, path_graph
 from repro.sim import Network, Part, SendTracer, Tracer
-from repro.sim.node import SilentNode
-from tests.conftest import RelayNode
+from tests.conftest import RelayNode, SilentNode
 
 
 class Beacon(SilentNode):
