@@ -15,7 +15,11 @@ Mechanism — windowed logical rounds:
   whatever the handler broadcasts into a single *frame* carrying the
   logical round number, an attempt counter, and the inner parts.  An empty
   broadcast still produces a heartbeat frame, so a missing frame is
-  distinguishable from a silent node.
+  distinguishable from a silent node.  The inner handler keeps the wake
+  contract of :mod:`repro.sim.node` in logical rounds: it is called only
+  when its logical inbox is non-empty or its ``next_wake`` is due, and
+  otherwise the heartbeat carries ``()`` without calling it, exactly what
+  the call would have returned.
 * Frames are deduplicated per ``(sender, logical round)`` — duplicate
   copies injected by the network are suppressed — and buffered per logical
   round, so arbitrary within-window reordering and delays are absorbed.
@@ -24,6 +28,9 @@ Mechanism — windowed logical rounds:
   receiver of a frame buffers the very contents tuple its sender framed,
   so each frame's logical-inbox envelope is built once and shared
   (:meth:`ReliableTransport.logical_envelope`), as on the exact path.
+  Likewise a copy whose payload *is* the last frame its sender built
+  skips the shape checks (:func:`well_formed_frame`); every other copy —
+  corrupted, rewritten, replayed or superseded — is checked in full.
 * At fixed **NACK slots** inside the window a receiver that is still
   missing a frame broadcasts a NACK naming the missing senders; the named
   senders rebroadcast their frame (attempt > 0).  NACK slots follow a
@@ -63,6 +70,10 @@ from .detector import LEVEL_CONFIRM, PhiAccrualDetector, AdaptiveRto
 FRAME_KIND = "xport_frame"
 NACK_KIND = "xport_nack"
 TRANSPORT_KINDS = frozenset({FRAME_KIND, NACK_KIND})
+
+#: What a sender that built no frame yet has in ``ReliableTransport.built``
+#: (not None: a corrupted payload can be None).
+_UNBUILT = object()
 
 #: Accepted retransmission-timing modes.
 RTO_MODES = ("fixed", "adaptive")
@@ -246,6 +257,9 @@ class ReliableTransport:
         #: contents, envelope)`` (see :meth:`logical_envelope`).
         self._envelopes: Dict[int, Tuple[tuple, Envelope]] = {}
         self._envelopes_lr = 0
+        #: The last frame payload each sender built (see
+        #: :meth:`TransportNode._absorb`).
+        self.built: Dict[int, tuple] = {}
 
     @property
     def window(self) -> int:
@@ -571,6 +585,9 @@ class TransportNode(NodeHandler):
         self._peer_inc: Dict[int, int] = {}
         #: Adaptive mode: slot of my last NACK, per ``(lr, sender)``.
         self._last_nack: Dict[Tuple[int, int], int] = {}
+        #: The inner handler's next wake, in logical rounds (``None``:
+        #: only on mail); 0 runs it at the first window.
+        self._inner_wake: Optional[int] = 0
 
     # -- delegation ---------------------------------------------------- #
 
@@ -630,6 +647,7 @@ class TransportNode(NodeHandler):
             self._expected = set(self.neighbours)
             self._peer_inc = {}
             self.inner = AmnesiacInner(self.node_id, self.inner)
+            self._inner_wake = 0
         else:
             self.transport.rejoins_durable += 1
 
@@ -695,31 +713,23 @@ class TransportNode(NodeHandler):
 
     def _absorb(self, lr: int, slot: int, rnd: int, inbox) -> set:
         """File incoming frames and NACKs; returns the neighbours whose
-        NACKs named me this round."""
+        NACKs named me this round.
+
+        A frame whose payload *is* the last one its sender built
+        (:attr:`ReliableTransport.built`) is well formed by construction
+        and skips :func:`well_formed_frame`.
+        """
         transport = self.transport
+        built, unbuilt = transport.built, _UNBUILT
         requesters: set = set()
         for envelope in inbox:
             sender = envelope.sender
             for part in envelope.parts:
                 if part.kind == FRAME_KIND:
-                    # Defensive decode: under corruption injection with no
-                    # integrity layer a frame payload can be truncated or
-                    # have a flipped field — drop it instead of crashing
-                    # (the NACK path then recovers the logical frame).
-                    # Incarnation-0 frames keep the historical 3-field shape
-                    # so pre-churn recordings replay bit-identically; revived
-                    # senders append their incarnation as a 4th field.
                     payload = part.payload
-                    if (
-                        not isinstance(payload, tuple)
-                        or len(payload) not in (3, 4)
-                        or not isinstance(payload[0], int)
-                        or not isinstance(payload[2], tuple)
-                        or (
-                            len(payload) == 4
-                            and not isinstance(payload[3], int)
-                        )
-                    ):
+                    if payload is not built.get(
+                        sender, unbuilt
+                    ) and not well_formed_frame(payload):
                         transport.malformed += 1
                         continue
                     frame_inc = payload[3] if len(payload) == 4 else 0
@@ -809,8 +819,18 @@ class TransportNode(NodeHandler):
         else:
             logical_inbox = []
         self._delivered = lr - 1
-        inner_parts = tuple(self.inner.on_round(lr, logical_inbox))
-        self._outbox = tuple((p.kind, p.payload, p.bits) for p in inner_parts)
+        # The inner handler keeps the wake contract in logical rounds: an
+        # empty-inbox call before its wake would broadcast nothing.
+        wake = self._inner_wake
+        if logical_inbox or (wake is not None and wake <= lr):
+            inner = self.inner
+            self._outbox = tuple(
+                (p.kind, p.payload, p.bits)
+                for p in inner.on_round(lr, logical_inbox)
+            )
+            self._inner_wake = inner.next_wake(lr)
+        else:
+            self._outbox = ()
         self._outbox_round = lr
         transport.frames += 1
         return self._frame(lr, attempt=0)
@@ -822,7 +842,28 @@ class TransportNode(NodeHandler):
         if self._incarnation:
             payload += (self._incarnation,)
             header += INCARNATION_BITS
+        self.transport.built[self.node_id] = payload
         return Part(FRAME_KIND, payload, header + payload_bits)
+
+
+def well_formed_frame(payload) -> bool:
+    """Whether a frame payload has the shape :meth:`TransportNode._absorb`
+    files: ``(logical round: int, attempt, contents: tuple)``, plus an int
+    incarnation from a revived sender.
+
+    Under corruption injection with no integrity layer a frame can be
+    truncated or have a flipped field; such a copy is dropped instead of
+    crashing the decoder (the NACK path then recovers the logical frame).
+    Incarnation-0 frames keep the historical 3-field shape so pre-churn
+    recordings replay bit-identically.
+    """
+    return (
+        isinstance(payload, tuple)
+        and len(payload) in (3, 4)
+        and isinstance(payload[0], int)
+        and isinstance(payload[2], tuple)
+        and (len(payload) == 3 or isinstance(payload[3], int))
+    )
 
 
 class AmnesiacInner(NodeHandler):

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from .faults import FaultInjector
+from .network import NEVER
 
 MODES = ("strict", "record")
 
@@ -274,23 +275,21 @@ class RecoverySafetyMonitor(Monitor):
         self.root = root
         self.crash_round: Optional[int] = None
 
-    def end_round(self, rnd: int) -> None:
-        """Note (once) the round the root died; never raises for it."""
-        if self.crash_round is not None or self.network.is_alive(self.root):
-            return
-        self.crash_round = rnd
-        self.violations.append(
-            MonitorEvent(
-                self.rule,
-                rnd,
-                f"the root (node {self.root}) crashed; failover engaged",
-            )
-        )
-
     def end_run(self, rnd: int) -> None:
-        """A dead root must have stayed silent: no output may survive it."""
+        """Note (once) the round the root died, never raising for it; a
+        dead root must have stayed silent: no output may survive it."""
         if self.crash_round is None:
-            return
+            died = self._first_dead_round(rnd)
+            if died is None:
+                return
+            self.crash_round = died
+            self.violations.append(
+                MonitorEvent(
+                    self.rule,
+                    died,
+                    f"the root (node {self.root}) crashed; failover engaged",
+                )
+            )
         handler = self.network.handlers.get(self.root)
         result = getattr(handler, "result", None)
         if result is not None:
@@ -298,6 +297,18 @@ class RecoverySafetyMonitor(Monitor):
                 f"dead root (node {self.root}) still exposes output "
                 f"{result}",
             )
+
+    def _first_dead_round(self, last: int) -> Optional[int]:
+        """The first of rounds ``1..last`` in which the root was dead, read
+        from the network's crash round and downtime intervals (the rounds
+        ``Network.run`` jumped included), or None."""
+        network = self.network
+        first = max(1, network.crash_rounds.get(self.root, NEVER))
+        for start, end in network.down_intervals.get(self.root, ()):
+            start = max(1, start)
+            if start < end and start < first:
+                first = start
+        return first if first <= last else None
 
 
 class CorruptionOracleMonitor(Monitor):

@@ -49,6 +49,18 @@ round, so a wake that falls in an outage runs at the node's first live
 round after it; a permanently crashed node never runs again.  The stop
 check of :meth:`Network.run` asks every handler after the first round and
 then only the handlers that ran since the last check.
+
+**Idle rounds are jumped.**  After round 1, when nothing is in flight and
+no injector subscribes to ``begin_round`` or ``end_round``,
+:meth:`Network.run` moves the clock straight to the earliest round that
+can do anything: the next wake bucket, the next scheduled delivery, the
+root's next crash or downtime start (where the run stops, as before), or
+the last round of the run (so ``SimStats.rounds_executed`` ends where it
+would have).  A jumped round would run no node and deliver nothing, so
+broadcasts, deliveries and statistics are unchanged.  Round observers —
+the recorder, replay, tracers, the adaptive adversary, the churn
+schedule and the monitors that check every round — keep the every-round
+loop, so what they see is unchanged too.
 """
 
 from __future__ import annotations
@@ -482,6 +494,32 @@ class Network:
             inboxes[receiver] = box
         return inboxes
 
+    def next_delivery_round(self) -> Optional[int]:
+        """The earliest due round of a scheduled copy (None: none)."""
+        return min(self._due, default=None)
+
+    def _next_event(self, end: int) -> int:
+        """The first round after the current one that can do anything:
+        the next wake bucket, the next scheduled delivery, or the first
+        round the root is dead (``Network.run`` stops there), capped at
+        ``end``.  Only valid with nothing in flight."""
+        soonest = self.round + 1
+        nxt = end
+        if self._wakes:
+            nxt = min(nxt, min(self._wakes))
+        due = self.next_delivery_round()
+        if due is not None and due < nxt:
+            nxt = due
+        root = self.root
+        if root is not None:
+            crash = self.crash_rounds.get(root, NEVER)
+            if crash < nxt:
+                nxt = int(crash)
+            for start, stop in self.down_intervals.get(root, ()):
+                if start < nxt and stop > soonest:
+                    nxt = start
+        return max(nxt, soonest)
+
     def stop_requested(self) -> bool:
         """Whether a handler reports :meth:`NodeHandler.wants_to_stop`.
 
@@ -508,7 +546,13 @@ class Network:
         """
         if max_rounds < 0:
             raise ValueError(f"max_rounds must be >= 0, got {max_rounds}")
-        for _ in range(max_rounds):
+        end = self.round + max_rounds
+        # A round observer sees every round; otherwise rounds with nothing
+        # to deliver, no wake and no root death are jumped.
+        jumps = not (self._begin_round or self._end_round)
+        while self.round < end:
+            if jumps and self.round and not self._in_flight:
+                self.round = self._next_event(end) - 1
             self.step()
             if stop_on_output and self.stop_requested():
                 break

@@ -21,6 +21,12 @@ runs the node only in rounds where it has mail or a due wake:
   churn outage), so a wake that falls while the node is down runs at its
   first live round after the outage.  A permanently crashed node is never
   run again.
+
+Overlays forward the contract to the handler they wrap: the integrity
+layer wakes when its inner handler does, and the reliable transport
+(:class:`repro.resilience.transport.TransportNode`) calls its inner
+protocol at a logical round only when that round brings mail or has
+reached the inner handler's ``next_wake``, in logical rounds.
 """
 
 from __future__ import annotations

@@ -606,31 +606,39 @@ def test_algorithm1_handler_calls_are_a_small_fraction(monkeypatch):
 
 
 def test_overlay_handler_calls_are_a_small_fraction(monkeypatch):
+    """Under transport + MAC frames the network steps only the rounds with
+    a wake or a due copy, the transport runs only at its window starts and
+    NACK slots, and the protocol inside runs only on mail or its wakes."""
     topo = grid_graph(5, 5)
-    calls, rounds = [0], [0]
-    on_round, step = TransportNode.on_round, Network.step
+    calls = {"transport": 0, "inner": 0, "steps": 0}
+    on_round, inner_on_round = TransportNode.on_round, IntervalNode.on_round
+    step = Network.step
 
-    def counted_on_round(self, rnd, inbox):
-        calls[0] += 1
-        return on_round(self, rnd, inbox)
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
 
-    def counted_step(self):
-        rounds[0] += 1
-        step(self)
+        return wrapper
 
-    monkeypatch.setattr(TransportNode, "on_round", counted_on_round)
-    monkeypatch.setattr(Network, "step", counted_step)
+    monkeypatch.setattr(TransportNode, "on_round", counted("transport", on_round))
+    monkeypatch.setattr(IntervalNode, "on_round", counted("inner", inner_on_round))
+    monkeypatch.setattr(Network, "step", counted("steps", step))
+    policy = RecoveryPolicy.default()
     record = run_protocol(
         "unknown_f",
         topo,
         {u: 1 for u in topo.nodes()},
         injectors=[MessageFaults(drop=0.01, seed=0, protect=[topo.root])],
         rng=random.Random(0),
-        recovery=RecoveryPolicy.default(),
+        recovery=policy,
         integrity="mac",
     )
     assert record.correct
-    assert calls[0] <= 0.20 * topo.n_nodes * rounds[0]
+    logical_rounds = record.rounds // policy.transport.window
+    assert calls["transport"] <= 0.20 * topo.n_nodes * record.rounds
+    assert calls["steps"] <= 0.20 * record.rounds
+    assert calls["inner"] <= 0.15 * topo.n_nodes * logical_rounds
 
 
 def test_stretch_check_needs_few_bfs(monkeypatch):

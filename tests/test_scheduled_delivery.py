@@ -42,7 +42,8 @@ BUILDERS = ("repro.baselines.bruteforce", "repro.resilience.transport")
 
 class FlatPending(Network):
     """Reference scheduled path: one flat ``(due, sender, receiver,
-    part)`` list, re-filtered in every round."""
+    part)`` list, re-filtered in every round it steps; ``Network.run``
+    reads the next delivery round from that list too."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -61,6 +62,9 @@ class FlatPending(Network):
                     deliveries = rewritten
                 for due, p in deliveries:
                     self._pending.append((due, sender, neighbour, p))
+
+    def next_delivery_round(self):
+        return min((copy[0] for copy in self._pending), default=None)
 
     def _deliver_scheduled(self, rnd):
         inboxes: Dict[int, List[Envelope]] = {}
