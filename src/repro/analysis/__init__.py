@@ -20,7 +20,6 @@ _EXPORTS = export_table({
     "report": "generate_report",
     "runner": "RunRecord RunTimeout error_record make_inputs run_protocol "
               "safe_run_protocol wall_clock_limit",
-    "statistics": "Summary summarize",
     "sweep": "SweepPoint aggregate random_schedule_spec run_point sweep_b "
              "sweep_f",
     "tables": "format_series format_table",

@@ -61,6 +61,8 @@ class BruteForceNode(NodeHandler):
         self.floods = FloodManager(BF_FLOOD_KINDS)
         #: ``2c`` flooding rounds, as in the paper's analysis.
         self.total_rounds = 2 * params.cd
+        #: The root's ``id -> value`` table; only the root aggregates, so
+        #: no other node keeps one.
         self.values: Dict[int, int] = {}
         self.done = False
         self.result: Optional[int] = None
@@ -72,10 +74,11 @@ class BruteForceNode(NodeHandler):
 
         fresh = self.floods.absorb(inbox)
         started = any(part.kind == "bf_start" for part in fresh)
-        for part in fresh:
-            if part.kind == "bf_value":
-                node, value = part.payload
-                self.values.setdefault(node, value)
+        if self.is_root:
+            for part in fresh:
+                if part.kind == "bf_value":
+                    node, value = part.payload
+                    self.values.setdefault(node, value)
 
         if self.is_root and rel == 1:
             self.floods.initiate(bf_start(self.p))
@@ -99,7 +102,10 @@ class BruteForceNode(NodeHandler):
         return self.start_round - 1 + self.total_rounds
 
     def _flood_own_value(self) -> None:
-        if self.floods.initiate(bf_value(self.p, self.node_id, self.my_value)):
+        if (
+            self.floods.initiate(bf_value(self.p, self.node_id, self.my_value))
+            and self.is_root
+        ):
             self.values.setdefault(self.node_id, self.my_value)
 
     def wants_to_stop(self) -> bool:

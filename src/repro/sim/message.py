@@ -7,6 +7,16 @@ into a single physical broadcast (as the paper's pseudo-code caption allows);
 the physical broadcast costs the sum of its parts' bits, and a receiver
 gets it as one :class:`Envelope` holding every part.
 
+A part's *content* is its kind and payload (:attr:`Part.content_key`); the
+flood primitive forwards each content once.  For that de-duplication an
+envelope carries, besides its parts, one cached entry: the content index
+it was read in (:class:`repro.sim.flooding.ContentIndex`, one per run)
+with the flood kinds registered there, each part's content bit in that
+index (none for other kinds) and their OR, the envelope's mask.  The
+first receiver builds it and every later receiver reading the same index
+shares it (:meth:`Envelope.content_bits`).  Faults, replay and the
+integrity layer key on :attr:`Part.content_key` and never see the bits.
+
 Ids are ``ceil(log2 N)`` bits, matching the paper's ``log N``-bit node ids.
 Small constant *tags* distinguish message kinds on the wire.
 """
@@ -71,28 +81,40 @@ class Envelope:
     Attributes:
         sender: Id of the node that physically sent the parts.
         parts: The broadcast's parts, in broadcast order (never empty).
-        keys: Frozenset of the parts' content keys, built on first use
-            and then shared by every receiver of the envelope.  A
-            frozenset keeps its elements' hashes, so set operations on
-            ``keys`` hash no payload again.  Its iteration order depends
-            on the hash seed, so it stays out of ``repr`` and equality.
+
+    The envelope also caches its parts' content bits in one content index
+    (:meth:`content_bits`), built by the first receiver and then shared by
+    every receiver that reads the same index.  The cache stays out of
+    ``repr`` and equality.
     """
 
-    __slots__ = ("sender", "parts", "_keys")
+    __slots__ = ("sender", "parts", "_mask")
 
     def __init__(self, sender: int, parts: tuple) -> None:
         self.sender = sender
         self.parts = parts
-        self._keys = None
+        self._mask = None
 
-    @property
-    def keys(self) -> frozenset:
-        keys = self._keys
-        if keys is None:
-            keys = self._keys = frozenset(
-                [(p.kind, p.payload) for p in self.parts]
-            )
-        return keys
+    def content_bits(self, index) -> tuple:
+        """``(index, kinds, mask, bits)``: each part's content bit in
+        ``index`` (a :class:`repro.sim.flooding.ContentIndex`), in part
+        order, 0 for a part whose kind is not among the index's ``kinds``,
+        and the OR of the bits.  Built once per index and set of kinds;
+        reading the envelope in another index, or after the index
+        registered more kinds, rebuilds it, so bits of two indexes never
+        meet."""
+        cached = self._mask
+        kinds = index.kinds
+        if cached is None or cached[0] is not index or cached[1] is not kinds:
+            bits = tuple([
+                index[(p.kind, p.payload)] if p.kind in kinds else 0
+                for p in self.parts
+            ])
+            mask = 0
+            for bit in bits:
+                mask |= bit
+            cached = self._mask = (index, kinds, mask, bits)
+        return cached
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Envelope):

@@ -101,8 +101,27 @@ class Monitor(FaultInjector):
         return not self.violations
 
 
+def first_dead_round(network, node: int, last: int) -> Optional[int]:
+    """The first of rounds ``1..last`` in which ``node`` was dead, read
+    from the network's crash round and downtime intervals (the rounds
+    ``Network.run`` jumped included), or None."""
+    first = max(1, network.crash_rounds.get(node, NEVER))
+    for start, end in network.down_intervals.get(node, ()):
+        start = max(1, start)
+        if start < end and start < first:
+            first = start
+    return first if first <= last else None
+
+
 class RootSafetyMonitor(Monitor):
-    """Section 2: all nodes *except the root* may crash."""
+    """Section 2: all nodes *except the root* may crash.
+
+    Checked at the end of each run, at the first round the root was dead,
+    so the monitor observes no round and :meth:`Network.run
+    <repro.sim.network.Network.run>` may jump idle ones.  A network that
+    declares the root stops in the round it dies, so strict mode raises
+    there.
+    """
 
     rule = "root-safe"
 
@@ -111,12 +130,15 @@ class RootSafetyMonitor(Monitor):
         self.root = root
         self._tripped = False
 
-    def end_round(self, rnd: int) -> None:
-        """Report once, in the first round the root is dead."""
-        if self._tripped or self.network.is_alive(self.root):
+    def end_run(self, rnd: int) -> None:
+        """Report once, with the first round the root was dead."""
+        if self._tripped:
+            return
+        died = first_dead_round(self.network, self.root, rnd)
+        if died is None:
             return
         self._tripped = True
-        self.report(f"the root (node {self.root}) is dead", rnd)
+        self.report(f"the root (node {self.root}) is dead", died)
 
 
 class FBudgetMonitor(Monitor):
@@ -279,7 +301,7 @@ class RecoverySafetyMonitor(Monitor):
         """Note (once) the round the root died, never raising for it; a
         dead root must have stayed silent: no output may survive it."""
         if self.crash_round is None:
-            died = self._first_dead_round(rnd)
+            died = first_dead_round(self.network, self.root, rnd)
             if died is None:
                 return
             self.crash_round = died
@@ -297,18 +319,6 @@ class RecoverySafetyMonitor(Monitor):
                 f"dead root (node {self.root}) still exposes output "
                 f"{result}",
             )
-
-    def _first_dead_round(self, last: int) -> Optional[int]:
-        """The first of rounds ``1..last`` in which the root was dead, read
-        from the network's crash round and downtime intervals (the rounds
-        ``Network.run`` jumped included), or None."""
-        network = self.network
-        first = max(1, network.crash_rounds.get(self.root, NEVER))
-        for start, end in network.down_intervals.get(self.root, ()):
-            start = max(1, start)
-            if start < end and start < first:
-                first = start
-        return first if first <= last else None
 
 
 class CorruptionOracleMonitor(Monitor):

@@ -38,6 +38,11 @@ its due round, so a round hands over only the copies due in it, in the
 order they were scheduled, and reads liveness once per receiver and once
 per sender per round.  Injectors hold a non-owning reference back to
 the network, so a finished run is freed by reference counting alone.
+The network also owns its run's flood content index
+(:class:`repro.sim.flooding.ContentIndex`), current around each round's
+handler calls, so every flood manager first used in its rounds shares
+it, envelope masks are built once per broadcast, and the index goes with
+the network.
 
 **Event-driven rounds.**  A round runs only the nodes with mail or a due
 wake (:meth:`repro.sim.node.NodeHandler.next_wake`, kept in per-round wake
@@ -68,6 +73,7 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..obs import spans as _spans
+from .flooding import RUN_INDEX, ContentIndex
 from .message import Envelope, Part
 from .node import NodeHandler
 from .stats import SimStats
@@ -148,6 +154,9 @@ class Network:
         self._unchecked = set(self.handlers)
         self.stats = SimStats()
         self.round = 0
+        #: Flood contents of this run, numbered for the handlers' seen
+        #: masks (:mod:`repro.sim.flooding`); freed with the network.
+        self.contents = ContentIndex()
         # Broadcasts made in the current round, delivered next round
         # (exact-model fast path).
         self._in_flight: List[tuple] = []
@@ -333,6 +342,18 @@ class Network:
         else:
             inboxes = self._deliver_exact(rnd)
 
+        # Flood managers first used in this round bind to this run's index.
+        token = RUN_INDEX.set(self.contents)
+        try:
+            self._run_nodes(rnd, inboxes)
+        finally:
+            RUN_INDEX.reset(token)
+        self.stats.rounds_executed = rnd
+        for injector in self._end_round:
+            injector.end_round(rnd)
+
+    def _run_nodes(self, rnd: int, inboxes: Dict[int, List[Envelope]]) -> None:
+        """Run the nodes with mail or a due wake, in adjacency order."""
         wakes = self._wakes
         if rnd == 1:
             for node in self.adjacency:
@@ -355,9 +376,6 @@ class Network:
                 self._broadcast(rnd, node, parts)
             unchecked.add(node)
             self._wake(node, handler.next_wake(rnd))
-        self.stats.rounds_executed = rnd
-        for injector in self._end_round:
-            injector.end_round(rnd)
 
     def _wake(self, node: int, wake: Optional[int]) -> None:
         """Put ``node`` in the bucket of round ``wake`` (None: no wake)."""

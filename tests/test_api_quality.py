@@ -67,7 +67,6 @@ MODULES = PACKAGES + [
     "repro.analysis.tables",
     "repro.analysis.figure1",
     "repro.analysis.fitting",
-    "repro.analysis.statistics",
     "repro.analysis.asciiplot",
     "repro.analysis.cost_model",
     "repro.analysis.report",
@@ -170,7 +169,6 @@ TEST_ONLY_ALLOWED = {
     # Lost their last src reader when its caller was deleted as test-only;
     # next in line for deletion unless a bench or report takes them up.
     "fit_power_law": "was reached only through the deleted shape_report",
-    "summarize": "was reached only through the deleted significantly_less",
 }
 
 

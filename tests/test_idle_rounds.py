@@ -46,10 +46,13 @@ from repro.sim.faults import (
     MessageFaults,
 )
 from repro.sim.message import Envelope, Part
+from repro.cli import main
 from repro.sim.monitors import (
     CorruptionOracleMonitor,
+    InvariantViolation,
     OracleMonitor,
     RecoverySafetyMonitor,
+    RootSafetyMonitor,
 )
 from repro.sim.node import NodeHandler
 
@@ -450,3 +453,78 @@ def test_recovery_safe_round_without_a_network_root(crashes, downtime, died):
         assert network.stats.rounds_executed == 20
         rounds[reference] = [v.round for v in monitor.violations]
     assert rounds[False] == rounds[True] == ([died] if died else [])
+
+
+@pytest.mark.parametrize(
+    "crashes, downtime, died",
+    [({0: 7}, None, 7), ({}, (5, 9), 5), ({0: 12}, (3, 4), 3), ({}, None, None)],
+)
+def test_root_safe_round_when_jumping(crashes, downtime, died):
+    """``root-safe`` reports the root's first dead round once, whether the
+    run jumps idle rounds or steps every one; with the root declared the
+    run stops there and strict mode raises for that round."""
+    topo = path_graph(3)
+    rounds = {}
+    for reference in (False, True):
+        monitor = RootSafetyMonitor(0, mode="record")
+        injectors = [monitor, EveryRoundObserver()] if reference else [monitor]
+        network = Network(
+            topo.adjacency,
+            {u: Idle() for u in topo.nodes()},
+            crash_rounds=crashes,
+            injectors=injectors,
+            allow_root_crash=True,
+        )
+        if downtime is not None:
+            network.schedule_downtime(0, *downtime)
+        network.run(20)
+        rounds[reference] = [v.round for v in monitor.violations]
+    assert rounds[False] == rounds[True] == ([died] if died else [])
+    if died is None:
+        return
+    network = Network(
+        topo.adjacency,
+        {u: Idle() for u in topo.nodes()},
+        crash_rounds=crashes,
+        injectors=[RootSafetyMonitor(0, mode="strict")],
+        root=0,
+        allow_root_crash=True,
+    )
+    if downtime is not None:
+        network.schedule_downtime(0, *downtime)
+    with pytest.raises(InvariantViolation) as raised:
+        network.run(20)
+    assert raised.value.round == died == network.round
+    assert str(raised.value) == (
+        f"[root-safe] (round {died}) the root (node 0) is dead"
+    )
+
+
+def test_standard_monitors_let_a_chaos_run_jump(monkeypatch, capsys):
+    """The non-recovery monitor stack observes no round, so a chaos run
+    under the reliable transport and MAC frames steps at most a fifth of
+    its simulated rounds."""
+    calls = {"steps": 0, "rounds": 0}
+    step, run = Network.step, Network.run
+
+    def counted_step(self):
+        calls["steps"] += 1
+        return step(self)
+
+    def counted_run(self, *args, **kwargs):
+        before = self.stats.rounds_executed
+        stats = run(self, *args, **kwargs)
+        calls["rounds"] += stats.rounds_executed - before
+        return stats
+
+    monkeypatch.setattr(Network, "step", counted_step)
+    monkeypatch.setattr(Network, "run", counted_run)
+    code = main([
+        "chaos", "--topology", "grid:4x4", "--protocol", "unknown_f",
+        "--inject", "drop=0.05", "--retransmit-budget", "5",
+        "--integrity", "mac", "--seeds", "1",
+    ])
+    assert code == 0
+    assert "1 correct" in capsys.readouterr().out
+    assert calls["rounds"] > 0
+    assert calls["steps"] <= 0.20 * calls["rounds"]

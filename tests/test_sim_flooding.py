@@ -6,8 +6,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.adversary import FailureSchedule
+from repro.core import run_agg_veri_pair
 from repro.graphs import cycle_graph, grid_graph, path_graph
-from repro.sim.flooding import FloodManager
+from repro.sim.flooding import RUN_INDEX, ContentIndex, FloodManager
 from repro.sim.message import Envelope, Part
 from repro.sim.network import Network
 from repro.sim.node import NodeHandler
@@ -171,10 +173,211 @@ class TestAbsorbMatchesReference:
         fm.absorb([Envelope(0, parts)])
         fm.emit()
         duplicate = Envelope(1, parts)
-        duplicate.keys  # built once, as the first receiver does
+        duplicate.content_bits(fm.index)  # built once, as the first receiver does
         duplicate.parts = Untouchable(parts)
         assert fm.absorb([duplicate]) == []
         assert fm.emit() == []
+
+
+#: Hash-equal payloads: a set kept one of them, and so must the masks.
+_equal_payloads = [(1,), (True,), (1.0,), (0,), (False,), (0.0,), (2,)]
+_dup_parts = st.builds(
+    Part,
+    kind=st.sampled_from(["f", "g", "x"]),
+    payload=st.sampled_from(_equal_payloads),
+    bits=st.integers(1, 3),
+)
+#: Small pools, so one envelope often repeats a content.
+_dup_envelopes = st.builds(
+    Envelope,
+    sender=st.integers(0, 3),
+    parts=st.lists(_dup_parts, min_size=1, max_size=5).map(tuple),
+)
+
+
+def _exact(parts):
+    """Parts as comparable values that tell ``1``, ``True`` and ``1.0``
+    apart."""
+    return [(p.kind, repr(p.payload), p.bits) for p in parts]
+
+
+class TestMasksMatchReference:
+    """The bitmask seen-sets against the set-based :class:`ReferenceFloods`,
+    on managers driven by hand, outside any ``Network``."""
+
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        rounds=st.lists(
+            st.tuples(
+                st.lists(st.integers(0, 5), max_size=6),  # inbox picks
+                st.lists(_dup_parts.filter(lambda p: p.kind != "x"), max_size=2),
+                st.booleans(),  # initiate before absorbing
+            ),
+            max_size=8,
+        ),
+        pool=st.lists(_dup_envelopes, min_size=1, max_size=6),
+        shared=st.booleans(),
+    )
+    def test_disjoint_managers_share_envelopes(self, rounds, pool, shared):
+        """Two managers with disjoint kinds read the same envelope objects,
+        as Algorithm 1's AGG and VERI handlers do, in one shared index or
+        each in its own."""
+        token = RUN_INDEX.set(ContentIndex()) if shared else None
+        try:
+            managers = [FloodManager({"f"}), FloodManager({"g"})]
+            refs = [ReferenceFloods({"f"}), ReferenceFloods({"g"})]
+            # The second manager binds, and registers its kind, only at its
+            # first use: after the first one has read the envelopes.
+            managers[0].index
+            for picks, initiated, initiate_first in rounds:
+                inbox = [pool[i % len(pool)] for i in picks]
+                copies = [(env.sender, p) for env in inbox for p in env.parts]
+                for fm, ref in zip(managers, refs):
+                    mine = [p for p in initiated if p.kind in ref.kinds]
+                    if initiate_first:
+                        for part in mine:
+                            assert fm.initiate(part) == ref.initiate(part)
+                    assert _exact(fm.absorb(inbox)) == _exact(ref.absorb(copies))
+                    if not initiate_first:
+                        for part in mine:
+                            assert fm.initiate(part) == ref.initiate(part)
+                    assert _exact(fm.emit()) == _exact(ref.queue)
+                    ref.queue = []
+                    for part in initiated:
+                        assert fm.has_seen(part.kind, part.payload) == (
+                            part.kind in ref.kinds
+                            and part.content_key in ref.seen
+                        )
+            indexes = {id(fm.index) for fm in managers}
+        finally:
+            if token is not None:
+                RUN_INDEX.reset(token)
+        assert len(indexes) == (1 if shared else 2)
+
+    def test_a_kind_registered_after_an_envelope_was_read(self):
+        """VERI's manager is armed after AGG's has read the round's
+        envelopes: the cached bits gave VERI's parts none, and are rebuilt
+        once its kinds are registered."""
+        f, g = Part("f", (1,), 2), Part("g", (1,), 2)
+        env = Envelope(0, (f, g))
+        token = RUN_INDEX.set(ContentIndex())
+        try:
+            agg = FloodManager({"f"})
+            assert agg.absorb([env]) == [f]
+            assert env.content_bits(agg.index)[3] == (1, 0)
+            veri = FloodManager({"g"})
+            assert veri.absorb([env]) == [g]
+            assert agg.absorb([env]) == []
+        finally:
+            RUN_INDEX.reset(token)
+
+    def test_content_repeated_inside_one_envelope(self):
+        part = Part("f", (1,), 2)
+        twin = Part("f", (True,), 3)  # the same content
+        fm = FloodManager({"f"})
+        assert fm.absorb([Envelope(0, (part, Part("x", (), 1), twin))]) == [part]
+        assert fm.emit() == [part]
+
+    def test_hash_equal_payloads_dedup_as_a_set(self):
+        fm = FloodManager({"f"})
+        first = Part("f", (1.0,), 2)
+        assert fm.initiate(first)
+        assert not fm.initiate(Part("f", (1,), 2))
+        assert fm.absorb([Envelope(0, (Part("f", (True,), 2),))]) == []
+        assert fm.has_seen("f", (True,))
+        assert _exact(fm.emit()) == _exact([first])
+
+    def test_initiate_before_any_receipt(self):
+        fm = FloodManager({"f"})
+        part = Part("f", (1,), 2)
+        assert fm.initiate(part)
+        assert fm.absorb([Envelope(0, (part, Part("f", (2,), 2)))]) == [
+            Part("f", (2,), 2)
+        ]
+        assert fm.emit() == [part, Part("f", (2,), 2)]
+
+    def test_outside_a_network_each_manager_has_its_own_index(self):
+        a, b = FloodManager({"f"}), FloodManager({"f"})
+        part = Part("f", (1,), 2)
+        env = Envelope(0, (part,))
+        assert a.absorb([env]) == [part]
+        assert b.absorb([env]) == [part]  # rebuilt in b's index, not misread
+        assert a.index is not b.index
+        assert env.content_bits(b.index)[0] is b.index
+
+
+class TestRunIndex:
+    """Each ``Network`` numbers its own contents, and the managers its
+    handlers first use in its rounds read that index and no other."""
+
+    @staticmethod
+    def _flood(topo, part):
+        nodes = {0: Flooder(part, initiate_round=1)}
+        nodes.update({u: Flooder() for u in topo.nodes() if u != 0})
+        net = Network(topo.adjacency, nodes)
+        net.run(topo.diameter + 1, stop_on_output=False)
+        return net, nodes
+
+    def test_networks_back_to_back_keep_their_own_index(self):
+        topo = cycle_graph(6)
+        first, first_nodes = self._flood(topo, Part("f", ("a",), 3))
+        second, second_nodes = self._flood(topo, Part("f", ("b",), 3))
+        assert dict(first.contents) == {("f", ("a",)): 1}
+        assert dict(second.contents) == {("f", ("b",)): 1}
+        for nodes, net in ((first_nodes, first), (second_nodes, second)):
+            assert all(n.floods.index is net.contents for n in nodes.values())
+            assert all(len(nodes[u].first_seen) == 1 for u in range(1, 6))
+        assert RUN_INDEX.get() is None
+
+    def test_agg_veri_pairs_back_to_back(self):
+        """``run_agg_veri_pair`` builds two networks per call; two calls
+        give four indexes and the same, correct outcome."""
+        topo = grid_graph(4, 4)
+        inputs = {u: 1 for u in topo.nodes()}
+        schedule = FailureSchedule({5: 3})
+        first = run_agg_veri_pair(topo, inputs, t=2, schedule=schedule)
+        second = run_agg_veri_pair(topo, inputs, t=2, schedule=schedule)
+        clean = run_agg_veri_pair(topo, inputs, t=2)
+        assert clean.accepted and clean.agg_result == 16
+        assert first == second
+        assert first.agg_result in (15, 16)
+
+    def test_a_run_nested_inside_another(self):
+        """A handler that runs a whole inner network inside its round: the
+        inner managers bind to the inner index, the outer ones keep the
+        outer index, and both floods reach everyone."""
+        inner_topo = path_graph(4)
+
+        class Nesting(Flooder):
+            def on_round(self, rnd, inbox):
+                if rnd == 2:
+                    self.inner = TestRunIndex._flood(
+                        inner_topo, Part("f", ("inner",), 3)
+                    )
+                return super().on_round(rnd, inbox)
+
+        topo = cycle_graph(6)
+        part = Part("f", ("outer",), 3)
+        nodes = {0: Flooder(part, initiate_round=1), 3: Nesting()}
+        nodes.update({u: Flooder() for u in topo.nodes() if u not in nodes})
+        net = Network(topo.adjacency, nodes)
+        net.run(topo.diameter + 1, stop_on_output=False)
+        inner_net, inner_nodes = nodes[3].inner
+        assert inner_net.contents is not net.contents
+        assert dict(inner_net.contents) == {("f", ("inner",)): 1}
+        assert dict(net.contents) == {("f", ("outer",)): 1}
+        assert all(n.floods.index is net.contents for n in nodes.values())
+        assert all(
+            n.floods.index is inner_net.contents for n in inner_nodes.values()
+        )
+        for u in topo.non_root_nodes():
+            assert part.content_key in nodes[u].first_seen
+        for u in inner_topo.non_root_nodes():
+            assert ("f", ("inner",)) in inner_nodes[u].first_seen
 
 
 class TestFloodPropagation:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.sim.flooding import ContentIndex
 from repro.sim.message import (
     TAG_BITS,
     Envelope,
@@ -75,8 +76,12 @@ class TestPart:
         env = Envelope(4, (part,))
         assert env.sender == 4
         assert env.parts[0] is part
-        assert env.keys == {part.content_key}
-        # ``keys`` stays out of the envelope's text and equality.
+        index = ContentIndex()
+        assert env.content_bits(index) == (index, frozenset(), 0, (0,))
+        index.register({"x"})  # only flood kinds get bits
+        assert env.content_bits(index) == (index, index.kinds, 1, (1,))
+        assert index == {part.content_key: 1}
+        # The cached bits stay out of the envelope's text and equality.
         assert repr(env) == f"Envelope(sender=4, parts=({part!r},))"
         assert env == Envelope(4, (part,))
 

@@ -76,3 +76,28 @@ class TestViolations:
     def test_violation_str(self):
         v = Violation("rule-x", "something broke")
         assert str(v) == "[rule-x] something broke"
+
+
+class TestStrictRunner:
+    def test_strict_run_rejects_bad_config(self):
+        from repro.analysis import run_protocol
+
+        topo = grid_graph(4, 4)
+        schedule = FailureSchedule({0: 1})
+        with pytest.raises(ValueError, match="root-safe"):
+            run_protocol(
+                "bruteforce",
+                topo,
+                {u: 1 for u in topo.nodes()},
+                schedule=schedule,
+                strict=True,
+            )
+
+    def test_strict_run_accepts_clean_config(self):
+        from repro.analysis import run_protocol
+
+        topo = grid_graph(4, 4)
+        rec = run_protocol(
+            "bruteforce", topo, {u: 1 for u in topo.nodes()}, strict=True
+        )
+        assert rec.correct
