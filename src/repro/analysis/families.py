@@ -10,7 +10,9 @@ then gray, then byz, right after the crash schedule).  Each row names
 
 * the :func:`repro.analysis.runner.run_protocol` keyword arguments the
   family owns, with their repro-bundle ``params`` codec
-  (:func:`encode_params` / :func:`decode_params`);
+  (:func:`encode_params` / :func:`decode_params`), which each config and
+  schedule derives from its field declarations
+  (:class:`repro.sim.specs.JsonFields`);
 * for schedule families, how a spec string or a ``{"kind": "random",
   "rate": ...}`` dict becomes a schedule (:func:`materialize`).
 
@@ -19,7 +21,8 @@ raises ``ValueError`` and the CLI ``SystemExit`` from the same rows.
 :func:`family_monitors` adds each family's oracle to the standard monitor
 stack.
 
-Adding a fault family = one row here + its runtime.
+Adding a fault family = one row here + its runtime + its field
+declarations.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from ..sim.faults import (
     random_gray,
 )
 from ..sim.monitors import standard_monitors
+from ..sim.specs import config_jsonable
 
 
 def _load(path: str) -> Callable[[Any], Any]:
@@ -54,20 +58,11 @@ def _load(path: str) -> Callable[[Any], Any]:
     return load
 
 
-def _dump(obj) -> Any:
-    return obj.as_jsonable()
-
-
-def _dump_transport(transport) -> Any:
-    # A ReliableTransport coordinator serializes as its config.
-    return getattr(transport, "config", transport).as_jsonable()
-
-
 def _dump_integrity(integrity) -> Any:
     from ..integrity.frames import as_integrity
 
     coordinator = as_integrity(integrity)  # mode strings; "off" -> None
-    return None if coordinator is None else coordinator.config.as_jsonable()
+    return None if coordinator is None else config_jsonable(coordinator)
 
 
 @dataclass(frozen=True)
@@ -89,10 +84,11 @@ class Family:
 FAMILIES: Tuple[Family, ...] = (
     Family("transport", (
         ("transport", _load("..resilience.transport:TransportConfig"),
-         _dump_transport),
+         config_jsonable),
     )),
     Family("recovery", (
-        ("recovery", _load("..resilience.failover:RecoveryPolicy"), _dump),
+        ("recovery", _load("..resilience.failover:RecoveryPolicy"),
+         config_jsonable),
     )),
     Family("integrity", (
         ("integrity", _load("..integrity.frames:IntegrityConfig"),
@@ -104,8 +100,9 @@ FAMILIES: Tuple[Family, ...] = (
     Family(
         "churn",
         (
-            ("churn", ChurnSchedule.from_jsonable, _dump),
-            ("churn_policy", _load("..resilience.epochs:ChurnPolicy"), _dump),
+            ("churn", ChurnSchedule.from_jsonable, config_jsonable),
+            ("churn_policy", _load("..resilience.epochs:ChurnPolicy"),
+             config_jsonable),
         ),
         parse=lambda spec, root: ChurnSchedule.from_spec(spec, root=root),
         draw=lambda spec, topology, rng, horizon: random_churn(
@@ -116,7 +113,7 @@ FAMILIES: Tuple[Family, ...] = (
     ),
     Family(
         "gray",
-        (("gray", GrayFailureSchedule.from_jsonable, _dump),),
+        (("gray", GrayFailureSchedule.from_jsonable, config_jsonable),),
         parse=lambda spec, root: GrayFailureSchedule.from_spec(spec),
         draw=lambda spec, topology, rng, horizon: random_gray(
             topology, spec["rate"], rng, horizon=horizon,
@@ -127,9 +124,9 @@ FAMILIES: Tuple[Family, ...] = (
     Family(
         "byz",
         (
-            ("byz", ByzantineSchedule.from_jsonable, _dump),
+            ("byz", ByzantineSchedule.from_jsonable, config_jsonable),
             ("byz_config", _load("..resilience.byzantine:ByzantineConfig"),
-             _dump),
+             config_jsonable),
         ),
         parse=lambda spec, root: ByzantineSchedule.from_spec(spec),
         draw=lambda spec, topology, rng, horizon: random_byz(

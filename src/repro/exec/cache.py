@@ -31,6 +31,7 @@ from typing import Any, Dict, Iterator, Optional, Tuple
 
 from ..analysis.checkpoint import record_from_jsonable, record_to_jsonable
 from ..analysis.runner import RunRecord
+from ..sim.specs import config_jsonable
 from .scheduler import WorkUnit
 
 #: Bump when the execution semantics change in a way that invalidates
@@ -58,29 +59,18 @@ def _topology_token(topology) -> Dict[str, Any]:
     }
 
 
-def _config_token(value) -> Any:
-    """Transport/recovery/integrity configs serialize via ``as_jsonable``;
-    coordinator objects expose their config first."""
-    if value is None:
-        return None
-    config = getattr(value, "config", None)
-    if config is not None and hasattr(config, "as_jsonable"):
-        return config.as_jsonable()
-    as_jsonable = getattr(value, "as_jsonable", None)
-    if as_jsonable is not None:
-        return as_jsonable()
-    return repr(value)
-
-
 def _field_token(name: str, value) -> Any:
-    """One WorkUnit field's contribution to the cache token."""
+    """One WorkUnit field's contribution to the cache token: configs,
+    schedules and coordinators as their bundle JSON form."""
     if name == "topology":
         return _topology_token(value)
-    if value is None or isinstance(value, (str, int, float, bool)):
+    if value is None or isinstance(
+        value, (str, int, float, bool, dict, list, tuple)
+    ):
         return value
-    if isinstance(value, (dict, list, tuple)):
-        return value
-    return _config_token(value)
+    if hasattr(getattr(value, "config", value), "as_jsonable"):
+        return config_jsonable(value)
+    return repr(value)
 
 
 def unit_cache_token(unit: WorkUnit) -> Dict[str, Any]:

@@ -19,7 +19,7 @@ they live only in the telemetry stream, never in results, so the
 engine's determinism contract is untouched.
 
 :class:`ProgressTracker` is a listener that folds the stream into
-renderable state (done counts, failures, worker utilization, p50/p95
+renderable state (done counts, failures, units in flight, p50/p95
 unit wall latency, ETA from the mean unit wall time), and
 :func:`live_renderer` turns that state into the single carriage-return
 status line the CLI shows on a TTY.
@@ -124,11 +124,6 @@ class ProgressTracker:
     @property
     def remaining(self) -> int:
         return max(0, self.total - self.done)
-
-    @property
-    def utilization(self) -> float:
-        """Busy workers as a fraction of the pool size."""
-        return self.in_flight / self.jobs if self.jobs else 0.0
 
     def eta_s(self) -> Optional[float]:
         """Naive ETA: mean executed-unit wall time x remaining / workers."""

@@ -65,6 +65,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..sim.message import Envelope, Part, TAG_BITS
 from ..sim.node import NodeHandler
+from ..sim.specs import JsonFields
 from .quarantine import LinkQuarantine
 
 #: Wire kind of an integrity frame.
@@ -131,7 +132,7 @@ class FrameIntegrityError(ValueError):
 
 
 @dataclass(frozen=True)
-class IntegrityConfig:
+class IntegrityConfig(JsonFields):
     """Tuning knobs for the integrity layer.
 
     Attributes:
@@ -148,6 +149,8 @@ class IntegrityConfig:
     mode: str = "mac"
     key_seed: int = 0
     quarantine_threshold: int = 10
+
+    REQUIRED = ("mode",)
 
     def __post_init__(self) -> None:
         if self.mode not in INTEGRITY_MODES:
@@ -171,21 +174,6 @@ class IntegrityConfig:
     def digest_bits(self) -> int:
         """Wire width of the authenticator tag for this mode."""
         return MAC_BITS if self.mode == "mac" else CHECKSUM_BITS
-
-    def as_jsonable(self) -> Dict[str, Any]:
-        return {
-            "mode": self.mode,
-            "key_seed": self.key_seed,
-            "quarantine_threshold": self.quarantine_threshold,
-        }
-
-    @classmethod
-    def from_jsonable(cls, data: Dict[str, Any]) -> "IntegrityConfig":
-        return cls(
-            mode=str(data["mode"]),
-            key_seed=int(data.get("key_seed", 0)),
-            quarantine_threshold=int(data.get("quarantine_threshold", 10)),
-        )
 
 
 def _canonical_bytes(sender: int, seq: int, inner: tuple) -> bytes:

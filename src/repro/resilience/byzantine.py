@@ -79,6 +79,7 @@ from ..sim.faults import FaultInjector
 from ..sim.message import TAG_BITS, id_bits
 from ..sim.monitors import FBudgetMonitor
 from ..sim.network import Network
+from ..sim.specs import JsonFields
 from .driver import (
     DONE,
     RETRY,
@@ -112,7 +113,7 @@ REASON_OMISSION = "omission"
 
 
 @dataclass(frozen=True)
-class ByzantineConfig:
+class ByzantineConfig(JsonFields):
     """What the witness/eviction defence is allowed to do.
 
     Attributes:
@@ -138,21 +139,6 @@ class ByzantineConfig:
             )
         if self.max_epochs < 1:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
-
-    def as_jsonable(self) -> Dict[str, object]:
-        return {
-            "witnesses": self.witnesses,
-            "evict_policy": self.evict_policy,
-            "max_epochs": self.max_epochs,
-        }
-
-    @classmethod
-    def from_jsonable(cls, data: Dict[str, object]) -> "ByzantineConfig":
-        return cls(
-            witnesses=int(data.get("witnesses", 2)),
-            evict_policy=str(data.get("evict_policy", "evict")),
-            max_epochs=int(data.get("max_epochs", 3)),
-        )
 
 
 @dataclass(frozen=True)

@@ -54,18 +54,6 @@ def check_protocol(family: str, protocol: str) -> None:
         )
 
 
-def retired_knobs(data: Dict[str, object], **fixed) -> None:
-    """Reject a serialized policy whose retired knob differs from the
-    value the runtime now hard-wires (such a bundle cannot be replayed
-    faithfully)."""
-    for key, value in fixed.items():
-        if key in data and data[key] != value:
-            raise ValueError(
-                f"{key}={data[key]!r} is no longer supported (the runtime "
-                f"always uses {value!r}); this bundle cannot be replayed"
-            )
-
-
 def shift_crash_map(
     crash_rounds: Dict[int, float], elapsed: int, nodes
 ) -> Dict[int, int]:

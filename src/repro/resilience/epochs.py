@@ -65,6 +65,7 @@ from ..sim.message import Part, TAG_BITS, id_bits, value_bits
 from ..sim.monitors import DoubleCountOracle
 from ..sim.network import Network, ROOT_CRASH_ERROR
 from ..sim.node import NodeHandler
+from ..sim.specs import JsonFields
 from .driver import (
     DONE,
     FAIL,
@@ -74,7 +75,6 @@ from .driver import (
     EpochWorld,
     check_protocol,
     drive_epochs,
-    retired_knobs,
     shift_crash_map,
 )
 from .partial import certify
@@ -119,7 +119,7 @@ HEARTBEAT_GAP = 2
 
 
 @dataclass(frozen=True)
-class ChurnPolicy:
+class ChurnPolicy(JsonFields):
     """What the churn-tolerant runtime is allowed to do.
 
     Attributes:
@@ -132,6 +132,10 @@ class ChurnPolicy:
 
     transport: Optional[TransportConfig] = None
     max_epochs: int = 4
+
+    # Older bundles carry two retired knobs; only their fixed values can
+    # be replayed faithfully.
+    RETIRED = {"heartbeat_gap": HEARTBEAT_GAP, "snapshots": True}
 
     def __post_init__(self) -> None:
         if self.max_epochs < 1:
@@ -147,25 +151,6 @@ class ChurnPolicy:
         transport noise.
         """
         return cls(transport=TransportConfig(retransmits=retransmit_budget))
-
-    def as_jsonable(self) -> Dict[str, object]:
-        return {
-            "transport": self.transport.as_jsonable() if self.transport else None,
-            "max_epochs": self.max_epochs,
-        }
-
-    @classmethod
-    def from_jsonable(cls, data: Dict[str, object]) -> "ChurnPolicy":
-        # Older bundles carry two retired knobs; only their fixed values
-        # can be replayed faithfully.
-        retired_knobs(data, heartbeat_gap=HEARTBEAT_GAP, snapshots=True)
-        transport = data.get("transport")
-        return cls(
-            transport=TransportConfig.from_jsonable(transport)
-            if transport
-            else None,
-            max_epochs=int(data.get("max_epochs", 4)),
-        )
 
 
 class ContributionLedger:

@@ -43,6 +43,7 @@ from ..integrity.frames import (
 from ..sim.faults import ledger_sources
 from ..sim.message import Part, TAG_BITS, id_bits
 from ..sim.node import NodeHandler
+from ..sim.specs import JsonFields
 from .driver import (
     DONE,
     NEXT,
@@ -50,7 +51,6 @@ from .driver import (
     EpochWorld,
     check_protocol,
     drive_epochs,
-    retired_knobs,
     shift_crash_map,
 )
 from .partial import certify
@@ -64,7 +64,7 @@ ELECTION_STRETCH = 2
 
 
 @dataclass(frozen=True)
-class RecoveryPolicy:
+class RecoveryPolicy(JsonFields):
     """What the self-healing runtime is allowed to do.
 
     Attributes:
@@ -81,6 +81,10 @@ class RecoveryPolicy:
     max_epochs: int = 3
     integrity: Optional[IntegrityConfig] = None
 
+    # Older bundles carry two retired knobs; only their fixed values can
+    # be replayed faithfully.
+    RETIRED = {"failover": True, "election_stretch": ELECTION_STRETCH}
+
     def __post_init__(self) -> None:
         if self.max_epochs < 1:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
@@ -96,30 +100,6 @@ class RecoveryPolicy:
         whole window before the next NACK cycle repairs it.
         """
         return cls(transport=TransportConfig(retransmits=retransmit_budget))
-
-    def as_jsonable(self) -> Dict[str, object]:
-        return {
-            "transport": self.transport.as_jsonable() if self.transport else None,
-            "max_epochs": self.max_epochs,
-            "integrity": self.integrity.as_jsonable() if self.integrity else None,
-        }
-
-    @classmethod
-    def from_jsonable(cls, data: Dict[str, object]) -> "RecoveryPolicy":
-        # Older bundles carry two retired knobs; only their fixed values
-        # can be replayed faithfully.
-        retired_knobs(data, failover=True, election_stretch=ELECTION_STRETCH)
-        transport = data.get("transport")
-        integrity = data.get("integrity")
-        return cls(
-            transport=TransportConfig.from_jsonable(transport)
-            if transport
-            else None,
-            max_epochs=int(data.get("max_epochs", 3)),
-            integrity=IntegrityConfig.from_jsonable(integrity)
-            if integrity
-            else None,
-        )
 
 
 class ElectionNode(NodeHandler):

@@ -64,6 +64,7 @@ from ..obs import spans as _spans
 from ..sim.message import Envelope, Part, TAG_BITS, id_bits
 from ..sim.network import Network
 from ..sim.node import NodeHandler
+from ..sim.specs import JsonFields
 from .detector import LEVEL_CONFIRM, PhiAccrualDetector, AdaptiveRto
 
 #: Wire kinds used by the transport shim.
@@ -90,7 +91,7 @@ FRAME_HEADER_BITS = TAG_BITS + SEQ_BITS + ATTEMPT_BITS
 
 
 @dataclass(frozen=True)
-class TransportConfig:
+class TransportConfig(JsonFields):
     """Tuning knobs for the reliable transport.
 
     Attributes:
@@ -116,6 +117,12 @@ class TransportConfig:
     retransmits: int = 2
     backoff_cap: int = 8
     rto: str = "fixed"
+
+    # Pre-gray (v3 and older) bundles carry no rto.  A hedged bundle cannot
+    # be replayed: the transport no longer relays overheard frames.
+    QUIET = ("rto",)
+    RETIRED = {"hedge": False}
+    REQUIRED = ("retransmits",)
 
     def __post_init__(self) -> None:
         if self.retransmits < 0:
@@ -161,30 +168,6 @@ class TransportConfig:
         """
         slots = self.nack_slots
         return (slots[-1] + 1) if slots else 2
-
-    def as_jsonable(self) -> Dict[str, int]:
-        # rto is emitted only when non-default so pre-gray (v3 and older)
-        # bundle bytes are unchanged for fixed-schedule configs.
-        out: Dict[str, object] = {
-            "retransmits": self.retransmits,
-            "backoff_cap": self.backoff_cap,
-        }
-        if self.rto != "fixed":
-            out["rto"] = self.rto
-        return out
-
-    @classmethod
-    def from_jsonable(cls, data: Dict[str, int]) -> "TransportConfig":
-        # A bundle recorded with hedged retransmission on cannot be
-        # replayed: the transport no longer relays overheard frames.
-        from .driver import retired_knobs
-
-        retired_knobs(data, hedge=False)
-        return cls(
-            retransmits=int(data["retransmits"]),
-            backoff_cap=int(data.get("backoff_cap", 8)),
-            rto=str(data.get("rto", "fixed")),
-        )
 
 
 class TransportGap(NamedTuple):

@@ -38,6 +38,11 @@ so in-model and out-of-model failures flow through a single interface.
 All randomized decisions use a private ``random.Random(seed)`` so fault
 sequences are reproducible per seed, and every fault type takes an
 explicit budget cap.
+
+Every family reads its CLI spec through :class:`repro.sim.specs.SpecReader`,
+and each schedule derives its bundle JSON from its ``JSON_FIELDS``
+(:class:`repro.sim.specs.JsonFields`).  Adding a fault family = one row in
+:mod:`repro.analysis.families` + its runtime + its field declarations.
 """
 
 from __future__ import annotations
@@ -49,99 +54,22 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from .message import Part
 from .network import ROOT_CRASH_ERROR
+from .specs import JsonFields, SpecReader
 
 
-class SpecReader:
-    """The one token reader behind every fault family's ``from_spec``.
+def check_fraction(what: str, value: float) -> None:
+    """Reject a rate or fraction outside ``[0, 1]``."""
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{what} must be in [0, 1], got {value}")
 
-    Iterating yields the spec's stripped, non-empty comma items.  Every
-    helper rejects with the single message shape ``bad <family> spec
-    fragment '<token>': <why> (accepted grammar: <grammar>)``, naming the
-    item being read, so a CLI typo comes back with the fix attached.
-    """
 
-    def __init__(self, family: str, grammar: str, spec: str) -> None:
-        self.family = family
-        self.grammar = grammar
-        self.spec = spec
-        self.token = spec
-
-    def __iter__(self):
-        for item in self.spec.split(","):
-            item = item.strip()
-            if item:
-                self.token = item
-                yield item
-
-    def reject(self, why: str, token: Optional[str] = None) -> ValueError:
-        """The rejection for the current item (or an explicit ``token``)."""
-        return ValueError(
-            f"bad {self.family} spec fragment "
-            f"{self.token if token is None else token!r}: {why} "
-            f"(accepted grammar: {self.grammar})"
-        )
-
-    def integer(self, raw: str, what: str) -> int:
-        try:
-            return int(raw)
-        except ValueError:
-            raise self.reject(f"{what} {raw!r} is not an integer") from None
-
-    def number(self, raw: str, what: str) -> float:
-        try:
-            return float(raw)
-        except ValueError:
-            raise self.reject(f"{what} {raw!r} is not a number") from None
-
-    def at_least_one(self, raw: str, what: str) -> int:
-        value = self.integer(raw, what)
-        if value < 1:
-            raise self.reject(f"{what} {value} is < 1")
-        return value
-
-    def round(self, raw: str) -> int:
-        """An ``r<R>`` (or bare ``<R>``) round with ``R >= 1``."""
-        raw = raw.strip()
-        if raw.startswith("r"):
-            raw = raw[1:]
-        return self.at_least_one(raw, "round")
-
-    def window(self, raw: str, label: str) -> Tuple[int, int]:
-        """A closed, non-empty ``r<R1>-r<R2>`` round window."""
-        start_raw, dash, end_raw = raw.partition("-")
-        if not dash:
-            raise self.reject("window needs the form r<R1>-r<R2>")
-        start = self.round(start_raw)
-        end = self.round(end_raw)
-        if end < start:
-            raise self.reject(f"{label} window {start}-{end} is empty")
-        return start, end
-
-    def edge(self, raw: str) -> Tuple[int, int]:
-        """A ``<u>-<v>`` node pair."""
-        u_raw, dash, v_raw = raw.partition("-")
-        if not dash:
-            raise self.reject("edge needs the form <u>-<v>")
-        try:
-            return int(u_raw), int(v_raw)
-        except ValueError:
-            raise self.reject(f"edge {raw!r} is not a node pair") from None
-
-    @staticmethod
-    def check_topology(topology, family: str, nodes, edges, verb: str) -> None:
-        """Reject schedule events naming unknown nodes or nonexistent
-        edges; ``edges`` holds ``(u, v, start, end, ...)`` entries."""
-        known = set(topology.nodes())
-        present = {frozenset(e) for e in topology.edges()}
-        for node in nodes:
-            if node not in known:
-                raise ValueError(f"{family} schedule names unknown node {node}")
-        for u, v, start, end, *_rest in edges:
-            if frozenset((u, v)) not in present:
-                raise ValueError(
-                    f"{family} schedule {verb} nonexistent edge {u}-{v} "
-                    f"(rounds {start}-{end})"
-                )
+def _drawn(items, rate: float, rng: random.Random, skip=None):
+    """The sorted ``items`` (less ``skip``) one ``rng.random() < rate``
+    roll each selects.  A caller draws an item's details before the next
+    roll, so a schedule is a pure function of the rng state."""
+    for item in sorted(items):
+        if item != skip and rng.random() < rate:
+            yield item
 
 
 class FaultInjector:
@@ -227,23 +155,27 @@ class ScheduledCrashes(FaultInjector):
         rounds = getattr(crash_rounds, "crash_rounds", crash_rounds)
         self.crash_rounds: Dict[int, float] = dict(rounds or {})
         self.allow_root_crash = allow_root_crash
+        self._check_root(root)
+
+    def _check_root(self, root: Optional[int], network=None) -> None:
+        """Reject a schedule that takes ``root`` down, unless this
+        schedule or the ``network`` allows root crashes."""
         if (
             root is not None
-            and root in self.crash_rounds
-            and not allow_root_crash
-        ):
-            raise ValueError(ROOT_CRASH_ERROR)
-
-    def attach(self, network) -> None:
-        """Seed the network's crash map (earliest round wins per node)."""
-        super().attach(network)
-        if (
-            network.root is not None
-            and network.root in self.crash_rounds
+            and root in self._downed()
             and not self.allow_root_crash
             and not getattr(network, "allow_root_crash", False)
         ):
             raise ValueError(ROOT_CRASH_ERROR)
+
+    def _downed(self):
+        """The nodes this schedule takes down."""
+        return self.crash_rounds
+
+    def attach(self, network) -> None:
+        """Seed the network's crash map (earliest round wins per node)."""
+        super().attach(network)
+        self._check_root(network.root, network)
         for node, rnd in self.crash_rounds.items():
             current = network.crash_rounds.get(node)
             network.crash_rounds[node] = (
@@ -261,7 +193,7 @@ REJOIN_AMNESIAC = "amnesiac"
 REJOIN_MODES = (REJOIN_DURABLE, REJOIN_AMNESIAC)
 
 
-class ChurnSchedule(ScheduledCrashes):
+class ChurnSchedule(JsonFields, ScheduledCrashes):
     """Crash-*recovery* churn: revivable crashes plus link flap windows.
 
     Extends the paper's oblivious crash schedule with two out-of-model
@@ -358,8 +290,11 @@ class ChurnSchedule(ScheduledCrashes):
         self.flaps.sort()
         #: Incarnations accumulated before this schedule's round 1 (used
         #: by per-epoch shifted views so frame incarnation numbers stay
-        #: globally monotonic across epochs).
-        self.incarnation_base: Dict[int, int] = dict(incarnation_base or {})
+        #: globally monotonic across epochs); a zero base is no base.
+        self.incarnation_base: Dict[int, int] = {
+            node: inc for node, inc in dict(incarnation_base or {}).items()
+            if inc
+        }
         #: Revivals enacted so far: ``(round, node, mode, incarnation)``.
         self.revive_log: List[Tuple[int, int, str, int]] = []
         permanent = {
@@ -370,12 +305,11 @@ class ChurnSchedule(ScheduledCrashes):
         super().__init__(
             permanent, root=root, allow_root_crash=allow_root_crash
         )
-        if (
-            root is not None
-            and root in self.cycles
-            and not allow_root_crash
-        ):
-            raise ValueError(ROOT_CRASH_ERROR)
+
+    JSON_FIELDS = ("cycles", "flaps", "allow_root_crash", "incarnation_base")
+
+    def _downed(self):
+        return self.cycles
 
     #: The accepted ``from_spec`` grammar, quoted in every rejection.
     SPEC_GRAMMAR = (
@@ -529,41 +463,6 @@ class ChurnSchedule(ScheduledCrashes):
         )
 
     # -------------------------------------------------------------- #
-    # Serialization (bundle params / WorkUnit specs).
-    # -------------------------------------------------------------- #
-
-    def as_jsonable(self) -> Dict:
-        """JSON-ready form, round-tripped by :meth:`from_jsonable`."""
-        return {
-            "cycles": {
-                str(node): [list(entry) for entry in entries]
-                for node, entries in sorted(self.cycles.items())
-            },
-            "flaps": [list(entry) for entry in self.flaps],
-            "allow_root_crash": self.allow_root_crash,
-            "incarnation_base": {
-                str(node): inc
-                for node, inc in sorted(self.incarnation_base.items())
-                if inc
-            },
-        }
-
-    @classmethod
-    def from_jsonable(cls, data: Dict) -> "ChurnSchedule":
-        return cls(
-            cycles={
-                int(node): [tuple(entry) for entry in entries]
-                for node, entries in (data.get("cycles") or {}).items()
-            },
-            flaps=[tuple(entry) for entry in data.get("flaps") or ()],
-            allow_root_crash=bool(data.get("allow_root_crash")),
-            incarnation_base={
-                int(node): inc
-                for node, inc in (data.get("incarnation_base") or {}).items()
-            },
-        )
-
-    # -------------------------------------------------------------- #
     # Injector hooks.
     # -------------------------------------------------------------- #
 
@@ -571,13 +470,6 @@ class ChurnSchedule(ScheduledCrashes):
         """Seed permanent crashes, downtimes and flap windows."""
         super().attach(network)  # permanent crashes + root protection
         for node, entries in self.cycles.items():
-            if (
-                network.root is not None
-                and node == network.root
-                and not self.allow_root_crash
-                and not getattr(network, "allow_root_crash", False)
-            ):
-                raise ValueError(ROOT_CRASH_ERROR)
             for crash_r, revive_r, _mode in entries:
                 if revive_r is not None:
                     network.schedule_downtime(node, crash_r, revive_r)
@@ -621,19 +513,12 @@ def random_churn(
     The draw order is fixed (sorted nodes, then sorted edges) so schedules
     are reproducible per RNG state.
     """
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError(f"churn rate must be in [0, 1], got {rate}")
-    if not 0.0 <= amnesiac <= 1.0:
-        raise ValueError(f"amnesiac fraction must be in [0, 1], got {amnesiac}")
-    if not 0.0 <= flap_rate <= 1.0:
-        raise ValueError(f"flap rate must be in [0, 1], got {flap_rate}")
+    check_fraction("churn rate", rate)
+    check_fraction("amnesiac fraction", amnesiac)
+    check_fraction("flap rate", flap_rate)
     horizon = max(2, horizon)
     cycles: Dict[int, List[Tuple[int, Optional[int], str]]] = {}
-    for node in sorted(topology.nodes()):
-        if root is not None and node == root:
-            continue
-        if rng.random() >= rate:
-            continue
+    for node in _drawn(topology.nodes(), rate, rng, skip=root):
         crash_r = rng.randint(2, horizon)
         down_for = rng.randint(1, max(1, horizon // 2))
         mode = (
@@ -642,9 +527,8 @@ def random_churn(
         cycles[node] = [(crash_r, crash_r + down_for, mode)]
     flaps: List[Tuple[int, int, int, int]] = []
     if flap_rate:
-        for u, v in sorted(tuple(sorted(e)) for e in topology.edges()):
-            if rng.random() >= flap_rate:
-                continue
+        edges = (tuple(sorted(e)) for e in topology.edges())
+        for u, v in _drawn(edges, flap_rate, rng):
             start = rng.randint(2, horizon)
             flaps.append((u, v, start, start + rng.randint(0, 3)))
     return ChurnSchedule(cycles=cycles, flaps=flaps, root=root)
@@ -716,21 +600,15 @@ class MessageFaults(FaultInjector):
         protect: Iterable[int] = (),
     ) -> None:
         super().__init__()
-        for name, rate in (
-            ("drop", drop),
-            ("duplicate", duplicate),
-            ("delay", delay),
-            ("reorder", reorder),
-        ):
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{name} rate must be in [0, 1], got {rate}")
-        if max_delay < 1:
-            raise ValueError(f"max_delay must be >= 1, got {max_delay}")
         self.drop = drop
         self.duplicate = duplicate
         self.delay = delay
-        self.max_delay = max_delay
         self.reorder = reorder
+        for name in ("drop", "duplicate", "delay", "reorder"):
+            check_fraction(f"{name} rate", getattr(self, name))
+        if max_delay < 1:
+            raise ValueError(f"max_delay must be >= 1, got {max_delay}")
+        self.max_delay = max_delay
         self.seed = seed
         self.rng = random.Random(seed)
         self.max_drops = max_drops
@@ -755,29 +633,18 @@ class MessageFaults(FaultInjector):
         non-numeric values, and repeated keys all raise ``ValueError``
         naming the offending token and :data:`SPEC_GRAMMAR`.
         """
-        keys = {
-            "drop": "drop",
-            "dup": "duplicate",
-            "duplicate": "duplicate",
-            "delay": "delay",
-            "reorder": "reorder",
-            "max_delay": "max_delay",
-        }
-
-        reader = SpecReader("fault", cls.SPEC_GRAMMAR, spec)
-        values: Dict[str, float] = {}
-        for item in reader:
-            key, eq, raw = item.partition("=")
-            key = key.strip().replace("-", "_")
-            if not eq:
-                raise reader.reject("needs key=value")
-            if key not in keys:
-                raise reader.reject(f"unknown fault key {key!r}")
-            canonical = keys[key]
-            if canonical in values:
-                raise reader.reject(f"key {canonical!r} given more than once")
-            parse = reader.integer if canonical == "max_delay" else reader.number
-            values[canonical] = parse(raw.strip(), "value")
+        values = SpecReader("fault", cls.SPEC_GRAMMAR, spec).key_values(
+            {
+                "drop": "drop",
+                "dup": "duplicate",
+                "duplicate": "duplicate",
+                "delay": "delay",
+                "reorder": "reorder",
+                "max_delay": "max_delay",
+            },
+            integers=("max_delay",),
+            normalize=lambda key: key.strip().replace("-", "_"),
+        )
         values.update(kwargs)
         return cls(seed=seed, **values)
 
@@ -924,16 +791,11 @@ class MessageCorruption(FaultInjector):
         link_scale: Optional[Dict[Tuple[int, int], float]] = None,
     ) -> None:
         super().__init__()
-        for name, rate in (
-            ("bitflip", bitflip),
-            ("truncate", truncate),
-            ("stale", stale),
-        ):
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{name} rate must be in [0, 1], got {rate}")
         self.bitflip = bitflip
         self.truncate = truncate
         self.stale = stale
+        for name in ("bitflip", "truncate", "stale"):
+            check_fraction(f"{name} rate", getattr(self, name))
         self.seed = seed
         self.rng = random.Random(seed)
         self.max_bitflips = max_bitflips
@@ -980,21 +842,12 @@ class MessageCorruption(FaultInjector):
         :data:`SPEC_GRAMMAR`.  ``=`` is accepted as a separator alongside
         ``:`` for symmetry with the fault spec grammar.
         """
-        modes = ("bitflip", "truncate", "stale")
-
-        reader = SpecReader("corruption", cls.SPEC_GRAMMAR, spec)
-        values: Dict[str, float] = {}
-        for item in reader:
-            sep = ":" if ":" in item else "="
-            mode, found, raw = item.partition(sep)
-            mode = mode.strip()
-            if not found:
-                raise reader.reject("needs mode:rate")
-            if mode not in modes:
-                raise reader.reject(f"unknown corruption mode {mode!r}")
-            if mode in values:
-                raise reader.reject(f"mode {mode!r} given more than once")
-            values[mode] = reader.number(raw.strip(), "rate")
+        values = SpecReader("corruption", cls.SPEC_GRAMMAR, spec).key_values(
+            {mode: mode for mode in ("bitflip", "truncate", "stale")},
+            seps=":=",
+            noun="mode",
+            value="rate",
+        )
         values.update(kwargs)
         return cls(seed=seed, **values)
 
@@ -1130,7 +983,7 @@ class GrayCounts:
     delay_rounds: int = 0
 
 
-class GrayFailureSchedule(FaultInjector):
+class GrayFailureSchedule(JsonFields, FaultInjector):
     """Gray failures: nodes and links that limp without ever dying.
 
     The paper's fault model is binary — a node is alive or crashed — but
@@ -1220,6 +1073,8 @@ class GrayFailureSchedule(FaultInjector):
         self.links.sort()
         self.counts = GrayCounts()
 
+    JSON_FIELDS = ("stalls", "links")
+
     #: The accepted ``from_spec`` grammar, quoted in every rejection.
     SPEC_GRAMMAR = (
         "comma-separated events: '<node>:stall@r<R1>-r<R2>:x<S>"
@@ -1305,85 +1160,15 @@ class GrayFailureSchedule(FaultInjector):
         out.sort(key=lambda e: (e[2], e[0], e[1]))
         return out
 
-    def delay_of(self, sender: int, receiver: int, sent_round: int) -> int:
-        """Added latency, in rounds, for a copy broadcast in ``sent_round``.
+    def delays(
+        self, sender: int, receiver: int, sent_round: int
+    ) -> Tuple[int, int]:
+        """Added latency, in rounds, for a copy broadcast in ``sent_round``,
+        as ``(stall, inflation)``: the sender's stalls and the link's.
 
-        A sender stall and a degraded link compound (their delays add);
-        the profile is evaluated at the broadcast round, so the delay is a
-        pure function of ``(sender, receiver, sent_round)``.
+        The two compound (their delays add).  Profiles are evaluated at the
+        broadcast round: a pure function of the three arguments.
         """
-        delay = 0
-        for start, end, severity, profile in self.stalls.get(sender, ()):
-            if start <= sent_round <= end:
-                delay += _profile_delay(
-                    profile, severity, sent_round, start, end
-                )
-        edge = frozenset((sender, receiver))
-        for u, v, start, end, severity, profile in self.links:
-            if frozenset((u, v)) == edge and start <= sent_round <= end:
-                delay += _profile_delay(
-                    profile, severity, sent_round, start, end
-                )
-        return delay
-
-    def stall_active(self, node: int, rnd: int) -> bool:
-        """Whether any stall interval has ``node`` degraded in ``rnd``
-        (profile-aware: a limp node's clean half-periods count as up)."""
-        for start, end, severity, profile in self.stalls.get(node, ()):
-            if (
-                start <= rnd <= end
-                and _profile_delay(profile, severity, rnd, start, end) > 0
-            ):
-                return True
-        return False
-
-    def max_severity(self) -> int:
-        """The worst peak latency across all events (0 when empty)."""
-        severities = [0]
-        for entries in self.stalls.values():
-            severities.extend(sev for _s, _e, sev, _p in entries)
-        severities.extend(sev for _u, _v, _s, _e, sev, _p in self.links)
-        return max(severities)
-
-    def validate(self, topology) -> None:
-        """Reject events naming unknown nodes or nonexistent edges."""
-        SpecReader.check_topology(
-            topology, "gray", self.stalls, self.links, "degrades"
-        )
-
-    # -------------------------------------------------------------- #
-    # Serialization (bundle params / WorkUnit specs).
-    # -------------------------------------------------------------- #
-
-    def as_jsonable(self) -> Dict:
-        """JSON-ready form, round-tripped by :meth:`from_jsonable`."""
-        return {
-            "stalls": {
-                str(node): [list(entry) for entry in entries]
-                for node, entries in sorted(self.stalls.items())
-            },
-            "links": [list(entry) for entry in self.links],
-        }
-
-    @classmethod
-    def from_jsonable(cls, data: Dict) -> "GrayFailureSchedule":
-        return cls(
-            stalls={
-                int(node): [tuple(entry) for entry in entries]
-                for node, entries in (data.get("stalls") or {}).items()
-            },
-            links=[tuple(entry) for entry in data.get("links") or ()],
-        )
-
-    # -------------------------------------------------------------- #
-    # Injector hooks.
-    # -------------------------------------------------------------- #
-
-    def on_transmit(
-        self, due: int, sender: int, receiver: int, part: Part
-    ) -> List[Tuple[int, Part]]:
-        """Postpone one delivery copy by the active events' added latency."""
-        sent_round = due - 1
         stall = 0
         for start, end, severity, profile in self.stalls.get(sender, ()):
             if start <= sent_round <= end:
@@ -1397,6 +1182,27 @@ class GrayFailureSchedule(FaultInjector):
                 inflation += _profile_delay(
                     profile, severity, sent_round, start, end
                 )
+        return stall, inflation
+
+    def max_severity(self) -> int:
+        """The worst peak latency across all events (0 when empty)."""
+        return max((e[4] for e in self.degraded_intervals()), default=0)
+
+    def validate(self, topology) -> None:
+        """Reject events naming unknown nodes or nonexistent edges."""
+        SpecReader.check_topology(
+            topology, "gray", self.stalls, self.links, "degrades"
+        )
+
+    # -------------------------------------------------------------- #
+    # Injector hooks.
+    # -------------------------------------------------------------- #
+
+    def on_transmit(
+        self, due: int, sender: int, receiver: int, part: Part
+    ) -> List[Tuple[int, Part]]:
+        """Postpone one delivery copy by the active events' added latency."""
+        stall, inflation = self.delays(sender, receiver, due - 1)
         if not stall and not inflation:
             return [(due, part)]
         if stall:
@@ -1447,36 +1253,27 @@ def random_gray(
     compute path is the certification authority), though its incident
     links may degrade.
     """
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError(f"gray rate must be in [0, 1], got {rate}")
+    check_fraction("gray rate", rate)
     if link_rate is None:
         link_rate = rate / 2
-    if not 0.0 <= link_rate <= 1.0:
-        raise ValueError(f"gray link rate must be in [0, 1], got {link_rate}")
+    check_fraction("gray link rate", link_rate)
     if max_severity < 1:
         raise ValueError(f"max_severity must be >= 1, got {max_severity}")
     horizon = max(2, horizon)
-    stalls: Dict[int, List[Tuple[int, int, int, str]]] = {}
-    for node in sorted(topology.nodes()):
-        if root is not None and node == root:
-            continue
-        if rng.random() >= rate:
-            continue
+
+    def event() -> Tuple[int, int, int, str]:
         start = rng.randint(2, horizon)
         length = rng.randint(1, max(1, horizon // 2))
         severity = rng.randint(1, max_severity)
         profile = GRAY_PROFILES[rng.randrange(len(GRAY_PROFILES))]
-        stalls[node] = [(start, start + length - 1, severity, profile)]
-    links: List[Tuple[int, int, int, int, int, str]] = []
+        return start, start + length - 1, severity, profile
+
+    nodes = _drawn(topology.nodes(), rate, rng, skip=root)
+    stalls = {node: [event()] for node in nodes}
+    links = []
     if link_rate:
-        for u, v in sorted(tuple(sorted(e)) for e in topology.edges()):
-            if rng.random() >= link_rate:
-                continue
-            start = rng.randint(2, horizon)
-            length = rng.randint(1, max(1, horizon // 2))
-            severity = rng.randint(1, max_severity)
-            profile = GRAY_PROFILES[rng.randrange(len(GRAY_PROFILES))]
-            links.append((u, v, start, start + length - 1, severity, profile))
+        edges = (tuple(sorted(e)) for e in topology.edges())
+        links = [edge + event() for edge in _drawn(edges, link_rate, rng)]
     return GrayFailureSchedule(stalls=stalls, links=links)
 
 
@@ -1496,6 +1293,12 @@ BYZ_MODES = (BYZ_EQUIVOCATE, BYZ_INFLATE, BYZ_DEFLATE, BYZ_REPLAY, BYZ_OMIT)
 #: stays with :class:`MessageCorruption`.
 BYZ_TARGET_KINDS = frozenset({"aggregation", "flooded_psum"})
 
+#: The rejection of a schedule that compromises the root.
+BYZ_ROOT_ERROR = (
+    "the root cannot be byzantine: it is the certification authority of "
+    "every aggregate (Section 2 trusts the root)"
+)
+
 
 @dataclass
 class ByzCounts:
@@ -1508,7 +1311,7 @@ class ByzCounts:
     omissions: int = 0
 
 
-class ByzantineSchedule(FaultInjector):
+class ByzantineSchedule(JsonFields, FaultInjector):
     """Compromised non-root nodes that lie about their sub-aggregates.
 
     Every fault model so far keeps nodes *honest*: crashes, churn, gray
@@ -1573,10 +1376,7 @@ class ByzantineSchedule(FaultInjector):
                 )
             self.behaviors[int(node)] = (mode, int(k), int(start))
         if root is not None and root in self.behaviors:
-            raise ValueError(
-                "the root cannot be byzantine: it is the certification "
-                "authority of every aggregate (Section 2 trusts the root)"
-            )
+            raise ValueError(BYZ_ROOT_ERROR)
         #: The run's IntegrityConfig when the integrity layer is active —
         #: set by the runner so perturbed frames are re-signed (a
         #: compromised node holds its own key).  ``None`` outside
@@ -1606,6 +1406,8 @@ class ByzantineSchedule(FaultInjector):
         # round currently streaming through on_transmit, for ``replay``.
         self._hist: Dict[Tuple[int, str], Tuple[int, tuple]] = {}
         self._cur: Dict[Tuple[int, str], Tuple[int, tuple]] = {}
+
+    JSON_FIELDS = ("behaviors",)
 
     #: The accepted ``from_spec`` grammar, quoted in every rejection.
     SPEC_GRAMMAR = (
@@ -1695,28 +1497,6 @@ class ByzantineSchedule(FaultInjector):
                 )
 
     # -------------------------------------------------------------- #
-    # Serialization (bundle params / WorkUnit specs).
-    # -------------------------------------------------------------- #
-
-    def as_jsonable(self) -> Dict:
-        """JSON-ready form, round-tripped by :meth:`from_jsonable`."""
-        return {
-            "behaviors": {
-                str(node): list(entry)
-                for node, entry in sorted(self.behaviors.items())
-            },
-        }
-
-    @classmethod
-    def from_jsonable(cls, data: Dict) -> "ByzantineSchedule":
-        return cls(
-            behaviors={
-                int(node): tuple(entry)
-                for node, entry in (data.get("behaviors") or {}).items()
-            },
-        )
-
-    # -------------------------------------------------------------- #
     # Injector hooks.
     # -------------------------------------------------------------- #
 
@@ -1724,10 +1504,7 @@ class ByzantineSchedule(FaultInjector):
         """Bind to a network; each attach starts a new epoch."""
         super().attach(network)
         if network.root is not None and network.root in self.behaviors:
-            raise ValueError(
-                "the root cannot be byzantine: it is the certification "
-                "authority of every aggregate (Section 2 trusts the root)"
-            )
+            raise ValueError(BYZ_ROOT_ERROR)
         self.epoch += 1
         self._rank = {}
         self._degree = {}
@@ -1915,17 +1692,12 @@ def random_byz(
     nodes) so schedules are reproducible per RNG state.  The root is
     never compromised (it is the certification authority).
     """
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError(f"byzantine rate must be in [0, 1], got {rate}")
+    check_fraction("byzantine rate", rate)
     if max_magnitude < 1:
         raise ValueError(f"max_magnitude must be >= 1, got {max_magnitude}")
     horizon = max(2, horizon)
     behaviors: Dict[int, Tuple[str, int, int]] = {}
-    for node in sorted(topology.nodes()):
-        if root is not None and node == root:
-            continue
-        if rng.random() >= rate:
-            continue
+    for node in _drawn(topology.nodes(), rate, rng, skip=root):
         mode = BYZ_MODES[rng.randrange(len(BYZ_MODES))]
         k = rng.randint(1, max_magnitude)
         start = rng.randint(1, max(1, horizon // 2))

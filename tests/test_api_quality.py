@@ -172,10 +172,34 @@ TEST_ONLY_ALLOWED = {
 }
 
 
-def _reached_names(tree, skip=frozenset()):
+#: Methods of ``src/repro`` classes that only tests call, and why each
+#: stays.
+TEST_ONLY_METHODS = {
+    # The fragment oracle AGG is checked against (build_fragment_model).
+    "local_descendants": "oracle: a node's descendants in its fragment",
+    "representatives_of": "oracle: Section 4.1's representative set",
+    # Queries the tests read a run's or a schedule's state through.
+    "failures_in_window": "schedule query: crashes inside a round window",
+    "edge_failures_in_window": "schedule query: Table 2's edge failures",
+    "pair_rounds": "the paper's AGG + VERI length, 12cd + 7",
+    "has_seen": "flood query: what a node has deduplicated",
+    "alive_nodes": "network query: who is up in a round",
+    "relative_error": "the gossip baseline's convergence measure",
+    "suspected_peers": "detector query: who was ever suspected",
+    "top_senders": "stats query: the nodes that sent the most bits",
+    # Tracer queries: the conformance suite reads a run through them.
+    "deliveries_to": "Tracer query",
+    "first_delivery": "Tracer query",
+    "sends_by": "Tracer query",
+    "first_send_of_kind": "Tracer query",
+}
+
+
+def _reached_names(tree, skip=frozenset(), strings=False):
     """The names a module's code uses (``Name`` ids and ``Attribute``
     attributes), outside imports and the ``skip`` nodes.  Strings, such
-    as ``__all__`` entries and lazy export tables, are not uses."""
+    as ``__all__`` entries and lazy export tables, are not uses, unless
+    ``strings`` counts identifier strings (``getattr(obj, "hook")``)."""
     names, stack = set(), [tree]
     while stack:
         node = stack.pop()
@@ -185,6 +209,13 @@ def _reached_names(tree, skip=frozenset()):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
+        elif (
+            strings
+            and isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and node.value.isidentifier()
+        ):
+            names.add(node.value)
         stack.extend(ast.iter_child_nodes(node))
     return names
 
@@ -197,23 +228,41 @@ def _words(directory):
     }
 
 
-def _test_only_definitions():
-    """Top-level ``src/repro`` functions and classes that ``tests/`` name
-    but nothing else reaches: no bench or example names them, and no
-    ``src`` code uses them outside their own definition (imports, package
-    re-exports and ``__all__`` do not count)."""
-    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _top_level(tree):
+    return [
+        node for node in tree.body
+        if isinstance(node, _FUNCTIONS + (ast.ClassDef,))
+    ]
+
+
+def _methods(tree):
+    return [
+        item
+        for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+        for item in node.body if isinstance(item, _FUNCTIONS)
+    ]
+
+
+def _test_only(select, strings=False):
+    """The ``select``-ed ``src/repro`` definitions (dunders excepted) that
+    ``tests/`` name but nothing else reaches: no bench or example names
+    them, and no ``src`` code uses them outside their own definition
+    (imports, package re-exports and ``__all__`` do not count; see
+    :func:`_reached_names` for ``strings``)."""
     defined, reached = set(), set()
     for path in (ROOT / "src" / "repro").rglob("*.py"):
         tree = ast.parse(path.read_text())
-        tops = [
-            node for node in tree.body
-            if isinstance(node, kinds) and not re.fullmatch(r"__\w+__", node.name)
+        chosen = [
+            node for node in select(tree)
+            if not re.fullmatch(r"__\w+__", node.name)
         ]
-        defined.update(node.name for node in tops)
-        reached |= _reached_names(tree, skip=set(tops))
-        for node in tops:
-            reached |= _reached_names(node) - {node.name}
+        defined.update(node.name for node in chosen)
+        reached |= _reached_names(tree, set(chosen), strings)
+        for node in chosen:
+            reached |= _reached_names(node, strings=strings) - {node.name}
     outside = _words(ROOT / "benchmarks") | _words(ROOT / "examples")
     return (defined & _words(ROOT / "tests")) - outside - reached
 
@@ -240,10 +289,22 @@ def test_every_definition_is_used_somewhere():
         name for name, count in definitions.items() if mentions[name] <= count
     )
     assert not unused, f"defined but never named elsewhere: {unused}"
-    test_only = _test_only_definitions()
+    test_only = _test_only(_top_level)
     assert test_only <= set(TEST_ONLY_ALLOWED), (
         "reached only from tests: "
         f"{sorted(test_only - set(TEST_ONLY_ALLOWED))}"
     )
     stale = sorted(set(TEST_ONLY_ALLOWED) - test_only)
     assert not stale, f"TEST_ONLY_ALLOWED names src/ uses or lost: {stale}"
+
+
+def test_every_method_is_used_outside_tests():
+    """Nor may a method of a ``src/repro`` class be reached only from
+    tests, unless :data:`TEST_ONLY_METHODS` says why it stays."""
+    test_only = _test_only(_methods, strings=True)
+    assert test_only <= set(TEST_ONLY_METHODS), (
+        "methods reached only from tests: "
+        f"{sorted(test_only - set(TEST_ONLY_METHODS))}"
+    )
+    stale = sorted(set(TEST_ONLY_METHODS) - test_only)
+    assert not stale, f"TEST_ONLY_METHODS names src/ uses or lost: {stale}"

@@ -85,8 +85,6 @@ class TestByzantineSchedule:
         assert byz.behaviors[7] == ("inflate", 4, 3)
         assert byz.behaviors[9] == ("omit", 1, 1)
         assert byz.budget == 3
-        again = ByzantineSchedule.from_jsonable(byz.as_jsonable())
-        assert again.behaviors == byz.behaviors
 
     BAD_SPECS = {
         "5": ("5", "needs <node>:<mode>"),

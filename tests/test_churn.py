@@ -57,9 +57,6 @@ class TestChurnSpec:
         )
         assert ch.cycles == {5: [(3, 7, REJOIN_AMNESIAC)]}
         assert ch.flaps == [(1, 2, 2, 5)]
-        again = ChurnSchedule.from_jsonable(ch.as_jsonable())
-        assert again.cycles == ch.cycles
-        assert again.flaps == ch.flaps
 
     def test_revive_defaults_to_durable(self):
         ch = ChurnSchedule.from_spec("4:crash@r2,4:revive@r6")
@@ -156,13 +153,6 @@ class TestChurnPolicy:
     def test_default_carries_a_transport(self):
         policy = ChurnPolicy.default()
         assert policy.transport is not None
-
-    def test_jsonable_round_trip(self):
-        policy = ChurnPolicy(
-            transport=TransportConfig(retransmits=2),
-            max_epochs=3,
-        )
-        assert ChurnPolicy.from_jsonable(policy.as_jsonable()) == policy
 
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):

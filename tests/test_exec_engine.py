@@ -277,7 +277,6 @@ class TestProgress:
         tracker({"event": "unit_started", "index": 0})
         tracker({"event": "unit_started", "index": 1})
         assert tracker.in_flight == 2
-        assert tracker.utilization == 1.0
         tracker({"event": "unit_finished", "index": 0, "wall_s": 2.0})
         tracker({"event": "unit_failed", "index": 1, "wall_s": 2.0})
         assert tracker.executed == 2 and tracker.failed == 1

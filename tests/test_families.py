@@ -12,8 +12,16 @@ from repro.cli import main
 from repro.graphs import grid_graph
 from repro.integrity import IntegrityConfig
 from repro.resilience import RecoveryPolicy, TransportConfig
+from repro.resilience.byzantine import ByzantineConfig
+from repro.resilience.epochs import ChurnPolicy
 from repro.sim import ExecutionRecord, replay_bundle
-from repro.sim.faults import MessageCorruption, MessageFaults
+from repro.sim.faults import (
+    ByzantineSchedule,
+    ChurnSchedule,
+    GrayFailureSchedule,
+    MessageCorruption,
+    MessageFaults,
+)
 
 CORPUS = sorted(
     glob.glob(os.path.join(os.path.dirname(__file__), "corpus", "*.json"))
@@ -88,6 +96,262 @@ def test_bundle_params_round_trip(path):
     # policy's (null) integrity field.
     assert _without_nulls(encoded) == _without_nulls(
         _without_retired(bundle.params)
+    )
+
+
+#: Every codec class at non-default values, with its exact JSON form (key
+#: order and list-vs-tuple included, so ``repr`` is compared).
+JSONABLE_PINS = [
+    (
+        TransportConfig(retransmits=3, backoff_cap=4, rto="adaptive"),
+        {"retransmits": 3, "backoff_cap": 4, "rto": "adaptive"},
+    ),
+    # rto is written only when it is not the default.
+    (
+        TransportConfig(retransmits=0, backoff_cap=2),
+        {"retransmits": 0, "backoff_cap": 2},
+    ),
+    (
+        IntegrityConfig(mode="checksum", key_seed=9, quarantine_threshold=4),
+        {"mode": "checksum", "key_seed": 9, "quarantine_threshold": 4},
+    ),
+    (
+        ByzantineConfig(witnesses=3, evict_policy="flag", max_epochs=5),
+        {"witnesses": 3, "evict_policy": "flag", "max_epochs": 5},
+    ),
+    (
+        ChurnPolicy(transport=TransportConfig(retransmits=4), max_epochs=6),
+        {"transport": {"retransmits": 4, "backoff_cap": 8}, "max_epochs": 6},
+    ),
+    (ChurnPolicy(max_epochs=2), {"transport": None, "max_epochs": 2}),
+    (
+        RecoveryPolicy(
+            transport=TransportConfig(retransmits=2, rto="adaptive"),
+            max_epochs=2,
+            integrity=IntegrityConfig(mode="mac", key_seed=3),
+        ),
+        {
+            "transport": {"retransmits": 2, "backoff_cap": 8, "rto": "adaptive"},
+            "max_epochs": 2,
+            "integrity": {
+                "mode": "mac", "key_seed": 3, "quarantine_threshold": 10,
+            },
+        },
+    ),
+    # Node-keyed maps: string keys in numeric node order; a zero
+    # incarnation base is not written.
+    (
+        ChurnSchedule(
+            cycles={
+                10: [(3, 7, "amnesiac"), (9, None, "durable")],
+                2: [(4, 6, "durable")],
+            },
+            flaps=[(3, 4, 2, 5), (1, 2, 6, 6)],
+            allow_root_crash=True,
+            incarnation_base={10: 2, 3: 0, 4: 1},
+        ),
+        {
+            "cycles": {
+                "2": [[4, 6, "durable"]],
+                "10": [[3, 7, "amnesiac"], [9, None, "durable"]],
+            },
+            "flaps": [[1, 2, 6, 6], [3, 4, 2, 5]],
+            "allow_root_crash": True,
+            "incarnation_base": {"4": 1, "10": 2},
+        },
+    ),
+    (
+        GrayFailureSchedule(
+            stalls={
+                10: [(3, 9, 2, "ramp")],
+                5: [(1, 2, 1, "constant"), (4, 12, 3, "limp")],
+            },
+            links=[(4, 5, 2, 8, 3, "limp"), (1, 2, 1, 1, 1, "constant")],
+        ),
+        {
+            "stalls": {
+                "5": [[1, 2, 1, "constant"], [4, 12, 3, "limp"]],
+                "10": [[3, 9, 2, "ramp"]],
+            },
+            "links": [[1, 2, 1, 1, 1, "constant"], [4, 5, 2, 8, 3, "limp"]],
+        },
+    ),
+    (
+        ByzantineSchedule.from_spec("10:equivocate,7:inflate=4@r3,9:omit"),
+        {
+            "behaviors": {
+                "7": ["inflate", 4, 3],
+                "9": ["omit", 1, 1],
+                "10": ["equivocate", 1, 1],
+            },
+        },
+    ),
+]
+
+#: The grammar each spec family quotes in every rejection.
+GRAMMARS = {
+    "fault": (
+        "key=value[,key=value...] with keys drop, dup|duplicate, delay, "
+        "reorder (rates in [0, 1]) and max_delay (integer rounds >= 1)"
+    ),
+    "corruption": (
+        "mode:rate[,mode:rate...] with modes bitflip, truncate, stale and "
+        "rates in [0, 1] (e.g. 'bitflip:0.02,stale:0.01')"
+    ),
+    "churn": (
+        "comma-separated events: '<node>:crash@r<R>', "
+        "'<node>:revive@r<R>[:durable|:amnesiac]' and "
+        "'flap:<u>-<v>@r<R1>-r<R2>' with rounds >= 1 "
+        "(e.g. '5:crash@r3,5:revive@r7:amnesiac,flap:1-2@r2-r5')"
+    ),
+    "gray": (
+        "comma-separated events: '<node>:stall@r<R1>-r<R2>:x<S>"
+        "[:constant|:ramp|:limp]' and 'link:<u>-<v>@r<R1>-r<R2>:x<S>"
+        "[:profile]' with rounds >= 1 and severity x<S> >= 1 added rounds "
+        "of latency (e.g. '5:stall@r3-r9:x2:ramp,link:1-2@r2-r8:x1')"
+    ),
+    "byzantine": (
+        "comma-separated behaviors: '<node>:<mode>[=<k>][@r<R>]' with "
+        "modes equivocate, inflate, deflate, replay, omit, magnitude k >= 1 "
+        "(default 1) and activation round R >= 1 (default 1) "
+        "(e.g. '5:equivocate,7:inflate=4@r3,9:omit')"
+    ),
+}
+
+SPEC_CLASSES = {
+    "fault": MessageFaults,
+    "corruption": MessageCorruption,
+    "churn": ChurnSchedule,
+    "gray": GrayFailureSchedule,
+    "byzantine": ByzantineSchedule,
+}
+
+#: One spec per rejection branch of each grammar: ``(family, spec,
+#: rejected token, why)``; a None token is a constructor's own message.
+SPEC_REJECTIONS = [
+    ("fault", "drop", "drop", "needs key=value"),
+    ("fault", "drop:0.1", "drop:0.1", "needs key=value"),
+    ("fault", "drip=0.1", "drip=0.1", "unknown fault key 'drip'"),
+    ("fault", "dup=0.1,duplicate=0.2", "duplicate=0.2",
+     "key 'duplicate' given more than once"),
+    ("fault", "drop=x", "drop=x", "value 'x' is not a number"),
+    ("fault", "max_delay=1.5", "max_delay=1.5",
+     "value '1.5' is not an integer"),
+    ("fault", "drop=2", None, "drop rate must be in [0, 1], got 2.0"),
+    ("fault", "max-delay=0", None, "max_delay must be >= 1, got 0"),
+    ("corruption", "bitflip", "bitflip", "needs mode:rate"),
+    ("corruption", "melt:0.1", "melt:0.1", "unknown corruption mode 'melt'"),
+    ("corruption", "bitflip:0.1,bitflip=0.2", "bitflip=0.2",
+     "mode 'bitflip' given more than once"),
+    ("corruption", "stale:x", "stale:x", "rate 'x' is not a number"),
+    ("corruption", "truncate=1.5", None,
+     "truncate rate must be in [0, 1], got 1.5"),
+    ("churn", "flap:1-2", "flap:1-2", "needs flap:<u>-<v>@r<R1>-r<R2>"),
+    ("churn", "flap:1-2@r2", "flap:1-2@r2",
+     "window needs the form r<R1>-r<R2>"),
+    ("churn", "flap:12@r2-r5", "flap:12@r2-r5",
+     "edge needs the form <u>-<v>"),
+    ("churn", "flap:1-x@r2-r5", "flap:1-x@r2-r5",
+     "edge '1-x' is not a node pair"),
+    ("churn", "flap:1-2@r5-r2", "flap:1-2@r5-r2", "flap window 5-2 is empty"),
+    ("churn", "5", "5", "needs <node>:crash@r<R> or <node>:revive@r<R>"),
+    ("churn", "x:crash@r3", "x:crash@r3", "node 'x' is not an integer"),
+    ("churn", "5:crash", "5:crash", "event needs @r<R>"),
+    ("churn", "5:crash@r0", "5:crash@r0", "round 0 is < 1"),
+    ("churn", "5:crash@rq", "5:crash@rq", "round 'q' is not an integer"),
+    ("churn", "5:crash@r3:amnesiac", "5:crash@r3:amnesiac",
+     "crash events take no mode suffix"),
+    ("churn", "5:crash@r3,5:revive@r7:zombie", "5:revive@r7:zombie",
+     "unknown rejoin mode 'zombie'"),
+    ("churn", "5:explode@r3", "5:explode@r3", "unknown churn event 'explode'"),
+    ("churn", "5:crash@r3,5:crash@r5", "5:crash@r3,5:crash@r5",
+     "node 5 crashes at round 5 while still down from round 3"),
+    ("churn", "5:revive@r3", "5:revive@r3",
+     "node 5 revives at round 3 but never crashed before it"),
+    ("churn", "5:crash@r3,5:revive@r3", "5:crash@r3,5:revive@r3",
+     "node 5 revives at round 3, at or before its crash at round 3"),
+    ("churn", "flap:3-3@r2-r4", None, "cannot flap self-loop edge 3-3"),
+    ("gray", "link:1-2", "link:1-2", "needs link:<u>-<v>@r<R1>-r<R2>:x<S>"),
+    ("gray", "link:1-2@r2-r8", "link:1-2@r2-r8", "needs a severity :x<S>"),
+    ("gray", "link:1-2@r2-r8:2", "link:1-2@r2-r8:2",
+     "severity '2' needs the form x<S>"),
+    ("gray", "link:1-2@r2-r8:x0", "link:1-2@r2-r8:x0", "severity 0 is < 1"),
+    ("gray", "link:1-2@r2-r8:xq", "link:1-2@r2-r8:xq",
+     "severity 'q' is not an integer"),
+    ("gray", "link:1-2@r2-r8:x1:wobble", "link:1-2@r2-r8:x1:wobble",
+     "unknown gray profile 'wobble'"),
+    ("gray", "link:1-2@r2-r8:x1:ramp:extra", "link:1-2@r2-r8:x1:ramp:extra",
+     "too many ':' fields"),
+    ("gray", "gibberish", "gibberish", "needs <node>:stall@r<R1>-r<R2>:x<S>"),
+    ("gray", "x:stall@r2-r4:x1", "x:stall@r2-r4:x1",
+     "node 'x' is not an integer"),
+    ("gray", "5:melt@r3-r9:x2", "5:melt@r3-r9:x2", "unknown gray event 'melt'"),
+    ("gray", "5:stall:x2", "5:stall:x2", "event needs @r<R1>-r<R2>"),
+    ("gray", "5:stall@r9-r3:x2", "5:stall@r9-r3:x2",
+     "gray window 9-3 is empty"),
+    ("gray", "link:4-4@r2-r8:x1", None, "cannot degrade self-loop edge 4-4"),
+    ("byzantine", "5", "5", "needs <node>:<mode>"),
+    ("byzantine", "x:omit", "x:omit", "node 'x' is not an integer"),
+    ("byzantine", "5:omit,5:inflate", "5:inflate",
+     "node 5 given more than once"),
+    ("byzantine", "5:omit@r0", "5:omit@r0", "round 0 is < 1"),
+    ("byzantine", "5:teleport", "5:teleport",
+     "unknown byzantine mode 'teleport'"),
+    ("byzantine", "5:inflate=0", "5:inflate=0", "magnitude 0 is < 1"),
+    ("byzantine", "5:inflate=q", "5:inflate=q",
+     "magnitude 'q' is not an integer"),
+]
+
+
+@pytest.mark.parametrize(
+    "obj, expected", JSONABLE_PINS,
+    ids=[type(obj).__name__ for obj, _ in JSONABLE_PINS],
+)
+def test_jsonable_forms_are_pinned(obj, expected):
+    assert repr(obj.as_jsonable()) == repr(expected)
+    again = type(obj).from_jsonable(obj.as_jsonable())
+    assert repr(again.as_jsonable()) == repr(expected)
+    if not hasattr(obj, "on_transmit"):  # configs compare by value
+        assert again == obj
+
+
+@pytest.mark.parametrize(
+    "family, spec, token, why", SPEC_REJECTIONS,
+    ids=[f"{family}:{spec}" for family, spec, _, _ in SPEC_REJECTIONS],
+)
+def test_spec_rejections_are_pinned(family, spec, token, why):
+    with pytest.raises(ValueError) as exc_info:
+        SPEC_CLASSES[family].from_spec(spec)
+    expected = why if token is None else (
+        f"bad {family} spec fragment {token!r}: {why} "
+        f"(accepted grammar: {GRAMMARS[family]})"
+    )
+    assert str(exc_info.value) == expected
+
+
+def test_jsonable_missing_and_retired_keys():
+    # Absent (and null nested) keys keep the default ...
+    assert ByzantineConfig.from_jsonable({}) == ByzantineConfig()
+    assert ChurnPolicy.from_jsonable({"transport": None}) == ChurnPolicy()
+    assert RecoveryPolicy.from_jsonable(
+        {"max_epochs": 2, "integrity": None}
+    ) == RecoveryPolicy(max_epochs=2)
+    assert TransportConfig.from_jsonable({"retransmits": 1}) == (
+        TransportConfig(retransmits=1)
+    )
+    assert ChurnSchedule.from_jsonable({}).as_jsonable() == (
+        ChurnSchedule().as_jsonable()
+    )
+    # ... except the transport's budget and the integrity mode.
+    with pytest.raises(KeyError):
+        TransportConfig.from_jsonable({"backoff_cap": 4})
+    with pytest.raises(KeyError):
+        IntegrityConfig.from_jsonable({"key_seed": 1})
+    with pytest.raises(ValueError) as exc_info:
+        TransportConfig.from_jsonable({"retransmits": 1, "hedge": True})
+    assert str(exc_info.value) == (
+        "hedge=True is no longer supported (the runtime always uses False); "
+        "this bundle cannot be replayed"
     )
 
 

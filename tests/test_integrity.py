@@ -223,10 +223,6 @@ class TestIntegrityConfig:
         assert IntegrityConfig(mode="checksum").digest_bits == CHECKSUM_BITS
         assert IntegrityConfig(mode="mac").digest_bits == MAC_BITS
 
-    def test_jsonable_round_trip(self):
-        cfg = IntegrityConfig(mode="checksum", key_seed=9, quarantine_threshold=4)
-        assert IntegrityConfig.from_jsonable(cfg.as_jsonable()) == cfg
-
     def test_as_integrity_coercions(self):
         assert as_integrity(None) is None
         assert as_integrity(IntegrityConfig(mode="off")) is None
