@@ -30,7 +30,8 @@ from repro.analysis.runner import make_inputs
 from repro.exec.scheduler import WorkUnit, execute_unit
 from repro.graphs import grid_graph
 from repro.resilience import ChurnPolicy, TransportConfig
-from repro.resilience.epochs import run_with_churn
+from repro.resilience.driver import drive_epochs
+from repro.resilience.epochs import ChurnPlan
 from repro.sim.faults import REJOIN_DURABLE, ChurnSchedule
 
 from _util import emit, once
@@ -121,25 +122,24 @@ def run_cc_isolation_study():
     for seed in range(SEEDS):
         rng = random.Random(seed)
         inputs = make_inputs(topo, rng)
-        clean = run_with_churn(
+        clean = drive_epochs(
+            ChurnPlan(topo, inputs, ChurnSchedule(), policy=policy),
             "unknown_f",
-            topo,
-            inputs,
-            ChurnSchedule(),
             rng=random.Random(seed),
-            policy=policy,
         )
         node = non_root[seed % len(non_root)]
-        blip = run_with_churn(
-            "unknown_f",
-            topo,
-            inputs,
-            ChurnSchedule(
-                cycles={node: [(3 + seed, 7 + seed, REJOIN_DURABLE)]},
-                root=topo.root,
+        blip = drive_epochs(
+            ChurnPlan(
+                topo,
+                inputs,
+                ChurnSchedule(
+                    cycles={node: [(3 + seed, 7 + seed, REJOIN_DURABLE)]},
+                    root=topo.root,
+                ),
+                policy=policy,
             ),
+            "unknown_f",
             rng=random.Random(seed),
-            policy=policy,
         )
         rows.append(
             {

@@ -21,8 +21,10 @@ raises ``ValueError`` and the CLI ``SystemExit`` from the same rows.
 :func:`family_monitors` adds each family's oracle to the standard monitor
 stack.
 
-Adding a fault family = one row here + its runtime + its field
-declarations.
+Adding a fault family = one row here + its field declarations + its
+runtime: an overlay, or, for a family that restarts the protocol in
+epochs, a plan for :func:`repro.resilience.driver.drive_epochs`
+(:class:`~repro.resilience.failover.FailoverPlan` is the smallest).
 """
 
 from __future__ import annotations

@@ -161,8 +161,10 @@ def run_protocol(
     runs ``algorithm1`` / ``unknown_f`` over the reliable local-broadcast
     shim; ``recovery`` (a :class:`repro.resilience.failover.RecoveryPolicy`)
     runs them under the full self-healing runtime — transport plus root
-    failover plus graceful degradation; the row then carries the partial
-    result's status / certification / coverage columns.
+    failover plus graceful degradation
+    (:class:`repro.resilience.failover.FailoverPlan`); the row then
+    carries the partial result's status / certification / coverage
+    columns and its ``elections``.
     ``integrity`` (an :class:`repro.integrity.frames.IntegrityConfig`, a
     mode string, or a coordinator) wraps every broadcast in an
     authenticated frame so corrupted deliveries are detected and dropped;
@@ -170,13 +172,12 @@ def run_protocol(
     ``recovery.integrity`` when both are given).
     ``churn`` (a :class:`repro.sim.faults.ChurnSchedule` or its spec
     string, e.g. ``'5:crash@r3,5:revive@r7:amnesiac'``) runs them under
-    the churn-tolerant epoch manager
-    (:mod:`repro.resilience.epochs`) with exactly-once re-aggregation;
-    ``churn_policy`` (a :class:`repro.resilience.epochs.ChurnPolicy`)
-    tunes its transport/epoch budget.  The row then carries the partial
-    result's status / certification / coverage columns plus the churn
-    counters (rejoins, handshakes, lost contributions, double-count
-    audit).
+    exactly-once re-aggregation epochs
+    (:class:`repro.resilience.epochs.ChurnPlan`); ``churn_policy`` (a
+    :class:`repro.resilience.epochs.ChurnPolicy`) tunes its transport and
+    epoch budget.  The row then carries the partial result's columns plus
+    the churn counters (rejoins, handshakes, lost contributions,
+    double-count audit).
     ``gray`` (a :class:`repro.sim.faults.GrayFailureSchedule` or its spec
     string, e.g. ``'3:stall@r4-r9:x2,link:1-2@r5-r12:x2:ramp'``) injects
     gray failures — compute stalls and link-latency inflation that slow
@@ -188,10 +189,11 @@ def run_protocol(
     ``byz`` (a :class:`repro.sim.faults.ByzantineSchedule` or its spec
     string, e.g. ``'5:equivocate,7:inflate=4@r3'``) runs ``algorithm1`` /
     ``unknown_f`` under the witness defence
-    (:mod:`repro.resilience.byzantine`): compromised-node claims are
-    cross-validated, equivocators are convicted and evicted through
-    discard-and-retry epochs, and the row carries an influence-bounded
-    partial certificate (|error| <= residual_budget * v_max).
+    (:class:`repro.resilience.byzantine.ByzantinePlan`): compromised-node
+    claims are cross-validated, equivocators are convicted and evicted
+    through discard-and-retry epochs, and the row carries an
+    influence-bounded partial certificate (|error| <= residual_budget *
+    v_max) and the detection grades.
     ``byz_config`` (a :class:`repro.resilience.byzantine.ByzantineConfig`)
     tunes witnesses / eviction policy / epoch budget.  A schedule with no
     compromised nodes takes the plain path bit-for-bit.
@@ -273,7 +275,7 @@ def run_protocol(
         or families.has_events(cfg["byz"])
         or recovery is not None
     ):
-        return _run_partial(protocol, topology, inputs, schedule, cfg, **run)
+        return _run_epochs(protocol, topology, inputs, schedule, cfg, **run)
     return _run_plain(
         protocol, topology, inputs, schedule, cfg, corruption, t=t,
         allow_root_crash=allow_root_crash, **run,
@@ -464,7 +466,7 @@ def _run_plain(
     )
 
 
-def _run_partial(
+def _run_epochs(
     protocol: str,
     topology: Topology,
     inputs: Dict[int, int],
@@ -482,76 +484,42 @@ def _run_partial(
 ) -> RunRecord:
     """The churn, Byzantine and recovery paths of :func:`run_protocol`.
 
-    Each runtime delivers a partial result.  The run is correct when the
-    result is certified and its value sits inside its own deterministic
-    bounds (coverage aggregate <= value <= all-nodes aggregate); with no
-    live gaps and no root loss this collapses to exactness against the
-    Section 2 oracle, because coverage is then every node.  Two runtimes
-    add an obligation:
-
-    * churn — the exactly-once oracle finds no contribution booked twice
-      across incarnations (``double_counted``) and reports any that
-      vanished while a recoverable copy survived (``lost_contributions``);
-    * byz — the bounds widen by the result's own influence bound (an
-      unconvicted compromised node may legally pull the value by up to
-      ``v_max``) and no honest node may be convicted.  The
-      :class:`repro.sim.monitors.ByzantineOracle` grades detection against
-      the schedule's ground-truth taint ledger.
+    The exclusion table leaves at most one of the three active; its plan
+    runs under :func:`repro.resilience.driver.drive_epochs` and delivers a
+    partial result.  The run is correct when the result is certified and
+    its value sits inside its own deterministic bounds (coverage aggregate
+    <= value <= all-nodes aggregate), widened by the plan's ``slack``, and
+    the plan's oracle finds it ``honest`` (see each plan's ``grade``).
+    With no live gaps and no root loss this collapses to exactness against
+    the Section 2 oracle, because coverage is then every node.
     """
-    from ..sim.monitors import ByzantineOracle, DoubleCountOracle
+    from ..resilience.driver import drive_epochs
 
+    common = dict(f=f, caaf=caaf, monitors=monitors)
     mode = "strict" if strict_monitors else "record"
-    monitors = tuple(monitors)
-    common = dict(
-        schedule=schedule, f=f, b=b, c=c, caaf=caaf, rng=rng,
-        injectors=injectors,
-    )
-    slack, honest = 0, True
     if cfg["churn"] is not None:
-        from ..resilience.epochs import run_with_churn
+        from ..resilience.epochs import ChurnPlan
 
-        oracle, monitors = _oracle(
-            monitors, DoubleCountOracle, inputs, caaf=caaf, mode=mode
+        plan = ChurnPlan(
+            topology, inputs, cfg["churn"], schedule,
+            policy=cfg["churn_policy"], mode=mode, **common,
         )
-        out = run_with_churn(
-            protocol, topology, inputs, cfg["churn"], monitors=monitors,
-            policy=cfg["churn_policy"], oracle=oracle, **common,
-        )
-        honest = oracle.double_counts == 0
-        grades = {
-            "double_counted": oracle.double_counts,
-            "lost_contributions": oracle.lost_contributions,
-        }
     elif families.has_events(cfg["byz"]):
-        from ..resilience.byzantine import run_with_byzantine
+        from ..resilience.byzantine import ByzantinePlan
 
-        oracle, monitors = _oracle(
-            monitors, ByzantineOracle, cfg["byz"], inputs, caaf=caaf,
-            mode=mode,
+        plan = ByzantinePlan(
+            topology, inputs, cfg["byz"], schedule, config=cfg["byz_config"],
+            integrity=cfg["integrity"], mode=mode, **common,
         )
-        out = run_with_byzantine(
-            protocol, topology, inputs, cfg["byz"], monitors=monitors,
-            config=cfg["byz_config"], integrity=cfg["integrity"], **common,
-        )
-        # Whole-run grading: needs the complete taint ledger and the final
-        # certificate, so it runs here rather than per-network.
-        oracle.grade_convictions(out.convictions)
-        oracle.grade_result(out.partial)
-        slack = out.partial.influence_bound or 0
-        honest = oracle.false_convictions == 0
-        grades = {
-            "false_convictions": oracle.false_convictions,
-            "undetected_equivocations": oracle.undetected_equivocations,
-            "influence_exceeded": oracle.influence_exceeded,
-        }
     else:
-        from ..resilience.failover import run_with_recovery
+        from ..resilience.failover import FailoverPlan
 
-        out = run_with_recovery(
-            protocol, topology, inputs, monitors=monitors,
-            policy=cfg["recovery"], integrity=cfg["integrity"], **common,
+        plan = FailoverPlan(
+            topology, inputs, schedule, policy=cfg["recovery"],
+            integrity=cfg["integrity"], injectors=injectors, **common,
         )
-        grades = {"elections": len(out.elections)}
+    out = drive_epochs(plan, protocol, b=b, c=c, rng=rng, injectors=injectors)
+    slack, honest, grades = plan.grade(out)
     partial = out.partial
     correct = bool(
         honest
@@ -571,17 +539,8 @@ def _run_partial(
         out.stats.max_bits, out.rounds, extra,
     )
     return _finish_record(
-        record, monitors, strict_monitors, link_stats=out.stats.link_stats
+        record, plan.monitors, strict_monitors, link_stats=out.stats.link_stats
     )
-
-
-def _oracle(monitors: tuple, cls, *args, **kwargs):
-    """The run's ``cls`` oracle: the caller's, or a fresh one appended."""
-    for monitor in monitors:
-        if isinstance(monitor, cls):
-            return monitor, monitors
-    oracle = cls(*args, **kwargs)
-    return oracle, monitors + (oracle,)
 
 
 def _finish_record(

@@ -329,18 +329,13 @@ def _fault_config(args, horizon: Optional[int]):
     ``--witnesses`` / ``--evict-policy`` the
     :class:`repro.resilience.ByzantineConfig`.
     """
+    from . import resilience
     from .integrity import IntegrityConfig
-    from .resilience import (
-        ByzantineConfig,
-        ChurnPolicy,
-        RecoveryPolicy,
-        TransportConfig,
-    )
 
     budget = args.retransmit_budget
     transport = recovery = churn_policy = byz_config = None
     if args.recover:
-        recovery = RecoveryPolicy.default(
+        recovery = resilience.RecoveryPolicy.default(
             retransmit_budget=5 if budget is None else budget
         )
         if args.rto != "fixed":
@@ -349,13 +344,15 @@ def _fault_config(args, horizon: Optional[int]):
                 transport=dataclasses.replace(recovery.transport, rto=args.rto),
             )
     elif budget is not None:
-        transport = TransportConfig(retransmits=budget, rto=args.rto)
+        transport = resilience.TransportConfig(
+            retransmits=budget, rto=args.rto
+        )
     if args.max_epochs is not None:
         churn_policy = dataclasses.replace(
-            ChurnPolicy.default(), max_epochs=args.max_epochs
+            resilience.ChurnPolicy.default(), max_epochs=args.max_epochs
         )
     if args.witnesses is not None or args.evict_policy is not None:
-        byz_config = ByzantineConfig(
+        byz_config = resilience.ByzantineConfig(
             witnesses=2 if args.witnesses is None else args.witnesses,
             evict_policy=args.evict_policy or "evict",
         )
@@ -917,6 +914,9 @@ def cmd_replay(args: argparse.Namespace) -> int:
         outcome = replay_bundle(bundle, strict=not args.best_effort)
     except ReplayDivergence as exc:
         print(f"DIVERGED: {exc}")
+        return 1
+    except ValueError as exc:
+        print(f"cannot replay: {exc}")
         return 1
     row = outcome.record.as_dict()
     row.pop("violations", None)

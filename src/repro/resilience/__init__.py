@@ -9,8 +9,11 @@ simulator stays bit-exact when nothing here is enabled.
   exponential backoff); overhead booked separately from protocol CC.
 * :mod:`repro.resilience.driver` — the one epoch driver behind failover,
   churn and the Byzantine defence: discard-and-retry epochs up to a
-  budget, per-epoch reports and spans, side-runs between epochs, and a
-  per-family plan for everything that differs.
+  budget, per-epoch reports and spans, and side-runs between epochs.
+  :func:`drive_epochs` is the only way in; a per-family plan
+  (:class:`FailoverPlan`, :class:`ChurnPlan`, :class:`ByzantinePlan`)
+  validates its inputs when built, supplies everything that differs,
+  and grades the finished run.
 * :mod:`repro.resilience.failover` — deterministic root failover: bounded
   min-id flood elects the lowest-id live neighbour of a dead root and the
   protocol restarts in a new epoch on the surviving component.
@@ -29,119 +32,31 @@ simulator stays bit-exact when nothing here is enabled.
   cross-validation of sub-aggregate claims, accusation/conviction from
   authenticated contradictory frames, eviction through discard-and-retry
   epochs, and influence-bounded certification (|error| <= b * v_max).
+
+Names are imported on first access (see :mod:`repro._lazy`): a plain
+run over the transport needs :mod:`.transport`, not the epoch runtimes.
 """
 
-from .byzantine import (
-    AUDITABLE_CAAFS,
-    Accusation,
-    ByzantineConfig,
-    Conviction,
-    EVICT_POLICIES,
-    WitnessCoordinator,
-    WitnessTap,
-    run_with_byzantine,
-)
+from .._lazy import export_table, facade
 
-from .detector import (
-    LEVEL_CONFIRM,
-    LEVEL_SUSPECT,
-    LEVEL_TRUST,
-    LEVELS,
-    AdaptiveRto,
-    PhiAccrualDetector,
-    PhiConfig,
-    SuspicionEvent,
-)
-from .partial import (
-    PartialAggregateResult,
-    STATUS_EXACT,
-    STATUS_FAILED,
-    STATUS_PARTIAL,
-    certify,
-)
-from .transport import (
-    FRAME_KIND,
-    NACK_KIND,
-    RTO_MODES,
-    TRANSPORT_KINDS,
-    ReliableTransport,
-    TransportConfig,
-    TransportGap,
-    TransportNode,
-    as_transport,
-    overlay_network,
-)
-from .driver import (
-    EpochOutcome,
-    EpochReport,
-    RECOVERABLE_PROTOCOLS,
-    drive_epochs,
-)
-from .failover import (
-    ELECT_KIND,
-    ElectionNode,
-    ElectionReport,
-    RecoveryPolicy,
-    run_with_recovery,
-)
-from .epochs import (
-    ChurnPolicy,
-    ContributionLedger,
-    HeartbeatTracker,
-    SNAP_KIND,
-    SNAP_REQ_KIND,
-    SnapshotStore,
-    neutral_input,
-    run_with_churn,
-)
+_EXPORTS = export_table({
+    "byzantine": "AUDITABLE_CAAFS Accusation ByzantineConfig ByzantinePlan "
+                 "Conviction EVICT_POLICIES WitnessCoordinator WitnessTap",
+    "detector": "LEVEL_CONFIRM LEVEL_SUSPECT LEVEL_TRUST LEVELS AdaptiveRto "
+                "PhiAccrualDetector PhiConfig SuspicionEvent",
+    "driver": "EpochOutcome EpochReport RECOVERABLE_PROTOCOLS drive_epochs",
+    "epochs": "ChurnPlan ChurnPolicy ContributionLedger HeartbeatTracker "
+              "SNAP_KIND SNAP_REQ_KIND SnapshotStore neutral_input",
+    "failover": "ELECT_KIND ElectionNode ElectionReport FailoverPlan "
+                "RecoveryPolicy",
+    "partial": "PartialAggregateResult STATUS_EXACT STATUS_FAILED "
+               "STATUS_PARTIAL certify",
+    "transport": "FRAME_KIND NACK_KIND RTO_MODES TRANSPORT_KINDS "
+                 "ReliableTransport TransportConfig TransportGap "
+                 "TransportNode as_transport overlay_network",
+})
 
-__all__ = [
-    "AUDITABLE_CAAFS",
-    "Accusation",
-    "AdaptiveRto",
-    "ByzantineConfig",
-    "Conviction",
-    "EVICT_POLICIES",
-    "WitnessCoordinator",
-    "WitnessTap",
-    "run_with_byzantine",
-    "ChurnPolicy",
-    "ContributionLedger",
-    "HeartbeatTracker",
-    "SNAP_KIND",
-    "SNAP_REQ_KIND",
-    "SnapshotStore",
-    "neutral_input",
-    "run_with_churn",
-    "ELECT_KIND",
-    "ElectionNode",
-    "ElectionReport",
-    "EpochOutcome",
-    "EpochReport",
-    "FRAME_KIND",
-    "LEVEL_CONFIRM",
-    "LEVEL_SUSPECT",
-    "LEVEL_TRUST",
-    "LEVELS",
-    "NACK_KIND",
-    "PartialAggregateResult",
-    "PhiAccrualDetector",
-    "PhiConfig",
-    "RECOVERABLE_PROTOCOLS",
-    "RTO_MODES",
-    "RecoveryPolicy",
-    "ReliableTransport",
-    "SuspicionEvent",
-    "STATUS_EXACT",
-    "STATUS_FAILED",
-    "STATUS_PARTIAL",
-    "TRANSPORT_KINDS",
-    "TransportConfig",
-    "TransportGap",
-    "TransportNode",
-    "as_transport",
-    "certify",
-    "drive_epochs",
-    "overlay_network",
-    "run_with_recovery",
-]
+#: The re-exported names; submodules stay out, as they always have.
+__all__ = sorted(name for name, module in _EXPORTS.items() if name != module)
+
+__getattr__, __dir__ = facade(__name__, _EXPORTS, globals())

@@ -67,9 +67,8 @@ residual budget is zero.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..adversary.schedule import FailureSchedule
 from ..graphs.topology import Topology
@@ -77,17 +76,10 @@ from ..obs import metrics as _metrics
 from ..obs import spans as _spans
 from ..sim.faults import FaultInjector
 from ..sim.message import TAG_BITS, id_bits
-from ..sim.monitors import FBudgetMonitor
+from ..sim.monitors import ByzantineOracle, FBudgetMonitor
 from ..sim.network import Network
 from ..sim.specs import JsonFields
-from .driver import (
-    DONE,
-    RETRY,
-    EpochOutcome,
-    EpochWorld,
-    check_protocol,
-    drive_epochs,
-)
+from .driver import DONE, RETRY, EpochWorld, whole_run_oracle
 from .partial import certify
 
 #: Eviction policies: ``evict`` reruns without convicted nodes (the
@@ -202,7 +194,7 @@ class WitnessCoordinator:
     """Pooled witness view: observation ledger, audits, convictions.
 
     One coordinator lives across all epochs of a
-    :func:`run_with_byzantine` run.  Each network build (AGG/VERI pairs
+    :class:`ByzantinePlan` run.  Each network build (AGG/VERI pairs
     may build several per epoch) starts a new *generation* via the tap's
     ``attach``; each generation is audited independently — equivocation
     and omission as rounds close, the flood/claim and influence audits
@@ -559,34 +551,67 @@ class WitnessCoordinator:
         }
 
 
-@dataclass
 class ByzantinePlan:
-    """Witness audit and eviction as an epoch plan."""
+    """Witness audit and eviction as an epoch plan.
+
+    The first epoch runs with the compromised nodes in place; every
+    conviction (under ``evict_policy="evict"``) discards the tainted
+    epoch — its bits become overhead — and reruns with the convicted
+    nodes crashed at round 1 and the edge budget raised by their incident
+    edges.  The final epoch's output is certified with the residual
+    influence bound ``(b - evicted) * v_max``, and graded by the
+    :class:`ByzantineOracle` (the caller's, found among ``monitors``, or
+    a fresh one in ``mode``).
+    """
 
     family = "byz"
     whole_run_rules = ("oracle", "byzantine")
     discards_as_overhead = True
+    #: The witness audits assume in-model delivery: no transport.
+    transport = None
 
-    topology: Topology
-    inputs: Dict[int, int]
-    byz: Any
-    schedule: FailureSchedule
-    f: Optional[int]
-    caaf: Any
-    config: ByzantineConfig
-    integrity: Any
-    evicted: Set[int] = field(default_factory=set)
+    def __init__(
+        self,
+        topology: Topology,
+        inputs: Dict[int, int],
+        byz,
+        schedule: Optional[FailureSchedule] = None,
+        *,
+        f: Optional[int] = None,
+        caaf=None,
+        config: Optional[ByzantineConfig] = None,
+        integrity=None,
+        monitors: Sequence = (),
+        mode: str = "record",
+    ) -> None:
+        from ..core.caaf import SUM
 
-    def __post_init__(self) -> None:
+        self.caaf = caaf or SUM
+        if self.caaf.name not in AUDITABLE_CAAFS:
+            raise ValueError(
+                "influence-bounded certification needs an invertible "
+                f"sum-like CAAF {AUDITABLE_CAAFS}, got {self.caaf.name!r} — "
+                "the delta audit cannot bound a compromised node's pull on "
+                "min/max-style aggregates"
+            )
+        self.config = config or ByzantineConfig()
+        self.max_epochs = self.config.max_epochs
+        self.topology, self.inputs, self.byz = topology, inputs, byz
+        self.schedule = schedule or FailureSchedule()
+        self.f, self.integrity = f, integrity
+        if integrity is not None:
+            byz.integrity = integrity.config
+        self.oracle, self.monitors = whole_run_oracle(
+            monitors, ByzantineOracle, byz, inputs, caaf=self.caaf, mode=mode
+        )
+        self.evicted: Set[int] = set()
         self.coordinator = WitnessCoordinator(
-            self.topology,
-            self.inputs,
+            topology,
+            inputs,
             self.caaf,
             self.config,
-            budget=self.byz.budget,
-            integrity=self.integrity.config
-            if self.integrity is not None
-            else None,
+            budget=byz.budget,
+            integrity=integrity.config if integrity is not None else None,
         )
 
     def _edges(self, nodes) -> int:
@@ -667,8 +692,6 @@ class ByzantinePlan:
                 if b_rem == 0
                 else f"byzantine-audited: |error| <= {b_rem} x v_max"
             )
-        run.coordinator = coordinator
-        run.evicted = tuple(sorted(self.evicted))
         run.partial = certify(
             value,
             sorted(self.topology.nodes()),
@@ -692,58 +715,17 @@ class ByzantinePlan:
         )
 
 
-def run_with_byzantine(
-    protocol: str,
-    topology: Topology,
-    inputs: Dict[int, int],
-    byz,
-    schedule: Optional[FailureSchedule] = None,
-    *,
-    f: Optional[int] = None,
-    b: Optional[int] = None,
-    c: int = 2,
-    caaf=None,
-    rng: Optional[random.Random] = None,
-    injectors: Sequence = (),
-    monitors: Sequence = (),
-    config: Optional[ByzantineConfig] = None,
-    integrity=None,
-) -> EpochOutcome:
-    """Run ``protocol`` under a Byzantine schedule with the witness defence.
-
-    The first epoch runs with the compromised nodes in place; every
-    conviction (under ``evict_policy="evict"``) discards the tainted
-    epoch — its bits become overhead — and reruns with the convicted
-    nodes crashed at round 1 and the edge budget raised by their incident
-    edges.  The final epoch's output is certified with the residual
-    influence bound ``(b - evicted) * v_max``.
-    """
-    from ..core.caaf import SUM
-
-    check_protocol("byzantine defence", protocol)
-    caaf = caaf or SUM
-    if caaf.name not in AUDITABLE_CAAFS:
-        raise ValueError(
-            "influence-bounded certification needs an invertible sum-like "
-            f"CAAF {AUDITABLE_CAAFS}, got {caaf.name!r} — the delta audit "
-            "cannot bound a compromised node's pull on min/max-style "
-            "aggregates"
-        )
-    byz.validate(topology)
-    if integrity is not None:
-        byz.integrity = integrity.config
-    config = config or ByzantineConfig()
-    plan = ByzantinePlan(
-        topology,
-        inputs,
-        byz,
-        schedule or FailureSchedule(),
-        f,
-        caaf,
-        config,
-        integrity,
-    )
-    return drive_epochs(
-        plan, protocol, max_epochs=config.max_epochs, b=b, c=c, caaf=caaf,
-        rng=rng, injectors=injectors, monitors=monitors,
-    )
+    def grade(self, run) -> Tuple[int, bool, Dict[str, int]]:
+        # Whole-run grading: needs the complete taint ledger and the
+        # final certificate.
+        oracle = self.oracle
+        oracle.grade_convictions(self.coordinator.convictions)
+        oracle.grade_result(run.partial)
+        # An unconvicted compromised node may legally pull the value by
+        # up to the certificate's influence bound.
+        slack = run.partial.influence_bound or 0
+        return slack, oracle.false_convictions == 0, {
+            "false_convictions": oracle.false_convictions,
+            "undetected_equivocations": oracle.undetected_equivocations,
+            "influence_exceeded": oracle.influence_exceeded,
+        }

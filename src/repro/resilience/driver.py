@@ -2,25 +2,38 @@
 
 The paper's model has no epochs.  Each out-of-model runtime restarts the
 paper's protocol until it can certify a result.  :func:`drive_epochs`
-owns what they share — the epoch loop, the combined stats, the global
-clock, the transports and their live-gap total, the per-epoch span and
-the discard event — and asks the family's *plan* for the rest:
-``plan.world(epoch, run, transport)`` builds the next epoch's
-:class:`EpochWorld`; ``plan.judge(report, out, run, last)`` returns a
-verdict on the finished epoch and runs any between-epoch side-runs
-(:meth:`EpochOutcome.side_run`); ``plan.certify(run)`` sets the run's
-final :class:`~repro.resilience.partial.PartialAggregateResult` and the
-family's own :class:`EpochOutcome` fields.  A plan also declares its
-``family``, its ``whole_run_rules`` (monitor rules kept out of every
-epoch) and whether a discarded epoch's bits are overhead
-(``discards_as_overhead``) or protocol CC.
+owns what they share — the protocol check, the epoch loop, the combined
+stats, the global clock, the transports and their live-gap total, the
+per-epoch span and the discard event — and the family's *plan*
+(:class:`~repro.resilience.failover.FailoverPlan`,
+:class:`~repro.resilience.epochs.ChurnPlan`,
+:class:`~repro.resilience.byzantine.ByzantinePlan`) is the only
+per-family code.  A plan checks its inputs when it is built and then
+declares:
+
+* ``family``, its ``whole_run_rules`` (monitor rules kept out of every
+  epoch) and whether a discarded epoch's bits are overhead
+  (``discards_as_overhead``) or protocol CC;
+* ``max_epochs``, the epoch budget, and ``transport``, the
+  :class:`~repro.resilience.transport.TransportConfig` each epoch's
+  fresh reliable transport is built from (``None`` for none);
+* ``caaf`` and ``monitors``: the aggregate and the whole run's monitors,
+  its own oracle among them (found in the caller's, or added);
+* ``world(epoch, run, transport)``, the next epoch's
+  :class:`EpochWorld`; ``judge(report, out, run, last)``, a verdict on
+  the finished epoch that also runs any between-epoch side-runs
+  (:meth:`EpochOutcome.side_run`); ``certify(run)``, which sets the
+  run's final :class:`~repro.resilience.partial.PartialAggregateResult`;
+  and ``grade(run)``, the ``(slack, honest, columns)`` the runner grades
+  the row with: bounds widened by ``slack``, the family's oracle
+  verdict, and its row columns.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..adversary.schedule import FailureSchedule
 from ..graphs.topology import Topology
@@ -29,12 +42,7 @@ from ..sim.network import Network
 from ..sim.node import NodeHandler
 from ..sim.stats import SimStats
 from .partial import PartialAggregateResult
-from .transport import ReliableTransport, TransportConfig, overlay_network
-
-if TYPE_CHECKING:
-    from .byzantine import Accusation, Conviction, WitnessCoordinator
-    from .epochs import ContributionLedger, HeartbeatTracker
-    from .failover import ElectionReport
+from .transport import ReliableTransport, overlay_network
 
 #: Protocols the epoch runtimes know how to restart.
 RECOVERABLE_PROTOCOLS = ("algorithm1", "unknown_f")
@@ -45,13 +53,15 @@ RECOVERABLE_PROTOCOLS = ("algorithm1", "unknown_f")
 NEXT, DONE, RETRY, FAIL = "next", "done", "retry", "fail"
 
 
-def check_protocol(family: str, protocol: str) -> None:
-    """Reject a protocol the epoch runtimes cannot restart."""
-    if protocol not in RECOVERABLE_PROTOCOLS:
-        raise ValueError(
-            f"{family} supports protocols {RECOVERABLE_PROTOCOLS}, "
-            f"got {protocol!r}"
-        )
+def whole_run_oracle(monitors: Sequence, cls, *args, **kwargs):
+    """A plan's ``(oracle, monitors)``: the caller's ``cls`` oracle, or a
+    fresh ``cls(*args, **kwargs)`` appended to ``monitors``."""
+    monitors = tuple(monitors)
+    for monitor in monitors:
+        if isinstance(monitor, cls):
+            return monitor, monitors
+    oracle = cls(*args, **kwargs)
+    return oracle, monitors + (oracle,)
 
 
 def shift_crash_map(
@@ -108,10 +118,11 @@ class EpochReport:
 
 @dataclass
 class EpochOutcome:
-    """A failover, churn or Byzantine run: the driver's running totals
-    while its epochs run, and everything it produced once it returns."""
+    """A failover, churn or Byzantine run: the totals the driver keeps
+    for every family.  Family state (elections, the ledger, the witness
+    pool) stays on the plan."""
 
-    #: The caller's monitors minus the plan's whole-run rules.
+    #: The plan's monitors minus its whole-run rules.
     monitors: List
     stats: SimStats = field(default_factory=SimStats)
     epochs: List[EpochReport] = field(default_factory=list)
@@ -124,17 +135,6 @@ class EpochOutcome:
     live_gaps: int = 0
     #: The certificate, set by the plan after the last epoch.
     partial: Optional[PartialAggregateResult] = None
-    #: Failover: the elections between epochs.
-    elections: List["ElectionReport"] = field(default_factory=list)
-    #: Churn: the ledger, lost and recovered contributions, and the last
-    #: epoch's heartbeat tracker.
-    ledger: Optional["ContributionLedger"] = None
-    lost: Tuple[int, ...] = ()
-    recovered: Tuple[int, ...] = ()
-    tracker: Optional["HeartbeatTracker"] = None
-    #: Byzantine: the witness pool and the nodes evicted by epoch retry.
-    coordinator: Optional["WitnessCoordinator"] = None
-    evicted: Tuple[int, ...] = ()
 
     @property
     def rounds(self) -> int:
@@ -143,14 +143,6 @@ class EpochOutcome:
     @property
     def result(self) -> Optional[int]:
         return self.partial.value
-
-    @property
-    def convictions(self) -> Dict[int, "Conviction"]:
-        return self.coordinator.convictions if self.coordinator else {}
-
-    @property
-    def accusations(self) -> List["Accusation"]:
-        return self.coordinator.accusations if self.coordinator else []
 
     def side_run(
         self,
@@ -220,26 +212,29 @@ def drive_epochs(
     plan,
     protocol: str,
     *,
-    max_epochs: int,
-    transport: Optional[TransportConfig] = None,
-    b: Optional[int],
-    c: int,
-    caaf,
-    rng: Optional[random.Random],
-    injectors: Sequence,
-    monitors: Sequence,
+    b: Optional[int] = None,
+    c: int = 2,
+    rng: Optional[random.Random] = None,
+    injectors: Sequence = (),
 ) -> EpochOutcome:
-    """Run ``plan``'s epochs until it is done or ``max_epochs`` ran,
-    each over a fresh reliable transport built from ``transport``."""
+    """Run ``plan``'s epochs until it is done or ``plan.max_epochs`` ran,
+    each over a fresh reliable transport built from ``plan.transport``."""
+    # run_epoch would run any other name as unknown_f.
+    if protocol not in RECOVERABLE_PROTOCOLS:
+        raise ValueError(
+            f"{plan.family} supports protocols {RECOVERABLE_PROTOCOLS}, "
+            f"got {protocol!r}"
+        )
     run = EpochOutcome(
         monitors=[
             m
-            for m in monitors
+            for m in plan.monitors
             if getattr(m, "rule", None) not in plan.whole_run_rules
         ]
     )
-    for epoch in range(1, max_epochs + 1):
-        reliable = ReliableTransport(transport) if transport else None
+    config = plan.transport
+    for epoch in range(1, plan.max_epochs + 1):
+        reliable = ReliableTransport(config) if config else None
         world = plan.world(epoch, run, reliable)
         tid = world.topology.root
         if _spans.enabled:
@@ -257,7 +252,7 @@ def drive_epochs(
             world,
             b=b,
             c=c,
-            caaf=caaf,
+            caaf=plan.caaf,
             rng=rng,
             # Monitors watch the epochs only, never the side-runs.
             injectors=(*injectors, *run.monitors),
@@ -283,7 +278,7 @@ def drive_epochs(
         report = EpochReport(
             epoch, tid, world.topology.n_nodes, out.rounds, out.result
         )
-        verdict = plan.judge(report, out, run, epoch == max_epochs)
+        verdict = plan.judge(report, out, run, epoch == plan.max_epochs)
         report.discarded = verdict == RETRY
         run.epochs.append(report)
         run.stats.absorb(

@@ -48,10 +48,9 @@ a contribution with a surviving copy is missing from the coverage.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..adversary.schedule import FailureSchedule
 from ..graphs.topology import Topology
@@ -71,11 +70,9 @@ from .driver import (
     FAIL,
     NEXT,
     RETRY,
-    EpochOutcome,
     EpochWorld,
-    check_protocol,
-    drive_epochs,
     shift_crash_map,
+    whole_run_oracle,
 )
 from .partial import certify
 from .transport import TransportConfig
@@ -356,9 +353,18 @@ def _match_contributors(
     return None
 
 
-@dataclass
 class ChurnPlan:
-    """Exactly-once re-aggregation under churn as an epoch plan."""
+    """Exactly-once re-aggregation under churn as an epoch plan.
+
+    Epochs run until every live contribution is booked (or provably
+    lost), the epoch budget runs out, or an epoch output defies
+    certification; the run ends with the :class:`DoubleCountOracle`
+    audit (the caller's, found among ``monitors``, or a fresh one in
+    ``mode``).  The certificate's coverage is the union of all booked
+    contributions; its value is the CAAF-combine of the per-epoch
+    outputs, which equals the aggregate over the coverage by
+    construction of the nonce ledger.
+    """
 
     family = "churn"
     # The per-run termination oracle grades one full protocol execution
@@ -368,40 +374,56 @@ class ChurnPlan:
     whole_run_rules = ("oracle", "exactly-once")
     discards_as_overhead = False
 
-    topology: Topology
-    inputs: Dict[int, int]
-    churn: ChurnSchedule
-    schedule: FailureSchedule
-    f: Optional[int]
-    caaf: Any
-    #: The side-runs' transport (epochs get theirs from the driver).
-    transport: Optional[TransportConfig]
-    oracle: Optional[DoubleCountOracle]
-    ledger: ContributionLedger = field(default_factory=ContributionLedger)
-    store: SnapshotStore = field(default_factory=SnapshotStore)
-    lost: Set[int] = field(default_factory=set)
-    recovered: Set[int] = field(default_factory=set)
-    #: Amnesiac rejoiners whose handshake failed while a holder of their
-    #: snapshot survived: pending, but with no input to submit.
-    unrecovered: Set[int] = field(default_factory=set)
-    handshakes: int = 0
-    epoch_values: List[int] = field(default_factory=list)
-    certified: bool = True
-    reason: str = "clean"
-    budget_exhausted: bool = False
-    tracker: Optional[HeartbeatTracker] = None
+    def __init__(
+        self,
+        topology: Topology,
+        inputs: Dict[int, int],
+        churn: ChurnSchedule,
+        schedule: Optional[FailureSchedule] = None,
+        *,
+        f: Optional[int] = None,
+        caaf=None,
+        policy: Optional[ChurnPolicy] = None,
+        monitors: Sequence = (),
+        mode: str = "record",
+    ) -> None:
+        from ..core.caaf import SUM
 
-    def __post_init__(self) -> None:
+        if topology.root in churn.cycles and not churn.allow_root_crash:
+            raise ValueError(ROOT_CRASH_ERROR)
+        self.caaf = caaf or SUM
         self.neutral = neutral_input(self.caaf)
-        self.all_nodes = sorted(self.topology.nodes())
+        policy = policy or ChurnPolicy.default()
+        #: Every epoch's and side-run's transport.
+        self.max_epochs, self.transport = policy.max_epochs, policy.transport
+        self.topology, self.inputs, self.churn = topology, inputs, churn
+        self.schedule = schedule or FailureSchedule()
+        self.f = f
+        self.oracle, self.monitors = whole_run_oracle(
+            monitors, DoubleCountOracle, inputs, caaf=self.caaf, mode=mode
+        )
+        self.ledger = ContributionLedger()
+        self.store = SnapshotStore()
+        self.lost: Set[int] = set()
+        self.recovered: Set[int] = set()
+        #: Amnesiac rejoiners whose handshake failed while a holder of
+        #: their snapshot survived: pending, but with no input to submit.
+        self.unrecovered: Set[int] = set()
+        self.handshakes = 0
+        self.epoch_values: List[int] = []
+        self.certified = True
+        self.reason = "clean"
+        self.budget_exhausted = False
+        self.tracker: Optional[HeartbeatTracker] = None
+        self.all_nodes = sorted(topology.nodes())
         self.prepared = {
-            u: self.caaf.prepare(self.inputs[u]) for u in self.all_nodes
+            u: self.caaf.prepare(inputs[u]) for u in self.all_nodes
         }
         #: Bits of a snapshot request ``(node)`` and of a snapshot
         #: ``(node, value)`` on the anti-entropy side-runs.
         self.req_bits = TAG_BITS + id_bits(max(self.all_nodes) + 1)
         self.snap_bits = self.req_bits + value_bits(
-            max(1, max(self.inputs.values(), default=1))
+            max(1, max(inputs.values(), default=1))
         )
 
     def _open(self, node: int) -> bool:
@@ -632,8 +654,6 @@ class ChurnPlan:
             "rejoins_amnesiac": sum(t.rejoins_amnesiac for t in transports),
             "stale_nacks": sum(t.stale_nacks for t in transports),
         }
-        run.ledger, run.tracker = self.ledger, self.tracker
-        run.lost, run.recovered = tuple(sorted(lost)), tuple(sorted(self.recovered))
         run.partial = certify(
             value,
             all_nodes=self.all_nodes,
@@ -650,8 +670,7 @@ class ChurnPlan:
             },
             extra=extra,
         )
-        if self.oracle is not None:
-            self._audit(run.partial, run)
+        self._audit(run.partial, run)
 
     def _audit(self, partial, run) -> None:
         """Grade the ledger and the final claim with the churn oracle."""
@@ -681,57 +700,9 @@ class ChurnPlan:
         )
 
 
-def run_with_churn(
-    protocol: str,
-    topology: Topology,
-    inputs: Dict[int, int],
-    churn: ChurnSchedule,
-    schedule: Optional[FailureSchedule] = None,
-    *,
-    f: Optional[int] = None,
-    b: Optional[int] = None,
-    c: int = 2,
-    caaf=None,
-    rng: Optional[random.Random] = None,
-    injectors: Sequence = (),
-    monitors: Sequence = (),
-    policy: Optional[ChurnPolicy] = None,
-    oracle: Optional[DoubleCountOracle] = None,
-) -> EpochOutcome:
-    """Run ``protocol`` under crash-recovery churn with exactly-once booking.
-
-    Epochs run until every live contribution is booked (or provably
-    lost), the epoch budget runs out, or an epoch output defies
-    certification; the run ends with the oracle audit.  The returned
-    outcome's ``partial`` carries the union coverage of all booked
-    contributions; its value is the CAAF-combine of the per-epoch
-    outputs, which equals the aggregate over the coverage by
-    construction of the nonce ledger.
-    """
-    from ..core.caaf import SUM
-
-    check_protocol("churn", protocol)
-    caaf = caaf or SUM
-    churn.validate(topology)
-    if topology.root in churn.cycles and not churn.allow_root_crash:
-        raise ValueError(ROOT_CRASH_ERROR)
-    if oracle is None:
-        oracle = next(
-            (m for m in monitors if isinstance(m, DoubleCountOracle)), None
-        )
-    policy = policy or ChurnPolicy.default()
-    plan = ChurnPlan(
-        topology,
-        inputs,
-        churn,
-        schedule or FailureSchedule(),
-        f,
-        caaf,
-        policy.transport,
-        oracle,
-    )
-    return drive_epochs(
-        plan, protocol, max_epochs=policy.max_epochs,
-        transport=policy.transport, b=b, c=c, caaf=caaf, rng=rng,
-        injectors=injectors, monitors=monitors,
-    )
+    def grade(self, run) -> Tuple[int, bool, Dict[str, int]]:
+        oracle = self.oracle
+        return 0, oracle.double_counts == 0, {
+            "double_counted": oracle.double_counts,
+            "lost_contributions": oracle.lost_contributions,
+        }

@@ -28,9 +28,8 @@ what differs for root failover:
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..adversary.schedule import FailureSchedule
 from ..graphs.topology import Topology
@@ -44,15 +43,7 @@ from ..sim.faults import ledger_sources
 from ..sim.message import Part, TAG_BITS, id_bits
 from ..sim.node import NodeHandler
 from ..sim.specs import JsonFields
-from .driver import (
-    DONE,
-    NEXT,
-    EpochOutcome,
-    EpochWorld,
-    check_protocol,
-    drive_epochs,
-    shift_crash_map,
-)
+from .driver import DONE, NEXT, EpochWorld, shift_crash_map
 from .partial import certify
 from .transport import TransportConfig
 
@@ -142,28 +133,57 @@ class ElectionReport:
     agreed: bool
 
 
-
-
-@dataclass
 class FailoverPlan:
-    """Root failover as an epoch plan: elect, shrink, rerun."""
+    """Root failover as an epoch plan: elect, shrink, rerun.
+
+    Epochs run until the (current) root terminates with an output or the
+    ``policy.max_epochs`` budget is exhausted; between epochs a dead root
+    is replaced by the lowest-id live neighbour, elected by bounded
+    flood.  ``integrity`` (a coordinator, config or mode string) wins
+    over ``policy.integrity``; ``injectors`` also ride the elections, and
+    their corruption ledgers grade the certificate.
+    """
 
     family = "recovery"
     whole_run_rules = ()
     discards_as_overhead = False
 
-    #: The next epoch's world: the caller's, then each elected root's
-    #: surviving component.
-    current: EpochWorld
-    inputs: Dict[int, int]
-    caaf: Any
-    policy: RecoveryPolicy
-    injectors: Sequence
-    elections: List[ElectionReport] = field(default_factory=list)
-    reason: str = "clean"
+    def __init__(
+        self,
+        topology: Topology,
+        inputs: Dict[int, int],
+        schedule: Optional[FailureSchedule] = None,
+        *,
+        f: Optional[int] = None,
+        caaf=None,
+        policy: Optional[RecoveryPolicy] = None,
+        integrity=None,
+        injectors: Sequence = (),
+        monitors: Sequence = (),
+    ) -> None:
+        from ..core.caaf import SUM
 
-    def __post_init__(self) -> None:
-        self.topology = self.current.topology
+        self.policy = policy or RecoveryPolicy.default()
+        self.max_epochs = self.policy.max_epochs
+        self.transport = self.policy.transport
+        self.topology, self.inputs = topology, inputs
+        self.caaf = caaf or SUM
+        self.injectors, self.monitors = injectors, tuple(monitors)
+        #: The next epoch's world: the caller's, then each elected root's
+        #: surviving component.  One integrity coordinator spans every
+        #: epoch and election, so rejection records accumulate against
+        #: the (likewise run-long) corruption injector ground truth.
+        self.current = EpochWorld(
+            topology,
+            dict(inputs),
+            schedule or FailureSchedule(),
+            f,
+            integrity=as_integrity(
+                self.policy.integrity if integrity is None else integrity
+            ),
+        )
+        self.elections: List[ElectionReport] = []
+        self.reason = "clean"
 
     def world(self, epoch: int, run, transport) -> EpochWorld:
         return self.current
@@ -276,7 +296,6 @@ class FailoverPlan:
             survivors = topo.alive_component(failed)
         else:
             survivors = set()
-        run.elections = self.elections
         run.partial = certify(
             value,
             all_nodes=self.topology.nodes(),
@@ -294,56 +313,6 @@ class FailoverPlan:
         )
 
 
-def run_with_recovery(
-    protocol: str,
-    topology: Topology,
-    inputs: Dict[int, int],
-    schedule: Optional[FailureSchedule] = None,
-    *,
-    f: Optional[int] = None,
-    b: Optional[int] = None,
-    c: int = 2,
-    caaf=None,
-    rng: Optional[random.Random] = None,
-    injectors: Sequence = (),
-    monitors: Sequence = (),
-    policy: Optional[RecoveryPolicy] = None,
-    integrity=None,
-) -> EpochOutcome:
-    """Run ``protocol`` under the self-healing runtime.
-
-    Epochs run until the (current) root terminates with an output or the
-    ``policy.max_epochs`` budget is exhausted; between epochs a dead root
-    is replaced by the lowest-id live neighbour, elected by bounded
-    flood.  The returned outcome's ``partial`` carries the certified
-    coverage, bounds, and health status (see
-    :mod:`repro.resilience.partial`).
-    """
-    from ..core.caaf import SUM
-
-    check_protocol("recovery", protocol)
-    caaf = caaf or SUM
-    policy = policy or RecoveryPolicy.default()
-    # One coordinator spans every epoch and election, so rejection
-    # records accumulate against the (likewise run-long) corruption
-    # injector ground truth.  An explicit coordinator argument (from a
-    # caller that also wired it into monitors) wins over the policy's.
-    integrity = as_integrity(integrity if integrity is not None else policy.integrity)
-    plan = FailoverPlan(
-        EpochWorld(
-            topology,
-            dict(inputs),
-            schedule or FailureSchedule(),
-            f,
-            integrity=integrity,
-        ),
-        inputs,
-        caaf,
-        policy,
-        injectors,
-    )
-    return drive_epochs(
-        plan, protocol, max_epochs=policy.max_epochs,
-        transport=policy.transport, b=b, c=c, caaf=caaf, rng=rng,
-        injectors=injectors, monitors=monitors,
-    )
+    def grade(self, run) -> Tuple[int, bool, Dict[str, int]]:
+        # No oracle: the certificate alone grades a failover run.
+        return 0, True, {"elections": len(self.elections)}

@@ -64,7 +64,8 @@ class JsonFields:
     A missing or null key keeps the default.  ``QUIET`` dataclass fields
     are written only when not the default, ``RETIRED`` maps each knob the
     runtime no longer has to the one value a bundle may carry
-    (:func:`retired_knobs`), and ``REQUIRED`` fields must be present.
+    (:func:`retired_knobs`), and ``REQUIRED`` fields must be present and
+    not null (a ``ValueError`` names the class and the field).
     """
 
     JSON_FIELDS: ClassVar[Tuple[str, ...]] = ()
@@ -85,10 +86,16 @@ class JsonFields:
     def from_jsonable(cls, data: Dict[str, Any]):
         """The object :meth:`as_jsonable` wrote ``data`` from."""
         retired_knobs(data, **cls.RETIRED)
+        for name in cls.REQUIRED:
+            if data.get(name) is None:
+                raise ValueError(
+                    f"{cls.__name__} needs its {name!r} field; this bundle "
+                    "cannot be replayed"
+                )
         return cls(**{
             name: load(data[name])
             for name, _default, load in _fields(cls)
-            if name in cls.REQUIRED or data.get(name) is not None
+            if data.get(name) is not None
         })
 
 

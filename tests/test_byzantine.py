@@ -33,8 +33,9 @@ from repro.resilience import (
     ByzantineConfig,
     PhiAccrualDetector,
     PhiConfig,
-    run_with_byzantine,
 )
+from repro.resilience.byzantine import ByzantinePlan
+from repro.resilience.driver import drive_epochs
 from repro.sim.faults import (
     BYZ_MODES,
     ByzantineSchedule,
@@ -138,15 +139,21 @@ class TestByzantineSchedule:
         assert ledger_sources([], "delivered_taints") == []
 
 
+def _defend(topology, inputs, spec, **config):
+    """Drive a Byzantine plan's Algorithm 1 epochs: ``(plan, outcome)``."""
+    plan = ByzantinePlan(
+        topology, inputs, ByzantineSchedule.from_spec(spec), f=1, **config
+    )
+    return plan, drive_epochs(plan, "algorithm1", b=64)
+
+
 class TestRunWithByzantine:
     def test_equivocator_convicted_and_evicted(self):
-        byz = ByzantineSchedule.from_spec("5:equivocate=3")
-        out = run_with_byzantine(
-            "algorithm1", GRID, _inputs(GRID), byz, f=1, b=64
-        )
-        assert 5 in out.convictions
-        assert out.convictions[5].reason == "equivocation"
-        assert 5 in out.evicted
+        plan, out = _defend(GRID, _inputs(GRID), "5:equivocate=3")
+        convictions = plan.coordinator.convictions
+        assert 5 in convictions
+        assert convictions[5].reason == "equivocation"
+        assert 5 in plan.evicted
         assert out.partial.certified
         # The convict's contribution is excluded, not re-guessed: the
         # value is exact over the surviving coverage.
@@ -155,17 +162,14 @@ class TestRunWithByzantine:
     def test_inflation_caught_by_delta_audit(self):
         topo = path_graph(6)
         inputs = {u: 1 for u in topo.nodes()}
-        byz = ByzantineSchedule.from_spec("3:inflate=9")
-        out = run_with_byzantine("algorithm1", topo, inputs, byz, f=1, b=64)
-        assert 3 in out.convictions
+        plan, out = _defend(topo, inputs, "3:inflate=9")
+        assert 3 in plan.coordinator.convictions
         assert out.partial.certified
 
     def test_result_exact_or_within_influence_bound(self):
         honest = sum(_inputs(GRID).values())
         for spec in ("5:inflate=2", "9:deflate=1", "11:replay", "6:omit"):
-            out = run_with_byzantine(
-                "algorithm1", GRID, _inputs(GRID), byz := ByzantineSchedule.from_spec(spec), f=1, b=64
-            )
+            _, out = _defend(GRID, _inputs(GRID), spec)
             partial = out.partial
             assert partial.certified, spec
             bound = partial.influence_bound or 0
@@ -175,49 +179,45 @@ class TestRunWithByzantine:
             assert partial.value <= partial.upper_bound + bound, spec
 
     def test_flag_policy_keeps_convict_uncertified(self):
-        byz = ByzantineSchedule.from_spec("5:equivocate=3")
-        out = run_with_byzantine(
-            "algorithm1",
+        plan, out = _defend(
             GRID,
             _inputs(GRID),
-            byz,
-            f=1,
-            b=64,
+            "5:equivocate=3",
             config=ByzantineConfig(evict_policy="flag"),
         )
-        assert 5 in out.convictions
-        assert out.evicted == ()
+        assert 5 in plan.coordinator.convictions
+        assert plan.evicted == set()
         assert not out.partial.certified
         assert out.partial.influence_bound is None
 
-    def test_rejects_unsupported_protocol_and_caaf(self):
+    def test_rejects_unsupported_protocol_and_caaf(self, monkeypatch):
+        """Both rejections come before any network is built: the CAAF
+        when the plan is built, the protocol when the driver is entered."""
+        from repro.sim.network import Network
+
+        def no_network(*args, **kwargs):
+            raise AssertionError("a network was built before the rejection")
+
+        monkeypatch.setattr(Network, "__init__", no_network)
         byz = ByzantineSchedule.from_spec("5:omit")
-        with pytest.raises(ValueError):
-            run_with_byzantine(
-                "folklore", GRID, _inputs(GRID), byz, f=1, b=64
-            )
+        plan = ByzantinePlan(GRID, _inputs(GRID), byz, f=1)
+        with pytest.raises(ValueError, match="supports protocols"):
+            drive_epochs(plan, "folklore", b=64)
         assert "MAX" not in AUDITABLE_CAAFS
-        with pytest.raises(ValueError):
-            run_with_byzantine(
-                "algorithm1", GRID, _inputs(GRID), byz, f=1, b=64, caaf=MAX
-            )
+        with pytest.raises(ValueError, match="sum-like CAAF"):
+            ByzantinePlan(GRID, _inputs(GRID), byz, f=1, caaf=MAX)
 
     def test_echo_traffic_is_overhead_never_protocol_cc(self):
-        byz = ByzantineSchedule.from_spec("5:inflate=2")
-        out = run_with_byzantine(
-            "algorithm1", GRID, _inputs(GRID), byz, f=1, b=64
-        )
-        assert out.coordinator.total_echo_bits > 0
+        plan, out = _defend(GRID, _inputs(GRID), "5:inflate=2")
+        echo_bits = plan.coordinator.total_echo_bits
+        assert echo_bits > 0
         assert out.stats.max_overhead_bits >= 0
         # Echo bits are booked in the partial's overhead, not its CC.
-        assert out.partial.extra["echo_bits"] == out.coordinator.total_echo_bits
+        assert out.partial.extra["echo_bits"] == echo_bits
 
     def test_witness_election_is_deterministic_and_local(self):
-        byz = ByzantineSchedule.from_spec("5:omit")
-        out = run_with_byzantine(
-            "algorithm1", GRID, _inputs(GRID), byz, f=1, b=64
-        )
-        coord = out.coordinator
+        plan, _ = _defend(GRID, _inputs(GRID), "5:omit")
+        coord = plan.coordinator
         for node in GRID.nodes():
             w1 = coord.witnesses_of(node)
             w2 = coord.witnesses_of(node)

@@ -27,7 +27,8 @@ from repro.analysis.families import draw_schedules, materialize
 from repro.exec.scheduler import execute_unit
 from repro.graphs import grid_graph
 from repro.resilience import ChurnPolicy, TransportConfig
-from repro.resilience.epochs import neutral_input, run_with_churn
+from repro.resilience.driver import drive_epochs
+from repro.resilience.epochs import ChurnPlan, neutral_input
 from repro.sim.faults import (
     REJOIN_AMNESIAC,
     REJOIN_DURABLE,
@@ -43,6 +44,12 @@ try:
     HAVE_HYPOTHESIS = True
 except ImportError:  # pragma: no cover - hypothesis is in the toolchain
     HAVE_HYPOTHESIS = False
+
+
+def _churn(topology, inputs, churn, rng, **plan):
+    """Drive a churn plan's epochs: ``(plan, outcome)``."""
+    plan = ChurnPlan(topology, inputs, churn, **plan)
+    return plan, drive_epochs(plan, "unknown_f", rng=rng)
 
 
 # --------------------------------------------------------------------- #
@@ -183,8 +190,7 @@ class TestDurableChurn:
         ch = ChurnSchedule.from_spec(
             "5:crash@r3,5:revive@r6", root=self.topo.root
         )
-        out = run_with_churn(
-            "unknown_f",
+        _, out = _churn(
             self.topo,
             self.inputs,
             ch,
@@ -199,8 +205,7 @@ class TestDurableChurn:
     def test_protocol_cc_unchanged_by_churn(self):
         """Every repair byte is overhead: the blipped run's protocol CC
         equals the clean transport baseline bit-for-bit."""
-        clean = run_with_churn(
-            "unknown_f",
+        _, clean = _churn(
             self.topo,
             self.inputs,
             ChurnSchedule(),
@@ -210,8 +215,7 @@ class TestDurableChurn:
         ch = ChurnSchedule.from_spec(
             "5:crash@r3,5:revive@r6", root=self.topo.root
         )
-        blip = run_with_churn(
-            "unknown_f",
+        _, blip = _churn(
             self.topo,
             self.inputs,
             ch,
@@ -226,24 +230,22 @@ class TestDurableChurn:
             "5:crash@r3,5:revive@r6", root=self.topo.root
         )
         oracle = DoubleCountOracle(self.inputs, mode="strict")
-        out = run_with_churn(
-            "unknown_f",
+        plan, out = _churn(
             self.topo,
             self.inputs,
             ch,
             rng=random.Random(7),
             policy=self.policy,
-            oracle=oracle,
+            monitors=[oracle],
         )
-        booked = {node: inc for node, inc, _v in out.ledger.as_entries()}
+        booked = {node: inc for node, inc, _v in plan.ledger.as_entries()}
         assert set(booked) == set(self.topo.nodes())
         assert oracle.double_counts == 0
         assert oracle.lost_contributions == 0
 
     def test_permanent_crash_certifies_partial_or_exact(self):
         ch = ChurnSchedule.from_spec("5:crash@r3", root=self.topo.root)
-        out = run_with_churn(
-            "unknown_f",
+        _, out = _churn(
             self.topo,
             self.inputs,
             ch,
@@ -273,8 +275,7 @@ class TestAmnesiacChurn:
         ch = ChurnSchedule.from_spec(
             "5:crash@r3,5:revive@r9:amnesiac", root=self.topo.root
         )
-        out = run_with_churn(
-            "unknown_f",
+        plan, out = _churn(
             self.topo,
             self.inputs,
             ch,
@@ -283,10 +284,10 @@ class TestAmnesiacChurn:
         )
         assert out.result == self.expected
         assert out.partial.certified
-        assert 5 in out.recovered
+        assert 5 in plan.recovered
         assert out.partial.extra["handshakes"] >= 1
         # The recovered node is booked under its post-revive incarnation.
-        incs = {n: i for n, i, _v in out.ledger.as_entries()}
+        incs = {n: i for n, i, _v in plan.ledger.as_entries()}
         assert incs[5] == 1
 
     def test_all_holders_dead_contribution_is_honestly_lost(self):
@@ -296,16 +297,15 @@ class TestAmnesiacChurn:
         ch = ChurnSchedule.from_spec(ALL_HOLDERS_DEAD, root=self.topo.root)
         inputs = {u: (u * 5) % 23 + 1 for u in self.topo.nodes()}
         oracle = DoubleCountOracle(inputs, mode="record")
-        out = run_with_churn(
-            "unknown_f",
+        plan, out = _churn(
             self.topo,
             inputs,
             ch,
             rng=random.Random(0),
             policy=self.policy,
-            oracle=oracle,
+            monitors=[oracle],
         )
-        assert 2 in out.lost
+        assert 2 in plan.lost
         assert out.partial.certified
         assert 2 not in set(out.partial.coverage)
         assert out.result == sum(inputs[u] for u in out.partial.coverage)
@@ -322,17 +322,16 @@ class TestAmnesiacChurn:
         )
         inputs = {u: (u * 5) % 23 + 1 for u in self.topo.nodes()}
         oracle = DoubleCountOracle(inputs, mode="record")
-        out = run_with_churn(
-            "unknown_f",
+        plan, out = _churn(
             self.topo,
             inputs,
             ch,
             rng=random.Random(0),
             policy=self.policy,
-            oracle=oracle,
+            monitors=[oracle],
         )
-        assert out.lost == ()
-        assert 2 in out.recovered
+        assert plan.lost == set()
+        assert 2 in plan.recovered
         assert out.partial.certified
         assert set(out.partial.coverage) == set(self.topo.nodes()) - {5}
         assert oracle.lost_contributions == 0
@@ -387,8 +386,7 @@ class TestEpochRetry:
         policy = ChurnPolicy(
             transport=TransportConfig(retransmits=3), max_epochs=1
         )
-        out = run_with_churn(
-            "unknown_f",
+        _, out = _churn(
             topo,
             inputs,
             ch,
@@ -730,14 +728,13 @@ if HAVE_HYPOTHESIS:
             exact and every node books exactly one nonce."""
             inputs = {u: (u * 3 + seed) % 17 + 1 for u in _topo.nodes()}
             oracle = DoubleCountOracle(inputs, mode="strict")
-            out = run_with_churn(
-                "unknown_f",
+            _, out = _churn(
                 _topo,
                 inputs,
                 churn,
                 rng=random.Random(seed),
                 policy=ChurnPolicy(transport=TransportConfig(retransmits=3)),
-                oracle=oracle,
+                monitors=[oracle],
             )
             assert out.result == sum(inputs.values())
             assert out.partial.certified
@@ -759,14 +756,13 @@ if HAVE_HYPOTHESIS:
             aggregate over its claimed coverage — never a wrong total."""
             inputs = {u: (u * 5 + seed) % 23 + 1 for u in _topo.nodes()}
             oracle = DoubleCountOracle(inputs, mode="strict")
-            out = run_with_churn(
-                "unknown_f",
+            _, out = _churn(
                 _topo,
                 inputs,
                 churn,
                 rng=random.Random(seed),
                 policy=ChurnPolicy(transport=TransportConfig(retransmits=3)),
-                oracle=oracle,
+                monitors=[oracle],
             )
             assert oracle.double_counts == 0
             if out.partial.certified and out.result is not None:

@@ -345,3 +345,43 @@ class TestFlagValidation:
         )
         assert code == 0
         assert "unknown_f" in capsys.readouterr().out
+
+
+class TestReplayRefusesBadBundles:
+    """A bundle whose nested transport is malformed is refused with a
+    named error and exit 1, not a traceback."""
+
+    BUNDLE = os.path.join(
+        os.path.dirname(os.path.abspath(__file__)),
+        "corpus",
+        "unknown_f-grid4x4-s0-recovered-21f03301ec.min.json",
+    )
+
+    @pytest.mark.parametrize(
+        "transport, message",
+        [
+            (
+                {"rto": "fixed"},
+                "TransportConfig needs its 'retransmits' field; this "
+                "bundle cannot be replayed",
+            ),
+            (
+                {"retransmits": 3, "hedge": True},
+                "hedge=True is no longer supported (the runtime always "
+                "uses False); this bundle cannot be replayed",
+            ),
+        ],
+        ids=["missing-retransmits", "retired-hedge"],
+    )
+    def test_bad_recovery_transport(self, transport, message, tmp_path, capsys):
+        import json
+
+        with open(self.BUNDLE) as fh:
+            bundle = json.load(fh)
+        bundle["params"]["recovery"]["transport"] = transport
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bundle))
+        assert main(["replay", str(path)]) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"cannot replay: {message}"
+        )

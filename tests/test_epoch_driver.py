@@ -9,7 +9,11 @@ failover, churn and Byzantine runtimes.  Whatever the family:
 * a discarded epoch books nothing — no ledger entry, and no eviction
   other than its own convictions;
 * side-run bits are overhead: protocol bits come from epochs alone;
-* the certified row equals its pinned values below.
+* the certificate, and the run row's grade columns, equal their pinned
+  values below.
+
+Each scenario runs through :func:`repro.analysis.runner.run_protocol`,
+which builds the family's plan and hands it to the driver.
 """
 
 import random
@@ -17,6 +21,7 @@ import random
 import pytest
 
 from repro.adversary.schedule import FailureSchedule
+from repro.analysis.runner import run_protocol
 from repro.exec import WorkUnit
 from repro.exec.scheduler import derive_run
 from repro.graphs import grid_graph
@@ -27,35 +32,35 @@ from repro.resilience import (
     TransportConfig,
     driver,
 )
-from repro.resilience.byzantine import run_with_byzantine
-from repro.resilience.epochs import run_with_churn
-from repro.resilience.failover import run_with_recovery
+from repro.resilience.byzantine import ByzantinePlan
+from repro.resilience.epochs import ChurnPlan
+from repro.resilience.failover import FailoverPlan
 from repro.sim.faults import ByzantineSchedule, ChurnSchedule
 
 
 def _root_crash():
     topo = grid_graph(4, 4)
-    return 3, run_with_recovery(
+    return 3, run_protocol(
         "unknown_f",
         topo,
         {u: u + 1 for u in topo.nodes()},
         FailureSchedule({0: 30}),
         rng=random.Random(0),
-        policy=RecoveryPolicy.default(),
+        recovery=RecoveryPolicy.default(),
     )
 
 
 def _amnesiac_rejoin():
     topo = grid_graph(3, 3)
-    return 4, run_with_churn(
+    return 4, run_protocol(
         "unknown_f",
         topo,
         {u: u + 1 for u in topo.nodes()},
-        ChurnSchedule.from_spec(
+        rng=random.Random(7),
+        churn=ChurnSchedule.from_spec(
             "5:crash@r3,5:revive@r9:amnesiac", root=topo.root
         ),
-        rng=random.Random(7),
-        policy=ChurnPolicy(transport=TransportConfig(retransmits=3)),
+        churn_policy=ChurnPolicy(transport=TransportConfig(retransmits=3)),
     )
 
 
@@ -77,28 +82,20 @@ def _churn_discard():
         },
     )
     inputs, schedule, kw = derive_run(unit)
-    return 4, run_with_churn(
-        "unknown_f",
-        topo,
-        inputs,
-        kw["churn"],
-        schedule,
-        rng=kw["rng"],
-        injectors=kw["injectors"],
-    )
+    return 4, run_protocol("unknown_f", topo, inputs, schedule, **kw)
 
 
 def _equivocator():
     topo = grid_graph(4, 4)
-    return 3, run_with_byzantine(
+    return 3, run_protocol(
         "algorithm1",
         topo,
         {u: u + 1 for u in topo.nodes()},
-        ByzantineSchedule.from_spec("5:equivocate=3"),
         f=1,
         b=64,
         rng=random.Random(0),
-        config=ByzantineConfig(evict_policy="evict"),
+        byz=ByzantineSchedule.from_spec("5:equivocate=3"),
+        byz_config=ByzantineConfig(evict_policy="evict"),
     )
 
 
@@ -109,21 +106,23 @@ SCENARIOS = {
         "upper_bound": 136, "reason": "recovered", "epochs": 2,
         "elected_root": 1, "overhead_bits": 4175, "live_gaps": 0,
         "integrity_verified": True,
-    }),
+    }, {"correct": True, "cc_bits": 165, "rounds": 4132, "elections": 1}),
     "churn": (_amnesiac_rejoin, "churn", [False, False], {
         "status": "exact", "certified": True, "value": 45, "coverage": 9,
         "missing": 0, "lower_bound": 45, "upper_bound": 45,
         "reason": "clean", "epochs": 2, "elected_root": None,
         "overhead_bits": 5590, "live_gaps": 0, "integrity_verified": True,
         "rejoined_coverage": 1,
-    }),
+    }, {"correct": True, "cc_bits": 272, "rounds": 1903,
+        "double_counted": 0, "lost_contributions": 0}),
     "churn-discard": (_churn_discard, "churn", [True, False], {
         "status": "exact", "certified": True, "value": 44, "coverage": 9,
         "missing": 0, "lower_bound": 44, "upper_bound": 44,
         "reason": "clean", "epochs": 2, "elected_root": None,
         "overhead_bits": 6166, "live_gaps": 0, "integrity_verified": True,
         "rejoined_coverage": 1,
-    }),
+    }, {"correct": True, "cc_bits": 287, "rounds": 5178,
+        "double_counted": 0, "lost_contributions": 0}),
     "byz": (_equivocator, "byz", [True, False], {
         "status": "partial", "certified": True, "value": 130,
         "coverage": 15, "missing": 1, "lower_bound": 130,
@@ -132,15 +131,23 @@ SCENARIOS = {
         "epochs": 2, "elected_root": None, "overhead_bits": 8024,
         "live_gaps": 0, "integrity_verified": True, "byz_budget": 1,
         "convicted": 1, "influence_bound": 0, "v_max": 16,
-    }),
+    }, {"correct": True, "cc_bits": 226, "rounds": 302,
+        "false_convictions": 0, "undetected_equivocations": 0,
+        "influence_exceeded": 0}),
 }
 
 
 @pytest.fixture(params=sorted(SCENARIOS))
 def traced(request, monkeypatch):
-    """Run one scenario with the driver's epochs and side-runs spied on."""
-    epochs, side_runs = [], []
-    run_epoch, side_run = driver.run_epoch, driver.EpochOutcome.side_run
+    """Run one scenario with the driver, its epochs and side-runs spied
+    on: the plan and outcome, the epochs' outcomes, the side networks."""
+    epochs, side_runs, driven = [], [], []
+    drive, run_epoch = driver.drive_epochs, driver.run_epoch
+    side_run = driver.EpochOutcome.side_run
+
+    def spy_drive(plan, *args, **kwargs):
+        driven.append((plan, drive(plan, *args, **kwargs)))
+        return driven[-1][1]
 
     def spy_epoch(*args, **kwargs):
         epochs.append(run_epoch(*args, **kwargs))
@@ -150,19 +157,22 @@ def traced(request, monkeypatch):
         side_runs.append(side_run(self, *args, **kwargs))
         return side_runs[-1]
 
+    monkeypatch.setattr(driver, "drive_epochs", spy_drive)
     monkeypatch.setattr(driver, "run_epoch", spy_epoch)
     monkeypatch.setattr(driver.EpochOutcome, "side_run", spy_side_run)
-    build, family, discards, row = SCENARIOS[request.param]
-    max_epochs, out = build()
+    build, family, discards, _, _ = SCENARIOS[request.param]
+    max_epochs, record = build()
+    [(plan, out)] = driven
+    assert plan.family == family and plan.max_epochs == max_epochs
     assert [e.discarded for e in out.epochs] == discards
-    return family, row, max_epochs, out, epochs, side_runs
+    return request.param, record, plan, out, epochs, side_runs
 
 
 def test_rounds_are_epochs_plus_side_runs(traced):
-    family, _, _, out, epochs, side_runs = traced
+    _, _, plan, out, epochs, side_runs = traced
     # Every scenario but the Byzantine one runs side-runs: an election,
     # or the announce (plus a rejoin handshake after an amnesiac rejoin).
-    assert bool(side_runs) == (family != "byz")
+    assert bool(side_runs) == (plan.family != "byz")
     assert [e.rounds for e in out.epochs] == [o.rounds for o in epochs]
     assert out.stats.rounds_executed == out.rounds == sum(
         e.rounds for e in out.epochs
@@ -170,27 +180,27 @@ def test_rounds_are_epochs_plus_side_runs(traced):
 
 
 def test_epoch_budget_is_respected(traced):
-    _, _, max_epochs, out, _, _ = traced
-    assert 1 <= len(out.epochs) <= max_epochs
+    _, _, plan, out, _, _ = traced
+    assert 1 <= len(out.epochs) <= plan.max_epochs
     assert out.partial.epochs == len(out.epochs)
 
 
 def test_discarded_epoch_books_nothing(traced):
-    family, _, _, out, _, _ = traced
+    _, _, plan, out, _, _ = traced
     discarded = [e for e in out.epochs if e.discarded]
     assert not any(e.booked for e in discarded)
-    if family == "churn":
+    if plan.family == "churn":
         kept = {u for e in out.epochs if not e.discarded for u in e.booked}
-        assert {n for n, _i, _v in out.ledger.as_entries()} == kept
-    if family == "byz":
-        assert set(out.evicted) == {u for e in discarded for u in e.convicted}
+        assert {n for n, _i, _v in plan.ledger.as_entries()} == kept
+    if plan.family == "byz":
+        assert plan.evicted == {u for e in discarded for u in e.convicted}
 
 
 def test_side_run_bits_are_overhead(traced):
-    family, _, _, out, epochs, _ = traced
+    _, _, plan, out, epochs, _ = traced
     protocol_bits = {}
     for report, epoch in zip(out.epochs, epochs):
-        if report.discarded and family == "byz":
+        if report.discarded and plan.discards_as_overhead:
             continue  # a discarded Byzantine epoch is defence overhead
         for node, bits in epoch.stats.bits_sent.items():
             protocol_bits[node] = protocol_bits.get(node, 0) + bits
@@ -198,5 +208,58 @@ def test_side_run_bits_are_overhead(traced):
 
 
 def test_row_matches_the_pinned_values(traced):
-    _, row, _, out, _, _ = traced
-    assert out.partial.as_dict() == row
+    name, record, _, out, _, _ = traced
+    certificate, columns = SCENARIOS[name][3:]
+    assert out.partial.as_dict() == certificate
+    row = record.as_dict()
+    assert {key: row[key] for key in columns} == columns
+
+
+def _plans():
+    """One plan of each family, as built for a 4x4 grid."""
+    topo = grid_graph(4, 4)
+    inputs = {u: u + 1 for u in topo.nodes()}
+    return topo, inputs, [
+        FailoverPlan(topo, inputs),
+        ChurnPlan(topo, inputs, ChurnSchedule()),
+        ByzantinePlan(topo, inputs, ByzantineSchedule.from_spec("5:omit")),
+    ]
+
+
+#: What ``drive_epochs`` and the runner read from a plan.
+PLAN_MEMBERS = (
+    "family", "whole_run_rules", "discards_as_overhead", "max_epochs",
+    "transport", "caaf", "monitors", "world", "judge", "certify", "grade",
+)
+
+
+def test_every_plan_has_every_member():
+    _, _, plans = _plans()
+    for plan in plans:
+        missing = [m for m in PLAN_MEMBERS if not hasattr(plan, m)]
+        assert not missing, f"{type(plan).__name__} lacks {missing}"
+        for method in ("world", "judge", "certify", "grade"):
+            assert callable(getattr(plan, method))
+    assert sorted(plan.family for plan in plans) == ["byz", "churn", "recovery"]
+
+
+def test_rejections_come_before_any_network(monkeypatch):
+    """Plans refuse bad inputs when built and the driver refuses a
+    protocol it cannot restart when entered: no network is ever built."""
+    from repro.core.caaf import COUNT
+    from repro.sim.network import Network
+
+    topo, inputs, plans = _plans()
+
+    def no_network(*args, **kwargs):
+        raise AssertionError("a network was built before the rejection")
+
+    monkeypatch.setattr(Network, "__init__", no_network)
+    for plan in plans:
+        with pytest.raises(ValueError, match="supports protocols"):
+            driver.drive_epochs(plan, "folklore")
+    with pytest.raises(ValueError, match="COUNT"):
+        ChurnPlan(topo, inputs, ChurnSchedule(), caaf=COUNT)
+    root_crash = ChurnSchedule.from_spec("0:crash@r3", root=None)
+    with pytest.raises(ValueError, match="root"):
+        ChurnPlan(topo, inputs, root_crash)

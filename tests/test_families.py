@@ -343,10 +343,21 @@ def test_jsonable_missing_and_retired_keys():
         ChurnSchedule().as_jsonable()
     )
     # ... except the transport's budget and the integrity mode.
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError) as exc_info:
         TransportConfig.from_jsonable({"backoff_cap": 4})
-    with pytest.raises(KeyError):
+    assert str(exc_info.value) == (
+        "TransportConfig needs its 'retransmits' field; this bundle cannot "
+        "be replayed"
+    )
+    with pytest.raises(ValueError) as exc_info:
         IntegrityConfig.from_jsonable({"key_seed": 1})
+    assert str(exc_info.value) == (
+        "IntegrityConfig needs its 'mode' field; this bundle cannot be "
+        "replayed"
+    )
+    # A null required field is as missing as an absent one.
+    with pytest.raises(ValueError, match="needs its 'retransmits' field"):
+        TransportConfig.from_jsonable({"retransmits": None})
     with pytest.raises(ValueError) as exc_info:
         TransportConfig.from_jsonable({"retransmits": 1, "hedge": True})
     assert str(exc_info.value) == (

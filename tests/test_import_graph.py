@@ -1,8 +1,9 @@
 """Cold start: a protocol run loads neither numpy, the lower-bound code
-nor the adversary search, shrinker and adaptive adversaries.
+nor the adversary search, shrinker and adaptive adversaries, and a plain
+run loads none of the epoch runtimes either.
 
-``repro``, ``repro.analysis`` and ``repro.adversary`` import their
-re-exported names on first access.  Each check runs in a fresh
+``repro``, ``repro.analysis``, ``repro.adversary`` and
+``repro.resilience`` import their re-exported names on first access.  Each check runs in a fresh
 interpreter, since this test process has long since imported everything.
 """
 
@@ -17,6 +18,7 @@ import pytest
 import repro
 import repro.adversary
 import repro.analysis
+import repro.resilience
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
@@ -27,20 +29,24 @@ HEAVY = ("numpy", "repro.lowerbound", "repro.analysis.figure1",
          "repro.analysis.report", "repro.adversary.search",
          "repro.adversary.shrink", "repro.adversary.adaptive")
 
+#: Modules only the failover, churn and Byzantine runtimes use.
+EPOCH_RUNTIMES = ("repro.resilience.byzantine", "repro.resilience.epochs",
+                  "repro.resilience.failover", "repro.resilience.driver")
 
-REPORT = f"""
+REPORT = """
 import json, sys
-print(json.dumps({{"loaded": [m for m in {HEAVY!r} if m in sys.modules],
+print(json.dumps({{"loaded": [m for m in {!r} if m in sys.modules],
                    "results": results}}))
 """
 
 
-def _fresh(code: str, tmp_path) -> dict:
+def _fresh(code: str, tmp_path, forbidden=HEAVY) -> dict:
     """Run ``code`` in a fresh interpreter; return its ``results`` and
-    which :data:`HEAVY` modules it loaded."""
+    which ``forbidden`` modules it loaded."""
     env = dict(os.environ, PYTHONPATH=SRC)
+    report = REPORT.format(forbidden)
     done = subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(code) + REPORT],
+        [sys.executable, "-c", textwrap.dedent(code) + report],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
@@ -82,13 +88,15 @@ def test_cli_run_loads_no_numpy(tmp_path):
         with contextlib.redirect_stdout(io.StringIO()):
             results = main(["run", "--topology", "grid:6x6", "--protocol",
                             "algorithm1", "-f", "2", "-b", "60"])
-    """, tmp_path)
+    """, tmp_path, forbidden=HEAVY + EPOCH_RUNTIMES)
     assert out["results"] == 0
     assert out["loaded"] == []
 
 
-@pytest.mark.parametrize("package", [repro, repro.analysis, repro.adversary],
-                         ids=["repro", "repro.analysis", "repro.adversary"])
+@pytest.mark.parametrize("package", [repro, repro.analysis, repro.adversary,
+                                     repro.resilience],
+                         ids=["repro", "repro.analysis", "repro.adversary",
+                              "repro.resilience"])
 def test_every_public_name_resolves(package):
     for name in package.__all__:
         assert getattr(package, name) is not None, name
@@ -102,3 +110,5 @@ def test_unknown_name_is_an_attribute_error():
         repro.analysis.no_such_name
     with pytest.raises(AttributeError):
         repro.adversary.no_such_name
+    with pytest.raises(AttributeError):
+        repro.resilience.no_such_name

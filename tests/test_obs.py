@@ -531,44 +531,44 @@ class TestEndToEnd:
             RecoveryPolicy,
             TransportConfig,
         )
-        from repro.resilience.byzantine import run_with_byzantine
-        from repro.resilience.epochs import run_with_churn
-        from repro.resilience.failover import run_with_recovery
+        from repro.resilience.byzantine import ByzantinePlan
+        from repro.resilience.driver import drive_epochs
+        from repro.resilience.epochs import ChurnPlan
+        from repro.resilience.failover import FailoverPlan
         from repro.sim.faults import ByzantineSchedule, ChurnSchedule
 
         topo = grid_graph(4, 4)
         inputs = {u: u + 1 for u in topo.nodes()}
         with ObsCapture(seed=0) as cap:
             if family == "recovery":  # the root dies: two epochs
-                out = run_with_recovery(
-                    "unknown_f",
+                plan = FailoverPlan(
                     topo,
                     inputs,
                     FailureSchedule({0: 30}),
                     policy=RecoveryPolicy(transport=None),
                 )
+                out = drive_epochs(plan, "unknown_f")
             elif family == "churn":  # an amnesiac rejoin: two epochs
-                out = run_with_churn(
-                    "unknown_f",
+                plan = ChurnPlan(
                     topo,
                     inputs,
                     ChurnSchedule.from_spec(
                         "5:crash@r3,5:revive@r9:amnesiac", root=topo.root
                     ),
-                    rng=random.Random(7),
                     policy=ChurnPolicy(
                         transport=TransportConfig(retransmits=3)
                     ),
                 )
+                out = drive_epochs(plan, "unknown_f", rng=random.Random(7))
             else:  # an evicted equivocator: one discarded epoch
-                out = run_with_byzantine(
-                    "algorithm1",
+                plan = ByzantinePlan(
                     topo,
                     inputs,
                     ByzantineSchedule.from_spec("5:equivocate=3"),
                     f=1,
-                    b=64,
-                    rng=random.Random(0),
+                )
+                out = drive_epochs(
+                    plan, "algorithm1", b=64, rng=random.Random(0)
                 )
         cap.tracer.close_all()
         assert len(out.epochs) == 2

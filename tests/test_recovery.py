@@ -21,7 +21,8 @@ import pytest
 
 from repro.graphs import grid_graph
 from repro.resilience import ChurnPolicy, TransportConfig
-from repro.resilience.epochs import SnapshotStore, run_with_churn
+from repro.resilience.driver import drive_epochs
+from repro.resilience.epochs import ChurnPlan, SnapshotStore
 from repro.resilience.transport import (
     FRAME_KIND,
     NACK_KIND,
@@ -113,13 +114,11 @@ class TestStaleNackGuard:
         ch = ChurnSchedule.from_spec(
             "5:crash@r3,5:revive@r6", root=topo.root
         )
-        out = run_with_churn(
+        policy = ChurnPolicy(transport=TransportConfig(retransmits=3))
+        out = drive_epochs(
+            ChurnPlan(topo, inputs, ch, policy=policy),
             "unknown_f",
-            topo,
-            inputs,
-            ch,
             rng=random.Random(7),
-            policy=ChurnPolicy(transport=TransportConfig(retransmits=3)),
         )
         assert "stale_nacks" in out.partial.extra
 
@@ -202,25 +201,19 @@ if HAVE_HYPOTHESIS:
             keeps the clean transport baseline's protocol CC."""
             inputs = {u: (u * 7 + seed) % 19 + 1 for u in _topo.nodes()}
             policy = ChurnPolicy(transport=TransportConfig(retransmits=3))
-            clean = run_with_churn(
+            clean = drive_epochs(
+                ChurnPlan(_topo, inputs, ChurnSchedule(), policy=policy),
                 "unknown_f",
-                _topo,
-                inputs,
-                ChurnSchedule(),
                 rng=random.Random(seed),
-                policy=policy,
             )
             churn = ChurnSchedule(
                 cycles={node: [(crash, crash + gap, REJOIN_DURABLE)]},
                 root=_topo.root,
             )
-            blip = run_with_churn(
+            blip = drive_epochs(
+                ChurnPlan(_topo, inputs, churn, policy=policy),
                 "unknown_f",
-                _topo,
-                inputs,
-                churn,
                 rng=random.Random(seed),
-                policy=policy,
             )
             # When the transport fully masks the outage the protocol
             # executes identically (same logical rounds) — then the CC

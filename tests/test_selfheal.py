@@ -31,8 +31,9 @@ from repro.resilience import (
     ReliableTransport,
     TransportConfig,
     certify,
-    run_with_recovery,
 )
+from repro.resilience.driver import drive_epochs
+from repro.resilience.failover import FailoverPlan
 from repro.sim.faults import MessageFaults
 from repro.sim.monitors import standard_monitors
 
@@ -252,13 +253,13 @@ class TestRootFailover:
     def test_coverage_equals_surviving_component(self):
         """ISSUE 3 acceptance: recovered coverage == surviving component."""
         schedule = FailureSchedule({0: 30, 5: 10})
-        out = run_with_recovery(
-            "unknown_f",
+        plan = FailoverPlan(
             self.topo,
             self.inputs,
-            schedule=schedule,
+            schedule,
             policy=RecoveryPolicy(transport=None),
         )
+        out = drive_epochs(plan, "unknown_f")
         partial = out.partial
         assert partial.certified
         assert partial.status == "partial"
@@ -278,40 +279,36 @@ class TestRootFailover:
         assert partial.upper_bound == sum(self.inputs.values())
 
     def test_no_failures_is_exact_and_certified(self):
-        out = run_with_recovery(
-            "unknown_f",
-            self.topo,
-            self.inputs,
-            policy=RecoveryPolicy(transport=None),
+        plan = FailoverPlan(
+            self.topo, self.inputs, policy=RecoveryPolicy(transport=None)
         )
+        out = drive_epochs(plan, "unknown_f")
         assert out.partial.status == "exact"
         assert out.partial.certified
         assert out.partial.value == sum(self.inputs.values())
         assert len(out.epochs) == 1
 
     def test_failover_disabled_fails_honestly(self):
-        out = run_with_recovery(
-            "unknown_f",
+        plan = FailoverPlan(
             self.topo,
             self.inputs,
-            schedule=FailureSchedule({0: 30}),
+            FailureSchedule({0: 30}),
             policy=RecoveryPolicy(transport=None, max_epochs=1),
         )
+        out = drive_epochs(plan, "unknown_f")
         assert out.partial.status == "failed"
         assert not out.partial.certified
         assert out.partial.value is None
 
     def test_algorithm1_recovers_too(self):
-        out = run_with_recovery(
-            "algorithm1",
+        plan = FailoverPlan(
             self.topo,
             self.inputs,
-            schedule=FailureSchedule({0: 40}),
+            FailureSchedule({0: 40}),
             f=2,
-            b=90,
-            rng=random.Random(5),
             policy=RecoveryPolicy(transport=None),
         )
+        out = drive_epochs(plan, "algorithm1", b=90, rng=random.Random(5))
         assert out.partial.certified
         assert out.partial.elected_root is not None
         survivors = set(
