@@ -9,8 +9,6 @@ from .._lazy import export_table, facade
 
 _EXPORTS = export_table({
     "asciiplot": "plot_series sparkline",
-    "checkpoint": "SweepCheckpoint make_key record_from_jsonable "
-                  "record_to_jsonable",
     "families": "",
     "figure1": "Figure1Data Figure1Measured figure1_data figure1_measured",
     "fitting": "FitResult fit_power_law fit_theorem1_b_sweep",

@@ -45,7 +45,7 @@ from ..sim.faults import (
     random_gray,
 )
 from ..sim.monitors import standard_monitors
-from ..sim.specs import config_jsonable
+from ..sim.specs import SHAPE_ERRORS, config_jsonable, shape_error
 
 
 def _load(path: str) -> Callable[[Any], Any]:
@@ -436,14 +436,24 @@ def encode_params(kwargs: Dict[str, Any], topology) -> Dict[str, Any]:
 
 def decode_params(params: Dict[str, Any]) -> Dict[str, Any]:
     """``run_protocol`` kwargs from a bundle ``params`` block (absent keys
-    keep ``run_protocol``'s defaults)."""
+    keep ``run_protocol``'s defaults).
+
+    A value of the wrong JSON shape raises a ``ValueError`` naming its
+    field (the family configs' own decoders name their class too).
+    """
     from ..core.caaf import by_name
 
     kwargs = {key: params[key] for key in ("f", "b", "t", "c") if key in params}
-    if params.get("caaf"):
-        kwargs["caaf"] = by_name(params["caaf"])
-    for family in FAMILIES:
-        for key, load, _ in family.keys:
-            if params.get(key):
+    for key, value in kwargs.items():
+        if value is not None and type(value) is not int:
+            raise shape_error("params", key, f"{value!r} is not an integer")
+    loads = [("caaf", by_name)] + [
+        (key, load) for family in FAMILIES for key, load, _ in family.keys
+    ]
+    for key, load in loads:
+        if params.get(key):
+            try:
                 kwargs[key] = load(params[key])
+            except SHAPE_ERRORS as exc:
+                raise shape_error("params", key, exc) from None
     return kwargs

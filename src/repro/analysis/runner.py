@@ -613,21 +613,26 @@ def wall_clock_limit(seconds: Optional[float]):
         return
 
     fired = []
+    armed = [True]
 
     def _on_alarm(signum, frame):
-        fired.append(signum)
-        raise RunTimeout(f"run exceeded {seconds}s wall clock")
+        if armed:
+            fired.append(signum)
+            raise RunTimeout(f"run exceeded {seconds}s wall clock")
 
     previous = signal.signal(signal.SIGALRM, _on_alarm)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
+    # The repeat interval re-raises an alarm that landed in a gc callback
+    # or a destructor, where Python only reports the exception.
+    signal.setitimer(signal.ITIMER_REAL, seconds, min(seconds, 1.0))
     try:
         yield
     finally:
+        armed.clear()  # a repeat landing from here on is a no-op
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
     if fired:
-        # The handler ran inside a gc callback or a destructor, where
-        # Python only reports the exception; the run still overran.
+        # Every alarm was swallowed and the block ran to its end; the run
+        # still overran.
         raise RunTimeout(f"run exceeded {seconds}s wall clock")
 
 

@@ -14,12 +14,11 @@ the aggregated points are identical for any worker count.
 Each run goes through :func:`repro.analysis.runner.safe_run_protocol`: a
 run that raises or hangs becomes an error *row* (graded incorrect)
 instead of killing the sweep, optionally bounded by a per-run wall-clock
-timeout and retried with fresh coins.  Passing a
-:class:`repro.analysis.checkpoint.SweepCheckpoint` makes progress
-durable: each completed run is appended to a JSONL file (in unit order,
-byte-identical for any worker count) and a resumed sweep re-executes only
-the missing runs, yielding the identical record set as an uninterrupted
-sweep.
+timeout and retried with fresh coins.  An engine with a
+:class:`repro.exec.ResultCache` makes progress durable: each completed
+run is stored as it finishes, and rerunning the sweep against the same
+cache re-executes only the missing runs, yielding the identical record
+set as an uninterrupted sweep.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.caaf import CAAF, SUM
 from ..graphs.topology import Topology
-from .checkpoint import SweepCheckpoint
 from .families import pin_horizon
 from .runner import RunRecord
 
@@ -217,7 +215,6 @@ def _sweep_grid(
     topology: Topology,
     points: Sequence[Tuple[Dict[str, Any], Dict[str, Any]]],
     seeds: Iterable[int],
-    checkpoint: Optional[SweepCheckpoint] = None,
     engine=None,
     **common,
 ) -> List[SweepPoint]:
@@ -226,7 +223,7 @@ def _sweep_grid(
 
     ``points`` pairs each coordinate with its own :func:`point_units`
     arguments; ``common`` go to every coordinate.  Units are built
-    coordinate-major, seed-minor, which fixes the checkpoint row order.
+    coordinate-major, seed-minor, which fixes the record order.
     """
     from ..exec.pool import ExecutionEngine
 
@@ -238,7 +235,7 @@ def _sweep_grid(
             protocol, topology, seeds, coords=coords, **kwargs, **common
         )
     ]
-    records = (engine or ExecutionEngine()).run(units, checkpoint=checkpoint)
+    records = (engine or ExecutionEngine()).run(units)
     per_point = len(seeds)
     return [
         aggregate(
@@ -254,7 +251,6 @@ def run_point(
     topology: Topology,
     seeds: Iterable[int],
     coords: Optional[Dict[str, Any]] = None,
-    checkpoint: Optional[SweepCheckpoint] = None,
     engine=None,
     **kwargs,
 ) -> SweepPoint:
@@ -272,20 +268,18 @@ def run_point(
     sweep samples (they may exceed the ``c``-stretch assumption), so
     sweeps run with ``strict=False`` and grade correctness post-hoc.
 
-    ``checkpoint`` makes the point resumable: completed seeds are served
-    from the JSONL file, and every fresh run is appended to it.
     ``capture_dir`` auto-captures a repro bundle for every failing row
     (see :func:`repro.analysis.runner.safe_run_protocol`); the bundle
     path is stored in the row's ``extra["bundle"]`` and survives the
-    checkpoint round-trip.  ``engine`` picks the executor (default: an
-    in-process :class:`repro.exec.ExecutionEngine`).
+    cache round-trip.  ``engine`` picks the executor (default: an
+    in-process :class:`repro.exec.ExecutionEngine`); one with a result
+    cache makes the point resumable.
     """
     return _sweep_grid(
         protocol,
         topology,
         [(dict(coords or {}), kwargs)],
         seeds,
-        checkpoint=checkpoint,
         engine=engine,
     )[0]
 
@@ -313,7 +307,6 @@ def sweep_b(
     bs: Sequence[int],
     seeds: Iterable[int],
     c: int = 2,
-    checkpoint: Optional[SweepCheckpoint] = None,
     timeout_s: Optional[float] = None,
     retries: int = 0,
     backoff_s: float = 0.0,
@@ -341,7 +334,6 @@ def sweep_b(
         topology,
         [_algorithm1_point(topology, b, f, **faults) for b in bs],
         seeds,
-        checkpoint=checkpoint,
         engine=engine,
         c=c,
         timeout_s=timeout_s,
@@ -358,7 +350,6 @@ def sweep_f(
     b: int,
     seeds: Iterable[int],
     c: int = 2,
-    checkpoint: Optional[SweepCheckpoint] = None,
     timeout_s: Optional[float] = None,
     retries: int = 0,
     capture_dir: Optional[str] = None,
@@ -373,7 +364,6 @@ def sweep_f(
         topology,
         [_algorithm1_point(topology, b, f) for f in fs],
         seeds,
-        checkpoint=checkpoint,
         engine=engine,
         c=c,
         timeout_s=timeout_s,

@@ -25,9 +25,7 @@ Usage (installed as ``repro-agg`` or via ``python -m repro.cli``)::
     repro-agg obs       validate trace.json --prom metrics.prom
 
 Every subcommand prints the same ASCII tables the benchmarks save.
-``run`` accepts ``--strict-monitors`` (abort on any invariant break);
-``sweep-b`` / ``sweep-f`` accept ``--resume PATH`` for JSONL
-checkpoint/resume.
+``run`` accepts ``--strict-monitors`` (abort on any invariant break).
 
 ``run``, ``sweep-b`` and ``chaos`` take the fault-model flags of
 :data:`FLAG_TABLE` (``run`` / ``chaos`` also ``--inject
@@ -40,7 +38,8 @@ pairs that do not compose and knobs that would do nothing.
 The execution-engine verbs (``run``, ``sweep-b``, ``sweep-f``,
 ``chaos``, ``worst-case``/``search``) accept ``--jobs N`` (process-pool
 fan-out; results are bit-identical to ``--jobs 1``), ``--cache-dir``
-(content-addressed result cache; ``--force`` recomputes), and
+(content-addressed result cache; ``--force`` recomputes; rerunning an
+interrupted sweep with the same ``--cache-dir`` resumes it), and
 ``--progress-log`` (structured JSONL telemetry).  ``cache`` inspects and
 maintains a cache directory.
 
@@ -63,7 +62,6 @@ from typing import Callable, List, NamedTuple, Optional, Tuple
 from . import graphs
 from .adversary import no_failures
 from .analysis import (
-    SweepCheckpoint,
     families,
     format_series,
     format_table,
@@ -519,18 +517,14 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def _sweep(args, sweep, axis: str, fixed: str, **kwargs) -> int:
     """The shared body of ``sweep-b`` / ``sweep-f``: ``sweep(**kwargs)``
-    over the ``--seeds`` with the checkpoint / retry flags, printed as
+    over the ``--seeds`` with the timeout / retry flags, printed as
     the CC-vs-``axis`` table at ``fixed``."""
     topology = parse_topology(args.topology, args.seed)
-    checkpoint = SweepCheckpoint(args.resume) if args.resume else None
-    if checkpoint is not None and len(checkpoint):
-        print(f"resuming: {len(checkpoint)} run(s) loaded from {args.resume}")
     engine = _engine_from_args(args)
     try:
         points = sweep(
             topology,
             seeds=range(args.seeds),
-            checkpoint=checkpoint,
             timeout_s=args.timeout,
             retries=args.retries,
             capture_dir=args.capture_dir,
@@ -539,8 +533,6 @@ def _sweep(args, sweep, axis: str, fixed: str, **kwargs) -> int:
         )
     finally:
         engine.emitter.close()
-        if checkpoint is not None:
-            checkpoint.close()
     print(
         format_table(
             [p.as_dict() for p in points],
@@ -1228,7 +1220,8 @@ def build_parser() -> argparse.ArgumentParser:
                 default=None,
                 dest="cache_dir",
                 help="content-addressed result cache directory "
-                "(hits skip recomputation)",
+                "(hits skip recomputation; rerunning an interrupted sweep "
+                "against it resumes where it stopped)",
             )
             p.add_argument(
                 "--force",
@@ -1258,9 +1251,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("-t", "--tolerance", type=int, default=None)
         p.add_argument("--inject", default=None, help=inject_help)
 
-    def retries(p, resume_help=None, capture_note=""):
-        if resume_help is not None:
-            p.add_argument("--resume", default=None, help=resume_help)
+    def retries(p, sweep=False, capture_note=""):
+        if sweep:
             p.add_argument(
                 "--timeout",
                 type=float,
@@ -1328,11 +1320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("-f", "--failures", type=int, required=True)
     p_sweep.add_argument("--bs", default="42,84,168,336")
     p_sweep.add_argument("--seeds", type=int, default=3)
-    retries(
-        p_sweep,
-        "JSONL checkpoint path: completed runs are loaded, fresh "
-        "runs appended (kill + rerun resumes where it stopped)",
-    )
+    retries(p_sweep, sweep=True)
     p_sweep.add_argument(
         "--backoff",
         type=float,
@@ -1352,7 +1340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep_f.add_argument("--fs", default="2,4,8,16", help="failure budgets")
     p_sweep_f.add_argument("-b", "--budget", type=int, default=60)
     p_sweep_f.add_argument("--seeds", type=int, default=3)
-    retries(p_sweep_f, "JSONL checkpoint path (same semantics as sweep-b)")
+    retries(p_sweep_f, sweep=True)
     parallel(p_sweep_f)
     obs(p_sweep_f)
     p_sweep_f.set_defaults(func=cmd_sweep_f)
@@ -1510,8 +1498,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return args.func(args)
     except KeyboardInterrupt:
-        # Sweeps flush completed rows to --resume checkpoints before the
-        # interrupt propagates here; rerunning the same command resumes.
+        # The engine has stored every completed row in the --cache-dir
+        # cache by now; rerunning the same command resumes.
         print("interrupted", file=sys.stderr)
         return 130
     finally:

@@ -12,7 +12,8 @@ over a process pool, with results identical for any worker count:
   longest-expected-first submission plan;
 * :mod:`repro.exec.cache` — a content-addressed result store keyed by a
   canonical hash of topology + protocol params + seed + code-relevant
-  config, so re-running a sweep skips already-computed points;
+  config, so re-running a sweep skips already-computed points (and an
+  interrupted sweep resumes by rerunning with the same cache);
 * :mod:`repro.exec.progress` — structured JSONL telemetry (unit
   started/finished/cached/failed, worker utilization, ETA) plus the live
   CLI progress renderer that consumes it;
@@ -22,9 +23,9 @@ over a process pool, with results identical for any worker count:
 
 Determinism contract: a unit's result depends only on the unit itself
 (fresh ``random.Random(seed)`` per unit, no shared state), results are
-assembled in unit-list order, and checkpoint writes go through an
-in-order buffer — so any worker count and any completion order produce
-byte-identical sweep output and checkpoint files.
+assembled in unit-list order, and cache entries are keyed by unit
+content — so any worker count and any completion order produce
+byte-identical sweep output and caches holding the same records.
 """
 
 from .cache import ResultCache, unit_cache_hash, unit_cache_token

@@ -1,23 +1,31 @@
-"""Content-addressed result cache for work units.
+"""Content-addressed result cache for work units: the one store that
+serves a finished run instead of executing it.
 
 Each completed :class:`repro.exec.scheduler.WorkUnit` is stored under a
 canonical SHA-256 of everything that determines its result: the topology
 (structure, root, and name), protocol and parameters, seed, and the
 code-relevant execution config (schedule / injector / monitor specs,
-transport and recovery settings, strictness, retries, timeout).  Two
-invocations that would compute the same record hash to the same entry,
-so re-running a sweep or benchmark skips already-computed points;
-anything that could change the record changes the hash.
+fault-family configs, strictness, retries, timeout).  Two invocations
+that would compute the same record hash to the same entry, so re-running
+a sweep or benchmark skips already-computed points; anything that could
+change the record changes the hash.  That is also how an interrupted
+sweep resumes: the engine stores each unit as it finishes, so a rerun
+with the same cache directory executes only the units not yet stored.
 
 Entries are one JSON file each, sharded by the first two hash characters
 (``<root>/ab/abcdef....json``), holding the token (for paranoia-level
 verification on read — a hash match with a token mismatch is treated as
 a miss), the record, and a creation timestamp for ``gc --older-than``.
+A record is stored in its JSON-canonical form (:func:`record_to_jsonable`,
+tuples as lists), so serving a hit is equivalent to re-running the unit.
 
-The store is safe under concurrent writers: entries are written to a
-unique temp file and atomically renamed into place, and a cached record
-round-trips through the same JSON canonicalization the sweep checkpoint
-uses, so serving a hit is byte-equivalent to re-running the unit.
+Crash safety: an entry is written to a unique temp file and atomically
+renamed into place (``os.replace``), which also makes the store safe
+under concurrent writers.  There is no ``fsync``: after a killed process
+an entry is whole or absent, and after a power loss a torn or empty
+entry fails the JSON parse or the token check, reads as a miss, and its
+unit simply re-runs — a wrong record is never served.  Skipping the
+sync keeps a cold batch from paying one disk flush per unit.
 """
 
 from __future__ import annotations
@@ -29,9 +37,8 @@ import tempfile
 import time
 from typing import Any, Dict, Iterator, Optional, Tuple
 
-from ..analysis.checkpoint import record_from_jsonable, record_to_jsonable
 from ..analysis.runner import RunRecord
-from ..sim.specs import config_jsonable
+from ..sim.specs import config_jsonable, listify
 from .scheduler import WorkUnit
 
 #: Bump when the execution semantics change in a way that invalidates
@@ -44,9 +51,44 @@ CACHE_VERSION = 2
 
 #: WorkUnit fields that provably cannot affect the resulting record:
 #: ``backoff_s`` only changes retry sleep timing, ``coords`` only the
-#: checkpoint key.  Everything else is part of the cache identity —
+#: telemetry label.  Everything else is part of the cache identity —
 #: including fields that don't exist yet.
 EXCLUDED_FIELDS = frozenset({"backoff_s", "coords"})
+
+#: RunRecord fields stored in an entry, restored by name on read.
+_RECORD_FIELDS = (
+    "protocol",
+    "topology",
+    "n_nodes",
+    "diameter",
+    "f_budget",
+    "f_actual",
+    "result",
+    "correct",
+    "cc_bits",
+    "rounds",
+    "flooding_rounds",
+    "extra",
+    "error",
+    "error_kind",
+    "attempts",
+    "seed",
+)
+
+
+def record_to_jsonable(record: RunRecord) -> Dict[str, Any]:
+    """A JSON-serializable dict that round-trips through
+    :func:`record_from_jsonable`."""
+    return {field: listify(getattr(record, field)) for field in _RECORD_FIELDS}
+
+
+def record_from_jsonable(data: Dict[str, Any]) -> RunRecord:
+    """Rebuild a :class:`RunRecord` saved by :func:`record_to_jsonable`."""
+    kwargs = {field: data.get(field) for field in _RECORD_FIELDS}
+    kwargs["extra"] = dict(kwargs.get("extra") or {})
+    if kwargs.get("attempts") is None:
+        kwargs["attempts"] = 1
+    return RunRecord(**kwargs)
 
 
 def _topology_token(topology) -> Dict[str, Any]:
@@ -103,11 +145,9 @@ def unit_cache_token(unit: WorkUnit) -> Dict[str, Any]:
     return json.loads(json.dumps(token, sort_keys=True))
 
 
-def unit_cache_hash(unit: WorkUnit) -> str:
-    """SHA-256 (hex) of the canonical token."""
-    blob = json.dumps(
-        unit_cache_token(unit), sort_keys=True, separators=(",", ":")
-    )
+def unit_cache_hash(token: Dict[str, Any]) -> str:
+    """SHA-256 (hex) of a :func:`unit_cache_token`: the entry's name."""
+    blob = json.dumps(token, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -128,12 +168,12 @@ class ResultCache:
 
     def get(self, unit: WorkUnit) -> Optional[RunRecord]:
         """The cached record for ``unit``, or None (corrupt entry = miss)."""
-        digest = unit_cache_hash(unit)
-        path = self._path(digest)
+        token = unit_cache_token(unit)
+        path = self._path(unit_cache_hash(token))
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 entry = json.load(fh)
-            if entry.get("token") != unit_cache_token(unit):
+            if entry.get("token") != token:
                 self.misses += 1
                 return None
             record = record_from_jsonable(entry["record"])
@@ -144,14 +184,16 @@ class ResultCache:
         return record
 
     def put(self, unit: WorkUnit, record: RunRecord) -> str:
-        """Store one completed record; atomic against concurrent writers."""
-        digest = unit_cache_hash(unit)
+        """Store one completed record; atomic against concurrent writers
+        and whole-or-absent after a kill (see the module docstring)."""
+        token = unit_cache_token(unit)
+        digest = unit_cache_hash(token)
         path = self._path(digest)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         entry = {
             "hash": digest,
             "saved_at": time.time(),
-            "token": unit_cache_token(unit),
+            "token": token,
             "record": record_to_jsonable(record),
         }
         fd, tmp = tempfile.mkstemp(

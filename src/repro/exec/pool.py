@@ -6,9 +6,13 @@ order, with these guarantees:
 
 * **Determinism.**  Results are keyed by unit index and every unit is
   self-seeded, so worker count, submission order, and completion order
-  cannot change the output.  Checkpoint writes go through an in-order
-  buffer (contiguous-prefix flushing), so the checkpoint *file* is also
-  byte-identical across ``jobs`` values.
+  cannot change the output.  Cache entries are keyed by unit content, so
+  the cache a sweep leaves behind holds the same records at any ``jobs``
+  value.
+* **Resumability.**  With a :class:`repro.exec.cache.ResultCache`, each
+  unit is stored the moment it finishes and stored units are served
+  instead of run, so rerunning an interrupted sweep against the same
+  cache executes only the units it had not finished.
 * **Bounded memory.**  At most ``window`` (default ``2 x jobs``) units
   are in flight; the rest wait unsubmitted.
 * **Worker lifecycle.**  A crashed worker (pool breakage) is replaced and
@@ -19,9 +23,9 @@ order, with these guarantees:
   far past it without the worker-side ``SIGALRM`` firing — is terminated
   and its unit becomes a ``RunTimeout`` error row.
 * **Graceful Ctrl-C.**  On ``KeyboardInterrupt`` the engine stops
-  submitting, collects every already-completed result, flushes them to
-  the cache and (in order) to the checkpoint, then re-raises — an
-  interrupted sweep resumes the same way at any ``jobs`` value.
+  submitting, drains every already-completed result into the cache, then
+  re-raises — an interrupted sweep resumes the same way at any ``jobs``
+  value.
 
 Two backends implement the submit/collect protocol: ``SerialBackend``
 (in-process, the ``--jobs 1`` path — no subprocesses, no pickling) and
@@ -252,69 +256,6 @@ class ProcessBackend:
 # --------------------------------------------------------------------- #
 
 
-class _OrderedCheckpointWriter:
-    """Flush records to the checkpoint in unit order, not completion order.
-
-    ``offer(i, record)`` marks unit ``i``'s record ready; the contiguous
-    prefix of ready units is written immediately.  Units already present
-    in the checkpoint are skipped (a resume never rewrites them).  The
-    result: the checkpoint file a parallel sweep leaves behind is
-    byte-identical to the ``jobs=1`` one, while each record still becomes
-    durable as soon as every earlier record is.
-    """
-
-    def __init__(self, checkpoint, units: Sequence[WorkUnit], skip) -> None:
-        self.checkpoint = checkpoint
-        self.units = units
-        self.skip = set(skip)
-        self._ready: Dict[int, RunRecord] = {}
-        self._next = 0
-
-    def offer(self, index: int, record: RunRecord) -> None:
-        if self.checkpoint is None:
-            return
-        self._ready[index] = record
-        self.flush()
-
-    def flush(self) -> int:
-        """Write the contiguous ready prefix; returns how many were written."""
-        written = 0
-        while self._next < len(self.units):
-            if self._next in self.skip:
-                self._next += 1
-                continue
-            record = self._ready.pop(self._next, None)
-            if record is None:
-                break
-            self.checkpoint.put(
-                self.units[self._next].checkpoint_key, record
-            )
-            written += 1
-            self._next += 1
-        return written
-
-    def flush_stragglers(self) -> int:
-        """Write every remaining ready record, gaps and all (in index order).
-
-        Interrupt-only path: longest-expected-first scheduling means the
-        contiguous prefix can be almost empty while most of the sweep is
-        done, so a Ctrl-C that only flushed the prefix would forfeit the
-        completed work.  Resume serves these rows by key, so correctness
-        is unaffected; the cost is that an interrupted-then-resumed
-        checkpoint file can order rows differently than an uninterrupted
-        one (clean runs are still byte-identical at any ``--jobs``).
-        """
-        if self.checkpoint is None:
-            return 0
-        written = 0
-        for index in sorted(self._ready):
-            self.checkpoint.put(
-                self.units[index].checkpoint_key, self._ready.pop(index)
-            )
-            written += 1
-        return written
-
-
 class ExecutionEngine:
     """Fan work units out over a backend; collect records in unit order.
 
@@ -368,33 +309,21 @@ class ExecutionEngine:
             return None
         return max(self.hard_timeout_factor * unit.timeout_s, unit.timeout_s + 30)
 
-    def run(
-        self, units: Sequence[WorkUnit], checkpoint=None
-    ) -> List[RunRecord]:
+    def run(self, units: Sequence[WorkUnit]) -> List[RunRecord]:
         """Execute every unit; returns one record per unit, in unit order."""
         units = list(units)
         results: List[Optional[RunRecord]] = [None] * len(units)
-        served_from_checkpoint: List[int] = []
-        cache_hits: List[Tuple[int, RunRecord]] = []
+        cache_hits: List[int] = []
         pending: List[int] = []
         for index, unit in enumerate(units):
-            if checkpoint is not None:
-                cached = checkpoint.get(unit.checkpoint_key)
-                if cached is not None:
-                    results[index] = cached
-                    served_from_checkpoint.append(index)
-                    continue
             if self.cache is not None and not self.force:
                 hit = self.cache.get(unit)
                 if hit is not None:
                     results[index] = hit
-                    cache_hits.append((index, hit))
+                    cache_hits.append(index)
                     continue
             pending.append(index)
 
-        writer = _OrderedCheckpointWriter(
-            checkpoint, units, skip=served_from_checkpoint
-        )
         emit = self.emitter.emit
         emit(
             "engine_started",
@@ -402,11 +331,8 @@ class ExecutionEngine:
             jobs=self.jobs,
             to_run=len(pending),
             cached=len(cache_hits),
-            checkpointed=len(served_from_checkpoint),
         )
-        for index in served_from_checkpoint:
-            emit("unit_checkpointed", index=index, unit=units[index].label())
-        for index, record in cache_hits:
+        for index in cache_hits:
             emit("unit_cached", index=index, unit=units[index].label())
             if _spans.enabled:
                 _spans.active().event(
@@ -416,7 +342,6 @@ class ExecutionEngine:
                     tid=index,
                     unit=units[index].label(),
                 )
-            writer.offer(index, record)
 
         order = plan_order(units, pending)
         backend = self._make_backend()
@@ -473,7 +398,6 @@ class ExecutionEngine:
                 executed += 1
                 if self.cache is not None:
                     self.cache.put(units[index], record)
-                writer.offer(index, record)
                 if record.failed:
                     failed += 1
                     emit(
@@ -512,9 +436,7 @@ class ExecutionEngine:
                 results[index] = record
                 if self.cache is not None:
                     self.cache.put(units[index], record)
-                writer.offer(index, record)
                 flushed += 1
-            flushed += writer.flush_stragglers()
             backend.shutdown(cancel=True)
             emit(
                 "engine_interrupted",
@@ -528,7 +450,6 @@ class ExecutionEngine:
             wall_s=round(time.monotonic() - started, 6),
             executed=executed,
             cached=len(cache_hits),
-            checkpointed=len(served_from_checkpoint),
             failed=failed,
         )
         if _obs_metrics.enabled:

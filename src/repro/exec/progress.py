@@ -4,15 +4,14 @@ The engine narrates its run through a :class:`ProgressEmitter`: one
 flat JSON object per event, written to an optional JSONL file and fanned
 out to in-process listeners.  Event vocabulary::
 
-    engine_started    {units, jobs, to_run, cached, checkpointed}
+    engine_started    {units, jobs, to_run, cached}
     unit_started      {index, unit, cost_hint}
     unit_finished     {index, unit, wall_s, cc_bits, correct}
     unit_failed       {index, unit, wall_s, error_kind}
     unit_cached       {index, unit}
-    unit_checkpointed {index, unit}
     engine_interrupted{completed, flushed}
     worker_replaced   {reason, respawns}
-    engine_finished   {wall_s, executed, cached, checkpointed, failed}
+    engine_finished   {wall_s, executed, cached, failed}
 
 Timestamps (``ts``) are wall-clock and obviously non-deterministic;
 they live only in the telemetry stream, never in results, so the
@@ -84,7 +83,6 @@ class ProgressTracker:
         self.jobs = 1
         self.executed = 0
         self.cached = 0
-        self.checkpointed = 0
         self.failed = 0
         self.in_flight = 0
         self.wall_samples: List[float] = []
@@ -98,7 +96,6 @@ class ProgressTracker:
             self.total = event.get("units", 0)
             self.jobs = event.get("jobs", 1)
             self.cached = event.get("cached", 0)
-            self.checkpointed = event.get("checkpointed", 0)
             self.started_at = self.clock()
         elif kind == "unit_started":
             self.in_flight += 1
@@ -112,14 +109,12 @@ class ProgressTracker:
                 self.wall_samples.append(float(wall))
         elif kind == "unit_cached":
             self.cached += 1
-        elif kind == "unit_checkpointed":
-            self.checkpointed += 1
 
     # -- snapshot ------------------------------------------------------ #
 
     @property
     def done(self) -> int:
-        return self.executed + self.cached + self.checkpointed
+        return self.executed + self.cached
 
     @property
     def remaining(self) -> int:
@@ -173,7 +168,7 @@ class ProgressTracker:
         bar = "#" * filled + "-" * (width - filled)
         parts = [
             f"[{bar}] {done}/{self.total}",
-            f"{self.cached + self.checkpointed} cached",
+            f"{self.cached} cached",
         ]
         if self.failed:
             parts.append(f"{self.failed} failed")

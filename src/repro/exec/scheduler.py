@@ -46,8 +46,8 @@ from ..graphs.topology import Topology
 class WorkUnit:
     """One independent protocol run, fully specified by value.
 
-    ``coords`` is the sweep coordinate the run belongs to (it feeds the
-    checkpoint key, :func:`repro.analysis.checkpoint.make_key`); ``strict`` /
+    ``coords`` is the sweep coordinate the run belongs to (telemetry
+    labels read it; it is outside the cache identity); ``strict`` /
     ``strict_monitors`` and the fault-family fields (``transport`` through
     ``allow_root_crash``, see :data:`repro.analysis.families.RUN_KEYS`)
     mirror the corresponding :func:`repro.analysis.runner.run_protocol`
@@ -90,13 +90,6 @@ class WorkUnit:
     backoff_s: float = 0.0
     capture_dir: Optional[str] = None
     coords: Dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def checkpoint_key(self) -> str:
-        """The sweep checkpoint key for this run."""
-        from ..analysis.checkpoint import make_key
-
-        return make_key(self.protocol, self.topology.name, self.seed, self.coords)
 
     @property
     def cost_hint(self) -> float:

@@ -38,6 +38,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .faults import FaultInjector
 from .message import Part
+from .specs import listify
 
 #: Bundle file magic + schema version; bump on incompatible change.
 BUNDLE_FORMAT = "repro-bundle"
@@ -149,7 +150,7 @@ class ExecutionRecord:
 
     def to_jsonable(self) -> Dict[str, Any]:
         """Plain-dict form, stable under ``json`` round-trips."""
-        return _listify(asdict(self))
+        return listify(asdict(self))
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         """The versioned JSON bundle text (sorted keys: diff-friendly)."""
@@ -237,17 +238,6 @@ class ExecutionRecord:
         from ..adversary.schedule import FailureSchedule
 
         return FailureSchedule({int(u): int(r) for u, r in self.schedule.items()})
-
-
-def _listify(value: Any) -> Any:
-    """Tuples become lists recursively, so JSON round-trips are identity."""
-    if isinstance(value, tuple):
-        return [_listify(v) for v in value]
-    if isinstance(value, list):
-        return [_listify(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _listify(v) for k, v in value.items()}
-    return value
 
 
 def serialize_topology(topology) -> Dict[str, Any]:
@@ -495,7 +485,7 @@ def make_execution_record(
         schedule={str(u): int(r) for u, r in crash_rounds.items()},
         params={k: v for k, v in params.items() if v is not None},
         seed=seed,
-        rng_state=_listify(rng_state) if rng_state is not None else None,
+        rng_state=listify(rng_state) if rng_state is not None else None,
         strict_model=strict_model,
         monitor_mode=monitor_mode,
         injector_specs=[repr(i) for i in recorder.inner],

@@ -28,6 +28,15 @@ def retired_knobs(data: Dict[str, object], **fixed) -> None:
             )
 
 
+def listify(value: Any) -> Any:
+    """Tuples become lists recursively, so JSON round-trips are identity."""
+    if isinstance(value, (tuple, list)):
+        return [listify(v) for v in value]
+    if isinstance(value, dict):
+        return {k: listify(v) for k, v in value.items()}
+    return value
+
+
 def encode(value) -> Any:
     """JSON-ready form: nested configs as their JSON, maps with string keys
     in key order, tuples as lists."""
@@ -41,12 +50,36 @@ def encode(value) -> Any:
 
 
 def decode(value) -> Any:
-    """Inverse of :func:`encode` for schedules: int (node) keys, tuples."""
+    """Inverse of :func:`encode` for schedules: int (node) keys, tuples.
+
+    A map key that is not a node id raises ``TypeError``, one of
+    :data:`SHAPE_ERRORS`.
+    """
     if isinstance(value, dict):
-        return {int(key): decode(item) for key, item in value.items()}
+        return {_node_id(key): decode(item) for key, item in value.items()}
     if isinstance(value, list):
         return tuple(decode(item) for item in value)
     return value
+
+
+def _node_id(key) -> int:
+    try:
+        return int(key)
+    except ValueError:
+        raise TypeError(f"map key {key!r} is not a node id") from None
+
+
+#: What decoding or constructing raises when a bundle value has the wrong
+#: JSON shape (a list where a map belongs, a number where a list does).
+SHAPE_ERRORS = (TypeError, AttributeError, KeyError, IndexError)
+
+
+def shape_error(owner: str, field: str, why) -> ValueError:
+    """The ``ValueError`` for a bundle value of the wrong JSON shape."""
+    return ValueError(
+        f"{owner} field {field!r} has the wrong JSON shape ({why}); this "
+        "bundle cannot be replayed"
+    )
 
 
 def config_jsonable(value) -> Any:
@@ -65,7 +98,11 @@ class JsonFields:
     are written only when not the default, ``RETIRED`` maps each knob the
     runtime no longer has to the one value a bundle may carry
     (:func:`retired_knobs`), and ``REQUIRED`` fields must be present and
-    not null (a ``ValueError`` names the class and the field).
+    not null.  A missing required field, or a field value of the wrong
+    JSON shape, raises a ``ValueError`` naming the class and the field;
+    ``data`` that is not an object at all raises ``TypeError``, which the
+    enclosing decoder (a parent config's, or
+    :func:`repro.analysis.families.decode_params`) reports under its field.
     """
 
     JSON_FIELDS: ClassVar[Tuple[str, ...]] = ()
@@ -85,18 +122,37 @@ class JsonFields:
     @classmethod
     def from_jsonable(cls, data: Dict[str, Any]):
         """The object :meth:`as_jsonable` wrote ``data`` from."""
+        owner = cls.__name__
+        if not isinstance(data, dict):
+            # A shape error: the caller's field decoder names the field.
+            raise TypeError(f"{owner} must be a JSON object, not {data!r}")
         retired_knobs(data, **cls.RETIRED)
         for name in cls.REQUIRED:
             if data.get(name) is None:
                 raise ValueError(
-                    f"{cls.__name__} needs its {name!r} field; this bundle "
+                    f"{owner} needs its {name!r} field; this bundle "
                     "cannot be replayed"
                 )
-        return cls(**{
-            name: load(data[name])
-            for name, _default, load in _fields(cls)
-            if data.get(name) is not None
-        })
+        kwargs = {}
+        for name, _default, load in _fields(cls):
+            if data.get(name) is not None:
+                try:
+                    kwargs[name] = load(data[name])
+                except SHAPE_ERRORS as exc:
+                    raise shape_error(owner, name, exc) from None
+        try:
+            return cls(**kwargs)
+        except SHAPE_ERRORS as exc:
+            # The constructor does not say which argument it choked on;
+            # every field has a default, so find the one failing alone.
+            for name, value in kwargs.items():
+                try:
+                    cls(**{name: value})
+                except SHAPE_ERRORS as alone:
+                    raise shape_error(owner, name, alone) from None
+                except ValueError:
+                    pass
+            raise shape_error(owner, ", ".join(kwargs), exc) from None
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,5 +1,6 @@
 """Shared fixtures for the test suite."""
 
+import json
 import os
 import random
 
@@ -116,6 +117,18 @@ class SilentNode(NodeHandler):
 
     def on_round(self, rnd, inbox):
         return []
+
+
+def cached_records(root):
+    """Every stored record in the result cache at ``root``, keyed by entry
+    file name (the unit's content hash) — equal for two caches exactly
+    when they hold the same records for the same units."""
+    records = {}
+    for shard in sorted(os.listdir(root)):
+        for name in sorted(os.listdir(os.path.join(root, shard))):
+            with open(os.path.join(root, shard, name), encoding="utf-8") as fh:
+                records[name] = json.load(fh)["record"]
+    return records
 
 
 class ShuffledBackend:

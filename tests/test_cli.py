@@ -385,3 +385,66 @@ class TestReplayRefusesBadBundles:
         assert capsys.readouterr().out.splitlines()[-1] == (
             f"cannot replay: {message}"
         )
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                {"recovery": [1]},
+                "params field 'recovery' has the wrong JSON shape "
+                "(RecoveryPolicy must be a JSON object, not [1]); this "
+                "bundle cannot be replayed",
+            ),
+            (
+                {"recovery": None, "churn": {"cycles": {"5": 3}}},
+                "ChurnSchedule field 'cycles' has the wrong JSON shape "
+                "('int' object is not iterable); this bundle cannot be "
+                "replayed",
+            ),
+        ],
+        ids=["recovery-list", "churn-cycle-number"],
+    )
+    def test_wrong_json_shape(self, edit, message, tmp_path, capsys):
+        import json
+
+        with open(self.BUNDLE) as fh:
+            bundle = json.load(fh)
+        for key, value in edit.items():
+            if value is None:
+                del bundle["params"][key]
+            else:
+                bundle["params"][key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bundle))
+        assert main(["replay", str(path)]) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"cannot replay: {message}"
+        )
+
+
+class TestSweepStore:
+    """A finished sweep row is served from the ``--cache-dir`` result
+    cache only; there is no other store."""
+
+    SWEEP = ["sweep-b", "--topology", "grid:4x4", "-f", "1", "--bs", "60",
+             "--seeds", "2"]
+
+    def test_resume_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(self.SWEEP + ["--resume", "x"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_cached_plain_row_is_not_served_to_a_recover_sweep(
+        self, tmp_path, capsys
+    ):
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        assert main(self.SWEEP + cache) == 0
+        plain = capsys.readouterr().out
+        assert "certified_rows" not in plain
+        assert main(self.SWEEP + cache + ["--recover"]) == 0
+        recovered = capsys.readouterr().out
+        assert main(self.SWEEP + ["--recover"]) == 0
+        assert recovered == capsys.readouterr().out
+        assert "certified_rows" in recovered
+        assert recovered.splitlines()[-1] != plain.splitlines()[-1]

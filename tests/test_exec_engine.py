@@ -9,7 +9,6 @@ import time
 import pytest
 
 from repro.adversary import no_failures, random_failures
-from repro.analysis.checkpoint import SweepCheckpoint, make_key
 from repro.analysis.runner import RunTimeout, make_inputs, safe_run_protocol
 from repro.exec import (
     ExecutionEngine,
@@ -26,10 +25,15 @@ from repro.exec import (
     unit_cache_token,
 )
 from repro.exec.cache import parse_age
-from repro.exec.pool import ProcessBackend, WorkerCrashed, _OrderedCheckpointWriter
+from repro.exec.pool import ProcessBackend, WorkerCrashed
 from repro.exec.scheduler import build_schedule
 from repro.graphs import grid_graph
-from tests.conftest import ShuffledBackend
+from tests.conftest import ShuffledBackend, cached_records
+
+
+def _hash(unit):
+    """The cache entry name of ``unit``."""
+    return unit_cache_hash(unit_cache_token(unit))
 
 
 def _unit(topology, seed=0, b=42, f=2, **kwargs):
@@ -58,12 +62,6 @@ def _unit(topology, seed=0, b=42, f=2, **kwargs):
 
 
 class TestWorkUnit:
-    def test_checkpoint_key_matches_serial_sweep(self, grid44):
-        unit = _unit(grid44, seed=3)
-        assert unit.checkpoint_key == make_key(
-            "algorithm1", grid44.name, 3, unit.coords
-        )
-
     def test_cost_hint_scales_with_size_and_horizon(self, grid44):
         small = _unit(grid44, b=42)
         big = _unit(grid44, b=84)
@@ -198,7 +196,7 @@ class TestResultCache:
 
     def test_key_separates_everything_result_relevant(self, grid44):
         base = _unit(grid44)
-        assert unit_cache_hash(base) == unit_cache_hash(_unit(grid44))
+        assert _hash(base) == _hash(_unit(grid44))
         for variant in (
             _unit(grid44, seed=1),
             _unit(grid44, b=84),
@@ -208,7 +206,7 @@ class TestResultCache:
             _unit(grid44, strict=True),
             _unit(grid_graph(5, 5)),
         ):
-            assert unit_cache_hash(variant) != unit_cache_hash(base)
+            assert _hash(variant) != _hash(base)
 
     def test_token_is_json_canonical(self, grid44):
         token = unit_cache_token(
@@ -272,8 +270,7 @@ class TestProgress:
 
     def test_tracker_folds_the_stream(self):
         tracker = ProgressTracker()
-        tracker({"event": "engine_started", "units": 4, "jobs": 2, "cached": 1,
-                 "checkpointed": 0})
+        tracker({"event": "engine_started", "units": 4, "jobs": 2, "cached": 1})
         tracker({"event": "unit_started", "index": 0})
         tracker({"event": "unit_started", "index": 1})
         assert tracker.in_flight == 2
@@ -366,32 +363,44 @@ class TestEngine:
 
     def test_checkpoint_serving_and_byte_identity(self, grid44, tmp_path):
         units = self._units(grid44)
-        path_a = str(tmp_path / "a.jsonl")
-        cp = SweepCheckpoint(path_a)
-        baseline = ExecutionEngine(jobs=1).run(units, checkpoint=cp)
-        cp.close()
+        dir_a = str(tmp_path / "a")
+        baseline = ExecutionEngine(jobs=1, cache=ResultCache(dir_a)).run(units)
 
-        # A shuffled completion order must leave the identical file.
-        path_b = str(tmp_path / "b.jsonl")
-        cp = SweepCheckpoint(path_b)
+        # A shuffled completion order must store the identical records.
+        dir_b = str(tmp_path / "b")
         shuffled = ExecutionEngine(
-            backend=ShuffledBackend(random.Random(99))
-        ).run(units, checkpoint=cp)
-        cp.close()
+            backend=ShuffledBackend(random.Random(99)), cache=ResultCache(dir_b)
+        ).run(units)
         assert [r.as_dict() for r in shuffled] == [r.as_dict() for r in baseline]
-        assert open(path_a, "rb").read() == open(path_b, "rb").read()
+        assert cached_records(dir_a) == cached_records(dir_b)
+        assert len(cached_records(dir_a)) == len(units)
 
-        # Resuming serves every unit from the file without executing.
+        # A rerun serves every unit from the cache without executing.
         events = []
-        cp = SweepCheckpoint(path_a)
         resumed = ExecutionEngine(
-            jobs=1, emitter=ProgressEmitter(listeners=[events.append])
-        ).run(units, checkpoint=cp)
-        cp.close()
+            jobs=1,
+            cache=ResultCache(dir_a),
+            emitter=ProgressEmitter(listeners=[events.append]),
+        ).run(units)
         assert [r.as_dict() for r in resumed] == [r.as_dict() for r in baseline]
         kinds = [e["event"] for e in events]
-        assert kinds.count("unit_checkpointed") == len(units)
+        assert kinds.count("unit_cached") == len(units)
         assert "unit_started" not in kinds
+        assert events[-1]["executed"] == 0
+
+    def _resume(self, units, cache_dir, stored):
+        """Rerun ``units`` against ``cache_dir``: only the units not stored
+        execute, and the records equal an uninterrupted run's."""
+        events = []
+        resumed = ExecutionEngine(
+            jobs=1,
+            cache=ResultCache(cache_dir),
+            emitter=ProgressEmitter(listeners=[events.append]),
+        ).run(units)
+        assert events[-1]["event"] == "engine_finished"
+        assert events[-1]["executed"] == len(units) - stored
+        clean = ExecutionEngine(jobs=1).run(units)
+        assert [r.as_dict() for r in resumed] == [r.as_dict() for r in clean]
 
     def test_interrupt_drains_and_flushes_then_reraises(self, grid44, tmp_path):
         units = self._units(grid44)
@@ -407,41 +416,27 @@ class TestEngine:
                 self.completions += 1
                 if self.completions > 1:
                     raise KeyboardInterrupt
-                # Release the lowest index so the flushed prefix is
-                # contiguous and lands in the file.
                 self._buffer.sort()
                 index, record = self._buffer.pop(0)
                 return index, record, None
 
-        path = str(tmp_path / "interrupted.jsonl")
-        cp = SweepCheckpoint(path)
+        cache_dir = str(tmp_path / "cache")
         with pytest.raises(KeyboardInterrupt):
-            ExecutionEngine(backend=InterruptingBackend(), window=len(units)).run(
-                units, checkpoint=cp
-            )
-        cp.close()
+            ExecutionEngine(
+                backend=InterruptingBackend(),
+                window=len(units),
+                cache=ResultCache(cache_dir),
+            ).run(units)
 
-        durable = SweepCheckpoint(path)
-        served = [
-            u.seed for u in units if durable.get(u.checkpoint_key) is not None
-        ]
-        assert served, "interrupted run must leave durable progress"
-
-        # Resume completes the rest; the final file equals an
-        # uninterrupted serial run's byte-for-byte.
-        resumed = ExecutionEngine(jobs=1).run(units, checkpoint=durable)
-        durable.close()
-        clean_path = str(tmp_path / "clean.jsonl")
-        cp = SweepCheckpoint(clean_path)
-        clean = ExecutionEngine(jobs=1).run(units, checkpoint=cp)
-        cp.close()
-        assert [r.as_dict() for r in resumed] == [r.as_dict() for r in clean]
-        assert open(path, "rb").read() == open(clean_path, "rb").read()
+        # The completed unit and every drained one are stored.
+        stored = len(cached_records(cache_dir))
+        assert stored == len(units), "interrupted run must leave durable progress"
+        self._resume(units, cache_dir, stored)
 
     def test_interrupt_flushes_completed_stragglers(self, grid44, tmp_path):
-        # Longest-expected-first scheduling completes high indices first,
-        # so the contiguous prefix may be empty at Ctrl-C; completed
-        # out-of-prefix rows must still land in the checkpoint.
+        # Longest-expected-first scheduling completes high indices first;
+        # every completed unit must be in the cache at Ctrl-C, whatever
+        # its index.
         units = self._units(grid44)
 
         class HighestFirstInterrupting(ShuffledBackend):
@@ -459,66 +454,21 @@ class TestEngine:
 
             def drain(self):
                 # Nothing in flight completes during the interrupt: the
-                # only durable rows must come from the straggler flush.
+                # only durable rows are the two completed stragglers.
                 return []
 
-        path = str(tmp_path / "interrupted.jsonl")
-        cp = SweepCheckpoint(path)
+        cache_dir = str(tmp_path / "cache")
         with pytest.raises(KeyboardInterrupt):
             ExecutionEngine(
-                backend=HighestFirstInterrupting(), window=len(units)
-            ).run(units, checkpoint=cp)
-        cp.close()
+                backend=HighestFirstInterrupting(),
+                window=len(units),
+                cache=ResultCache(cache_dir),
+            ).run(units)
 
-        durable = SweepCheckpoint(path)
-        served = [
-            u.seed for u in units if durable.get(u.checkpoint_key) is not None
-        ]
-        assert len(served) == 2, "both completed stragglers must be durable"
-
-        # Resume recomputes only the rest; records match a clean run.
-        resumed = ExecutionEngine(jobs=1).run(units, checkpoint=durable)
-        durable.close()
-        clean = ExecutionEngine(jobs=1).run(units)
-        assert [r.as_dict() for r in resumed] == [r.as_dict() for r in clean]
-
-
-class TestOrderedCheckpointWriter:
-    def test_flushes_contiguous_prefix_in_unit_order(self, grid44, tmp_path):
-        units = [_unit(grid44, seed=s) for s in range(3)]
-        records = [execute_unit(u) for u in units]
-
-        class SpyCheckpoint:
-            def __init__(self):
-                self.keys = []
-
-            def put(self, key, record):
-                self.keys.append(key)
-
-        spy = SpyCheckpoint()
-        writer = _OrderedCheckpointWriter(spy, units, skip=())
-        writer.offer(2, records[2])
-        assert spy.keys == []
-        writer.offer(0, records[0])
-        assert spy.keys == [units[0].checkpoint_key]
-        writer.offer(1, records[1])
-        assert spy.keys == [u.checkpoint_key for u in units]
-
-    def test_skips_already_checkpointed_indices(self, grid44):
-        units = [_unit(grid44, seed=s) for s in range(3)]
-        records = [execute_unit(u) for u in units]
-
-        class SpyCheckpoint:
-            def __init__(self):
-                self.keys = []
-
-            def put(self, key, record):
-                self.keys.append(key)
-
-        spy = SpyCheckpoint()
-        writer = _OrderedCheckpointWriter(spy, units, skip=(0,))
-        writer.offer(1, records[1])
-        assert spy.keys == [units[1].checkpoint_key]
+        cache = ResultCache(cache_dir)
+        served = [u.seed for u in units if cache.get(u) is not None]
+        assert served == [2, 3], "both completed stragglers must be durable"
+        self._resume(units, cache_dir, len(served))
 
 
 class TestProcessBackend:

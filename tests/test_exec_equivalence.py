@@ -2,8 +2,8 @@
 
 The execution engine promises that worker count, completion order, and
 cache state are *invisible* in the results: any ``--jobs`` value must
-produce byte-identical aggregated sweep output and byte-identical
-checkpoint files.  These tests pin that contract — first against
+produce byte-identical aggregated sweep output, and leave result caches
+holding the same records.  These tests pin that contract — first against
 :func:`legacy_run_point`, a test-side reference that derives each run
 inline with a schedule closure (the engine is a refactor, not a
 semantics change), then across process fan-out, then property-based over
@@ -18,8 +18,7 @@ import pytest
 
 from repro.adversary.adversaries import no_failures, random_failures
 from repro.adversary.schedule import FailureSchedule
-from repro.analysis import SweepCheckpoint, run_point, sweep_b, sweep_f
-from repro.analysis.checkpoint import make_key
+from repro.analysis import run_point, sweep_b, sweep_f
 from repro.analysis.families import draw_schedules, pin_horizon
 from repro.analysis.runner import make_inputs, safe_run_protocol
 from repro.analysis.sweep import aggregate, random_schedule_spec
@@ -30,8 +29,9 @@ from repro.adversary.search import (
 )
 from repro.core.caaf import SUM
 from repro.exec import ExecutionEngine, ResultCache
+from repro.exec.cache import record_to_jsonable
 from repro.graphs import grid_graph
-from tests.conftest import ShuffledBackend
+from tests.conftest import ShuffledBackend, cached_records
 
 try:
     from hypothesis import given, settings
@@ -75,7 +75,6 @@ def legacy_run_point(
     c=2,
     caaf=SUM,
     coords=None,
-    checkpoint=None,
     timeout_s=None,
     retries=0,
     backoff_s=0.0,
@@ -90,12 +89,6 @@ def legacy_run_point(
     base.update(coords or {})
     records = []
     for seed in seeds:
-        key = make_key(protocol, topology.name, seed, coords)
-        if checkpoint is not None:
-            cached = checkpoint.get(key)
-            if cached is not None:
-                records.append(cached)
-                continue
         rng = random.Random(seed)
         inputs = make_inputs(topology, rng)
         schedule = (
@@ -130,13 +123,11 @@ def legacy_run_point(
             **seed_faults,
         )
         record.seed = seed
-        if checkpoint is not None:
-            checkpoint.put(key, record)
         records.append(record)
     return aggregate(base, records)
 
 
-def legacy_sweep(topology, bf_pairs, seeds, checkpoint=None, **faults):
+def legacy_sweep(topology, bf_pairs, seeds, **faults):
     """Algorithm 1 over ``(b, f)`` coordinates with :func:`legacy_run_point`."""
     return [
         legacy_run_point(
@@ -149,7 +140,6 @@ def legacy_sweep(topology, bf_pairs, seeds, checkpoint=None, **faults):
             f=f,
             b=b,
             coords={"b": b, "f": f, "n": topology.n_nodes},
-            checkpoint=checkpoint,
             **pin_horizon(faults, b * topology.diameter),
         )
         for b, f in bf_pairs
@@ -160,16 +150,12 @@ def _fingerprint(points):
     return [json.dumps(p.as_dict(), sort_keys=True) for p in points]
 
 
-def _serial_sweep(topology, checkpoint=None):
-    return legacy_sweep(
-        topology, [(b, F) for b in BS], SEEDS, checkpoint=checkpoint
-    )
+def _serial_sweep(topology):
+    return legacy_sweep(topology, [(b, F) for b in BS], SEEDS)
 
 
-def _engine_sweep(topology, engine, checkpoint=None):
-    return sweep_b(
-        topology, f=F, bs=BS, seeds=SEEDS, checkpoint=checkpoint, engine=engine
-    )
+def _engine_sweep(topology, engine):
+    return sweep_b(topology, f=F, bs=BS, seeds=SEEDS, engine=engine)
 
 
 class TestLegacyEquivalence:
@@ -200,19 +186,20 @@ class TestLegacyEquivalence:
     def test_sweep_b_engine_matches_serial_including_checkpoint(
         self, grid44, tmp_path
     ):
-        serial_path = str(tmp_path / "serial.jsonl")
-        cp = SweepCheckpoint(serial_path)
-        serial = _serial_sweep(grid44, checkpoint=cp)
-        cp.close()
-
-        engine_path = str(tmp_path / "engine.jsonl")
-        cp = SweepCheckpoint(engine_path)
-        engine = _engine_sweep(grid44, ExecutionEngine(jobs=1), checkpoint=cp)
-        cp.close()
-
+        serial = _serial_sweep(grid44)
+        cache_dir = str(tmp_path / "cache")
+        engine = _engine_sweep(
+            grid44, ExecutionEngine(jobs=1, cache=ResultCache(cache_dir))
+        )
         assert _fingerprint(engine) == _fingerprint(serial)
-        assert (
-            open(engine_path, "rb").read() == open(serial_path, "rb").read()
+        stored = sorted(
+            json.dumps(r, sort_keys=True)
+            for r in cached_records(cache_dir).values()
+        )
+        assert stored == sorted(
+            json.dumps(record_to_jsonable(r), sort_keys=True)
+            for point in serial
+            for r in point.records
         )
 
     def test_sweep_f_engine_matches_serial(self, grid44):
@@ -223,16 +210,16 @@ class TestLegacyEquivalence:
         assert _fingerprint(engine) == _fingerprint(serial)
 
     def test_serial_resume_reads_parallel_checkpoint(self, grid44, tmp_path):
-        # Cross-compatibility: a checkpoint written by the engine resumes
-        # the reference loop (and vice versa, same file format).
-        path = str(tmp_path / "cross.jsonl")
-        cp = SweepCheckpoint(path)
-        engine = _engine_sweep(grid44, ExecutionEngine(jobs=1), checkpoint=cp)
-        cp.close()
-        cp = SweepCheckpoint(path)
-        serial = _serial_sweep(grid44, checkpoint=cp)
-        cp.close()
-        assert _fingerprint(serial) == _fingerprint(engine)
+        # A cache a pool filled serves a serial rerun whole, with the
+        # reference loop's rows.
+        cache_dir = str(tmp_path / "cache")
+        _engine_sweep(
+            grid44, ExecutionEngine(jobs=2, cache=ResultCache(cache_dir))
+        )
+        cache = ResultCache(cache_dir)
+        resumed = _engine_sweep(grid44, ExecutionEngine(jobs=1, cache=cache))
+        assert cache.hits == len(BS) * len(SEEDS)
+        assert _fingerprint(resumed) == _fingerprint(_serial_sweep(grid44))
 
 
 class TestDefaultEngine:
@@ -267,18 +254,15 @@ class TestDefaultEngine:
 
 class TestProcessEquivalence:
     def test_jobs4_matches_jobs1_byte_for_byte(self, grid44, tmp_path):
-        p1 = str(tmp_path / "j1.jsonl")
-        cp = SweepCheckpoint(p1)
-        one = _engine_sweep(grid44, ExecutionEngine(jobs=1), checkpoint=cp)
-        cp.close()
-
-        p4 = str(tmp_path / "j4.jsonl")
-        cp = SweepCheckpoint(p4)
-        four = _engine_sweep(grid44, ExecutionEngine(jobs=4), checkpoint=cp)
-        cp.close()
-
+        d1, d4 = str(tmp_path / "c1"), str(tmp_path / "c4")
+        one = _engine_sweep(
+            grid44, ExecutionEngine(jobs=1, cache=ResultCache(d1))
+        )
+        four = _engine_sweep(
+            grid44, ExecutionEngine(jobs=4, cache=ResultCache(d4))
+        )
         assert _fingerprint(four) == _fingerprint(one)
-        assert open(p4, "rb").read() == open(p1, "rb").read()
+        assert cached_records(d4) == cached_records(d1)
 
     def test_warm_cache_replay_is_identical(self, grid44, tmp_path):
         cache_dir = str(tmp_path / "cache")
@@ -311,18 +295,16 @@ _BASELINE = {}
 
 
 def _baseline(tmp_base):
-    """Serial fingerprint + checkpoint bytes, computed once per session."""
+    """Serial fingerprint + cached records, computed once per session."""
     if "points" not in _BASELINE:
         topology = grid_graph(3, 3)
-        path = str(tmp_base / "baseline.jsonl")
-        cp = SweepCheckpoint(path)
+        cache_dir = str(tmp_base / "baseline-cache")
         points = sweep_b(
-            topology, f=1, bs=[42, 63], seeds=range(2), checkpoint=cp,
-            engine=ExecutionEngine(jobs=1),
+            topology, f=1, bs=[42, 63], seeds=range(2),
+            engine=ExecutionEngine(jobs=1, cache=ResultCache(cache_dir)),
         )
-        cp.close()
         _BASELINE["points"] = _fingerprint(points)
-        _BASELINE["bytes"] = open(path, "rb").read()
+        _BASELINE["records"] = cached_records(cache_dir)
         _BASELINE["topology"] = topology
     return _BASELINE
 
@@ -339,23 +321,20 @@ class TestCompletionOrderProperty:
     ):
         base = _baseline(tmp_path_factory.getbasetemp())
         topology = base["topology"]
-        path = str(
-            tmp_path_factory.mktemp("perm") / f"s{order_seed}-j{jobs}.jsonl"
-        )
-        cp = SweepCheckpoint(path)
+        cache_dir = str(tmp_path_factory.mktemp("perm") / "cache")
         # ShuffledBackend releases completions in an rng-chosen order;
         # `jobs` still drives the engine's submission windowing, so the
         # two axes of nondeterminism vary independently here.
         engine = ExecutionEngine(
-            jobs=jobs, backend=ShuffledBackend(random.Random(order_seed))
+            jobs=jobs,
+            backend=ShuffledBackend(random.Random(order_seed)),
+            cache=ResultCache(cache_dir),
         )
         points = sweep_b(
-            topology, f=1, bs=[42, 63], seeds=range(2), checkpoint=cp,
-            engine=engine,
+            topology, f=1, bs=[42, 63], seeds=range(2), engine=engine,
         )
-        cp.close()
         assert _fingerprint(points) == base["points"]
-        assert open(path, "rb").read() == base["bytes"]
+        assert cached_records(cache_dir) == base["records"]
 
 
 # --------------------------------------------------------------------- #

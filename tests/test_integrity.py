@@ -52,6 +52,11 @@ from repro.sim.faults import (
 from repro.sim.monitors import CorruptionOracleMonitor, standard_monitors
 
 
+def _hash(unit):
+    """The cache entry name of ``unit``."""
+    return unit_cache_hash(unit_cache_token(unit))
+
+
 def grid44():
     return grid_graph(4, 4)
 
@@ -682,24 +687,24 @@ class TestCacheIdentity:
 
     def test_corrupt_spec_changes_the_hash(self):
         base = self._unit()
-        assert unit_cache_hash(base) == unit_cache_hash(self._unit())
-        assert unit_cache_hash(self._unit(corrupt="bitflip:0.02")) != (
-            unit_cache_hash(base)
+        assert _hash(base) == _hash(self._unit())
+        assert _hash(self._unit(corrupt="bitflip:0.02")) != (
+            _hash(base)
         )
-        assert unit_cache_hash(self._unit(corrupt="bitflip:0.02")) != (
-            unit_cache_hash(self._unit(corrupt="bitflip:0.05"))
+        assert _hash(self._unit(corrupt="bitflip:0.02")) != (
+            _hash(self._unit(corrupt="bitflip:0.05"))
         )
 
     def test_integrity_config_changes_the_hash(self):
         base = self._unit()
         mac = self._unit(integrity=IntegrityConfig(mode="mac"))
         checksum = self._unit(integrity=IntegrityConfig(mode="checksum"))
-        assert unit_cache_hash(mac) != unit_cache_hash(base)
-        assert unit_cache_hash(mac) != unit_cache_hash(checksum)
+        assert _hash(mac) != _hash(base)
+        assert _hash(mac) != _hash(checksum)
 
     def test_coordinator_and_config_hash_identically(self):
         cfg = IntegrityConfig(mode="mac", key_seed=2)
-        assert unit_cache_hash(self._unit(integrity=cfg)) == unit_cache_hash(
+        assert _hash(self._unit(integrity=cfg)) == _hash(
             self._unit(integrity=as_integrity(cfg))
         )
 

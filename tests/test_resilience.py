@@ -1,23 +1,21 @@
-"""Crash-safe runner and JSONL checkpoint/resume.
+"""Crash-safe runner, and resuming sweeps from the result cache.
 
-The headline property: a sweep killed partway through and resumed from
-its checkpoint produces the *identical* record set as one uninterrupted
-run — no lost rows, no duplicates, no drifted values.
+The headline property: a sweep killed partway through and rerun against
+the same result cache produces the *identical* record set as one
+uninterrupted run — no lost rows, no duplicates, no drifted values — and
+re-executes only the runs the cache had not stored.
 """
 
+import gc
 import json
 import os
+import re
+import signal
 import time
 
 import pytest
 
 from repro.adversary.schedule import FailureSchedule
-from repro.analysis.checkpoint import (
-    SweepCheckpoint,
-    make_key,
-    record_from_jsonable,
-    record_to_jsonable,
-)
 from repro.analysis.runner import (
     RunRecord,
     RunTimeout,
@@ -27,9 +25,19 @@ from repro.analysis.runner import (
     wall_clock_limit,
 )
 from repro.analysis.sweep import random_schedule_spec, run_point
-from repro.exec import scheduler
+from repro.exec import (
+    ExecutionEngine,
+    ProgressEmitter,
+    ResultCache,
+    WorkUnit,
+    scheduler,
+    unit_cache_hash,
+    unit_cache_token,
+)
+from repro.exec.cache import record_from_jsonable, record_to_jsonable
 from repro.graphs import grid_graph, path_graph
 from repro.sim.faults import FaultInjector
+from tests.conftest import cached_records
 
 
 class TestWallClockLimit:
@@ -56,6 +64,40 @@ class TestWallClockLimit:
                     time.sleep(2)
                 except RunTimeout:
                     pass
+
+    def test_swallowed_alarm_fires_again_before_the_block_ends(
+        self, monkeypatch
+    ):
+        # The alarm lands in a gc callback, which only reports it; the
+        # repeat must stop the busy loop long before it would end.
+        monkeypatch.setattr("sys.unraisablehook", lambda unraisable: None)
+
+        def slow_callback(phase, info):
+            if phase == "start":
+                end = time.monotonic() + 0.1
+                while time.monotonic() < end:
+                    pass
+
+        def handler(signum, frame):
+            pass
+
+        previous = signal.signal(signal.SIGALRM, handler)
+        gc.callbacks.append(slow_callback)
+        started = time.monotonic()
+        try:
+            with pytest.raises(RunTimeout):
+                with wall_clock_limit(0.05):
+                    gc.collect()
+                    gc.callbacks.remove(slow_callback)
+                    end = time.monotonic() + 2.0
+                    while time.monotonic() < end:
+                        pass
+            assert time.monotonic() - started < 1.0
+            assert signal.getsignal(signal.SIGALRM) is handler
+        finally:
+            if slow_callback in gc.callbacks:
+                gc.callbacks.remove(slow_callback)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_timer_cleared_after_exit(self):
         with wall_clock_limit(0.05):
@@ -203,6 +245,8 @@ class TestErrorRecordShape:
 
 
 class TestCheckpointStore:
+    """The result cache is the sweep's checkpoint store."""
+
     def _record(self, seed=0, extra=None):
         return RunRecord(
             protocol="bruteforce",
@@ -229,119 +273,57 @@ class TestCheckpointStore:
         assert back.extra["winning_interval"] == [3, 5]
         assert record_to_jsonable(back) == record_to_jsonable(record)
 
-    def test_make_key_is_stable_and_distinct(self):
-        a = make_key("algorithm1", "grid(4x4)", 1, {"b": 42, "f": 3})
-        b = make_key("algorithm1", "grid(4x4)", 1, {"f": 3, "b": 42})
-        assert a == b  # key order canonicalized
-        assert a != make_key("algorithm1", "grid(4x4)", 2, {"b": 42, "f": 3})
-
     def test_put_get_persists_across_instances(self, tmp_path):
-        path = str(tmp_path / "ckpt.jsonl")
-        key = make_key("bruteforce", "grid(3x3)", 0)
-        with SweepCheckpoint(path) as ckpt:
-            assert ckpt.get(key) is None
-            ckpt.put(key, self._record())
-            assert key in ckpt
-        reopened = SweepCheckpoint(path)
-        assert len(reopened) == 1
-        assert reopened.get(key).result == 12
+        unit = WorkUnit(protocol="bruteforce", topology=grid_graph(3, 3), seed=0)
+        cache = ResultCache(str(tmp_path))
+        assert cache.get(unit) is None
+        cache.put(unit, self._record())
+        reopened = ResultCache(str(tmp_path))
+        back = reopened.get(unit)
+        assert reopened.hits == 1
+        assert back.result == 12
+        assert back.extra["winning_interval"] == [3, 5]
 
-    def test_torn_trailing_line_is_ignored(self, tmp_path):
-        path = str(tmp_path / "ckpt.jsonl")
-        with SweepCheckpoint(path) as ckpt:
-            ckpt.put(make_key("bruteforce", "g", 0), self._record(seed=0))
-            ckpt.put(make_key("bruteforce", "g", 1), self._record(seed=1))
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write('{"key": "torn", "record": {"proto')  # crash mid-write
-        recovered = SweepCheckpoint(path)
-        assert len(recovered) == 2  # both intact rows, torn line dropped
-        assert recovered.skipped_lines == []  # torn final line is expected
 
-    def test_corrupt_midfile_lines_warn_with_line_numbers(self, tmp_path):
-        path = str(tmp_path / "ckpt.jsonl")
-        with SweepCheckpoint(path) as ckpt:
-            for seed in range(3):
-                ckpt.put(make_key("bruteforce", "g", seed),
-                         self._record(seed=seed))
-        lines = open(path, encoding="utf-8").read().splitlines()
-        lines[1] = lines[1][: len(lines[1]) // 2]  # corrupt the middle line
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")  # note: intact trailing \n
-        with pytest.warns(UserWarning, match=r"line 2"):
-            recovered = SweepCheckpoint(path)
-        assert recovered.skipped_lines == [2]
-        assert len(recovered) == 2  # the two intact rows survive
+class CountingEngine(ExecutionEngine):
+    """An in-process engine over ``cache_dir`` that lists the seeds it
+    executes (cache hits are not executions)."""
 
-    def test_corrupt_final_line_with_newline_is_not_torn(self, tmp_path):
-        """A complete-but-invalid last line is corruption, not a crash."""
-        path = str(tmp_path / "ckpt.jsonl")
-        with SweepCheckpoint(path) as ckpt:
-            ckpt.put(make_key("bruteforce", "g", 0), self._record(seed=0))
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write("not json at all\n")  # newline: a finished write
-        with pytest.warns(UserWarning, match="1 corrupt"):
-            recovered = SweepCheckpoint(path)
-        assert recovered.skipped_lines == [2]
+    def __init__(self, cache_dir, jobs=1):
+        self.executed = []
+        super().__init__(
+            jobs=jobs,
+            cache=ResultCache(cache_dir),
+            emitter=ProgressEmitter(listeners=[self._listen]),
+        )
 
-    def test_strict_mode_raises_on_corruption(self, tmp_path):
-        path = str(tmp_path / "ckpt.jsonl")
-        with SweepCheckpoint(path) as ckpt:
-            ckpt.put(make_key("bruteforce", "g", 0), self._record(seed=0))
-            ckpt.put(make_key("bruteforce", "g", 1), self._record(seed=1))
-        lines = open(path, encoding="utf-8").read().splitlines()
-        lines[0] = "garbage"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=r"line 1"):
-            SweepCheckpoint(path, strict=True)
-        # Non-strict still loads the survivors.
-        with pytest.warns(UserWarning):
-            assert len(SweepCheckpoint(path)) == 1
-
-    def test_strict_mode_still_tolerates_torn_final_line(self, tmp_path):
-        path = str(tmp_path / "ckpt.jsonl")
-        with SweepCheckpoint(path) as ckpt:
-            ckpt.put(make_key("bruteforce", "g", 0), self._record(seed=0))
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write('{"key": "torn"')  # crash mid-write: no newline
-        recovered = SweepCheckpoint(path, strict=True)  # no raise
-        assert len(recovered) == 1
+    def _listen(self, event):
+        if event["event"] == "unit_started":
+            self.executed.append(int(re.search(r"-s(\d+)", event["unit"])[1]))
 
 
 class TestCheckpointCrashRecovery:
-    """End-to-end: die mid-write, reload, re-run only what was lost."""
+    """End-to-end: lose a cache entry, rerun, re-execute only what was lost."""
 
     def test_truncated_checkpoint_resumes_only_lost_seeds(self, tmp_path):
-        path = str(tmp_path / "sweep.jsonl")
+        cache_dir = str(tmp_path / "cache")
         topo = path_graph(4)
         seeds = [0, 1, 2, 3]
 
         baseline = run_point(
-            "bruteforce", topo, seeds,
-            checkpoint=SweepCheckpoint(path),
+            "bruteforce", topo, seeds, engine=CountingEngine(cache_dir)
         )
-        # Simulate a crash mid-write of the final record: chop the file at
-        # an arbitrary byte inside the last line.
-        size = os.path.getsize(path)
+        # Tear seed 3's entry as a power loss mid-write could: chop the
+        # file at an arbitrary byte.
+        unit = WorkUnit(protocol="bruteforce", topology=topo, seed=3)
+        digest = unit_cache_hash(unit_cache_token(unit))
+        path = ResultCache(cache_dir)._path(digest)
         with open(path, "r+b") as fh:
-            fh.truncate(size - 37)
+            fh.truncate(os.path.getsize(path) - 37)
 
-        recovered = SweepCheckpoint(path)
-        survivors = {rec.seed for _key, rec in recovered.records()}
-        assert survivors == {0, 1, 2}  # the torn seed-3 row is gone
-        assert recovered.skipped_lines == []  # ...and not "corruption"
-
-        executed = []
-        original_put = recovered.put
-
-        def tracking_put(key, record):
-            executed.append(record.seed)
-            original_put(key, record)
-
-        recovered.put = tracking_put
-        resumed = run_point("bruteforce", topo, seeds, checkpoint=recovered)
-        recovered.close()
-        assert executed == [3]  # only the lost run re-executed
+        engine = CountingEngine(cache_dir)
+        resumed = run_point("bruteforce", topo, seeds, engine=engine)
+        assert engine.executed == [3]  # only the lost run re-executed
         assert [record_to_jsonable(r) for r in resumed.records] == [
             record_to_jsonable(r) for r in baseline.records
         ]
@@ -366,7 +348,7 @@ class TestKillAndResumeIdentity:
     PROTOCOL = "bruteforce"
     SEEDS = list(range(6))
 
-    def _sweep(self, checkpoint=None):
+    def _sweep(self, engine=None):
         topo = grid_graph(3, 3)
         return run_point(
             self.PROTOCOL,
@@ -375,26 +357,34 @@ class TestKillAndResumeIdentity:
             schedule_spec=random_schedule_spec(2, horizon=10),
             f=2,
             coords={"f": 2},
-            checkpoint=checkpoint,
+            engine=engine,
         )
 
     def test_resumed_sweep_equals_uninterrupted(self, tmp_path, monkeypatch):
-        path = str(tmp_path / "sweep.jsonl")
+        self._kill_and_resume(tmp_path, monkeypatch, jobs=1)
+
+    def test_resume_on_a_pool_equals_uninterrupted(self, tmp_path, monkeypatch):
+        self._kill_and_resume(tmp_path, monkeypatch, jobs=2)
+
+    def _kill_and_resume(self, tmp_path, monkeypatch, jobs):
+        cache_dir = str(tmp_path / "cache")
         baseline = self._sweep()
 
         # Arm 2: same sweep, killed after 3 runs...
         interrupting = InterruptAfter(scheduler.build_schedule, 3)
-        ckpt = SweepCheckpoint(path)
         with monkeypatch.context() as patch:
             patch.setattr(scheduler, "build_schedule", interrupting)
             with pytest.raises(KeyboardInterrupt):
-                self._sweep(checkpoint=ckpt)
-        ckpt.close()
-        assert 0 < len(SweepCheckpoint(path)) < len(self.SEEDS)
+                self._sweep(engine=CountingEngine(cache_dir))
+        stored = len(cached_records(cache_dir))
+        assert 0 < stored < len(self.SEEDS)
 
-        # ...then resumed: completed seeds load, missing seeds execute.
-        with SweepCheckpoint(path) as resumed_ckpt:
-            resumed = self._sweep(checkpoint=resumed_ckpt)
+        # ...then rerun against the same cache: stored seeds are served,
+        # only the missing seeds execute.
+        engine = CountingEngine(cache_dir, jobs=jobs)
+        resumed = self._sweep(engine=engine)
+        assert engine.cache.hits == stored
+        assert len(engine.executed) == len(self.SEEDS) - stored
 
         def canon(records):
             return [record_to_jsonable(r) for r in records]
@@ -403,13 +393,13 @@ class TestKillAndResumeIdentity:
         assert resumed.as_dict() == baseline.as_dict()
 
     def test_second_resume_is_pure_replay(self, tmp_path):
-        path = str(tmp_path / "sweep.jsonl")
-        with SweepCheckpoint(path) as ckpt:
-            first = self._sweep(checkpoint=ckpt)
-        size_after = os.path.getsize(path)
-        with SweepCheckpoint(path) as ckpt:
-            replay = self._sweep(checkpoint=ckpt)
-        assert os.path.getsize(path) == size_after  # nothing re-executed
+        cache_dir = str(tmp_path / "cache")
+        first = self._sweep(engine=CountingEngine(cache_dir))
+        stored = cached_records(cache_dir)
+        engine = CountingEngine(cache_dir)
+        replay = self._sweep(engine=engine)
+        assert engine.executed == []  # nothing re-executed
+        assert cached_records(cache_dir) == stored
         assert [record_to_jsonable(r) for r in replay.records] == [
             record_to_jsonable(r) for r in first.records
         ]
