@@ -4,7 +4,7 @@ The paper's fault model is crash-stop: a failed node falls silent and
 its subtree is *visibly* missing.  A Byzantine node is worse — it stays
 in the protocol and lies, and an undetected lie corrupts the aggregate
 silently.  This bench measures what the witness defense
-(:class:`repro.sim.faults.ByzantineSchedule` equivocation faults,
+(:class:`repro.families.byz.ByzantineSchedule` equivocation faults,
 :mod:`repro.resilience.byzantine` k-witness cross-validation,
 accusation/conviction, influence-bounded certification) buys:
 
@@ -13,7 +13,7 @@ accusation/conviction, influence-bounded certification) buys:
   mixed three-node arm) and random compromise schedules at rates
   0.1-0.2.  Every delivered result must be exact or carry a satisfied
   influence bound (``record.correct``), and the
-  :class:`~repro.sim.monitors.ByzantineOracle` must see **zero**
+  :class:`~repro.families.byz.ByzantineOracle` must see **zero**
   FALSE-CONVICTION, zero UNDETECTED-EQUIVOCATION, and zero
   INFLUENCE-EXCEEDED verdicts in every arm.
 * **The defense is free when clean.**  A zero-compromise schedule

@@ -28,11 +28,11 @@ import pytest
 from repro.analysis import format_table
 from repro.analysis.runner import make_inputs
 from repro.exec.scheduler import WorkUnit, execute_unit
+from repro.families.churn import REJOIN_DURABLE, ChurnSchedule
 from repro.graphs import grid_graph
 from repro.resilience import ChurnPolicy, TransportConfig
 from repro.resilience.driver import drive_epochs
 from repro.resilience.epochs import ChurnPlan
-from repro.sim.faults import REJOIN_DURABLE, ChurnSchedule
 
 from _util import emit, once
 

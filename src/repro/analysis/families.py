@@ -2,55 +2,44 @@
 
 A *fault family* is one kind of behaviour outside the Section 2 model that
 a run can be configured with: the reliable transport, the self-healing
-recovery runtime, authenticated integrity frames, crash-recovery churn,
-gray failures, Byzantine compromise, and the ``allow_root_crash``
-relaxation.  :data:`FAMILIES` lists them in table order, which is also the
-order their random schedules are drawn from a run's seeded rng (churn,
-then gray, then byz, right after the crash schedule).  Each row names
-
-* the :func:`repro.analysis.runner.run_protocol` keyword arguments the
-  family owns, with their repro-bundle ``params`` codec
-  (:func:`encode_params` / :func:`decode_params`), which each config and
-  schedule derives from its field declarations
-  (:class:`repro.sim.specs.JsonFields`);
-* for schedule families, how a spec string or a ``{"kind": "random",
-  "rate": ...}`` dict becomes a schedule (:func:`materialize`).
+recovery runtime, authenticated integrity frames, the ``allow_root_crash``
+relaxation, and the schedule families — crash-recovery churn, gray
+failures and Byzantine compromise.  :data:`FAMILIES` lists them in table
+order, which is also the order the schedule families draw from a run's
+seeded rng (churn, then gray, then byz, right after the crash schedule).
+Each row names the :func:`repro.analysis.runner.run_protocol` keywords
+the family owns, the first being its switch, and a schedule family's
+module in :mod:`repro.families`, which holds everything only that family
+knows; it is imported on first use.
 
 :data:`EXCLUSIONS` holds every pairwise rule with its reason: the runner
 raises ``ValueError`` and the CLI ``SystemExit`` from the same rows.
 :func:`family_monitors` adds each family's oracle to the standard monitor
-stack.
+stack; :func:`encode_params` / :func:`decode_params` are the repro-bundle
+``params`` codec.
 
-Adding a fault family = one row here + its field declarations + its
-runtime: an overlay, or, for a family that restarts the protocol in
-epochs, a plan for :func:`repro.resilience.driver.drive_epochs`
+Adding a fault family = one row here + its module (see
+:mod:`repro.families` for what a module declares) + its runtime: an
+overlay, or, for a family that restarts the protocol in epochs, a plan
+for :func:`repro.resilience.driver.drive_epochs`
 (:class:`~repro.resilience.failover.FailoverPlan` is the smallest).
 """
 
 from __future__ import annotations
 
 import importlib
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, NamedTuple
+from typing import Optional, Tuple
 
-from ..sim.faults import (
-    ByzantineSchedule,
-    ChurnSchedule,
-    GrayFailureSchedule,
-    MessageFaults,
-    flat_injectors,
-    ledger_sources,
-    random_byz,
-    random_churn,
-    random_gray,
-)
+from ..sim.faults import MessageFaults, flat_injectors, ledger_sources
 from ..sim.monitors import standard_monitors
 from ..sim.specs import SHAPE_ERRORS, config_jsonable, shape_error
 
 
-def _load(path: str) -> Callable[[Any], Any]:
-    """``from_jsonable`` of ``module:Class`` (imported on first use, so the
-    resilience stack stays unloaded until a run needs it)."""
+def load_config(path: str) -> Callable[[Any], Any]:
+    """``from_jsonable`` of ``module:Class``, the module named relative to
+    :mod:`repro.analysis` and imported on first use, so the resilience
+    stack stays unloaded until a run needs it."""
     module, _, name = path.partition(":")
 
     def load(data):
@@ -67,90 +56,84 @@ def _dump_integrity(integrity) -> Any:
     return None if coordinator is None else config_jsonable(coordinator)
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """One row of the table (see the module docstring).
 
-    ``keys`` maps each owned ``run_protocol`` keyword to its bundle
-    ``(decoder, encoder)``; the first key is the family's own switch.
-    Schedule families also give ``parse(spec, root)`` for spec strings and
-    ``draw(spec, topology, rng, horizon)`` for random specs.
+    ``runtime`` marks a family that runs through a runtime only
+    ``algorithm1`` / ``unknown_f`` implement.
     """
 
     name: str
-    keys: Tuple[Tuple[str, Callable, Callable], ...]
-    parse: Optional[Callable] = None
-    draw: Optional[Callable] = None
+    keys: Tuple[str, ...]
+    module: Optional[str] = None
+    runtime: bool = False
+
+    def load(self):
+        """The family's module in :mod:`repro.families`."""
+        return importlib.import_module(
+            f"..families.{self.module}", __package__
+        )
 
 
 FAMILIES: Tuple[Family, ...] = (
-    Family("transport", (
-        ("transport", _load("..resilience.transport:TransportConfig"),
-         config_jsonable),
-    )),
-    Family("recovery", (
-        ("recovery", _load("..resilience.failover:RecoveryPolicy"),
-         config_jsonable),
-    )),
-    Family("integrity", (
-        ("integrity", _load("..integrity.frames:IntegrityConfig"),
-         _dump_integrity),
-    )),
-    Family("allow_root_crash", (
-        ("allow_root_crash", bool, lambda on: True if on else None),
-    )),
-    Family(
-        "churn",
-        (
-            ("churn", ChurnSchedule.from_jsonable, config_jsonable),
-            ("churn_policy", _load("..resilience.epochs:ChurnPolicy"),
-             config_jsonable),
-        ),
-        parse=lambda spec, root: ChurnSchedule.from_spec(spec, root=root),
-        draw=lambda spec, topology, rng, horizon: random_churn(
-            topology, spec["rate"], rng, horizon=horizon,
-            amnesiac=spec.get("amnesiac", 0.25),
-            flap_rate=spec.get("flap_rate", 0.0), root=topology.root,
-        ),
-    ),
-    Family(
-        "gray",
-        (("gray", GrayFailureSchedule.from_jsonable, config_jsonable),),
-        parse=lambda spec, root: GrayFailureSchedule.from_spec(spec),
-        draw=lambda spec, topology, rng, horizon: random_gray(
-            topology, spec["rate"], rng, horizon=horizon,
-            link_rate=spec.get("link_rate"),
-            max_severity=spec.get("max_severity", 2), root=topology.root,
-        ),
-    ),
-    Family(
-        "byz",
-        (
-            ("byz", ByzantineSchedule.from_jsonable, config_jsonable),
-            ("byz_config", _load("..resilience.byzantine:ByzantineConfig"),
-             config_jsonable),
-        ),
-        parse=lambda spec, root: ByzantineSchedule.from_spec(spec),
-        draw=lambda spec, topology, rng, horizon: random_byz(
-            topology, spec["rate"], rng, horizon=horizon, root=topology.root,
-            max_magnitude=spec.get("max_magnitude", 3),
-        ),
-    ),
+    Family("transport", ("transport",), runtime=True),
+    Family("recovery", ("recovery",), runtime=True),
+    Family("integrity", ("integrity",), runtime=True),
+    Family("allow_root_crash", ("allow_root_crash",)),
+    Family("churn", ("churn", "churn_policy"), "churn", runtime=True),
+    Family("gray", ("gray",), "gray"),
+    Family("byz", ("byz", "byz_config"), "byz", runtime=True),
 )
+
+#: The bundle ``(decode, encode)`` codecs of the families without a
+#: module; a module's ``CODECS`` hold its own.
+CODECS = {
+    "transport": (
+        load_config("..resilience.transport:TransportConfig"), config_jsonable
+    ),
+    "recovery": (
+        load_config("..resilience.failover:RecoveryPolicy"), config_jsonable
+    ),
+    "integrity": (
+        load_config("..integrity.frames:IntegrityConfig"), _dump_integrity
+    ),
+    "allow_root_crash": (bool, lambda on: True if on else None),
+}
 
 FAMILY: Dict[str, Family] = {family.name: family for family in FAMILIES}
 
 #: Every ``run_protocol`` keyword owned by some family, in table order.
 RUN_KEYS: Tuple[str, ...] = tuple(
-    key for family in FAMILIES for key, _, _ in family.keys
+    key for family in FAMILIES for key in family.keys
 )
 
 #: The schedule families, in rng draw order.
-SCHEDULES: Tuple[str, ...] = tuple(f.name for f in FAMILIES if f.parse)
+SCHEDULES: Tuple[str, ...] = tuple(f.name for f in FAMILIES if f.module)
 
-#: Families that run through a runtime only ``algorithm1`` / ``unknown_f``
-#: implement.
-RUNTIMES = frozenset({"transport", "recovery", "integrity", "churn", "byz"})
+
+def _codecs(family: Family) -> Dict[str, Tuple[Callable, Callable]]:
+    return family.load().CODECS if family.module else CODECS
+
+
+def hooks(cfg: Dict[str, Any], name: str) -> Iterator[Callable]:
+    """Hook ``name`` of each schedule family whose switch ``cfg`` sets, in
+    table order; modules that do not define it are skipped."""
+    for family in FAMILIES:
+        if family.module and cfg.get(family.keys[0]) is not None:
+            hook = getattr(family.load(), name, None)
+            if hook is not None:
+                yield hook
+
+
+def _is_on(value) -> bool:
+    """Whether a family's switch value turns the family on.  An empty
+    gray/byz schedule (``has_events`` false) does not: it takes the plain
+    path bit for bit."""
+    return (
+        value is not None
+        and value is not False
+        and getattr(value, "has_events", True)
+    )
 
 
 def parse_rate(text: str, horizon: Optional[int] = None, **shape):
@@ -177,14 +160,21 @@ def materialize(name: str, spec, topology, rng=None):
     """
     if not isinstance(spec, (str, dict)):
         return spec
-    family = FAMILY[name]
+    family = FAMILY[name].load()
     if isinstance(spec, str):
         return family.parse(spec, topology.root)
     kind = spec.get("kind", "random")
     if kind != "random":
         raise ValueError(f"unknown {name} spec kind {kind!r}")
     horizon = spec.get("horizon", 4 * max(1, topology.diameter))
-    return family.draw(spec, topology, rng, horizon)
+    shape = {
+        key: value for key, value in spec.items()
+        if key not in ("kind", "rate", "horizon")
+    }
+    return family.draw(
+        topology, spec["rate"], rng, horizon=horizon, root=topology.root,
+        **shape,
+    )
 
 
 def draw_schedules(faults: Dict[str, Any], topology, rng) -> Dict[str, Any]:
@@ -215,8 +205,8 @@ def share(faults: Dict[str, Any]) -> Dict[str, Any]:
 
     Integrity becomes one coordinator (falling back to the recovery
     policy's config) for the run, the silent-corruption oracle and the
-    row's rejection columns.  A gray run's transport becomes one
-    coordinator so the straggler oracle watches the detector the run uses.
+    row's rejection columns; each family's ``share`` hook coerces what
+    its oracle shares.
     """
     from ..integrity.frames import as_integrity
 
@@ -225,10 +215,8 @@ def share(faults: Dict[str, Any]) -> Dict[str, Any]:
     if integrity is None:
         integrity = getattr(out.get("recovery"), "integrity", None)
     out["integrity"] = as_integrity(integrity)
-    if out.get("gray") is not None and out.get("transport") is not None:
-        from ..resilience.transport import as_transport
-
-        out["transport"] = as_transport(out["transport"])
+    for hook in hooks(out, "share"):
+        hook(out)
     return out
 
 
@@ -237,8 +225,7 @@ def normalize(faults: Dict[str, Any], topology) -> Dict[str, Any]:
 
     Spec strings become validated schedules, and transport and integrity
     become coordinators shared by the run, its monitors and its row
-    columns.  A churn run without a policy inherits the transport's
-    config.
+    columns.
     """
     cfg = {key: faults.get(key) for key in RUN_KEYS}
     for name in SCHEDULES:
@@ -247,21 +234,10 @@ def normalize(faults: Dict[str, Any], topology) -> Dict[str, Any]:
             cfg[name].validate(topology)
     cfg = share(cfg)
     if cfg["transport"] is not None:
-        from ..resilience.epochs import ChurnPolicy
         from ..resilience.transport import as_transport
 
         cfg["transport"] = as_transport(cfg["transport"])
-        if cfg["churn"] is not None and cfg["churn_policy"] is None:
-            cfg["churn_policy"] = ChurnPolicy(
-                transport=cfg["transport"].config
-            )
     return cfg
-
-
-def has_events(schedule) -> bool:
-    """Whether a gray/byz schedule does anything (an empty one takes the
-    plain path bit for bit)."""
-    return schedule is not None and schedule.has_events
 
 
 class Exclusion(NamedTuple):
@@ -330,17 +306,12 @@ def conflict(active: Iterable[str]) -> Optional[Exclusion]:
 
 def active(cfg: Dict[str, Any], injectors=()) -> set:
     """The exclusion-table names a normalized configuration switches on."""
-    on = {
-        name
-        for name in ("transport", "recovery", "integrity", "churn")
-        if cfg[name] is not None
-    }
-    on.update(name for name in ("gray", "byz") if has_events(cfg[name]))
-    if cfg["allow_root_crash"]:
-        on.add("allow_root_crash")
-    transports = [
-        getattr(cfg["transport"], "config", None),
-        getattr(cfg["churn_policy"], "transport", None),
+    on = {family.name for family in FAMILIES if _is_on(cfg[family.keys[0]])}
+    # A family's own config (the churn policy) may run a transport too.
+    transports = [getattr(cfg["transport"], "config", None)] + [
+        getattr(cfg[key], "transport", None)
+        for family in FAMILIES
+        for key in family.keys[1:]
     ]
     if any(t is not None and t.rto != "fixed" for t in transports):
         on.add("rto")
@@ -363,14 +334,26 @@ def check(protocol: str, cfg: Dict[str, Any], injectors=()) -> None:
     row = conflict(on)
     if row is not None:
         raise ValueError(row.message())
-    if on & RUNTIMES:
+    runtimes = [family.name for family in FAMILIES if family.runtime]
+    if on.intersection(runtimes):
         from ..resilience.driver import RECOVERABLE_PROTOCOLS
 
         if protocol not in RECOVERABLE_PROTOCOLS:
             raise ValueError(
-                f"transport/recovery/integrity/churn/byz support "
+                f"{'/'.join(runtimes)} support "
                 f"{RECOVERABLE_PROTOCOLS}, not {protocol!r}"
             )
+
+
+def epoch_plan(cfg: Dict[str, Any]) -> Optional[Callable]:
+    """The ``plan`` hook of the on family that restarts the protocol in
+    epochs (the exclusion table leaves at most one), or None."""
+    for family in FAMILIES:
+        if family.module and _is_on(cfg[family.keys[0]]):
+            plan = getattr(family.load(), "plan", None)
+            if plan is not None:
+                return plan
+    return None
 
 
 def family_monitors(
@@ -385,16 +368,21 @@ def family_monitors(
     corruption=(),
     transport_always: bool = False,
 ):
-    """:func:`repro.sim.monitors.standard_monitors` plus each family's
-    oracle: churn's double-count oracle, gray's straggler oracle and byz's
-    Byzantine oracle.
+    """:func:`repro.sim.monitors.standard_monitors` plus the oracles of
+    each family's ``oracles`` hook, in table order.
 
-    The straggler oracle watches the transport's detector, so a gray run
-    also hands the stack its transport (adding the retransmit-budget
-    watchdog); ``transport_always`` hands it over for every run.
+    An oracle that watches the transport (its ``transport`` attribute)
+    also hands the stack that transport, adding the retransmit-budget
+    watchdog; ``transport_always`` hands it over for every run.
     """
-    gray = faults.get("gray")
-    byz = faults.get("byz")
+    oracles = [
+        oracle
+        for hook in hooks(faults, "oracles")
+        for oracle in hook(faults, inputs, caaf=caaf, mode=mode)
+    ]
+    watched = transport_always or any(
+        getattr(oracle, "transport", None) is not None for oracle in oracles
+    )
     return standard_monitors(
         topology,
         inputs,
@@ -402,17 +390,10 @@ def family_monitors(
         caaf=caaf,
         mode=mode,
         recovery=recovery,
-        transport=(
-            faults.get("transport")
-            if transport_always or gray is not None
-            else None
-        ),
+        transport=faults.get("transport") if watched else None,
         corruption=corruption,
         integrity=faults.get("integrity"),
-        churn=faults.get("churn") is not None,
-        gray=gray,
-        byz=byz if has_events(byz) else None,
-    )
+    ) + oracles
 
 
 def encode_params(kwargs: Dict[str, Any], topology) -> Dict[str, Any]:
@@ -426,11 +407,13 @@ def encode_params(kwargs: Dict[str, Any], topology) -> Dict[str, Any]:
         "caaf": getattr(kwargs.get("caaf"), "name", None),
     }
     for family in FAMILIES:
-        for key, _, dump in family.keys:
+        for key in family.keys:
             value = kwargs.get(key)
             if key in SCHEDULES:
                 value = materialize(key, value, topology)
-            params[key] = None if value is None else dump(value)
+            params[key] = (
+                None if value is None else _codecs(family)[key][1](value)
+            )
     return params
 
 
@@ -447,11 +430,12 @@ def decode_params(params: Dict[str, Any]) -> Dict[str, Any]:
     for key, value in kwargs.items():
         if value is not None and type(value) is not int:
             raise shape_error("params", key, f"{value!r} is not an integer")
-    loads = [("caaf", by_name)] + [
-        (key, load) for family in FAMILIES for key, load, _ in family.keys
+    owned = [(None, "caaf")] + [
+        (family, key) for family in FAMILIES for key in family.keys
     ]
-    for key, load in loads:
+    for family, key in owned:
         if params.get(key):
+            load = by_name if family is None else _codecs(family)[key][0]
             try:
                 kwargs[key] = load(params[key])
             except SHAPE_ERRORS as exc:

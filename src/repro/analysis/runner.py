@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import random
 import signal
+import sys
 import threading
 import time
 from contextlib import contextmanager
@@ -141,15 +142,7 @@ def run_protocol(
     injectors=(),
     monitors=None,
     strict_monitors: bool = False,
-    transport=None,
-    recovery=None,
-    integrity=None,
-    churn=None,
-    churn_policy=None,
-    gray=None,
-    byz=None,
-    byz_config=None,
-    allow_root_crash: bool = False,
+    **faults,
 ) -> RunRecord:
     """Run one named protocol and grade its output.
 
@@ -157,50 +150,29 @@ def run_protocol(
     ``folklore`` (needs ``f``), ``tag``, ``unknown_f``, ``agg_veri``
     (needs ``t``; grades the pair's result only when accepted).
 
-    ``transport`` (a :class:`repro.resilience.transport.TransportConfig`)
-    runs ``algorithm1`` / ``unknown_f`` over the reliable local-broadcast
-    shim; ``recovery`` (a :class:`repro.resilience.failover.RecoveryPolicy`)
+    ``faults`` are the fault-family keywords
+    (:data:`repro.analysis.families.RUN_KEYS`; any other keyword raises
+    ``TypeError``).  ``transport`` (a
+    :class:`repro.resilience.transport.TransportConfig`) runs
+    ``algorithm1`` / ``unknown_f`` over the reliable local-broadcast shim;
+    ``recovery`` (a :class:`repro.resilience.failover.RecoveryPolicy`)
     runs them under the full self-healing runtime — transport plus root
     failover plus graceful degradation
     (:class:`repro.resilience.failover.FailoverPlan`); the row then
     carries the partial result's status / certification / coverage
-    columns and its ``elections``.
-    ``integrity`` (an :class:`repro.integrity.frames.IntegrityConfig`, a
-    mode string, or a coordinator) wraps every broadcast in an
-    authenticated frame so corrupted deliveries are detected and dropped;
-    it composes with both ``transport`` and ``recovery`` (overriding
-    ``recovery.integrity`` when both are given).
-    ``churn`` (a :class:`repro.sim.faults.ChurnSchedule` or its spec
-    string, e.g. ``'5:crash@r3,5:revive@r7:amnesiac'``) runs them under
-    exactly-once re-aggregation epochs
-    (:class:`repro.resilience.epochs.ChurnPlan`); ``churn_policy`` (a
-    :class:`repro.resilience.epochs.ChurnPolicy`) tunes its transport and
-    epoch budget.  The row then carries the partial result's columns plus
-    the churn counters (rejoins, handshakes, lost contributions,
-    double-count audit).
-    ``gray`` (a :class:`repro.sim.faults.GrayFailureSchedule` or its spec
-    string, e.g. ``'3:stall@r4-r9:x2,link:1-2@r5-r12:x2:ramp'``) injects
-    gray failures — compute stalls and link-latency inflation that slow
-    nodes without killing them; the schedule is auto-attached as a fault
-    injector (unless one is already in ``injectors`` or the run is a
-    replay re-applying recorded delays) and its ground-truth ledger feeds
-    the :class:`repro.sim.monitors.StragglerOracle` when the standard
-    monitor stack is used.
-    ``byz`` (a :class:`repro.sim.faults.ByzantineSchedule` or its spec
-    string, e.g. ``'5:equivocate,7:inflate=4@r3'``) runs ``algorithm1`` /
-    ``unknown_f`` under the witness defence
-    (:class:`repro.resilience.byzantine.ByzantinePlan`): compromised-node
-    claims are cross-validated, equivocators are convicted and evicted
-    through discard-and-retry epochs, and the row carries an
-    influence-bounded partial certificate (|error| <= residual_budget *
-    v_max) and the detection grades.
-    ``byz_config`` (a :class:`repro.resilience.byzantine.ByzantineConfig`)
-    tunes witnesses / eviction policy / epoch budget.  A schedule with no
-    compromised nodes takes the plain path bit-for-bit.
-    ``allow_root_crash`` relaxes strict validation for root-crashing
-    schedules (implied by ``recovery``).
-    Family pairs that do not compose (e.g. ``churn`` with ``recovery``)
-    raise ``ValueError`` with the reason from
+    columns and its ``elections``.  ``integrity`` (an
+    :class:`repro.integrity.frames.IntegrityConfig`, a mode string, or a
+    coordinator) wraps every broadcast in an authenticated frame so
+    corrupted deliveries are detected and dropped; it composes with both
+    ``transport`` and ``recovery`` (overriding ``recovery.integrity`` when
+    both are given).  ``allow_root_crash`` relaxes strict validation for
+    root-crashing schedules (implied by ``recovery``).  The schedule
+    families — ``churn`` / ``churn_policy``, ``gray``, ``byz`` /
+    ``byz_config`` — take a schedule or its spec string plus an optional
+    config; each one's module in :mod:`repro.families` says what it runs
+    and which columns it adds (a gray or byz schedule with no events takes
+    the plain path bit for bit).  Family pairs that do not compose (e.g.
+    ``churn`` with ``recovery``) raise ``ValueError`` with the reason from
     :data:`repro.analysis.families.EXCLUSIONS`.
 
     With ``strict=True`` (default) the configuration is checked against
@@ -219,25 +191,20 @@ def run_protocol(
     a silently-wrong graded result raises after the run.  Recorded
     monitor violations are surfaced in ``extra["violations"]``.
     """
+    unknown = sorted(set(faults) - set(families.RUN_KEYS))
+    if unknown:
+        raise TypeError(
+            f"run_protocol() got an unexpected keyword argument {unknown[0]!r}"
+        )
     schedule = schedule or FailureSchedule()
     rng = rng or random.Random()
-    cfg = families.normalize(
-        dict(
-            transport=transport,
-            recovery=recovery,
-            integrity=integrity,
-            churn=churn,
-            churn_policy=churn_policy,
-            gray=gray,
-            byz=byz,
-            byz_config=byz_config,
-            allow_root_crash=allow_root_crash,
-        ),
-        topology,
-    )
+    cfg = families.normalize(faults, topology)
     families.check(protocol, cfg, injectors)
-    injectors = _attach_gray(cfg["gray"], injectors)
-    allow_root_crash = allow_root_crash or recovery is not None
+    for attach in families.hooks(cfg, "attach"):
+        injectors = attach(cfg, injectors)
+    allow_root_crash = bool(cfg["allow_root_crash"]) or (
+        cfg["recovery"] is not None
+    )
     if strict:
         from ..sim.validation import assert_model
 
@@ -270,45 +237,15 @@ def run_protocol(
         f=f, b=b, c=c, caaf=caaf, rng=rng, injectors=injectors,
         monitors=monitors, strict_monitors=strict_monitors,
     )
-    if (
-        cfg["churn"] is not None
-        or families.has_events(cfg["byz"])
-        or recovery is not None
-    ):
-        return _run_epochs(protocol, topology, inputs, schedule, cfg, **run)
+    build_plan = families.epoch_plan(cfg)
+    if build_plan is not None or cfg["recovery"] is not None:
+        return _run_epochs(
+            protocol, topology, inputs, schedule, cfg, build_plan, **run
+        )
     return _run_plain(
         protocol, topology, inputs, schedule, cfg, corruption, t=t,
         allow_root_crash=allow_root_crash, **run,
     )
-
-
-def _attach_gray(gray, injectors):
-    """Attach a gray schedule as a fault injector.
-
-    A replay's ReplayInjector re-applies the recorded delivery shifts
-    itself; attaching the schedule again would double the delays.
-    Otherwise the schedule rides *inside* a recording wrapper when one is
-    present, so its due-shifts land in the bundle and replays reproduce
-    them byte-for-byte.
-    """
-    if not families.has_events(gray):
-        return injectors
-    from ..sim.faults import ledger_sources
-    from ..sim.recorder import RecordingInjector
-    from ..sim.replay import ReplayInjector
-
-    if ledger_sources(injectors, "degraded_intervals") or any(
-        isinstance(i, ReplayInjector)
-        for i in families.flat_injectors(injectors)
-    ):
-        return injectors
-    recorder = next(
-        (i for i in injectors if isinstance(i, RecordingInjector)), None
-    )
-    if recorder is None:
-        return tuple(injectors) + (gray,)
-    recorder.inner.append(gray)
-    return injectors
 
 
 def _record(
@@ -360,7 +297,7 @@ def _run_plain(
 ) -> RunRecord:
     """The Section 2 path of :func:`run_protocol`, optionally over the
     transport and integrity overlays; graded exactly against the oracle."""
-    transport, integrity, gray = cfg["transport"], cfg["integrity"], cfg["gray"]
+    transport, integrity = cfg["transport"], cfg["integrity"]
     if protocol == "agg_veri":
         # The AGG-only oracle would mis-grade a pair whose VERI rejects, so
         # the pair relies on the post-run grading below instead.
@@ -446,10 +383,8 @@ def _run_plain(
         if transport.detector is not None:
             extra["suspects"] = counters["suspects"]
             extra["confirms"] = counters["confirms"]
-    if families.has_events(gray):
-        extra["gray_stalled"] = gray.counts.stalled_copies
-        extra["gray_inflated"] = gray.counts.inflated_copies
-        extra["gray_delay_rounds"] = gray.counts.delay_rounds
+    for columns in families.hooks(cfg, "columns"):
+        extra.update(columns(cfg))
     from ..integrity.frames import corruption_columns, integrity_columns
 
     if integrity is not None:
@@ -472,6 +407,7 @@ def _run_epochs(
     inputs: Dict[int, int],
     schedule: FailureSchedule,
     cfg: Dict[str, Any],
+    build_plan,
     *,
     f: Optional[int],
     b: Optional[int],
@@ -482,9 +418,11 @@ def _run_epochs(
     monitors,
     strict_monitors: bool,
 ) -> RunRecord:
-    """The churn, Byzantine and recovery paths of :func:`run_protocol`.
+    """The epoch paths of :func:`run_protocol`: a family's ``plan`` hook
+    (:func:`repro.analysis.families.epoch_plan`), or failover when it is
+    None.
 
-    The exclusion table leaves at most one of the three active; its plan
+    The exclusion table leaves at most one active; its plan
     runs under :func:`repro.resilience.driver.drive_epochs` and delivers a
     partial result.  The run is correct when the result is certified and
     its value sits inside its own deterministic bounds (coverage aggregate
@@ -497,20 +435,8 @@ def _run_epochs(
 
     common = dict(f=f, caaf=caaf, monitors=monitors)
     mode = "strict" if strict_monitors else "record"
-    if cfg["churn"] is not None:
-        from ..resilience.epochs import ChurnPlan
-
-        plan = ChurnPlan(
-            topology, inputs, cfg["churn"], schedule,
-            policy=cfg["churn_policy"], mode=mode, **common,
-        )
-    elif families.has_events(cfg["byz"]):
-        from ..resilience.byzantine import ByzantinePlan
-
-        plan = ByzantinePlan(
-            topology, inputs, cfg["byz"], schedule, config=cfg["byz_config"],
-            integrity=cfg["integrity"], mode=mode, **common,
-        )
+    if build_plan is not None:
+        plan = build_plan(topology, inputs, schedule, cfg, mode=mode, **common)
     else:
         from ..resilience.failover import FailoverPlan
 
@@ -546,16 +472,15 @@ def _run_epochs(
 def _finish_record(
     record: RunRecord, monitors, strict_monitors: bool, link_stats=None
 ) -> RunRecord:
-    """Attach recorded monitor violations; enforce zero-error if strict."""
-    from ..sim.monitors import StragglerOracle
+    """Attach recorded monitor violations; enforce zero-error if strict.
 
+    A monitor that grades the whole run (``grade_row``) does so here, once
+    the run is over, and adds its columns to the row.
+    """
     for monitor in monitors or ():
-        if isinstance(monitor, StragglerOracle):
-            # Missed-degradation grading needs the complete suspicion
-            # record, so it runs once here — after the whole run.
-            monitor.grade_final()
-            record.extra["false_suspects"] = monitor.false_suspects
-            record.extra["missed_degradations"] = monitor.missed_degradations
+        grade_row = getattr(monitor, "grade_row", None)
+        if grade_row is not None:
+            grade_row(record.extra)
     events = violations_of(monitors)
     if events:
         record.extra["violations"] = [str(e) for e in events]
@@ -614,19 +539,32 @@ def wall_clock_limit(seconds: Optional[float]):
 
     fired = []
     armed = [True]
+    reporting = []  # sys.unraisablehook calls in progress
+    report = sys.unraisablehook
 
     def _on_alarm(signum, frame):
-        if armed:
+        if armed and not reporting:
             fired.append(signum)
             raise RunTimeout(f"run exceeded {seconds}s wall clock")
 
+    def _report_unarmed(unraisable):
+        # A repeat landing inside the hook would break the report itself.
+        reporting.append(True)
+        try:
+            report(unraisable)
+        finally:
+            reporting.pop()
+
     previous = signal.signal(signal.SIGALRM, _on_alarm)
+    sys.unraisablehook = _report_unarmed
     # The repeat interval re-raises an alarm that landed in a gc callback
-    # or a destructor, where Python only reports the exception.
+    # or a destructor, where Python only reports the exception (through
+    # ``sys.unraisablehook``, which runs unarmed).
     signal.setitimer(signal.ITIMER_REAL, seconds, min(seconds, 1.0))
     try:
         yield
     finally:
+        sys.unraisablehook = report
         armed.clear()  # a repeat landing from here on is a no-op
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)

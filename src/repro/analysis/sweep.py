@@ -29,7 +29,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.caaf import CAAF, SUM
 from ..graphs.topology import Topology
-from .families import pin_horizon
+from .families import hooks, pin_horizon
 from .runner import RunRecord
 
 
@@ -51,18 +51,9 @@ class SweepPoint:
     partial_rows: int = 0
     certified_rows: int = 0
     overhead_mean: float = 0.0
-    #: Churn-semantics columns (populated only when some record ran under
-    #: the churn epoch manager): exact rows and exactly-once audit totals.
-    exact_rows: int = 0
-    double_counts: int = 0
-    lost_contributions: int = 0
-    churn_rows: int = 0
-    #: Byzantine-semantics columns (populated only when some record ran
-    #: under the witness runtime): rows with a taint ledger, total
-    #: convictions, and oracle violations (must stay zero).
-    byz_rows: int = 0
-    convictions: int = 0
-    byz_violations: int = 0
+    #: The schedule families' columns (each family module's
+    #: ``sweep_columns``), e.g. churn's exactly-once audit totals.
+    family_columns: Dict[str, Any] = field(default_factory=dict)
 
     def as_dict(self) -> Dict[str, Any]:
         row = dict(self.coords)
@@ -81,23 +72,21 @@ class SweepPoint:
             row["certified_rows"] = self.certified_rows
         if self.overhead_mean:
             row["overhead_mean"] = round(self.overhead_mean, 1)
-        if self.churn_rows:
-            row["exact_rows"] = self.exact_rows
-            row["double_counts"] = self.double_counts
-            row["lost_contributions"] = self.lost_contributions
-        if self.byz_rows:
-            row["byz_rows"] = self.byz_rows
-            row["convictions"] = self.convictions
-            row["byz_violations"] = self.byz_violations
+        row.update(self.family_columns)
         return row
 
 
-def aggregate(coords: Dict[str, Any], records: Sequence[RunRecord]) -> SweepPoint:
+def aggregate(
+    coords: Dict[str, Any],
+    records: Sequence[RunRecord],
+    faults: Optional[Dict[str, Any]] = None,
+) -> SweepPoint:
     """Collapse per-seed records into one :class:`SweepPoint`.
 
     Error rows count toward ``runs`` and drag down ``correct_rate`` (a run
     that crashed did not produce a correct result) but are excluded from
-    the cost statistics, which describe completed executions only.
+    the cost statistics, which describe completed executions only.  The
+    families ``faults`` switch on add their ``sweep_columns``.
     """
     if not records:
         raise ValueError("no records to aggregate")
@@ -106,6 +95,9 @@ def aggregate(coords: Dict[str, Any], records: Sequence[RunRecord]) -> SweepPoin
     overheads = [
         r.extra["overhead_bits"] for r in clean if "overhead_bits" in r.extra
     ]
+    family_columns: Dict[str, Any] = {}
+    for columns in hooks(faults or {}, "sweep_columns"):
+        family_columns.update(columns(clean))
     return SweepPoint(
         coords=dict(coords),
         runs=len(records),
@@ -123,22 +115,7 @@ def aggregate(coords: Dict[str, Any], records: Sequence[RunRecord]) -> SweepPoin
         ),
         certified_rows=sum(1 for r in clean if r.extra.get("certified")),
         overhead_mean=statistics.fmean(overheads) if overheads else 0.0,
-        exact_rows=sum(1 for r in clean if r.extra.get("status") == "exact"),
-        double_counts=sum(
-            int(r.extra.get("double_counted") or 0) for r in clean
-        ),
-        lost_contributions=sum(
-            int(r.extra.get("lost_contributions") or 0) for r in clean
-        ),
-        churn_rows=sum(1 for r in clean if "double_counted" in r.extra),
-        byz_rows=sum(1 for r in clean if "false_convictions" in r.extra),
-        convictions=sum(int(r.extra.get("convicted") or 0) for r in clean),
-        byz_violations=sum(
-            int(r.extra.get("false_convictions") or 0)
-            + int(r.extra.get("undetected_equivocations") or 0)
-            + int(r.extra.get("influence_exceeded") or 0)
-            for r in clean
-        ),
+        family_columns=family_columns,
     )
 
 
@@ -241,8 +218,9 @@ def _sweep_grid(
         aggregate(
             {"protocol": protocol, "topology": topology.name, **coords},
             records[i * per_point : (i + 1) * per_point],
+            faults=kwargs,
         )
-        for i, (coords, _) in enumerate(points)
+        for i, (coords, kwargs) in enumerate(points)
     ]
 
 

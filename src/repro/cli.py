@@ -57,7 +57,7 @@ import argparse
 import dataclasses
 import random
 import sys
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from typing import List, Optional
 
 from . import graphs
 from .adversary import no_failures
@@ -73,6 +73,7 @@ from .analysis import (
 )
 from .analysis.asciiplot import plot_series
 from .extensions.quantiles import distributed_select
+from .families import FaultFlag
 from .graphs import io as graph_io
 
 
@@ -112,62 +113,29 @@ def _ints(text: str) -> List[int]:
     return [int(v) for v in text.split(",") if v]
 
 
-#: What a knob needs to have any effect: ``(test(args), rejection text)``.
-Need = Tuple[Callable[[argparse.Namespace], bool], str]
-
-
-class FaultFlag(NamedTuple):
-    """One fault-model flag: ``add_argument(flag, **kwargs)``.
-
-    The flag is on when its value is neither the default nor empty (or
-    when ``on(args)``, if given).  An on flag switches on ``family``, its
-    :data:`repro.analysis.families.EXCLUSIONS` name, shown in messages as
-    ``label``; it is rejected with ``error: <label> <why>`` for the first
-    of its ``needs`` whose test fails, since it would silently do nothing.
-    ``kwargs=None`` marks a flag each verb adds itself.
-    """
-
-    flag: str
-    kwargs: Optional[dict]
-    family: Optional[str] = None
-    needs: Tuple[Need, ...] = ()
-    label: Optional[str] = None
-    on: Optional[Callable[[argparse.Namespace], bool]] = None
-
-    def is_on(self, args: argparse.Namespace) -> bool:
-        if self.on is not None:
-            return self.on(args)
-        default = (self.kwargs or {}).get("default")
-        value = getattr(args, self.flag[2:].replace("-", "_"), default)
-        return value not in (default, "")
-
-
-def _without(flag: str, does: str):
-    """The need of a knob that only shapes ``--<flag>``."""
-    return (
-        lambda a: bool(getattr(a, flag)),
-        f"{does}; it does nothing without --{flag}",
-    )
-
-
-#: ``--amnesiac`` / ``--flap-rate`` only shape the ``--churn rate:<x>`` draw.
-_CHURN_DRAW = (
-    _without("churn", "shapes the --churn rate:<x> random draw"),
-    (
-        lambda a: a.churn.startswith("rate:"),
-        "shapes the --churn rate:<x> random draw; an explicit --churn "
-        "spec ignores it",
-    ),
-)
 _NEEDS_TRANSPORT = (
     lambda a: a.recover or a.retransmit_budget is not None,
     "tunes the reliable transport's retransmission timing; add --recover "
     "or --retransmit-budget N",
 )
 
-#: Every fault-model flag, in ``--help`` order.  Adding a fault family =
-#: one :data:`repro.analysis.families.FAMILIES` row + its runtime + its
-#: flags here.
+
+def _family_rows(name: str) -> list:
+    """``(family, row)`` for each row of every family module's ``name``
+    table (see :mod:`repro.families`), in family-table order."""
+    return [
+        (family.name, row)
+        for family in families.FAMILIES
+        if family.module
+        for row in getattr(family.load(), name)
+    ]
+
+
+#: Every fault-model flag, in ``--help`` order: the transport, recovery,
+#: root-crash, corruption and integrity flags, then each schedule
+#: family's ``FLAGS``.  Adding a fault family = one
+#: :data:`repro.analysis.families.FAMILIES` row + its module (flags
+#: included) + its runtime.
 FLAG_TABLE = (
     FaultFlag("--recover", dict(
         action="store_true",
@@ -183,6 +151,14 @@ FLAG_TABLE = (
         # With --recover the budget is the recovery policy's, not a
         # transport.
         on=lambda a: a.retransmit_budget is not None and not a.recover),
+    FaultFlag("--rto", dict(
+        default="fixed",
+        choices=["fixed", "adaptive"],
+        help="retransmission timing: 'fixed' keeps the historical "
+        "NACK schedule; 'adaptive' times NACKs per link from an EWMA "
+        "RTT estimator and closes clean windows early (needs "
+        "--recover or --retransmit-budget)",
+    ), "rto", needs=(_NEEDS_TRANSPORT,), label="--rto adaptive"),
     FaultFlag("--allow-root-crash", dict(
         action="store_true",
         default=False,
@@ -201,65 +177,7 @@ FLAG_TABLE = (
         "HMAC-SHA256); framing cost is booked as overhead, never "
         "protocol CC",
     ), "integrity"),
-    FaultFlag("--churn", dict(
-        help="crash-recovery churn (algorithm1 / unknown_f, exclusive "
-        "with --recover): an explicit ChurnSchedule spec "
-        "('5:crash@r3,5:revive@r7:amnesiac,flap:1-2@r2-r5') or "
-        "'rate:<float>' for seeded random crash/revive cycles; runs "
-        "go through the epoch manager with exactly-once booking",
-    ), "churn"),
-    FaultFlag("--amnesiac", dict(
-        type=float,
-        help="with --churn rate:<x>: fraction of rejoins that lose "
-        "state and need a snapshot handshake (0 = all durable; "
-        "default 0.25)",
-    ), needs=_CHURN_DRAW),
-    FaultFlag("--flap-rate", dict(
-        type=float,
-        default=0.0,
-        help="with --churn rate:<x>: per-edge probability of one "
-        "link-flap window",
-    ), needs=_CHURN_DRAW),
-    FaultFlag("--max-epochs", dict(
-        type=int,
-        help="with --churn: re-aggregation epoch budget "
-        "(default 4; exhaustion degrades to a certified partial)",
-    ), needs=(_without("churn", "budgets --churn re-aggregation epochs"),)),
-    FaultFlag("--gray", dict(
-        help="gray-failure schedule: an explicit spec "
-        "('3:stall@r5-r12:x2:ramp,link:1-2@r4-r9:x3') or "
-        "'rate:<float>' for seeded random degradations; nodes limp "
-        "and links inflate but nothing crashes",
-    ), "gray"),
-    FaultFlag("--rto", dict(
-        default="fixed",
-        choices=["fixed", "adaptive"],
-        help="retransmission timing: 'fixed' keeps the historical "
-        "NACK schedule; 'adaptive' times NACKs per link from an EWMA "
-        "RTT estimator and closes clean windows early (needs "
-        "--recover or --retransmit-budget)",
-    ), "rto", needs=(_NEEDS_TRANSPORT,), label="--rto adaptive"),
-    FaultFlag("--byz", dict(
-        help="Byzantine compromise schedule (algorithm1 / unknown_f): "
-        "an explicit spec '5:equivocate,7:inflate=4@r3,9:omit' "
-        "(modes: equivocate, inflate, deflate, replay, omit) or "
-        "'rate:<float>' for seeded random compromise; runs go "
-        "through witness cross-validation with accusation/eviction "
-        "and influence-bounded certification (echo traffic is "
-        "booked as overhead, never protocol CC)",
-    ), "byz"),
-    FaultFlag("--witnesses", dict(
-        type=int,
-        help="with --byz: witnesses echoing each claim for "
-        "cross-validation (default 2)",
-    ), needs=(_without("byz", "sizes the --byz witness panels"),)),
-    FaultFlag("--evict-policy", dict(
-        choices=["evict", "flag"],
-        help="with --byz: conviction response — 'evict' discards the "
-        "epoch and re-aggregates without the convict (default); "
-        "'flag' keeps the value but leaves the convict's influence "
-        "unbounded (uncertified)",
-    ), needs=(_without("byz", "picks the --byz conviction response"),)),
+    *(row for _, row in _family_rows("FLAGS")),
     # drop/dup/delay/reorder message faults; its help differs per verb.
     FaultFlag("--inject", None, "faults"),
 )
@@ -288,15 +206,18 @@ def validate_fault_flags(args: argparse.Namespace) -> None:
                 raise SystemExit(f"error: {row.label or row.flag} {why}")
 
 
-def _schedule_spec(args, name: str, horizon: Optional[int], **shape):
-    """The ``--churn`` / ``--gray`` / ``--byz`` spec, kept declarative so
-    it can ride a work unit across process boundaries.
+def _schedule_spec(
+    args, name: str, topology, horizon: Optional[int], **shape
+):
+    """A schedule family's ``--<name>`` spec, kept declarative so it can
+    ride a work unit across process boundaries.
 
     ``rate:<float>`` becomes the random spec
     :func:`repro.analysis.families.materialize` samples from the run's
-    seeded rng (``horizon=None`` leaves the horizon to the sweep); any
-    other value must parse as an explicit schedule spec and is checked
-    here so typos fail before any run starts.
+    seeded rng (``horizon=None`` leaves the horizon to the sweep); it is
+    drawn once on ``topology`` here, so the draw's own range checks fail
+    before any run starts.  Any other value must parse as an explicit
+    schedule spec and is checked here so typos fail early too.
     """
     value = getattr(args, name)
     if not value:
@@ -306,15 +227,19 @@ def _schedule_spec(args, name: str, horizon: Optional[int], **shape):
     except ValueError:
         raise SystemExit(f"error: bad --{name} rate in {value!r}")
     if spec is not None:
+        try:
+            families.materialize(name, spec, topology, random.Random(0))
+        except ValueError as exc:
+            raise SystemExit(f"error: bad --{name} rate in {value!r}: {exc}")
         return spec
     try:
-        families.FAMILY[name].parse(value, None)
+        families.FAMILY[name].load().parse(value, None)
     except ValueError as exc:
         raise SystemExit(f"error: bad --{name} spec: {exc}")
     return value
 
 
-def _fault_config(args, horizon: Optional[int]):
+def _fault_config(args, topology, horizon: Optional[int]):
     """The fault-family ``run_protocol`` kwargs of the fault flags.
 
     ``--recover`` gets the full self-healing stack (reliable transport +
@@ -322,16 +247,15 @@ def _fault_config(args, horizon: Optional[int]):
     alone gets just the transport shim, which ``--rto`` tunes.
     ``--integrity checksum|mac`` adds authenticated wire frames on top of
     either (or standalone); the MAC key is derived from ``--seed`` so
-    runs stay deterministic.  Schedule specs stay declarative (see
-    :func:`_schedule_spec`); ``--max-epochs`` builds the churn policy and
-    ``--witnesses`` / ``--evict-policy`` the
-    :class:`repro.resilience.ByzantineConfig`.
+    runs stay deterministic.  Each schedule family's ``cli_config``
+    reads its own flags, its schedule spec staying declarative (see
+    :func:`_schedule_spec`).
     """
     from . import resilience
     from .integrity import IntegrityConfig
 
     budget = args.retransmit_budget
-    transport = recovery = churn_policy = byz_config = None
+    transport = recovery = None
     if args.recover:
         recovery = resilience.RecoveryPolicy.default(
             retransmit_budget=5 if budget is None else budget
@@ -345,16 +269,7 @@ def _fault_config(args, horizon: Optional[int]):
         transport = resilience.TransportConfig(
             retransmits=budget, rto=args.rto
         )
-    if args.max_epochs is not None:
-        churn_policy = dataclasses.replace(
-            resilience.ChurnPolicy.default(), max_epochs=args.max_epochs
-        )
-    if args.witnesses is not None or args.evict_policy is not None:
-        byz_config = resilience.ByzantineConfig(
-            witnesses=2 if args.witnesses is None else args.witnesses,
-            evict_policy=args.evict_policy or "evict",
-        )
-    return dict(
+    config = dict(
         transport=transport,
         recovery=recovery,
         integrity=(
@@ -362,19 +277,16 @@ def _fault_config(args, horizon: Optional[int]):
             if args.integrity != "off"
             else None
         ),
-        churn=_schedule_spec(
-            args,
-            "churn",
-            horizon,
-            amnesiac=0.25 if args.amnesiac is None else args.amnesiac,
-            flap_rate=args.flap_rate,
-        ),
-        churn_policy=churn_policy,
-        gray=_schedule_spec(args, "gray", horizon),
-        byz=_schedule_spec(args, "byz", horizon),
-        byz_config=byz_config,
         allow_root_crash=args.allow_root_crash,
     )
+
+    def spec(name: str, **shape):
+        return _schedule_spec(args, name, topology, horizon, **shape)
+
+    for family in families.FAMILIES:
+        if family.module:
+            config.update(family.load().cli_config(args, spec))
+    return config
 
 
 def _engine_from_args(args):
@@ -467,7 +379,7 @@ def _unit_base(args: argparse.Namespace):
             else None
         ),
         corrupt=args.corrupt,
-        **_fault_config(args, horizon),
+        **_fault_config(args, topology, horizon),
     )
 
 
@@ -515,11 +427,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0 if record.correct else 1
 
 
-def _sweep(args, sweep, axis: str, fixed: str, **kwargs) -> int:
+def _sweep(args, topology, sweep, axis: str, fixed: str, **kwargs) -> int:
     """The shared body of ``sweep-b`` / ``sweep-f``: ``sweep(**kwargs)``
-    over the ``--seeds`` with the timeout / retry flags, printed as
-    the CC-vs-``axis`` table at ``fixed``."""
-    topology = parse_topology(args.topology, args.seed)
+    on ``topology`` over the ``--seeds`` with the timeout / retry flags,
+    printed as the CC-vs-``axis`` table at ``fixed``."""
     engine = _engine_from_args(args)
     try:
         points = sweep(
@@ -544,8 +455,10 @@ def _sweep(args, sweep, axis: str, fixed: str, **kwargs) -> int:
 
 def cmd_sweep_b(args: argparse.Namespace) -> int:
     validate_fault_flags(args)
+    topology = parse_topology(args.topology, args.seed)
     return _sweep(
         args,
+        topology,
         sweep_b,
         "b",
         f"f={args.failures}",
@@ -555,59 +468,37 @@ def cmd_sweep_b(args: argparse.Namespace) -> int:
         corrupt=args.corrupt,
         # The horizon is per-b: sweep_b pins each coordinate's random
         # specs to its own run length.
-        **_fault_config(args, horizon=None),
+        **_fault_config(args, topology, horizon=None),
     )
 
 
 def cmd_sweep_f(args: argparse.Namespace) -> int:
+    topology = parse_topology(args.topology, args.seed)
     return _sweep(
-        args, sweep_f, "f", f"b={args.budget}", fs=_ints(args.fs), b=args.budget
+        args, topology, sweep_f, "f", f"b={args.budget}",
+        fs=_ints(args.fs), b=args.budget,
     )
 
 
 #: Chaos verdicts read off a run's oracle columns, in precedence order, as
-#: ``(column, verdict, family)``.  Each fails the campaign; a family's
-#: verdicts join the summary line when its flag is given.
+#: ``(column, verdict, family)``: corrupted bits that reached a handler
+#: with no layer rejecting them (the value is untrustworthy whatever the
+#: oracle says), then each schedule family's ``VERDICTS``.  Each fails
+#: the campaign; a family's verdicts join the summary line when its flag
+#: is given.
 ORACLE_VERDICTS = (
-    # Corrupted bits reached a handler and no layer rejected them: the
-    # value is untrustworthy whatever the oracle says.
     ("unresolved_corruptions", "CORRUPT-ACCEPTED", None),
-    # Exactly-once: a contribution booked twice across incarnations, or
-    # one with a surviving copy (durable rejoin or live snapshot holder)
-    # missing from the certified coverage.
-    ("double_counted", "DOUBLE-COUNT", "churn"),
-    ("lost_contributions", "LOST-CONTRIBUTION", "churn"),
-    # Gray failures must stretch the run, never shrink its coverage: the
-    # detector confirmed (and the transport evicted) a merely slow node,
-    # or never suspected a degradation well past its tolerance window.
-    ("false_suspects", "FALSE-SUSPECT", "gray"),
-    ("missed_degradations", "UNBOUNDED-STALL", "gray"),
-    # Witnesses: an honest node convicted (eviction must stand on an
-    # equivocation proof or failed delta audit, never on suspicion), an
-    # equivocation that never drew an accusation, or a value farther from
-    # the honest bracket than the certified b * v_max influence bound.
-    ("false_convictions", "FALSE-CONVICTION", "byz"),
-    ("undetected_equivocations", "UNDETECTED-EQUIVOCATION", "byz"),
-    ("influence_exceeded", "INFLUENCE-EXCEEDED", "byz"),
+    *((column, verdict, family)
+      for family, (column, verdict) in _family_rows("VERDICTS")),
 )
 
 #: Per-family chaos columns, in table order, as ``(family, column, read)``
-#: with ``read`` applied to the run's extra columns; a family's columns
-#: join the table when its flag is given.
-FAMILY_COLUMNS = (
-    ("churn", "epochs", lambda x: x.get("epochs", 1)),
-    (
-        "churn",
-        "rejoins",
-        lambda x: int(x.get("rejoins_durable") or 0)
-        + int(x.get("rejoins_amnesiac") or 0),
-    ),
-    ("gray", "stalled", lambda x: x.get("gray_stalled", 0)),
-    ("gray", "suspects", lambda x: x.get("suspects", 0)),
-    ("byz", "convicted", lambda x: x.get("convicted", 0)),
-    ("byz", "evicted", lambda x: x.get("evicted", 0)),
-    ("byz", "bound", lambda x: x.get("influence_bound", 0)),
-    ("byz", "epochs", lambda x: x.get("epochs", 1)),
+#: with ``read`` applied to the run's extra columns (each schedule
+#: family's ``CHAOS_COLUMNS``); a family's columns join the table when
+#: its flag is given.
+FAMILY_COLUMNS = tuple(
+    (family, column, read)
+    for family, (column, read) in _family_rows("CHAOS_COLUMNS")
 )
 
 
@@ -653,10 +544,13 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     from .exec import WorkUnit
 
     topology, _, base = _unit_base(args)
-    # Under --byz the compromised senders are the fault source; the
-    # drop-rate default would trip the byz/inject exclusion the witness
-    # audits rely on (an explicit --inject already errored above).
-    spec = args.inject or (None if base["byz"] is not None else "drop=0.05")
+    # A family that excludes message faults (--byz: the compromised
+    # senders' lies) is the fault source itself; the drop-rate default
+    # would trip that exclusion (an explicit --inject already errored
+    # above).
+    source = families.conflict([*fault_families(args), "faults"])
+    spec = args.inject or (None if source else "drop=0.05")
+    label = spec or f"{source.a}:{getattr(args, source.a)}"
     schedule_spec = (
         random_schedule_spec(
             args.failures, max(2, 60 * topology.diameter), respect_c=2
@@ -677,7 +571,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             adaptive=args.adaptive,
             monitors=monitor_spec,
             capture_dir=args.capture_dir,
-            coords={"inject": spec or f"byz:{args.byz}"},
+            coords={"inject": label},
             **base,
         )
         for seed in seeds
@@ -721,8 +615,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         format_table(
             rows,
             title=(
-                f"chaos: {args.protocol} on {topology.name} "
-                f"[{spec or f'byz:{args.byz}'}]"
+                f"chaos: {args.protocol} on {topology.name} [{label}]"
                 + (f" + {args.adaptive}" if args.adaptive else "")
             ),
         )

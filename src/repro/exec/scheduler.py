@@ -52,11 +52,11 @@ class WorkUnit:
     ``allow_root_crash``, see :data:`repro.analysis.families.RUN_KEYS`)
     mirror the corresponding :func:`repro.analysis.runner.run_protocol`
     arguments; ``corrupt`` is the CLI spec string fed to
-    :meth:`repro.sim.faults.MessageCorruption.from_spec`.  ``churn`` /
-    ``gray`` / ``byz`` may also be spec strings or ``{"kind": "random",
-    "rate": float, ...}`` specs, drawn from the unit's seeded RNG right
-    after the crash schedule (:func:`repro.analysis.families.
-    draw_schedules`).
+    :meth:`repro.sim.faults.MessageCorruption.from_spec`.  The schedule
+    families' fields (``churn``, ``gray``, ``byz``) may also be spec
+    strings or ``{"kind": "random", "rate": float, ...}`` specs, drawn
+    from the unit's seeded RNG right after the crash schedule
+    (:func:`repro.analysis.families.draw_schedules`).
     """
 
     protocol: str
@@ -183,10 +183,10 @@ def derive_run(
     """The unit's ``(inputs, schedule, run_protocol kwargs)``.
 
     Everything is derived from one ``rng = Random(seed)``, in this order:
-    inputs → schedule (→ optional root crash) → churn → gray → byz
-    (:func:`repro.analysis.families.draw_schedules`) → injectors →
-    monitors.  The kwargs carry ``rng`` itself, so the protocol's coins
-    continue the same stream.
+    inputs → schedule (→ optional root crash) → the schedule families in
+    table order (:func:`repro.analysis.families.draw_schedules`) →
+    injectors → monitors.  The kwargs carry ``rng`` itself, so the
+    protocol's coins continue the same stream.
     """
     from ..analysis import families
     from ..analysis.runner import make_inputs

@@ -4,7 +4,7 @@ The integrity layer (PR 5) authenticates the *channel*: a MAC'd frame
 proves who sent a claim, not that the claim is true.  A compromised node
 signs lies with its own key — equivocating sub-aggregates, inflating its
 contribution, replaying stale claims, or selectively omitting copies
-(:class:`repro.sim.faults.ByzantineSchedule`).  This module is the
+(:class:`repro.families.byz.ByzantineSchedule`).  This module is the
 defence, in three pieces:
 
 **Witness cross-validation.**  Every sub-aggregate claim a node delivers
@@ -74,9 +74,10 @@ from ..adversary.schedule import FailureSchedule
 from ..graphs.topology import Topology
 from ..obs import metrics as _metrics
 from ..obs import spans as _spans
+from ..families.byz import ByzantineOracle
 from ..sim.faults import FaultInjector
 from ..sim.message import TAG_BITS, id_bits
-from ..sim.monitors import ByzantineOracle, FBudgetMonitor
+from ..sim.monitors import FBudgetMonitor
 from ..sim.network import Network
 from ..sim.specs import JsonFields
 from .driver import DONE, RETRY, EpochWorld, whole_run_oracle
@@ -602,7 +603,7 @@ class ByzantinePlan:
         if integrity is not None:
             byz.integrity = integrity.config
         self.oracle, self.monitors = whole_run_oracle(
-            monitors, ByzantineOracle, byz, inputs, caaf=self.caaf, mode=mode
+            monitors, ByzantineOracle, byz, mode=mode
         )
         self.evicted: Set[int] = set()
         self.coordinator = WitnessCoordinator(

@@ -9,9 +9,9 @@ anti-entropy literature (Flow Updating, gossip re-aggregation).  Its
 what differs under churn:
 
 * **The next epoch's world.**  Every epoch runs the protocol over the
-  full topology, under a :class:`repro.sim.faults.ChurnSchedule` view
+  full topology, under a :class:`repro.families.churn.ChurnSchedule` view
   rebased to the driver's global clock
-  (:meth:`~repro.sim.faults.ChurnSchedule.shifted`).  Nodes that crash
+  (:meth:`~repro.families.churn.ChurnSchedule.shifted`).  Nodes that crash
   mid-epoch fall silent exactly as the model prescribes; durable
   rejoiners resume with their persisted state, amnesiac rejoiners only
   heartbeat (:class:`repro.resilience.transport.AmnesiacInner`) until the
@@ -40,7 +40,7 @@ what differs under churn:
   whose ``missing`` set names the node, never a silently wrong value.
   A node whose holders are down but will revive durably stays pending.
 
-The :class:`repro.sim.monitors.DoubleCountOracle` audits the final claim:
+The :class:`repro.families.churn.DoubleCountOracle` audits the final claim:
 ``double-count`` fires if any nonce was booked twice or the certified
 value disagrees with its claimed coverage; ``lost-contribution`` fires if
 a contribution with a surviving copy is missing from the coverage.
@@ -55,13 +55,9 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..adversary.schedule import FailureSchedule
 from ..graphs.topology import Topology
 from ..obs import spans as _spans
-from ..sim.faults import (
-    ChurnSchedule,
-    FaultInjector,
-    REJOIN_AMNESIAC,
-)
+from ..families.churn import REJOIN_AMNESIAC, ChurnSchedule, DoubleCountOracle
+from ..sim.faults import FaultInjector
 from ..sim.message import Part, TAG_BITS, id_bits, value_bits
-from ..sim.monitors import DoubleCountOracle
 from ..sim.network import Network, ROOT_CRASH_ERROR
 from ..sim.node import NodeHandler
 from ..sim.specs import JsonFields

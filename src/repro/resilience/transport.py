@@ -609,7 +609,7 @@ class TransportNode(NodeHandler):
     # -- churn ---------------------------------------------------------- #
 
     def on_churn_revive(self, mode: str, incarnation: int, rnd: int) -> None:
-        """Rejoin hook called by :class:`repro.sim.faults.ChurnSchedule`.
+        """Rejoin hook called by :class:`repro.families.churn.ChurnSchedule`.
 
         *Durable* rejoins keep everything: the local value, the outbox and
         the seq/buffer state all survived on persistent storage.

@@ -1,20 +1,10 @@
 """Synchronous local-broadcast network simulator (the paper's model)."""
 
-from .faults import (
-    REJOIN_AMNESIAC,
-    REJOIN_DURABLE,
-    ChurnSchedule,
-    FaultCounts,
-    FaultInjector,
-    MessageFaults,
-    ScheduledCrashes,
-    random_churn,
-)
+from .faults import FaultCounts, FaultInjector, MessageFaults, ScheduledCrashes
 from .flooding import FloodManager
 from .message import TAG_BITS, Envelope, Part, id_bits, total_bits, value_bits
 from .monitors import (
     CCEnvelopeMonitor,
-    DoubleCountOracle,
     FBudgetMonitor,
     InvariantViolation,
     Monitor,
@@ -60,8 +50,6 @@ __all__ = [
     "make_execution_record",
     "replay_bundle",
     "serialize_topology",
-    "ChurnSchedule",
-    "DoubleCountOracle",
     "FBudgetMonitor",
     "FaultCounts",
     "FaultInjector",
@@ -75,8 +63,6 @@ __all__ = [
     "NodeHandler",
     "OracleMonitor",
     "Part",
-    "REJOIN_AMNESIAC",
-    "REJOIN_DURABLE",
     "RootSafetyMonitor",
     "ScheduledCrashes",
     "SendEvent",
@@ -87,7 +73,6 @@ __all__ = [
     "Violation",
     "assert_model",
     "id_bits",
-    "random_churn",
     "standard_monitors",
     "theorem1_cc_envelope",
     "validate_model",

@@ -16,6 +16,9 @@ catches out-of-model behaviour introduced by the chaos layer
   corrupted part the injector delivered must show up in the integrity
   layer's rejection log.
 
+The schedule families' oracles (double-count, straggler, Byzantine)
+live with their families in :mod:`repro.families`.
+
 Every monitor runs in one of two modes: ``strict`` raises
 :class:`InvariantViolation` at the moment the invariant breaks, ``record``
 accumulates :class:`MonitorEvent` diagnostics for post-run inspection.
@@ -368,362 +371,6 @@ class CorruptionOracleMonitor(Monitor):
             )
 
 
-class DoubleCountOracle(Monitor):
-    """Exactly-once contribution accounting under churn.
-
-    The churn epoch manager (:mod:`repro.resilience.epochs`) books every
-    leaf contribution under a ``(node_id, incarnation)`` nonce so a
-    rejoined node is never double-counted and never dropped while any
-    copy of its contribution survives.  This oracle compares the
-    *certified claim* against the ground-truth input multiset and reports
-    under two rules:
-
-    * ``double-count`` — the certified value exceeds (or, for
-      non-monotone aggregates, differs from) the aggregate over the
-      claimed coverage, a node was booked under two incarnations, or a
-      booked value differs from the node's true input;
-    * ``lost-contribution`` — a contribution is missing from the
-      certified coverage although a copy survived (the node rejoined
-      durable, or a live neighbour still held its anti-entropy snapshot).
-
-    An *uncertified* partial result is graded by neither rule — declining
-    to certify is the honest outcome when churn outran the budget.  The
-    epoch manager feeds the oracle through :meth:`grade_ledger` and
-    :meth:`grade_final`; per-network hooks are no-ops.
-    """
-
-    rule = "exactly-once"
-
-    def __init__(
-        self, inputs: Dict[int, int], caaf=None, mode: str = "strict"
-    ) -> None:
-        super().__init__(mode)
-        self.inputs = dict(inputs)
-        self.caaf = caaf
-        #: Count of double-count violations reported.
-        self.double_counts = 0
-        #: Count of lost-contribution violations reported.
-        self.lost_contributions = 0
-
-    def grade_ledger(self, entries, double_booked=()) -> None:
-        """Audit booked nonces: one per node, each with its true value."""
-        for node, incarnation, value in double_booked:
-            self.double_counts += 1
-            self.report_as(
-                "double-count",
-                f"node {node} booked a second contribution under "
-                f"incarnation {incarnation} (value {value}): nonce dedup "
-                "failed",
-            )
-        # Imported lazily: repro.core imports repro.sim at package load.
-        from ..core.caaf import SUM
-
-        caaf = self.caaf or SUM
-        for node, incarnation, value in entries:
-            true_input = self.inputs.get(node)
-            if true_input is None:
-                continue
-            expected = caaf.prepare(true_input)
-            if value != expected:
-                self.double_counts += 1
-                self.report_as(
-                    "double-count",
-                    f"node {node} (incarnation {incarnation}) booked "
-                    f"value {value}, but its true contribution is "
-                    f"{expected}",
-                )
-
-    def grade_final(
-        self,
-        value: Optional[int],
-        coverage,
-        certified: bool,
-        recoverable=(),
-    ) -> None:
-        """Grade the final certified claim against the ground truth.
-
-        ``recoverable`` names nodes whose contribution provably had a
-        surviving copy at the end of the run; a certified coverage that
-        excludes one of them lost a contribution it could have kept.
-        """
-        if value is None or not certified:
-            return
-        from ..core.caaf import SUM
-
-        caaf = self.caaf or SUM
-        coverage = set(coverage)
-        expected = caaf.aggregate_inputs(
-            self.inputs[u] for u in sorted(coverage) if u in self.inputs
-        )
-        if value != expected:
-            if caaf is not None and caaf.monotone and value < expected:
-                self.lost_contributions += 1
-                self.report_as(
-                    "lost-contribution",
-                    f"certified value {value} falls short of the "
-                    f"aggregate {expected} over its claimed coverage "
-                    f"({len(coverage)} nodes)",
-                )
-            else:
-                self.double_counts += 1
-                self.report_as(
-                    "double-count",
-                    f"certified value {value} != aggregate {expected} "
-                    f"over its claimed coverage ({len(coverage)} nodes): "
-                    "a contribution was double-counted or mis-booked",
-                )
-        for node in sorted(set(recoverable) - coverage):
-            self.lost_contributions += 1
-            self.report_as(
-                "lost-contribution",
-                f"node {node}'s contribution had a surviving copy but "
-                "is missing from the certified coverage",
-            )
-
-
-class StragglerOracle(Monitor):
-    """Gray-failure detection quality, graded against the fault ledger.
-
-    The :class:`repro.sim.faults.GrayFailureSchedule` knows exactly which
-    nodes/links were degraded and when; the transport's φ-accrual
-    detector only sees frame inter-arrival times.  This oracle compares
-    the two and reports under two rules:
-
-    * ``false-suspect`` — an observer *confirmed* suspicion of a peer
-      that was alive at that round.  Gray-degraded nodes are slow, not
-      dead; evicting one turns a latency wobble into a lost contribution,
-      which is precisely the failure mode graded detection must prevent.
-    * ``unbounded-stall`` — a ledger interval severe enough to stretch
-      delivery past the transport's window cap (``severity >= the
-      detection bound``) and long enough that suspicion *must* have
-      accrued (at least three windows), yet no observer ever raised even
-      ``suspect`` on the affected node.  Silent unbounded stretch is the
-      gray failure the paper's binary fault model cannot see.
-
-    False suspicions are graded at each network's ``end_run`` (liveness
-    is only known there); missed degradations are graded once, by the
-    runner, after the whole run via :meth:`grade_final` — mid-run the
-    detector may simply not have accrued yet.
-    """
-
-    rule = "straggler"
-
-    def __init__(
-        self,
-        gray,
-        transport=None,
-        mode: str = "strict",
-        stretch_limit: Optional[int] = None,
-    ) -> None:
-        super().__init__(mode)
-        self.gray = gray
-        self.transport = transport
-        #: Severity at/above which an undetected interval is a miss;
-        #: defaults to the transport window (what windowing can absorb).
-        self.stretch_limit = stretch_limit
-        self.false_suspects = 0
-        self.missed_degradations = 0
-        self._false_reported: set = set()
-        self._missed_reported: set = set()
-
-    def _detector(self):
-        return getattr(self.transport, "detector", None)
-
-    def end_run(self, rnd: int) -> None:
-        detector = self._detector()
-        if detector is None:
-            return
-        network = self.network
-        for e in detector.events:
-            if e.level != "confirm":
-                continue
-            key = (e.observer, e.peer)
-            if key in self._false_reported:
-                continue
-            if network.is_alive(e.peer, e.round):
-                self._false_reported.add(key)
-                self.false_suspects += 1
-                self.report_as(
-                    "false-suspect",
-                    f"node {e.observer} confirmed suspicion of node "
-                    f"{e.peer} (phi={e.phi:.1f}) although it was alive: "
-                    "a straggler was evicted",
-                    e.round,
-                )
-
-    def grade_final(self) -> None:
-        """Grade missed degradations; the runner calls this once at the end."""
-        detector = self._detector()
-        if detector is None or self.gray is None:
-            return
-        limit = self.stretch_limit
-        if limit is None:
-            limit = (
-                self.transport.config.window
-                if self.transport is not None
-                else None
-            )
-        if limit is None:
-            return
-        suspected = {e.peer for e in detector.events}
-        for kind, subject, start, end, severity, profile in (
-            self.gray.degraded_intervals()
-        ):
-            if severity < limit or (end - start + 1) < 3 * limit:
-                continue
-            node = subject[0]
-            key = (kind, subject, start, end)
-            if node in suspected or key in self._missed_reported:
-                continue
-            self._missed_reported.add(key)
-            self.missed_degradations += 1
-            where = (
-                f"node {node}"
-                if kind == "stall"
-                else f"link {subject[0]}-{subject[1]}"
-            )
-            self.report_as(
-                "unbounded-stall",
-                f"{profile} {kind} on {where} over rounds {start}-{end} "
-                f"stretched delivery by {severity} rounds (detection "
-                f"bound {limit}) but no observer ever suspected node "
-                f"{node}",
-            )
-
-
-class ByzantineOracle(Monitor):
-    """Byzantine detection quality, graded against the taint ledger.
-
-    The :class:`repro.sim.faults.ByzantineSchedule` knows exactly which
-    nodes lied and which contradictory contents were delivered; the
-    witness defence (:mod:`repro.resilience.byzantine`) only sees
-    delivered claims.  This oracle compares the two and reports under
-    three rules:
-
-    * ``false-conviction`` — the witness pool convicted an honest node.
-      Eviction turns a conviction into a crash, so a false conviction
-      silently drops a truthful contribution — the one failure mode a
-      sound accusation protocol must never exhibit.
-    * ``undetected-equivocation`` — the ground-truth ledger shows two
-      contradictory delivered contents for one claim (same epoch, round,
-      sender, kind) yet the sender was never convicted.  Two delivered
-      variants are an equivocation proof by definition; missing it means
-      the cross-validation echo lost information.
-    * ``influence-exceeded`` — a certified result whose error over its
-      claimed coverage exceeds its shipped ``influence_bound`` (or that
-      ships no bound at all while compromised nodes remain): the
-      certification promised more than the defence delivered.
-
-    Convictions and equivocations are graded once per run via
-    :meth:`grade_convictions`; the final certificate via
-    :meth:`grade_result`.  Per-network hooks are no-ops — grading needs
-    the whole-run ledger, which only the runner holds.
-    """
-
-    rule = "byzantine"
-
-    def __init__(
-        self,
-        byz,
-        inputs: Dict[int, int],
-        caaf=None,
-        mode: str = "strict",
-    ) -> None:
-        super().__init__(mode)
-        self.byz = byz
-        self.inputs = dict(inputs)
-        self.caaf = caaf
-        self.false_convictions = 0
-        self.undetected_equivocations = 0
-        self.influence_exceeded = 0
-        self._reported: set = set()
-
-    def grade_convictions(self, convictions) -> None:
-        """Grade the conviction set against the compromised-node ledger.
-
-        ``convictions`` is any iterable of convicted node ids (the
-        defence coordinator's ``convictions`` mapping iterates as one).
-        """
-        if self.byz is None:
-            return
-        convicted = set(convictions)
-        compromised = set(self.byz.byz_nodes())
-        for node in sorted(convicted - compromised):
-            key = ("false", node)
-            if key in self._reported:
-                continue
-            self._reported.add(key)
-            self.false_convictions += 1
-            self.report_as(
-                "false-conviction",
-                f"honest node {node} was convicted by the witness pool "
-                f"(compromised nodes: {sorted(compromised)}): its "
-                "contribution was wrongly evicted",
-            )
-        groups: Dict[tuple, set] = {}
-        rounds: Dict[tuple, int] = {}
-        for epoch, rnd, sender, _receiver, content_key in (
-            self.byz.delivered_taints
-        ):
-            kind, payload = content_key
-            group = (epoch, rnd, sender, kind)
-            groups.setdefault(group, set()).add(payload)
-            rounds[group] = rnd
-        for group in sorted(groups, key=str):
-            variants = groups[group]
-            epoch, rnd, sender, kind = group
-            if len(variants) < 2 or sender in convicted:
-                continue
-            key = ("equiv", group)
-            if key in self._reported:
-                continue
-            self._reported.add(key)
-            self.undetected_equivocations += 1
-            self.report_as(
-                "undetected-equivocation",
-                f"node {sender} delivered {len(variants)} contradictory "
-                f"{kind!r} contents in epoch {epoch} round {rnd} but was "
-                "never convicted",
-                rnd,
-            )
-
-    def grade_result(self, partial) -> None:
-        """Grade the final certificate: the shipped bound must hold.
-
-        An honest run's value lies in the Section 2 correctness bracket
-        ``[lower_bound, upper_bound]`` (coverage aggregate up to the
-        all-nodes aggregate — mid-run crashes may or may not have folded
-        in before dying); the certificate promises the compromised
-        residue moves it by at most ``influence_bound`` beyond that.
-        """
-        if partial is None or not partial.certified or partial.value is None:
-            return
-        bound = partial.influence_bound
-        if bound is None:
-            remaining = set(self.byz.byz_nodes()) & set(partial.coverage)
-            if remaining:
-                self.influence_exceeded += 1
-                self.report_as(
-                    "influence-exceeded",
-                    f"certified result ships no influence bound although "
-                    f"compromised nodes {sorted(remaining)} remain in its "
-                    "coverage",
-                )
-            return
-        lo = (partial.lower_bound or 0) - bound
-        hi = (
-            partial.upper_bound if partial.upper_bound is not None else 0
-        ) + bound
-        if not lo <= partial.value <= hi:
-            self.influence_exceeded += 1
-            self.report_as(
-                "influence-exceeded",
-                f"certified value {partial.value} falls outside "
-                f"[{partial.lower_bound}, {partial.upper_bound}] widened "
-                f"by the shipped influence bound {bound}",
-            )
-
-
 class RetransmitBudgetMonitor(Monitor):
     """The transport's per-frame retransmit budget must never be exceeded.
 
@@ -797,8 +444,6 @@ def standard_monitors(
     topology,
     inputs: Dict[int, int],
     f: Optional[int] = None,
-    b: Optional[int] = None,
-    c: int = 2,
     caaf=None,
     mode: str = "strict",
     cc_bound: Optional[float] = None,
@@ -806,9 +451,6 @@ def standard_monitors(
     transport=None,
     corruption=(),
     integrity=None,
-    churn: bool = False,
-    gray=None,
-    byz=None,
 ) -> List[Monitor]:
     """The default monitor stack for one protocol execution.
 
@@ -821,14 +463,9 @@ def standard_monitors(
     still recorded); a ``transport`` coordinator adds the
     retransmit-budget watchdog; ``corruption`` sources (injectors with a
     ``delivered_corruptions`` ledger) add the silent-corruption oracle,
-    matched against the ``integrity`` coordinator's rejection log; and
-    ``churn`` adds the :class:`DoubleCountOracle` (fed by the churn epoch
-    manager with the booked contribution ledger); a ``gray`` fault
-    schedule adds the :class:`StragglerOracle` grading the transport's
-    suspicion record against the ground-truth degradation ledger; a
-    ``byz`` schedule adds the :class:`ByzantineOracle` grading witness
-    convictions and the shipped influence bound against the taint
-    ledger.
+    matched against the ``integrity`` coordinator's rejection log.  The
+    schedule families' oracles come from their own modules
+    (:func:`repro.analysis.families.family_monitors`).
     """
     monitors: List[Monitor] = [
         RecoverySafetyMonitor(topology.root, mode=mode)
@@ -847,12 +484,6 @@ def standard_monitors(
         monitors.append(
             CorruptionOracleMonitor(corruption, integrity, mode=mode)
         )
-    if churn:
-        monitors.append(DoubleCountOracle(inputs, caaf=caaf, mode=mode))
-    if gray is not None:
-        monitors.append(StragglerOracle(gray, transport=transport, mode=mode))
-    if byz is not None:
-        monitors.append(ByzantineOracle(byz, inputs, caaf=caaf, mode=mode))
     return monitors
 
 

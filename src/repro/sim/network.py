@@ -170,7 +170,7 @@ class Network:
         self.crash_rounds: Dict[int, float] = {}
         #: Bounded outages per node: half-open ``[start, end)`` round
         #: intervals during which the node neither computes nor sends
-        #: (crash-recovery churn; see :class:`repro.sim.faults.ChurnSchedule`).
+        #: (crash-recovery churn; see :class:`repro.families.churn.ChurnSchedule`).
         self.down_intervals: Dict[int, List[tuple]] = {}
         #: Link flap intervals keyed by normalized edge ``(min, max)``:
         #: closed ``[start, end]`` delivery-round windows during which the

@@ -44,15 +44,16 @@ from .specs import listify
 BUNDLE_FORMAT = "repro-bundle"
 #: Version written by this build.  v2 adds per-transmit ``outp`` entries
 #: (content rewrites from corruption injectors); v3 adds churn params
-#: (``params["churn"]`` — a serialized :class:`repro.sim.faults.ChurnSchedule`
-#: — and ``params["churn_policy"]``) so crash-recovery runs replay with
+#: (``params["churn"]`` — a serialized
+#: :class:`repro.families.churn.ChurnSchedule` — and
+#: ``params["churn_policy"]``) so crash-recovery runs replay with
 #: the same revive/flap timeline; v4 adds gray-failure params
 #: (``params["gray"]`` — a serialized
-#: :class:`repro.sim.faults.GrayFailureSchedule` — plus the transport's
+#: :class:`repro.families.gray.GrayFailureSchedule` — plus the transport's
 #: ``rto`` knob inside ``params["transport"]``) so straggler
 #: runs replay with the same degradation ledger and detection config;
 #: v5 adds Byzantine params (``params["byz"]`` — a serialized
-#: :class:`repro.sim.faults.ByzantineSchedule` — and
+#: :class:`repro.families.byz.ByzantineSchedule` — and
 #: ``params["byz_config"]`` — a serialized
 #: :class:`repro.resilience.byzantine.ByzantineConfig`) so defended runs
 #: replay with the same compromised-node behaviours and witness

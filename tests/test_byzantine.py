@@ -25,7 +25,13 @@ import pytest
 
 from repro.analysis.runner import run_protocol
 from repro.analysis.sweep import run_point
-from repro.core.caaf import MAX, SUM
+from repro.core.caaf import MAX
+from repro.families.byz import (
+    BYZ_MODES,
+    ByzantineOracle,
+    ByzantineSchedule,
+    random_byz,
+)
 from repro.graphs import grid_graph, path_graph
 from repro.integrity import IntegrityConfig, LinkQuarantine
 from repro.resilience import (
@@ -36,13 +42,7 @@ from repro.resilience import (
 )
 from repro.resilience.byzantine import ByzantinePlan
 from repro.resilience.driver import drive_epochs
-from repro.sim.faults import (
-    BYZ_MODES,
-    ByzantineSchedule,
-    ledger_sources,
-    random_byz,
-)
-from repro.sim.monitors import ByzantineOracle
+from repro.sim.faults import ledger_sources
 from repro.sim.recorder import RecordingInjector
 from repro.analysis.runner import make_inputs
 
@@ -279,10 +279,10 @@ class TestRunnerIntegration:
 class TestByzantineOracle:
     def test_false_conviction_counted(self):
         byz = ByzantineSchedule.from_spec("5:inflate=2")
-        oracle = ByzantineOracle(byz, _inputs(GRID), caaf=SUM, mode="record")
+        oracle = ByzantineOracle(byz, mode="record")
         oracle.grade_convictions([7])  # honest node
         assert oracle.false_convictions == 1
-        oracle2 = ByzantineOracle(byz, _inputs(GRID), caaf=SUM, mode="record")
+        oracle2 = ByzantineOracle(byz, mode="record")
         oracle2.grade_convictions([5])  # actually compromised
         assert oracle2.false_convictions == 0
 
@@ -290,7 +290,7 @@ class TestByzantineOracle:
         from repro.sim.monitors import InvariantViolation
 
         byz = ByzantineSchedule.from_spec("5:inflate=2")
-        oracle = ByzantineOracle(byz, _inputs(GRID), caaf=SUM, mode="strict")
+        oracle = ByzantineOracle(byz, mode="strict")
         with pytest.raises(InvariantViolation):
             oracle.grade_convictions([7])
 

@@ -25,17 +25,18 @@ from repro.analysis.runner import run_protocol
 from repro.analysis.sweep import point_units, run_point
 from repro.analysis.families import draw_schedules, materialize
 from repro.exec.scheduler import execute_unit
+from repro.families.churn import (
+    REJOIN_AMNESIAC,
+    REJOIN_DURABLE,
+    ChurnSchedule,
+    DoubleCountOracle,
+    random_churn,
+)
 from repro.graphs import grid_graph
 from repro.resilience import ChurnPolicy, TransportConfig
 from repro.resilience.driver import drive_epochs
 from repro.resilience.epochs import ChurnPlan, neutral_input
-from repro.sim.faults import (
-    REJOIN_AMNESIAC,
-    REJOIN_DURABLE,
-    ChurnSchedule,
-    random_churn,
-)
-from repro.sim.monitors import DoubleCountOracle, FBudgetMonitor
+from repro.sim.monitors import FBudgetMonitor
 
 try:
     from hypothesis import HealthCheck, example, given, settings
@@ -594,11 +595,12 @@ class TestChurnIntegration:
                 "flap_rate": 0.0,
             },
         )
-        assert point.churn_rows == 3
-        assert point.double_counts == 0
-        assert point.lost_contributions == 0
+        assert all("double_counted" in r.extra for r in point.records)
+        assert len(point.records) == 3
         row = point.as_dict()
-        assert "exact_rows" in row and "double_counts" in row
+        assert row["double_counts"] == 0
+        assert row["lost_contributions"] == 0
+        assert "exact_rows" in row
 
 
 # --------------------------------------------------------------------- #
@@ -617,9 +619,9 @@ class TestChurnBundles:
         ch = ChurnSchedule.from_spec(
             "flap:1-2@r2-r4,flap:1-2@r6-r8", root=topo.root
         )
-        monitors = standard_monitors(
-            topo, inputs, f=1, mode="record", churn=True
-        )
+        monitors = standard_monitors(topo, inputs, f=1, mode="record") + [
+            DoubleCountOracle(inputs, mode="record")
+        ]
         record = safe_run_protocol(
             "unknown_f",
             topo,
@@ -655,9 +657,8 @@ class TestChurnBundles:
             seed=5,
             rng=random.Random(5),
             f=1,
-            monitors=standard_monitors(
-                topo, inputs, f=1, mode="record", churn=True
-            ),
+            monitors=standard_monitors(topo, inputs, f=1, mode="record")
+            + [DoubleCountOracle(inputs, mode="record")],
             capture_dir=str(tmp_path),
             churn=ch,
             churn_policy=ChurnPolicy(transport=TransportConfig(retransmits=3)),

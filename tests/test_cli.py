@@ -319,6 +319,48 @@ class TestFlagValidation:
             main(argv + ["--topology", "grid:3x3"])
         assert needle in str(err.value)
 
+    @pytest.mark.parametrize(
+        "argv,needle",
+        [
+            (["run", "--churn", "rate:1.5"], "--churn rate in 'rate:1.5'"),
+            (
+                ["chaos", "--churn", "rate:-0.2", "--seeds", "1"],
+                "--churn rate in 'rate:-0.2'",
+            ),
+            (
+                ["chaos", "--gray", "rate:nan", "--seeds", "1"],
+                "--gray rate in 'rate:nan'",
+            ),
+            (
+                ["chaos", "--byz", "rate:2", "--seeds", "1"],
+                "--byz rate in 'rate:2'",
+            ),
+            (
+                ["chaos", "--churn", "rate:0.1", "--amnesiac", "1.5",
+                 "--seeds", "1"],
+                "amnesiac fraction must be in [0, 1]",
+            ),
+            (
+                ["chaos", "--churn", "rate:0.1", "--flap-rate", "3",
+                 "--seeds", "1"],
+                "flap rate must be in [0, 1]",
+            ),
+            (
+                ["sweep-b", "-f", "1", "--bs", "42", "--seeds", "1",
+                 "--gray", "rate:7"],
+                "--gray rate in 'rate:7'",
+            ),
+        ],
+    )
+    def test_out_of_range_random_specs_fail_before_any_run(
+        self, argv, needle, capsys
+    ):
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--topology", "grid:3x3"])
+        assert str(err.value).startswith("error: bad --")
+        assert needle in str(err.value)
+        assert capsys.readouterr().out == ""
+
     def test_hedge_is_no_longer_an_option(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["run", "--hedge", "--topology", "grid:3x3"])

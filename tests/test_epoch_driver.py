@@ -24,6 +24,8 @@ from repro.adversary.schedule import FailureSchedule
 from repro.analysis.runner import run_protocol
 from repro.exec import WorkUnit
 from repro.exec.scheduler import derive_run
+from repro.families.byz import ByzantineSchedule
+from repro.families.churn import ChurnSchedule
 from repro.graphs import grid_graph
 from repro.resilience import (
     ByzantineConfig,
@@ -35,7 +37,6 @@ from repro.resilience import (
 from repro.resilience.byzantine import ByzantinePlan
 from repro.resilience.epochs import ChurnPlan
 from repro.resilience.failover import FailoverPlan
-from repro.sim.faults import ByzantineSchedule, ChurnSchedule
 
 
 def _root_crash():

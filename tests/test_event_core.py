@@ -28,6 +28,8 @@ from repro.core.algorithm1 import IntervalNode, TradeoffPlan
 from repro.core.params import ProtocolParams, params_for
 from repro.core.unknown_f import DoublingPlan
 from repro.core.veri import VeriNode
+from repro.families.churn import ChurnSchedule, random_churn
+from repro.families.gray import random_gray
 from repro.graphs import (
     grid_graph,
     path_graph,
@@ -45,12 +47,7 @@ from repro.resilience.transport import (
     overlay_network,
 )
 from repro.sim import Network, Tracer
-from repro.sim.faults import (
-    ChurnSchedule,
-    MessageFaults,
-    random_churn,
-    random_gray,
-)
+from repro.sim.faults import MessageFaults
 from repro.sim.message import Part
 from repro.sim.node import NodeHandler
 

@@ -9,19 +9,16 @@ import pytest
 from repro.analysis import families, runner
 from repro.analysis.runner import run_protocol
 from repro.cli import main
+from repro.families.byz import ByzantineSchedule
+from repro.families.churn import ChurnSchedule
+from repro.families.gray import GrayFailureSchedule
 from repro.graphs import grid_graph
 from repro.integrity import IntegrityConfig
 from repro.resilience import RecoveryPolicy, TransportConfig
 from repro.resilience.byzantine import ByzantineConfig
 from repro.resilience.epochs import ChurnPolicy
 from repro.sim import ExecutionRecord, replay_bundle
-from repro.sim.faults import (
-    ByzantineSchedule,
-    ChurnSchedule,
-    GrayFailureSchedule,
-    MessageCorruption,
-    MessageFaults,
-)
+from repro.sim.faults import MessageCorruption, MessageFaults
 
 CORPUS = sorted(
     glob.glob(os.path.join(os.path.dirname(__file__), "corpus", "*.json"))

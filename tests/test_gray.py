@@ -24,6 +24,16 @@ import pytest
 from repro.analysis.runner import run_protocol, safe_run_protocol
 from repro.analysis.families import materialize
 from repro.exec.scheduler import WorkUnit, execute_unit
+from repro.families.gray import (
+    GRAY_CONSTANT,
+    GRAY_LIMP,
+    GRAY_RAMP,
+    LIMP_PERIOD,
+    GrayFailureSchedule,
+    StragglerOracle,
+    _profile_delay,
+    random_gray,
+)
 from repro.graphs import grid_graph, path_graph
 from repro.resilience import (
     LEVEL_CONFIRM,
@@ -35,17 +45,7 @@ from repro.resilience import (
     ReliableTransport,
     TransportConfig,
 )
-from repro.sim.faults import (
-    GRAY_CONSTANT,
-    GRAY_LIMP,
-    GRAY_RAMP,
-    LIMP_PERIOD,
-    GrayFailureSchedule,
-    _profile_delay,
-    ledger_sources,
-    random_gray,
-)
-from repro.sim.monitors import StragglerOracle
+from repro.sim.faults import ledger_sources
 from repro.sim.stats import SimStats
 
 try:
@@ -197,9 +197,7 @@ class TestRandomGray:
 
     def test_rate_zero_is_empty(self):
         topo = grid_graph(3, 3)
-        gray = random_gray(
-            topo, 0.0, random.Random(1), horizon=30, link_rate=0.0
-        )
+        gray = random_gray(topo, 0.0, random.Random(1), horizon=30)
         assert not gray.has_events
 
     def test_severity_is_bounded(self):
@@ -410,14 +408,8 @@ def _gray_run(rto="fixed", gray=None, seed=3, protocol="algorithm1"):
     monitors = None
     if gray is not None:
         monitors = standard_monitors(
-            topo,
-            inputs,
-            f=2,
-            b=64,
-            mode="record",
-            transport=transport,
-            gray=gray,
-        )
+            topo, inputs, f=2, mode="record", transport=transport
+        ) + [StragglerOracle(gray, transport=transport, mode="record")]
     return run_protocol(
         protocol,
         topo,

@@ -28,6 +28,7 @@ import pytest
 
 from repro.adversary import FailureSchedule
 from repro.analysis.runner import make_inputs, run_protocol
+from repro.families.churn import ChurnSchedule
 from repro.graphs import grid_graph, path_graph
 from repro.integrity.frames import IntegrityConfig, IntegrityCoordinator
 from repro.resilience.failover import RecoveryPolicy
@@ -39,12 +40,7 @@ from repro.resilience.transport import (
     well_formed_frame,
 )
 from repro.sim import Network
-from repro.sim.faults import (
-    ChurnSchedule,
-    FaultInjector,
-    MessageCorruption,
-    MessageFaults,
-)
+from repro.sim.faults import FaultInjector, MessageCorruption, MessageFaults
 from repro.sim.message import Envelope, Part
 from repro.cli import main
 from repro.sim.monitors import (

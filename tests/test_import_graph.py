@@ -1,6 +1,8 @@
 """Cold start: a protocol run loads neither numpy, the lower-bound code
 nor the adversary search, shrinker and adaptive adversaries, and a plain
-run loads none of the epoch runtimes either.
+run loads none of the epoch runtimes either.  A run without churn, gray
+failures or Byzantine compromise loads none of their family modules, and
+the simulator loads no family module at all.
 
 ``repro``, ``repro.analysis``, ``repro.adversary`` and
 ``repro.resilience`` import their re-exported names on first access.  Each check runs in a fresh
@@ -32,6 +34,10 @@ HEAVY = ("numpy", "repro.lowerbound", "repro.analysis.figure1",
 #: Modules only the failover, churn and Byzantine runtimes use.
 EPOCH_RUNTIMES = ("repro.resilience.byzantine", "repro.resilience.epochs",
                   "repro.resilience.failover", "repro.resilience.driver")
+
+#: The schedule family modules.
+FAMILY_MODULES = ("repro.families.churn", "repro.families.gray",
+                  "repro.families.byz")
 
 REPORT = """
 import json, sys
@@ -74,9 +80,22 @@ def test_protocol_runs_load_no_numpy(tmp_path):
             WorkUnit("bruteforce", topo, 3, f=2, schedule=crashes),
         ]
         results = [[u.protocol, execute_unit(u).correct] for u in units]
-    """, tmp_path)
+    """, tmp_path, forbidden=HEAVY + FAMILY_MODULES)
     assert out["results"] == [["algorithm1", True], ["unknown_f", True],
                               ["bruteforce", True]]
+    assert out["loaded"] == []
+
+
+def test_the_simulator_loads_no_family_module(tmp_path):
+    out = _fresh("""
+        import repro.sim
+        import repro.sim.faults
+        import repro.sim.monitors
+        import repro.sim.recorder
+        import repro.sim.replay
+
+        results = None
+    """, tmp_path, forbidden=("repro.families",) + FAMILY_MODULES)
     assert out["loaded"] == []
 
 

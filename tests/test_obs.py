@@ -535,7 +535,8 @@ class TestEndToEnd:
         from repro.resilience.driver import drive_epochs
         from repro.resilience.epochs import ChurnPlan
         from repro.resilience.failover import FailoverPlan
-        from repro.sim.faults import ByzantineSchedule, ChurnSchedule
+        from repro.families.byz import ByzantineSchedule
+        from repro.families.churn import ChurnSchedule
 
         topo = grid_graph(4, 4)
         inputs = {u: u + 1 for u in topo.nodes()}

@@ -19,6 +19,7 @@ import random
 
 import pytest
 
+from repro.families.churn import REJOIN_DURABLE, ChurnSchedule
 from repro.graphs import grid_graph
 from repro.resilience import ChurnPolicy, TransportConfig
 from repro.resilience.driver import drive_epochs
@@ -29,7 +30,6 @@ from repro.resilience.transport import (
     AmnesiacInner,
     ReliableTransport,
 )
-from repro.sim.faults import REJOIN_DURABLE, ChurnSchedule
 from repro.sim.message import Envelope, Part
 from repro.sim.node import NodeHandler
 

@@ -11,6 +11,7 @@ import json
 import os
 import re
 import signal
+import sys
 import time
 
 import pytest
@@ -93,6 +94,49 @@ class TestWallClockLimit:
                     while time.monotonic() < end:
                         pass
             assert time.monotonic() - started < 1.0
+            assert signal.getsignal(signal.SIGALRM) is handler
+        finally:
+            if slow_callback in gc.callbacks:
+                gc.callbacks.remove(slow_callback)
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_unraisable_hook_runs_unarmed(self, monkeypatch):
+        # An alarm swallowed by a gc callback is reported through
+        # sys.unraisablehook; a 1 ms repeat landing inside that hook would
+        # break the report itself, so the hook must run unarmed.
+        interrupted = []
+
+        def slow_hook(unraisable):
+            end = time.monotonic() + 0.02
+            try:
+                while time.monotonic() < end:
+                    pass
+            except RunTimeout as exc:
+                interrupted.append(exc)
+
+        def slow_callback(phase, info):
+            end = time.monotonic() + 0.01
+            while time.monotonic() < end:
+                pass
+
+        def handler(signum, frame):
+            pass
+
+        monkeypatch.setattr("sys.unraisablehook", slow_hook)
+        previous = signal.signal(signal.SIGALRM, handler)
+        gc.callbacks.append(slow_callback)
+        started = time.monotonic()
+        try:
+            with pytest.raises(RunTimeout):
+                with wall_clock_limit(0.001):
+                    gc.collect()
+                    gc.callbacks.remove(slow_callback)
+                    end = time.monotonic() + 1.0
+                    while time.monotonic() < end:
+                        pass
+            assert time.monotonic() - started < 0.5
+            assert interrupted == []
+            assert sys.unraisablehook is slow_hook
             assert signal.getsignal(signal.SIGALRM) is handler
         finally:
             if slow_callback in gc.callbacks:

@@ -18,15 +18,11 @@ import pytest
 
 from repro.adversary import FailureSchedule
 from repro.analysis.runner import make_inputs, run_protocol
+from repro.families.churn import ChurnSchedule
 from repro.graphs import grid_graph
 from repro.resilience.transport import TransportConfig
 from repro.sim import Network
-from repro.sim.faults import (
-    ChurnSchedule,
-    FaultInjector,
-    MessageCorruption,
-    MessageFaults,
-)
+from repro.sim.faults import FaultInjector, MessageCorruption, MessageFaults
 from repro.sim.message import Envelope
 
 try:
