@@ -13,8 +13,8 @@ Two layers:
   :class:`repro.sim.validation.Violation` diagnostics instead of a
   confusing wrong sum.  Fault injectors / runtime monitors plug in via
   ``injectors`` / ``monitors`` / ``strict_monitors``.
-* :func:`safe_run_protocol` — the crash-safe wrapper sweeps use: per-run
-  wall-clock timeout, bounded retry with reseeding, and structured error
+* :func:`safe_run_protocol` — the crash-safe wrapper sweeps use: one
+  execution under an optional wall-clock timeout, with structured error
   capture — a failed run becomes an error *row* (``error`` /
   ``error_kind`` set) instead of a crashed sweep.  With ``capture_dir``
   set, every failing run (error row, incorrect grade, or recorded monitor
@@ -26,11 +26,11 @@ Two layers:
 
 from __future__ import annotations
 
+import inspect
 import random
 import signal
 import sys
 import threading
-import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Optional
@@ -55,10 +55,9 @@ class RunRecord:
 
     ``error`` / ``error_kind`` are set (and ``result`` is None) when the
     run was captured by :func:`safe_run_protocol` instead of completing;
-    ``attempts`` counts executions including retries; ``seed`` is the
-    sweep seed that produced the row (when run through a sweep).
-    ``as_dict`` omits these bookkeeping columns while they hold their
-    clean-run defaults, so healthy tables look exactly as before.
+    ``seed`` is the sweep seed that produced the row (when run through a
+    sweep).  ``as_dict`` omits these bookkeeping columns while they are
+    unset, so healthy tables look exactly as before.
     """
 
     protocol: str
@@ -75,7 +74,6 @@ class RunRecord:
     extra: Dict[str, Any] = field(default_factory=dict)
     error: Optional[str] = None
     error_kind: Optional[str] = None
-    attempts: int = 1
     seed: Optional[int] = None
 
     def as_dict(self) -> Dict[str, Any]:
@@ -84,8 +82,6 @@ class RunRecord:
         if row.get("error") is None:
             row.pop("error", None)
             row.pop("error_kind", None)
-        if row.get("attempts") == 1:
-            row.pop("attempts", None)
         if row.get("seed") is None:
             row.pop("seed", None)
         return row
@@ -191,11 +187,7 @@ def run_protocol(
     a silently-wrong graded result raises after the run.  Recorded
     monitor violations are surfaced in ``extra["violations"]``.
     """
-    unknown = sorted(set(faults) - set(families.RUN_KEYS))
-    if unknown:
-        raise TypeError(
-            f"run_protocol() got an unexpected keyword argument {unknown[0]!r}"
-        )
+    _reject_unknown("run_protocol", faults)
     schedule = schedule or FailureSchedule()
     rng = rng or random.Random()
     cfg = families.normalize(faults, topology)
@@ -246,6 +238,24 @@ def run_protocol(
         protocol, topology, inputs, schedule, cfg, corruption, t=t,
         allow_root_crash=allow_root_crash, **run,
     )
+
+
+#: The keywords :func:`run_protocol` takes: its named parameters plus
+#: the fault-family keys (:data:`repro.analysis.families.RUN_KEYS`).
+_RUN_KEYWORDS = frozenset(
+    name
+    for name, param in inspect.signature(run_protocol).parameters.items()
+    if param.kind is not param.VAR_KEYWORD
+) | frozenset(families.RUN_KEYS)
+
+
+def _reject_unknown(caller: str, keywords) -> None:
+    """Raise ``TypeError`` for a keyword :func:`run_protocol` does not take."""
+    unknown = sorted(set(keywords) - _RUN_KEYWORDS)
+    if unknown:
+        raise TypeError(
+            f"{caller}() got an unexpected keyword argument {unknown[0]!r}"
+        )
 
 
 def _record(
@@ -508,7 +518,7 @@ def _finish_record(
 
 
 # --------------------------------------------------------------------- #
-# Crash-safe execution: timeout, retry, structured error capture.
+# Crash-safe execution: timeout and structured error capture.
 # --------------------------------------------------------------------- #
 
 
@@ -580,7 +590,6 @@ def error_record(
     exc: BaseException,
     schedule: Optional[FailureSchedule] = None,
     f: Optional[int] = None,
-    attempts: int = 1,
     seed: Optional[int] = None,
 ) -> RunRecord:
     """A structured row for a run that raised instead of returning."""
@@ -590,7 +599,6 @@ def error_record(
     )
     record.error = (str(exc) or exc.__class__.__name__)[:500]
     record.error_kind = exc.__class__.__name__
-    record.attempts = attempts
     record.seed = seed
     return record
 
@@ -651,33 +659,12 @@ def _monitor_mode_of(kwargs: Dict[str, Any]) -> Optional[str]:
     return None
 
 
-def _attach_attempt_telemetry(
-    record: RunRecord, latencies: list, backoffs: list
-) -> RunRecord:
-    """Attach per-attempt wall-clock telemetry to a finished row.
-
-    The single shared exit path for success, error, *and* timeout rows —
-    pool workers go through it too, so worker-side timeouts carry the
-    same columns as serial ones.  Healthy single-attempt rows stay
-    unannotated (tables look exactly as before); any retried or failed
-    row records every attempt's latency and every retry's actual
-    (jittered) backoff sleep.
-    """
-    if record.failed or record.attempts > 1:
-        record.extra["attempt_latencies"] = list(latencies)
-    if backoffs:
-        record.extra["retry_backoffs"] = list(backoffs)
-    return record
-
-
 def safe_run_protocol(
     protocol: str,
     topology: Topology,
     inputs: Dict[int, int],
     schedule: Optional[FailureSchedule] = None,
     timeout_s: Optional[float] = None,
-    retries: int = 0,
-    backoff_s: float = 0.0,
     seed: Optional[int] = None,
     rng: Optional[random.Random] = None,
     capture_dir: Optional[str] = None,
@@ -685,112 +672,54 @@ def safe_run_protocol(
 ) -> RunRecord:
     """Crash-safe :func:`run_protocol`: errors become rows, not exceptions.
 
-    * ``timeout_s`` — per-attempt wall-clock limit (:func:`wall_clock_limit`).
-    * ``retries`` — additional attempts after a failure.  The first
-      attempt uses the caller's ``rng``; retries reseed deterministically
-      from ``seed`` and the attempt number, so a flaky failure is retried
-      with fresh coins while staying reproducible.
-    * ``backoff_s`` — base sleep before each retry, doubling per attempt
-      with deterministic seeded jitter (+0..50%), so parallel sweep
-      workers hitting a shared flaky resource don't retry in lockstep.
-      Per-attempt wall-clock latencies (excluding the sleeps) land in
-      ``extra["attempt_latencies"]`` on every failure row — timeouts
-      included — and on success rows whenever a retry was needed; the
-      actual jittered sleeps land in ``extra["retry_backoffs"]``
-      whenever a backoff was taken (see :func:`_attach_attempt_telemetry`,
-      the shared exit path serial runs and pool workers both use).
-    * On final failure the captured exception is returned as an
-      :func:`error_record` (``correct=False``, ``error`` / ``error_kind``
-      set).  ``KeyboardInterrupt``/``SystemExit`` always propagate, so an
-      interrupted sweep stops instead of recording bogus rows.
-    * ``capture_dir`` — forensics: wrap every attempt in a
+    The run executes exactly once, on ``rng`` or else on
+    ``Random((seed + 1) * 1_000_003)``, so the row is a function of the
+    arguments.
+
+    * ``timeout_s`` — wall-clock limit (:func:`wall_clock_limit`).
+    * A run that raises becomes an :func:`error_record` (``correct=False``,
+      ``error`` / ``error_kind`` set).  ``KeyboardInterrupt`` /
+      ``SystemExit`` propagate, so an interrupted sweep stops instead of
+      recording bogus rows, and so does the ``TypeError`` of a keyword
+      :func:`run_protocol` does not take.
+    * ``capture_dir`` — forensics: wrap the run in a
       :class:`repro.sim.recorder.RecordingInjector` and, whenever the
-      final row is a failure (:func:`repro.sim.recorder.is_failure`),
-      write a deterministic repro bundle there and note its path in
+      row is a failure (:func:`repro.sim.recorder.is_failure`), write a
+      deterministic repro bundle there and note its path in
       ``record.extra["bundle"]``.  Work units do not record every run:
       :func:`repro.exec.scheduler.execute_unit` runs a unit without
       ``capture_dir`` and calls this path only to re-execute a unit
       whose row failed, so passing units skip the recorder's per-copy
       bookkeeping and a failing unit runs twice.
     """
-    if retries < 0:
-        raise ValueError(f"retries must be >= 0, got {retries}")
-    if backoff_s < 0:
-        raise ValueError(f"backoff_s must be >= 0, got {backoff_s}")
-    last_exc: Optional[BaseException] = None
-    last_recorder = None
-    last_rng_state = None
+    _reject_unknown("safe_run_protocol", kwargs)
     schedule = schedule or FailureSchedule()
-    attempts = 0
-    # Jitter coins are independent of the retry rngs (different multiplier)
-    # so adding backoff never changes which coins a retry runs with.
-    jitter_rng = random.Random(((seed or 0) + 1) * 7_477_777)
-    latencies: list = []
-    backoffs: list = []
-    for attempt in range(retries + 1):
-        attempts += 1
-        if attempt > 0 and backoff_s > 0:
-            pause = (
-                backoff_s * 2 ** (attempt - 1) * (1 + 0.5 * jitter_rng.random())
+    rng = rng or random.Random(((seed or 0) + 1) * 1_000_003)
+    recorder = rng_state = None
+    run_kwargs = kwargs
+    if capture_dir is not None:
+        from ..sim.recorder import RecordingInjector
+
+        recorder = RecordingInjector(kwargs.get("injectors") or ())
+        rng_state = rng.getstate()
+        run_kwargs = dict(kwargs, injectors=(recorder,))
+    try:
+        with wall_clock_limit(timeout_s):
+            record = run_protocol(
+                protocol, topology, inputs, schedule=schedule, rng=rng,
+                **run_kwargs,
             )
-            backoffs.append(round(pause, 6))
-            time.sleep(pause)
-        if attempt == 0 and rng is not None:
-            attempt_rng = rng
-        else:
-            attempt_rng = random.Random(((seed or 0) + 1) * 1_000_003 + attempt)
-        recorder = None
-        rng_state = None
-        run_kwargs = kwargs
-        if capture_dir is not None:
-            from ..sim.recorder import RecordingInjector
-
-            recorder = RecordingInjector(kwargs.get("injectors") or ())
-            rng_state = attempt_rng.getstate()
-            run_kwargs = dict(kwargs, injectors=(recorder,))
-        started = time.perf_counter()
-        try:
-            with wall_clock_limit(timeout_s):
-                record = run_protocol(
-                    protocol,
-                    topology,
-                    inputs,
-                    schedule=schedule,
-                    rng=attempt_rng,
-                    **run_kwargs,
-                )
-            latencies.append(round(time.perf_counter() - started, 6))
-            record.attempts = attempts
-            record.seed = seed
-            _attach_attempt_telemetry(record, latencies, backoffs)
-            if recorder is not None:
-                from ..sim.recorder import is_failure
-
-                if is_failure(record):
-                    record.extra["bundle"] = _capture_bundle(
-                        capture_dir, recorder, protocol, topology, inputs,
-                        schedule, kwargs, record, seed, rng_state,
-                        _monitor_mode_of(kwargs),
-                    )
-            return record
-        except Exception as exc:  # structured capture is the point
-            latencies.append(round(time.perf_counter() - started, 6))
-            last_exc = exc
-            last_recorder = recorder
-            last_rng_state = rng_state
-    record = error_record(
-        protocol,
-        topology,
-        last_exc,
-        schedule=schedule,
-        f=kwargs.get("f"),
-        attempts=attempts,
-        seed=seed,
-    )
-    _attach_attempt_telemetry(record, latencies, backoffs)
-    if last_recorder is not None and not isinstance(last_exc, RunTimeout):
-        record.extra["bundle"] = _capture_bundle(
-            capture_dir, last_recorder, protocol, topology, inputs, schedule,
-            kwargs, record, seed, last_rng_state, _monitor_mode_of(kwargs),
+    except Exception as exc:  # structured capture is the point
+        record = error_record(
+            protocol, topology, exc, schedule=schedule, f=kwargs.get("f"),
         )
+    record.seed = seed
+    if recorder is not None and record.error_kind != "RunTimeout":
+        from ..sim.recorder import is_failure
+
+        if is_failure(record):
+            record.extra["bundle"] = _capture_bundle(
+                capture_dir, recorder, protocol, topology, inputs, schedule,
+                kwargs, record, seed, rng_state, _monitor_mode_of(kwargs),
+            )
     return record

@@ -11,10 +11,10 @@ runs the whole batch through an :class:`repro.exec.ExecutionEngine`
 (``engine``, by default an in-process one).  Units are self-seeded, so
 the aggregated points are identical for any worker count.
 
-Each run goes through :func:`repro.analysis.runner.safe_run_protocol`: a
-run that raises or hangs becomes an error *row* (graded incorrect)
-instead of killing the sweep, optionally bounded by a per-run wall-clock
-timeout and retried with fresh coins.  An engine with a
+Each run goes through :func:`repro.analysis.runner.safe_run_protocol`
+exactly once: a run that raises or hangs becomes an error *row* (graded
+incorrect) instead of killing the sweep, optionally bounded by a per-run
+wall-clock timeout.  An engine with a
 :class:`repro.exec.ResultCache` makes progress durable: each completed
 run is stored as it finishes, and rerunning the sweep against the same
 cache re-executes only the missing runs, yielding the identical record
@@ -149,8 +149,6 @@ def point_units(
     caaf: CAAF = SUM,
     coords: Optional[Dict[str, Any]] = None,
     timeout_s: Optional[float] = None,
-    retries: int = 0,
-    backoff_s: float = 0.0,
     inject: Optional[str] = None,
     corrupt: Optional[str] = None,
     capture_dir: Optional[str] = None,
@@ -177,8 +175,6 @@ def point_units(
             inject=inject,
             corrupt=corrupt,
             timeout_s=timeout_s,
-            retries=retries,
-            backoff_s=backoff_s,
             capture_dir=capture_dir,
             **faults,
             coords=dict(coords or {}),
@@ -237,8 +233,8 @@ def run_point(
     ``kwargs`` are :func:`point_units` arguments: protocol parameters
     (``f``, ``b``, ``t``, ``c``, ``caaf``), the crash ``schedule_spec``
     (e.g. :func:`random_schedule_spec`), ``inject`` / ``corrupt`` spec
-    strings, the crash-safety knobs ``timeout_s`` / ``retries`` /
-    ``backoff_s``, ``capture_dir`` and fault-family arguments
+    strings, the crash-safety knob ``timeout_s``, ``capture_dir`` and
+    fault-family arguments
     (:data:`repro.analysis.families.RUN_KEYS`; schedule specs among them
     are drawn per seed).
 
@@ -286,8 +282,6 @@ def sweep_b(
     seeds: Iterable[int],
     c: int = 2,
     timeout_s: Optional[float] = None,
-    retries: int = 0,
-    backoff_s: float = 0.0,
     capture_dir: Optional[str] = None,
     corrupt: Optional[str] = None,
     engine=None,
@@ -315,8 +309,6 @@ def sweep_b(
         engine=engine,
         c=c,
         timeout_s=timeout_s,
-        retries=retries,
-        backoff_s=backoff_s,
         capture_dir=capture_dir,
         corrupt=corrupt,
     )
@@ -329,7 +321,6 @@ def sweep_f(
     seeds: Iterable[int],
     c: int = 2,
     timeout_s: Optional[float] = None,
-    retries: int = 0,
     capture_dir: Optional[str] = None,
     engine=None,
 ) -> List[SweepPoint]:
@@ -345,7 +336,6 @@ def sweep_f(
         engine=engine,
         c=c,
         timeout_s=timeout_s,
-        retries=retries,
         capture_dir=capture_dir,
     )
 

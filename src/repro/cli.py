@@ -429,7 +429,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def _sweep(args, topology, sweep, axis: str, fixed: str, **kwargs) -> int:
     """The shared body of ``sweep-b`` / ``sweep-f``: ``sweep(**kwargs)``
-    on ``topology`` over the ``--seeds`` with the timeout / retry flags,
+    on ``topology`` over the ``--seeds`` with the timeout / capture flags,
     printed as the CC-vs-``axis`` table at ``fixed``."""
     engine = _engine_from_args(args)
     try:
@@ -437,7 +437,6 @@ def _sweep(args, topology, sweep, axis: str, fixed: str, **kwargs) -> int:
             topology,
             seeds=range(args.seeds),
             timeout_s=args.timeout,
-            retries=args.retries,
             capture_dir=args.capture_dir,
             engine=engine,
             **kwargs,
@@ -464,7 +463,6 @@ def cmd_sweep_b(args: argparse.Namespace) -> int:
         f"f={args.failures}",
         f=args.failures,
         bs=_ints(args.bs),
-        backoff_s=args.backoff,
         corrupt=args.corrupt,
         # The horizon is per-b: sweep_b pins each coordinate's random
         # specs to its own run length.
@@ -1144,16 +1142,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("-t", "--tolerance", type=int, default=None)
         p.add_argument("--inject", default=None, help=inject_help)
 
-    def retries(p, sweep=False, capture_note=""):
-        if sweep:
+    def timeout_and_capture(p, timeout=False, capture_note=""):
+        if timeout:
             p.add_argument(
                 "--timeout",
                 type=float,
                 default=None,
                 help="per-run wall-clock limit (s)",
-            )
-            p.add_argument(
-                "--retries", type=int, default=0, help="retries per failed run"
             )
         p.add_argument(
             "--capture-dir",
@@ -1213,14 +1208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("-f", "--failures", type=int, required=True)
     p_sweep.add_argument("--bs", default="42,84,168,336")
     p_sweep.add_argument("--seeds", type=int, default=3)
-    retries(p_sweep, sweep=True)
-    p_sweep.add_argument(
-        "--backoff",
-        type=float,
-        default=0.0,
-        help="base retry backoff in seconds (doubles per attempt, "
-        "seeded jitter)",
-    )
+    timeout_and_capture(p_sweep, timeout=True)
     resilience(p_sweep)
     parallel(p_sweep)
     obs(p_sweep)
@@ -1233,7 +1221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep_f.add_argument("--fs", default="2,4,8,16", help="failure budgets")
     p_sweep_f.add_argument("-b", "--budget", type=int, default=60)
     p_sweep_f.add_argument("--seeds", type=int, default=3)
-    retries(p_sweep_f, sweep=True)
+    timeout_and_capture(p_sweep_f, timeout=True)
     parallel(p_sweep_f)
     obs(p_sweep_f)
     p_sweep_f.set_defaults(func=cmd_sweep_f)
@@ -1259,7 +1247,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="strict monitors: abort the run at the first invariant break",
     )
-    retries(
+    timeout_and_capture(
         p_chaos,
         capture_note=" (replay with `repro-agg replay`, minimize with "
         "`repro-agg shrink`)",

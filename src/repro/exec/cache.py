@@ -5,7 +5,7 @@ Each completed :class:`repro.exec.scheduler.WorkUnit` is stored under a
 canonical SHA-256 of everything that determines its result: the topology
 (structure, root, and name), protocol and parameters, seed, and the
 code-relevant execution config (schedule / injector / monitor specs,
-fault-family configs, strictness, retries, timeout).  Two invocations
+fault-family configs, strictness, timeout).  Two invocations
 that would compute the same record hash to the same entry, so re-running
 a sweep or benchmark skips already-computed points; anything that could
 change the record changes the hash.  That is also how an interrupted
@@ -17,7 +17,8 @@ Entries are one JSON file each, sharded by the first two hash characters
 verification on read — a hash match with a token mismatch is treated as
 a miss), the record, and a creation timestamp for ``gc --older-than``.
 A record is stored in its JSON-canonical form (:func:`record_to_jsonable`,
-tuples as lists), so serving a hit is equivalent to re-running the unit.
+tuples as lists, keys in the record's order), so serving a hit is
+equivalent to re-running the unit; :data:`UNCACHED_ERRORS` rows re-run.
 
 Crash safety: an entry is written to a unique temp file and atomically
 renamed into place (``os.replace``), which also makes the store safe
@@ -50,10 +51,13 @@ from .scheduler import WorkUnit
 CACHE_VERSION = 2
 
 #: WorkUnit fields that provably cannot affect the resulting record:
-#: ``backoff_s`` only changes retry sleep timing, ``coords`` only the
-#: telemetry label.  Everything else is part of the cache identity —
-#: including fields that don't exist yet.
-EXCLUDED_FIELDS = frozenset({"backoff_s", "coords"})
+#: ``coords`` only labels telemetry.  Everything else is part of the
+#: cache identity — including fields that don't exist yet.
+EXCLUDED_FIELDS = frozenset({"coords"})
+
+#: ``error_kind`` values of rows that say how the machine behaved, not
+#: what the unit computes: a wall-clock overrun and a dead worker.
+UNCACHED_ERRORS = frozenset({"RunTimeout", "WorkerCrashed"})
 
 #: RunRecord fields stored in an entry, restored by name on read.
 _RECORD_FIELDS = (
@@ -71,7 +75,6 @@ _RECORD_FIELDS = (
     "extra",
     "error",
     "error_kind",
-    "attempts",
     "seed",
 )
 
@@ -86,8 +89,6 @@ def record_from_jsonable(data: Dict[str, Any]) -> RunRecord:
     """Rebuild a :class:`RunRecord` saved by :func:`record_to_jsonable`."""
     kwargs = {field: data.get(field) for field in _RECORD_FIELDS}
     kwargs["extra"] = dict(kwargs.get("extra") or {})
-    if kwargs.get("attempts") is None:
-        kwargs["attempts"] = 1
     return RunRecord(**kwargs)
 
 
@@ -183,9 +184,12 @@ class ResultCache:
         self.hits += 1
         return record
 
-    def put(self, unit: WorkUnit, record: RunRecord) -> str:
+    def put(self, unit: WorkUnit, record: RunRecord) -> Optional[str]:
         """Store one completed record; atomic against concurrent writers
-        and whole-or-absent after a kill (see the module docstring)."""
+        and whole-or-absent after a kill (see the module docstring).
+        A row in :data:`UNCACHED_ERRORS` is not stored (returns None)."""
+        if record.error_kind in UNCACHED_ERRORS:
+            return None
         token = unit_cache_token(unit)
         digest = unit_cache_hash(token)
         path = self._path(digest)
@@ -201,7 +205,7 @@ class ResultCache:
         )
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(entry, fh, sort_keys=True)
+                json.dump(entry, fh)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

@@ -86,8 +86,6 @@ class WorkUnit:
     byz_config: Any = None
     allow_root_crash: bool = False
     timeout_s: Optional[float] = None
-    retries: int = 0
-    backoff_s: float = 0.0
     capture_dir: Optional[str] = None
     coords: Dict[str, Any] = field(default_factory=dict)
 
@@ -253,13 +251,10 @@ def _run(unit: WorkUnit, capture_dir: Optional[str] = None):
         inputs,
         schedule=schedule,
         timeout_s=unit.timeout_s,
-        retries=unit.retries,
-        backoff_s=unit.backoff_s,
         seed=unit.seed,
         capture_dir=capture_dir,
         **kwargs,
     )
-    record.seed = unit.seed
     stamp_injected(record, kwargs["injectors"])
     return record
 
@@ -269,8 +264,8 @@ def _capture_failure(unit: WorkUnit, record) -> None:
 
     Re-executes the unit once under the recorder (``safe_run_protocol``
     with ``capture_dir``), from a fresh :func:`derive_run`: only the
-    unit, as data, can rebuild unconsumed injectors, monitors and
-    attempt RNGs.  The re-execution emits no ``obs`` spans and folds no
+    unit, as data, can rebuild unconsumed injectors, monitors and the
+    run's RNG.  The re-execution emits no ``obs`` spans and folds no
     run into the metrics registry, so a traced unit shows one execution.
     ``record`` stays the row of the first execution; the bundle path is
     attached only when the re-execution reproduces its outcome

@@ -367,6 +367,28 @@ class TestFlagValidation:
         assert err.value.code == 2
         assert "unrecognized arguments: --hedge" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag", [["--retries", "1"], ["--backoff", "0.1"]]
+    )
+    def test_retry_flags_are_no_longer_options(self, flag, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["sweep-b", "--topology", "grid:3x3", "-f", "1", *flag])
+        assert err.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in (
+            capsys.readouterr().err
+        )
+
+    def test_warm_cache_prints_the_cold_table(self, tmp_path, capsys):
+        argv = [
+            "run", "--topology", "grid:4x4", "--protocol", "unknown_f",
+            "-f", "1", "--byz", "rate:0.2", "--witnesses", "3",
+            "--jobs", "2", "--cache-dir", str(tmp_path / "cache"),
+        ]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == cold
+
     def test_amnesiac_with_churn_still_works(self, capsys):
         code = main(
             [

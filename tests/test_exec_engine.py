@@ -9,7 +9,12 @@ import time
 import pytest
 
 from repro.adversary import no_failures, random_failures
-from repro.analysis.runner import RunTimeout, make_inputs, safe_run_protocol
+from repro.analysis.runner import (
+    RunTimeout,
+    error_record,
+    make_inputs,
+    safe_run_protocol,
+)
 from repro.exec import (
     ExecutionEngine,
     ProgressEmitter,
@@ -26,7 +31,7 @@ from repro.exec import (
 )
 from repro.exec.cache import parse_age
 from repro.exec.pool import ProcessBackend, WorkerCrashed
-from repro.exec.scheduler import build_schedule
+from repro.exec.scheduler import build_schedule, derive_run
 from repro.graphs import grid_graph
 from tests.conftest import ShuffledBackend, cached_records
 
@@ -157,12 +162,17 @@ class TestExecuteUnit:
 
     def test_worker_side_timeout_is_the_serial_code_path(self, grid44):
         # timeout_s goes through safe_run_protocol's SIGALRM limiter, so
-        # the row carries the same telemetry columns as a serial timeout.
+        # the worker's row is the serial timeout row.
         unit = _unit(grid_graph(6, 6), b=84, f=4, timeout_s=0.001)
         record = execute_unit(unit)
         assert record.failed
         assert record.error_kind == "RunTimeout"
-        assert record.extra["attempt_latencies"]
+        inputs, schedule, kwargs = derive_run(unit)
+        serial = safe_run_protocol(
+            unit.protocol, unit.topology, inputs, schedule=schedule,
+            timeout_s=unit.timeout_s, seed=unit.seed, **kwargs,
+        )
+        assert record.as_dict() == serial.as_dict()
 
 
 class TestPlanOrder:
@@ -183,6 +193,25 @@ class TestPlanOrder:
 
 
 class TestResultCache:
+    def test_timeout_rows_are_not_stored(self, tmp_path):
+        # A wall-clock overrun says how loaded the machine was, not what
+        # the unit computes: a rerun executes the unit again.
+        cache_dir = str(tmp_path / "cache")
+        unit = _unit(grid_graph(6, 6), b=84, f=4, timeout_s=0.001)
+        first = ExecutionEngine(cache=ResultCache(cache_dir)).run([unit])
+        assert first[0].error_kind == "RunTimeout"
+        cache = ResultCache(cache_dir)
+        again = ExecutionEngine(cache=cache).run([unit])
+        assert (cache.hits, cache.misses) == (0, 1)
+        assert again[0].error_kind == "RunTimeout"
+
+    def test_worker_crash_rows_are_not_stored(self, grid44, tmp_path):
+        cache = ResultCache(str(tmp_path / "cache"))
+        unit = _unit(grid44)
+        row = error_record("algorithm1", grid44, WorkerCrashed("boom"))
+        assert cache.put(unit, row) is None
+        assert cache.get(unit) is None
+
     def test_roundtrip(self, grid44, tmp_path):
         cache = ResultCache(str(tmp_path / "cache"))
         unit = _unit(grid44)
@@ -518,66 +547,3 @@ class TestProcessBackend:
         records = ExecutionEngine(backend=DoomedBackend()).run([_unit(grid44)])
         assert records[0].failed
         assert records[0].error_kind == "WorkerCrashed"
-
-
-# --------------------------------------------------------------------- #
-# The retry/timeout telemetry satellite (shared serial/worker exit path).
-# --------------------------------------------------------------------- #
-
-
-class TestAttemptTelemetry:
-    def test_final_timeout_still_captures_per_attempt_latencies(
-        self, grid55, monkeypatch
-    ):
-        import repro.analysis.runner as runner_mod
-
-        # A run that never finishes on its own: every attempt must be cut
-        # by the SIGALRM deadline, never by completing under it.
-        def stuck(*args, **kwargs):
-            time.sleep(60)
-
-        monkeypatch.setattr(runner_mod, "run_protocol", stuck)
-        rng = random.Random(0)
-        inputs = make_inputs(grid55, rng)
-        record = safe_run_protocol(
-            "algorithm1", grid55, inputs, seed=0, rng=rng,
-            f=2, b=60, strict=False, timeout_s=0.01, retries=2,
-            backoff_s=0.001,
-        )
-        assert record.failed and record.error_kind == "RunTimeout"
-        assert len(record.extra["attempt_latencies"]) == 3
-        assert len(record.extra["retry_backoffs"]) == 2
-        assert all(lat > 0 for lat in record.extra["attempt_latencies"])
-
-    def test_retried_success_records_latencies_and_backoffs(self, grid44, monkeypatch):
-        import repro.analysis.runner as runner_mod
-
-        real = runner_mod.run_protocol
-        calls = {"n": 0}
-
-        def flaky(*args, **kwargs):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise RuntimeError("transient")
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(runner_mod, "run_protocol", flaky)
-        rng = random.Random(0)
-        inputs = make_inputs(grid44, rng)
-        record = safe_run_protocol(
-            "algorithm1", grid44, inputs, seed=0, rng=rng,
-            f=1, b=60, strict=False, retries=1, backoff_s=0.001,
-        )
-        assert not record.failed and record.attempts == 2
-        assert len(record.extra["attempt_latencies"]) == 2
-        assert len(record.extra["retry_backoffs"]) == 1
-
-    def test_healthy_single_attempt_rows_stay_unannotated(self, grid44):
-        rng = random.Random(0)
-        inputs = make_inputs(grid44, rng)
-        record = safe_run_protocol(
-            "algorithm1", grid44, inputs, seed=0, rng=rng, f=1, b=60,
-            strict=False,
-        )
-        assert "attempt_latencies" not in record.extra
-        assert "retry_backoffs" not in record.extra

@@ -76,8 +76,6 @@ def legacy_run_point(
     caaf=SUM,
     coords=None,
     timeout_s=None,
-    retries=0,
-    backoff_s=0.0,
     injector_factory=None,
     capture_dir=None,
     corrupt=None,
@@ -108,8 +106,6 @@ def legacy_run_point(
             inputs,
             schedule=schedule,
             timeout_s=timeout_s,
-            retries=retries,
-            backoff_s=backoff_s,
             seed=seed,
             rng=rng,
             f=f,

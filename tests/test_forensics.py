@@ -63,11 +63,10 @@ def chaos_capture(tmp_path, seed=2, protocol="unknown_f", spec=None,
 
 
 def row_without_capture(record):
-    """A row's columns minus its bundle path and wall-clock telemetry:
-    what a recorded and an unrecorded execution must agree on."""
+    """A row's columns minus its bundle path: what a recorded and an
+    unrecorded execution must agree on."""
     row = record.as_dict()
-    for key in ("bundle", "attempt_latencies", "retry_backoffs"):
-        row.pop(key, None)
+    row.pop("bundle", None)
     return row
 
 

@@ -182,7 +182,6 @@ class TestSafeRunProtocol:
         record = safe_run_protocol("bruteforce", topo, inputs, seed=7)
         assert not record.failed
         assert record.correct
-        assert record.attempts == 1
         assert record.seed == 7
 
     def test_exception_becomes_error_row(self):
@@ -207,35 +206,21 @@ class TestSafeRunProtocol:
         assert record.failed
         assert record.error_kind == "RunTimeout"
 
-    def test_retry_recovers_from_transient_failure(self):
+    def test_a_transient_failure_is_not_retried(self):
         topo, inputs = self._args()
+        flaky = FlakyInjector(failures=1)
         record = safe_run_protocol(
-            "bruteforce",
-            topo,
-            inputs,
-            retries=2,
-            seed=5,
-            injectors=[FlakyInjector(failures=1)],
-        )
-        assert not record.failed
-        assert record.attempts == 2
-
-    def test_retries_exhausted_reports_attempts(self):
-        topo, inputs = self._args()
-        record = safe_run_protocol(
-            "bruteforce",
-            topo,
-            inputs,
-            retries=2,
-            injectors=[FlakyInjector(failures=10)],
+            "bruteforce", topo, inputs, seed=5, injectors=[flaky]
         )
         assert record.failed
-        assert record.attempts == 3
+        assert record.error_kind == "RuntimeError"
+        assert flaky.remaining == 0  # one run, one failure
 
-    def test_negative_retries_rejected(self):
+    @pytest.mark.parametrize("key", ["retries", "bogus"])
+    def test_unknown_keyword_raises_instead_of_becoming_a_row(self, key):
         topo, inputs = self._args()
-        with pytest.raises(ValueError, match="retries"):
-            safe_run_protocol("bruteforce", topo, inputs, retries=-1)
+        with pytest.raises(TypeError, match=repr(key)):
+            safe_run_protocol("bruteforce", topo, inputs, **{key: 1})
 
     def test_keyboard_interrupt_propagates(self):
         class Interrupter(FaultInjector):
@@ -267,7 +252,7 @@ class TestErrorRecordShape:
         )
         row = record.as_dict()
         assert "error" not in row and "error_kind" not in row
-        assert "attempts" not in row and "seed" not in row
+        assert "seed" not in row
 
     def test_error_rows_expose_diagnostics(self):
         topo = grid_graph(3, 3)
@@ -277,13 +262,11 @@ class TestErrorRecordShape:
             ValueError("boom"),
             schedule=FailureSchedule({3: 2}),
             f=4,
-            attempts=2,
             seed=9,
         )
         row = record.as_dict()
         assert row["error"] == "boom"
         assert row["error_kind"] == "ValueError"
-        assert row["attempts"] == 2
         assert row["seed"] == 9
         assert record.failed
 

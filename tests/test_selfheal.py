@@ -20,7 +20,7 @@ import random
 import pytest
 
 from repro.adversary.schedule import FailureSchedule
-from repro.analysis.runner import make_inputs, run_protocol, safe_run_protocol
+from repro.analysis.runner import make_inputs, run_protocol
 from repro.analysis.sweep import aggregate
 from repro.core.algorithm1 import run_algorithm1
 from repro.core.unknown_f import run_unknown_f
@@ -456,73 +456,6 @@ class TestRecoveryMonitors:
         assert row["partial_rows"] == 2
         assert row["certified_rows"] == 2
         assert row["overhead_mean"] == 100
-
-
-# --------------------------------------------------------------------- #
-# Satellite 2: retry backoff with seeded jitter + per-attempt latency.
-# --------------------------------------------------------------------- #
-
-
-class TestRetryBackoff:
-    def _failing_args(self):
-        topo = grid_graph(3, 3)
-        return ("algorithm1", topo, {u: 1 for u in topo.nodes()})
-
-    def test_sleeps_double_with_seeded_jitter(self, monkeypatch):
-        import repro.analysis.runner as runner_mod
-
-        sleeps = []
-        monkeypatch.setattr(
-            runner_mod.time, "sleep", lambda s: sleeps.append(s)
-        )
-        record = safe_run_protocol(
-            *self._failing_args(), retries=3, backoff_s=0.1, seed=7
-        )
-        assert record.failed  # algorithm1 without f/b always raises
-        assert len(sleeps) == 3
-        # Base doubles per retry; jitter adds 0..50%.
-        for i, slept in enumerate(sleeps):
-            base = 0.1 * 2**i
-            assert base <= slept <= base * 1.5
-        # Same seed, same jitter — deterministic.
-        sleeps2 = []
-        monkeypatch.setattr(
-            runner_mod.time, "sleep", lambda s: sleeps2.append(s)
-        )
-        safe_run_protocol(
-            *self._failing_args(), retries=3, backoff_s=0.1, seed=7
-        )
-        assert sleeps == sleeps2
-
-    def test_zero_backoff_never_sleeps(self, monkeypatch):
-        import repro.analysis.runner as runner_mod
-
-        monkeypatch.setattr(
-            runner_mod.time,
-            "sleep",
-            lambda s: pytest.fail("slept with backoff_s=0"),
-        )
-        safe_run_protocol(*self._failing_args(), retries=2, seed=1)
-
-    def test_error_rows_carry_attempt_latencies(self):
-        record = safe_run_protocol(*self._failing_args(), retries=2, seed=3)
-        assert record.failed
-        assert record.attempts == 3
-        latencies = record.extra["attempt_latencies"]
-        assert len(latencies) == 3
-        assert all(t >= 0 for t in latencies)
-
-    def test_clean_single_attempt_rows_stay_clean(self):
-        topo = grid_graph(3, 3)
-        record = safe_run_protocol(
-            "unknown_f", topo, {u: 1 for u in topo.nodes()}, seed=0
-        )
-        assert not record.failed
-        assert "attempt_latencies" not in record.extra
-
-    def test_rejects_negative_backoff(self):
-        with pytest.raises(ValueError, match="backoff_s"):
-            safe_run_protocol(*self._failing_args(), backoff_s=-1)
 
 
 # --------------------------------------------------------------------- #
