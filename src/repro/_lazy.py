@@ -1,11 +1,13 @@
 """Lazy package facades (PEP 562).
 
-``repro``, ``repro.analysis`` and ``repro.adversary`` re-export names
+``repro``, ``repro.analysis``, ``repro.adversary``, ``repro.resilience``,
+``repro.sim``, ``repro.exec`` and ``repro.baselines`` re-export names
 from their submodules.  Importing those eagerly would make every
-``import repro.exec`` load :mod:`repro.lowerbound`, numpy and the
-adversary search and shrinker, which no protocol run calls.  A facade
-instead declares one table and imports a submodule the first time one of
-its names is read.
+protocol run load code it never calls: :mod:`repro.lowerbound` and
+numpy, the adversary search and shrinker, the epoch runtimes, the bundle
+recorder and replay, the process pool and :mod:`multiprocessing`, and
+the baselines it does not run.  A facade instead declares one table and
+imports a submodule the first time one of its names is read.
 """
 
 from __future__ import annotations

@@ -208,13 +208,15 @@ def share(faults: Dict[str, Any]) -> Dict[str, Any]:
     row's rejection columns; each family's ``share`` hook coerces what
     its oracle shares.
     """
-    from ..integrity.frames import as_integrity
-
     out = dict(faults)
     integrity = out.get("integrity")
     if integrity is None:
         integrity = getattr(out.get("recovery"), "integrity", None)
-    out["integrity"] = as_integrity(integrity)
+    if integrity is not None:
+        from ..integrity.frames import as_integrity
+
+        integrity = as_integrity(integrity)
+    out["integrity"] = integrity
     for hook in hooks(out, "share"):
         hook(out)
     return out

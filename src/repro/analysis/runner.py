@@ -37,8 +37,6 @@ from typing import Any, Dict, Optional
 
 from ..adversary.schedule import FailureSchedule
 from ..obs import metrics as _obs_metrics
-from ..baselines.bruteforce import run_bruteforce
-from ..baselines.folklore import run_folklore, run_plain_tag
 from ..core.caaf import CAAF, SUM
 from ..core.correctness import is_correct_result
 from ..core.unknown_f import run_unknown_f
@@ -90,6 +88,15 @@ class RunRecord:
     def failed(self) -> bool:
         """Whether this row records a captured failure, not a result."""
         return self.error is not None
+
+
+def is_failure(record: RunRecord) -> bool:
+    """Whether a row is worth capturing as a repro bundle: it errored,
+    graded incorrect, or carries recorded monitor violations — exactly
+    the rows the sweep/chaos harnesses flag."""
+    return bool(
+        record.failed or not record.correct or record.extra.get("violations")
+    )
 
 
 def make_inputs(
@@ -335,12 +342,18 @@ def _run_plain(
             "t": out.plan.t,
         }
     elif protocol == "bruteforce":
+        from ..baselines.bruteforce import run_bruteforce
+
         out = run_bruteforce(topology, inputs, **base)
     elif protocol == "folklore":
         if f is None:
             raise ValueError("folklore needs f")
+        from ..baselines.folklore import run_folklore
+
         out = run_folklore(topology, inputs, f=f, **base)
     elif protocol == "tag":
+        from ..baselines.folklore import run_plain_tag
+
         out = run_plain_tag(topology, inputs, **base)
     elif protocol == "unknown_f":
         out = run_unknown_f(topology, inputs, **base, **overlays)
@@ -395,12 +408,13 @@ def _run_plain(
             extra["confirms"] = counters["confirms"]
     for columns in families.hooks(cfg, "columns"):
         extra.update(columns(cfg))
-    from ..integrity.frames import corruption_columns, integrity_columns
+    if integrity is not None or corruption:
+        from ..integrity.frames import corruption_columns, integrity_columns
 
-    if integrity is not None:
-        extra.setdefault("overhead_bits", stats.max_overhead_bits)
-    extra.update(integrity_columns(integrity))
-    extra.update(corruption_columns(corruption, integrity))
+        if integrity is not None:
+            extra.setdefault("overhead_bits", stats.max_overhead_bits)
+        extra.update(integrity_columns(integrity))
+        extra.update(corruption_columns(corruption, integrity))
     correct = is_correct_result(result, caaf, topology, inputs, effective, rounds)
     record = _record(
         protocol, topology, f, effective, result, correct, stats.max_bits,
@@ -684,7 +698,7 @@ def safe_run_protocol(
       :func:`run_protocol` does not take.
     * ``capture_dir`` — forensics: wrap the run in a
       :class:`repro.sim.recorder.RecordingInjector` and, whenever the
-      row is a failure (:func:`repro.sim.recorder.is_failure`), write a
+      row is a failure (:func:`is_failure`), write a
       deterministic repro bundle there and note its path in
       ``record.extra["bundle"]``.  Work units do not record every run:
       :func:`repro.exec.scheduler.execute_unit` runs a unit without
@@ -714,12 +728,13 @@ def safe_run_protocol(
             protocol, topology, exc, schedule=schedule, f=kwargs.get("f"),
         )
     record.seed = seed
-    if recorder is not None and record.error_kind != "RunTimeout":
-        from ..sim.recorder import is_failure
-
-        if is_failure(record):
-            record.extra["bundle"] = _capture_bundle(
-                capture_dir, recorder, protocol, topology, inputs, schedule,
-                kwargs, record, seed, rng_state, _monitor_mode_of(kwargs),
-            )
+    if (
+        recorder is not None
+        and record.error_kind != "RunTimeout"
+        and is_failure(record)
+    ):
+        record.extra["bundle"] = _capture_bundle(
+            capture_dir, recorder, protocol, topology, inputs, schedule,
+            kwargs, record, seed, rng_state, _monitor_mode_of(kwargs),
+        )
     return record

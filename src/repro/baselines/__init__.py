@@ -1,17 +1,19 @@
-"""The paper's pre-existing SUM protocols, used as baselines."""
+"""The paper's pre-existing SUM protocols, used as baselines.
 
-from .bruteforce import BaselineOutcome, BruteForceNode, run_bruteforce
-from .folklore import TreeEpochNode, run_folklore, run_plain_tag
-from .gossip import GossipOutcome, PushSumNode, run_gossip
+Names are imported on first access (see :mod:`repro._lazy`): a run
+loads the baseline it executes (Algorithm 1 loads :mod:`.bruteforce`
+only when it reaches its fallback), never the others.
+"""
 
-__all__ = [
-    "BaselineOutcome",
-    "BruteForceNode",
-    "GossipOutcome",
-    "PushSumNode",
-    "TreeEpochNode",
-    "run_bruteforce",
-    "run_folklore",
-    "run_gossip",
-    "run_plain_tag",
-]
+from .._lazy import export_table, facade
+
+_EXPORTS = export_table({
+    "bruteforce": "BaselineOutcome BruteForceNode run_bruteforce",
+    "folklore": "TreeEpochNode run_folklore run_plain_tag",
+    "gossip": "GossipOutcome PushSumNode run_gossip",
+})
+
+#: The re-exported names; submodules stay out, as they always have.
+__all__ = sorted(name for name, module in _EXPORTS.items() if name != module)
+
+__getattr__, __dir__ = facade(__name__, _EXPORTS, globals())

@@ -252,7 +252,6 @@ def _fault_config(args, topology, horizon: Optional[int]):
     :func:`_schedule_spec`).
     """
     from . import resilience
-    from .integrity import IntegrityConfig
 
     budget = args.retransmit_budget
     transport = recovery = None
@@ -272,13 +271,15 @@ def _fault_config(args, topology, horizon: Optional[int]):
     config = dict(
         transport=transport,
         recovery=recovery,
-        integrity=(
-            IntegrityConfig(mode=args.integrity, key_seed=args.seed)
-            if args.integrity != "off"
-            else None
-        ),
+        integrity=None,
         allow_root_crash=args.allow_root_crash,
     )
+    if args.integrity != "off":
+        from .integrity.frames import IntegrityConfig
+
+        config["integrity"] = IntegrityConfig(
+            mode=args.integrity, key_seed=args.seed
+        )
 
     def spec(name: str, **shape):
         return _schedule_spec(args, name, topology, horizon, **shape)

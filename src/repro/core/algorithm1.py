@@ -34,6 +34,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 from ..adversary.schedule import FailureSchedule
 from ..graphs.topology import Topology
 from ..obs import spans as _spans
+from ..resilience.overlay import overlay_network
 from ..sim.message import Envelope, Part
 from ..sim.network import Network
 from ..sim.node import NodeHandler
@@ -178,10 +179,11 @@ class IntervalNode(NodeHandler):
             return []
         out: List[Part] = []
         self._maybe_arm(rnd)
-        if self._agg is not None:
-            out.extend(self._agg.on_round(rnd, inbox))
+        # An AGG that has handed over to VERI is past its last round.
         if self._veri is not None:
             out.extend(self._veri.on_round(rnd, inbox))
+        elif self._agg is not None:
+            out.extend(self._agg.on_round(rnd, inbox))
         if self._bf is not None:
             out.extend(self._bf.on_round(rnd, inbox))
         self._maybe_decide(rnd)
@@ -191,8 +193,8 @@ class IntervalNode(NodeHandler):
         """Every interval start, every round where :meth:`_maybe_arm`
         would hand a live AGG over to VERI (its ``last_round`` into an
         interval; an AGG left armed past its own interval hands over
-        again one interval later), the brute-force start, and the
-        children's wakes."""
+        again one interval later), the brute-force start, and the wakes
+        of the live phase (VERI once armed, else AGG) and brute force."""
         plan = self.plan
         last = plan.total_rounds
         if self.done or rnd >= last:
@@ -209,7 +211,8 @@ class IntervalNode(NodeHandler):
                 wake = handoff + 1
         if self._bf is None and rnd < plan.bruteforce_start < wake:
             wake = plan.bruteforce_start
-        for child in (self._agg, self._veri, self._bf):
+        phase = self._agg if self._veri is None else self._veri
+        for child in (phase, self._bf):
             if child is not None:
                 child_wake = child.next_wake(rnd)
                 if child_wake is not None and rnd < child_wake < wake:
@@ -353,12 +356,9 @@ def run_intervals(
     edge-failure budget the schedule is checked against (None: not
     checked), ``rng`` feeds the root's ``select_intervals``, and
     ``overlays`` (injectors, transport, integrity) go to
-    :func:`repro.resilience.transport.overlay_network`.
+    :func:`repro.resilience.overlay.overlay_network`, which loads the
+    transport and integrity layers only when the run asks for them.
     """
-    # Lazy import: resilience builds on core, so core must not import it
-    # at module scope (same idiom as the BruteForceNode import above).
-    from ..resilience.transport import overlay_network
-
     schedule = schedule or FailureSchedule()
     schedule.validate(topology, f=f, allow_root_crash=allow_root_crash)
     base = params_for(

@@ -26,30 +26,28 @@ Determinism contract: a unit's result depends only on the unit itself
 assembled in unit-list order, and cache entries are keyed by unit
 content — so any worker count and any completion order produce
 byte-identical sweep output and caches holding the same records.
+
+A serial run needs :mod:`.scheduler` only, so the package imports it
+(and binds its names here, where code that rebinds a function across
+modules, such as ``benchmarks/perf/layers.py``, finds and restores
+them).  The process pool (and with it :mod:`multiprocessing`), the
+result cache and the progress telemetry are imported on first access
+(see :mod:`repro._lazy`).
 """
 
-from .cache import ResultCache, unit_cache_hash, unit_cache_token
-from .pool import (
-    ExecutionEngine,
-    ProcessBackend,
-    SerialBackend,
-    pooled_map,
-)
-from .progress import ProgressEmitter, ProgressTracker, live_renderer
+from .._lazy import export_table, facade
 from .scheduler import WorkUnit, execute_unit, plan_order
 
-__all__ = [
-    "ExecutionEngine",
-    "ProcessBackend",
-    "ProgressEmitter",
-    "ProgressTracker",
-    "ResultCache",
-    "SerialBackend",
-    "WorkUnit",
-    "execute_unit",
-    "live_renderer",
-    "plan_order",
-    "pooled_map",
-    "unit_cache_hash",
-    "unit_cache_token",
-]
+_EXPORTS = export_table({
+    "cache": "ResultCache unit_cache_hash unit_cache_token",
+    "pool": "ExecutionEngine ProcessBackend SerialBackend pooled_map",
+    "progress": "ProgressEmitter ProgressTracker live_renderer",
+})
+
+#: The re-exported names; submodules stay out, as they always have.
+__all__ = sorted(
+    [name for name, module in _EXPORTS.items() if name != module]
+    + ["WorkUnit", "execute_unit", "plan_order"]
+)
+
+__getattr__, __dir__ = facade(__name__, _EXPORTS, globals())

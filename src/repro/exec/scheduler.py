@@ -39,7 +39,17 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..adversary.schedule import FailureSchedule
+from ..analysis import families
+from ..analysis.runner import (
+    error_record,
+    is_failure,
+    make_inputs,
+    safe_run_protocol,
+)
+from ..core.caaf import by_name
 from ..graphs.topology import Topology
+from ..obs import spans as _spans
+from ..sim.faults import ledger_sources
 
 
 @dataclass(frozen=True)
@@ -186,11 +196,6 @@ def derive_run(
     injectors → monitors.  The kwargs carry ``rng`` itself, so the
     protocol's coins continue the same stream.
     """
-    from ..analysis import families
-    from ..analysis.runner import make_inputs
-    from ..core.caaf import by_name
-    from ..sim.faults import ledger_sources
-
     topology = unit.topology
     caaf = by_name(unit.caaf)
     rng = random.Random(unit.seed)
@@ -242,8 +247,6 @@ def stamp_injected(record, injectors) -> None:
 
 def _run(unit: WorkUnit, capture_dir: Optional[str] = None):
     """Derive the unit afresh and run it through ``safe_run_protocol``."""
-    from ..analysis.runner import safe_run_protocol
-
     inputs, schedule, kwargs = derive_run(unit)
     record = safe_run_protocol(
         unit.protocol,
@@ -301,7 +304,7 @@ def execute_unit(unit: WorkUnit):
     in-process.
 
     With ``capture_dir`` set, passing units are still not recorded: a
-    failing row (:func:`repro.sim.recorder.is_failure`) that is not a
+    failing row (:func:`repro.analysis.runner.is_failure`) that is not a
     ``RunTimeout`` gets its bundle from one recorded re-execution
     (:func:`_capture_failure`).  Passing units thus skip the recorder's
     per-copy bookkeeping; the price is that a failing unit runs twice.
@@ -310,9 +313,6 @@ def execute_unit(unit: WorkUnit):
     unexpected error becomes a structured error record, matching
     ``safe_run_protocol``'s contract.
     """
-    from ..analysis.runner import error_record
-    from ..obs import spans as _spans
-
     if _spans.enabled:
         # In-process (serial backend) with tracing armed: group this
         # unit's protocol spans under their own trace process.  Worker
@@ -321,11 +321,12 @@ def execute_unit(unit: WorkUnit):
         _spans.active().push_process(unit.label())
     try:
         record = _run(unit)
-        if unit.capture_dir is not None and record.error_kind != "RunTimeout":
-            from ..sim.recorder import is_failure
-
-            if is_failure(record):
-                _capture_failure(unit, record)
+        if (
+            unit.capture_dir is not None
+            and record.error_kind != "RunTimeout"
+            and is_failure(record)
+        ):
+            _capture_failure(unit, record)
         return record
     except (KeyboardInterrupt, SystemExit):
         raise

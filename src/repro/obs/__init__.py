@@ -28,7 +28,8 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
-from . import export, metrics, spans
+from .._lazy import export_table, facade
+from . import metrics, spans
 from .metrics import MetricsRegistry, merge_counter_tree
 from .spans import DETAIL_LEVELS, SpanTracer
 
@@ -43,6 +44,10 @@ __all__ = [
     "spans",
     "suspended",
 ]
+
+# The exporters are imported by :meth:`ObsCapture.write`, not by every
+# run that imports :mod:`.spans` or :mod:`.metrics`.
+__getattr__, __dir__ = facade(__name__, export_table({"export": ""}), globals())
 
 
 @contextmanager
@@ -103,6 +108,8 @@ class ObsCapture:
         extension gets the Chrome ``trace_event`` document.
         ``metrics_out`` is always Prometheus textfile exposition.
         """
+        from . import export
+
         self.tracer.close_all()
         if trace_out:
             if trace_out.endswith(".jsonl"):

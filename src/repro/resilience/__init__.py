@@ -32,6 +32,9 @@ simulator stays bit-exact when nothing here is enabled.
   cross-validation of sub-aggregate claims, accusation/conviction from
   authenticated contradictory frames, eviction through discard-and-retry
   epochs, and influence-bounded certification (|error| <= b * v_max).
+* :mod:`repro.resilience.overlay` — :func:`overlay_network`, the one
+  constructor of a run's network under its overlays; it loads the
+  transport and integrity layers only for a run that asks for them.
 
 Names are imported on first access (see :mod:`repro._lazy`): a plain
 run over the transport needs :mod:`.transport`, not the epoch runtimes.
@@ -49,11 +52,12 @@ _EXPORTS = export_table({
               "SNAP_KIND SNAP_REQ_KIND SnapshotStore neutral_input",
     "failover": "ELECT_KIND ElectionNode ElectionReport FailoverPlan "
                 "RecoveryPolicy",
+    "overlay": "overlay_network",
     "partial": "PartialAggregateResult STATUS_EXACT STATUS_FAILED "
                "STATUS_PARTIAL certify",
     "transport": "FRAME_KIND NACK_KIND RTO_MODES TRANSPORT_KINDS "
                  "ReliableTransport TransportConfig TransportGap "
-                 "TransportNode as_transport overlay_network",
+                 "TransportNode as_transport",
 })
 
 #: The re-exported names; submodules stay out, as they always have.

@@ -42,7 +42,8 @@ from ..sim.network import Network
 from ..sim.node import NodeHandler
 from ..sim.stats import SimStats
 from .partial import PartialAggregateResult
-from .transport import ReliableTransport, overlay_network
+from .overlay import overlay_network
+from .transport import ReliableTransport
 
 #: Protocols the epoch runtimes know how to restart.
 RECOVERABLE_PROTOCOLS = ("algorithm1", "unknown_f")

@@ -59,10 +59,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from ..integrity.frames import IntegrityCoordinator, as_integrity
 from ..obs import spans as _spans
 from ..sim.message import Envelope, Part, TAG_BITS, id_bits
-from ..sim.network import Network
 from ..sim.node import NodeHandler
 from ..sim.specs import JsonFields
 from .detector import LEVEL_CONFIRM, PhiAccrualDetector, AdaptiveRto
@@ -870,49 +868,6 @@ class AmnesiacInner(NodeHandler):
 
     def wants_to_stop(self) -> bool:
         return False
-
-
-def overlay_network(
-    topology,
-    handlers: Dict[int, NodeHandler],
-    crash_rounds,
-    *,
-    transport=None,
-    integrity=None,
-    **network_kwargs,
-) -> Tuple[
-    Network, int, Optional[ReliableTransport], Optional[IntegrityCoordinator]
-]:
-    """Build a run's :class:`~repro.sim.network.Network` under its overlays.
-
-    The one place handlers are wrapped: the reliable transport inside and
-    the integrity layer outermost (what travels on the wire is always an
-    authenticated frame, whatever is inside), with the overhead
-    classifiers chained in the same order.  ``transport`` and
-    ``integrity`` are coerced by :func:`as_transport` and
-    :func:`repro.integrity.frames.as_integrity`.  Returns ``(network,
-    window, transport, integrity)``; ``window`` is the physical rounds per
-    logical round (1 without a transport).
-    """
-    transport = as_transport(transport)
-    integrity = as_integrity(integrity)
-    overhead_fn = None
-    window = 1
-    if transport is not None:
-        handlers = transport.wrap(handlers, topology.adjacency)
-        overhead_fn = transport.overhead_bits
-        window = transport.window
-    if integrity is not None:
-        handlers = integrity.wrap(handlers)
-        overhead_fn = integrity.overhead_fn(overhead_fn)
-    network = Network(
-        topology.adjacency,
-        handlers,
-        crash_rounds,
-        overhead_fn=overhead_fn,
-        **network_kwargs,
-    )
-    return network, window, transport, integrity
 
 
 def as_transport(spec) -> Optional[ReliableTransport]:

@@ -450,20 +450,6 @@ def expected_outcome(record) -> Dict[str, Any]:
     }
 
 
-def is_failure(record) -> bool:
-    """Whether a ``RunRecord`` is worth capturing as a repro bundle.
-
-    A row is a *failure* when it errored, graded incorrect, or carries
-    recorded monitor violations — exactly the rows the sweep/chaos
-    harnesses flag.
-    """
-    return bool(
-        record.failed
-        or not record.correct
-        or record.extra.get("violations")
-    )
-
-
 def make_execution_record(
     recorder: RecordingInjector,
     protocol: str,

@@ -15,7 +15,8 @@ import sys
 
 import pytest
 
-from repro.sim import ExecutionRecord, is_failure, replay_bundle
+from repro.analysis.runner import is_failure
+from repro.sim import ExecutionRecord, replay_bundle
 from repro.sim.recorder import SUPPORTED_BUNDLE_VERSIONS
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")

@@ -41,11 +41,8 @@ from repro.graphs.topology import Topology
 from repro.obs import spans as obs_spans
 from repro.resilience.epochs import ChurnPolicy
 from repro.resilience.failover import RecoveryPolicy
-from repro.resilience.transport import (
-    TransportConfig,
-    TransportNode,
-    overlay_network,
-)
+from repro.resilience.overlay import overlay_network
+from repro.resilience.transport import TransportConfig, TransportNode
 from repro.sim import Network, Tracer
 from repro.sim.faults import MessageFaults
 from repro.sim.message import Part
@@ -485,7 +482,9 @@ def _ref_wake(node, rnd):
         wakes.append(handoff + 1 + span * max(0, -((handoff - rnd) // span)))
     if node._bf is None:
         wakes.append(plan.bruteforce_start)
-    for child in (node._agg, node._veri, node._bf):
+    # The live phase (VERI once armed, else AGG) and brute force.
+    phase = node._agg if node._veri is None else node._veri
+    for child in (phase, node._bf):
         if child is not None:
             wakes.append(_ref_wake(child, rnd))
     wake = min((w for w in wakes if w is not None and w > rnd), default=None)
@@ -600,6 +599,40 @@ def test_algorithm1_handler_calls_are_a_small_fraction(monkeypatch):
     )
     assert record.correct
     assert calls[0] <= 0.10 * topo.n_nodes * record.rounds
+
+
+@pytest.mark.parametrize("protocol", ["algorithm1", "unknown_f"])
+def test_no_agg_round_lands_after_its_last_round(monkeypatch, protocol):
+    """Once an interval's AGG hands over to VERI it is finished: the
+    handler dispatches to VERI alone, never to the spent AGG."""
+    topo = grid_graph(8, 8)
+    late, calls = [], [0]
+    on_round = AggNode.on_round
+
+    def checked(self, rnd, inbox):
+        calls[0] += 1
+        if rnd - self.start_round + 1 > self.last_round:
+            late.append(rnd)
+        return on_round(self, rnd, inbox)
+
+    monkeypatch.setattr(AggNode, "on_round", checked)
+    for seed in range(3):
+        schedule = random_failures(
+            topo, 6, random.Random(seed), last_round=60 * topo.diameter,
+            respect_c=2,
+        )
+        record = run_protocol(
+            protocol,
+            topo,
+            {u: 1 for u in topo.nodes()},
+            schedule,
+            f=6,
+            b=60,
+            rng=random.Random(seed),
+        )
+        assert record.correct
+    assert calls[0] > 0
+    assert late == []
 
 
 def test_overlay_handler_calls_are_a_small_fraction(monkeypatch):

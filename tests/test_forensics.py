@@ -15,7 +15,12 @@ import os
 
 import pytest
 
-from repro.analysis.runner import RunTimeout, make_inputs, safe_run_protocol
+from repro.analysis.runner import (
+    RunTimeout,
+    is_failure,
+    make_inputs,
+    safe_run_protocol,
+)
 from repro.graphs import grid_graph
 from repro.sim import (
     BUNDLE_FORMAT,
@@ -24,7 +29,6 @@ from repro.sim import (
     MessageFaults,
     RecordingInjector,
     ReplayDivergence,
-    is_failure,
     replay_bundle,
 )
 from repro.sim.faults import FaultInjector

@@ -39,7 +39,7 @@ except ImportError:  # pragma: no cover - property tests skip
     given = None
 
 #: Modules whose runners build a ``Network`` by that name.
-BUILDERS = ("repro.baselines.bruteforce", "repro.resilience.transport")
+BUILDERS = ("repro.baselines.bruteforce", "repro.resilience.overlay")
 
 
 class EveryHook(Network):

@@ -2,10 +2,14 @@
 nor the adversary search, shrinker and adaptive adversaries, and a plain
 run loads none of the epoch runtimes either.  A run without churn, gray
 failures or Byzantine compromise loads none of their family modules, and
-the simulator loads no family module at all.
+the simulator loads no family module at all.  A plain serial run loads
+neither the process pool, the result cache, the recorder, the exporters,
+the baselines it does not run, nor the transport and integrity overlays;
+and what it does load, it loads at import, not during its first run.
 
-``repro``, ``repro.analysis``, ``repro.adversary`` and
-``repro.resilience`` import their re-exported names on first access.  Each check runs in a fresh
+``repro``, ``repro.analysis``, ``repro.adversary``, ``repro.resilience``,
+``repro.sim``, ``repro.exec`` and ``repro.baselines`` import their
+re-exported names on first access.  Each check runs in a fresh
 interpreter, since this test process has long since imported everything.
 """
 
@@ -20,7 +24,10 @@ import pytest
 import repro
 import repro.adversary
 import repro.analysis
+import repro.baselines
+import repro.exec
 import repro.resilience
+import repro.sim
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
@@ -38,6 +45,16 @@ EPOCH_RUNTIMES = ("repro.resilience.byzantine", "repro.resilience.epochs",
 #: The schedule family modules.
 FAMILY_MODULES = ("repro.families.churn", "repro.families.gray",
                   "repro.families.byz")
+
+#: Modules a plain serial run never executes: the process pool, cache and
+#: telemetry, the recorder, replay and tracers, the exporters, the
+#: baselines it does not run, and the transport and integrity overlays.
+PLAIN_RUN_UNUSED = ("concurrent.futures.process", "multiprocessing",
+                    "repro.exec.pool", "repro.exec.cache",
+                    "repro.exec.progress", "repro.sim.recorder",
+                    "repro.sim.replay", "repro.sim.trace", "repro.obs.export",
+                    "repro.baselines.folklore", "repro.baselines.gossip",
+                    "repro.resilience.transport", "repro.integrity", "hmac")
 
 REPORT = """
 import json, sys
@@ -86,6 +103,50 @@ def test_protocol_runs_load_no_numpy(tmp_path):
     assert out["loaded"] == []
 
 
+def test_plain_serial_runs_load_only_what_they_execute(tmp_path):
+    out = _fresh("""
+        from repro.exec import WorkUnit, execute_unit
+        from repro.graphs import grid_graph
+
+        topo = grid_graph(10, 10)
+        crashes = {"kind": "random", "f": 8, "first_round": 1,
+                   "last_round": 90 * topo.diameter, "respect_c": 2}
+        units = [WorkUnit("algorithm1", topo, 0, f=8, b=90, schedule=crashes),
+                 WorkUnit("bruteforce", topo, 1, f=8, schedule=crashes)]
+        results = [[u.protocol, execute_unit(u).correct] for u in units]
+    """, tmp_path, forbidden=PLAIN_RUN_UNUSED)
+    assert out["results"] == [["algorithm1", True], ["bruteforce", True]]
+    assert out["loaded"] == []
+
+
+def test_a_first_run_imports_nothing(tmp_path):
+    """What every run needs is imported with the engine, so the first
+    run's time is the run's; and the scheduler imports the runner."""
+    out = _fresh("""
+        import sys
+
+        import repro.exec.scheduler
+        runner_at_import = "repro.analysis.runner" in sys.modules
+
+        from repro.exec import WorkUnit, execute_unit
+        from repro.graphs import grid_graph
+
+        topo = grid_graph(10, 10)
+        unit = WorkUnit("algorithm1", topo, 0, f=8, b=90,
+                        schedule={"kind": "random", "f": 8, "first_round": 1,
+                                  "last_round": 90 * topo.diameter,
+                                  "respect_c": 2})
+        before = set(sys.modules)
+        record = execute_unit(unit)
+        results = {"runner_at_import": runner_at_import,
+                   "correct": record.correct,
+                   "used_bruteforce": record.extra["used_bruteforce"],
+                   "added": sorted(set(sys.modules) - before)}
+    """, tmp_path)
+    assert out["results"] == {"runner_at_import": True, "correct": True,
+                              "used_bruteforce": False, "added": []}
+
+
 def test_the_simulator_loads_no_family_module(tmp_path):
     out = _fresh("""
         import repro.sim
@@ -112,10 +173,12 @@ def test_cli_run_loads_no_numpy(tmp_path):
     assert out["loaded"] == []
 
 
-@pytest.mark.parametrize("package", [repro, repro.analysis, repro.adversary,
-                                     repro.resilience],
-                         ids=["repro", "repro.analysis", "repro.adversary",
-                              "repro.resilience"])
+FACADES = [repro, repro.analysis, repro.adversary, repro.resilience, repro.sim,
+           repro.exec, repro.baselines]
+
+
+@pytest.mark.parametrize("package", FACADES,
+                         ids=[package.__name__ for package in FACADES])
 def test_every_public_name_resolves(package):
     for name in package.__all__:
         assert getattr(package, name) is not None, name
@@ -123,11 +186,6 @@ def test_every_public_name_resolves(package):
 
 
 def test_unknown_name_is_an_attribute_error():
-    with pytest.raises(AttributeError):
-        repro.no_such_name
-    with pytest.raises(AttributeError):
-        repro.analysis.no_such_name
-    with pytest.raises(AttributeError):
-        repro.adversary.no_such_name
-    with pytest.raises(AttributeError):
-        repro.resilience.no_such_name
+    for package in FACADES:
+        with pytest.raises(AttributeError):
+            package.no_such_name

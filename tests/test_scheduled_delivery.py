@@ -33,7 +33,7 @@ except ImportError:  # pragma: no cover - property tests skip
 
 #: Modules whose runners build a ``Network`` by that name (algorithm1
 #: may fall back to brute force).
-BUILDERS = ("repro.baselines.bruteforce", "repro.resilience.transport")
+BUILDERS = ("repro.baselines.bruteforce", "repro.resilience.overlay")
 
 
 class FlatPending(Network):
