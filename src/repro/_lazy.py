@@ -13,6 +13,7 @@ imports a submodule the first time one of its names is read.
 from __future__ import annotations
 
 import importlib
+import sys
 from typing import Any, Callable, Dict, List, Mapping, MutableMapping, Tuple
 
 
@@ -33,17 +34,21 @@ def facade(
 ) -> Tuple[Callable[[str], Any], Callable[[], List[str]]]:
     """The package's module ``__getattr__`` and ``__dir__`` over ``table``.
 
-    A resolved name is stored in ``namespace`` (the package's globals), so
-    ``__getattr__`` runs once per name.
+    A name is read from its submodule on every access and never stored in
+    ``namespace`` (the package's globals), so the package always shows
+    what the submodule binds now: a function a tool or a test rebinds in
+    its submodule, and later restores, reads the same through the
+    package.  A submodule binds itself on the package when it is
+    imported, so ``__getattr__`` does not run for it again.
     """
+    modules = {name: f"{package}.{module}" for name, module in table.items()}
 
     def __getattr__(name: str) -> Any:
-        if name not in table:
+        qualified = modules.get(name)
+        if qualified is None:
             raise AttributeError(f"module {package!r} has no attribute {name!r}")
-        module = importlib.import_module(f"{package}.{table[name]}")
-        value = module if name == table[name] else getattr(module, name)
-        namespace[name] = value
-        return value
+        module = sys.modules.get(qualified) or importlib.import_module(qualified)
+        return module if name == table[name] else getattr(module, name)
 
     def __dir__() -> List[str]:
         return sorted(set(namespace) | set(table))

@@ -116,15 +116,20 @@ class PhasedNode(NodeHandler):
         if _spans.enabled and self.is_root:
             self._obs_mark(rnd, rel, idx)
 
-        fresh = self.floods.absorb(inbox)
-        self._note_flood_observations(fresh)
+        floods = self.floods
+        if inbox:
+            fresh = floods.absorb(inbox)
+            if fresh:
+                self._note_flood_observations(fresh)
 
         out: List[Part] = []
         if not self.aborted:
             phase_round = getattr(self, self.PHASE_ROUNDS[idx])
             out = phase_round(rel - self.spans[idx][0] + 1, inbox) or out
-        out += self.floods.emit()
-        out = self._valve(out)
+        if floods.queued:
+            out += floods.emit()
+        if out:
+            out = self._valve(out)
 
         if self.is_root and rel == self.last_round:
             self._produce_output()
@@ -207,9 +212,8 @@ class PhasedNode(NodeHandler):
     def _valve(self, out: List[Part]) -> List[Part]:
         """The special-symbol mechanism of Algorithms 2 and 3: flood the
         ``ABORT`` symbol instead of exceeding the ``BUDGET`` bits (read
-        from ``self.p`` at every check), then send nothing else."""
-        if not out:  # nothing to book or to hold back
-            return out
+        from ``self.p`` at every check), then send nothing else.  Only
+        called with parts to send."""
         planned = sum(part.bits for part in out)
         if (
             not self.aborted

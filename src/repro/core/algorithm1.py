@@ -175,18 +175,31 @@ class IntervalNode(NodeHandler):
     # ------------------------------------------------------------------ #
 
     def on_round(self, rnd: int, inbox: Sequence[Envelope]) -> List[Part]:
-        if self.done or rnd > self.plan.total_rounds:
+        plan = self.plan
+        if self.done or rnd > plan.total_rounds:
             return []
-        out: List[Part] = []
-        self._maybe_arm(rnd)
+        # Arming happens only at an interval start, at the live AGG's
+        # hand-off offset and at the brute-force start.
+        offset = (rnd - 1) % plan.interval_rounds
+        agg = self._agg
+        if (
+            offset == 0
+            or rnd == plan.bruteforce_start
+            or (agg is not None and offset == agg.last_round)
+        ):
+            self._maybe_arm(rnd)
+            agg = self._agg
         # An AGG that has handed over to VERI is past its last round.
-        if self._veri is not None:
-            out.extend(self._veri.on_round(rnd, inbox))
-        elif self._agg is not None:
-            out.extend(self._agg.on_round(rnd, inbox))
-        if self._bf is not None:
-            out.extend(self._bf.on_round(rnd, inbox))
-        self._maybe_decide(rnd)
+        phase = self._veri if self._veri is not None else agg
+        bf = self._bf
+        if bf is None:
+            out = phase.on_round(rnd, inbox) if phase is not None else []
+        elif phase is None:
+            out = bf.on_round(rnd, inbox)
+        else:
+            out = phase.on_round(rnd, inbox) + bf.on_round(rnd, inbox)
+        if self.is_root:
+            self._maybe_decide(rnd)
         return out
 
     def next_wake(self, rnd: int) -> Optional[int]:
@@ -203,20 +216,25 @@ class IntervalNode(NodeHandler):
         span = plan.interval_rounds
         nxt = (rnd - 1) // span + 1  # 0-based index of the next interval start
         wake = nxt * span + 1 if nxt < plan.n_intervals else last + 1
-        if self._agg is not None:
-            handoff = self._agg.last_round
+        agg, veri, bf = self._agg, self._veri, self._bf
+        if agg is not None:
+            handoff = agg.last_round
             if handoff < rnd:
                 handoff -= span * ((handoff - rnd) // span)
             if handoff + 1 < wake:
                 wake = handoff + 1
-        if self._bf is None and rnd < plan.bruteforce_start < wake:
-            wake = plan.bruteforce_start
-        phase = self._agg if self._veri is None else self._veri
-        for child in (phase, self._bf):
-            if child is not None:
-                child_wake = child.next_wake(rnd)
-                if child_wake is not None and rnd < child_wake < wake:
-                    wake = child_wake
+        if bf is None:
+            if rnd < plan.bruteforce_start < wake:
+                wake = plan.bruteforce_start
+        else:
+            child_wake = bf.next_wake(rnd)
+            if child_wake is not None and rnd < child_wake < wake:
+                wake = child_wake
+        phase = agg if veri is None else veri
+        if phase is not None:
+            child_wake = phase.next_wake(rnd)
+            if child_wake is not None and rnd < child_wake < wake:
+                wake = child_wake
         return wake if wake <= last else None
 
     def _maybe_arm(self, rnd: int) -> None:
@@ -279,7 +297,8 @@ class IntervalNode(NodeHandler):
             )
 
     def _maybe_decide(self, rnd: int) -> None:
-        if not self.is_root or self.done:
+        """The root's verdict on its finished pair or brute force."""
+        if self.done:
             return
         if self._veri is not None and self._veri.done:
             accepted = (not self._agg.aborted) and self._veri.output is True

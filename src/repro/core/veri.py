@@ -87,7 +87,17 @@ class VeriNode(PhasedNode):
 
     def _next_slot(self, rel: int, slot):
         """The earliest of ``slot`` and the phase-relative slots of the
-        phase methods after ``rel``."""
+        phase methods after ``rel``.  An activated node has three:
+
+        * failed-parent detection at phase-1 round ``level + 1`` (levels
+          up to ``cd``);
+        * failed-child detection at phase-2 round ``cd - level + 1``
+          (levels up to ``cd``);
+        * LFC detection at phase-3 round 1, only while the node holds a
+          failed-parent claim: without one :meth:`_lfc_round` has no
+          parent to judge.  A claim that arrives later comes by mail,
+          and the wake is asked again after that round.
+        """
         st, spans, cd = self.state, self.spans, self.cd
         if st.activated:
             level = st.level
@@ -96,7 +106,7 @@ class VeriNode(PhasedNode):
                     slot = spans[0][0] + level
                 if rel < spans[1][0] + cd - level < slot:
                     slot = spans[1][0] + cd - level
-            if rel < spans[2][0] < slot:
+            if self.failed_parent_claims and rel < spans[2][0] < slot:
                 slot = spans[2][0]
         return slot
 

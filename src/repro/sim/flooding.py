@@ -25,7 +25,9 @@ its parts' bits) is built once and shared by every receiver.  Most
 envelopes a node receives carry only contents it has already seen (copies
 of the same flood reach it from several neighbours), so
 :meth:`FloodManager.absorb` skips such an envelope once ``mask & ~seen``
-is 0, and for the rest tests each part's bit in part order, without
+is 0.  It takes every flood part of an envelope whose contents are all
+new and distinct (``mask & ~seen == mask`` and the part bits sum to the
+mask), and for the rest tests each part's bit in part order, without
 hashing a payload again.
 
 Each :class:`~repro.sim.network.Network` owns one index, which lives and
@@ -107,7 +109,8 @@ class FloodManager:
         # another manager on the index (so an envelope mixing AGG and VERI
         # kinds can be skipped once seen).
         self._seen = 0
-        self._queue: List[Part] = []
+        #: Parts queued for this round's broadcast (drained by :meth:`emit`).
+        self.queued: List[Part] = []
 
     @property
     def index(self) -> ContentIndex:
@@ -134,14 +137,15 @@ class FloodManager:
         Returns the flood parts seen for the *first* time, in inbox order
         and part order within an envelope (useful for handlers that react
         to new flood contents).  An envelope whose every content was seen
-        before is skipped with one mask operation.
+        before is skipped with one mask operation, and one whose every
+        content is new and appears once is taken without testing a bit.
         """
         fresh: List[Part] = []
         if not inbox:
             return fresh
         index = self.index
         registered = index.kinds
-        kinds, seen, queue = self._flood_kinds, self._seen, self._queue
+        kinds, seen, queue = self._flood_kinds, self._seen, self.queued
         for env in inbox:
             cached = env._mask  # Envelope.content_bits, inlined
             if (
@@ -155,7 +159,16 @@ class FloodManager:
             if not new:
                 continue
             seen |= new
-            for part, bit in zip(env.parts, cached[3]):
+            bits = cached[3]
+            # Distinct bits sum to their OR, so when every content is new
+            # and none repeats, every flood part is fresh.
+            if new == mask and sum(bits) == mask:
+                for part in env.parts:
+                    if part.kind in kinds:
+                        queue.append(part)
+                        fresh.append(part)
+                continue
+            for part, bit in zip(env.parts, bits):
                 if new & bit:
                     new ^= bit
                     if part.kind in kinds:
@@ -179,10 +192,10 @@ class FloodManager:
         if self._seen & bit:
             return False
         self._seen |= bit
-        self._queue.append(part)
+        self.queued.append(part)
         return True
 
     def emit(self) -> List[Part]:
         """Drain the queue of parts to broadcast this round."""
-        out, self._queue = self._queue, []
+        out, self.queued = self.queued, []
         return out

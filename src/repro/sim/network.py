@@ -343,11 +343,14 @@ class Network:
             inboxes = self._deliver_exact(rnd)
 
         # Flood managers first used in this round bind to this run's index.
-        token = RUN_INDEX.set(self.contents)
+        # Restored by value inside the try: a wall-clock alarm raised as
+        # the set returns would skip a token reset and leave it bound.
+        previous = RUN_INDEX.get()
         try:
+            RUN_INDEX.set(self.contents)
             self._run_nodes(rnd, inboxes)
         finally:
-            RUN_INDEX.reset(token)
+            RUN_INDEX.set(previous)
         self.stats.rounds_executed = rnd
         for injector in self._end_round:
             injector.end_round(rnd)
@@ -363,6 +366,7 @@ class Network:
         active = wakes.pop(rnd, set()).union(inboxes)
         unchecked = self._unchecked
         crashes, churn = self.crash_rounds, self.down_intervals
+        handlers, soonest = self.handlers, rnd + 1
         for node in sorted(active, key=self._order.__getitem__):
             # A down node's wake is not lost: its first live round after
             # an outage is the end of one, where schedule_downtime woke it.
@@ -370,12 +374,24 @@ class Network:
                 churn and not self.is_alive(node, rnd)
             ):
                 continue
-            handler = self.handlers[node]
-            parts = tuple(handler.on_round(rnd, inboxes.get(node, ())))
-            if parts:
-                self._broadcast(rnd, node, parts)
+            handler = handlers[node]
+            out = handler.on_round(rnd, inboxes.get(node, ()))
+            # An empty list or tuple is silent; any other iterable is
+            # materialised to find out.
+            if out:
+                parts = tuple(out)
+                if parts:
+                    self._broadcast(rnd, node, parts)
             unchecked.add(node)
-            self._wake(node, handler.next_wake(rnd))
+            # File the next wake as _wake does, inline.
+            wake = handler.next_wake(rnd)
+            if wake is not None:
+                if wake < soonest:
+                    wake = soonest
+                bucket = wakes.get(wake)
+                if bucket is None:
+                    bucket = wakes[wake] = set()
+                bucket.add(node)
 
     def _wake(self, node: int, wake: Optional[int]) -> None:
         """Put ``node`` in the bucket of round ``wake`` (None: no wake)."""
@@ -384,7 +400,9 @@ class Network:
 
     def _broadcast(self, rnd: int, node: int, parts: tuple) -> None:
         """Book one node's broadcast and put it on the delivery path."""
-        bits = sum(p.bits for p in parts)
+        bits = 0
+        for part in parts:
+            bits += part.bits
         overhead = (
             sum(self.overhead_fn(p) for p in parts)
             if self.overhead_fn is not None
@@ -411,7 +429,25 @@ class Network:
         observers = self._on_deliver
         flaps = self.link_flaps
         crashes, churn = self.crash_rounds, self.down_intervals
-        for sender, parts in self._in_flight:
+        in_flight, self._in_flight = self._in_flight, []
+        if not (flaps or churn or observers):
+            # The model itself: no link flaps, no churn, no observers.
+            adjacency = self.adjacency
+            for sender, parts in in_flight:
+                envelope = Envelope(sender, parts)
+                for neighbour in adjacency[sender]:
+                    live = alive.get(neighbour)
+                    if live is None:
+                        live = alive[neighbour] = rnd < crashes.get(
+                            neighbour, NEVER
+                        )
+                    if live:
+                        box = inboxes.get(neighbour)
+                        if box is None:
+                            box = inboxes[neighbour] = []
+                        box.append(envelope)
+            return inboxes
+        for sender, parts in in_flight:
             envelope = Envelope(sender, parts)
             for neighbour in self.adjacency[sender]:
                 if flaps and not self.link_up(sender, neighbour, rnd):
@@ -427,7 +463,6 @@ class Network:
                     for observer in observers:
                         for p in parts:
                             observer.on_deliver(rnd, sender, neighbour, p)
-        self._in_flight = []
         return inboxes
 
     def _transmit(self, rnd: int, sender: int, parts: Sequence[Part]) -> None:
@@ -570,7 +605,10 @@ class Network:
         jumps = not (self._begin_round or self._end_round)
         while self.round < end:
             if jumps and self.round and not self._in_flight:
-                self.round = self._next_event(end) - 1
+                # A jumped round counts as executed, as an idle step
+                # would, also when the next step raises.
+                jump_to = self._next_event(end) - 1
+                self.round = self.stats.rounds_executed = jump_to
             self.step()
             if stop_on_output and self.stop_requested():
                 break

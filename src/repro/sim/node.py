@@ -3,7 +3,9 @@
 A protocol is implemented as one :class:`NodeHandler` per node.  The network
 calls :meth:`NodeHandler.on_round` with the messages delivered in a round;
 the handler returns the parts to broadcast (delivered to all live neighbours
-next round).
+next round).  It may return any iterable: the network materialises it, and
+only a non-empty result is broadcast (an empty list or tuple costs the call
+and nothing more).
 
 **Wake contract.**  A handler need not run in every round.  In the paper's
 model a node acts on mail, or at a round slot its schedule fixes in advance
@@ -51,7 +53,8 @@ class NodeHandler(ABC):
             inbox: Envelopes delivered this round.
 
         Returns:
-            Parts to broadcast this round (empty iterable to stay silent).
+            Parts to broadcast this round, as any iterable; only a
+            non-empty result is broadcast (an empty one stays silent).
         """
 
     def next_wake(self, rnd: int) -> Optional[int]:

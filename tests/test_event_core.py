@@ -441,7 +441,9 @@ def _ref_veri_slots(node):
     if st.activated:
         if st.level <= cd:
             slots += (spans[0][0] + st.level, spans[1][0] + cd - st.level)
-        slots.append(spans[2][0])
+        # The LFC round judges failed-parent claims, so it needs one.
+        if node.failed_parent_claims:
+            slots.append(spans[2][0])
     return slots
 
 
@@ -530,6 +532,8 @@ if given is not None:
                 start_round=data.draw(st.integers(1, last)),
             )
             veri.aborted = data.draw(st.booleans())
+            if data.draw(st.booleans()):
+                veri.failed_parent_claims.add((node_id + 1, 1, node_id + 2))
             node._veri = veri
         if data.draw(st.booleans()):
             node._bf = BruteForceNode(
@@ -599,6 +603,55 @@ def test_algorithm1_handler_calls_are_a_small_fraction(monkeypatch):
     )
     assert record.correct
     assert calls[0] <= 0.10 * topo.n_nodes * record.rounds
+
+
+def _count_calls(monkeypatch, classes):
+    """Count the ``on_round`` calls of ``classes`` (a network's top-level
+    handlers) and the idle ones among them: empty inbox, nothing sent."""
+    counts = {"calls": 0, "idle": 0}
+    for cls in classes:
+
+        def counted(self, rnd, inbox, _on_round=vars(cls)["on_round"]):
+            out = _on_round(self, rnd, inbox)
+            counts["calls"] += 1
+            counts["idle"] += not inbox and not out
+            return out
+
+        monkeypatch.setattr(cls, "on_round", counted)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "protocol, expected",
+    [
+        ("algorithm1", {"calls": 3263, "idle": 444}),
+        ("agg_veri", {"calls": 2138, "idle": 196}),
+    ],
+)
+def test_handler_and_idle_calls_are_pinned(monkeypatch, protocol, expected):
+    """The exact work of two fixed runs, so a wake that comes back fails
+    here: Algorithm 1 as above, and one AGG + VERI pair whose VERI nodes
+    without a failed-parent claim skip the LFC round."""
+    topo = grid_graph(10, 10)
+    inputs = {u: 1 for u in topo.nodes()}
+    if protocol == "algorithm1":
+        counts = _count_calls(monkeypatch, [IntervalNode])
+        schedule = random_failures(
+            topo, 8, random.Random(0), last_round=90 * topo.diameter,
+            respect_c=2,
+        )
+        record = run_protocol(
+            protocol, topo, inputs, schedule, f=8, b=90, rng=random.Random(0)
+        )
+    else:
+        counts = _count_calls(monkeypatch, [AggNode, VeriNode])
+        schedule = random_failures(
+            topo, 4, random.Random(1), last_round=40 * topo.diameter,
+            respect_c=2,
+        )
+        record = run_protocol(protocol, topo, inputs, schedule, t=2)
+    assert record.correct
+    assert counts == expected
 
 
 @pytest.mark.parametrize("protocol", ["algorithm1", "unknown_f"])

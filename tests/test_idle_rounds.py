@@ -53,7 +53,7 @@ from repro.sim.monitors import (
 from repro.sim.node import NodeHandler
 
 try:
-    from hypothesis import given, settings
+    from hypothesis import example, given, settings
     from hypothesis import strategies as st
 except ImportError:  # pragma: no cover - property tests skip
     given = None
@@ -241,6 +241,15 @@ class TestJumpsMatchEveryRound:
 
         @settings(max_examples=30, deadline=None)
         @given(case=_cases)
+        # Corrupted mail raises four rounds after an idle jump: the jumped
+        # rounds still count in ``rounds_executed``.
+        @example(case={
+            "protocol": "unknown_f", "overlays": None, "seed": 138,
+            "faults": {"drop": 0.2, "duplicate": 0.0, "delay": 0.05,
+                       "reorder": 0.05},
+            "corrupt": {"bitflip": 0.03, "truncate": 0.02, "stale": 0.03},
+            "crashes": {4: 3}, "churn": None, "root_crash": None,
+        })
         def test_same_outcome_stats_counters_gaps_and_violations(self, case):
             fast, fast_steps = _run(case, reference=False)
             slow, slow_steps = _run(case, reference=True)

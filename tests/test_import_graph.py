@@ -18,6 +18,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import types
 
 import pytest
 
@@ -189,3 +190,30 @@ def test_unknown_name_is_an_attribute_error():
     for package in FACADES:
         with pytest.raises(AttributeError):
             package.no_such_name
+
+
+def test_a_facade_reads_what_its_submodule_binds_now(monkeypatch):
+    """A name read through a facade while its submodule's function is
+    rebound (a tracer, a test's patch) reads the original again once the
+    rebind is undone."""
+    import repro.analysis.runner as runner
+
+    original = runner.run_protocol
+
+    def wrapper(*args, **kwargs):
+        return original(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(runner, "run_protocol", wrapper)
+        assert repro.analysis.run_protocol is wrapper
+    assert repro.analysis.run_protocol is original
+
+
+@pytest.mark.parametrize("package", FACADES,
+                         ids=[package.__name__ for package in FACADES])
+def test_a_facade_keeps_no_name_it_resolves(package):
+    lazy = [name for name in package.__all__ if name not in vars(package)]
+    values = {name: getattr(package, name) for name in lazy}
+    kept = {name for name, value in values.items()
+            if not isinstance(value, types.ModuleType)} & set(vars(package))
+    assert kept == set()

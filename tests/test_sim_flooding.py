@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.adversary import FailureSchedule
+from repro.analysis.runner import RunTimeout
 from repro.core import run_agg_veri_pair
 from repro.graphs import cycle_graph, grid_graph, path_graph
 from repro.sim.flooding import RUN_INDEX, ContentIndex, FloodManager
@@ -159,6 +160,49 @@ class TestAbsorbMatchesReference:
                 assert fm.initiate(part) == ref.initiate(part)
             assert fm.emit() == ref.queue
             ref.queue = []
+
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        rounds=st.lists(
+            st.lists(  # one inbox: envelopes of (kind, content number)
+                st.lists(
+                    st.tuples(st.sampled_from(["f", "g", "x"]),
+                              st.integers(0, 3)),
+                    min_size=1,
+                    max_size=5,
+                ),
+                max_size=4,
+            ),
+            max_size=6,
+        ),
+    )
+    def test_unseen_and_repeating_envelopes_match(self, rounds):
+        """Each round's contents are new to the manager, so a round's first
+        envelope is wholly unseen; four content numbers across up to five
+        parts make an envelope often repeat a content, which is still
+        queued once."""
+        fm = FloodManager({"f", "g"})
+        ref = ReferenceFloods({"f", "g"})
+        for r, envelopes in enumerate(rounds):
+            inbox = [
+                Envelope(i, tuple(Part(kind, (r, k), 1) for kind, k in parts))
+                for i, parts in enumerate(envelopes)
+            ]
+            copies = [(env.sender, p) for env in inbox for p in env.parts]
+            assert fm.absorb(inbox) == ref.absorb(copies)
+            assert fm.emit() == ref.queue
+            ref.queue = []
+
+    def test_repeated_content_in_an_unseen_envelope_is_queued_once(self):
+        parts = (Part("f", (1,), 2), Part("x", (0,), 1), Part("f", (1,), 2),
+                 Part("g", (2,), 2))
+        fm = FloodManager({"f", "g"})
+        assert fm.absorb([Envelope(0, parts)]) == [parts[0], parts[3]]
+        assert fm.emit() == [parts[0], parts[3]]
 
     def test_duplicate_broadcast_walks_no_part(self):
         """An envelope whose every content was seen costs one set check:
@@ -332,6 +376,34 @@ class TestRunIndex:
             assert all(n.floods.index is net.contents for n in nodes.values())
             assert all(len(nodes[u].first_seen) == 1 for u in range(1, 6))
         assert RUN_INDEX.get() is None
+
+    def test_an_alarm_as_the_index_binds_leaves_none_bound(self, monkeypatch):
+        """A wall-clock alarm is handled as a call returns, so it can
+        raise just after a round binds the network's index; the index is
+        unbound again afterwards, or every later manager would share it."""
+        import repro.sim.network as network_module
+
+        class AlarmAfterFirstSet:
+            armed = True
+
+            def get(self):
+                return RUN_INDEX.get()
+
+            def set(self, value):
+                token = RUN_INDEX.set(value)
+                if self.armed:
+                    self.armed = False
+                    raise RunTimeout("alarm")
+                return token
+
+        monkeypatch.setattr(network_module, "RUN_INDEX", AlarmAfterFirstSet())
+        try:
+            with pytest.raises(RunTimeout):
+                self._flood(cycle_graph(6), Part("f", ("a",), 3))
+            leaked = RUN_INDEX.get()
+        finally:
+            RUN_INDEX.set(None)
+        assert leaked is None
 
     def test_agg_veri_pairs_back_to_back(self):
         """``run_agg_veri_pair`` builds two networks per call; two calls
