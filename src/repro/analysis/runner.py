@@ -14,7 +14,8 @@ Two layers:
   confusing wrong sum.  Fault injectors / runtime monitors plug in via
   ``injectors`` / ``monitors`` / ``strict_monitors``.
 * :func:`safe_run_protocol` — the crash-safe wrapper sweeps use: one
-  execution under an optional wall-clock timeout, with structured error
+  execution under an optional wall-clock timeout (checked between
+  rounds, :func:`wall_clock_limit`), with structured error
   capture — a failed run becomes an error *row* (``error`` /
   ``error_kind`` set) instead of a crashed sweep.  With ``capture_dir``
   set, every failing run (error row, incorrect grade, or recorded monitor
@@ -28,9 +29,7 @@ from __future__ import annotations
 
 import inspect
 import random
-import signal
-import sys
-import threading
+import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Optional
@@ -44,6 +43,7 @@ from ..core.algorithm1 import run_algorithm1
 from ..core.veri import run_agg_veri_pair
 from ..graphs.topology import Topology
 from ..sim.monitors import InvariantViolation, violations_of
+from ..sim.network import DEADLINE, RunTimeout
 from . import families
 
 
@@ -536,66 +536,20 @@ def _finish_record(
 # --------------------------------------------------------------------- #
 
 
-class RunTimeout(Exception):
-    """A protocol run exceeded its wall-clock limit."""
-
-
 @contextmanager
 def wall_clock_limit(seconds: Optional[float]):
-    """Enforce a wall-clock limit via ``SIGALRM`` where possible.
-
-    In the main thread of a Unix process the limit is hard (an in-flight
-    round is interrupted).  Elsewhere (worker threads, platforms without
-    ``setitimer``) the context is a no-op — callers still get error
-    capture for raising runs, just not for hanging ones.
-    """
+    """Stop this block's runs at their first round boundary after
+    ``seconds`` (:data:`repro.sim.network.DEADLINE`); None: no limit."""
     if seconds is None:
         yield
         return
     if seconds <= 0:
         raise ValueError(f"timeout must be positive, got {seconds}")
-    can_alarm = hasattr(signal, "setitimer") and (
-        threading.current_thread() is threading.main_thread()
-    )
-    if not can_alarm:
-        yield
-        return
-
-    fired = []
-    armed = [True]
-    reporting = []  # sys.unraisablehook calls in progress
-    report = sys.unraisablehook
-
-    def _on_alarm(signum, frame):
-        if armed and not reporting:
-            fired.append(signum)
-            raise RunTimeout(f"run exceeded {seconds}s wall clock")
-
-    def _report_unarmed(unraisable):
-        # A repeat landing inside the hook would break the report itself.
-        reporting.append(True)
-        try:
-            report(unraisable)
-        finally:
-            reporting.pop()
-
-    previous = signal.signal(signal.SIGALRM, _on_alarm)
-    sys.unraisablehook = _report_unarmed
-    # The repeat interval re-raises an alarm that landed in a gc callback
-    # or a destructor, where Python only reports the exception (through
-    # ``sys.unraisablehook``, which runs unarmed).
-    signal.setitimer(signal.ITIMER_REAL, seconds, min(seconds, 1.0))
+    token = DEADLINE.set((time.monotonic() + seconds, seconds))
     try:
         yield
     finally:
-        sys.unraisablehook = report
-        armed.clear()  # a repeat landing from here on is a no-op
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-    if fired:
-        # Every alarm was swallowed and the block ran to its end; the run
-        # still overran.
-        raise RunTimeout(f"run exceeded {seconds}s wall clock")
+        DEADLINE.reset(token)
 
 
 def error_record(
@@ -690,7 +644,9 @@ def safe_run_protocol(
     ``Random((seed + 1) * 1_000_003)``, so the row is a function of the
     arguments.
 
-    * ``timeout_s`` — wall-clock limit (:func:`wall_clock_limit`).
+    * ``timeout_s`` — wall-clock limit, checked before each round
+      (:func:`wall_clock_limit`): an overrun stops the run between two
+      rounds and becomes a ``RunTimeout`` row, in any thread.
     * A run that raises becomes an :func:`error_record` (``correct=False``,
       ``error`` / ``error_kind`` set).  ``KeyboardInterrupt`` /
       ``SystemExit`` propagate, so an interrupted sweep stops instead of

@@ -20,8 +20,9 @@ order, with these guarantees:
   after that the still-unfinished in-flight units become structured
   error rows (``error_kind="WorkerCrashed"``) instead of killing the
   run.  A *hung* worker — one whose unit has a ``timeout_s`` but blew
-  far past it without the worker-side ``SIGALRM`` firing — is terminated
-  and its unit becomes a ``RunTimeout`` error row.
+  far past it, stuck inside one round where the worker-side deadline
+  (checked between rounds) cannot stop it — is terminated and its unit
+  becomes a ``RunTimeout`` error row.
 * **Graceful Ctrl-C.**  On ``KeyboardInterrupt`` the engine stops
   submitting, drains every already-completed result into the cache, then
   re-raises — an interrupted sweep resumes the same way at any ``jobs``
@@ -51,6 +52,11 @@ try:  # BrokenProcessPool moved around across Python versions
     from concurrent.futures.process import BrokenProcessPool
 except ImportError:  # pragma: no cover
     from concurrent.futures import BrokenExecutor as BrokenProcessPool
+
+
+#: A unit with ``timeout_s`` is hung after this many times its limit
+#: (and at least 30 s more) of pool-side wall clock.
+HARD_TIMEOUT_FACTOR = 5.0
 
 
 class WorkerCrashed(RuntimeError):
@@ -268,9 +274,10 @@ class ExecutionEngine:
         backend: explicit backend instance (tests); defaults to
             ``SerialBackend`` for ``jobs=1`` else ``ProcessBackend``.
         window: max in-flight units (default ``max(2*jobs, jobs+2)``).
-        hard_timeout_factor: a unit with ``timeout_s`` set is declared
-            hung at ``max(factor * timeout_s, timeout_s + 30)`` seconds
-            of pool-side wall clock.
+
+    A unit with ``timeout_s`` set is declared hung at
+    ``max(HARD_TIMEOUT_FACTOR * timeout_s, timeout_s + 30)`` seconds of
+    pool-side wall clock.
     """
 
     def __init__(
@@ -282,7 +289,6 @@ class ExecutionEngine:
         backend=None,
         window: Optional[int] = None,
         max_respawns: int = 3,
-        hard_timeout_factor: float = 5.0,
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -293,7 +299,6 @@ class ExecutionEngine:
         self._backend = backend
         self.window = window or max(2 * jobs, jobs + 2)
         self.max_respawns = max_respawns
-        self.hard_timeout_factor = hard_timeout_factor
 
     def _make_backend(self):
         if self._backend is not None:
@@ -307,7 +312,7 @@ class ExecutionEngine:
     def _hard_timeout(self, unit: WorkUnit) -> Optional[float]:
         if unit.timeout_s is None:
             return None
-        return max(self.hard_timeout_factor * unit.timeout_s, unit.timeout_s + 30)
+        return max(HARD_TIMEOUT_FACTOR * unit.timeout_s, unit.timeout_s + 30)
 
     def run(self, units: Sequence[WorkUnit]) -> List[RunRecord]:
         """Execute every unit; returns one record per unit, in unit order."""

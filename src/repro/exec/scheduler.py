@@ -299,9 +299,8 @@ def execute_unit(unit: WorkUnit):
     :func:`derive_run` builds the run and
     :func:`repro.analysis.runner.safe_run_protocol` executes it,
     unrecorded.  Per-unit timeouts go through ``safe_run_protocol``'s own
-    ``timeout_s`` path — workers execute in their process's main thread,
-    so the ``SIGALRM`` wall-clock limit is exactly as hard there as
-    in-process.
+    ``timeout_s`` path, a deadline checked between rounds, so a worker's
+    timeout row is the in-process one.
 
     With ``capture_dir`` set, passing units are still not recorded: a
     failing row (:func:`repro.analysis.runner.is_failure`) that is not a

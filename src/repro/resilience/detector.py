@@ -15,7 +15,7 @@ estimators the reliable transport uses instead of fixed schedules:
   under a normal fit of the observed gaps (standard deviation floored at
   ``min_std`` so a perfectly regular history does not produce infinite
   confidence).  φ *accrues* continuously as silence lengthens, so
-  callers get a graded signal — ``trust`` / ``suspect`` / ``confirm`` —
+  callers get a graded level — ``trust`` / ``suspect`` / ``confirm`` —
   instead of a binary verdict.  Only a **confirmable** suspicion
   (φ ≥ ``confirm_threshold``, roughly "one in 10^8 that the peer is
   merely slow") may drive eviction or failover; a limping node hovers in

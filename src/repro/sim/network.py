@@ -66,11 +66,19 @@ broadcasts, deliveries and statistics are unchanged.  Round observers —
 the recorder, replay, tracers, the adaptive adversary, the churn
 schedule and the monitors that check every round — keep the every-round
 loop, so what they see is unchanged too.
+
+**A run stops between rounds.**  A wall-clock limit
+(:func:`repro.analysis.runner.wall_clock_limit`) sets :data:`DEADLINE`;
+:meth:`Network.run` checks it before each round and raises
+:class:`RunTimeout` once it has passed, so a round is never cut in half
+and a run overshoots its limit by at most one round.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from contextvars import ContextVar
+from time import monotonic
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..obs import spans as _spans
 from .flooding import RUN_INDEX, ContentIndex
@@ -85,6 +93,17 @@ NEVER = float("inf")
 #: layer catches it (schedule validation, the ScheduledCrashes injector,
 #: or an online ``schedule_crash`` call).
 ROOT_CRASH_ERROR = "the root node may not fail (Section 2)"
+
+
+class RunTimeout(Exception):
+    """A protocol run exceeded its wall-clock limit."""
+
+
+#: The current run's wall-clock limit, ``(monotonic deadline, seconds)``,
+#: or None; :meth:`Network.run` checks it before each round.
+DEADLINE: ContextVar[Optional[Tuple[float, float]]] = ContextVar(
+    "DEADLINE", default=None
+)
 
 
 class Network:
@@ -343,8 +362,8 @@ class Network:
             inboxes = self._deliver_exact(rnd)
 
         # Flood managers first used in this round bind to this run's index.
-        # Restored by value inside the try: a wall-clock alarm raised as
-        # the set returns would skip a token reset and leave it bound.
+        # Restored by value inside the try: an exception raised as the set
+        # returns would skip a token reset and leave it bound.
         previous = RUN_INDEX.get()
         try:
             RUN_INDEX.set(self.contents)
@@ -595,15 +614,20 @@ class Network:
         strict model, but under ``allow_root_crash`` the remaining rounds
         cannot produce an output and the failover layer takes over.
         Every injector's :meth:`~repro.sim.faults.FaultInjector.end_run`
-        fires exactly once, after the last round.
+        fires exactly once, after the last round.  Raises
+        :class:`RunTimeout` before a round once :data:`DEADLINE` has
+        passed.
         """
         if max_rounds < 0:
             raise ValueError(f"max_rounds must be >= 0, got {max_rounds}")
         end = self.round + max_rounds
+        limit = DEADLINE.get()
         # A round observer sees every round; otherwise rounds with nothing
         # to deliver, no wake and no root death are jumped.
         jumps = not (self._begin_round or self._end_round)
         while self.round < end:
+            if limit is not None and monotonic() > limit[0]:
+                raise RunTimeout(f"run exceeded {limit[1]}s wall clock")
             if jumps and self.round and not self._in_flight:
                 # A jumped round counts as executed, as an idle step
                 # would, also when the next step raises.

@@ -135,7 +135,6 @@ class ExecutionRecord:
     rng_state: Optional[List[Any]] = None
     strict_model: bool = False
     monitor_mode: Optional[str] = None
-    injector_specs: List[str] = field(default_factory=list)
     faulty_delivery: bool = False
     transmits: List[Dict[str, Any]] = field(default_factory=list)
     reorders: List[Dict[str, Any]] = field(default_factory=list)
@@ -171,6 +170,9 @@ class ExecutionRecord:
                 f"{sorted(SUPPORTED_BUNDLE_VERSIONS)})"
             )
         fields = {f for f in cls.__dataclass_fields__}
+        # Bundles older than this build may hold a write-only
+        # ``injector_specs`` list; it carries nothing replay reads.
+        data = {k: v for k, v in data.items() if k != "injector_specs"}
         unknown = set(data) - fields
         if unknown:
             raise ValueError(f"bundle has unknown fields: {sorted(unknown)}")
@@ -475,7 +477,6 @@ def make_execution_record(
         rng_state=listify(rng_state) if rng_state is not None else None,
         strict_model=strict_model,
         monitor_mode=monitor_mode,
-        injector_specs=[repr(i) for i in recorder.inner],
         faulty_delivery=recorder.modifies_delivery,
         transmits=list(recorder.transmits),
         reorders=list(recorder.reorders),

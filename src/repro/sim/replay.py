@@ -139,16 +139,6 @@ class ReplayInjector(FaultInjector):
             for _, pk, mode in out
         )
 
-    def __repr__(self) -> str:
-        # Stable: a re-recorded bundle stores this in ``injector_specs``,
-        # so two re-records of one bundle must write the same bytes.
-        record = self.record
-        return (
-            f"ReplayInjector(transmits={len(record.transmits)}, "
-            f"reorders={len(record.reorders)}, "
-            f"crashes={len(record.crashes)}, strict={self.strict})"
-        )
-
     # -- lifecycle ------------------------------------------------------ #
 
     def attach(self, network) -> None:

@@ -161,8 +161,8 @@ class TestExecuteUnit:
         assert record.result is None
 
     def test_worker_side_timeout_is_the_serial_code_path(self, grid44):
-        # timeout_s goes through safe_run_protocol's SIGALRM limiter, so
-        # the worker's row is the serial timeout row.
+        # timeout_s goes through safe_run_protocol's deadline, so the
+        # worker's row is the serial timeout row.
         unit = _unit(grid_graph(6, 6), b=84, f=4, timeout_s=0.001)
         record = execute_unit(unit)
         assert record.failed

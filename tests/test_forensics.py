@@ -151,6 +151,13 @@ class TestBundleFormat:
             ExecutionRecord.from_jsonable(dict(data, surprise=1))
         assert data["format"] == BUNDLE_FORMAT
 
+    def test_an_older_bundles_injector_specs_are_dropped(self, tmp_path):
+        _, bundle = chaos_capture(tmp_path)
+        data = bundle.to_jsonable()
+        assert "injector_specs" not in data
+        old = dict(data, injector_specs=["<ReplayInjector object at 0x1>"])
+        assert ExecutionRecord.from_jsonable(old) == bundle
+
     def test_bundle_is_plain_sorted_json_on_disk(self, tmp_path):
         record, bundle = chaos_capture(tmp_path)
         with open(record.extra["bundle"], encoding="utf-8") as fh:

@@ -289,6 +289,30 @@ class TestPhiAccrualDetector:
         with pytest.raises(ValueError):
             PhiConfig(suspect_threshold=9.0, confirm_threshold=8.0)
 
+    def test_the_detector_changes_a_verdict(self, capsys, monkeypatch):
+        # Seed 17 of the adaptive-RTO chaos argv: graded suspicion keeps
+        # the run correct; evicting on the first missing frame (every
+        # level read as confirm) makes it silently wrong.
+        from repro.cli import main
+
+        argv = [
+            "chaos", "--topology", "grid:3x3", "--protocol", "algorithm1",
+            "-f", "2", "-b", "64", "--inject", "drop=0.02",
+            "--retransmit-budget", "2", "--rto", "adaptive",
+            "--seed", "17", "--seeds", "1",
+        ]
+
+        def row():
+            code = main(argv)
+            line = capsys.readouterr().out.splitlines()[3]
+            return code, [cell.strip() for cell in line.split("|")[:3]]
+
+        assert row() == (0, ["17", "correct", "38"])
+        monkeypatch.setattr(
+            PhiAccrualDetector, "level", lambda self, *a, **k: LEVEL_CONFIRM
+        )
+        assert row() == (1, ["17", "SILENT-WRONG", "37"])
+
 
 class TestAdaptiveRto:
     def test_initial_rto_is_one_round(self):

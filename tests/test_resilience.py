@@ -6,12 +6,10 @@ uninterrupted run — no lost rows, no duplicates, no drifted values — and
 re-executes only the runs the cache had not stored.
 """
 
-import gc
 import json
 import os
 import re
-import signal
-import sys
+import threading
 import time
 
 import pytest
@@ -38,15 +36,12 @@ from repro.exec import (
 from repro.exec.cache import record_from_jsonable, record_to_jsonable
 from repro.graphs import grid_graph, path_graph
 from repro.sim.faults import FaultInjector
+from repro.sim.flooding import RUN_INDEX
+from repro.sim.network import DEADLINE
 from tests.conftest import cached_records
 
 
 class TestWallClockLimit:
-    def test_interrupts_a_hung_block(self):
-        with pytest.raises(RunTimeout):
-            with wall_clock_limit(0.05):
-                time.sleep(2)
-
     def test_noop_without_limit(self):
         with wall_clock_limit(None):
             pass
@@ -56,97 +51,10 @@ class TestWallClockLimit:
             with wall_clock_limit(0):
                 pass
 
-    def test_swallowed_alarm_still_times_out(self):
-        # A gc callback or destructor the alarm lands in swallows its
-        # exception; the block must still end in RunTimeout.
-        with pytest.raises(RunTimeout):
-            with wall_clock_limit(0.01):
-                try:
-                    time.sleep(2)
-                except RunTimeout:
-                    pass
-
-    def test_swallowed_alarm_fires_again_before_the_block_ends(
-        self, monkeypatch
-    ):
-        # The alarm lands in a gc callback, which only reports it; the
-        # repeat must stop the busy loop long before it would end.
-        monkeypatch.setattr("sys.unraisablehook", lambda unraisable: None)
-
-        def slow_callback(phase, info):
-            if phase == "start":
-                end = time.monotonic() + 0.1
-                while time.monotonic() < end:
-                    pass
-
-        def handler(signum, frame):
-            pass
-
-        previous = signal.signal(signal.SIGALRM, handler)
-        gc.callbacks.append(slow_callback)
-        started = time.monotonic()
-        try:
-            with pytest.raises(RunTimeout):
-                with wall_clock_limit(0.05):
-                    gc.collect()
-                    gc.callbacks.remove(slow_callback)
-                    end = time.monotonic() + 2.0
-                    while time.monotonic() < end:
-                        pass
-            assert time.monotonic() - started < 1.0
-            assert signal.getsignal(signal.SIGALRM) is handler
-        finally:
-            if slow_callback in gc.callbacks:
-                gc.callbacks.remove(slow_callback)
-            signal.signal(signal.SIGALRM, previous)
-
-    def test_unraisable_hook_runs_unarmed(self, monkeypatch):
-        # An alarm swallowed by a gc callback is reported through
-        # sys.unraisablehook; a 1 ms repeat landing inside that hook would
-        # break the report itself, so the hook must run unarmed.
-        interrupted = []
-
-        def slow_hook(unraisable):
-            end = time.monotonic() + 0.02
-            try:
-                while time.monotonic() < end:
-                    pass
-            except RunTimeout as exc:
-                interrupted.append(exc)
-
-        def slow_callback(phase, info):
-            end = time.monotonic() + 0.01
-            while time.monotonic() < end:
-                pass
-
-        def handler(signum, frame):
-            pass
-
-        monkeypatch.setattr("sys.unraisablehook", slow_hook)
-        previous = signal.signal(signal.SIGALRM, handler)
-        gc.callbacks.append(slow_callback)
-        started = time.monotonic()
-        try:
-            with pytest.raises(RunTimeout):
-                with wall_clock_limit(0.001):
-                    gc.collect()
-                    gc.callbacks.remove(slow_callback)
-                    end = time.monotonic() + 1.0
-                    while time.monotonic() < end:
-                        pass
-            assert time.monotonic() - started < 0.5
-            assert interrupted == []
-            assert sys.unraisablehook is slow_hook
-            assert signal.getsignal(signal.SIGALRM) is handler
-        finally:
-            if slow_callback in gc.callbacks:
-                gc.callbacks.remove(slow_callback)
-            signal.signal(signal.SIGALRM, previous)
-
     def test_timer_cleared_after_exit(self):
         with wall_clock_limit(0.05):
             pass
-        time.sleep(0.08)  # would fire now if the timer leaked
+        assert DEADLINE.get() is None
 
 
 class SlowInjector(FaultInjector):
@@ -154,6 +62,21 @@ class SlowInjector(FaultInjector):
 
     def begin_round(self, rnd):
         time.sleep(0.02)
+
+
+class RoundCounter(SlowInjector):
+    """A :class:`SlowInjector` that counts the rounds begun and ended."""
+
+    def __init__(self):
+        super().__init__()
+        self.began = self.ended = 0
+
+    def begin_round(self, rnd):
+        self.began += 1
+        super().begin_round(rnd)
+
+    def end_round(self, rnd):
+        self.ended += 1
 
 
 class FlakyInjector(FaultInjector):
@@ -205,6 +128,35 @@ class TestSafeRunProtocol:
         )
         assert record.failed
         assert record.error_kind == "RunTimeout"
+
+    def test_timeout_works_off_the_main_thread(self):
+        topo, inputs = self._args()
+        rows = []
+
+        def run():
+            rows.append(
+                safe_run_protocol(
+                    "bruteforce", topo, inputs, timeout_s=0.05,
+                    injectors=[SlowInjector()],
+                )
+            )
+
+        worker = threading.Thread(target=run)
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert rows[0].error_kind == "RunTimeout"
+
+    def test_a_timeout_lands_between_rounds(self):
+        topo, inputs = self._args()
+        counter = RoundCounter()
+        record = safe_run_protocol(
+            "bruteforce", topo, inputs, timeout_s=0.05, injectors=[counter]
+        )
+        assert record.error_kind == "RunTimeout"
+        assert counter.began == counter.ended > 0
+        assert RUN_INDEX.get() is None
+        assert DEADLINE.get() is None
 
     def test_a_transient_failure_is_not_retried(self):
         topo, inputs = self._args()

@@ -378,9 +378,9 @@ class TestRunIndex:
         assert RUN_INDEX.get() is None
 
     def test_an_alarm_as_the_index_binds_leaves_none_bound(self, monkeypatch):
-        """A wall-clock alarm is handled as a call returns, so it can
-        raise just after a round binds the network's index; the index is
-        unbound again afterwards, or every later manager would share it."""
+        """An exception raised just after a round binds the network's
+        index, as the set returns, leaves the index unbound afterwards,
+        or every later manager would share it."""
         import repro.sim.network as network_module
 
         class AlarmAfterFirstSet:
